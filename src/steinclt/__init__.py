@@ -60,6 +60,7 @@ from .semigroup import (
     ou_noise,
     semigroup_apply,
     semigroup_derivative,
+    semigroup_jet,
     transition_density,
 )
 from .stein import (
@@ -71,7 +72,6 @@ from .stein import (
     psi_d1,
     psi_d2,
     psi_d3,
-    psi_gradient,
     smoothed_target,
     smoothing_weight,
     stein_residual,

@@ -6,6 +6,14 @@ L = Laplacian - x . grad.  For indicator test functions of half-spaces, balls
 and boxes the smoothing has a closed form (one-dimensional Gaussian CDFs and
 noncentral chi-square CDFs), which the Stein solver leans on heavily; the
 generic fallbacks are tensor Gauss-Hermite (k <= 3) and seeded Monte Carlo.
+
+Derivatives come two ways.  `semigroup_derivative` gives one mixed partial
+D_idx T_s h for an index tuple of order 1 to 3.  `semigroup_jet` gives the
+whole first-order jet at once, the gradient and the Laplacian of T_s h,
+which is what the generator L needs: each closed form computes its shared
+pieces once (the ball's noncentral chi-square CDFs, the box's per-coordinate
+factors, the half-space's Gaussian density), and the quadrature fallback
+evaluates h once per point instead of once per index.
 """
 
 from __future__ import annotations
@@ -171,16 +179,32 @@ def smoothed_value_batch(h: TestFunction, alpha: float, w: float, X) -> np.ndarr
     return None
 
 
+def _halfspace_projection(C: HalfSpace, alpha, w, X):
+    return (C.offset - alpha * (X @ C.normal)) / w
+
+
 def _halfspace_derivative(C: HalfSpace, alpha, w, X, idx):
-    u = (C.offset - alpha * (X @ C.normal)) / w
+    u = _halfspace_projection(C, alpha, w, X)
     m = len(idx)
     val = -((alpha / w) ** m) * hermite_he(m - 1, u) * norm_pdf(u)
     for i in idx:
         val = val * C.normal[i]
     return val
 
+
+def _halfspace_jet(C: HalfSpace, alpha, w, X):
+    u = _halfspace_projection(C, alpha, w, X)
+    pdf = norm_pdf(u)
+    grad = np.outer(-(alpha / w) * pdf, C.normal)
+    lap = -((alpha / w) ** 2) * hermite_he(1, u) * pdf * float(C.normal @ C.normal)
+    return grad, lap
+
+
 def _ncx2_lambda_derivatives(q, k, lam, order):
-    """d^j/d lambda^j of the noncentral chi-square CDF, j = 1..order."""
+    """d^j/d lambda^j of the noncentral chi-square CDF, j = 1..order.
+
+    One CDF call per distinct degree of freedom k, k+2, ..., k+2*order.
+    """
     F = [stats.ncx2.cdf(q, k + 2 * j, lam) for j in range(order + 1)]
     out = []
     for j in range(1, order + 1):
@@ -189,15 +213,22 @@ def _ncx2_lambda_derivatives(q, k, lam, order):
     return out
 
 
-def _ball_derivative(C: Ball, alpha, w, X, idx):
+def _ball_noncentrality(C: Ball, alpha, w, X):
+    """q, lambda(x) and its derivatives for E 1_C(alpha x + w Z) = F_k(q; lambda(x)).
+
+    Returns q = r^2/w^2, lambda = |alpha x - c|^2 / w^2 (M,), grad lambda
+    (M, k), and the constant d2 with D_ij lambda = d2 * delta_ij.
+    """
     mu = alpha * X - C.center
     w2 = w * w
-    q = C.radius**2 / w2
     lam = np.sum(mu * mu, axis=1) / w2
+    return C.radius**2 / w2, lam, 2.0 * alpha * mu / w2, 2.0 * alpha * alpha / w2
+
+
+def _ball_derivative(C: Ball, alpha, w, X, idx):
+    q, lam, dl, d2l = _ball_noncentrality(C, alpha, w, X)
     m = len(idx)
     dF = _ncx2_lambda_derivatives(q, C.dim, lam, m)
-    dl = 2.0 * alpha * mu / w2          # d lambda / d x_i = dl[:, i]
-    d2l = 2.0 * alpha * alpha / w2      # d2 lambda / d x_i d x_j = d2l * delta_ij
     if m == 1:
         (i,) = idx
         return dF[0] * dl[:, i]
@@ -215,12 +246,30 @@ def _ball_derivative(C: Ball, alpha, w, X, idx):
     return val
 
 
+def _ball_jet(C: Ball, alpha, w, X):
+    # grad F(lambda) = F' grad lambda;  Laplacian = F'' |grad lambda|^2 + F' k d2
+    q, lam, dl, d2l = _ball_noncentrality(C, alpha, w, X)
+    dF1, dF2 = _ncx2_lambda_derivatives(q, C.dim, lam, 2)
+    grad = dF1[:, None] * dl
+    lap = dF2 * np.sum(dl * dl, axis=1) + dF1 * (C.dim * d2l)
+    return grad, lap
+
+
+def _box_edges(C: Box, alpha, w, X):
+    return (C.upper - alpha * X) / w, (C.lower - alpha * X) / w
+
+
+def _box_factor(m, alpha, w, hi, lo):
+    """Order-m (m >= 1) derivative of Phi(hi) - Phi(lo) along one coordinate."""
+    fac = hermite_he(m - 1, hi) * norm_pdf(hi) - hermite_he(m - 1, lo) * norm_pdf(lo)
+    return -((alpha / w) ** m) * fac
+
+
 def _box_derivative(C: Box, alpha, w, X, idx):
     mult: dict[int, int] = {}
     for i in idx:
         mult[i] = mult.get(i, 0) + 1
-    hi = (C.upper - alpha * X) / w
-    lo = (C.lower - alpha * X) / w
+    hi, lo = _box_edges(C, alpha, w, X)
     plain = norm_cdf(hi) - norm_cdf(lo)
     val = np.ones(len(X))
     for j in range(C.dim):
@@ -228,11 +277,23 @@ def _box_derivative(C: Box, alpha, w, X, idx):
         if m == 0:
             val = val * plain[:, j]
         else:
-            fac = hermite_he(m - 1, hi[:, j]) * norm_pdf(hi[:, j]) - hermite_he(
-                m - 1, lo[:, j]
-            ) * norm_pdf(lo[:, j])
-            val = val * (-((alpha / w) ** m)) * fac
+            val = val * _box_factor(m, alpha, w, hi[:, j], lo[:, j])
     return val
+
+
+def _box_jet(C: Box, alpha, w, X):
+    # product rule: coordinate i takes its derivative factor, the others plain
+    hi, lo = _box_edges(C, alpha, w, X)
+    plain = norm_cdf(hi) - norm_cdf(lo)
+    first = _box_factor(1, alpha, w, hi, lo)
+    second = _box_factor(2, alpha, w, hi, lo)
+    grad = np.empty_like(plain)
+    lap = np.zeros(len(X))
+    for i in range(C.dim):
+        others = np.prod(np.delete(plain, i, axis=1), axis=1)
+        grad[:, i] = first[:, i] * others
+        lap += second[:, i] * others
+    return grad, lap
 
 
 def smoothed_derivative_batch(
@@ -251,6 +312,23 @@ def smoothed_derivative_batch(
         return _ball_derivative(C, alpha, w, X, idx)
     if isinstance(C, Box):
         return _box_derivative(C, alpha, w, X, idx)
+    return None
+
+
+def smoothed_jet_batch(h: TestFunction, alpha: float, w: float, X):
+    """Gradient (M, k) and Laplacian (M,) of x -> E h(alpha*x + w*Z); closed form or None."""
+    if not isinstance(h, IndicatorFunction):
+        return None
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    C = h.set
+    if C.is_empty:
+        return np.zeros(X.shape), np.zeros(len(X))
+    if isinstance(C, HalfSpace):
+        return _halfspace_jet(C, alpha, w, X)
+    if isinstance(C, Ball):
+        return _ball_jet(C, alpha, w, X)
+    if isinstance(C, Box):
+        return _box_jet(C, alpha, w, X)
     return None
 
 
@@ -352,6 +430,38 @@ def semigroup_derivative(
         for m_i, row in enumerate(X):
             vals[m_i] = scale * float(np.asarray(h(alpha * row + w * nodes), dtype=float) @ kernel)
     return float(vals[0]) if single else vals
+
+
+def semigroup_jet(h: TestFunction, s: float, x, quad: QuadratureSpec = DEFAULT_QUAD):
+    """Gradient and Laplacian of x -> T_s h(x) at one time s > 0.
+
+    Returns (grad, lap) with shapes (M, k) and (M,) for a batch, or (k,) and
+    a float for one point.  Catalog indicators use their closed forms (the
+    ball needs one noncentral chi-square CDF per degree of freedom k, k+2,
+    k+4); otherwise h is evaluated once per row and weighted by the kernels
+    He_1(z_i) and sum_i He_2(z_i) of the derivative-on-the-kernel form.
+    """
+    if s <= 0.0:
+        raise DomainError("semigroup derivatives need s > 0")
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    X = np.atleast_2d(X)
+    k = X.shape[1]
+    alpha, w = ou_decay(s), ou_noise(s)
+    method = _resolve_inner(h, k, quad)
+    if method == "analytic":
+        grad, lap = smoothed_jet_batch(h, alpha, w, X)
+    else:
+        nodes, wts = _inner_points(k, quad, method)
+        kernel = wts[:, None] * np.column_stack(
+            [hermite_he(1, nodes), np.sum(hermite_he(2, nodes), axis=1)]
+        )
+        moments = np.empty((len(X), k + 1))
+        for m_i, row in enumerate(X):
+            moments[m_i] = np.asarray(h(alpha * row + w * nodes), dtype=float) @ kernel
+        grad = (alpha / w) * moments[:, :k]
+        lap = (alpha / w) ** 2 * moments[:, k]
+    return (grad[0], float(lap[0])) if single else (grad, lap)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ class SourceDistribution:
         self.coord_abs_m1 = float(coord_abs_m1)  # E |Y^(i)|
         self.coord_abs_m3 = float(coord_abs_m3)  # E |Y^(i)|^3
         self._rho3_exact = rho3_exact
-        self.covariance_certificate = True
 
     def sample(self, gen: np.random.Generator, m: int) -> np.ndarray:
         return self._sampler(gen, m, self.k)
@@ -286,7 +285,11 @@ def normalizer_matrix(src: NonIIDSource, j: int) -> np.ndarray:
     summary = src.moment_summary()
     if summary.method == "exact" and summary.beta3 is not None and summary.beta3 < 1.0:
         cap = 1.0 / (1.0 - summary.beta3 ** (2.0 / 3.0))
-        assert float(np.max(1.0 / evals)) <= cap * (1.0 + 1e-9)
+        if float(np.max(1.0 / evals)) > cap * (1.0 + 1e-9):
+            raise DegeneracyError(
+                "the normalizer exceeds the beta3 cap 1 / (1 - beta3^(2/3)); "
+                "the exact third-moment summary is inconsistent with Cov X_j"
+            )
     return N
 
 

@@ -5,6 +5,13 @@ centered test function h~ = h - E_Phi h.  Spatial derivatives differentiate
 under the time integral; the order-m integrand carries the singular weight
 (e^{-s} / sqrt(1-e^{-2s}))^m, which the substitution u = e^{-s} absorbs into
 a smooth integrand on (0, e^{-t}], handled by fixed Gauss-Legendre nodes.
+
+The generator side (Laplacian - x . grad) psi_t and the gradient of psi_t
+are built from one derivative jet per (x, s): a single pass over the
+s-nodes accumulates w_j * (grad, Laplacian) of T_{s_j} h from
+`semigroup_jet`, so nothing is recomputed per coordinate index.  Single
+mixed partials of order 2 and 3 (`psi_d2`, `psi_d3`) integrate
+`semigroup_derivative` over the same nodes.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .semigroup import (
     ou_noise,
     semigroup_apply,
     semigroup_derivative,
+    semigroup_jet,
 )
 
 T_MIN = 0.01
@@ -136,6 +144,17 @@ def _derivative_matrix(sol: SteinSolution, X, idx) -> np.ndarray:
     return out
 
 
+def _jet_integral(sol: SteinSolution, X):
+    """Gradient (M, k) and Laplacian (M,) of psi_t, one jet per s-node."""
+    grad = np.zeros(X.shape)
+    lap = np.zeros(len(X))
+    for s, weight in zip(sol.s_nodes, sol.s_weights):
+        g, l = semigroup_jet(sol.h, float(s), X, sol.quad)
+        grad -= weight * g
+        lap -= weight * l
+    return grad, lap
+
+
 def psi(sol: SteinSolution, x):
     """psi_t(x) = -integral of the centered smoothing over s in (t, cutoff)."""
     X, single = _batched(x)
@@ -146,8 +165,10 @@ def psi(sol: SteinSolution, x):
 def psi_d1(sol: SteinSolution, x, i: int):
     """First partial derivative of psi_t."""
     X, single = _batched(x)
-    vals = -(_derivative_matrix(sol, X, (i,)) @ sol.s_weights)
-    return _unbatch(vals, single)
+    if not 0 <= i < X.shape[1]:
+        raise DomainError("derivative index out of range")
+    grad, _ = _jet_integral(sol, X)
+    return _unbatch(grad[:, i], single)
 
 
 def psi_d2(sol: SteinSolution, x, idx):
@@ -168,25 +189,11 @@ def psi_d3(sol: SteinSolution, x, idx):
     return _unbatch(vals, single)
 
 
-def psi_gradient(sol: SteinSolution, x) -> np.ndarray:
-    """All first partials stacked; shape (M, k) (or (k,) for a single point)."""
-    X, single = _batched(x)
-    k = X.shape[1]
-    out = np.stack(
-        [-(_derivative_matrix(sol, X, (i,)) @ sol.s_weights) for i in range(k)], axis=1
-    )
-    return out[0] if single else out
-
-
 def laplacian_drift(sol: SteinSolution, x):
     """(Laplacian - x . grad) psi_t at x: the generator applied to psi_t."""
     X, single = _batched(x)
-    k = X.shape[1]
-    total = np.zeros(len(X))
-    for i in range(k):
-        total += -(_derivative_matrix(sol, X, (i, i)) @ sol.s_weights)
-        total -= X[:, i] * (-(_derivative_matrix(sol, X, (i,)) @ sol.s_weights))
-    return _unbatch(total, single)
+    grad, lap = _jet_integral(sol, X)
+    return _unbatch(lap - np.sum(X * grad, axis=1), single)
 
 
 def smoothed_target(sol: SteinSolution, x):

@@ -5,6 +5,7 @@ import pytest
 
 from steinclt import (
     Ball,
+    Box,
     HalfSpace,
     IndicatorFunction,
     QuadratureSpec,
@@ -18,6 +19,7 @@ from steinclt import (
     quantile_a,
     semigroup_apply,
     semigroup_derivative,
+    semigroup_jet,
     transition_density,
 )
 from steinclt.errors import ConfigurationError, DomainError
@@ -147,6 +149,35 @@ def test_semigroup_derivative_fallbacks_agree_with_analytic():
     mc = semigroup_derivative(h, 2.5, x, (0,), QuadratureSpec(inner_method="monte-carlo"))
     assert gh == pytest.approx(an, rel=5e-2)
     assert mc == pytest.approx(an, rel=5e-2)
+
+
+@pytest.mark.parametrize("k", (1, 3))
+def test_semigroup_jet_matches_per_index_derivatives(k):
+    # the jet is the per-index derivatives regrouped: gradient entries are the
+    # order-1 partials and the Laplacian is the sum of the (i, i) partials,
+    # for every closed form and for the quadrature fallbacks alike
+    X = RngStream(31, stream_id=k).generator().standard_normal((16, k))
+    normal = np.linspace(1.0, -0.5, k)
+    cases = [
+        (IndicatorFunction(HalfSpace(normal / np.linalg.norm(normal), 0.2)), QuadratureSpec()),
+        (IndicatorFunction(Ball(np.linspace(0.4, -0.3, k), 1.1)), QuadratureSpec()),
+        (IndicatorFunction(Box(np.linspace(-1.2, -0.4, k), np.linspace(0.5, 1.6, k))),
+         QuadratureSpec()),
+        (IndicatorFunction(Ball(np.zeros(k), -1.0)), QuadratureSpec()),
+        (hermite_product_function((1,) + (2,) * (k - 1)), QuadratureSpec()),
+        (IndicatorFunction(Ball(np.zeros(k), 1.0)),
+         QuadratureSpec(inner_method="monte-carlo", mc_samples=4096)),
+    ]
+    for h, quad in cases:
+        grad, lap = semigroup_jet(h, 0.7, X, quad)
+        assert grad.shape == (16, k) and lap.shape == (16,)
+        for i in range(k):
+            d1 = semigroup_derivative(h, 0.7, X, (i,), quad)
+            assert np.max(np.abs(grad[:, i] - d1)) <= 1e-12
+        d2 = sum(semigroup_derivative(h, 0.7, X, (i, i), quad) for i in range(k))
+        assert np.max(np.abs(lap - d2)) <= 1e-12
+        g0, l0 = semigroup_jet(h, 0.7, X[0], quad)
+        assert g0.shape == (k,) and l0 == pytest.approx(lap[0], abs=1e-15)
 
 
 def test_generator_eigenfunctions_exact():

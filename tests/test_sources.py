@@ -7,6 +7,7 @@ from scipy.special import ndtr
 from steinclt import (
     Ball,
     HalfSpace,
+    MomentSummary,
     NonIIDSource,
     RngStream,
     SetFamily,
@@ -139,6 +140,19 @@ def test_normalizer_matrix_zero_cov_is_identity():
 def test_normalizer_matrix_degenerate_raises():
     base = gaussian_source(1)
     src = NonIIDSource([(base, 1.0), (base, 0.0)])
+    with pytest.raises(DegeneracyError):
+        normalizer_matrix(src, 0)
+
+
+def test_normalizer_matrix_beyond_beta3_cap_raises():
+    # an exact summary whose beta3 understates Cov X_j breaks the cap
+    # 1 / (1 - beta3^(2/3)) on |N_j|^2, which must fail with a typed error
+    class UnderstatedSource(NonIIDSource):
+        def moment_summary(self):
+            return MomentSummary(method="exact", estimation_error=0.0, beta3=0.5, gamma3=0.5)
+
+    base = gaussian_source(1)
+    src = UnderstatedSource([(base, math.sqrt(0.9)), (base, math.sqrt(0.1))])
     with pytest.raises(DegeneracyError):
         normalizer_matrix(src, 0)
 

@@ -14,6 +14,7 @@ from steinclt import (
     SmoothFunction,
     SteinSolution,
     double_integral_kernel_report,
+    laplacian_drift,
     norm_cdf,
     psi,
     psi_d1,
@@ -115,6 +116,37 @@ def test_stein_identity_on_catalog():
             sol = SteinSolution(t, IndicatorFunction(C))
             res = np.abs(np.asarray(stein_residual(sol, pts)))
             assert float(np.max(res)) <= 1e-3
+
+
+def _jet_catalog(k):
+    normal = np.arange(1.0, k + 1.0)
+    return {
+        "half-space": HalfSpace(normal / np.linalg.norm(normal), 0.3),
+        "off-centre ball": Ball(np.linspace(0.4, -0.3, k), 1.1),
+        "asymmetric box": Box(np.linspace(-1.2, -0.4, k), np.linspace(0.5, 1.6, k)),
+    }
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("t", (0.5, 1.0))
+def test_stein_identity_closes_on_closed_form_sets(k, t):
+    pts = RngStream(24, stream_id=k).generator().standard_normal((64, k))
+    for name, C in _jet_catalog(k).items():
+        sol = SteinSolution(t, IndicatorFunction(C))
+        res = np.abs(np.asarray(stein_residual(sol, pts)))
+        assert float(np.max(res)) <= 1e-12, name
+        per_index = sum(
+            np.asarray(psi_d2(sol, pts, (i, i))) - pts[:, i] * np.asarray(psi_d1(sol, pts, i))
+            for i in range(k)
+        )
+        drift = np.asarray(laplacian_drift(sol, pts))
+        assert float(np.max(np.abs(drift - per_index))) <= 1e-12, name
+
+
+def test_psi_d1_rejects_bad_index():
+    sol = _halfspace_solution()
+    with pytest.raises(DomainError):
+        psi_d1(sol, np.zeros(2), 2)
 
 
 def test_stein_identity_through_monte_carlo_inner():
