@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import special, stats
@@ -55,6 +56,14 @@ class ConvexSet:
     def contains(self, x):
         raise NotImplementedError
 
+    def membership_statistic(self):
+        """(key, statistic, level) with x in C iff statistic(x) <= level, or None.
+
+        Sets whose keys are equal compute the same statistic, so a family
+        evaluates it once per sample for all of them (`SetFamily.counts`).
+        """
+        return None
+
     def dilate(self, eps: float) -> "ConvexSet":
         raise NotImplementedError
 
@@ -78,6 +87,14 @@ class ConvexSet:
         raise NotImplementedError
 
 
+def _projection(normal, pts):
+    return pts @ normal
+
+
+def _center_distance(center, pts):
+    return np.linalg.norm(pts - center, axis=1)
+
+
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if eps < 0.0:
@@ -98,9 +115,13 @@ class HalfSpace(ConvexSet):
         self.offset = float(offset)
         self.dim = normal.size
 
+    def membership_statistic(self):
+        key = ("projection", self.normal.tobytes())
+        return key, partial(_projection, self.normal), self.offset
+
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        return _ret(pts @ self.normal <= self.offset, single)
+        return _ret(_projection(self.normal, pts) <= self.offset, single)
 
     def dilate(self, eps):
         return HalfSpace(self.normal, self.offset + _check_eps(eps))
@@ -144,12 +165,16 @@ class Ball(ConvexSet):
     def is_empty(self):
         return self.radius < 0.0
 
+    def membership_statistic(self):
+        # an empty ball has a negative radius, which no distance is below
+        key = ("center_distance", self.center.tobytes())
+        return key, partial(_center_distance, self.center), self.radius
+
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         if self.is_empty:
             return _ret(np.zeros(len(pts), dtype=bool), single)
-        d = np.linalg.norm(pts - self.center, axis=1)
-        return _ret(d <= self.radius, single)
+        return _ret(_center_distance(self.center, pts) <= self.radius, single)
 
     def dilate(self, eps):
         return Ball(self.center, self.radius + _check_eps(eps))
@@ -198,7 +223,11 @@ class Box(ConvexSet):
         pts, single = _as_points(x, self.dim)
         if self.is_empty:
             return _ret(np.zeros(len(pts), dtype=bool), single)
-        inside = np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
+        # per-column comparisons, cheaper than reducing an (M, k) temporary
+        inside = np.ones(len(pts), dtype=bool)
+        for j in range(self.dim):
+            inside &= pts[:, j] >= self.lower[j]
+            inside &= pts[:, j] <= self.upper[j]
         return _ret(inside, single)
 
     def dilate(self, eps):
@@ -522,6 +551,38 @@ class SetFamily:
 
     def __len__(self):
         return len(self.sets)
+
+    @cached_property
+    def _plan(self):
+        """Sets grouped by shared membership statistic, and the other sets."""
+        groups: dict = {}
+        others = []
+        for i, C in enumerate(self.sets):
+            test = C.membership_statistic()
+            if test is None:
+                others.append(i)
+                continue
+            key, statistic, level = test
+            groups.setdefault(key, (statistic, []))[1].append((i, level))
+        return tuple(groups.values()), tuple(others)
+
+    def counts(self, x) -> np.ndarray:
+        """Number of points of x inside each set, as int64.
+
+        Equal to `count_nonzero(C.contains(x))` for every set C, but sets
+        sharing a membership statistic (half-spaces with one normal, balls
+        with one centre) compute it once: each such set costs one comparison.
+        """
+        pts, _ = _as_points(x, self.dim)
+        groups, others = self._plan
+        out = np.empty(len(self.sets), dtype=np.int64)
+        for statistic, members in groups:
+            values = statistic(pts)
+            for i, level in members:
+                out[i] = np.count_nonzero(values <= level)
+        for i in others:
+            out[i] = np.count_nonzero(self.sets[i].contains(pts))
+        return out
 
 
 def default_family(

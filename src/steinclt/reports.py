@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 CSV_SCHEMA = "steinclt-csv v1"
@@ -41,7 +42,9 @@ def rows_to_csv(subcommand: str, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=1)
 def git_revision() -> str:
+    """HEAD of the checkout the package runs from; looked up once per process."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -72,15 +75,22 @@ def payload_to_json(subcommand: str, columns, rows, config: dict, extras: dict |
 
 
 def emit(subcommand, columns, rows, config, out=None, fmt="csv", extras=None) -> None:
-    """Write reports to stdout or to out.csv / out.json files."""
-    csv_text = rows_to_csv(subcommand, columns, rows)
-    json_text = payload_to_json(subcommand, columns, rows, config, extras)
+    """Write reports to stdout or to out.csv / out.json files.
+
+    Each text is built only when it is written, so CSV-only output never
+    looks up the git revision.
+    """
     if out is None:
-        sys.stdout.write(csv_text if fmt != "json" else json_text)
+        if fmt == "json":
+            sys.stdout.write(payload_to_json(subcommand, columns, rows, config, extras))
+        else:
+            sys.stdout.write(rows_to_csv(subcommand, columns, rows))
         return
     base = Path(out)
     base.parent.mkdir(parents=True, exist_ok=True)
     if fmt in ("csv", "both"):
+        csv_text = rows_to_csv(subcommand, columns, rows)
         base.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
     if fmt in ("json", "both"):
+        json_text = payload_to_json(subcommand, columns, rows, config, extras)
         base.with_suffix(".json").write_text(json_text, encoding="utf-8")

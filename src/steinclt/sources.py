@@ -14,6 +14,7 @@ how many workers execute the blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,14 +53,21 @@ class Estimate:
 
 
 class SourceDistribution:
-    """Product law of one summand Y with E Y = 0 and Cov Y = I_k."""
+    """Product law of one summand Y with E Y = 0 and Cov Y = I_k.
 
-    def __init__(self, name, k, sampler, coord_abs_m1, coord_abs_m3, rho3_exact=None):
+    `sum_sampler(gen, m, k, n)`, when given, draws m copies of the normalized
+    sum (Y_1 + ... + Y_n)/sqrt(n) from its exact law in one call.
+    """
+
+    def __init__(
+        self, name, k, sampler, coord_abs_m1, coord_abs_m3, rho3_exact=None, sum_sampler=None
+    ):
         if k < 1:
             raise DomainError("dimension k must be >= 1")
         self.name = name
         self.k = k
         self._sampler = sampler
+        self.sum_sampler = sum_sampler
         self.coord_abs_m1 = float(coord_abs_m1)  # E |Y^(i)|
         self.coord_abs_m3 = float(coord_abs_m3)  # E |Y^(i)|^3
         self._rho3_exact = rho3_exact
@@ -92,8 +100,17 @@ def _gaussian_sampler(gen, m, k):
     return gen.standard_normal((m, k))
 
 
+def _gaussian_sum(gen, m, k, n):
+    return gen.standard_normal((m, k))
+
+
 def _rademacher_sampler(gen, m, k):
     return gen.integers(0, 2, size=(m, k)).astype(float) * 2.0 - 1.0
+
+
+def _rademacher_sum(gen, m, k, n):
+    # the sum of n signs is 2 Binomial(n, 1/2) - n, exact in floating point
+    return (2.0 * gen.binomial(n, 0.5, size=(m, k)) - n) / math.sqrt(n)
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -107,15 +124,25 @@ def _exponential_sampler(gen, m, k):
     return gen.standard_exponential((m, k)) - 1.0
 
 
+def _exponential_sum(gen, m, k, n):
+    # a sum of n standard exponentials is Gamma(n, 1)
+    return (gen.standard_gamma(n, size=(m, k)) - n) / math.sqrt(n)
+
+
 def gaussian_source(k: int) -> SourceDistribution:
     rho3 = 2.0**1.5 * math.gamma((k + 3) / 2.0) / math.gamma(k / 2.0)
     m1 = math.sqrt(2.0 / math.pi)
-    return SourceDistribution("gaussian", k, _gaussian_sampler, m1, 2.0 * m1, rho3)
+    return SourceDistribution(
+        "gaussian", k, _gaussian_sampler, m1, 2.0 * m1, rho3, sum_sampler=_gaussian_sum
+    )
 
 
 def rademacher_source(k: int) -> SourceDistribution:
     # ||Y|| = sqrt(k) almost surely
-    return SourceDistribution("rademacher", k, _rademacher_sampler, 1.0, 1.0, float(k) ** 1.5)
+    return SourceDistribution(
+        "rademacher", k, _rademacher_sampler, 1.0, 1.0, float(k) ** 1.5,
+        sum_sampler=_rademacher_sum,
+    )
 
 
 def uniform_source(k: int) -> SourceDistribution:
@@ -128,7 +155,8 @@ def exponential_source(k: int) -> SourceDistribution:
     m1 = 2.0 / math.e
     m3 = 12.0 / math.e - 2.0
     return SourceDistribution(
-        "exponential", k, _exponential_sampler, m1, m3, m3 if k == 1 else None
+        "exponential", k, _exponential_sampler, m1, m3, m3 if k == 1 else None,
+        sum_sampler=_exponential_sum,
     )
 
 
@@ -293,14 +321,27 @@ def normalizer_matrix(src: NonIIDSource, j: int) -> np.ndarray:
     return N
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """value as an int >= minimum; DomainError for bools, non-integral or non-finite values."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    count = int(value)
+    if count < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
 def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     """Draw `size` copies of the normalized sum S_n; shape (size, k).
 
-    iid sources: S_n = (Y_1 + ... + Y_n)/sqrt(n); non-iid: S_n = sum X_j with
-    n equal to the component count.
+    iid sources: S_n = (Y_1 + ... + Y_n)/sqrt(n), drawn from its exact law
+    when the source has one (gaussian, rademacher, exponential) and summed
+    otherwise; non-iid: S_n = sum X_j with n equal to the component count.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _count("n", n, 1)
     gen = stream.generator()
     if isinstance(src, NonIIDSource):
         if n != src.n:
@@ -309,6 +350,8 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
         for base, sc in src.components:
             total += sc * base.sample(gen, size)
         return total
+    if src.sum_sampler is not None:
+        return src.sum_sampler(gen, size, src.k, n)
     total = np.zeros((size, src.k))
     for _ in range(n):
         total += src.sample(gen, size)
@@ -348,14 +391,12 @@ def delta_hat(
     the binomial one at the argmax set; the sup-induced upward bias is not
     corrected.
     """
-    if M < 1000:
-        raise DomainError("delta_hat needs M >= 1000")
-    sets = family.sets
-    measures = np.array([gaussian_measure(C) for C in sets])
+    n = _count("n", n, 1)
+    M = _count("M", M, 1000)
+    measures = np.array([gaussian_measure(C) for C in family.sets])
 
     def block_counts(block_stream, size):
-        X = sample_sum(src, n, block_stream, size)
-        return np.array([np.count_nonzero(C.contains(X)) for C in sets], dtype=np.int64)
+        return family.counts(sample_sum(src, n, block_stream, size))
 
     counts = sum(_run_blocks(M, stream, block_counts, workers))
     freqs = counts / float(M)

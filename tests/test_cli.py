@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from steinclt import default_family, save_family
+from steinclt import default_family, reports, save_family
 from steinclt.cli import run
 
 
@@ -93,6 +93,36 @@ def test_output_files_written(tmp_path):
     assert payload["schema"] == "steinclt-json v1"
     assert payload["rows"][0]["seed"] == 3
     assert payload["config"]["M"] == 2000
+
+
+def test_git_revision_runs_once_and_only_for_json(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_run = reports.subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(reports.subprocess, "run", counting_run)
+    reports.git_revision.cache_clear()
+    rows = [{"k": 1, "delta_hat": 0.5}]
+    reports.emit("delta", ("k", "delta_hat"), rows, {}, None, "csv")
+    reports.emit("delta", ("k", "delta_hat"), rows, {}, str(tmp_path / "a"), "csv")
+    assert calls == []
+    reports.emit("delta", ("k", "delta_hat"), rows, {}, str(tmp_path / "b"), "both")
+    reports.emit("delta", ("k", "delta_hat"), rows, {}, None, "json")
+    assert len(calls) <= 1
+    assert (tmp_path / "a.csv").is_file() and not (tmp_path / "a.json").exists()
+    assert json.loads((tmp_path / "b.json").read_text())["rows"] == rows
+
+
+@pytest.mark.parametrize("bad_M", ["2000.5", "NaN", "true"])
+def test_non_integral_M_from_config_exits_2(tmp_path, bad_M):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"M": %s}' % bad_M)
+    code = run(["delta", "--source", "rademacher", "--k", "1", "--n", "4",
+                "--seed", "2", "--config", str(path)])
+    assert code == 2
 
 
 def test_discrepancy_agreement(capsys):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from steinclt import (
     Ball,
     Box,
+    DilatedSet,
     Ellipsoid,
+    ErodedSet,
     HalfSpace,
     RngStream,
     SetFamily,
@@ -216,3 +220,80 @@ def test_family_rejects_empty_and_mixed_dims():
         SetFamily(sets=())
     with pytest.raises(DimensionMismatchError):
         SetFamily(sets=(Ball(np.zeros(2), 1.0), Ball(np.zeros(3), 1.0)))
+
+
+def _per_set_counts(fam, pts):
+    return np.array([np.count_nonzero(C.contains(pts)) for C in fam.sets], dtype=np.int64)
+
+
+def _lattice_points(k, n, m, seed):
+    """m draws from the Rademacher lattice {(2j - n)/sqrt(n)}^k."""
+    j = RngStream(seed, stream_id=4).generator().integers(0, n + 1, size=(m, k))
+    return (2.0 * j - n) / math.sqrt(n)
+
+
+def test_family_counts_match_contains_on_the_default_family():
+    for k in (1, 2, 3):
+        fam = default_family(k)
+        gauss = RngStream(30 + k, stream_id=5).generator().standard_normal((4096, k))
+        for pts in (gauss, _lattice_points(k, 4, 4096, k), _lattice_points(k, 16, 4096, k)):
+            counts = fam.counts(pts)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, _per_set_counts(fam, pts))
+
+
+@st.composite
+def _mixed_family_and_points(draw):
+    """A family mixing shared and distinct statistics, and points on its boundaries."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([1, 4, 9]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattice = (2.0 * np.arange(n + 1) - n) / math.sqrt(n)
+    level = st.one_of(
+        st.sampled_from(lattice.tolist()), st.floats(-3.0, 3.0, allow_nan=False)
+    )
+    # unit normals: coordinate axes (exact projections) and random directions
+    normals = [np.eye(k)[i] for i in range(k)] + [
+        d / np.linalg.norm(d) for d in gen.standard_normal((2, k))
+    ]
+    centers = [np.zeros(k), gen.standard_normal(k)]
+    sets = []
+    for _ in range(draw(st.integers(1, 12))):
+        normal = normals[draw(st.integers(0, len(normals) - 1))]
+        sets.append(HalfSpace(normal.copy(), draw(level)))  # shared normals, separate arrays
+    for _ in range(draw(st.integers(0, 6))):
+        center = centers[draw(st.integers(0, 1))]
+        sets.append(Ball(center.copy(), draw(st.sampled_from([-1.0, 0.0, 1.0]) | level)))
+    half = np.abs(lattice[-1]) * np.ones(k)
+    sets += [
+        Box(-half, half),
+        Box(np.ones(k), -np.ones(k)),  # empty
+        Box(-np.ones(k), np.full(k, 1.5)),
+        Ellipsoid(centers[1], np.diag(np.linspace(0.5, 2.0, k))),
+        DilatedSet(Box(-np.ones(k), np.ones(k)), 0.25),
+        ErodedSet(Ellipsoid(np.zeros(k), 4.0 * np.eye(k)), 0.5),
+    ]
+    order = draw(st.permutations(range(len(sets))))
+    fam = SetFamily(sets=tuple(sets[i] for i in order))
+    m = draw(st.integers(1, 64))
+    gauss = gen.standard_normal((m, k))
+    on_lattice = lattice[gen.integers(0, n + 1, size=(m, k))]
+    # exactly on axis half-space offsets and on centred-ball radii
+    radii = np.array([C.radius for C in sets if isinstance(C, Ball)] + [1.0])
+    on_spheres = np.zeros((m, k))
+    on_spheres[:, 0] = gen.choice(np.abs(radii), size=m)
+    return fam, np.vstack([gauss, on_lattice, on_spheres])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_mixed_family_and_points())
+def test_family_counts_match_per_set_contains(case):
+    fam, pts = case
+    counts = fam.counts(pts)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, _per_set_counts(fam, pts))
+    for C in fam.sets:
+        if isinstance(C, Box) and not C.is_empty:
+            # the (M, k) reduction the per-column comparisons replaced
+            expect = np.all((pts >= C.lower) & (pts <= C.upper), axis=1)
+            assert np.array_equal(C.contains(pts), expect)

@@ -60,9 +60,13 @@ def test_source_mean_and_covariance():
 
 
 def test_sample_sum_support_rademacher():
-    src = rademacher_source(1)
-    draws = sample_sum(src, 1, RngStream(103), size=64)
-    assert set(np.unique(draws)) <= {-1.0, 1.0}
+    src = rademacher_source(2)
+    for n in (1, 4, 7, 64):
+        draws = sample_sum(src, n, RngStream(103 + n), size=4096)
+        lattice = set(((2.0 * np.arange(n + 1) - n) / math.sqrt(n)).tolist())
+        support = set(np.unique(draws).tolist())
+        # at n = 64 the outer lattice points have probability 2^-64 or so
+        assert support == lattice if n < 64 else support < lattice
 
 
 def test_sample_sum_gaussian_stability():
@@ -76,6 +80,59 @@ def test_sample_sum_covariance_all_sources():
         src = make_source(name, 2)
         draws = sample_sum(src, 16, RngStream(105), size=1 << 18)
         assert np.max(np.abs(np.cov(draws.T) - np.eye(2))) < 0.015
+
+
+def test_sample_sum_rademacher_matches_binomial_pmf():
+    n, m = 4, 1 << 16
+    draws = sample_sum(rademacher_source(2), n, RngStream(121), size=m)
+    lattice = (2.0 * np.arange(n + 1) - n) / math.sqrt(n)
+    pmf = np.array([math.comb(n, j) for j in range(n + 1)]) / 2.0**n
+    for col in draws.T:
+        counts = np.array([np.count_nonzero(col == v) for v in lattice])
+        assert counts.sum() == m
+        z = (counts - m * pmf) / np.sqrt(m * pmf * (1.0 - pmf))
+        assert np.max(np.abs(z)) < 4.5, z
+
+
+def test_sample_sum_exponential_third_moment():
+    # S_n = (Gamma(n, 1) - n)/sqrt(n) has mean 0, variance 1, skewness 2/sqrt(n)
+    for n in (4, 16):
+        draws = sample_sum(exponential_source(2), n, RngStream(122 + n), size=1 << 18)
+        cubes = draws**3
+        se = cubes.std(axis=0) / math.sqrt(len(draws))
+        assert np.all(np.abs(cubes.mean(axis=0) - 2.0 / math.sqrt(n)) < 5.0 * se)
+        assert np.max(np.abs(draws.mean(axis=0))) < 0.01
+        assert np.max(np.abs(draws.var(axis=0) - 1.0)) < 0.02
+
+
+def test_sample_sum_uniform_keeps_the_summation_loop():
+    # Irwin-Hall has no exact sampler here: the draws are the summed summands
+    src = uniform_source(2)
+    gen = RngStream(123).generator()
+    expect = np.zeros((64, 2))
+    for _ in range(5):
+        expect += src.sample(gen, 64)
+    expect /= math.sqrt(5)
+    assert np.array_equal(sample_sum(src, 5, RngStream(123), size=64), expect)
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, "4", None])
+def test_sample_sum_and_delta_hat_reject_bad_counts(bad):
+    src, fam = rademacher_source(1), default_family(1)
+    with pytest.raises(DomainError):
+        sample_sum(src, bad, RngStream(124), size=8)
+    with pytest.raises(DomainError):
+        delta_hat(src, bad, fam, 4096, RngStream(124))
+    with pytest.raises(DomainError):
+        delta_hat(src, 4, fam, bad, RngStream(124))
+
+
+def test_integral_float_counts_are_accepted():
+    src, fam = exponential_source(1), default_family(1)
+    a = sample_sum(src, 4.0, RngStream(125), size=8)
+    assert np.array_equal(a, sample_sum(src, 4, RngStream(125), size=8))
+    e = delta_hat(src, np.int64(4), fam, 4096.0, RngStream(125))
+    assert e == delta_hat(src, 4, fam, 4096, RngStream(125))
 
 
 def test_sample_sum_deterministic():
@@ -192,12 +249,13 @@ def test_delta_hat_monotone_in_family_size():
 
 def test_delta_hat_deterministic_and_worker_invariant():
     fam = default_family(2)
-    src = uniform_source(2)
-    a = delta_hat(src, 8, fam, 40_000, RngStream(10))
-    b = delta_hat(src, 8, fam, 40_000, RngStream(10))
-    c = delta_hat(src, 8, fam, 40_000, RngStream(10), workers=4)
-    assert (a.value, a.std_error) == (b.value, b.std_error)
-    assert (a.value, a.std_error) == (c.value, c.std_error)
+    for name in ("gaussian", "rademacher", "uniform", "exponential"):
+        src = make_source(name, 2)
+        a = delta_hat(src, 8, fam, 40_000, RngStream(10))
+        b = delta_hat(src, 8, fam, 40_000, RngStream(10))
+        c = delta_hat(src, 8, fam, 40_000, RngStream(10), workers=4)
+        assert (a.value, a.std_error) == (b.value, b.std_error), name
+        assert (a.value, a.std_error) == (c.value, c.std_error), name
 
 
 def test_delta_hat_rejects_small_M():
