@@ -166,14 +166,12 @@ class Ball(ConvexSet):
         return self.radius < 0.0
 
     def membership_statistic(self):
-        # an empty ball has a negative radius, which no distance is below
         key = ("center_distance", self.center.tobytes())
         return key, partial(_center_distance, self.center), self.radius
 
     def contains(self, x):
+        # an empty ball has a negative radius, which no distance is below
         pts, single = _as_points(x, self.dim)
-        if self.is_empty:
-            return _ret(np.zeros(len(pts), dtype=bool), single)
         return _ret(_center_distance(self.center, pts) <= self.radius, single)
 
     def dilate(self, eps):

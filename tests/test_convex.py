@@ -293,7 +293,9 @@ def test_family_counts_match_per_set_contains(case):
     assert counts.dtype == np.int64
     assert np.array_equal(counts, _per_set_counts(fam, pts))
     for C in fam.sets:
-        if isinstance(C, Box) and not C.is_empty:
+        if C.is_empty:
+            assert not np.any(C.contains(pts))
+        elif isinstance(C, Box):
             # the (M, k) reduction the per-column comparisons replaced
             expect = np.all((pts >= C.lower) & (pts <= C.upper), axis=1)
             assert np.array_equal(C.contains(pts), expect)
