@@ -26,6 +26,7 @@ from .gaussian import chi_cdf, norm_cdf
 from .rng import RngStream
 
 _UNIT_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def _as_points(x, dim: int):
@@ -289,45 +290,52 @@ class Ellipsoid(ConvexSet):
     def boundary_distance(self, x):
         """Euclidean distance to the boundary shell, inside or outside.
 
-        Solves the projection secular equation sum lam_i v_i^2/(lam_i+mu)^2=1
-        by bisection; g is strictly decreasing on (-lam_min, inf) so the root
-        is unique.  Points aligned with a degenerate axis fall back to the
-        nearest semi-axis gap, which is exact at the center.
+        In principal axes the nearest boundary point is w_i = lam_i v_i /
+        (lam_i + mu), where mu > -lam_min solves the projection secular
+        equation |p(mu)| = 1 with p_i = sqrt(lam_i) v_i / (lam_i + mu).  The
+        root is found in t = mu + lam_min, so lam_i + mu = (lam_i - lam_min) + t
+        does not cancel near the pole, by Newton's method on
+        psi(t) = 1/|p(t)| - 1 (More & Sorensen 1983, "Computing a trust region
+        step").  psi is increasing and concave, so iterates started left of the
+        root, at t0 = max(0, max_i sqrt(lam_i)|v_i| - (lam_i - lam_min)), rise
+        monotonically to it; a row stops when a step no longer increases t.
+        If the root would lie at t <= 0 (every lam_min coordinate of v is 0
+        and |p(0)| <= 1), then mu = -lam_min and the nearest point takes up
+        the remaining length along a lam_min axis.
         """
         pts, single = _as_points(x, self.dim)
         v = self._rotated(pts)
         lam = self._evals
         lam_min = float(np.min(lam))
-
-        def g(mu):
-            return np.sum(lam * v * v / np.square(lam + mu[:, None]), axis=1) - 1.0
-
-        lo = np.full(len(pts), -lam_min * (1.0 - 1e-13))
-        hi = np.full(len(pts), lam_min)
-        for _ in range(200):
-            grow = g(hi) > 0.0
-            if not np.any(grow):
-                break
-            hi[grow] *= 2.0
-        degenerate = g(lo) < 0.0
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            high_side = g(mid) > 0.0
-            lo = np.where(high_side, mid, lo)
-            hi = np.where(high_side, hi, mid)
-        mu = 0.5 * (lo + hi)
-        w = lam * v / (lam + mu[:, None])
-        d = np.linalg.norm(v - w, axis=1)
-        if np.any(degenerate):
-            # nearly on a low-curvature axis: use the min-semi-axis gap
-            mahal = np.sqrt(np.sum(v * v / lam, axis=1))
-            d = np.where(degenerate, np.sqrt(lam_min) * np.abs(1.0 - mahal), d)
+        gap = lam - lam_min
+        g = np.sqrt(lam) * v
+        t = np.maximum(np.max(np.abs(g) - gap, axis=1), 0.0)
+        rows, t_rows, g_rows = np.arange(len(t)), t, g
+        while rows.size:
+            # t = 0 only where g vanishes on every axis with gap 0; the floor
+            # keeps those terms at 0 rather than 0 * inf
+            inv = 1.0 / np.maximum(gap + t_rows[:, None], _TINY)
+            p2 = np.square(g_rows * inv)
+            norm2 = p2.sum(axis=1)
+            with np.errstate(invalid="ignore"):  # 0/0 at the centre: nan does not rise
+                step = (np.sqrt(norm2) - 1.0) * norm2 / (p2 * inv).sum(axis=1)
+            t_next = t_rows + step
+            rising = t_next > t_rows
+            rows, t_rows, g_rows = rows[rising], t_next[rising], g_rows[rising]
+            t[rows] = t_rows
+        inv = 1.0 / np.maximum(gap + t[:, None], _TINY)
+        d2 = np.square(t - lam_min) * np.sum(np.square(v * inv), axis=1)
+        # t = 0 means mu = -lam_min: fill one lam_min axis up to the boundary
+        hard = t == 0.0
+        d2[hard] += lam_min * (1.0 - np.sum(np.square(g[hard] * inv[hard]), axis=1))
+        d = np.sqrt(d2)
         return float(d[0]) if single else d
 
     def distance_outside(self, x):
         pts, single = _as_points(x, self.dim)
-        inside = self.contains(pts)
-        d = np.where(inside, 0.0, self.boundary_distance(pts))
+        outside = ~self.contains(pts)
+        d = np.zeros(len(pts))
+        d[outside] = self.boundary_distance(pts[outside])
         return float(d[0]) if single else d
 
     def distance_inside(self, x):
@@ -414,8 +422,8 @@ class ErodedSet(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        inside = np.asarray(self.base.contains(pts))
-        ok = inside & (self.base.distance_inside(pts) >= self.eps)
+        ok = np.asarray(self.base.contains(pts))
+        ok[ok] = self.base.distance_inside(pts[ok]) >= self.eps
         return _ret(ok, single)
 
     def erode(self, eps):

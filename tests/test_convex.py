@@ -137,6 +137,61 @@ def test_ellipsoid_boundary_distance_matches_sampling():
         assert ell.boundary_distance(x) == pytest.approx(brute, abs=2e-3)
 
 
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_spherical_ellipsoid_boundary_distance_is_exact(k):
+    gen = RngStream(12, stream_id=k).generator()
+    center = gen.standard_normal(k)
+    radius = 1.7
+    ell = Ellipsoid(center, radius**2 * np.eye(k))
+    pts = center + gen.standard_normal((500, k)) * 1.5
+    pts[0] = center  # every boundary point is nearest
+    exact = np.abs(np.linalg.norm(pts - center, axis=1) - radius)
+    assert np.max(np.abs(ell.boundary_distance(pts) - exact)) <= 1e-12
+
+
+def test_ellipsoid_boundary_distance_on_the_long_axis():
+    # semi-axes a < b: from (0, y) with |y| <= (b^2 - a^2)/b the nearest
+    # boundary points leave the axis, at squared distance a^2 (1 - y^2/(b^2 - a^2))
+    a, b = 1.0, 2.0
+    ell = Ellipsoid(np.zeros(2), np.diag([a**2, b**2]))
+    ys = np.linspace(-(b**2 - a**2) / b, (b**2 - a**2) / b, 41)
+    pts = np.stack([np.zeros_like(ys), ys], axis=1)
+    exact = np.sqrt(a**2 * (1.0 - ys**2 / (b**2 - a**2)))
+    assert np.max(np.abs(ell.boundary_distance(pts) - exact)) <= 1e-12
+    # the distance is 1-Lipschitz, so stepping off the axis moves it by at most the step
+    for y in (0.0, 0.5, -1.2, 1.5, 1.9):
+        on_axis = ell.boundary_distance(np.array([0.0, y]))
+        off_axis = ell.boundary_distance(np.array([1e-9, y]))
+        assert abs(on_axis - off_axis) <= 1e-9 + 1e-12
+    assert ell.boundary_distance(np.array([1e-12, 0.0])) == pytest.approx(1.0, abs=1e-12)
+    assert ell.erode(0.9).contains(np.array([0.0, 0.5]))
+    assert ell.erode(0.9).contains(np.array([1e-6, 0.5]))
+
+
+def test_ellipsoid_boundary_distance_matches_dense_boundary():
+    # the boundary is c + A u over unit vectors u, for any A with A A^T = shape
+    shape = np.array([[2.0, 0.9], [0.9, 0.8]])
+    center = np.array([0.3, -0.2])
+    ell = Ellipsoid(center, shape)
+    theta = np.linspace(0.0, 2 * math.pi, 1 << 18, endpoint=False)
+    boundary = center + np.stack([np.cos(theta), np.sin(theta)], axis=1) @ np.linalg.cholesky(shape).T
+    evals, evecs = np.linalg.eigh(shape)
+    axes = evecs * np.sqrt(evals)
+    gen = RngStream(13, stream_id=9).generator()
+    pts = np.concatenate([
+        center + gen.standard_normal((40, 2)) * 1.2,
+        center + np.outer([0.0, 0.2, 0.5, 1.5], axes[:, 1]),  # on the long axis
+        center + np.outer([0.3, 0.6], axes[:, 0]),  # on the short axis
+    ])
+    d = ell.boundary_distance(pts)
+    for x, dist in zip(pts, d):
+        brute = float(np.min(np.linalg.norm(boundary - x, axis=1)))
+        if brute < 0.01:
+            continue  # boundary samples lie up to 4e-5 apart; keep the oracle sharp
+        # a sampled boundary can only overestimate the distance
+        assert -1e-12 <= brute - dist <= 1e-6
+
+
 def test_gaussian_measure_analytic_cases():
     assert gaussian_measure(HalfSpace(np.array([1.0, 0.0]), 0.0)) == pytest.approx(0.5)
     a2 = quantile_a(2).a_k

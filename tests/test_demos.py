@@ -1,4 +1,5 @@
-"""The narrative demos that exercise the semigroup and Stein-solution surface run cleanly."""
+"""The narrative demos that exercise the convex smoothing, semigroup, Stein-solution
+and bound-pipeline surface run cleanly."""
 
 import os
 import subprocess
@@ -10,7 +11,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ("03_ou_semigroup.py", "04_stein_solution.py"))
+@pytest.mark.parametrize(
+    "demo",
+    ("02_convex_smoothing.py", "03_ou_semigroup.py", "04_stein_solution.py", "06_bound_pipeline.py"),
+)
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
