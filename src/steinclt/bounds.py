@@ -53,8 +53,8 @@ class ConstantsConfig:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if value <= 0.0:
-                raise DomainError(f"constant {name} must be positive")
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"constant {name} must be positive and finite, got {value}")
         if self.c < 1.0:
             raise DomainError("the induction constant c must be >= 1")
 

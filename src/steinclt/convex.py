@@ -14,6 +14,7 @@ scrambled-Sobol QMC estimate for everything else.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -110,10 +111,14 @@ class HalfSpace(ConvexSet):
         normal = np.asarray(normal, dtype=float)
         if normal.ndim != 1 or normal.size < 1:
             raise DomainError("normal must be a vector")
-        if abs(np.linalg.norm(normal) - 1.0) > _UNIT_TOL:
+        # written so that a NaN or infinite entry (a NaN or infinite norm) fails too
+        if not abs(np.linalg.norm(normal) - 1.0) <= _UNIT_TOL:
             raise DomainError("half-space normal must have unit length")
+        offset = float(offset)
+        if not math.isfinite(offset):
+            raise DomainError(f"half-space offset must be finite, got {offset}")
         self.normal = normal
-        self.offset = float(offset)
+        self.offset = offset
         self.dim = normal.size
 
     def membership_statistic(self):

@@ -3,17 +3,19 @@
 T_t h(x) = E h(e^{-t} x + sqrt(1 - e^{-2t}) Z) interpolates between the
 identity (t = 0) and the Gaussian mean (t -> infinity); its generator is
 L = Laplacian - x . grad.  For indicator test functions of half-spaces, balls
-and boxes the smoothing has a closed form (one-dimensional Gaussian CDFs and
-noncentral chi-square CDFs), which the Stein solver leans on heavily; the
-generic fallbacks are tensor Gauss-Hermite (k <= 3) and seeded Monte Carlo.
+and boxes the smoothing has a closed form (one-dimensional Gaussian CDFs, and
+for the ball a noncentral chi-square CDF whose lambda-derivatives are
+noncentral chi-square densities), which the Stein solver leans on heavily;
+the generic fallbacks are tensor Gauss-Hermite (k <= 3) and seeded Monte
+Carlo.
 
 Derivatives come two ways.  `semigroup_derivative` gives one mixed partial
 D_idx T_s h for an index tuple of order 1 to 3.  `semigroup_jet` gives the
 whole first-order jet at once, the gradient and the Laplacian of T_s h,
 which is what the generator L needs: each closed form computes its shared
-pieces once (the ball's noncentral chi-square CDFs, the box's per-coordinate
-factors, the half-space's Gaussian density), and the quadrature fallback
-evaluates h once per point instead of once per index.
+pieces once (the ball's noncentral chi-square densities, the box's
+per-coordinate factors, the half-space's Gaussian density), and the
+quadrature fallback evaluates h once per point instead of once per index.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .convex import Ball, Box, ConvexSet, HalfSpace, gaussian_measure, shifted_measure_batch
 from .errors import ConfigurationError, DomainError
@@ -200,16 +202,62 @@ def _halfspace_jet(C: HalfSpace, alpha, w, X):
     return grad, lap
 
 
-def _ncx2_lambda_derivatives(q, k, lam, order):
-    """d^j/d lambda^j of the noncentral chi-square CDF, j = 1..order.
+# Up to z = sqrt(lambda q) = 4 the densities come from their power series,
+# whose first omitted term (m = 16) is then below 1e-17 of the sum; there the
+# Bessel recurrence would divide by a small lambda and cancel.  Switching at
+# z = 2 instead costs more than a digit at k = 5.
+_NCX2_SERIES_Z = 4.0
+_NCX2_SERIES_TERMS = 16
 
-    One CDF call per distinct degree of freedom k, k+2, ..., k+2*order.
+
+def _ncx2_densities(q: float, k: int, lam, count: int) -> np.ndarray:
+    """Noncentral chi-square densities f_{k+2}, ..., f_{k+2*count} at q, shape (count, M).
+
+    f_nu(q; lam) = 1/2 e^{-(q+lam)/2} (q/lam)^{nu/4-1/2} I_{nu/2-1}(sqrt(lam q))
+    (Johnson, Kotz & Balakrishnan 1995, ch. 29).  For z = sqrt(lam q) above
+    the switch, the recurrence lam f_{nu+2} = q f_{nu-2} - (nu-2) f_nu runs
+    upward from f_1, f_3 (elementary, half-integer orders) for odd k, or from
+    f_2, f_4 (scaled I_0, I_1) for even k.  Below it, including lam = 0,
+    f_nu = 1/2 (q/2)^n e^{-(q+lam)/2} sum_m (lam q/4)^m / (m! Gamma(m+n+1))
+    with n = nu/2 - 1, evaluated only on those rows.
     """
-    F = [stats.ncx2.cdf(q, k + 2 * j, lam) for j in range(order + 1)]
-    out = []
-    for j in range(1, order + 1):
-        coef = [(-1.0) ** (j - i) * math.comb(j, i) for i in range(j + 1)]
-        out.append(sum(c * Fi for c, Fi in zip(coef, F[: j + 1])) / 2.0**j)
+    z = np.sqrt(q * lam)
+    out = np.empty((count, len(lam)))
+    series = z <= _NCX2_SERIES_Z
+    if series.any():
+        ls = lam[series]
+        n = k / 2.0 + np.arange(count)[:, None]
+        x = ls * (q / 4.0)
+        acc = np.ones((count, len(ls)))
+        for m in range(_NCX2_SERIES_TERMS - 1, 0, -1):  # Horner
+            acc *= x
+            acc /= m * (m + n)
+            acc += 1.0
+        log_half_q = math.log(q / 2.0) if q > 0.0 else -math.inf
+        lead = n * log_half_q - q / 2.0 - special.gammaln(n + 1.0)
+        out[:, series] = 0.5 * np.exp(lead - ls / 2.0) * acc
+    closed = ~series
+    if closed.any():
+        lc, zc = lam[closed], z[closed]
+        r, rho = math.sqrt(q), np.sqrt(lc)
+        if k % 2:
+            # f_1, f_3 = (phi(r - rho) +- phi(r + rho)) / (2r, 2 rho)
+            near, far = norm_pdf(r - rho), np.exp(-2.0 * zc)  # phi(r + rho) = near * far
+            lo = near * (1.0 + far) / (2.0 * r)
+            hi = near * (1.0 - far) / (2.0 * rho)
+            nu = 3
+        else:
+            half_kernel = 0.5 * np.exp(-0.5 * (r - rho) ** 2)
+            lo = half_kernel * special.i0e(zc)
+            hi = half_kernel * (r / rho) * special.i1e(zc)
+            nu = 4
+        dens = []  # hi is f_nu, lo is f_{nu-2}
+        while nu < k + 2 * count:
+            if nu >= k + 2:
+                dens.append(hi)
+            lo, hi, nu = hi, (q * lo - (nu - 2) * hi) / lc, nu + 2
+        dens.append(hi)
+        out[:, closed] = dens
     return out
 
 
@@ -228,7 +276,10 @@ def _ball_noncentrality(C: Ball, alpha, w, X):
 def _ball_derivative(C: Ball, alpha, w, X, idx):
     q, lam, dl, d2l = _ball_noncentrality(C, alpha, w, X)
     m = len(idx)
-    dF = _ncx2_lambda_derivatives(q, C.dim, lam, m)
+    # d^j F_k / d lambda^j = -2^{1-j} Delta^{j-1} f_{k+2}, Delta the forward
+    # difference in the degrees of freedom
+    f = _ncx2_densities(q, C.dim, lam, m)
+    dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
     if m == 1:
         (i,) = idx
         return dF[0] * dl[:, i]
@@ -249,7 +300,8 @@ def _ball_derivative(C: Ball, alpha, w, X, idx):
 def _ball_jet(C: Ball, alpha, w, X):
     # grad F(lambda) = F' grad lambda;  Laplacian = F'' |grad lambda|^2 + F' k d2
     q, lam, dl, d2l = _ball_noncentrality(C, alpha, w, X)
-    dF1, dF2 = _ncx2_lambda_derivatives(q, C.dim, lam, 2)
+    f_k2, f_k4 = _ncx2_densities(q, C.dim, lam, 2)
+    dF1, dF2 = -f_k2, 0.5 * (f_k2 - f_k4)
     grad = dF1[:, None] * dl
     lap = dF2 * np.sum(dl * dl, axis=1) + dF1 * (C.dim * d2l)
     return grad, lap
@@ -437,8 +489,8 @@ def semigroup_jet(h: TestFunction, s: float, x, quad: QuadratureSpec = DEFAULT_Q
 
     Returns (grad, lap) with shapes (M, k) and (M,) for a batch, or (k,) and
     a float for one point.  Catalog indicators use their closed forms (the
-    ball needs one noncentral chi-square CDF per degree of freedom k, k+2,
-    k+4); otherwise h is evaluated once per row and weighted by the kernels
+    ball needs the noncentral chi-square densities f_{k+2} and f_{k+4}, no
+    CDF); otherwise h is evaluated once per row and weighted by the kernels
     He_1(z_i) and sum_i He_2(z_i) of the derivative-on-the-kernel form.
     """
     if s <= 0.0:

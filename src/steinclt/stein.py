@@ -91,8 +91,8 @@ class SteinSolution:
     """
 
     def __init__(self, t: float, h: TestFunction, quad: QuadratureSpec = DEFAULT_QUAD):
-        if t < T_MIN:
-            raise DomainError(f"stein solutions are evaluated for t >= {T_MIN}")
+        if not (math.isfinite(t) and t >= T_MIN):
+            raise DomainError(f"stein solutions are evaluated for finite t >= {T_MIN}, got {t}")
         quad.validate(t)
         self.t = float(t)
         self.h = h

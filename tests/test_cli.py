@@ -167,6 +167,30 @@ def test_bad_constant_exits_2(capsys):
     assert code == 2
 
 
+_DISCREPANCY = ["discrepancy", "--source", "rademacher", "--k", "1", "--n", "4",
+                "--M", "2048", "--seed", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _DISCREPANCY + ["--t", "nan"],
+        _DISCREPANCY + ["--t", "inf"],
+        _DISCREPANCY + ["--offset", "nan"],
+        _DISCREPANCY + ["--offset", "inf"],
+        ["bounds", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "2000",
+         "--seed", "1", "--constant", "c1=nan"],
+    ],
+    ids=["t-nan", "t-inf", "offset-nan", "offset-inf", "constant-nan"],
+)
+def test_non_finite_inputs_exit_2(argv, capsys):
+    # each used to exit 0 with NaN rows or a RuntimeWarning
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "steinclt: error:" in captured.err
+
+
 def test_noniid_profile_flag(capsys):
     code, out = _run_capture(
         capsys,

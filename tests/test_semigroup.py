@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from steinclt import (
     Ball,
@@ -24,6 +25,7 @@ from steinclt import (
 )
 from steinclt.errors import ConfigurationError, DomainError
 from steinclt.quadrature import gauss_hermite_tensor
+from steinclt.semigroup import _NCX2_SERIES_Z, _ncx2_densities
 
 
 def test_transition_density_stationary_limit():
@@ -178,6 +180,70 @@ def test_semigroup_jet_matches_per_index_derivatives(k):
         assert np.max(np.abs(lap - d2)) <= 1e-12
         g0, l0 = semigroup_jet(h, 0.7, X[0], quad)
         assert g0.shape == (k,) and l0 == pytest.approx(lap[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
+def test_ncx2_densities_match_scipy(k):
+    # z = sqrt(lam q) on both sides of the switch between the power series
+    # and the closed forms with the Bessel recurrence
+    z = np.array([0.5, 2.0, 0.999 * _NCX2_SERIES_Z, 1.001 * _NCX2_SERIES_Z, 6.0, 12.0])
+    nus = k + 2 + 2 * np.arange(3)
+    for q in (0.7, 3.0, 9.0):
+        lam = z**2 / q
+        f = _ncx2_densities(q, k, lam, 3)
+        assert f.shape == (3, len(lam))
+        for row, nu in zip(f, nus):
+            np.testing.assert_allclose(row, stats.ncx2.pdf(q, nu, lam), rtol=5e-14, atol=0)
+        # dF_k / d lam = (F_{k+2} - F_k) / 2 = -f_{k+2}
+        gap = stats.ncx2.cdf(q, k, lam) - stats.ncx2.cdf(q, k + 2, lam)
+        assert np.max(np.abs(gap - 2.0 * f[0])) <= 1e-15
+        at_zero = _ncx2_densities(q, k, np.zeros(1), 3)[:, 0]
+        np.testing.assert_allclose(at_zero, stats.chi2.pdf(q, nus), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "q, lam, expect",
+    # -f_5(q; lam) to 20 digits, from the Bessel form in 40-digit arithmetic
+    [(100.0, 1.0, -4.6258981189045175522e-18), (60.0, 0.3, -2.2070836161610069916e-11)],
+)
+def test_ball_lambda_derivative_keeps_relative_accuracy_inside_the_ball(q, lam, expect):
+    # F_5 - F_3 cancels to 0 at (100, 1) and to four digits at (60, 0.3);
+    # the density keeps every digit.  Reach (q, lam) through the ball's
+    # gradient at s = ln 2: alpha = 1/2, w^2 = 3/4
+    s = math.log(2.0)
+    alpha, w = math.exp(-s), ou_noise(s)
+    h = IndicatorFunction(Ball(np.zeros(3), math.sqrt(q) * w))
+    x0 = math.sqrt(lam) * w / alpha
+    d0 = semigroup_derivative(h, s, np.array([x0, 0.0, 0.0]), (0,))
+    dF = d0 / (2.0 * alpha * alpha * x0 / w**2)  # D_0 = F'(lam) D_0 lam
+    assert dF == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", (4, 5))
+def test_ball_jet_beyond_three_dimensions(k):
+    # dim-scan reaches k = 4; rows at the centre of the centred ball have
+    # lambda = 0 exactly.  The values T_s h stay on noncentral chi-square CDFs,
+    # so central differences of semigroup_apply check the jet independently
+    gen = RngStream(33, stream_id=k).generator()
+    X = np.vstack([np.zeros((2, k)), gen.standard_normal((14, k))])
+    s, step = 0.7, 1e-4
+    for C in (Ball(np.zeros(k), 1.4), Ball(np.linspace(0.4, -0.3, k), 2.0)):
+        h = IndicatorFunction(C)
+        grad, lap = semigroup_jet(h, s, X)
+        for i in range(k):
+            d1 = semigroup_derivative(h, s, X, (i,))
+            assert np.max(np.abs(grad[:, i] - d1)) <= 1e-12
+        d2 = sum(semigroup_derivative(h, s, X, (i, i)) for i in range(k))
+        assert np.max(np.abs(lap - d2)) <= 1e-12
+        mid = semigroup_apply(h, s, X)
+        fd_lap = np.zeros(len(X))
+        for i in range(k):
+            e = np.zeros(k)
+            e[i] = step
+            up, down = semigroup_apply(h, s, X + e), semigroup_apply(h, s, X - e)
+            assert np.max(np.abs(grad[:, i] - (up - down) / (2 * step))) <= 1e-9
+            fd_lap += (up - 2.0 * mid + down) / step**2
+        assert np.max(np.abs(lap - fd_lap)) <= 1e-6
 
 
 def test_generator_eigenfunctions_exact():
