@@ -73,7 +73,7 @@ def _row(check, value, reference, tol, passed) -> dict:
 # check suites
 
 
-def run_check_inequalities(args) -> tuple[list, dict, bool]:
+def run_check_inequalities(args) -> tuple[list, dict, bool, None]:
     rows = []
     oracles = {
         "distinct": (2.0 / math.pi) ** 1.5,
@@ -112,7 +112,7 @@ def run_check_inequalities(args) -> tuple[list, dict, bool]:
         rows.append(_row(f"kernel-mean-{idx}", abs(kern.sum()), 0.0, 1e-8, abs(kern.sum()) <= 1e-8))
         moment = abs(float(kern @ nodes[:, 0]))
         rows.append(_row(f"kernel-first-moment-{idx}", moment, 0.0, 1e-8, moment <= 1e-8))
-    return rows, {"k": args.k, "seed": args.seed}, _check_rows_pass(rows)
+    return rows, {"k": args.k, "seed": args.seed}, _check_rows_pass(rows), None
 
 
 def _grid_points(k: int, count: int, seed: int) -> np.ndarray:
@@ -125,7 +125,7 @@ def _catalog_sets(k: int):
     yield "ball", cv.Ball(np.zeros(k), ga.quantile_a(k).a_k)
 
 
-def run_check_semigroup(args) -> tuple[list, dict, bool]:
+def run_check_semigroup(args) -> tuple[list, dict, bool, None]:
     rows = []
     k = args.k
     pts = _grid_points(k, 5, args.seed)
@@ -157,7 +157,7 @@ def run_check_semigroup(args) -> tuple[list, dict, bool]:
     se = float(np.std(vals) / math.sqrt(len(vals)))
     mean = abs(float(np.mean(vals)))
     rows.append(_row("invariance-mc", mean, 0.0, 4.0 * se, mean <= 4.0 * se))
-    return rows, {"k": k, "seed": args.seed}, _check_rows_pass(rows)
+    return rows, {"k": k, "seed": args.seed}, _check_rows_pass(rows), None
 
 
 def _semigroup_law_gap(h, k, pts) -> float:
@@ -171,7 +171,7 @@ def _semigroup_law_gap(h, k, pts) -> float:
     return worst
 
 
-def run_check_stein(args) -> tuple[list, dict, bool]:
+def run_check_stein(args) -> tuple[list, dict, bool, None]:
     rows = []
     k = args.k
     pts = _grid_points(k, 10, args.seed)
@@ -203,7 +203,7 @@ def run_check_stein(args) -> tuple[list, dict, bool]:
     )
     cap = math.sqrt(6.0)
     rows.append(_row("kernel-double-integral", report.max_abs, cap, 0.0, report.max_abs <= cap))
-    return rows, {"k": k, "seed": args.seed}, _check_rows_pass(rows)
+    return rows, {"k": k, "seed": args.seed}, _check_rows_pass(rows), None
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ def _resolve_source(args, k: int, n: int):
     return so.make_source(args.source, k)
 
 
-def run_delta(args) -> tuple[list, dict]:
+def run_delta(args) -> tuple[list, dict, bool, None]:
     rows = []
     for k in _parse_int_list(args.k):
         family = _family_for(args, k)
@@ -246,10 +246,10 @@ def run_delta(args) -> tuple[list, dict]:
         "M": args.M,
         "seed": args.seed,
     }
-    return rows, config
+    return rows, config, True, None
 
 
-def run_discrepancy(args) -> tuple[list, dict]:
+def run_discrepancy(args) -> tuple[list, dict, bool, None]:
     rows = []
     for k in _parse_int_list(args.k):
         src = so.make_source(args.source, k)
@@ -282,9 +282,15 @@ def run_discrepancy(args) -> tuple[list, dict]:
         "M": args.M,
         "seed": args.seed,
     }
-    return rows, config
+    return rows, config, True, None
 
 
+_DELTA_COLUMNS = ("k", "n", "source", "family", "M", "seed", "delta_hat", "std_error")
+_DISCREPANCY_COLUMNS = (
+    "k", "n", "source", "t", "M", "seed",
+    "direct", "direct_se", "generator_form", "generator_se", "gap", "agree",
+)
+_DIM_SCAN_COLUMNS = ("source", "k", "n", "M", "seed", "delta_hat", "std_error")
 _BOUND_COLUMNS = (
     "k",
     "n",
@@ -308,7 +314,7 @@ _BOUND_COLUMNS = (
 )
 
 
-def run_bounds(args) -> tuple[list, dict]:
+def run_bounds(args) -> tuple[list, dict, bool, None]:
     consts = _constants_from(args)
     rows = []
     for k in _parse_int_list(args.k):
@@ -358,10 +364,10 @@ def run_bounds(args) -> tuple[list, dict]:
         "seed": args.seed,
         "t": args.t,
     }
-    return rows, config
+    return rows, config, True, None
 
 
-def run_dim_scan(args) -> tuple[list, dict, dict]:
+def run_dim_scan(args) -> tuple[list, dict, bool, dict]:
     k_list = _parse_int_list(args.k_list)
     n_list = _parse_int_list(args.n_list)
     stream = RngStream(args.seed)
@@ -413,11 +419,23 @@ def run_dim_scan(args) -> tuple[list, dict, dict]:
         "M": args.M,
         "seed": args.seed,
     }
-    return rows, config, fits
+    return rows, config, True, fits
 
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+# subcommand -> (runner, CSV columns); a runner returns (rows, config, ok, extras)
+_SUBCOMMANDS = {
+    "check-inequalities": (run_check_inequalities, _CHECK_COLUMNS),
+    "check-semigroup": (run_check_semigroup, _CHECK_COLUMNS),
+    "check-stein": (run_check_stein, _CHECK_COLUMNS),
+    "delta": (run_delta, _DELTA_COLUMNS),
+    "discrepancy": (run_discrepancy, _DISCREPANCY_COLUMNS),
+    "bounds": (run_bounds, _BOUND_COLUMNS),
+    "dim-scan": (run_dim_scan, _DIM_SCAN_COLUMNS),
+}
 
 
 def _add_common(p, with_family=True):
@@ -508,42 +526,10 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args = _apply_config_file(args, argv)
-        name = args.subcommand
-        if name == "check-inequalities":
-            rows, config, ok = run_check_inequalities(args)
-            emit(name, _CHECK_COLUMNS, rows, config, args.out, args.format)
-            return 0 if ok else 1
-        if name == "check-semigroup":
-            rows, config, ok = run_check_semigroup(args)
-            emit(name, _CHECK_COLUMNS, rows, config, args.out, args.format)
-            return 0 if ok else 1
-        if name == "check-stein":
-            rows, config, ok = run_check_stein(args)
-            emit(name, _CHECK_COLUMNS, rows, config, args.out, args.format)
-            return 0 if ok else 1
-        if name == "delta":
-            rows, config = run_delta(args)
-            cols = ("k", "n", "source", "family", "M", "seed", "delta_hat", "std_error")
-            emit(name, cols, rows, config, args.out, args.format)
-            return 0
-        if name == "discrepancy":
-            rows, config = run_discrepancy(args)
-            cols = (
-                "k", "n", "source", "t", "M", "seed",
-                "direct", "direct_se", "generator_form", "generator_se", "gap", "agree",
-            )
-            emit(name, cols, rows, config, args.out, args.format)
-            return 0
-        if name == "bounds":
-            rows, config = run_bounds(args)
-            emit(name, _BOUND_COLUMNS, rows, config, args.out, args.format)
-            return 0
-        if name == "dim-scan":
-            rows, config, fits = run_dim_scan(args)
-            cols = ("source", "k", "n", "M", "seed", "delta_hat", "std_error")
-            emit(name, cols, rows, config, args.out, args.format, extras=fits)
-            return 0
-        raise ConfigurationError(f"unknown subcommand {name!r}")
+        runner, columns = _SUBCOMMANDS[args.subcommand]
+        rows, config, ok, extras = runner(args)
+        emit(args.subcommand, columns, rows, config, args.out, args.format, extras=extras)
+        return 0 if ok else 1
     except (ConfigurationError, DomainError, HypothesisViolationError, OSError) as exc:
         print(f"steinclt: error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,13 @@ where possible (half-space, ball, eroded box); otherwise the result is a
 predicate-backed set whose membership is decided by exact or iterative
 distance computations, which is all the Monte Carlo machinery needs.
 
-Sets are closed: boundary points count as inside.  The Gaussian measure is
-analytic for half-spaces, balls (central and off-center) and boxes, and a
-scrambled-Sobol QMC estimate for everything else.
+Sets are closed: boundary points count as inside.  Each variant keeps its
+closed forms on its own class: half-spaces, balls (central and off-center)
+and boxes give Phi(C), the shifted measure P(s + sigma Z in C), and the
+mixed partials and gradient/Laplacian jet of x -> P(alpha x + w Z in C)
+that the OU semigroup needs.  The base class returns None for each, which
+sends the caller to a scrambled-Sobol QMC estimate or to quadrature.  A
+serializable variant names its config tag and constructor fields.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from scipy import special, stats
 from scipy.stats import qmc
 
 from .errors import ConfigurationError, DimensionMismatchError, DomainError
-from .gaussian import chi_cdf, norm_cdf
+from .gaussian import chi_cdf, hermite_he, norm_cdf, norm_pdf
 from .rng import RngStream
 
 _UNIT_TOL = 1e-12
@@ -47,9 +51,17 @@ def _ret(mask, single):
 
 
 class ConvexSet:
-    """Base type: immutable by convention, membership vectorized."""
+    """Base type: immutable by convention, membership vectorized.
+
+    The closed-form hooks below return None here; a variant that overrides
+    them sets `has_closed_form`.  They assume a non-empty set: callers
+    answer for the empty set first.
+    """
 
     dim: int
+    has_closed_form = False
+    variant: str | None = None  # config tag; None means not serializable
+    config_fields: tuple = ()  # constructor arguments, in order
 
     @property
     def is_empty(self) -> bool:
@@ -64,6 +76,22 @@ class ConvexSet:
         Sets whose keys are equal compute the same statistic, so a family
         evaluates it once per sample for all of them (`SetFamily.counts`).
         """
+        return None
+
+    def closed_form_measure(self) -> float | None:
+        """Phi(C) for the standard Gaussian, or None."""
+        return None
+
+    def shifted_measure(self, shifts, sigma: float):
+        """P(shift + sigma*Z in C) for each row of shifts (M, k), or None."""
+        return None
+
+    def smoothed_derivative(self, alpha: float, w: float, X, idx):
+        """D_idx [x -> P(alpha*x + w*Z in C)] for rows of X (M, k), or None."""
+        return None
+
+    def smoothed_jet(self, alpha: float, w: float, X):
+        """Gradient (M, k) and Laplacian (M,) of x -> P(alpha*x + w*Z in C), or None."""
         return None
 
     def dilate(self, eps: float) -> "ConvexSet":
@@ -107,6 +135,10 @@ def _check_eps(eps: float) -> float:
 class HalfSpace(ConvexSet):
     """{x : normal . x <= offset} with a unit normal."""
 
+    has_closed_form = True
+    variant = "half_space"
+    config_fields = ("normal", "offset")
+
     def __init__(self, normal, offset: float):
         normal = np.asarray(normal, dtype=float)
         if normal.ndim != 1 or normal.size < 1:
@@ -128,6 +160,30 @@ class HalfSpace(ConvexSet):
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         return _ret(_projection(self.normal, pts) <= self.offset, single)
+
+    def closed_form_measure(self):
+        return float(norm_cdf(self.offset))
+
+    def shifted_measure(self, shifts, sigma):
+        return norm_cdf((self.offset - shifts @ self.normal) / sigma)
+
+    def _smoothed_projection(self, alpha, w, X):
+        return (self.offset - alpha * (X @ self.normal)) / w
+
+    def smoothed_derivative(self, alpha, w, X, idx):
+        u = self._smoothed_projection(alpha, w, X)
+        m = len(idx)
+        val = -((alpha / w) ** m) * hermite_he(m - 1, u) * norm_pdf(u)
+        for i in idx:
+            val = val * self.normal[i]
+        return val
+
+    def smoothed_jet(self, alpha, w, X):
+        u = self._smoothed_projection(alpha, w, X)
+        pdf = norm_pdf(u)
+        grad = np.outer(-(alpha / w) * pdf, self.normal)
+        lap = -((alpha / w) ** 2) * hermite_he(1, u) * pdf * float(self.normal @ self.normal)
+        return grad, lap
 
     def dilate(self, eps):
         return HalfSpace(self.normal, self.offset + _check_eps(eps))
@@ -156,15 +212,81 @@ class HalfSpace(ConvexSet):
         return f"HalfSpace(normal={self.normal.tolist()}, offset={self.offset})"
 
 
+# Up to z = sqrt(lambda q) = 4 the densities come from their power series,
+# whose first omitted term (m = 16) is then below 1e-17 of the sum; there the
+# Bessel recurrence would divide by a small lambda and cancel.  Switching at
+# z = 2 instead costs more than a digit at k = 5.
+_NCX2_SERIES_Z = 4.0
+_NCX2_SERIES_TERMS = 16
+
+
+def _ncx2_densities(q: float, k: int, lam, count: int) -> np.ndarray:
+    """Noncentral chi-square densities f_{k+2}, ..., f_{k+2*count} at q, shape (count, M).
+
+    f_nu(q; lam) = 1/2 e^{-(q+lam)/2} (q/lam)^{nu/4-1/2} I_{nu/2-1}(sqrt(lam q))
+    (Johnson, Kotz & Balakrishnan 1995, ch. 29).  For z = sqrt(lam q) above
+    the switch, the recurrence lam f_{nu+2} = q f_{nu-2} - (nu-2) f_nu runs
+    upward from f_1, f_3 (elementary, half-integer orders) for odd k, or from
+    f_2, f_4 (scaled I_0, I_1) for even k.  Below it, including lam = 0,
+    f_nu = 1/2 (q/2)^n e^{-(q+lam)/2} sum_m (lam q/4)^m / (m! Gamma(m+n+1))
+    with n = nu/2 - 1, evaluated only on those rows.
+    """
+    z = np.sqrt(q * lam)
+    out = np.empty((count, len(lam)))
+    series = z <= _NCX2_SERIES_Z
+    if series.any():
+        ls = lam[series]
+        n = k / 2.0 + np.arange(count)[:, None]
+        x = ls * (q / 4.0)
+        acc = np.ones((count, len(ls)))
+        for m in range(_NCX2_SERIES_TERMS - 1, 0, -1):  # Horner
+            acc *= x
+            acc /= m * (m + n)
+            acc += 1.0
+        log_half_q = math.log(q / 2.0) if q > 0.0 else -math.inf
+        lead = n * log_half_q - q / 2.0 - special.gammaln(n + 1.0)
+        out[:, series] = 0.5 * np.exp(lead - ls / 2.0) * acc
+    closed = ~series
+    if closed.any():
+        lc, zc = lam[closed], z[closed]
+        r, rho = math.sqrt(q), np.sqrt(lc)
+        if k % 2:
+            # f_1, f_3 = (phi(r - rho) +- phi(r + rho)) / (2r, 2 rho)
+            near, far = norm_pdf(r - rho), np.exp(-2.0 * zc)  # phi(r + rho) = near * far
+            lo = near * (1.0 + far) / (2.0 * r)
+            hi = near * (1.0 - far) / (2.0 * rho)
+            nu = 3
+        else:
+            half_kernel = 0.5 * np.exp(-0.5 * (r - rho) ** 2)
+            lo = half_kernel * special.i0e(zc)
+            hi = half_kernel * (r / rho) * special.i1e(zc)
+            nu = 4
+        dens = []  # hi is f_nu, lo is f_{nu-2}
+        while nu < k + 2 * count:
+            if nu >= k + 2:
+                dens.append(hi)
+            lo, hi, nu = hi, (q * lo - (nu - 2) * hi) / lc, nu + 2
+        dens.append(hi)
+        out[:, closed] = dens
+    return out
+
+
 class Ball(ConvexSet):
     """{x : |x - center| <= radius}; a negative radius denotes the empty set."""
+
+    has_closed_form = True
+    variant = "ball"
+    config_fields = ("center", "radius")
 
     def __init__(self, center, radius: float):
         center = np.asarray(center, dtype=float)
         if center.ndim != 1:
             raise DomainError("center must be a vector")
+        radius = float(radius)
+        if not (np.isfinite(center).all() and math.isfinite(radius)):
+            raise DomainError(f"ball center and radius must be finite, got {center}, {radius}")
         self.center = center
-        self.radius = float(radius)
+        self.radius = radius
         self.dim = center.size
 
     @property
@@ -179,6 +301,62 @@ class Ball(ConvexSet):
         # an empty ball has a negative radius, which no distance is below
         pts, single = _as_points(x, self.dim)
         return _ret(_center_distance(self.center, pts) <= self.radius, single)
+
+    def closed_form_measure(self):
+        nc = float(self.center @ self.center)
+        if nc == 0.0:
+            return float(chi_cdf(self.radius, self.dim))
+        # off-center ball: exact noncentral chi-square CDF
+        return float(stats.ncx2.cdf(self.radius**2, self.dim, nc))
+
+    def shifted_measure(self, shifts, sigma):
+        delta = shifts - self.center
+        nc = np.sum(delta * delta, axis=1) / sigma**2
+        q = (self.radius / sigma) ** 2
+        return stats.ncx2.cdf(q, self.dim, nc)
+
+    def _noncentrality(self, alpha, w, X):
+        """q, lambda(x) and its derivatives for P(alpha x + w Z in C) = F_k(q; lambda(x)).
+
+        Returns q = r^2/w^2, lambda = |alpha x - c|^2 / w^2 (M,), grad lambda
+        (M, k), and the constant d2 with D_ij lambda = d2 * delta_ij.
+        """
+        mu = alpha * X - self.center
+        w2 = w * w
+        lam = np.sum(mu * mu, axis=1) / w2
+        return self.radius**2 / w2, lam, 2.0 * alpha * mu / w2, 2.0 * alpha * alpha / w2
+
+    def smoothed_derivative(self, alpha, w, X, idx):
+        q, lam, dl, d2l = self._noncentrality(alpha, w, X)
+        m = len(idx)
+        # d^j F_k / d lambda^j = -2^{1-j} Delta^{j-1} f_{k+2}, Delta the forward
+        # difference in the degrees of freedom
+        f = _ncx2_densities(q, self.dim, lam, m)
+        dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
+        if m == 1:
+            (i,) = idx
+            return dF[0] * dl[:, i]
+        if m == 2:
+            i, j = idx
+            val = dF[1] * dl[:, i] * dl[:, j]
+            if i == j:
+                val = val + dF[0] * d2l
+            return val
+        i, j, l = idx
+        val = dF[2] * dl[:, i] * dl[:, j] * dl[:, l]
+        val = val + dF[1] * d2l * (
+            (i == j) * dl[:, l] + (i == l) * dl[:, j] + (j == l) * dl[:, i]
+        )
+        return val
+
+    def smoothed_jet(self, alpha, w, X):
+        # grad F(lambda) = F' grad lambda;  Laplacian = F'' |grad lambda|^2 + F' k d2
+        q, lam, dl, d2l = self._noncentrality(alpha, w, X)
+        f_k2, f_k4 = _ncx2_densities(q, self.dim, lam, 2)
+        dF1, dF2 = -f_k2, 0.5 * (f_k2 - f_k4)
+        grad = dF1[:, None] * dl
+        lap = dF2 * np.sum(dl * dl, axis=1) + dF1 * (self.dim * d2l)
+        return grad, lap
 
     def dilate(self, eps):
         return Ball(self.center, self.radius + _check_eps(eps))
@@ -207,14 +385,29 @@ class Ball(ConvexSet):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
 
+def _box_factor(m, alpha, w, hi, lo):
+    """Order-m (m >= 1) derivative of Phi(hi) - Phi(lo) along one coordinate."""
+    fac = hermite_he(m - 1, hi) * norm_pdf(hi) - hermite_he(m - 1, lo) * norm_pdf(lo)
+    return -((alpha / w) ** m) * fac
+
+
 class Box(ConvexSet):
-    """Axis-aligned box [lower, upper]; empty if any side is inverted."""
+    """Axis-aligned box [lower, upper]; empty if any side is inverted.
+
+    Infinite bounds are allowed (slabs and orthants); NaN bounds are not.
+    """
+
+    has_closed_form = True
+    variant = "box"
+    config_fields = ("lower", "upper")
 
     def __init__(self, lower, upper):
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise DomainError("box corners must be vectors of equal length")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise DomainError(f"box corners must not be NaN, got {lower}, {upper}")
         self.lower = lower
         self.upper = upper
         self.dim = lower.size
@@ -233,6 +426,47 @@ class Box(ConvexSet):
             inside &= pts[:, j] >= self.lower[j]
             inside &= pts[:, j] <= self.upper[j]
         return _ret(inside, single)
+
+    def closed_form_measure(self):
+        mass = float(np.prod(norm_cdf(self.upper) - norm_cdf(self.lower)))
+        return max(mass, 0.0)
+
+    def shifted_measure(self, shifts, sigma):
+        hi = (self.upper - shifts) / sigma
+        lo = (self.lower - shifts) / sigma
+        return np.prod(norm_cdf(hi) - norm_cdf(lo), axis=1)
+
+    def _edges(self, alpha, w, X):
+        return (self.upper - alpha * X) / w, (self.lower - alpha * X) / w
+
+    def smoothed_derivative(self, alpha, w, X, idx):
+        mult: dict[int, int] = {}
+        for i in idx:
+            mult[i] = mult.get(i, 0) + 1
+        hi, lo = self._edges(alpha, w, X)
+        plain = norm_cdf(hi) - norm_cdf(lo)
+        val = np.ones(len(X))
+        for j in range(self.dim):
+            m = mult.get(j, 0)
+            if m == 0:
+                val = val * plain[:, j]
+            else:
+                val = val * _box_factor(m, alpha, w, hi[:, j], lo[:, j])
+        return val
+
+    def smoothed_jet(self, alpha, w, X):
+        # product rule: coordinate i takes its derivative factor, the others plain
+        hi, lo = self._edges(alpha, w, X)
+        plain = norm_cdf(hi) - norm_cdf(lo)
+        first = _box_factor(1, alpha, w, hi, lo)
+        second = _box_factor(2, alpha, w, hi, lo)
+        grad = np.empty_like(plain)
+        lap = np.zeros(len(X))
+        for i in range(self.dim):
+            others = np.prod(np.delete(plain, i, axis=1), axis=1)
+            grad[:, i] = first[:, i] * others
+            lap += second[:, i] * others
+        return grad, lap
 
     def dilate(self, eps):
         eps = _check_eps(eps)
@@ -268,11 +502,16 @@ class Box(ConvexSet):
 class Ellipsoid(ConvexSet):
     """{x : (x-c)^T M^{-1} (x-c) <= 1} with M symmetric positive definite."""
 
+    variant = "ellipsoid"
+    config_fields = ("center", "shape")
+
     def __init__(self, center, shape):
         center = np.asarray(center, dtype=float)
         shape = np.asarray(shape, dtype=float)
         if center.ndim != 1 or shape.shape != (center.size, center.size):
             raise DomainError("need a center vector and a matching shape matrix")
+        if not (np.isfinite(center).all() and np.isfinite(shape).all()):
+            raise DomainError(f"ellipsoid center and shape must be finite, got {center}, {shape}")
         if not np.allclose(shape, shape.T, atol=1e-10):
             raise DomainError("shape matrix must be symmetric")
         evals, evecs = np.linalg.eigh(0.5 * (shape + shape.T))
@@ -475,17 +714,9 @@ def gaussian_measure_estimate(
     """(Phi(C), standard error); the error is 0 for analytic variants."""
     if C.is_empty:
         return 0.0, 0.0
-    if isinstance(C, HalfSpace):
-        return float(norm_cdf(C.offset)), 0.0
-    if isinstance(C, Ball):
-        nc = float(C.center @ C.center)
-        if nc == 0.0:
-            return float(chi_cdf(C.radius, C.dim)), 0.0
-        # off-center ball: exact noncentral chi-square CDF
-        return float(stats.ncx2.cdf(C.radius**2, C.dim, nc)), 0.0
-    if isinstance(C, Box):
-        mass = float(np.prod(norm_cdf(C.upper) - norm_cdf(C.lower)))
-        return max(mass, 0.0), 0.0
+    mass = C.closed_form_measure()
+    if mass is not None:
+        return mass, 0.0
     return _qmc_membership_mean(C, n_points, seed)
 
 
@@ -498,7 +729,8 @@ def shifted_measure_batch(C: ConvexSet, shifts, sigma: float):
     """P(shift + sigma*Z in C) for each row of `shifts`, or None.
 
     Closed form for half-spaces, balls and boxes (the smoothing kernel of the
-    whole library); None signals the caller to fall back to quadrature/MC.
+    whole library, from `ConvexSet.shifted_measure`); None signals the caller
+    to fall back to quadrature/MC.
     """
     sigma = float(sigma)
     if sigma <= 0.0:
@@ -506,18 +738,7 @@ def shifted_measure_batch(C: ConvexSet, shifts, sigma: float):
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     if C.is_empty:
         return np.zeros(len(shifts))
-    if isinstance(C, HalfSpace):
-        return norm_cdf((C.offset - shifts @ C.normal) / sigma)
-    if isinstance(C, Ball):
-        delta = shifts - C.center
-        nc = np.sum(delta * delta, axis=1) / sigma**2
-        q = (C.radius / sigma) ** 2
-        return stats.ncx2.cdf(q, C.dim, nc)
-    if isinstance(C, Box):
-        hi = (C.upper - shifts) / sigma
-        lo = (C.lower - shifts) / sigma
-        return np.prod(norm_cdf(hi) - norm_cdf(lo), axis=1)
-    return None
+    return C.shifted_measure(shifts, sigma)
 
 
 def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0, **measure_kw) -> float:
@@ -645,33 +866,27 @@ def default_translates(k: int, n_directions: int = 6, seed: int = 0) -> np.ndarr
 # --- serialization ----------------------------------------------------------
 
 
+_VARIANTS = {cls.variant: cls for cls in (HalfSpace, Ball, Box, Ellipsoid)}
+
+
 def set_to_config(C: ConvexSet) -> dict:
-    if isinstance(C, HalfSpace):
-        return {"variant": "half_space", "normal": C.normal.tolist(), "offset": C.offset}
-    if isinstance(C, Ball):
-        return {"variant": "ball", "center": C.center.tolist(), "radius": C.radius}
-    if isinstance(C, Box):
-        return {"variant": "box", "lower": C.lower.tolist(), "upper": C.upper.tolist()}
-    if isinstance(C, Ellipsoid):
-        return {
-            "variant": "ellipsoid",
-            "center": C.center.tolist(),
-            "shape": C.shape.tolist(),
-        }
-    raise ConfigurationError(f"cannot serialize set of type {type(C).__name__}")
+    if C.variant is None:
+        raise ConfigurationError(f"cannot serialize set of type {type(C).__name__}")
+    cfg = {"variant": C.variant}
+    for name in C.config_fields:
+        cfg[name] = np.asarray(getattr(C, name)).tolist()
+    return cfg
 
 
 def set_from_config(cfg: dict) -> ConvexSet:
     variant = cfg.get("variant")
-    if variant == "half_space":
-        return HalfSpace(cfg["normal"], cfg["offset"])
-    if variant == "ball":
-        return Ball(cfg["center"], cfg["radius"])
-    if variant == "box":
-        return Box(cfg["lower"], cfg["upper"])
-    if variant == "ellipsoid":
-        return Ellipsoid(cfg["center"], cfg["shape"])
-    raise ConfigurationError(f"unknown set variant {variant!r}")
+    cls = _VARIANTS.get(variant)
+    if cls is None:
+        raise ConfigurationError(f"unknown set variant {variant!r}")
+    missing = [name for name in cls.config_fields if name not in cfg]
+    if missing:
+        raise ConfigurationError(f"{variant} set config is missing {', '.join(missing)}")
+    return cls(*(cfg[name] for name in cls.config_fields))
 
 
 def family_to_config(fam: SetFamily) -> dict:
@@ -694,6 +909,8 @@ def family_from_config(cfg: dict) -> SetFamily:
         if "k" not in kw:
             raise ConfigurationError("family builder spec needs the dimension k")
         return default_family(**kw)
+    if "sets" not in cfg:
+        raise ConfigurationError("family config needs a 'sets' list or a 'builder' spec")
     sets = tuple(set_from_config(c) for c in cfg["sets"])
     return SetFamily(sets=sets, description=cfg.get("description", ""))
 

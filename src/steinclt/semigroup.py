@@ -5,9 +5,11 @@ identity (t = 0) and the Gaussian mean (t -> infinity); its generator is
 L = Laplacian - x . grad.  For indicator test functions of half-spaces, balls
 and boxes the smoothing has a closed form (one-dimensional Gaussian CDFs, and
 for the ball a noncentral chi-square CDF whose lambda-derivatives are
-noncentral chi-square densities), which the Stein solver leans on heavily;
-the generic fallbacks are tensor Gauss-Hermite (k <= 3) and seeded Monte
-Carlo.
+noncentral chi-square densities), which the Stein solver leans on heavily.
+Those closed forms live on the set classes in `convex` (`has_closed_form`,
+`shifted_measure`, `smoothed_derivative`, `smoothed_jet`); this module only
+decides when to use them.  The generic fallbacks are tensor Gauss-Hermite
+(k <= 3) and seeded Monte Carlo.
 
 Derivatives come two ways.  `semigroup_derivative` gives one mixed partial
 D_idx T_s h for an index tuple of order 1 to 3.  `semigroup_jet` gives the
@@ -23,11 +25,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
-from .convex import Ball, Box, ConvexSet, HalfSpace, gaussian_measure, shifted_measure_batch
+from .convex import ConvexSet, gaussian_measure, shifted_measure_batch
 from .errors import ConfigurationError, DomainError
-from .gaussian import hermite_he, norm_cdf, norm_pdf
+from .gaussian import hermite_he
 from .quadrature import DEFAULT_QUAD, GH_TENSOR_MAX_DIM, QuadratureSpec, gauss_hermite_tensor
 from .rng import RngStream
 
@@ -163,225 +164,9 @@ def transition_density(t: float, x, y):
 # Smoothed values and their spatial derivatives (closed forms + fallbacks)
 
 
-_ANALYTIC_VARIANTS = (HalfSpace, Ball, Box)
-
-
 def has_analytic_smoothing(h: TestFunction) -> bool:
     """Whether E h(a x + w Z) has a closed form for this test function."""
-    return isinstance(h, IndicatorFunction) and (
-        h.set.is_empty or isinstance(h.set, _ANALYTIC_VARIANTS)
-    )
-
-
-def smoothed_value_batch(h: TestFunction, alpha: float, w: float, X) -> np.ndarray | None:
-    """E h(alpha*x + w*Z) rows of X; closed form or None."""
-    if isinstance(h, IndicatorFunction):
-        shifts = alpha * np.atleast_2d(np.asarray(X, dtype=float))
-        return shifted_measure_batch(h.set, shifts, w)
-    return None
-
-
-def _halfspace_projection(C: HalfSpace, alpha, w, X):
-    return (C.offset - alpha * (X @ C.normal)) / w
-
-
-def _halfspace_derivative(C: HalfSpace, alpha, w, X, idx):
-    u = _halfspace_projection(C, alpha, w, X)
-    m = len(idx)
-    val = -((alpha / w) ** m) * hermite_he(m - 1, u) * norm_pdf(u)
-    for i in idx:
-        val = val * C.normal[i]
-    return val
-
-
-def _halfspace_jet(C: HalfSpace, alpha, w, X):
-    u = _halfspace_projection(C, alpha, w, X)
-    pdf = norm_pdf(u)
-    grad = np.outer(-(alpha / w) * pdf, C.normal)
-    lap = -((alpha / w) ** 2) * hermite_he(1, u) * pdf * float(C.normal @ C.normal)
-    return grad, lap
-
-
-# Up to z = sqrt(lambda q) = 4 the densities come from their power series,
-# whose first omitted term (m = 16) is then below 1e-17 of the sum; there the
-# Bessel recurrence would divide by a small lambda and cancel.  Switching at
-# z = 2 instead costs more than a digit at k = 5.
-_NCX2_SERIES_Z = 4.0
-_NCX2_SERIES_TERMS = 16
-
-
-def _ncx2_densities(q: float, k: int, lam, count: int) -> np.ndarray:
-    """Noncentral chi-square densities f_{k+2}, ..., f_{k+2*count} at q, shape (count, M).
-
-    f_nu(q; lam) = 1/2 e^{-(q+lam)/2} (q/lam)^{nu/4-1/2} I_{nu/2-1}(sqrt(lam q))
-    (Johnson, Kotz & Balakrishnan 1995, ch. 29).  For z = sqrt(lam q) above
-    the switch, the recurrence lam f_{nu+2} = q f_{nu-2} - (nu-2) f_nu runs
-    upward from f_1, f_3 (elementary, half-integer orders) for odd k, or from
-    f_2, f_4 (scaled I_0, I_1) for even k.  Below it, including lam = 0,
-    f_nu = 1/2 (q/2)^n e^{-(q+lam)/2} sum_m (lam q/4)^m / (m! Gamma(m+n+1))
-    with n = nu/2 - 1, evaluated only on those rows.
-    """
-    z = np.sqrt(q * lam)
-    out = np.empty((count, len(lam)))
-    series = z <= _NCX2_SERIES_Z
-    if series.any():
-        ls = lam[series]
-        n = k / 2.0 + np.arange(count)[:, None]
-        x = ls * (q / 4.0)
-        acc = np.ones((count, len(ls)))
-        for m in range(_NCX2_SERIES_TERMS - 1, 0, -1):  # Horner
-            acc *= x
-            acc /= m * (m + n)
-            acc += 1.0
-        log_half_q = math.log(q / 2.0) if q > 0.0 else -math.inf
-        lead = n * log_half_q - q / 2.0 - special.gammaln(n + 1.0)
-        out[:, series] = 0.5 * np.exp(lead - ls / 2.0) * acc
-    closed = ~series
-    if closed.any():
-        lc, zc = lam[closed], z[closed]
-        r, rho = math.sqrt(q), np.sqrt(lc)
-        if k % 2:
-            # f_1, f_3 = (phi(r - rho) +- phi(r + rho)) / (2r, 2 rho)
-            near, far = norm_pdf(r - rho), np.exp(-2.0 * zc)  # phi(r + rho) = near * far
-            lo = near * (1.0 + far) / (2.0 * r)
-            hi = near * (1.0 - far) / (2.0 * rho)
-            nu = 3
-        else:
-            half_kernel = 0.5 * np.exp(-0.5 * (r - rho) ** 2)
-            lo = half_kernel * special.i0e(zc)
-            hi = half_kernel * (r / rho) * special.i1e(zc)
-            nu = 4
-        dens = []  # hi is f_nu, lo is f_{nu-2}
-        while nu < k + 2 * count:
-            if nu >= k + 2:
-                dens.append(hi)
-            lo, hi, nu = hi, (q * lo - (nu - 2) * hi) / lc, nu + 2
-        dens.append(hi)
-        out[:, closed] = dens
-    return out
-
-
-def _ball_noncentrality(C: Ball, alpha, w, X):
-    """q, lambda(x) and its derivatives for E 1_C(alpha x + w Z) = F_k(q; lambda(x)).
-
-    Returns q = r^2/w^2, lambda = |alpha x - c|^2 / w^2 (M,), grad lambda
-    (M, k), and the constant d2 with D_ij lambda = d2 * delta_ij.
-    """
-    mu = alpha * X - C.center
-    w2 = w * w
-    lam = np.sum(mu * mu, axis=1) / w2
-    return C.radius**2 / w2, lam, 2.0 * alpha * mu / w2, 2.0 * alpha * alpha / w2
-
-
-def _ball_derivative(C: Ball, alpha, w, X, idx):
-    q, lam, dl, d2l = _ball_noncentrality(C, alpha, w, X)
-    m = len(idx)
-    # d^j F_k / d lambda^j = -2^{1-j} Delta^{j-1} f_{k+2}, Delta the forward
-    # difference in the degrees of freedom
-    f = _ncx2_densities(q, C.dim, lam, m)
-    dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
-    if m == 1:
-        (i,) = idx
-        return dF[0] * dl[:, i]
-    if m == 2:
-        i, j = idx
-        val = dF[1] * dl[:, i] * dl[:, j]
-        if i == j:
-            val = val + dF[0] * d2l
-        return val
-    i, j, l = idx
-    val = dF[2] * dl[:, i] * dl[:, j] * dl[:, l]
-    val = val + dF[1] * d2l * (
-        (i == j) * dl[:, l] + (i == l) * dl[:, j] + (j == l) * dl[:, i]
-    )
-    return val
-
-
-def _ball_jet(C: Ball, alpha, w, X):
-    # grad F(lambda) = F' grad lambda;  Laplacian = F'' |grad lambda|^2 + F' k d2
-    q, lam, dl, d2l = _ball_noncentrality(C, alpha, w, X)
-    f_k2, f_k4 = _ncx2_densities(q, C.dim, lam, 2)
-    dF1, dF2 = -f_k2, 0.5 * (f_k2 - f_k4)
-    grad = dF1[:, None] * dl
-    lap = dF2 * np.sum(dl * dl, axis=1) + dF1 * (C.dim * d2l)
-    return grad, lap
-
-
-def _box_edges(C: Box, alpha, w, X):
-    return (C.upper - alpha * X) / w, (C.lower - alpha * X) / w
-
-
-def _box_factor(m, alpha, w, hi, lo):
-    """Order-m (m >= 1) derivative of Phi(hi) - Phi(lo) along one coordinate."""
-    fac = hermite_he(m - 1, hi) * norm_pdf(hi) - hermite_he(m - 1, lo) * norm_pdf(lo)
-    return -((alpha / w) ** m) * fac
-
-
-def _box_derivative(C: Box, alpha, w, X, idx):
-    mult: dict[int, int] = {}
-    for i in idx:
-        mult[i] = mult.get(i, 0) + 1
-    hi, lo = _box_edges(C, alpha, w, X)
-    plain = norm_cdf(hi) - norm_cdf(lo)
-    val = np.ones(len(X))
-    for j in range(C.dim):
-        m = mult.get(j, 0)
-        if m == 0:
-            val = val * plain[:, j]
-        else:
-            val = val * _box_factor(m, alpha, w, hi[:, j], lo[:, j])
-    return val
-
-
-def _box_jet(C: Box, alpha, w, X):
-    # product rule: coordinate i takes its derivative factor, the others plain
-    hi, lo = _box_edges(C, alpha, w, X)
-    plain = norm_cdf(hi) - norm_cdf(lo)
-    first = _box_factor(1, alpha, w, hi, lo)
-    second = _box_factor(2, alpha, w, hi, lo)
-    grad = np.empty_like(plain)
-    lap = np.zeros(len(X))
-    for i in range(C.dim):
-        others = np.prod(np.delete(plain, i, axis=1), axis=1)
-        grad[:, i] = first[:, i] * others
-        lap += second[:, i] * others
-    return grad, lap
-
-
-def smoothed_derivative_batch(
-    h: TestFunction, alpha: float, w: float, X, idx
-) -> np.ndarray | None:
-    """D_idx [x -> E h(alpha*x + w*Z)] for rows of X; closed form or None."""
-    if not isinstance(h, IndicatorFunction):
-        return None
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    C = h.set
-    if C.is_empty:
-        return np.zeros(len(X))
-    if isinstance(C, HalfSpace):
-        return _halfspace_derivative(C, alpha, w, X, idx)
-    if isinstance(C, Ball):
-        return _ball_derivative(C, alpha, w, X, idx)
-    if isinstance(C, Box):
-        return _box_derivative(C, alpha, w, X, idx)
-    return None
-
-
-def smoothed_jet_batch(h: TestFunction, alpha: float, w: float, X):
-    """Gradient (M, k) and Laplacian (M,) of x -> E h(alpha*x + w*Z); closed form or None."""
-    if not isinstance(h, IndicatorFunction):
-        return None
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    C = h.set
-    if C.is_empty:
-        return np.zeros(X.shape), np.zeros(len(X))
-    if isinstance(C, HalfSpace):
-        return _halfspace_jet(C, alpha, w, X)
-    if isinstance(C, Ball):
-        return _ball_jet(C, alpha, w, X)
-    if isinstance(C, Box):
-        return _box_jet(C, alpha, w, X)
-    return None
+    return isinstance(h, IndicatorFunction) and (h.set.is_empty or h.set.has_closed_form)
 
 
 def _inner_points(k: int, quad: QuadratureSpec, method: str):
@@ -436,7 +221,7 @@ def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT
     alpha, w = ou_decay(t), ou_noise(t)
     method = _resolve_inner(h, k, quad)
     if method == "analytic":
-        vals = smoothed_value_batch(h, alpha, w, X)
+        vals = shifted_measure_batch(h.set, alpha * X, w)
     else:
         nodes, wts = _inner_points(k, quad, method)
         vals = np.empty(len(X))
@@ -468,7 +253,8 @@ def semigroup_derivative(
     alpha, w = ou_decay(s), ou_noise(s)
     method = _resolve_inner(h, k, quad)
     if method == "analytic":
-        vals = smoothed_derivative_batch(h, alpha, w, X, idx)
+        C = h.set
+        vals = np.zeros(len(X)) if C.is_empty else C.smoothed_derivative(alpha, w, X, idx)
     else:
         nodes, wts = _inner_points(k, quad, method)
         mult: dict[int, int] = {}
@@ -502,7 +288,11 @@ def semigroup_jet(h: TestFunction, s: float, x, quad: QuadratureSpec = DEFAULT_Q
     alpha, w = ou_decay(s), ou_noise(s)
     method = _resolve_inner(h, k, quad)
     if method == "analytic":
-        grad, lap = smoothed_jet_batch(h, alpha, w, X)
+        C = h.set
+        if C.is_empty:
+            grad, lap = np.zeros(X.shape), np.zeros(len(X))
+        else:
+            grad, lap = C.smoothed_jet(alpha, w, X)
     else:
         nodes, wts = _inner_points(k, quad, method)
         kernel = wts[:, None] * np.column_stack(

@@ -191,6 +191,27 @@ def test_non_finite_inputs_exit_2(argv, capsys):
     assert captured.out == "" and "steinclt: error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ('{"sets": [{"variant": "ball", "center": [NaN, 0.0], "radius": 1.0}]}', "finite"),
+        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0]}]}', "radius"),
+        ('{"description": "no sets"}', "sets"),
+    ],
+    ids=["nan-ball-center", "missing-field", "missing-sets"],
+)
+def test_bad_family_file_exits_2(tmp_path, capsys, family, message):
+    # the NaN centre used to print a nan delta_hat row, the others a KeyError traceback
+    path = tmp_path / "fam.json"
+    path.write_text(family)
+    code = run(["delta", "--source", "gaussian", "--k", "2", "--n", "4",
+                "--M", "2000", "--seed", "1", "--family", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "steinclt: error:" in captured.err
+    assert message in captured.err
+
+
 def test_noniid_profile_flag(capsys):
     code, out = _run_capture(
         capsys,

@@ -20,11 +20,14 @@ from steinclt import (
     family_to_config,
     gaussian_measure,
     gaussian_measure_estimate,
+    load_family,
     quantile_a,
+    save_family,
     shell_measure,
     shifted_measure_batch,
 )
-from steinclt.errors import DimensionMismatchError, DomainError
+from steinclt.convex import set_to_config
+from steinclt.errors import ConfigurationError, DimensionMismatchError, DomainError
 
 
 def _catalog(k=2):
@@ -51,6 +54,39 @@ def test_membership_examples():
 def test_halfspace_requires_unit_normal():
     with pytest.raises(DomainError):
         HalfSpace(np.array([1.0, 1.0]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Ball([math.nan, 0.0], 1.0),
+        lambda: Ball([math.inf, 0.0], 1.0),
+        lambda: Ball([0.0, 0.0], math.nan),
+        lambda: Ball([0.0, 0.0], math.inf),
+        lambda: Box([math.nan, 0.0], [1.0, 1.0]),
+        lambda: Box([0.0, 0.0], [1.0, math.nan]),
+        lambda: Ellipsoid([math.nan, 0.0], np.eye(2)),
+        lambda: Ellipsoid([0.0, -math.inf], np.eye(2)),
+        lambda: Ellipsoid(np.zeros(2), np.diag([1.0, math.inf])),
+        lambda: Ball(np.zeros(2), 1.0).translate([math.nan, 0.0]),
+        lambda: Box(-np.ones(2), np.ones(2)).translate([0.0, math.nan]),
+        lambda: Ellipsoid(np.zeros(2), np.eye(2)).translate([math.nan, 0.0]),
+    ],
+    ids=["ball-center-nan", "ball-center-inf", "ball-radius-nan", "ball-radius-inf",
+         "box-lower-nan", "box-upper-nan", "ellipsoid-center-nan", "ellipsoid-center-inf",
+         "ellipsoid-shape-inf",
+         "ball-translate-nan", "box-translate-nan", "ellipsoid-translate-nan"],
+)
+def test_non_finite_set_parameters_raise(build):
+    # each used to be accepted; a NaN centre or bound then gave a nan Phi(C)
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_box_with_infinite_bounds_is_a_slab():
+    slab = Box([0.0, 0.0], [1.0, math.inf])
+    assert gaussian_measure(slab) == pytest.approx((ndtr(1.0) - 0.5) * 0.5, rel=1e-14)
+    assert slab.contains(np.array([0.5, 1e300]))
 
 
 def test_dimension_mismatch():
@@ -262,6 +298,34 @@ def test_family_basics_and_serialization():
     pts = RngStream(12, stream_id=9).generator().standard_normal((50, 2))
     for a, b in zip(fam.sets[:40], fam2.sets[:40]):
         assert np.array_equal(a.contains(pts), b.contains(pts))
+
+
+def test_serialization_round_trip_for_every_variant(tmp_path):
+    fam = SetFamily(
+        sets=(
+            HalfSpace(np.array([0.6, -0.8]), 0.25),
+            Ball(np.array([0.3, -0.1]), 1.2),
+            Ball(np.zeros(2), -1.0),
+            Box(np.array([-1.0, -0.5]), np.array([0.7, 2.0])),
+            Box(np.array([1.0, -1.0]), np.array([-1.0, 1.0])),
+            Ellipsoid(np.array([0.4, -0.2]), np.array([[2.0, 0.3], [0.3, 0.5]])),
+        ),
+        description="mixed",
+    )
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_family(fam, str(first))
+    loaded = load_family(str(first))
+    assert loaded.description == "mixed"
+    assert [type(C) for C in loaded.sets] == [type(C) for C in fam.sets]
+    pts = RngStream(21, stream_id=4).generator().standard_normal((400, 2)) * 1.5
+    for a, b in zip(fam.sets, loaded.sets):
+        assert np.array_equal(a.contains(pts), b.contains(pts))
+    save_family(loaded, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    base = Box(-np.ones(2), np.ones(2))
+    for predicate_backed in (DilatedSet(base, 0.2), ErodedSet(base, 0.2)):
+        with pytest.raises(ConfigurationError):
+            set_to_config(predicate_backed)
 
 
 def test_family_builder_config():

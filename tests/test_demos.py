@@ -1,5 +1,4 @@
-"""The narrative demos that exercise the convex smoothing, semigroup, Stein-solution
-and bound-pipeline surface run cleanly."""
+"""Every narrative demo, from the Gaussian core to the bound pipeline, runs cleanly."""
 
 import os
 import subprocess
@@ -13,7 +12,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "demo",
-    ("02_convex_smoothing.py", "03_ou_semigroup.py", "04_stein_solution.py", "06_bound_pipeline.py"),
+    (
+        "01_gaussian_core.py",
+        "02_convex_smoothing.py",
+        "03_ou_semigroup.py",
+        "04_stein_solution.py",
+        "05_clt_discrepancy.py",
+        "06_bound_pipeline.py",
+    ),
 )
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)

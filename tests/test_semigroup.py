@@ -25,7 +25,7 @@ from steinclt import (
 )
 from steinclt.errors import ConfigurationError, DomainError
 from steinclt.quadrature import gauss_hermite_tensor
-from steinclt.semigroup import _NCX2_SERIES_Z, _ncx2_densities
+from steinclt.convex import _NCX2_SERIES_Z, _ncx2_densities
 
 
 def test_transition_density_stationary_limit():
@@ -180,6 +180,11 @@ def test_semigroup_jet_matches_per_index_derivatives(k):
         assert np.max(np.abs(lap - d2)) <= 1e-12
         g0, l0 = semigroup_jet(h, 0.7, X[0], quad)
         assert g0.shape == (k,) and l0 == pytest.approx(lap[0], abs=1e-15)
+    # the empty ball smooths to 0 everywhere, so every derivative vanishes
+    empty = IndicatorFunction(Ball(np.zeros(k), -1.0))
+    grad, lap = semigroup_jet(empty, 0.7, X)
+    assert not grad.any() and not lap.any()
+    assert not semigroup_derivative(empty, 0.7, X, (0, 0, 0)).any()
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
