@@ -20,16 +20,10 @@ from .gaussian import quantile_a
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .rng import RngStream
 from .semigroup import IndicatorFunction, ou_decay, ou_noise, semigroup_apply
-from .sources import (
-    Estimate,
-    NonIIDSource,
-    _run_blocks,
-    delta_hat,
-    moment_summary,
-    sample_sum,
-)
+from .sources import Estimate, NonIIDSource, delta_hat, moment_summary, sum_over_blocks
 
 T_FLOOR = 1e-4
+SEQUENCE_CAP = 4096
 DEFAULT_ALPHA = 7.0 / 8.0
 
 
@@ -116,16 +110,16 @@ def smoothing_bound(gamma_star: float, omega_star: float, alpha: float = DEFAULT
     return (gamma_star + omega_star) / (2.0 * alpha - 1.0)
 
 
-def optimal_t(k: int, rho3: float, n: int, delta_prev: float, t_min: float = T_FLOOR) -> float:
+def optimal_t(k: int, rho3: float, n: int, delta_prev: float) -> float:
     """Balance of the leading and shell terms: min(1, sqrt(k) delta rho3 / sqrt(n)).
 
-    A zero delta_prev degenerates the formula; the configured floor keeps the
+    A zero delta_prev degenerates the formula; the floor T_FLOOR keeps the
     smoothing kernel non-degenerate.
     """
     if k < 1 or rho3 <= 0.0 or n < 1:
         raise DomainError("inputs must be positive")
     if delta_prev <= 0.0:
-        return t_min
+        return T_FLOOR
     return min(1.0, math.sqrt(k) * delta_prev * rho3 / math.sqrt(n))
 
 
@@ -223,16 +217,15 @@ def gamma_star_hat(
     measures = np.array([gaussian_measure(B) for B in targets])
     hs = [IndicatorFunction(B) for B in targets]
 
-    def block_stats(block_stream, size):
-        X = sample_sum(src, n, block_stream, size)
-        out = np.empty((len(targets), 3))
+    def block_sums(X):
+        out = np.empty((len(targets), 2))
         for i, h in enumerate(hs):
             vals = np.asarray(semigroup_apply(h, t, X, quad), dtype=float)
-            out[i] = (vals.sum(), (vals * vals).sum(), size)
+            out[i] = (vals.sum(), (vals * vals).sum())
         return out
 
-    acc = sum(_run_blocks(M, stream, block_stats))
-    total = acc[0, 2]
+    acc = sum_over_blocks(src, n, M, stream, block_sums)
+    total = float(M)
     means = acc[:, 0] / total
     variances = np.maximum(acc[:, 1] / total - means**2, 0.0)
     diffs = np.abs(means - measures)
@@ -240,7 +233,7 @@ def gamma_star_hat(
     return Estimate(
         value=float(diffs[arg]),
         std_error=float(math.sqrt(variances[arg] / total)),
-        n_samples=int(total),
+        n_samples=int(M),
         seed=stream.master_seed,
     )
 
@@ -286,7 +279,7 @@ def certified_constant(c10: float, c7: float) -> float:
 
 
 def recursion_certify(
-    k: int, rho3: float, n_max: int, consts: ConstantsConfig, sequence_cap: int = 4096
+    k: int, rho3: float, n_max: int, consts: ConstantsConfig
 ) -> RecursionCertificate:
     """Certify the k^{5/2}/sqrt(n) envelope against the recursion step.
 
@@ -297,7 +290,7 @@ def recursion_certify(
     into the step and requires the result back under c* k^{5/2} rho3/sqrt(n),
     vectorized over 2 <= n <= n_max.  The literal step is also iterated from
     delta_1 = 1 as a certified upper sequence, walked exactly up to
-    `sequence_cap` (walking every n keeps each entry an honest bound).
+    SEQUENCE_CAP (walking every n keeps each entry an honest bound).
     """
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
@@ -323,7 +316,7 @@ def recursion_certify(
         n_star = None
 
     # certified upper sequence from delta_1 = 1 using the literal step constants
-    walk_to = min(n_max, sequence_cap)
+    walk_to = min(n_max, SEQUENCE_CAP)
     grid = set(range(2, min(walk_to, 64) + 1))
     grid.update(n for n in (128, 256, 512, 1024, 4096, 16384, 65536) if n <= walk_to)
     grid.add(walk_to)
@@ -386,7 +379,6 @@ def bound_report(
     stream: RngStream,
     consts: ConstantsConfig = ConstantsConfig(),
     t: float | None = None,
-    workers: int = 1,
 ) -> BoundReport:
     """Evaluate the empirical discrepancy next to every closed-form bound.
 
@@ -395,7 +387,7 @@ def bound_report(
     """
     k = family.dim
     summary = moment_summary(src)
-    est = delta_hat(src, n, family, M, stream, workers=workers)
+    est = delta_hat(src, n, family, M, stream)
     if isinstance(src, NonIIDSource):
         name = f"noniid-{src.components[0][0].name}"
         rho3 = None
@@ -496,7 +488,6 @@ def dim_scan(
     family_builder,
     M: int,
     stream: RngStream,
-    workers: int = 1,
 ) -> DimScanReport:
     """Empirical discrepancy across (source, k, n) with log-log exponent fits.
 
@@ -516,7 +507,7 @@ def dim_scan(
             src = make_source(name, k) if isinstance(name, str) else name
             for ni, n in enumerate(n_list):
                 sub = stream.child(1000 * ki + 100 * si + ni)
-                est = delta_hat(src, n, family, M, sub, workers=workers)
+                est = delta_hat(src, n, family, M, sub)
                 cells.append(
                     DimScanCell(
                         source=src.name if hasattr(src, "name") else str(name),

@@ -20,15 +20,32 @@ from . import gaussian as ga
 from . import semigroup as sg
 from . import sources as so
 from . import stein as st
-from .errors import ConfigurationError, DomainError, HypothesisViolationError
+from .errors import (
+    ConfigurationError, DimensionMismatchError, DomainError, HypothesisViolationError,
+)
+from .quadrature import GH_NODES, gauss_hermite_tensor
 from .reports import emit
 from .rng import RngStream
 
 _CHECK_COLUMNS = ("check", "value", "reference", "tolerance", "passed")
 
 
-def _parse_int_list(text: str):
-    return [int(v) for v in str(text).split(",") if v != ""]
+def _positive_ints(name: str, value) -> list[int]:
+    """A comma list (or, from --config, a bare int) of integers >= 1."""
+    try:
+        values = [int(v) for v in str(value).split(",") if v != ""]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1:
+        raise ConfigurationError(f"--{name} expects integers >= 1, got {value!r}")
+    return values
+
+
+def _single_k(args) -> int:
+    ks = _positive_ints("k", args.k)
+    if len(ks) != 1:
+        raise ConfigurationError(f"--k expects one dimension, got {args.k!r}")
+    return ks[0]
 
 
 def _constants_from(args) -> bd.ConstantsConfig:
@@ -81,7 +98,8 @@ def run_check_inequalities(args) -> tuple[list, dict, bool, None]:
         "triple": 2.0 * float(ga.norm_pdf(0.0)) + 8.0 * float(ga.norm_pdf(math.sqrt(3.0))),
     }
     caps = {"distinct": 1.0, "pair": 1.0, "triple": math.sqrt(6.0)}
-    k = max(args.k, 3)
+    k_arg = _single_k(args)
+    k = max(k_arg, 3)
     for pattern, oracle in oracles.items():
         val = ga.abs_d3_integral(pattern, k)
         rows.append(_row(f"abs-d3-{pattern}", val, oracle, 1e-10, abs(val - oracle) <= 1e-10))
@@ -98,10 +116,8 @@ def run_check_inequalities(args) -> tuple[list, dict, bool, None]:
         _row("weight1-total", st.weight1_integral_total(), math.pi / 2.0, 1e-9, True)
     )
     # vanishing moments of the derivative kernels, exact under Gauss-Hermite
-    from .quadrature import gauss_hermite_tensor
-
-    kk = min(args.k, 3)
-    nodes, wts = gauss_hermite_tensor(kk, 32)
+    kk = min(k_arg, 3)
+    nodes, wts = gauss_hermite_tensor(kk, GH_NODES)
     for idx in {(0,) * 3, tuple(range(min(kk, 3))) + (0,) * (3 - min(kk, 3))}:
         kern = wts.copy()
         mult = {}
@@ -112,7 +128,7 @@ def run_check_inequalities(args) -> tuple[list, dict, bool, None]:
         rows.append(_row(f"kernel-mean-{idx}", abs(kern.sum()), 0.0, 1e-8, abs(kern.sum()) <= 1e-8))
         moment = abs(float(kern @ nodes[:, 0]))
         rows.append(_row(f"kernel-first-moment-{idx}", moment, 0.0, 1e-8, moment <= 1e-8))
-    return rows, {"k": args.k, "seed": args.seed}, _check_rows_pass(rows), None
+    return rows, {"k": k_arg, "seed": args.seed}, _check_rows_pass(rows), None
 
 
 def _grid_points(k: int, count: int, seed: int) -> np.ndarray:
@@ -127,7 +143,7 @@ def _catalog_sets(k: int):
 
 def run_check_semigroup(args) -> tuple[list, dict, bool, None]:
     rows = []
-    k = args.k
+    k = _single_k(args)
     pts = _grid_points(k, 5, args.seed)
     g = sg.hermite_product_function((1,) + (0,) * (k - 1))
     worst = max(
@@ -173,7 +189,7 @@ def _semigroup_law_gap(h, k, pts) -> float:
 
 def run_check_stein(args) -> tuple[list, dict, bool, None]:
     rows = []
-    k = args.k
+    k = _single_k(args)
     pts = _grid_points(k, 10, args.seed)
     for name, C in _catalog_sets(k):
         for t in (0.5, 1.0):
@@ -219,12 +235,12 @@ def _resolve_source(args, k: int, n: int):
 
 def run_delta(args) -> tuple[list, dict, bool, None]:
     rows = []
-    for k in _parse_int_list(args.k):
+    for k in _positive_ints("k", args.k):
         family = _family_for(args, k)
-        for n in _parse_int_list(args.n):
+        for n in _positive_ints("n", args.n):
             src = _resolve_source(args, k, n)
             stream = RngStream(args.seed).child(7 * k + n)
-            est = so.delta_hat(src, n, family, args.M, stream, workers=args.threads)
+            est = so.delta_hat(src, n, family, args.M, stream)
             rows.append(
                 {
                     "k": k,
@@ -251,10 +267,10 @@ def run_delta(args) -> tuple[list, dict, bool, None]:
 
 def run_discrepancy(args) -> tuple[list, dict, bool, None]:
     rows = []
-    for k in _parse_int_list(args.k):
+    for k in _positive_ints("k", args.k):
         src = so.make_source(args.source, k)
         C = cv.HalfSpace(np.eye(k)[0], args.offset)
-        for n in _parse_int_list(args.n):
+        for n in _positive_ints("n", args.n):
             stream = RngStream(args.seed).child(13 * k + n)
             result = so.stein_discrepancy_hat(src, n, args.t, C, args.M, stream=stream)
             agree = result.gap <= 4.0 * max(result.combined_std_error, 1e-12)
@@ -317,21 +333,12 @@ _BOUND_COLUMNS = (
 def run_bounds(args) -> tuple[list, dict, bool, None]:
     consts = _constants_from(args)
     rows = []
-    for k in _parse_int_list(args.k):
+    for k in _positive_ints("k", args.k):
         family = _family_for(args, k)
-        for n in _parse_int_list(args.n):
+        for n in _positive_ints("n", args.n):
             src = _resolve_source(args, k, n)
             stream = RngStream(args.seed).child(17 * k + n)
-            report = bd.bound_report(
-                src,
-                n,
-                family,
-                args.M,
-                stream,
-                consts=consts,
-                t=args.t,
-                workers=args.threads,
-            )
+            report = bd.bound_report(src, n, family, args.M, stream, consts=consts, t=args.t)
             rows.append(
                 {
                     "k": report.k,
@@ -368,17 +375,11 @@ def run_bounds(args) -> tuple[list, dict, bool, None]:
 
 
 def run_dim_scan(args) -> tuple[list, dict, bool, dict]:
-    k_list = _parse_int_list(args.k_list)
-    n_list = _parse_int_list(args.n_list)
+    k_list = _positive_ints("k-list", args.k_list)
+    n_list = _positive_ints("n-list", args.n_list)
     stream = RngStream(args.seed)
     report = bd.dim_scan(
-        args.source.split(","),
-        k_list,
-        n_list,
-        lambda k: _family_for(args, k),
-        args.M,
-        stream,
-        workers=args.threads,
+        args.source.split(","), k_list, n_list, lambda k: _family_for(args, k), args.M, stream
     )
     rows = [
         {
@@ -442,7 +443,8 @@ def _add_common(p, with_family=True):
     p.add_argument("--seed", type=int, required=True, help="master seed (no wall clock)")
     p.add_argument("--out", default=None, help="output path prefix (stdout if omitted)")
     p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="kept for existing command lines; sampling is single-threaded, so 1")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     if with_family:
         p.add_argument("--family", default=None, help="set-family JSON file")
@@ -453,19 +455,23 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="steinclt", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("check-inequalities", help="derivative-integral and weight checks")
+    def add(name, help):
+        # no abbreviations: `_apply_config_file` matches explicit flags by full name
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    p = add("check-inequalities", help="derivative-integral and weight checks")
     p.add_argument("--k", type=int, default=3)
     _add_common(p, with_family=False)
 
-    p = sub.add_parser("check-semigroup", help="backward equation, law, invariance")
+    p = add("check-semigroup", help="backward equation, law, invariance")
     p.add_argument("--k", type=int, default=2)
     _add_common(p, with_family=False)
 
-    p = sub.add_parser("check-stein", help="Stein identity and solution derivatives")
+    p = add("check-stein", help="Stein identity and solution derivatives")
     p.add_argument("--k", type=int, default=2)
     _add_common(p, with_family=False)
 
-    p = sub.add_parser("delta", help="empirical convex-set discrepancy")
+    p = add("delta", help="empirical convex-set discrepancy")
     p.add_argument("--source", required=True, choices=sorted(so.SOURCES))
     p.add_argument("--k", required=True, help="dimension or comma list")
     p.add_argument("--n", required=True, help="summand count or comma list")
@@ -475,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale the source into a non-iid triangular array")
     _add_common(p)
 
-    p = sub.add_parser("discrepancy", help="smoothed discrepancy, direct vs generator form")
+    p = add("discrepancy", help="smoothed discrepancy, direct vs generator form")
     p.add_argument("--source", required=True, choices=sorted(so.SOURCES))
     p.add_argument("--k", required=True)
     p.add_argument("--n", required=True)
@@ -484,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=4096)
     _add_common(p, with_family=False)
 
-    p = sub.add_parser("bounds", help="empirical discrepancy next to every bound")
+    p = add("bounds", help="empirical discrepancy next to every bound")
     p.add_argument("--source", required=True, choices=sorted(so.SOURCES))
     p.add_argument("--k", required=True)
     p.add_argument("--n", required=True)
@@ -496,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale the source into a non-iid triangular array")
     _add_common(p)
 
-    p = sub.add_parser("dim-scan", help="discrepancy scan with exponent fits")
+    p = add("dim-scan", help="discrepancy scan with exponent fits")
     p.add_argument("--source", required=True, help="name or comma list")
     p.add_argument("--k-list", dest="k_list", required=True)
     p.add_argument("--n-list", dest="n_list", required=True)
@@ -509,7 +515,12 @@ def _apply_config_file(args: argparse.Namespace, argv) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config file {args.config}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config file {args.config} must hold a JSON object")
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
@@ -526,11 +537,17 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args = _apply_config_file(args, argv)
+        if args.threads != 1:
+            raise ConfigurationError(
+                f"sampling is single-threaded; --threads must be 1, got {args.threads!r}"
+            )
         runner, columns = _SUBCOMMANDS[args.subcommand]
         rows, config, ok, extras = runner(args)
         emit(args.subcommand, columns, rows, config, args.out, args.format, extras=extras)
         return 0 if ok else 1
-    except (ConfigurationError, DomainError, HypothesisViolationError, OSError) as exc:
+    except (
+        ConfigurationError, DimensionMismatchError, DomainError, HypothesisViolationError, OSError
+    ) as exc:
         print(f"steinclt: error: {exc}", file=sys.stderr)
         return 2
 

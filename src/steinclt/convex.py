@@ -741,7 +741,7 @@ def shifted_measure_batch(C: ConvexSet, shifts, sigma: float):
     return C.shifted_measure(shifts, sigma)
 
 
-def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0, **measure_kw) -> float:
+def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0) -> float:
     """P(scale*Z in boundary shell of width 2*eps around the boundary of C).
 
     Evaluated as Phi((C^{2eps})/scale) - Phi((C^{-2eps})/scale).
@@ -754,8 +754,8 @@ def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0, **measure_kw) ->
     if eps == 0.0:
         return 0.0
     inv = 1.0 / float(scale)
-    outer = gaussian_measure(C.dilate(2.0 * eps).scale(inv), **measure_kw)
-    inner = gaussian_measure(C.erode(2.0 * eps).scale(inv), **measure_kw)
+    outer = gaussian_measure(C.dilate(2.0 * eps).scale(inv))
+    inner = gaussian_measure(C.erode(2.0 * eps).scale(inv))
     return max(outer - inner, 0.0)
 
 
@@ -879,6 +879,8 @@ def set_to_config(C: ConvexSet) -> dict:
 
 
 def set_from_config(cfg: dict) -> ConvexSet:
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"a set config must be a JSON object, got {cfg!r}")
     variant = cfg.get("variant")
     cls = _VARIANTS.get(variant)
     if cls is None:
@@ -886,7 +888,10 @@ def set_from_config(cfg: dict) -> ConvexSet:
     missing = [name for name in cls.config_fields if name not in cfg]
     if missing:
         raise ConfigurationError(f"{variant} set config is missing {', '.join(missing)}")
-    return cls(*(cfg[name] for name in cls.config_fields))
+    try:
+        return cls(*(cfg[name] for name in cls.config_fields))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {variant} set config: {exc}") from None
 
 
 def family_to_config(fam: SetFamily) -> dict:
@@ -898,18 +903,23 @@ def family_to_config(fam: SetFamily) -> dict:
 
 def family_from_config(cfg: dict) -> SetFamily:
     """Build a family from an explicit set list or a default-builder spec."""
+    if not isinstance(cfg, dict):
+        raise ConfigurationError("a family config must be a JSON object")
     if "builder" in cfg:
         if cfg["builder"] != "default":
             raise ConfigurationError(f"unknown family builder {cfg['builder']!r}")
-        kw = {
-            key: int(cfg[key])
-            for key in ("k", "n_directions", "n_offsets", "n_radii", "n_box_sizes", "seed")
-            if key in cfg
-        }
+        try:
+            kw = {
+                key: int(cfg[key])
+                for key in ("k", "n_directions", "n_offsets", "n_radii", "n_box_sizes", "seed")
+                if key in cfg
+            }
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad family builder spec: {exc}") from None
         if "k" not in kw:
             raise ConfigurationError("family builder spec needs the dimension k")
         return default_family(**kw)
-    if "sets" not in cfg:
+    if not isinstance(cfg.get("sets"), list):
         raise ConfigurationError("family config needs a 'sets' list or a 'builder' spec")
     sets = tuple(set_from_config(c) for c in cfg["sets"])
     return SetFamily(sets=sets, description=cfg.get("description", ""))
@@ -922,4 +932,8 @@ def save_family(fam: SetFamily, path: str) -> None:
 
 def load_family(path: str) -> SetFamily:
     with open(path, "r", encoding="utf-8") as fh:
-        return family_from_config(json.load(fh))
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"family file {path}: {exc}") from None
+    return family_from_config(cfg)

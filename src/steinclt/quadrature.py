@@ -1,10 +1,12 @@
 """Quadrature building blocks and the configuration of the time integrals.
 
-Tensor Gauss-Hermite grids target expectations against the standard Normal;
-they are kept for smooth integrands and as the generic fallback.  The outer
-integral over the semigroup time s uses Gauss-Legendre nodes, by default after
-the substitution u = e^{-s} which removes the s -> infinity tail and keeps the
-order-3 derivative weight integrable down to small t.
+Tensor Gauss-Hermite grids (GH_NODES per axis) target expectations against
+the standard Normal; they are kept for smooth integrands and as the generic
+fallback.  The outer integral over the semigroup time s runs over (t, t + 40),
+beyond which the integrand is below the double-precision floor, with
+Gauss-Legendre nodes after the substitution u = e^{-s}, which removes the
+s -> infinity tail and keeps the order-3 derivative weight integrable down to
+small t.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 GH_TENSOR_MAX_DIM = 3
+GH_NODES = 32
 
 
 @lru_cache(maxsize=64)
@@ -52,37 +55,27 @@ def gauss_legendre_panel(a: float, b: float, n: int):
 class QuadratureSpec:
     """How to evaluate the nested integrals behind T_s and its inverse.
 
+    s_nodes is the number of Gauss-Legendre nodes of the time integral.
     inner_method:
         "auto"         closed form when the test function supports it,
                        otherwise tensor Gauss-Hermite for k <= 3, else MC;
         "analytic"     require the closed form (error if unavailable);
-        "gauss-hermite" tensor grid with `gh_nodes` per axis (k <= 3);
-        "monte-carlo"  `mc_samples` seeded draws.
-    s_truncation is the absolute upper cutoff of the time integral
-    (None means t + 40, below the double-precision floor of the integrand).
+        "gauss-hermite" tensor grid with GH_NODES per axis (k <= 3);
+        "monte-carlo"  `mc_samples` draws from a stream with master seed 0.
     """
 
     s_nodes: int = 64
-    s_truncation: float | None = None
     inner_method: str = "auto"
-    gh_nodes: int = 32
     mc_samples: int = 1 << 16
-    mc_seed: int = 0
-    substitution: bool = True
 
     _METHODS = ("auto", "analytic", "gauss-hermite", "monte-carlo")
 
-    def cutoff(self, t: float) -> float:
-        return (t + 40.0) if self.s_truncation is None else float(self.s_truncation)
-
-    def validate(self, t: float = 0.0) -> None:
+    def validate(self) -> None:
         if self.inner_method not in self._METHODS:
             raise ConfigurationError(f"unknown inner_method {self.inner_method!r}")
         if self.s_nodes < 16:
             raise ConfigurationError("s_nodes must be at least 16")
-        if self.cutoff(t) < t + 10.0:
-            raise ConfigurationError("s_truncation must be at least t + 10")
-        if self.gh_nodes < 2 or self.mc_samples < 2:
+        if self.mc_samples < 2:
             raise ConfigurationError("degenerate inner quadrature size")
 
 

@@ -2,9 +2,10 @@
 
 A stream is a plain value ``(master_seed, stream_id, counter)``.  Independent
 substreams are derived by re-keying (``child``), disjoint blocks inside one
-stream by moving the counter (``block``), so any worker layout replays the
-same draws.  Nothing here is stateful: every ``generator()`` call starts from
-the exact position encoded in the stream value.
+stream by moving the counter (``block``), so block b of a sample is the same
+draws whatever blocks come before it.  Nothing here is stateful: every
+``generator()`` call starts from the exact position encoded in the stream
+value.
 """
 
 from __future__ import annotations
@@ -48,5 +49,5 @@ class RngStream:
         return RngStream(self.master_seed, mixed, 0)
 
     def block(self, index: int) -> "RngStream":
-        """Same key, counter moved to block `index` (for parallel blocks)."""
+        """Same key, counter moved to block `index` (disjoint from other blocks)."""
         return replace(self, counter=index & _MASK64)

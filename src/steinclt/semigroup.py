@@ -29,7 +29,9 @@ import numpy as np
 from .convex import ConvexSet, gaussian_measure, shifted_measure_batch
 from .errors import ConfigurationError, DomainError
 from .gaussian import hermite_he
-from .quadrature import DEFAULT_QUAD, GH_TENSOR_MAX_DIM, QuadratureSpec, gauss_hermite_tensor
+from .quadrature import (
+    DEFAULT_QUAD, GH_NODES, GH_TENSOR_MAX_DIM, QuadratureSpec, gauss_hermite_tensor,
+)
 from .rng import RngStream
 
 
@@ -175,10 +177,8 @@ def _inner_points(k: int, quad: QuadratureSpec, method: str):
             raise ConfigurationError(
                 f"gauss-hermite inner quadrature infeasible for k={k}"
             )
-        return gauss_hermite_tensor(k, quad.gh_nodes)
-    draws = RngStream(quad.mc_seed, stream_id=909).generator().standard_normal(
-        (quad.mc_samples, k)
-    )
+        return gauss_hermite_tensor(k, GH_NODES)
+    draws = RngStream(0, stream_id=909).generator().standard_normal((quad.mc_samples, k))
     return draws, np.full(quad.mc_samples, 1.0 / quad.mc_samples)
 
 
@@ -214,7 +214,7 @@ def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT
     single = X.ndim == 1
     X = np.atleast_2d(X)
     k = X.shape[1]
-    quad.validate(t)
+    quad.validate()
     if t == 0.0:
         vals = np.asarray(h(X), dtype=float)
         return float(vals[0]) if single else vals

@@ -6,16 +6,16 @@ third-moment functional is either closed form or a deterministic tensor
 quadrature.  Non-iid sources are scaled copies of catalog laws whose
 covariances sum to the identity.
 
-All sampling flows through counter-based streams in fixed-size blocks, and
-block results are combined in block order, so the numbers do not depend on
-how many workers execute the blocks.
+Every Monte Carlo estimate over S_n runs through one loop, `sum_over_blocks`:
+block b of BLOCK_SIZE draws comes from the counter-based stream
+`stream.block(b)`, and the per-block statistics are summed in block order,
+so a seed fixes every number.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -358,31 +358,20 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     return total / math.sqrt(n)
 
 
-def _run_blocks(M: int, stream: RngStream, fn, workers: int = 1):
-    """Apply fn(block_stream, block_size) per block; combine in block order."""
-    layout = []
-    start = 0
-    b = 0
-    while start < M:
+def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
+    """Sum statistic(X) over the blocks X of M draws of S_n, in block order.
+
+    Block b holds up to BLOCK_SIZE rows drawn from `stream.block(b)`.
+    """
+    M = _count("M", M, 1)
+    total = 0
+    for b, start in enumerate(range(0, M, BLOCK_SIZE)):
         size = min(BLOCK_SIZE, M - start)
-        layout.append((b, size))
-        start += size
-        b += 1
-    if workers <= 1:
-        return [fn(stream.block(i), size) for i, size in layout]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(fn, stream.block(i), size) for i, size in layout]
-        return [f.result() for f in futs]
+        total = total + statistic(sample_sum(src, n, stream.block(b), size))
+    return total
 
 
-def delta_hat(
-    src,
-    n: int,
-    family: SetFamily,
-    M: int,
-    stream: RngStream,
-    workers: int = 1,
-) -> Estimate:
+def delta_hat(src, n: int, family: SetFamily, M: int, stream: RngStream) -> Estimate:
     """Empirical convex-set discrepancy over a finite family.
 
     One sample of size M is shared by every set (common random numbers);
@@ -394,11 +383,7 @@ def delta_hat(
     n = _count("n", n, 1)
     M = _count("M", M, 1000)
     measures = np.array([gaussian_measure(C) for C in family.sets])
-
-    def block_counts(block_stream, size):
-        return family.counts(sample_sum(src, n, block_stream, size))
-
-    counts = sum(_run_blocks(M, stream, block_counts, workers))
+    counts = sum_over_blocks(src, n, M, stream, family.counts)
     freqs = counts / float(M)
     diffs = np.abs(freqs - measures)
     arg = int(np.argmax(diffs))
@@ -443,25 +428,20 @@ def stein_discrepancy_hat(
     """
     sol = SteinSolution(t, IndicatorFunction(C), quad)
 
-    def block_vals(block_stream, size):
-        X = sample_sum(src, n, block_stream, size)
+    def block_sums(X):
         d = np.asarray(smoothed_target(sol, X), dtype=float)
         g = np.asarray(laplacian_drift(sol, X), dtype=float)
-        return np.array(
-            [d.sum(), (d * d).sum(), g.sum(), (g * g).sum(), float(size)]
-        )
+        return np.array([d.sum(), (d * d).sum(), g.sum(), (g * g).sum()])
 
-    acc = sum(_run_blocks(M, stream, block_vals))
-    total = float(acc[4])
+    acc = sum_over_blocks(src, n, M, stream, block_sums)
+    total = float(M)
     d_mean = float(acc[0] / total)
     g_mean = float(acc[2] / total)
     d_var = max(float(acc[1] / total) - d_mean**2, 0.0)
     g_var = max(float(acc[3] / total) - g_mean**2, 0.0)
     return SteinDiscrepancyResult(
-        direct=Estimate(d_mean, math.sqrt(d_var / total), int(total), stream.master_seed),
-        generator_form=Estimate(
-            g_mean, math.sqrt(g_var / total), int(total), stream.master_seed
-        ),
+        direct=Estimate(d_mean, math.sqrt(d_var / total), int(M), stream.master_seed),
+        generator_form=Estimate(g_mean, math.sqrt(g_var / total), int(M), stream.master_seed),
     )
 
 

@@ -26,6 +26,7 @@ from .errors import DomainError
 from .gaussian import hermite_he
 from .quadrature import (
     DEFAULT_QUAD,
+    GH_NODES,
     GH_TENSOR_MAX_DIM,
     QuadratureSpec,
     gauss_hermite_tensor,
@@ -93,20 +94,15 @@ class SteinSolution:
     def __init__(self, t: float, h: TestFunction, quad: QuadratureSpec = DEFAULT_QUAD):
         if not (math.isfinite(t) and t >= T_MIN):
             raise DomainError(f"stein solutions are evaluated for finite t >= {T_MIN}, got {t}")
-        quad.validate(t)
+        quad.validate()
         self.t = float(t)
         self.h = h
         self.quad = quad
-        cutoff = quad.cutoff(self.t)
-        if quad.substitution:
-            u_lo, u_hi = math.exp(-cutoff), math.exp(-self.t)
-            u, du = gauss_legendre_panel(u_lo, u_hi, quad.s_nodes)
-            self.s_nodes = -np.log(u)
-            self.s_weights = du / u  # ds = du / u
-        else:
-            self.s_nodes, self.s_weights = gauss_legendre_panel(
-                self.t, cutoff, quad.s_nodes
-            )
+        # past s = t + 40 the integrand is below double precision
+        u_lo, u_hi = math.exp(-(self.t + 40.0)), math.exp(-self.t)
+        u, du = gauss_legendre_panel(u_lo, u_hi, quad.s_nodes)
+        self.s_nodes = -np.log(u)
+        self.s_weights = du / u  # ds = du / u
 
     def center(self, k: int) -> float:
         return gaussian_mean(self.h, k, self.quad)
@@ -156,7 +152,7 @@ def _jet_integral(sol: SteinSolution, X):
 
 
 def psi(sol: SteinSolution, x):
-    """psi_t(x) = -integral of the centered smoothing over s in (t, cutoff)."""
+    """psi_t(x) = -integral of the centered smoothing over s in (t, t + 40)."""
     X, single = _batched(x)
     vals = -(_smoothing_matrix(sol, X) @ sol.s_weights)
     return _unbatch(vals, single)
@@ -269,7 +265,7 @@ def double_integral_kernel_report(
     values = np.empty(len(shifts))
     std_error = 0.0
     if analytic:
-        nodes, wts = gauss_hermite_tensor(k, quad.gh_nodes)
+        nodes, wts = gauss_hermite_tensor(k, GH_NODES)
         kernel = wts.copy()
         for j in sorted(mult):
             kernel = kernel * hermite_he(mult[j], nodes[:, j])
@@ -280,7 +276,7 @@ def double_integral_kernel_report(
             values[r] = abs(float((g - center) @ kernel))
     else:
         if stream is None:
-            stream = RngStream(quad.mc_seed, stream_id=777)
+            stream = RngStream(0, stream_id=777)
         gen = stream.generator()
         m_draws = quad.mc_samples
         Xd = gen.standard_normal((m_draws, k))

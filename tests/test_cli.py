@@ -197,11 +197,18 @@ def test_non_finite_inputs_exit_2(argv, capsys):
         ('{"sets": [{"variant": "ball", "center": [NaN, 0.0], "radius": 1.0}]}', "finite"),
         ('{"sets": [{"variant": "ball", "center": [0.0, 0.0]}]}', "radius"),
         ('{"description": "no sets"}', "sets"),
+        ('{"sets": [[0, 1]]}', "JSON object"),
+        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0], "radius": "abc"}]}', "abc"),
+        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0], "radius"', "family file"),
+        ('[{"variant": "ball", "center": [0.0, 0.0], "radius": 1.0}]', "JSON object"),
+        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0], "radius": 1.0},'
+         ' {"variant": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}]}', "dimension"),
     ],
-    ids=["nan-ball-center", "missing-field", "missing-sets"],
+    ids=["nan-ball-center", "missing-field", "missing-sets", "set-not-object",
+         "non-numeric-field", "truncated", "family-not-object", "mixed-dimensions"],
 )
 def test_bad_family_file_exits_2(tmp_path, capsys, family, message):
-    # the NaN centre used to print a nan delta_hat row, the others a KeyError traceback
+    # the NaN centre used to print a nan delta_hat row, the others a traceback
     path = tmp_path / "fam.json"
     path.write_text(family)
     code = run(["delta", "--source", "gaussian", "--k", "2", "--n", "4",
@@ -239,3 +246,81 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# steinclt-csv v1")
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [('{"M": 2000', "config file"), ('[2000]', "JSON object"), ('{"threads": 2}', "threads")],
+    ids=["truncated", "not-object", "threads-2"],
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(config)
+    code = run(["delta", "--source", "gaussian", "--k", "1", "--n", "4",
+                "--M", "2000", "--seed", "1", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "steinclt: error:" in captured.err
+    assert message in captured.err
+
+
+_DELTA = ["delta", "--source", "uniform", "--k", "1", "--n", "4", "--M", "2000", "--seed", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "--source", "gaussian", "--k", "1", "--n", "x", "--M", "2000", "--seed", "1"],
+        ["delta", "--source", "gaussian", "--k", "a", "--n", "4", "--M", "2000", "--seed", "1"],
+        ["delta", "--source", "gaussian", "--k", "1", "--n", "0", "--M", "2000", "--seed", "1"],
+        ["check-inequalities", "--k", "0", "--seed", "1"],
+        ["check-semigroup", "--k", "0", "--seed", "1"],
+        ["check-stein", "--k", "-1", "--seed", "1"],
+        ["discrepancy", "--source", "rademacher", "--k", "0", "--n", "8", "--seed", "1"],
+        ["bounds", "--source", "gaussian", "--k", "0", "--n", "4", "--M", "2000", "--seed", "1"],
+        ["dim-scan", "--source", "gaussian", "--k-list", "1,0", "--n-list", "4",
+         "--M", "2000", "--seed", "1"],
+    ],
+    ids=["delta-n-x", "delta-k-a", "delta-n-0", "inequalities-k-0", "semigroup-k-0",
+         "stein-k-neg", "discrepancy-k-0", "bounds-k-0", "dim-scan-k-0"],
+)
+def test_bad_k_or_n_exits_2(argv, capsys):
+    # each used to end in a traceback (exit 1) or a misleading message
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "integers >= 1" in captured.err
+
+
+def test_check_suite_k_from_config_is_parsed(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"k": "2"}')
+    code, out = _run_capture(capsys, ["check-stein", "--seed", "3", "--config", str(path)])
+    assert code == 0
+    assert out == _run_capture(capsys, ["check-stein", "--k", "2", "--seed", "3"])[1]
+    path.write_text('{"k": "2,3"}')
+    assert run(["check-stein", "--seed", "3", "--config", str(path)]) == 2
+
+
+def test_threads_is_a_compatibility_flag(capsys):
+    code, plain = _run_capture(capsys, _DELTA)
+    assert code == 0
+    assert _run_capture(capsys, _DELTA + ["--threads", "1"]) == (0, plain)
+    code = run(_DELTA + ["--threads", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and "single-threaded" in captured.err
+
+
+def test_abbreviated_flag_is_rejected_not_overridden_by_config(tmp_path, capsys):
+    # `--noniid` used to be taken for --noniid-profile while the config's
+    # value still won, because only full flag names count as explicit
+    path = tmp_path / "cfg.json"
+    path.write_text('{"noniid_profile": "flat"}')
+    argv = ["bounds", "--source", "gaussian", "--k", "1", "--n", "8", "--M", "2000", "--seed", "4"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--config", str(path), "--noniid", "linear"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    linear = _run_capture(capsys, argv + ["--noniid-profile", "linear"])
+    assert _run_capture(capsys, argv + ["--config", str(path), "--noniid-profile", "linear"]) == linear
+    assert _run_capture(capsys, argv + ["--config", str(path)]) != linear

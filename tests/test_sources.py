@@ -13,6 +13,7 @@ from steinclt import (
     SetFamily,
     default_family,
     delta_hat,
+    gaussian_measure,
     exponential_source,
     gaussian_source,
     make_source,
@@ -25,6 +26,7 @@ from steinclt import (
     uniform_source,
 )
 from steinclt.errors import DegeneracyError, DomainError
+from steinclt.sources import BLOCK_SIZE
 
 
 def test_moment_closed_forms():
@@ -247,15 +249,27 @@ def test_delta_hat_monotone_in_family_size():
     assert e_full.value >= e_small.value - 1e-12
 
 
-def test_delta_hat_deterministic_and_worker_invariant():
+def test_delta_hat_deterministic_and_recomputed_from_blocks():
     fam = default_family(2)
+    M = 40_000
+    sizes = (BLOCK_SIZE, BLOCK_SIZE, M - 2 * BLOCK_SIZE)
+    measures = np.array([gaussian_measure(C) for C in fam.sets])
     for name in ("gaussian", "rademacher", "uniform", "exponential"):
         src = make_source(name, 2)
-        a = delta_hat(src, 8, fam, 40_000, RngStream(10))
-        b = delta_hat(src, 8, fam, 40_000, RngStream(10))
-        c = delta_hat(src, 8, fam, 40_000, RngStream(10), workers=4)
+        stream = RngStream(10)
+        a = delta_hat(src, 8, fam, M, stream)
+        b = delta_hat(src, 8, fam, M, RngStream(10))
         assert (a.value, a.std_error) == (b.value, b.std_error), name
-        assert (a.value, a.std_error) == (c.value, c.std_error), name
+        # block b of the estimate is sample_sum on stream.block(b), counted in block order
+        counts = sum(
+            fam.counts(sample_sum(src, 8, stream.block(b), size)) for b, size in enumerate(sizes)
+        )
+        freqs = counts / M
+        diffs = np.abs(freqs - measures)
+        arg = int(np.argmax(diffs))
+        p = freqs[arg]
+        assert a.value == diffs[arg], name
+        assert a.std_error == math.sqrt(p * (1.0 - p) / M), name
 
 
 def test_delta_hat_rejects_small_M():
