@@ -20,6 +20,7 @@ from .gaussian import (
     chi_cdf,
     d3_phi,
     hermite_he,
+    hermite_kernel,
     norm_cdf,
     norm_pdf,
     phi,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -119,12 +120,7 @@ def run_check_inequalities(args) -> tuple[list, dict, bool, None]:
     kk = min(k_arg, 3)
     nodes, wts = gauss_hermite_tensor(kk, GH_NODES)
     for idx in {(0,) * 3, tuple(range(min(kk, 3))) + (0,) * (3 - min(kk, 3))}:
-        kern = wts.copy()
-        mult = {}
-        for i in idx:
-            mult[i] = mult.get(i, 0) + 1
-        for j, m in mult.items():
-            kern = kern * ga.hermite_he(m, nodes[:, j])
+        kern = ga.hermite_kernel(wts, nodes, idx)
         rows.append(_row(f"kernel-mean-{idx}", abs(kern.sum()), 0.0, 1e-8, abs(kern.sum()) <= 1e-8))
         moment = abs(float(kern @ nodes[:, 0]))
         rows.append(_row(f"kernel-first-moment-{idx}", moment, 0.0, 1e-8, moment <= 1e-8))
@@ -511,7 +507,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_file(args: argparse.Namespace, argv) -> argparse.Namespace:
+def _config_value(action: argparse.Action, key: str, value):
+    """A --config value put through the flag's argparse `type` and checked against `choices`."""
+    if action.type in (int, float) and not isinstance(value, numbers.Real) and (
+        value is not None or action.default is not None
+    ):
+        try:
+            value = action.type(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"config key {key!r} expects {action.type.__name__}, got {value!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigurationError(
+            f"config key {key!r} must be one of {sorted(action.choices)}, got {value!r}"
+        )
+    return value
+
+
+def _apply_config_file(
+    args: argparse.Namespace, argv, ap: argparse.ArgumentParser
+) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -521,13 +537,15 @@ def _apply_config_file(args: argparse.Namespace, argv) -> argparse.Namespace:
             raise ConfigurationError(f"config file {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config file {args.config} must hold a JSON object")
+    sub = next(a for a in ap._actions if a.dest == "subcommand")
+    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions}
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr):
             raise ConfigurationError(f"config key {key!r} is not a flag of this subcommand")
         if attr not in explicit:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(actions[attr], key, value))
     return args
 
 
@@ -536,7 +554,7 @@ def run(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
+        args = _apply_config_file(args, argv, ap)
         if args.threads != 1:
             raise ConfigurationError(
                 f"sampling is single-threaded; --threads must be 1, got {args.threads!r}"

@@ -20,14 +20,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import special, stats
 from scipy.stats import qmc
 
 from .errors import ConfigurationError, DimensionMismatchError, DomainError
-from .gaussian import chi_cdf, hermite_he, norm_cdf, norm_pdf
+from .gaussian import chi_cdf, hermite_he, multiplicities, norm_cdf, norm_pdf
 from .rng import RngStream
 
 _UNIT_TOL = 1e-12
@@ -440,9 +440,7 @@ class Box(ConvexSet):
         return (self.upper - alpha * X) / w, (self.lower - alpha * X) / w
 
     def smoothed_derivative(self, alpha, w, X, idx):
-        mult: dict[int, int] = {}
-        for i in idx:
-            mult[i] = mult.get(i, 0) + 1
+        mult = multiplicities(idx, self.dim)
         hi, lo = self._edges(alpha, w, X)
         plain = norm_cdf(hi) - norm_cdf(lo)
         val = np.ones(len(X))
@@ -817,6 +815,7 @@ class SetFamily:
         return out
 
 
+@lru_cache(maxsize=32)
 def default_family(
     k: int,
     n_directions: int = 32,
@@ -829,6 +828,8 @@ def default_family(
 
     This finite family lower-bounds the supremum over all Borel convex sets;
     half-spaces and balls are the extremal shapes in the classical analyses.
+    Cached by its arguments: repeated calls share one family and its
+    membership plan.
     """
     gen = RngStream(seed, stream_id=101).generator()
     sets: list[ConvexSet] = []

@@ -66,17 +66,30 @@ def phi(x):
     return float(val[0]) if single else val
 
 
-def _multiplicities(idx, k: int):
-    """Coordinate -> multiplicity map for a third-order index tuple."""
-    if len(idx) != 3:
-        raise DomainError("a third-derivative index needs exactly 3 entries")
-    mult: dict[int, int] = {}
-    for i in idx:
-        i = int(i)
-        if not 0 <= i < k:
-            raise DomainError(f"index {i} out of range for dimension {k}")
-        mult[i] = mult.get(i, 0) + 1
-    return mult
+def multiplicities(idx, k: int, orders=(1, 2, 3)) -> dict[int, int]:
+    """Coordinate -> multiplicity of a 0-based derivative index, in ascending coordinate order.
+
+    DomainError unless len(idx) is one of `orders` and every entry is in [0, k).
+    """
+    idx = tuple(int(i) for i in idx)
+    if len(idx) not in orders:
+        raise DomainError(f"derivative order must be one of {tuple(orders)}, got {len(idx)}")
+    if any(not 0 <= i < k for i in idx):
+        raise DomainError(f"derivative index {idx} out of range for dimension {k}")
+    return {j: idx.count(j) for j in sorted(set(idx))}
+
+
+def hermite_kernel(base, z, idx):
+    """base * prod_j He_{m_j}(z[:, j]), m_j the multiplicity of coordinate j in idx.
+
+    The derivative-on-the-kernel weight of D_idx T_s h (and, for base -phi, of
+    D_idx phi); ascending factor order makes a permuted idx give identical floats.
+    """
+    z = np.asarray(z, dtype=float)
+    out = base
+    for j, m in multiplicities(idx, z.shape[1]).items():
+        out = out * hermite_he(m, z[:, j])
+    return out
 
 
 def d3_phi(x, idx):
@@ -89,10 +102,8 @@ def d3_phi(x, idx):
     pts, single = _as_points(x)
     if not np.all(np.isfinite(pts)):
         raise DomainError("d3_phi requires finite coordinates")
-    mult = _multiplicities(idx, pts.shape[1])
-    val = -phi(pts)  # (-1)^3 from the three differentiations
-    for j in sorted(mult):  # fixed order: permuted idx gives identical floats
-        val = val * hermite_he(mult[j], pts[:, j])
+    multiplicities(idx, pts.shape[1], orders=(3,))
+    val = hermite_kernel(-phi(pts), pts, idx)  # (-1)^3 from the three differentiations
     return float(val[0]) if single else val
 
 

@@ -9,7 +9,10 @@ noncentral chi-square densities), which the Stein solver leans on heavily.
 Those closed forms live on the set classes in `convex` (`has_closed_form`,
 `shifted_measure`, `smoothed_derivative`, `smoothed_jet`); this module only
 decides when to use them.  The generic fallbacks are tensor Gauss-Hermite
-(k <= 3) and seeded Monte Carlo.
+(k <= 3) and seeded Monte Carlo, and every one of them (value, derivative,
+jet) is the same per-row loop `h(alpha x + w nodes) @ kernel` in
+`_kernel_rows`; only the kernel differs (the weights, the weights times a
+Hermite product from `gaussian.hermite_kernel`, or one column per jet entry).
 
 Derivatives come two ways.  `semigroup_derivative` gives one mixed partial
 D_idx T_s h for an index tuple of order 1 to 3.  `semigroup_jet` gives the
@@ -28,7 +31,7 @@ import numpy as np
 
 from .convex import ConvexSet, gaussian_measure, shifted_measure_batch
 from .errors import ConfigurationError, DomainError
-from .gaussian import hermite_he
+from .gaussian import hermite_he, hermite_kernel, multiplicities
 from .quadrature import (
     DEFAULT_QUAD, GH_NODES, GH_TENSOR_MAX_DIM, QuadratureSpec, gauss_hermite_tensor,
 )
@@ -173,10 +176,6 @@ def has_analytic_smoothing(h: TestFunction) -> bool:
 
 def _inner_points(k: int, quad: QuadratureSpec, method: str):
     if method == "gauss-hermite":
-        if k > GH_TENSOR_MAX_DIM:
-            raise ConfigurationError(
-                f"gauss-hermite inner quadrature infeasible for k={k}"
-            )
         return gauss_hermite_tensor(k, GH_NODES)
     draws = RngStream(0, stream_id=909).generator().standard_normal((quad.mc_samples, k))
     return draws, np.full(quad.mc_samples, 1.0 / quad.mc_samples)
@@ -206,6 +205,14 @@ def gaussian_mean(h: TestFunction, k: int, quad: QuadratureSpec = DEFAULT_QUAD) 
     return float(np.asarray(h(nodes), dtype=float) @ wts)
 
 
+def _kernel_rows(h, alpha, w, X, nodes, kernel):
+    """h(alpha*x + w*nodes) @ kernel for each row x of X: (M,) or (M, c) for an (N, c) kernel."""
+    out = np.empty((len(X),) + kernel.shape[1:])
+    for m, row in enumerate(X):
+        out[m] = np.asarray(h(alpha * row + w * nodes), dtype=float) @ kernel
+    return out
+
+
 def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT_QUAD):
     """T_t h(x); accepts a point (k,) or a batch (M,k)."""
     if t < 0.0:
@@ -224,9 +231,7 @@ def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT
         vals = shifted_measure_batch(h.set, alpha * X, w)
     else:
         nodes, wts = _inner_points(k, quad, method)
-        vals = np.empty(len(X))
-        for m, row in enumerate(X):
-            vals[m] = float(np.asarray(h(alpha * row + w * nodes), dtype=float) @ wts)
+        vals = _kernel_rows(h, alpha, w, X, nodes, wts)
     return float(vals[0]) if single else vals
 
 
@@ -246,10 +251,7 @@ def semigroup_derivative(
     X = np.atleast_2d(X)
     k = X.shape[1]
     idx = tuple(int(i) for i in idx)
-    if not idx or len(idx) > 3:
-        raise DomainError("derivative order must be 1, 2 or 3")
-    if any(not 0 <= i < k for i in idx):
-        raise DomainError("derivative index out of range")
+    multiplicities(idx, k)
     alpha, w = ou_decay(s), ou_noise(s)
     method = _resolve_inner(h, k, quad)
     if method == "analytic":
@@ -257,16 +259,8 @@ def semigroup_derivative(
         vals = np.zeros(len(X)) if C.is_empty else C.smoothed_derivative(alpha, w, X, idx)
     else:
         nodes, wts = _inner_points(k, quad, method)
-        mult: dict[int, int] = {}
-        for i in idx:
-            mult[i] = mult.get(i, 0) + 1
-        kernel = wts.copy()
-        for j in sorted(mult):
-            kernel = kernel * hermite_he(mult[j], nodes[:, j])
-        scale = (alpha / w) ** len(idx)
-        vals = np.empty(len(X))
-        for m_i, row in enumerate(X):
-            vals[m_i] = scale * float(np.asarray(h(alpha * row + w * nodes), dtype=float) @ kernel)
+        kernel = hermite_kernel(wts, nodes, idx)
+        vals = (alpha / w) ** len(idx) * _kernel_rows(h, alpha, w, X, nodes, kernel)
     return float(vals[0]) if single else vals
 
 
@@ -298,9 +292,7 @@ def semigroup_jet(h: TestFunction, s: float, x, quad: QuadratureSpec = DEFAULT_Q
         kernel = wts[:, None] * np.column_stack(
             [hermite_he(1, nodes), np.sum(hermite_he(2, nodes), axis=1)]
         )
-        moments = np.empty((len(X), k + 1))
-        for m_i, row in enumerate(X):
-            moments[m_i] = np.asarray(h(alpha * row + w * nodes), dtype=float) @ kernel
+        moments = _kernel_rows(h, alpha, w, X, nodes, kernel)
         grad = (alpha / w) * moments[:, :k]
         lap = (alpha / w) ** 2 * moments[:, k]
     return (grad[0], float(lap[0])) if single else (grad, lap)

@@ -5,13 +5,13 @@ centered test function h~ = h - E_Phi h.  Spatial derivatives differentiate
 under the time integral; the order-m integrand carries the singular weight
 (e^{-s} / sqrt(1-e^{-2s}))^m, which the substitution u = e^{-s} absorbs into
 a smooth integrand on (0, e^{-t}], handled by fixed Gauss-Legendre nodes.
+`psi`, `psi_d2` and `psi_d3` integrate `semigroup_apply` and
+`semigroup_derivative` over those nodes through one helper, `_time_integral`.
 
 The generator side (Laplacian - x . grad) psi_t and the gradient of psi_t
 are built from one derivative jet per (x, s): a single pass over the
 s-nodes accumulates w_j * (grad, Laplacian) of T_{s_j} h from
-`semigroup_jet`, so nothing is recomputed per coordinate index.  Single
-mixed partials of order 2 and 3 (`psi_d2`, `psi_d3`) integrate
-`semigroup_derivative` over the same nodes.
+`semigroup_jet`, so nothing is recomputed per coordinate index.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError
-from .gaussian import hermite_he
+from .gaussian import hermite_kernel, multiplicities
 from .quadrature import (
     DEFAULT_QUAD,
     GH_NODES,
@@ -86,9 +86,8 @@ def weight1_integral_total(tol: float = 1e-12) -> float:
 class SteinSolution:
     """Evaluation handle for psi_t and its derivatives, for h = 1_C.
 
-    The time integral is discretized once at construction; evaluations at
-    points are then independent and cheap, so batching over x is the natural
-    parallel axis.
+    The time integral is discretized once at construction; each evaluation
+    then takes a batch of points x through every s-node at once.
     """
 
     def __init__(self, t: float, h: TestFunction, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -118,26 +117,12 @@ def _unbatch(vals, single):
     return float(vals[0]) if single else vals
 
 
-def _smoothing_matrix(sol: SteinSolution, X) -> np.ndarray:
-    """Matrix of centered smoothed values T_{s_j} h~(x_i), shape (M, S)."""
-    X, _ = _batched(X)
-    k = X.shape[1]
-    center = sol.center(k)
+def _time_integral(sol: SteinSolution, X, integrand) -> np.ndarray:
+    """-sum_j s_weights[j] * integrand(s_j), for an integrand giving (M,) values per s-node."""
     out = np.empty((len(X), len(sol.s_nodes)))
     for j, s in enumerate(sol.s_nodes):
-        vals = semigroup_apply(sol.h, float(s), X, sol.quad)
-        out[:, j] = np.asarray(vals, dtype=float) - center
-    return out
-
-
-def _derivative_matrix(sol: SteinSolution, X, idx) -> np.ndarray:
-    """Matrix of D_idx T_{s_j} h(x_i), shape (M, S)."""
-    X, _ = _batched(X)
-    out = np.empty((len(X), len(sol.s_nodes)))
-    for j, s in enumerate(sol.s_nodes):
-        vals = semigroup_derivative(sol.h, float(s), X, idx, sol.quad)
-        out[:, j] = np.asarray(vals, dtype=float)
-    return out
+        out[:, j] = integrand(float(s))
+    return -(out @ sol.s_weights)
 
 
 def _jet_integral(sol: SteinSolution, X):
@@ -154,35 +139,35 @@ def _jet_integral(sol: SteinSolution, X):
 def psi(sol: SteinSolution, x):
     """psi_t(x) = -integral of the centered smoothing over s in (t, t + 40)."""
     X, single = _batched(x)
-    vals = -(_smoothing_matrix(sol, X) @ sol.s_weights)
+    center = sol.center(X.shape[1])
+    vals = _time_integral(sol, X, lambda s: semigroup_apply(sol.h, s, X, sol.quad) - center)
     return _unbatch(vals, single)
 
 
 def psi_d1(sol: SteinSolution, x, i: int):
     """First partial derivative of psi_t."""
     X, single = _batched(x)
-    if not 0 <= i < X.shape[1]:
-        raise DomainError("derivative index out of range")
+    multiplicities((i,), X.shape[1])
     grad, _ = _jet_integral(sol, X)
     return _unbatch(grad[:, i], single)
 
 
+def _psi_partial(sol: SteinSolution, x, idx, order: int):
+    """D_idx psi_t for an index of the given order (psi_d2, psi_d3)."""
+    X, single = _batched(x)
+    multiplicities(idx, X.shape[1], orders=(order,))
+    vals = _time_integral(sol, X, lambda s: semigroup_derivative(sol.h, s, X, idx, sol.quad))
+    return _unbatch(vals, single)
+
+
 def psi_d2(sol: SteinSolution, x, idx):
     """Second mixed partial of psi_t; idx = (i, j)."""
-    if len(idx) != 2:
-        raise DomainError("psi_d2 expects a pair of indices")
-    X, single = _batched(x)
-    vals = -(_derivative_matrix(sol, X, tuple(idx)) @ sol.s_weights)
-    return _unbatch(vals, single)
+    return _psi_partial(sol, x, idx, 2)
 
 
 def psi_d3(sol: SteinSolution, x, idx):
     """Third mixed partial of psi_t; idx = (i, j, l)."""
-    if len(idx) != 3:
-        raise DomainError("psi_d3 expects a triple of indices")
-    X, single = _batched(x)
-    vals = -(_derivative_matrix(sol, X, tuple(idx)) @ sol.s_weights)
-    return _unbatch(vals, single)
+    return _psi_partial(sol, x, idx, 3)
 
 
 def laplacian_drift(sol: SteinSolution, x):
@@ -249,27 +234,19 @@ def double_integral_kernel_report(
         raise DomainError("n must be >= 2")
     if s <= 0.0:
         raise DomainError("s must be > 0")
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != 3:
-        raise DomainError("the kernel uses a third-order index")
     shifts = np.atleast_2d(np.asarray(shift_grid, dtype=float))
     k = shifts.shape[1]
+    multiplicities(idx, k, orders=(3,))
     a = math.sqrt((n - 1) / n) * math.exp(-s)
     es, w = math.exp(-s), ou_noise(s)
 
-    mult: dict[int, int] = {}
-    for i in idx:
-        mult[i] = mult.get(i, 0) + 1
-
     analytic = has_analytic_smoothing(h) and k <= GH_TENSOR_MAX_DIM
+    center = gaussian_mean(h, k, quad)
     values = np.empty(len(shifts))
     std_error = 0.0
     if analytic:
         nodes, wts = gauss_hermite_tensor(k, GH_NODES)
-        kernel = wts.copy()
-        for j in sorted(mult):
-            kernel = kernel * hermite_he(mult[j], nodes[:, j])
-        center = gaussian_mean(h, k, quad)
+        kernel = hermite_kernel(wts, nodes, idx)
         for r, u_vec in enumerate(shifts):
             pts = es * u_vec + w * nodes
             g = shifted_measure_batch(h.set, pts, a)
@@ -281,10 +258,7 @@ def double_integral_kernel_report(
         m_draws = quad.mc_samples
         Xd = gen.standard_normal((m_draws, k))
         Zd = gen.standard_normal((m_draws, k))
-        kern = np.ones(m_draws)
-        for j in sorted(mult):
-            kern = kern * hermite_he(mult[j], Zd[:, j])
-        center = gaussian_mean(h, k, quad)
+        kern = hermite_kernel(np.ones(m_draws), Zd, idx)
         ses = []
         for r, u_vec in enumerate(shifts):
             pts = a * Xd + es * u_vec + w * Zd

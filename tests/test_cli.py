@@ -248,20 +248,36 @@ def test_module_entry_point():
     assert proc.stdout.startswith("# steinclt-csv v1")
 
 
+_CONFIG_ARGV = {
+    "delta": ["delta", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "2000"],
+    "discrepancy": ["discrepancy", "--source", "rademacher", "--k", "1", "--n", "8", "--M", "512"],
+}
+
+
 @pytest.mark.parametrize(
-    "config, message",
-    [('{"M": 2000', "config file"), ('[2000]', "JSON object"), ('{"threads": 2}', "threads")],
-    ids=["truncated", "not-object", "threads-2"],
+    "command, config, message",
+    [
+        ("delta", '{"M": 2000', "config file"),
+        ("delta", '[2000]', "JSON object"),
+        ("delta", '{"threads": 2}', "threads"),
+        ("discrepancy", '{"t": "abc"}', "'t' expects float"),
+        ("discrepancy", '{"offset": "x"}', "'offset' expects float"),
+        ("delta", '{"family_seed": "x"}', "'family_seed' expects int"),
+        ("delta", '{"format": "xml"}', "'format' must be one of"),
+    ],
+    ids=["truncated", "not-object", "threads-2", "t-not-a-float", "offset-not-a-float",
+         "family-seed-not-an-int", "format-not-a-choice"],
 )
-def test_bad_config_file_exits_2(tmp_path, capsys, config, message):
+def test_bad_config_file_exits_2(tmp_path, capsys, command, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(config)
-    code = run(["delta", "--source", "gaussian", "--k", "1", "--n", "4",
-                "--M", "2000", "--seed", "1", "--config", str(path)])
+    code = run(_CONFIG_ARGV[command] + ["--seed", "1", "--config", str(path),
+                                        "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and "steinclt: error:" in captured.err
     assert message in captured.err
+    assert not list(tmp_path.glob("out*"))
 
 
 _DELTA = ["delta", "--source", "uniform", "--k", "1", "--n", "4", "--M", "2000", "--seed", "3"]

@@ -357,6 +357,13 @@ def test_family_counts_match_contains_on_the_default_family():
             assert np.array_equal(counts, _per_set_counts(fam, pts))
 
 
+def test_default_family_is_built_once_per_arguments():
+    fam = default_family(2, seed=5)
+    assert default_family(2, seed=5) is fam
+    assert default_family(2, seed=6) is not fam
+    assert default_family(2, seed=6).description != fam.description
+
+
 @st.composite
 def _mixed_family_and_points(draw):
     """A family mixing shared and distinct statistics, and points on its boundaries."""

@@ -13,6 +13,7 @@ from steinclt import (
     RngStream,
     SmoothFunction,
     SteinSolution,
+    d3_phi,
     double_integral_kernel_report,
     laplacian_drift,
     norm_cdf,
@@ -20,6 +21,7 @@ from steinclt import (
     psi_d1,
     psi_d2,
     psi_d3,
+    semigroup_derivative,
     smoothed_target,
     smoothing_weight,
     stein_residual,
@@ -252,16 +254,42 @@ def test_kernel_report_monte_carlo_route_stable():
 def test_kernel_vanishing_moments():
     # integrals of the kernel and of z_i times the kernel vanish
     from steinclt.quadrature import gauss_hermite_tensor
-    from steinclt import hermite_he
+    from steinclt import hermite_kernel
 
     nodes, wts = gauss_hermite_tensor(2, 32)
     for idx in ((0, 0, 0), (0, 0, 1), (0, 1, 1)):
-        mult = {}
-        for i in idx:
-            mult[i] = mult.get(i, 0) + 1
-        kern = wts.copy()
-        for j in sorted(mult):
-            kern = kern * hermite_he(mult[j], nodes[:, j])
+        kern = hermite_kernel(wts, nodes, idx)
         assert abs(float(kern.sum())) <= 1e-8
         for i0 in (0, 1):
             assert abs(float(kern @ nodes[:, i0])) <= 1e-8
+
+
+def _index_entry_points():
+    """entry point -> (its derivative order, call taking only the index), at k = 2."""
+    h = IndicatorFunction(Box(-np.ones(2), np.ones(2)))
+    sol = SteinSolution(0.5, h, QuadratureSpec(s_nodes=16))
+    x = np.array([[0.3, -0.2]])
+    return {
+        "semigroup_derivative": (1, lambda idx: semigroup_derivative(h, 0.5, x, idx)),
+        "psi_d2": (2, lambda idx: psi_d2(sol, x, idx)),
+        "psi_d3": (3, lambda idx: psi_d3(sol, x, idx)),
+        "d3_phi": (3, lambda idx: d3_phi(x, idx)),
+        "double_integral_kernel_report": (
+            3, lambda idx: double_integral_kernel_report(h, 8, 0.5, idx, x)
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry", ["semigroup_derivative", "psi_d2", "psi_d3", "d3_phi", "double_integral_kernel_report"]
+)
+@pytest.mark.parametrize("bad", ["order-4", "index-k", "index-negative"])
+def test_bad_derivative_index_raises_domain_error(entry, bad):
+    order, call = _index_entry_points()[entry]
+    idx = {
+        "order-4": (0, 0, 0, 0),
+        "index-k": (2,) + (0,) * (order - 1),
+        "index-negative": (0,) * (order - 1) + (-1,),
+    }[bad]
+    with pytest.raises(DomainError):
+        call(idx)
