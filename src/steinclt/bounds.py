@@ -1,10 +1,12 @@
 """Theoretical right-hand sides, the smoothing decomposition, recursion.
 
-All absolute constants default to 1.0 and are configuration values: the
-analysis names them but never fixes numbers, so the pipeline reports the
-constants implied by experiments instead of asserting book values.  The
-recursion certificate replaces threshold bookkeeping with a direct numerical
-fixed-point verification over an explicit n range.
+The absolute constants that a reported formula reads (c1, c2, c6 to c10 and
+the induction constant c; see `ConstantsConfig`) default to 1.0 and are
+configuration values: the analysis names them but never fixes numbers, so the
+pipeline reports the constants implied by experiments instead of asserting
+book values.  The smoothing time t of the closed forms must be finite and
+positive.  The recursion certificate replaces threshold bookkeeping with a
+direct numerical fixed-point verification over an explicit n range.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from .convex import ConvexSet, SetFamily, default_translates, gaussian_measure, shell_measure
 from .errors import DomainError, HypothesisViolationError
 from .gaussian import quantile_a
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .rng import RngStream
 from .semigroup import IndicatorFunction, ou_decay, ou_noise, semigroup_apply
 from .sources import Estimate, NonIIDSource, delta_hat, moment_summary, sum_over_blocks
@@ -29,15 +30,14 @@ DEFAULT_ALPHA = 7.0 / 8.0
 
 @dataclass(frozen=True)
 class ConstantsConfig:
-    """Absolute constants of the bound chain, all user-overridable."""
+    """The absolute constants that a reported formula reads, all user-overridable.
 
-    c0: float = 1.0
-    c0p: float = 1.0
+    c1, c2: `smoothed_discrepancy_bound`; c6, c7, c8: `recursion_bound`; c9, c7:
+    `recursion_step_bound` and `recursion_certify` (with c10); c: the main bounds.
+    """
+
     c1: float = 1.0
     c2: float = 1.0
-    c3: float = 1.0
-    c4: float = 1.0
-    c5: float = 1.0
     c6: float = 1.0
     c7: float = 1.0
     c8: float = 1.0
@@ -94,8 +94,8 @@ def smoothed_discrepancy_bound(
     """
     if n < 2:
         raise DomainError("needs n >= 2")
-    if t <= 0.0:
-        raise DomainError("needs t > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"needs a finite t > 0, got {t}")
     if not 0.0 <= delta_prev <= 1.0:
         raise DomainError("delta_prev must lie in [0, 1]")
     lead = consts.c1 * k**1.5 * rho3 * delta_prev / (math.sqrt(n) * math.sqrt(t))
@@ -129,8 +129,8 @@ def recursion_bound(
     """Smoothing-decomposed bound at explicit t:
     c6 k^{3/2} rho3 delta/(sqrt(n) sqrt(t)) + c7 k^{5/2} rho3/sqrt(n) + c8 k sqrt(t) e^t.
     """
-    if t <= 0.0:
-        raise DomainError("needs t > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"needs a finite t > 0, got {t}")
     lead = consts.c6 * k**1.5 * rho3 * delta_prev / (math.sqrt(n) * math.sqrt(t))
     mid = consts.c7 * k**2.5 * rho3 / math.sqrt(n)
     shell = consts.c8 * k * math.sqrt(t) * math.exp(t)
@@ -188,7 +188,6 @@ def gamma_star_hat(
     M: int,
     stream: RngStream,
     translates=None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> Estimate:
     """Estimate the translated sup of the smoothed dilation/erosion discrepancy.
 
@@ -220,7 +219,7 @@ def gamma_star_hat(
     def block_sums(X):
         out = np.empty((len(targets), 2))
         for i, h in enumerate(hs):
-            vals = np.asarray(semigroup_apply(h, t, X, quad), dtype=float)
+            vals = np.asarray(semigroup_apply(h, t, X), dtype=float)
             out[i] = (vals.sum(), (vals * vals).sum())
         return out
 

@@ -54,8 +54,11 @@ def _constants_from(args) -> bd.ConstantsConfig:
     for item in args.constant or []:
         if "=" not in item:
             raise ConfigurationError(f"--constant expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        overrides[name.strip()] = float(value)
+        name, value = (part.strip() for part in item.split("=", 1))
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            raise ConfigurationError(f"--constant {name}: {value!r} is not a number") from None
     try:
         return bd.ConstantsConfig().override(**overrides)
     except TypeError as exc:
@@ -559,6 +562,8 @@ def run(argv=None) -> int:
             raise ConfigurationError(
                 f"sampling is single-threaded; --threads must be 1, got {args.threads!r}"
             )
+        if args.format == "both" and args.out is None:
+            raise ConfigurationError("--format both writes two files and needs --out")
         runner, columns = _SUBCOMMANDS[args.subcommand]
         rows, config, ok, extras = runner(args)
         emit(args.subcommand, columns, rows, config, args.out, args.format, extras=extras)

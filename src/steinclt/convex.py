@@ -693,34 +693,32 @@ class ErodedSet(ConvexSet):
 # Gaussian measures
 
 
-def _qmc_membership_mean(C: ConvexSet, n_points: int, seed: int):
+def _qmc_membership_mean(C: ConvexSet, n_points: int):
     """Scrambled-Sobol estimate of P(Z in C) with a replicate-based st. error."""
     replicates = 16
     per = max(n_points // replicates, 256)
     vals = np.empty(replicates)
     for r in range(replicates):
-        eng = qmc.Sobol(d=C.dim, scramble=True, seed=seed + r)
+        eng = qmc.Sobol(d=C.dim, scramble=True, seed=r)
         u = eng.random(per)
         pts = special.ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
         vals[r] = float(np.mean(C.contains(pts)))
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(replicates))
 
 
-def gaussian_measure_estimate(
-    C: ConvexSet, n_points: int = 1 << 16, seed: int = 0
-) -> tuple[float, float]:
+def gaussian_measure_estimate(C: ConvexSet, n_points: int = 1 << 16) -> tuple[float, float]:
     """(Phi(C), standard error); the error is 0 for analytic variants."""
     if C.is_empty:
         return 0.0, 0.0
     mass = C.closed_form_measure()
     if mass is not None:
         return mass, 0.0
-    return _qmc_membership_mean(C, n_points, seed)
+    return _qmc_membership_mean(C, n_points)
 
 
-def gaussian_measure(C: ConvexSet, n_points: int = 1 << 16, seed: int = 0) -> float:
+def gaussian_measure(C: ConvexSet, n_points: int = 1 << 16) -> float:
     """Phi(C) for the standard Gaussian; QMC fallback for non-analytic sets."""
-    return gaussian_measure_estimate(C, n_points=n_points, seed=seed)[0]
+    return gaussian_measure_estimate(C, n_points=n_points)[0]
 
 
 def shifted_measure_batch(C: ConvexSet, shifts, sigma: float):
@@ -796,6 +794,13 @@ class SetFamily:
             groups.setdefault(key, (statistic, []))[1].append((i, level))
         return tuple(groups.values()), tuple(others)
 
+    @cached_property
+    def measures(self) -> np.ndarray:
+        """Phi(C) for every set, in order; computed once per family and read-only."""
+        out = np.array([gaussian_measure(C) for C in self.sets])
+        out.flags.writeable = False
+        return out
+
     def counts(self, x) -> np.ndarray:
         """Number of points of x inside each set, as int64.
 
@@ -852,11 +857,11 @@ def default_family(
     )
 
 
-def default_translates(k: int, n_directions: int = 6, seed: int = 0) -> np.ndarray:
-    """Translation grid used when estimating sup-over-translates quantities."""
-    gen = RngStream(seed, stream_id=202).generator()
+def default_translates(k: int) -> np.ndarray:
+    """Translation grid for sup-over-translates: 0 and radii 0.5, 1.5 in 6 seeded directions."""
+    gen = RngStream(0, stream_id=202).generator()
     rows = [np.zeros(k)]
-    for _ in range(n_directions):
+    for _ in range(6):
         d = gen.standard_normal(k)
         d /= np.linalg.norm(d)
         rows.append(0.5 * d)

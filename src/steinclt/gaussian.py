@@ -170,7 +170,7 @@ class QuantileResult:
     achieved_mass: float
 
 
-def quantile_a(k: int, tol: float = QUANTILE_TOL) -> QuantileResult:
+def quantile_a(k: int) -> QuantileResult:
     """Radius a_k with P(|Z| < a_k) = 7/8, by bracketing plus bisection.
 
     Bisection on the regularized incomplete gamma is unconditionally robust;
@@ -186,7 +186,7 @@ def quantile_a(k: int, tol: float = QUANTILE_TOL) -> QuantileResult:
     else:
         raise BracketError(f"failed to bracket the norm quantile for k={k}")
     # keep the bisection a notch tighter than the advertised tolerance
-    target = min(tol, 1e-10) * 0.1
+    target = QUANTILE_TOL * 0.1
     while hi - lo > target:
         mid = 0.5 * (lo + hi)
         if chi_cdf(mid, k) < QUANTILE_MASS:

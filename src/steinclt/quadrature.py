@@ -6,7 +6,8 @@ fallback.  The outer integral over the semigroup time s runs over (t, t + 40),
 beyond which the integrand is below the double-precision floor, with
 Gauss-Legendre nodes after the substitution u = e^{-s}, which removes the
 s -> infinity tail and keeps the order-3 derivative weight integrable down to
-small t.
+small t.  `QuadratureSpec` holds the three settings of those integrals and
+checks them when it is built, so no evaluation runs on a bad spec.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ def gauss_legendre_panel(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+_INNER_METHODS = ("auto", "gauss-hermite", "monte-carlo")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to evaluate the nested integrals behind T_s and its inverse.
@@ -59,19 +63,18 @@ class QuadratureSpec:
     inner_method:
         "auto"         closed form when the test function supports it,
                        otherwise tensor Gauss-Hermite for k <= 3, else MC;
-        "analytic"     require the closed form (error if unavailable);
         "gauss-hermite" tensor grid with GH_NODES per axis (k <= 3);
         "monte-carlo"  `mc_samples` draws from a stream with master seed 0.
+    A spec is checked when it is built: an unknown method, s_nodes < 16 or
+    mc_samples < 2 raises ConfigurationError.
     """
 
     s_nodes: int = 64
     inner_method: str = "auto"
     mc_samples: int = 1 << 16
 
-    _METHODS = ("auto", "analytic", "gauss-hermite", "monte-carlo")
-
-    def validate(self) -> None:
-        if self.inner_method not in self._METHODS:
+    def __post_init__(self):
+        if self.inner_method not in _INNER_METHODS:
             raise ConfigurationError(f"unknown inner_method {self.inner_method!r}")
         if self.s_nodes < 16:
             raise ConfigurationError("s_nodes must be at least 16")

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .convex import ConvexSet, gaussian_measure, shifted_measure_batch
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .gaussian import hermite_he, hermite_kernel, multiplicities
 from .quadrature import (
     DEFAULT_QUAD, GH_NODES, GH_TENSOR_MAX_DIM, QuadratureSpec, gauss_hermite_tensor,
@@ -49,10 +49,7 @@ def ou_noise(t: float) -> float:
 
 
 class TestFunction:
-    """Callable on points (k,) or batches (M,k); `bound` is a sup-norm cap."""
-
-    is_indicator = False
-    bound: float | None = None
+    """Callable on points (k,) or batches (M,k)."""
 
     def __call__(self, x):
         raise NotImplementedError
@@ -61,12 +58,8 @@ class TestFunction:
 class IndicatorFunction(TestFunction):
     """h = 1_C for a convex set C."""
 
-    is_indicator = True
-    bound = 1.0
-
     def __init__(self, C: ConvexSet):
         self.set = C
-        self.dim = C.dim
 
     def __call__(self, x):
         out = self.set.contains(x)
@@ -81,18 +74,16 @@ class IndicatorFunction(TestFunction):
 class SmoothFunction(TestFunction):
     """Smooth test function with optional exact gradient and Hessian."""
 
-    def __init__(self, fn, grad=None, hess=None, bound=None, name=""):
+    def __init__(self, fn, grad=None, hess=None):
         self.fn = fn
         self.grad = grad
         self.hess = hess
-        self.bound = bound
-        self.name = name
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
 
 
-def hermite_product_function(orders, name: str = "") -> SmoothFunction:
+def hermite_product_function(orders) -> SmoothFunction:
     """Product of 1D Hermite polynomials; eigenfunction of L with value -sum(orders)."""
     orders = tuple(int(m) for m in orders)
 
@@ -142,7 +133,7 @@ def hermite_product_function(orders, name: str = "") -> SmoothFunction:
                 H[i, j] = v
         return H
 
-    return SmoothFunction(fn, grad=grad, hess=hess, name=name or f"He{orders}")
+    return SmoothFunction(fn, grad=grad, hess=hess)
 
 
 # ---------------------------------------------------------------------------
@@ -181,27 +172,24 @@ def _inner_points(k: int, quad: QuadratureSpec, method: str):
     return draws, np.full(quad.mc_samples, 1.0 / quad.mc_samples)
 
 
+def _fallback(k: int, quad: QuadratureSpec) -> str:
+    """The quadrature without a closed form: quad's method, or for "auto" by dimension."""
+    if quad.inner_method != "auto":
+        return quad.inner_method
+    return "gauss-hermite" if k <= GH_TENSOR_MAX_DIM else "monte-carlo"
+
+
 def _resolve_inner(h: TestFunction, k: int, quad: QuadratureSpec) -> str:
-    method = quad.inner_method
-    if method in ("auto", "analytic"):
-        if has_analytic_smoothing(h):
-            return "analytic"
-        if method == "analytic":
-            raise ConfigurationError(
-                "analytic smoothing unavailable for this test function"
-            )
-        return "gauss-hermite" if k <= GH_TENSOR_MAX_DIM else "monte-carlo"
-    return method
+    if quad.inner_method == "auto" and has_analytic_smoothing(h):
+        return "analytic"
+    return _fallback(k, quad)
 
 
 def gaussian_mean(h: TestFunction, k: int, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Integral of h against the standard Gaussian."""
     if isinstance(h, IndicatorFunction):
         return h.gaussian_mean()
-    method = quad.inner_method
-    if method in ("auto", "analytic"):
-        method = "gauss-hermite" if k <= GH_TENSOR_MAX_DIM else "monte-carlo"
-    nodes, wts = _inner_points(k, quad, method)
+    nodes, wts = _inner_points(k, quad, _fallback(k, quad))
     return float(np.asarray(h(nodes), dtype=float) @ wts)
 
 
@@ -221,7 +209,6 @@ def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT
     single = X.ndim == 1
     X = np.atleast_2d(X)
     k = X.shape[1]
-    quad.validate()
     if t == 0.0:
         vals = np.asarray(h(X), dtype=float)
         return float(vals[0]) if single else vals
@@ -302,11 +289,11 @@ def semigroup_jet(h: TestFunction, s: float, x, quad: QuadratureSpec = DEFAULT_Q
 # Generator and backward-equation residual
 
 
-def generator_apply(g, x, dx: float = 1e-3) -> float:
+def generator_apply(g, x) -> float:
     """L g(x) = Laplacian g(x) - x . grad g(x).
 
     Exact when g carries grad/hess callables, otherwise central differences
-    with step dx.
+    with step 1e-3.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(g, SmoothFunction) and g.grad is not None and g.hess is not None:
@@ -314,6 +301,7 @@ def generator_apply(g, x, dx: float = 1e-3) -> float:
         lap = float(np.trace(np.asarray(g.hess(x), dtype=float)))
         return lap - float(x @ grad)
     k = x.size
+    dx = 1e-3
     f0 = float(np.asarray(g(x[None, :]), dtype=float)[0])
     lap = 0.0
     drift = 0.0

@@ -21,9 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convex import ConvexSet, SetFamily, gaussian_measure
+from .convex import ConvexSet, SetFamily
 from .errors import DegeneracyError, DomainError
-from .quadrature import DEFAULT_QUAD, QuadratureSpec
 from .rng import RngStream
 from .semigroup import IndicatorFunction
 from .stein import SteinSolution, laplacian_drift, smoothed_target
@@ -382,10 +381,9 @@ def delta_hat(src, n: int, family: SetFamily, M: int, stream: RngStream) -> Esti
     """
     n = _count("n", n, 1)
     M = _count("M", M, 1000)
-    measures = np.array([gaussian_measure(C) for C in family.sets])
     counts = sum_over_blocks(src, n, M, stream, family.counts)
     freqs = counts / float(M)
-    diffs = np.abs(freqs - measures)
+    diffs = np.abs(freqs - family.measures)
     arg = int(np.argmax(diffs))
     p = freqs[arg]
     return Estimate(
@@ -418,7 +416,6 @@ def stein_discrepancy_hat(
     t: float,
     C: ConvexSet,
     M: int,
-    quad: QuadratureSpec = DEFAULT_QUAD,
     stream: RngStream = RngStream(0),
 ) -> SteinDiscrepancyResult:
     """E T_t h~(S_n) two ways: direct smoothing vs generator of the solution.
@@ -426,7 +423,7 @@ def stein_discrepancy_hat(
     The two estimates share the sample of S_n, so their gap isolates the
     quadrature error of the Stein solution rather than Monte Carlo noise.
     """
-    sol = SteinSolution(t, IndicatorFunction(C), quad)
+    sol = SteinSolution(t, IndicatorFunction(C))
 
     def block_sums(X):
         d = np.asarray(smoothed_target(sol, X), dtype=float)

@@ -61,7 +61,7 @@ def weight_bound(s):
     return out if out.ndim else float(out)
 
 
-def weight3_integral(t: float, tol: float = 1e-12) -> float:
+def weight3_integral(t: float) -> float:
     """Integral over (t, infinity) of the cubed smoothing weight.
 
     Computed by adaptive quadrature after u = e^{-s}: the integrand becomes
@@ -70,15 +70,15 @@ def weight3_integral(t: float, tol: float = 1e-12) -> float:
     if t <= 0.0:
         raise DomainError("weight3_integral needs t > 0")
     val, _ = integrate.quad(
-        lambda u: u * u * (1.0 - u * u) ** -1.5, 0.0, math.exp(-t), epsabs=tol, epsrel=tol
+        lambda u: u * u * (1.0 - u * u) ** -1.5, 0.0, math.exp(-t), epsabs=1e-12, epsrel=1e-12
     )
     return val
 
 
-def weight1_integral_total(tol: float = 1e-12) -> float:
+def weight1_integral_total() -> float:
     """Integral over (0, infinity) of the smoothing weight itself (finite)."""
     val, _ = integrate.quad(
-        lambda u: (1.0 - u * u) ** -0.5, 0.0, 1.0, epsabs=tol, epsrel=tol
+        lambda u: (1.0 - u * u) ** -0.5, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12
     )
     return val
 
@@ -93,7 +93,6 @@ class SteinSolution:
     def __init__(self, t: float, h: TestFunction, quad: QuadratureSpec = DEFAULT_QUAD):
         if not (math.isfinite(t) and t >= T_MIN):
             raise DomainError(f"stein solutions are evaluated for finite t >= {T_MIN}, got {t}")
-        quad.validate()
         self.t = float(t)
         self.h = h
         self.quad = quad

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from steinclt import (
     ConstantsConfig,
     HalfSpace,
     RngStream,
+    SetFamily,
     SmoothingParams,
     berry_esseen_bound,
     bound_report,
@@ -43,6 +45,20 @@ def test_constants_config_validation():
     with pytest.raises(DomainError):
         ConstantsConfig(c=0.5)
     assert ConstantsConfig().override(c1=2.0).c1 == 2.0
+
+
+def test_every_constant_moves_a_reported_number():
+    # a constant that no reported formula reads is a setting that does nothing
+    src = rademacher_source(2)
+    family = SetFamily((HalfSpace(np.array([1.0, 0.0]), 0.0),))
+
+    def reported(consts):
+        report = bound_report(src, 16, family, 1000, RngStream(5), consts=consts, t=0.5)
+        return report, recursion_certify(2, src.rho3, 64, consts)
+
+    base = reported(ConstantsConfig())
+    for field in dataclasses.fields(ConstantsConfig):
+        assert reported(ConstantsConfig().override(**{field.name: 2.0})) != base, field.name
 
 
 def test_smoothed_discrepancy_bound_arithmetic():

@@ -161,10 +161,13 @@ def test_dim_scan_subcommand(tmp_path):
     assert "k_exponents" in payload["extras"]
 
 
-def test_bad_constant_exits_2(capsys):
+@pytest.mark.parametrize("constant", ["zz=1.0", "c1=abc", "c3=1.0"])
+def test_bad_constant_exits_2(constant, capsys):
+    # c1=abc used to end in a ValueError traceback, and c3 was a setting no formula read
     code = run(["bounds", "--source", "gaussian", "--k", "1", "--n", "4",
-                "--M", "2000", "--seed", "1", "--constant", "zz=1.0"])
+                "--M", "2000", "--seed", "1", "--constant", constant])
     assert code == 2
+    assert "steinclt: error:" in capsys.readouterr().err
 
 
 _DISCREPANCY = ["discrepancy", "--source", "rademacher", "--k", "1", "--n", "4",
@@ -180,8 +183,13 @@ _DISCREPANCY = ["discrepancy", "--source", "rademacher", "--k", "1", "--n", "4",
         _DISCREPANCY + ["--offset", "inf"],
         ["bounds", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "2000",
          "--seed", "1", "--constant", "c1=nan"],
+        ["bounds", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "2000",
+         "--seed", "1", "--t", "nan"],
+        ["bounds", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "2000",
+         "--seed", "1", "--t", "inf"],
     ],
-    ids=["t-nan", "t-inf", "offset-nan", "offset-inf", "constant-nan"],
+    ids=["t-nan", "t-inf", "offset-nan", "offset-inf", "constant-nan",
+         "bounds-t-nan", "bounds-t-inf"],
 )
 def test_non_finite_inputs_exit_2(argv, capsys):
     # each used to exit 0 with NaN rows or a RuntimeWarning
@@ -325,6 +333,14 @@ def test_threads_is_a_compatibility_flag(capsys):
     code = run(_DELTA + ["--threads", "2"])
     captured = capsys.readouterr()
     assert code == 2 and "single-threaded" in captured.err
+
+
+def test_format_both_needs_out(capsys):
+    # without --out, `both` used to print only the CSV
+    code = run(_DELTA + ["--format", "both"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--out" in captured.err
 
 
 def test_abbreviated_flag_is_rejected_not_overridden_by_config(tmp_path, capsys):

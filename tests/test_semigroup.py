@@ -110,6 +110,15 @@ def test_analytic_method_rejected_for_smooth():
         semigroup_apply(g, 0.5, np.zeros(2), QuadratureSpec(inner_method="analytic"))
 
 
+def test_quadrature_spec_is_validated_when_built():
+    # an unknown method used to reach semigroup_derivative and semigroup_jet
+    # unchecked and quietly run Monte Carlo there
+    for bad in ({"inner_method": "bogus"}, {"inner_method": "analytic"},
+                {"s_nodes": 15}, {"mc_samples": 1}):
+        with pytest.raises(ConfigurationError):
+            QuadratureSpec(**bad)
+
+
 def test_gh_infeasible_above_three_dims():
     h = IndicatorFunction(Ball(np.zeros(4), 1.0))
     with pytest.raises(ConfigurationError):

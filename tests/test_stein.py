@@ -47,7 +47,7 @@ def test_psi_zero_for_constant():
 def test_psi_closed_form_for_quadratic():
     # h(x) = x0^2 has T_s h~ = e^{-2s}(x0^2 - 1), hence
     # psi_t = -(x0^2 - 1) e^{-2t}/2 and the identity closes exactly
-    h = SmoothFunction(lambda X: np.atleast_2d(X)[:, 0] ** 2, bound=None)
+    h = SmoothFunction(lambda X: np.atleast_2d(X)[:, 0] ** 2)
     t = 0.5
     sol = SteinSolution(t, h)
     for x in (np.array([0.0, 0.0]), np.array([1.3, -0.4]), np.array([-2.0, 1.0])):
