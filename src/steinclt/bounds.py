@@ -21,7 +21,9 @@ from .errors import DomainError, HypothesisViolationError
 from .gaussian import quantile_a
 from .rng import RngStream
 from .semigroup import IndicatorFunction, ou_decay, ou_noise, semigroup_apply
-from .sources import Estimate, NonIIDSource, delta_hat, moment_summary, sum_over_blocks
+from .sources import (
+    Estimate, NonIIDSource, delta_hat, make_source, mean_over_blocks, moment_summary, sup_deviation,
+)
 
 T_FLOOR = 1e-4
 SEQUENCE_CAP = 4096
@@ -75,8 +77,8 @@ class SmoothingParams:
 
     @staticmethod
     def for_dimension(k: int, t: float, alpha: float = DEFAULT_ALPHA) -> "SmoothingParams":
-        if t <= 0.0:
-            raise DomainError("smoothing time must be positive")
+        if not (math.isfinite(t) and t > 0.0):
+            raise DomainError(f"smoothing time must be finite and positive, got {t}")
         eps = quantile_a(k).a_k * ou_noise(t)
         return SmoothingParams(t=t, alpha=alpha, eps=eps, k=k)
 
@@ -197,8 +199,8 @@ def gamma_star_hat(
     conditions on the sample (closed-form kernel mass), which strictly reduces
     variance relative to sampling the kernel too.
     """
-    if t <= 0.0:
-        raise DomainError("needs t > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"needs a finite t > 0, got {t}")
     if eps < 0.0:
         raise DomainError("eps must be >= 0")
     if translates is None:
@@ -215,26 +217,10 @@ def gamma_star_hat(
             targets.append(Cy.erode(eps))
     measures = np.array([gaussian_measure(B) for B in targets])
     hs = [IndicatorFunction(B) for B in targets]
-
-    def block_sums(X):
-        out = np.empty((len(targets), 2))
-        for i, h in enumerate(hs):
-            vals = np.asarray(semigroup_apply(h, t, X), dtype=float)
-            out[i] = (vals.sum(), (vals * vals).sum())
-        return out
-
-    acc = sum_over_blocks(src, n, M, stream, block_sums)
-    total = float(M)
-    means = acc[:, 0] / total
-    variances = np.maximum(acc[:, 1] / total - means**2, 0.0)
-    diffs = np.abs(means - measures)
-    arg = int(np.argmax(diffs))
-    return Estimate(
-        value=float(diffs[arg]),
-        std_error=float(math.sqrt(variances[arg] / total)),
-        n_samples=int(M),
-        seed=stream.master_seed,
+    means, std_errors = mean_over_blocks(
+        src, n, M, stream, lambda X: [semigroup_apply(h, t, X) for h in hs]
     )
+    return sup_deviation(means, std_errors, measures)
 
 
 def omega_star_hat(C: ConvexSet, eps: float, t: float) -> float:
@@ -384,6 +370,8 @@ def bound_report(
     delta_prev is proxied by the certified envelope at n-1 (clipped to 1),
     which is what the recursion itself guarantees at that point.
     """
+    if t is not None and not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"needs a finite t > 0, got {t}")
     k = family.dim
     summary = moment_summary(src)
     est = delta_hat(src, n, family, M, stream)
@@ -490,31 +478,21 @@ def dim_scan(
 ) -> DimScanReport:
     """Empirical discrepancy across (source, k, n) with log-log exponent fits.
 
-    `sources` maps a dimension to a list of sources (callable k -> list), or
-    is a list of source names resolved through the catalog.
+    `sources` is a list of source names resolved through the catalog.
     """
-    from .sources import make_source  # local to avoid cycles in callers
-
     k_list = list(k_list)
     if sorted(k_list) != k_list:
         raise DomainError("k_list must be ascending")
     cells = []
     for ki, k in enumerate(k_list):
         family = family_builder(k)
-        names = sources if isinstance(sources, (list, tuple)) else sources(k)
-        for si, name in enumerate(names):
-            src = make_source(name, k) if isinstance(name, str) else name
+        for si, name in enumerate(sources):
+            src = make_source(name, k)
             for ni, n in enumerate(n_list):
                 sub = stream.child(1000 * ki + 100 * si + ni)
                 est = delta_hat(src, n, family, M, sub)
                 cells.append(
-                    DimScanCell(
-                        source=src.name if hasattr(src, "name") else str(name),
-                        k=k,
-                        n=n,
-                        delta=est.value,
-                        std_error=est.std_error,
-                    )
+                    DimScanCell(source=name, k=k, n=n, delta=est.value, std_error=est.std_error)
                 )
     k_exp = {}
     n_exp = {}

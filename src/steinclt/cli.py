@@ -94,7 +94,7 @@ def _row(check, value, reference, tol, passed) -> dict:
 # check suites
 
 
-def run_check_inequalities(args) -> tuple[list, dict, bool, None]:
+def run_check_inequalities(args) -> tuple[list, bool, None]:
     rows = []
     oracles = {
         "distinct": (2.0 / math.pi) ** 1.5,
@@ -127,7 +127,7 @@ def run_check_inequalities(args) -> tuple[list, dict, bool, None]:
         rows.append(_row(f"kernel-mean-{idx}", abs(kern.sum()), 0.0, 1e-8, abs(kern.sum()) <= 1e-8))
         moment = abs(float(kern @ nodes[:, 0]))
         rows.append(_row(f"kernel-first-moment-{idx}", moment, 0.0, 1e-8, moment <= 1e-8))
-    return rows, {"k": k_arg, "seed": args.seed}, _check_rows_pass(rows), None
+    return rows, _check_rows_pass(rows), None
 
 
 def _grid_points(k: int, count: int, seed: int) -> np.ndarray:
@@ -140,7 +140,7 @@ def _catalog_sets(k: int):
     yield "ball", cv.Ball(np.zeros(k), ga.quantile_a(k).a_k)
 
 
-def run_check_semigroup(args) -> tuple[list, dict, bool, None]:
+def run_check_semigroup(args) -> tuple[list, bool, None]:
     rows = []
     k = _single_k(args)
     pts = _grid_points(k, 5, args.seed)
@@ -172,7 +172,7 @@ def run_check_semigroup(args) -> tuple[list, dict, bool, None]:
     se = float(np.std(vals) / math.sqrt(len(vals)))
     mean = abs(float(np.mean(vals)))
     rows.append(_row("invariance-mc", mean, 0.0, 4.0 * se, mean <= 4.0 * se))
-    return rows, {"k": k, "seed": args.seed}, _check_rows_pass(rows), None
+    return rows, _check_rows_pass(rows), None
 
 
 def _semigroup_law_gap(h, k, pts) -> float:
@@ -186,7 +186,7 @@ def _semigroup_law_gap(h, k, pts) -> float:
     return worst
 
 
-def run_check_stein(args) -> tuple[list, dict, bool, None]:
+def run_check_stein(args) -> tuple[list, bool, None]:
     rows = []
     k = _single_k(args)
     pts = _grid_points(k, 10, args.seed)
@@ -218,7 +218,7 @@ def run_check_stein(args) -> tuple[list, dict, bool, None]:
     )
     cap = math.sqrt(6.0)
     rows.append(_row("kernel-double-integral", report.max_abs, cap, 0.0, report.max_abs <= cap))
-    return rows, {"k": k, "seed": args.seed}, _check_rows_pass(rows), None
+    return rows, _check_rows_pass(rows), None
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _resolve_source(args, k: int, n: int):
     return so.make_source(args.source, k)
 
 
-def run_delta(args) -> tuple[list, dict, bool, None]:
+def run_delta(args) -> tuple[list, bool, None]:
     rows = []
     for k in _positive_ints("k", args.k):
         family = _family_for(args, k)
@@ -253,18 +253,10 @@ def run_delta(args) -> tuple[list, dict, bool, None]:
                     "std_error": est.std_error,
                 }
             )
-    config = {
-        "source": args.source,
-        "noniid_profile": args.noniid_profile,
-        "k": args.k,
-        "n": args.n,
-        "M": args.M,
-        "seed": args.seed,
-    }
-    return rows, config, True, None
+    return rows, True, None
 
 
-def run_discrepancy(args) -> tuple[list, dict, bool, None]:
+def run_discrepancy(args) -> tuple[list, bool, None]:
     rows = []
     for k in _positive_ints("k", args.k):
         src = so.make_source(args.source, k)
@@ -289,15 +281,7 @@ def run_discrepancy(args) -> tuple[list, dict, bool, None]:
                     "agree": agree,
                 }
             )
-    config = {
-        "source": args.source,
-        "k": args.k,
-        "n": args.n,
-        "t": args.t,
-        "M": args.M,
-        "seed": args.seed,
-    }
-    return rows, config, True, None
+    return rows, True, None
 
 
 _DELTA_COLUMNS = ("k", "n", "source", "family", "M", "seed", "delta_hat", "std_error")
@@ -329,7 +313,7 @@ _BOUND_COLUMNS = (
 )
 
 
-def run_bounds(args) -> tuple[list, dict, bool, None]:
+def run_bounds(args) -> tuple[list, bool, None]:
     consts = _constants_from(args)
     rows = []
     for k in _positive_ints("k", args.k):
@@ -361,19 +345,10 @@ def run_bounds(args) -> tuple[list, dict, bool, None]:
                     "seed": report.seed,
                 }
             )
-    config = {
-        "source": args.source,
-        "noniid_profile": args.noniid_profile,
-        "k": args.k,
-        "n": args.n,
-        "M": args.M,
-        "seed": args.seed,
-        "t": args.t,
-    }
-    return rows, config, True, None
+    return rows, True, None
 
 
-def run_dim_scan(args) -> tuple[list, dict, bool, dict]:
+def run_dim_scan(args) -> tuple[list, bool, dict]:
     k_list = _positive_ints("k-list", args.k_list)
     n_list = _positive_ints("n-list", args.n_list)
     stream = RngStream(args.seed)
@@ -412,21 +387,14 @@ def run_dim_scan(args) -> tuple[list, dict, bool, dict]:
             for (name, k), fit in report.n_exponents.items()
         },
     }
-    config = {
-        "source": args.source,
-        "k_list": args.k_list,
-        "n_list": args.n_list,
-        "M": args.M,
-        "seed": args.seed,
-    }
-    return rows, config, True, fits
+    return rows, True, fits
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
 
-# subcommand -> (runner, CSV columns); a runner returns (rows, config, ok, extras)
+# subcommand -> (runner, CSV columns); a runner returns (rows, ok, extras)
 _SUBCOMMANDS = {
     "check-inequalities": (run_check_inequalities, _CHECK_COLUMNS),
     "check-semigroup": (run_check_semigroup, _CHECK_COLUMNS),
@@ -528,9 +496,18 @@ def _config_value(action: argparse.Action, key: str, value):
     return value
 
 
-def _apply_config_file(
-    args: argparse.Namespace, argv, ap: argparse.ArgumentParser
-) -> argparse.Namespace:
+def _subcommand_actions(ap: argparse.ArgumentParser, subcommand: str) -> dict:
+    """dest -> argparse action for every flag of the subcommand."""
+    sub = next(a for a in ap._actions if a.dest == "subcommand")
+    return {a.dest: a for a in sub.choices[subcommand]._actions}
+
+
+# argparse's help and the flags that choose where and how output goes; the
+# JSON `config` echoes every other flag, since each of them can change the rows
+_NOT_ECHOED = frozenset({"help", "out", "format", "threads", "config"})
+
+
+def _apply_config_file(args: argparse.Namespace, argv, actions: dict) -> argparse.Namespace:
     if not getattr(args, "config", None):
         return args
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -540,8 +517,6 @@ def _apply_config_file(
             raise ConfigurationError(f"config file {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigurationError(f"config file {args.config} must hold a JSON object")
-    sub = next(a for a in ap._actions if a.dest == "subcommand")
-    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions}
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
@@ -557,7 +532,8 @@ def run(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv, ap)
+        actions = _subcommand_actions(ap, args.subcommand)
+        args = _apply_config_file(args, argv, actions)
         if args.threads != 1:
             raise ConfigurationError(
                 f"sampling is single-threaded; --threads must be 1, got {args.threads!r}"
@@ -565,7 +541,8 @@ def run(argv=None) -> int:
         if args.format == "both" and args.out is None:
             raise ConfigurationError("--format both writes two files and needs --out")
         runner, columns = _SUBCOMMANDS[args.subcommand]
-        rows, config, ok, extras = runner(args)
+        rows, ok, extras = runner(args)
+        config = {dest: getattr(args, dest) for dest in actions if dest not in _NOT_ECHOED}
         emit(args.subcommand, columns, rows, config, args.out, args.format, extras=extras)
         return 0 if ok else 1
     except (

@@ -488,11 +488,6 @@ class Box(ConvexSet):
         d = np.linalg.norm(excess, axis=1)
         return float(d[0]) if single else d
 
-    def distance_inside(self, x):
-        pts, single = _as_points(x, self.dim)
-        d = np.minimum(pts - self.lower, self.upper - pts).min(axis=1)
-        return float(d[0]) if single else d
-
     def __repr__(self):
         return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
 
@@ -634,21 +629,6 @@ class DilatedSet(ConvexSet):
     def scale(self, factor):
         factor = float(factor)
         return DilatedSet(self.base.scale(factor), self.eps * factor)
-
-    def distance_outside(self, x):
-        pts, single = _as_points(x, self.dim)
-        d = np.maximum(self.base.distance_outside(pts) - self.eps, 0.0)
-        return float(d[0]) if single else d
-
-    def distance_inside(self, x):
-        pts, single = _as_points(x, self.dim)
-        inside_base = np.asarray(self.base.contains(pts))
-        d = np.where(
-            inside_base,
-            self.base.distance_inside(pts) + self.eps,
-            self.eps - self.base.distance_outside(pts),
-        )
-        return float(d[0]) if single else d
 
     def __repr__(self):
         return f"DilatedSet({self.base!r}, eps={self.eps})"

@@ -9,7 +9,9 @@ covariances sum to the identity.
 Every Monte Carlo estimate over S_n runs through one loop, `sum_over_blocks`:
 block b of BLOCK_SIZE draws comes from the counter-based stream
 `stream.block(b)`, and the per-block statistics are summed in block order,
-so a seed fixes every number.
+so a seed fixes every number.  On top of it, `mean_over_blocks` turns
+per-target statistics into means with standard errors, and `sup_deviation`
+reports the largest deviation from a Gaussian reference as an `Estimate`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ class Estimate:
 
     value: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 class SourceDistribution:
@@ -370,6 +370,31 @@ def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
     return total
 
 
+def mean_over_blocks(src, n: int, M: int, stream: RngStream, values):
+    """Per-target means and standard errors of `values` over M draws of S_n.
+
+    `values(X)` returns a (T, rows) array, one row per target; the variance
+    is the plug-in max(sum f^2 / M - mean^2, 0).
+    """
+
+    def block_sums(X):
+        f = np.asarray(values(X), dtype=float)
+        return np.stack([f.sum(axis=1), (f * f).sum(axis=1)])
+
+    acc = sum_over_blocks(src, n, M, stream, block_sums)
+    total = float(M)
+    means = acc[0] / total
+    variances = np.maximum(acc[1] / total - means**2, 0.0)
+    return means, np.sqrt(variances / total)
+
+
+def sup_deviation(means, std_errors, reference) -> Estimate:
+    """max |means - reference| over the targets, with the standard error at the argmax."""
+    diffs = np.abs(means - reference)
+    arg = int(np.argmax(diffs))
+    return Estimate(value=float(diffs[arg]), std_error=float(std_errors[arg]))
+
+
 def delta_hat(src, n: int, family: SetFamily, M: int, stream: RngStream) -> Estimate:
     """Empirical convex-set discrepancy over a finite family.
 
@@ -381,17 +406,8 @@ def delta_hat(src, n: int, family: SetFamily, M: int, stream: RngStream) -> Esti
     """
     n = _count("n", n, 1)
     M = _count("M", M, 1000)
-    counts = sum_over_blocks(src, n, M, stream, family.counts)
-    freqs = counts / float(M)
-    diffs = np.abs(freqs - family.measures)
-    arg = int(np.argmax(diffs))
-    p = freqs[arg]
-    return Estimate(
-        value=float(diffs[arg]),
-        std_error=float(math.sqrt(max(p * (1.0 - p), 0.0) / M)),
-        n_samples=M,
-        seed=stream.master_seed,
-    )
+    p = sum_over_blocks(src, n, M, stream, family.counts) / float(M)
+    return sup_deviation(p, np.sqrt(p * (1.0 - p) / M), family.measures)
 
 
 @dataclass(frozen=True)
@@ -411,12 +427,7 @@ class SteinDiscrepancyResult:
 
 
 def stein_discrepancy_hat(
-    src,
-    n: int,
-    t: float,
-    C: ConvexSet,
-    M: int,
-    stream: RngStream = RngStream(0),
+    src, n: int, t: float, C: ConvexSet, M: int, stream: RngStream
 ) -> SteinDiscrepancyResult:
     """E T_t h~(S_n) two ways: direct smoothing vs generator of the solution.
 
@@ -424,22 +435,11 @@ def stein_discrepancy_hat(
     quadrature error of the Stein solution rather than Monte Carlo noise.
     """
     sol = SteinSolution(t, IndicatorFunction(C))
-
-    def block_sums(X):
-        d = np.asarray(smoothed_target(sol, X), dtype=float)
-        g = np.asarray(laplacian_drift(sol, X), dtype=float)
-        return np.array([d.sum(), (d * d).sum(), g.sum(), (g * g).sum()])
-
-    acc = sum_over_blocks(src, n, M, stream, block_sums)
-    total = float(M)
-    d_mean = float(acc[0] / total)
-    g_mean = float(acc[2] / total)
-    d_var = max(float(acc[1] / total) - d_mean**2, 0.0)
-    g_var = max(float(acc[3] / total) - g_mean**2, 0.0)
-    return SteinDiscrepancyResult(
-        direct=Estimate(d_mean, math.sqrt(d_var / total), int(M), stream.master_seed),
-        generator_form=Estimate(g_mean, math.sqrt(g_var / total), int(M), stream.master_seed),
+    means, std_errors = mean_over_blocks(
+        src, n, M, stream, lambda X: (smoothed_target(sol, X), laplacian_drift(sol, X))
     )
+    direct, generator_form = (Estimate(float(m), float(se)) for m, se in zip(means, std_errors))
+    return SteinDiscrepancyResult(direct=direct, generator_form=generator_form)
 
 
 def moment_summary(src) -> MomentSummary:

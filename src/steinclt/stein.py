@@ -67,8 +67,8 @@ def weight3_integral(t: float) -> float:
     Computed by adaptive quadrature after u = e^{-s}: the integrand becomes
     u^2 (1-u^2)^{-3/2} on (0, e^{-t}).
     """
-    if t <= 0.0:
-        raise DomainError("weight3_integral needs t > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"weight3_integral needs a finite t > 0, got {t}")
     val, _ = integrate.quad(
         lambda u: u * u * (1.0 - u * u) ** -1.5, 0.0, math.exp(-t), epsabs=1e-12, epsrel=1e-12
     )
@@ -202,7 +202,6 @@ class KernelBoundReport:
     """sup-over-shifts magnitude of the leave-one-out kernel double integral."""
 
     max_abs: float
-    argmax_shift: tuple
     envelope: float       # k * e^{2s} * (1 - e^{-2s})
     implied_constant: float
     per_shift: tuple
@@ -268,12 +267,11 @@ def double_integral_kernel_report(
         std_error = max(ses)
 
     envelope = k * math.exp(2.0 * s) * (-math.expm1(-2.0 * s))
-    arg = int(np.argmax(values))
+    max_abs = float(np.max(values))
     return KernelBoundReport(
-        max_abs=float(values[arg]),
-        argmax_shift=tuple(shifts[arg].tolist()),
+        max_abs=max_abs,
         envelope=envelope,
-        implied_constant=float(values[arg] / envelope),
+        implied_constant=max_abs / envelope,
         per_shift=tuple(values.tolist()),
         std_error=std_error,
     )

@@ -7,6 +7,7 @@ from scipy.special import ndtr
 
 from steinclt import (
     Ball,
+    IndicatorFunction,
     ConstantsConfig,
     HalfSpace,
     RngStream,
@@ -19,6 +20,7 @@ from steinclt import (
     dim_scan,
     gamma3_bound,
     gamma_star_hat,
+    gaussian_measure,
     gaussian_source,
     loglog_slope,
     noniid_bound,
@@ -33,10 +35,15 @@ from steinclt import (
     recursion_step_bound,
     scaling_trend_ok,
     smoothed_discrepancy_bound,
+    sample_sum,
+    semigroup_apply,
     smoothing_bound,
     stein_discrepancy_hat,
+    weight3_integral,
 )
+from steinclt import bounds
 from steinclt.errors import DomainError, HypothesisViolationError
+from steinclt.sources import BLOCK_SIZE
 
 
 def test_constants_config_validation():
@@ -214,6 +221,55 @@ def test_gamma_star_dominated_by_family_sup():
                                   stream=stream)
         sup = max(sup, abs(r.direct.value))
     assert est.value <= sup + 4.0 * est.std_error + 0.01
+
+
+def test_gamma_star_recomputed_from_blocks():
+    # block b is sample_sum on stream.block(b); per-target sums of T_t 1_B add up in block order
+    src = rademacher_source(2)
+    C = Ball(np.zeros(2), 1.1)
+    t, eps, M = 0.5, 0.2, 2 * BLOCK_SIZE + 500
+    translates = [[0.0, 0.0], [0.3, -0.2]]
+    stream = RngStream(38)
+    est = gamma_star_hat(src, 8, t, C, eps, M, stream, translates=translates)
+    targets = [
+        B for y in translates for B in (C.translate(y).dilate(eps), C.translate(y).erode(eps))
+    ]
+    measures = np.array([gaussian_measure(B) for B in targets])
+    acc = 0
+    for b, size in enumerate((BLOCK_SIZE, BLOCK_SIZE, M - 2 * BLOCK_SIZE)):
+        X = sample_sum(src, 8, stream.block(b), size)
+        out = np.empty((len(targets), 2))
+        for i, B in enumerate(targets):
+            vals = np.asarray(semigroup_apply(IndicatorFunction(B), t, X), dtype=float)
+            out[i] = (vals.sum(), (vals * vals).sum())
+        acc = acc + out
+    means = acc[:, 0] / M
+    variances = np.maximum(acc[:, 1] / M - means**2, 0.0)
+    diffs = np.abs(means - measures)
+    arg = int(np.argmax(diffs))
+    assert est.value == diffs[arg]
+    assert est.std_error == math.sqrt(variances[arg] / M)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+def test_smoothing_time_must_be_finite_and_positive(t):
+    with pytest.raises(DomainError):
+        SmoothingParams.for_dimension(2, t)
+    with pytest.raises(DomainError):
+        weight3_integral(t)
+    with pytest.raises(DomainError):
+        gamma_star_hat(
+            rademacher_source(1), 4, t, HalfSpace(np.array([1.0]), 0.0), 0.1, 1000, RngStream(0)
+        )
+
+
+def test_bound_report_checks_t_before_sampling(monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("delta_hat ran before t was checked")
+
+    monkeypatch.setattr(bounds, "delta_hat", sampled)
+    with pytest.raises(DomainError):
+        bound_report(rademacher_source(1), 16, default_family(1), 1000, RngStream(0), t=math.nan)
 
 
 def test_loglog_slope_recovers_power_law():

@@ -95,6 +95,25 @@ def test_output_files_written(tmp_path):
     assert payload["config"]["M"] == 2000
 
 
+def test_json_config_echoes_every_row_changing_flag(capsys):
+    code, out = _run_capture(
+        capsys,
+        ["discrepancy", "--source", "rademacher", "--k", "1", "--n", "4", "--M", "1000",
+         "--offset", "0.3", "--seed", "2", "--format", "json"],
+    )
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["offset"] == 0.3
+    assert not {"help", "out", "format", "threads", "config"} & set(config)
+    code, out = _run_capture(
+        capsys,
+        ["delta", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "1000",
+         "--family-seed", "3", "--seed", "2", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["family_seed"] == 3
+
+
 def test_git_revision_runs_once_and_only_for_json(tmp_path, monkeypatch, capsys):
     calls = []
     real_run = reports.subprocess.run

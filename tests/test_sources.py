@@ -7,21 +7,25 @@ from scipy.special import ndtr
 from steinclt import (
     Ball,
     HalfSpace,
+    IndicatorFunction,
     MomentSummary,
     NonIIDSource,
     RngStream,
     SetFamily,
+    SteinSolution,
     default_family,
     delta_hat,
     gaussian_measure,
     exponential_source,
     gaussian_source,
+    laplacian_drift,
     make_source,
     moment_summary,
     noniid_catalog,
     normalizer_matrix,
     rademacher_source,
     sample_sum,
+    smoothed_target,
     stein_discrepancy_hat,
     uniform_source,
 )
@@ -270,6 +274,30 @@ def test_delta_hat_deterministic_and_recomputed_from_blocks():
         p = freqs[arg]
         assert a.value == diffs[arg], name
         assert a.std_error == math.sqrt(p * (1.0 - p) / M), name
+
+
+def test_stein_discrepancy_recomputed_from_blocks():
+    # both sides are summed per block of sample_sum(stream.block(b)), in block order
+    src = uniform_source(2)
+    C = Ball(np.zeros(2), 1.2)
+    M = 2 * BLOCK_SIZE + 500
+    stream = RngStream(13)
+    res = stein_discrepancy_hat(src, 8, 0.5, C, M, stream)
+    sol = SteinSolution(0.5, IndicatorFunction(C))
+    acc = 0
+    for b, size in enumerate((BLOCK_SIZE, BLOCK_SIZE, M - 2 * BLOCK_SIZE)):
+        X = sample_sum(src, 8, stream.block(b), size)
+        d = np.asarray(smoothed_target(sol, X), dtype=float)
+        g = np.asarray(laplacian_drift(sol, X), dtype=float)
+        acc = acc + np.array([d.sum(), (d * d).sum(), g.sum(), (g * g).sum()])
+    d_mean = float(acc[0] / M)
+    g_mean = float(acc[2] / M)
+    d_var = max(float(acc[1] / M) - d_mean**2, 0.0)
+    g_var = max(float(acc[3] / M) - g_mean**2, 0.0)
+    assert (res.direct.value, res.direct.std_error) == (d_mean, math.sqrt(d_var / M))
+    assert (res.generator_form.value, res.generator_form.std_error) == (
+        g_mean, math.sqrt(g_var / M)
+    )
 
 
 def test_delta_hat_rejects_small_M():
