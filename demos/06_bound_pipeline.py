@@ -24,8 +24,8 @@ def main():
     for n in (16, 64):
         rep = sc.bound_report(sc.rademacher_source(2), n, fam, 50_000,
                               sc.RngStream(1).child(n), consts=consts)
-        print(f"  n = {n:3d}: delta_hat = {rep.delta_hat:.4f} (se {rep.delta_se:.4f})"
-              f"   main bound = {rep.main_bound:8.3f}   within = {rep.empirical_within_main}")
+        print(f"  n = {n:3d}: delta_hat = {rep.delta_hat:.4f} (se {rep.std_error:.4f})"
+              f"   main bound = {rep.main_bound:8.3f}   within = {rep.within_main}")
         print(f"           optimal t = {rep.optimal_t:.4f}   "
               f"recursion step = {rep.recursion_step:8.3f}")
 

@@ -201,7 +201,7 @@ def gamma_star_hat(
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"needs a finite t > 0, got {t}")
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise DomainError("eps must be >= 0")
     if translates is None:
         translates = default_translates(C.dim)
@@ -225,7 +225,7 @@ def gamma_star_hat(
 
 def omega_star_hat(C: ConvexSet, eps: float, t: float) -> float:
     """Boundary-shell mass of the shrunk Gaussian: P(e^{-t} Z in shell(C, 2eps))."""
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise DomainError("eps must be >= 0")
     if t < 0.0:
         raise DomainError("t must be >= 0")
@@ -234,7 +234,7 @@ def omega_star_hat(C: ConvexSet, eps: float, t: float) -> float:
 
 def omega_star_ratio(C: ConvexSet, eps: float, t: float) -> float:
     """Observed shell mass relative to the sqrt(k) * 2eps * e^t envelope."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError("the ratio needs eps > 0")
     value = omega_star_hat(C, eps, t)
     return value / (math.sqrt(C.dim) * 2.0 * eps * math.exp(t))
@@ -333,26 +333,29 @@ def recursion_certify(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything the pipeline knows about one (k, n, source, t) cell."""
+    """Everything the pipeline knows about one (k, n, source, t) cell.
+
+    The fields, in order, are the columns of the `bounds` CSV.
+    """
 
     k: int
     n: int
     source: str
+    t: float
     rho3: float | None
     beta3: float | None
     gamma3: float | None
-    t: float
     delta_hat: float
-    delta_se: float
+    std_error: float
     smoothed_bound: float
     recursion_at_t: float
     optimal_t: float
     recursion_step: float
     main_bound: float
-    noniid: float | None
-    gamma3_based: float | None
-    empirical_within_main: bool
-    implied_constant: float   # the c that would make the main bound tight
+    noniid_bound: float | None
+    gamma3_bound: float | None
+    within_main: bool
+    implied_c: float   # the c that would make the main bound tight
     seed: int
 
 
@@ -376,12 +379,10 @@ def bound_report(
     summary = moment_summary(src)
     est = delta_hat(src, n, family, M, stream)
     if isinstance(src, NonIIDSource):
-        name = f"noniid-{src.components[0][0].name}"
         rho3 = None
         beta3, gamma3 = summary.beta3, summary.gamma3
         rho3_for_formulas = k**1.5  # moment floor, used only for t selection
     else:
-        name = src.name
         rho3 = summary.rho3
         beta3 = gamma3 = None
         rho3_for_formulas = rho3
@@ -399,13 +400,13 @@ def bound_report(
     return BoundReport(
         k=k,
         n=n,
-        source=name,
+        source=src.name,
+        t=t_used,
         rho3=rho3,
         beta3=beta3,
         gamma3=gamma3,
-        t=t_used,
         delta_hat=est.value,
-        delta_se=est.std_error,
+        std_error=est.std_error,
         smoothed_bound=smoothed_discrepancy_bound(
             k, rho3_for_formulas, max(n, 2), t_used, delta_prev, consts
         ),
@@ -413,10 +414,10 @@ def bound_report(
         optimal_t=t_opt,
         recursion_step=recursion_step_bound(k, rho3_for_formulas, max(n, 2), delta_prev, consts),
         main_bound=main,
-        noniid=nb,
-        gamma3_based=gb,
-        empirical_within_main=bool(est.value <= main),
-        implied_constant=float(est.value * consts.c / main),
+        noniid_bound=nb,
+        gamma3_bound=gb,
+        within_main=bool(est.value <= main),
+        implied_c=float(est.value * consts.c / main),
         seed=stream.master_seed,
     )
 

@@ -8,6 +8,7 @@ CSV/JSON.  Exit codes: 0 success, 1 a check suite failed, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import numbers
@@ -27,8 +28,6 @@ from .errors import (
 from .quadrature import GH_NODES, gauss_hermite_tensor
 from .reports import emit
 from .rng import RngStream
-
-_CHECK_COLUMNS = ("check", "value", "reference", "tolerance", "passed")
 
 
 def _positive_ints(name: str, value) -> list[int]:
@@ -244,8 +243,7 @@ def run_delta(args) -> tuple[list, bool, None]:
                 {
                     "k": k,
                     "n": n,
-                    "source": args.source if not args.noniid_profile
-                    else f"noniid-{args.source}",
+                    "source": src.name,
                     "family": family.description or "custom",
                     "M": args.M,
                     "seed": args.seed,
@@ -284,35 +282,6 @@ def run_discrepancy(args) -> tuple[list, bool, None]:
     return rows, True, None
 
 
-_DELTA_COLUMNS = ("k", "n", "source", "family", "M", "seed", "delta_hat", "std_error")
-_DISCREPANCY_COLUMNS = (
-    "k", "n", "source", "t", "M", "seed",
-    "direct", "direct_se", "generator_form", "generator_se", "gap", "agree",
-)
-_DIM_SCAN_COLUMNS = ("source", "k", "n", "M", "seed", "delta_hat", "std_error")
-_BOUND_COLUMNS = (
-    "k",
-    "n",
-    "source",
-    "t",
-    "rho3",
-    "beta3",
-    "gamma3",
-    "delta_hat",
-    "std_error",
-    "smoothed_bound",
-    "recursion_at_t",
-    "optimal_t",
-    "recursion_step",
-    "main_bound",
-    "noniid_bound",
-    "gamma3_bound",
-    "within_main",
-    "implied_c",
-    "seed",
-)
-
-
 def run_bounds(args) -> tuple[list, bool, None]:
     consts = _constants_from(args)
     rows = []
@@ -322,29 +291,7 @@ def run_bounds(args) -> tuple[list, bool, None]:
             src = _resolve_source(args, k, n)
             stream = RngStream(args.seed).child(17 * k + n)
             report = bd.bound_report(src, n, family, args.M, stream, consts=consts, t=args.t)
-            rows.append(
-                {
-                    "k": report.k,
-                    "n": report.n,
-                    "source": report.source,
-                    "t": report.t,
-                    "rho3": report.rho3,
-                    "beta3": report.beta3,
-                    "gamma3": report.gamma3,
-                    "delta_hat": report.delta_hat,
-                    "std_error": report.delta_se,
-                    "smoothed_bound": report.smoothed_bound,
-                    "recursion_at_t": report.recursion_at_t,
-                    "optimal_t": report.optimal_t,
-                    "recursion_step": report.recursion_step,
-                    "main_bound": report.main_bound,
-                    "noniid_bound": report.noniid,
-                    "gamma3_bound": report.gamma3_based,
-                    "within_main": report.empirical_within_main,
-                    "implied_c": report.implied_constant,
-                    "seed": report.seed,
-                }
-            )
+            rows.append(dataclasses.asdict(report))
     return rows, True, None
 
 
@@ -369,21 +316,11 @@ def run_dim_scan(args) -> tuple[list, bool, dict]:
     ]
     fits = {
         "k_exponents": {
-            f"{name}|n={n}": {
-                "slope": fit.slope,
-                "std_error": fit.std_error,
-                "ci_half_width": fit.ci_half_width,
-                "defined": fit.defined,
-            }
+            f"{name}|n={n}": dataclasses.asdict(fit)
             for (name, n), fit in report.k_exponents.items()
         },
         "n_exponents": {
-            f"{name}|k={k}": {
-                "slope": fit.slope,
-                "std_error": fit.std_error,
-                "ci_half_width": fit.ci_half_width,
-                "defined": fit.defined,
-            }
+            f"{name}|k={k}": dataclasses.asdict(fit)
             for (name, k), fit in report.n_exponents.items()
         },
     }
@@ -394,15 +331,16 @@ def run_dim_scan(args) -> tuple[list, bool, dict]:
 # wiring
 
 
-# subcommand -> (runner, CSV columns); a runner returns (rows, ok, extras)
+# subcommand -> runner; a runner returns (rows, ok, extras), and the keys of
+# its rows, in order, are the CSV columns
 _SUBCOMMANDS = {
-    "check-inequalities": (run_check_inequalities, _CHECK_COLUMNS),
-    "check-semigroup": (run_check_semigroup, _CHECK_COLUMNS),
-    "check-stein": (run_check_stein, _CHECK_COLUMNS),
-    "delta": (run_delta, _DELTA_COLUMNS),
-    "discrepancy": (run_discrepancy, _DISCREPANCY_COLUMNS),
-    "bounds": (run_bounds, _BOUND_COLUMNS),
-    "dim-scan": (run_dim_scan, _DIM_SCAN_COLUMNS),
+    "check-inequalities": run_check_inequalities,
+    "check-semigroup": run_check_semigroup,
+    "check-stein": run_check_stein,
+    "delta": run_delta,
+    "discrepancy": run_discrepancy,
+    "bounds": run_bounds,
+    "dim-scan": run_dim_scan,
 }
 
 
@@ -540,10 +478,9 @@ def run(argv=None) -> int:
             )
         if args.format == "both" and args.out is None:
             raise ConfigurationError("--format both writes two files and needs --out")
-        runner, columns = _SUBCOMMANDS[args.subcommand]
-        rows, ok, extras = runner(args)
+        rows, ok, extras = _SUBCOMMANDS[args.subcommand](args)
         config = {dest: getattr(args, dest) for dest in actions if dest not in _NOT_ECHOED}
-        emit(args.subcommand, columns, rows, config, args.out, args.format, extras=extras)
+        emit(args.subcommand, tuple(rows[0]), rows, config, args.out, args.format, extras=extras)
         return 0 if ok else 1
     except (
         ConfigurationError, DimensionMismatchError, DomainError, HypothesisViolationError, OSError

@@ -127,7 +127,7 @@ def _center_distance(center, pts):
 
 def _check_eps(eps: float) -> float:
     eps = float(eps)
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise DomainError("dilation/erosion radius must be >= 0")
     return eps
 
@@ -725,7 +725,7 @@ def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0) -> float:
     if float(scale) <= 0.0:
         raise DomainError("scale must be positive")
     eps = float(eps)
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise DomainError("eps must be >= 0")
     if eps == 0.0:
         return 0.0

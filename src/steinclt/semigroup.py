@@ -300,16 +300,20 @@ def generator_apply(g, x) -> float:
         grad = np.asarray(g.grad(x), dtype=float)
         lap = float(np.trace(np.asarray(g.hess(x), dtype=float)))
         return lap - float(x @ grad)
+    return _fd_generator(lambda pt: float(np.asarray(g(pt[None, :]), dtype=float)[0]), x, 1e-3)
+
+
+def _fd_generator(f, x: np.ndarray, dx: float) -> float:
+    """L f(x) by central differences of step dx; f maps one point to a float."""
     k = x.size
-    dx = 1e-3
-    f0 = float(np.asarray(g(x[None, :]), dtype=float)[0])
+    f0 = f(x)
     lap = 0.0
     drift = 0.0
     for i in range(k):
         e = np.zeros(k)
         e[i] = dx
-        fp = float(np.asarray(g((x + e)[None, :]), dtype=float)[0])
-        fm = float(np.asarray(g((x - e)[None, :]), dtype=float)[0])
+        fp = f(x + e)
+        fm = f(x - e)
         lap += (fp - 2.0 * f0 + fm) / dx**2
         drift += x[i] * (fp - fm) / (2.0 * dx)
     return lap - drift
@@ -331,20 +335,9 @@ def backward_residual(
     if t <= 0.0:
         raise DomainError("backward residual needs t > 0")
     x = np.asarray(x, dtype=float)
-    k = x.size
 
     def T(tt, pt):
         return semigroup_apply(h, tt, pt, quad)
 
     dfdt = (T(t + dt, x) - T(t - dt, x)) / (2.0 * dt)
-    f0 = T(t, x)
-    lap = 0.0
-    drift = 0.0
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = dx
-        fp = T(t, x + e)
-        fm = T(t, x - e)
-        lap += (fp - 2.0 * f0 + fm) / dx**2
-        drift += x[i] * (fp - fm) / (2.0 * dx)
-    return dfdt - (lap - drift)
+    return dfdt - _fd_generator(lambda pt: T(t, pt), x, dx)

@@ -219,6 +219,7 @@ class NonIIDSource:
     """Independent scaled summands X_j = scale_j * Y_j with sum Cov X_j = I_k.
 
     Scales may be scalars or per-coordinate vectors (diagonal covariances).
+    Reports label it `noniid-<base>` after the first component's law.
     """
 
     def __init__(self, components):
@@ -230,6 +231,7 @@ class NonIIDSource:
             raise DomainError("all components must share a dimension")
         self.k = ks.pop()
         self.n = len(self.components)
+        self.name = f"noniid-{self.components[0][0].name}"
         total = np.zeros(self.k)
         for _, sc in self.components:
             total += np.broadcast_to(np.square(sc), (self.k,))

@@ -7,6 +7,8 @@ from scipy.special import ndtr
 
 from steinclt import (
     Ball,
+    Box,
+    Ellipsoid,
     IndicatorFunction,
     ConstantsConfig,
     HalfSpace,
@@ -37,6 +39,7 @@ from steinclt import (
     smoothed_discrepancy_bound,
     sample_sum,
     semigroup_apply,
+    shell_measure,
     smoothing_bound,
     stein_discrepancy_hat,
     weight3_integral,
@@ -263,6 +266,28 @@ def test_smoothing_time_must_be_finite_and_positive(t):
         )
 
 
+_ELLIPSE = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma_star_hat(
+            rademacher_source(2), 4, 0.5, _ELLIPSE, math.nan, 1000, RngStream(1)
+        ),
+        lambda: omega_star_hat(_ELLIPSE, math.nan, 0.5),
+        lambda: omega_star_ratio(_ELLIPSE, math.nan, 0.5),
+        lambda: shell_measure(_ELLIPSE, math.nan),
+        lambda: Box(np.zeros(2), np.ones(2)).dilate(math.nan),
+    ],
+    ids=["gamma_star_hat", "omega_star_hat", "omega_star_ratio", "shell_measure", "Box.dilate"],
+)
+def test_nan_radius_raises(call):
+    # NaN fails every comparison, so a radius check must be written to reject it
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_bound_report_checks_t_before_sampling(monkeypatch):
     def sampled(*args, **kwargs):
         raise AssertionError("delta_hat ran before t was checked")
@@ -325,7 +350,7 @@ def test_bound_report_fields():
     assert rep.rho3 == pytest.approx(2.0**1.5)
     assert rep.main_bound == pytest.approx(2.0**2.5 * 2.0**1.5 / 4.0)
     assert rep.delta_hat <= rep.main_bound  # monitored necessary condition
-    assert rep.empirical_within_main
+    assert rep.within_main
     assert rep.optimal_t > 0.0
 
 
@@ -333,8 +358,8 @@ def test_bound_report_noniid():
     src = noniid_catalog("gaussian", 1, 32)
     rep = bound_report(src, 32, default_family(1), 10_000, RngStream(37))
     assert rep.beta3 is not None and rep.gamma3 is not None
-    assert rep.noniid is not None and rep.gamma3_based is not None
-    assert rep.gamma3_based <= rep.noniid + 1e-12
+    assert rep.noniid_bound is not None and rep.gamma3_bound is not None
+    assert rep.gamma3_bound <= rep.noniid_bound + 1e-12
 
 
 def test_berry_esseen_bound_monotonicity():

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from steinclt import default_family, reports, save_family
+from steinclt import BoundReport, default_family, reports, save_family
 from steinclt.cli import run
 
 
@@ -259,6 +260,54 @@ def test_noniid_profile_flag(capsys):
     assert row[cols.index("source")] == "noniid-gaussian"
     assert row[cols.index("beta3")] != ""
     assert row[cols.index("noniid_bound")] != ""
+
+
+def test_delta_noniid_label(capsys):
+    code, out = _run_capture(
+        capsys,
+        ["delta", "--source", "uniform", "--k", "2", "--n", "8", "--M", "2000",
+         "--seed", "7", "--noniid-profile", "flat"],
+    )
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[2].split(",")[lines[1].split(",").index("source")] == "noniid-uniform"
+
+
+_CHECK_HEADER = "check,value,reference,tolerance,passed"
+
+
+# the rows' keys are the CSV columns, so a reordered dict or dataclass shows here
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["check-inequalities", "--k", "3"], _CHECK_HEADER),
+        (["check-semigroup", "--k", "2"], _CHECK_HEADER),
+        (["check-stein", "--k", "2"], _CHECK_HEADER),
+        (["delta", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "1000"],
+         "k,n,source,family,M,seed,delta_hat,std_error"),
+        (["discrepancy", "--source", "rademacher", "--k", "1", "--n", "4", "--M", "64"],
+         "k,n,source,t,M,seed,direct,direct_se,generator_form,generator_se,gap,agree"),
+        (["bounds", "--source", "rademacher", "--k", "1", "--n", "4", "--M", "1000"],
+         "k,n,source,t,rho3,beta3,gamma3,delta_hat,std_error,smoothed_bound,"
+         "recursion_at_t,optimal_t,recursion_step,main_bound,noniid_bound,gamma3_bound,"
+         "within_main,implied_c,seed"),
+        (["dim-scan", "--source", "rademacher", "--k-list", "1", "--n-list", "4", "--M", "1000"],
+         "source,k,n,M,seed,delta_hat,std_error"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_csv_header_of_every_subcommand(argv, header, capsys):
+    code, out = _run_capture(capsys, argv + ["--seed", "7"])
+    assert code == 0
+    assert out.split("\n")[1] == header
+
+
+def test_bound_report_fields_are_the_bounds_columns(capsys):
+    _, out = _run_capture(
+        capsys, ["bounds", "--source", "rademacher", "--k", "1", "--n", "4", "--M", "1000",
+                 "--seed", "7"],
+    )
+    assert out.split("\n")[1].split(",") == [f.name for f in dataclasses.fields(BoundReport)]
 
 
 def test_module_entry_point():
