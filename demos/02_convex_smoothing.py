@@ -1,8 +1,8 @@
 """Convex bodies: membership, dilation/erosion, Gaussian measures, shells.
 
 Shows the sandwich C^{-eps} subset C subset C^{eps}, exact measures for the
-analytic variants, the QMC fallback with its reported error, and the
-boundary-shell masses that the smoothing inequality consumes.
+analytic variants and a dilated box, the QMC fallback with its reported
+error, and the boundary-shell masses that the smoothing inequality consumes.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ def main():
     print(f"  ellipsoid : Phi(C) = {est:.6f} +- {se:.1e} (scrambled-Sobol QMC)")
     dil = box.dilate(0.25)
     est2, se2 = sc.gaussian_measure_estimate(dil)
-    print(f"  box^0.25  : Phi(C) = {est2:.6f} +- {se2:.1e} (predicate-backed set)")
+    print(f"  box^0.25  : Phi(C) = {est2:.6f} +- {se2:.1e} (Steiner decomposition, exact)")
 
     print()
     print("=" * 70)

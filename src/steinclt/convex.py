@@ -10,9 +10,10 @@ Sets are closed: boundary points count as inside.  Each variant keeps its
 closed forms on its own class: half-spaces, balls (central and off-center)
 and boxes give Phi(C), the shifted measure P(s + sigma Z in C), and the
 mixed partials and gradient/Laplacian jet of x -> P(alpha x + w Z in C)
-that the OU semigroup needs.  The base class returns None for each, which
-sends the caller to a scrambled-Sobol QMC estimate or to quadrature.  A
-serializable variant names its config tag and constructor fields.
+that the OU semigroup needs; a dilated box (`DilatedBox`) gives the first
+two.  The base class returns None for each, which sends the caller to a
+scrambled-Sobol QMC estimate or to quadrature.  A serializable variant names
+its config tag and constructor fields.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from scipy.stats import qmc
 
 from .errors import ConfigurationError, DimensionMismatchError, DomainError
 from .gaussian import chi_cdf, hermite_he, multiplicities, norm_cdf, norm_pdf
+from .quadrature import gauss_legendre_panel
 from .rng import RngStream
 
 _UNIT_TOL = 1e-12
@@ -53,9 +55,11 @@ def _ret(mask, single):
 class ConvexSet:
     """Base type: immutable by convention, membership vectorized.
 
-    The closed-form hooks below return None here; a variant that overrides
-    them sets `has_closed_form`.  They assume a non-empty set: callers
-    answer for the empty set first.
+    The closed-form hooks below return None here, and a caller that gets
+    None falls back to QMC or quadrature, one hook at a time.  A variant
+    that overrides `closed_form_measure` and `shifted_measure` sets
+    `has_closed_form`; its derivative hooks may still return None.  The
+    hooks assume a non-empty set: callers answer for the empty set first.
     """
 
     dim: int
@@ -359,7 +363,8 @@ class Ball(ConvexSet):
         return grad, lap
 
     def dilate(self, eps):
-        return Ball(self.center, self.radius + _check_eps(eps))
+        eps = _check_eps(eps)
+        return self if self.is_empty else Ball(self.center, self.radius + eps)
 
     def erode(self, eps):
         return Ball(self.center, max(self.radius - _check_eps(eps), -1.0))
@@ -468,7 +473,9 @@ class Box(ConvexSet):
 
     def dilate(self, eps):
         eps = _check_eps(eps)
-        return self if eps == 0.0 else DilatedSet(self, eps)
+        if eps == 0.0:
+            return self
+        return DilatedBox(self, eps) if self.dim <= _DILATED_BOX_MAX_DIM else DilatedSet(self, eps)
 
     def erode(self, eps):
         eps = _check_eps(eps)
@@ -484,8 +491,11 @@ class Box(ConvexSet):
 
     def distance_outside(self, x):
         pts, single = _as_points(x, self.dim)
-        excess = np.maximum(np.maximum(self.lower - pts, pts - self.upper), 0.0)
-        d = np.linalg.norm(excess, axis=1)
+        if self.is_empty:  # no point is within any distance of the empty set
+            d = np.full(len(pts), math.inf)
+        else:
+            excess = np.maximum(np.maximum(self.lower - pts, pts - self.upper), 0.0)
+            d = np.linalg.norm(excess, axis=1)
         return float(d[0]) if single else d
 
     def __repr__(self):
@@ -602,36 +612,118 @@ class Ellipsoid(ConvexSet):
 
 
 class DilatedSet(ConvexSet):
-    """Predicate-backed outer parallel body {x : dist(x, base) <= eps}."""
+    """Predicate-backed outer parallel body {x : dist(x, base) <= eps}.
+
+    Every operation builds its result with `base.dilate`, so a base whose
+    dilation has closed forms (a box's `DilatedBox`) keeps them.
+    """
 
     def __init__(self, base: ConvexSet, eps: float):
         self.base = base
         self.eps = _check_eps(eps)
         self.dim = base.dim
 
+    @property
+    def is_empty(self):
+        return self.base.is_empty
+
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         return _ret(self.base.distance_outside(pts) <= self.eps, single)
 
     def dilate(self, eps):
-        return DilatedSet(self.base, self.eps + _check_eps(eps))
+        return self.base.dilate(self.eps + _check_eps(eps))
 
     def erode(self, eps):
         eps = _check_eps(eps)
         # (C^a)^{-b} = C^{a-b} for convex C, in either direction of a-b
         if eps <= self.eps:
-            return DilatedSet(self.base, self.eps - eps) if eps < self.eps else self.base
+            return self.base.dilate(self.eps - eps)
         return self.base.erode(eps - self.eps)
 
     def translate(self, shift):
-        return DilatedSet(self.base.translate(shift), self.eps)
+        return self.base.translate(shift).dilate(self.eps)
 
     def scale(self, factor):
         factor = float(factor)
-        return DilatedSet(self.base.scale(factor), self.eps * factor)
+        return self.base.scale(factor).dilate(self.eps * factor)
 
     def __repr__(self):
-        return f"DilatedSet({self.base!r}, eps={self.eps})"
+        return f"{type(self).__name__}({self.base!r}, eps={self.eps})"
+
+
+# The sector integrals of `_dilated_box_mass` use one Gauss-Legendre rule in
+# theta on [0, pi/2]; a mass at dimension k evaluates Phi at 2 * 25^(k-1)
+# points.  For one set on a 2-vCPU Xeon that takes 0.4 ms at k = 4 against
+# 12 ms for QMC at 2^16 points, 21 ms at k = 5 (QMC 22 ms) and 0.57 s at
+# k = 6 (QMC 34 ms), so dilated boxes above k = 4 stay predicate-backed.
+_SECTOR_NODES = 24
+_SECTOR_THETA, _SECTOR_WEIGHTS = gauss_legendre_panel(0.0, 0.5 * math.pi, _SECTOR_NODES)
+_SECTOR_COS = np.cos(_SECTOR_THETA)
+_SECTOR_SIN = np.sin(_SECTOR_THETA)
+_SECTOR_COS_WEIGHTS = _SECTOR_WEIGHTS * _SECTOR_COS
+_DILATED_BOX_MAX_DIM = 4
+# rows per chunk keep each (rows, 25^(k-1)) radius array near 2^18 entries
+_SECTOR_CHUNK = 1 << 18
+
+
+def _dilated_box_mass(lo, hi, rho):
+    """G_k(rho): standard Gaussian mass of [lo, hi] dilated by rho, per row.
+
+    lo, hi are (M, k) bounds and rho (M, R) radii; returns (M, R).  A point
+    lies in the dilation when the distances d_j of its coordinates outside
+    [lo_j, hi_j] have sum_j d_j^2 <= rho^2.  Splitting off the last
+    coordinate and writing its distance as d = rho sin(theta) leaves the
+    others the radius rho cos(theta) (Steiner's decomposition by the
+    coordinates outside the box; Schneider, "Convex Bodies: The
+    Brunn-Minkowski Theory", 2014, sec. 4.2):
+        G_1(rho) = Phi(hi_1 + rho) - Phi(lo_1 - rho),
+        G_j(rho) = p_j G_{j-1}(rho) + rho int_0^{pi/2} [phi(lo_j - rho sin)
+                   + phi(hi_j + rho sin)] G_{j-1}(rho cos) cos dtheta,
+    with p_j = Phi(hi_j) - Phi(lo_j).  The integrand is smooth in theta, so
+    the fixed Gauss-Legendre rule converges geometrically: against adaptive
+    quadrature at k = 2 the error is about 1e-14 up to rho = 6, 1e-10 at
+    rho = 10 and 1e-4 at rho = 20, where phi(lo_j - rho sin) narrows to a
+    spike the 24 nodes no longer resolve.
+    """
+    j = lo.shape[1] - 1
+    l, u = lo[:, j, None], hi[:, j, None]
+    if j == 0:
+        return norm_cdf(u + rho) - norm_cdf(l - rho)
+    rows, count = rho.shape
+    radii = np.concatenate([rho, (rho[:, :, None] * _SECTOR_COS).reshape(rows, -1)], axis=1)
+    inner = _dilated_box_mass(lo[:, :j], hi[:, :j], radii)
+    at_rho, at_cos = inner[:, :count], inner[:, count:].reshape(rows, count, _SECTOR_NODES)
+    d = rho[:, :, None] * _SECTOR_SIN
+    edge = norm_pdf(l[:, :, None] - d) + norm_pdf(u[:, :, None] + d)
+    return (norm_cdf(u) - norm_cdf(l)) * at_rho + rho * ((edge * at_cos) @ _SECTOR_COS_WEIGHTS)
+
+
+class DilatedBox(DilatedSet):
+    """Outer parallel body of a non-empty box, k <= 4, with closed-form measures.
+
+    Membership stays the distance predicate of `DilatedSet`; Phi(C) and the
+    shifted measure come from `_dilated_box_mass`.  Its derivatives have no
+    closed form here, so the OU semigroup takes them by quadrature.
+    """
+
+    has_closed_form = True
+
+    def _mass(self, lo, hi, rho):
+        step = max(_SECTOR_CHUNK // (_SECTOR_NODES + 1) ** (self.dim - 1), 1)
+        return np.concatenate([
+            _dilated_box_mass(lo[i : i + step], hi[i : i + step], rho[i : i + step, None])[:, 0]
+            for i in range(0, len(lo), step)
+        ])
+
+    def closed_form_measure(self):
+        base = self.base
+        return float(self._mass(base.lower[None], base.upper[None], np.array([self.eps]))[0])
+
+    def shifted_measure(self, shifts, sigma):
+        lo = (self.base.lower - shifts) / sigma
+        hi = (self.base.upper - shifts) / sigma
+        return self._mass(lo, hi, np.full(len(shifts), self.eps / sigma))
 
 
 class ErodedSet(ConvexSet):

@@ -5,10 +5,12 @@ identity (t = 0) and the Gaussian mean (t -> infinity); its generator is
 L = Laplacian - x . grad.  For indicator test functions of half-spaces, balls
 and boxes the smoothing has a closed form (one-dimensional Gaussian CDFs, and
 for the ball a noncentral chi-square CDF whose lambda-derivatives are
-noncentral chi-square densities), which the Stein solver leans on heavily.
-Those closed forms live on the set classes in `convex` (`has_closed_form`,
-`shifted_measure`, `smoothed_derivative`, `smoothed_jet`); this module only
-decides when to use them.  The generic fallbacks are tensor Gauss-Hermite
+noncentral chi-square densities), which the Stein solver leans on heavily;
+for a dilated box the value has a closed form but its derivatives do not.
+Those closed forms live on the set classes in `convex` (`shifted_measure`,
+`smoothed_derivative`, `smoothed_jet`); this module calls the one hook each
+function needs and falls back to quadrature where it returns None.  The
+generic fallbacks are tensor Gauss-Hermite
 (k <= 3) and seeded Monte Carlo, and every one of them (value, derivative,
 jet) is the same per-row loop `h(alpha x + w nodes) @ kernel` in
 `_kernel_rows`; only the kernel differs (the weights, the weights times a
@@ -179,10 +181,14 @@ def _fallback(k: int, quad: QuadratureSpec) -> str:
     return "gauss-hermite" if k <= GH_TENSOR_MAX_DIM else "monte-carlo"
 
 
-def _resolve_inner(h: TestFunction, k: int, quad: QuadratureSpec) -> str:
-    if quad.inner_method == "auto" and has_analytic_smoothing(h):
-        return "analytic"
-    return _fallback(k, quad)
+def _closed_form_set(h: TestFunction, quad: QuadratureSpec):
+    """The set whose hooks to try first, or None to go straight to quadrature.
+
+    Each caller asks one hook; a hook that returns None sends it to the
+    quadrature fallback, so a set may have a closed-form value and
+    quadrature derivatives.
+    """
+    return h.set if quad.inner_method == "auto" and isinstance(h, IndicatorFunction) else None
 
 
 def gaussian_mean(h: TestFunction, k: int, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -203,8 +209,8 @@ def _kernel_rows(h, alpha, w, X, nodes, kernel):
 
 def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT_QUAD):
     """T_t h(x); accepts a point (k,) or a batch (M,k)."""
-    if t < 0.0:
-        raise DomainError("semigroup time t must be >= 0")
+    if not t >= 0.0:
+        raise DomainError(f"semigroup time t must be >= 0, got {t}")
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
     X = np.atleast_2d(X)
@@ -213,11 +219,10 @@ def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT
         vals = np.asarray(h(X), dtype=float)
         return float(vals[0]) if single else vals
     alpha, w = ou_decay(t), ou_noise(t)
-    method = _resolve_inner(h, k, quad)
-    if method == "analytic":
-        vals = shifted_measure_batch(h.set, alpha * X, w)
-    else:
-        nodes, wts = _inner_points(k, quad, method)
+    C = _closed_form_set(h, quad)
+    vals = None if C is None else shifted_measure_batch(C, alpha * X, w)
+    if vals is None:
+        nodes, wts = _inner_points(k, quad, _fallback(k, quad))
         vals = _kernel_rows(h, alpha, w, X, nodes, wts)
     return float(vals[0]) if single else vals
 
@@ -231,8 +236,8 @@ def semigroup_derivative(
     up the weight (e^{-s}/w)^m against Hermite-polynomial factors inside the
     expectation, i.e. the integrand stays bounded by h itself.
     """
-    if s <= 0.0:
-        raise DomainError("semigroup derivatives need s > 0")
+    if not s > 0.0:
+        raise DomainError(f"semigroup derivatives need s > 0, got {s}")
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
     X = np.atleast_2d(X)
@@ -240,12 +245,12 @@ def semigroup_derivative(
     idx = tuple(int(i) for i in idx)
     multiplicities(idx, k)
     alpha, w = ou_decay(s), ou_noise(s)
-    method = _resolve_inner(h, k, quad)
-    if method == "analytic":
-        C = h.set
+    C = _closed_form_set(h, quad)
+    vals = None
+    if C is not None:
         vals = np.zeros(len(X)) if C.is_empty else C.smoothed_derivative(alpha, w, X, idx)
-    else:
-        nodes, wts = _inner_points(k, quad, method)
+    if vals is None:
+        nodes, wts = _inner_points(k, quad, _fallback(k, quad))
         kernel = hermite_kernel(wts, nodes, idx)
         vals = (alpha / w) ** len(idx) * _kernel_rows(h, alpha, w, X, nodes, kernel)
     return float(vals[0]) if single else vals
@@ -260,28 +265,25 @@ def semigroup_jet(h: TestFunction, s: float, x, quad: QuadratureSpec = DEFAULT_Q
     CDF); otherwise h is evaluated once per row and weighted by the kernels
     He_1(z_i) and sum_i He_2(z_i) of the derivative-on-the-kernel form.
     """
-    if s <= 0.0:
-        raise DomainError("semigroup derivatives need s > 0")
+    if not s > 0.0:
+        raise DomainError(f"semigroup derivatives need s > 0, got {s}")
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
     X = np.atleast_2d(X)
     k = X.shape[1]
     alpha, w = ou_decay(s), ou_noise(s)
-    method = _resolve_inner(h, k, quad)
-    if method == "analytic":
-        C = h.set
-        if C.is_empty:
-            grad, lap = np.zeros(X.shape), np.zeros(len(X))
-        else:
-            grad, lap = C.smoothed_jet(alpha, w, X)
-    else:
-        nodes, wts = _inner_points(k, quad, method)
+    C = _closed_form_set(h, quad)
+    jet = None
+    if C is not None:
+        jet = (np.zeros(X.shape), np.zeros(len(X))) if C.is_empty else C.smoothed_jet(alpha, w, X)
+    if jet is None:
+        nodes, wts = _inner_points(k, quad, _fallback(k, quad))
         kernel = wts[:, None] * np.column_stack(
             [hermite_he(1, nodes), np.sum(hermite_he(2, nodes), axis=1)]
         )
         moments = _kernel_rows(h, alpha, w, X, nodes, kernel)
-        grad = (alpha / w) * moments[:, :k]
-        lap = (alpha / w) ** 2 * moments[:, k]
+        jet = (alpha / w) * moments[:, :k], (alpha / w) ** 2 * moments[:, k]
+    grad, lap = jet
     return (grad[0], float(lap[0])) if single else (grad, lap)
 
 
@@ -332,8 +334,8 @@ def backward_residual(
     Both sides are finite differences over semigroup_apply, so the residual
     is O(dt^2 + dx^2) in smooth regimes.
     """
-    if t <= 0.0:
-        raise DomainError("backward residual needs t > 0")
+    if not t > 0.0:
+        raise DomainError(f"backward residual needs t > 0, got {t}")
     x = np.asarray(x, dtype=float)
 
     def T(tt, pt):

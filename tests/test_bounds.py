@@ -227,9 +227,17 @@ def test_gamma_star_dominated_by_family_sup():
 
 
 def test_gamma_star_recomputed_from_blocks():
+    _check_gamma_star_against_blocks(Ball(np.zeros(2), 1.1))
+
+
+def test_gamma_star_recomputed_from_blocks_on_a_box():
+    # the box's dilation smooths through DilatedBox's closed form
+    _check_gamma_star_against_blocks(Box([-0.8, -0.6], [0.9, 1.2]))
+
+
+def _check_gamma_star_against_blocks(C):
     # block b is sample_sum on stream.block(b); per-target sums of T_t 1_B add up in block order
     src = rademacher_source(2)
-    C = Ball(np.zeros(2), 1.1)
     t, eps, M = 0.5, 0.2, 2 * BLOCK_SIZE + 500
     translates = [[0.0, 0.0], [0.3, -0.2]]
     stream = RngStream(38)

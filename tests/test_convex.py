@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import ndtr
 
 from steinclt import (
@@ -21,12 +22,13 @@ from steinclt import (
     gaussian_measure,
     gaussian_measure_estimate,
     load_family,
+    omega_star_hat,
     quantile_a,
     save_family,
     shell_measure,
     shifted_measure_batch,
 )
-from steinclt.convex import set_to_config
+from steinclt.convex import DilatedBox, _qmc_membership_mean, set_to_config
 from steinclt.errors import ConfigurationError, DimensionMismatchError, DomainError
 
 
@@ -257,6 +259,131 @@ def test_shifted_measure_batch_matches_translate_scale():
         for row, v in zip(shifts, vals):
             moved = C.translate(-row).scale(1.0 / sigma)
             assert v == pytest.approx(gaussian_measure(moved), abs=1e-10)
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda B: gaussian_measure(B.dilate(0.8)),
+        lambda B: shell_measure(B, 0.4),
+        lambda B: omega_star_hat(B, 0.4, 0.3),
+    ],
+    ids=["gaussian_measure", "shell_measure", "omega_star_hat"],
+)
+def test_parallel_body_of_an_empty_box_is_empty(measure):
+    # the inverted box's distance_outside used to be finite: 0.209, 0.209 and 0.254
+    empty = Box([1.0], [0.0])
+    assert empty.dilate(0.8).is_empty
+    assert not np.any(empty.dilate(0.8).contains(np.linspace(-2.0, 2.0, 41)[:, None]))
+    assert measure(empty) == 0.0
+
+
+def test_dilation_of_an_empty_ball_is_empty():
+    gone = Ball(np.zeros(2), 0.5).erode(0.6)
+    assert gone.is_empty and gone.dilate(0.2).is_empty
+    assert gaussian_measure(gone.dilate(0.2)) == 0.0
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.5, 0.7), (-_INF, 0.3), (0.2, _INF), (1.5, 1.5)])
+@pytest.mark.parametrize("eps", (0.1, 0.4, 2.0))
+def test_dilated_box_measure_in_one_dimension_is_exact(lo, hi, eps):
+    mass = Box([lo], [hi]).dilate(eps).closed_form_measure()
+    assert mass == pytest.approx(ndtr(hi + eps) - ndtr(lo - eps), abs=1e-14)
+
+
+def _slice_integral(lo, hi, eps):
+    """Phi(box^eps) at k = 2 by adaptive quadrature over z_1 of the exact slice mass.
+
+    At distance d <= eps of z_1 outside [lo_1, hi_1] the slice of the
+    dilation is [lo_2 - r, hi_2 + r] with r = sqrt(eps^2 - d^2).
+    """
+
+    def slice_mass(z):
+        d = max(lo[0] - z, z - hi[0], 0.0)
+        r = math.sqrt(max(eps * eps - d * d, 0.0))
+        return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi) * (ndtr(hi[1] + r) - ndtr(lo[1] - r))
+
+    a, b = max(lo[0] - eps, -40.0), min(hi[0] + eps, 40.0)
+    kinks = [p for p in (lo[0], hi[0]) if a < p < b]
+    return integrate.quad(slice_mass, a, b, points=kinks or None, epsabs=1e-14, epsrel=1e-13,
+                          limit=200)[0]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [([-0.5, -0.3], [0.7, 0.4]), ([-1.0, -1.0], [1.0, 1.0]), ([-_INF, -0.3], [0.7, _INF]),
+     ([0.0, -_INF], [_INF, 0.5]), ([-_INF, 0.2], [_INF, 0.9])],
+    ids=["box", "cube", "orthant", "orthant-2", "slab"],
+)
+@pytest.mark.parametrize("eps", (0.1, 0.4, 1.0, 3.0))
+def test_dilated_box_measure_in_two_dimensions_matches_adaptive_quadrature(lo, hi, eps):
+    mass = Box(lo, hi).dilate(eps).closed_form_measure()
+    assert mass == pytest.approx(_slice_integral(lo, hi, eps), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-np.linspace(0.5, 1.0, 3), np.linspace(0.3, 0.9, 3)),
+     ([-_INF, -0.4, -0.4, -0.4], [0.6, _INF, _INF, _INF]),
+     ([-0.8, -0.5, -_INF, -1.0], [0.4, 0.9, _INF, 0.2])],
+    ids=["box-3", "orthant-4", "slab-4"],
+)
+@pytest.mark.parametrize("eps", (0.1, 0.4))
+def test_dilated_box_measure_matches_sobol(lo, hi, eps):
+    box = Box(lo, hi)
+    mass = box.dilate(eps).closed_form_measure()
+    # the predicate-backed parallel body has no closed form and goes to QMC
+    est, se = _qmc_membership_mean(DilatedSet(box, eps), 1 << 20)
+    assert abs(mass - est) <= 4.0 * se
+
+
+def test_dilated_box_shifted_rows_match_translate_scale():
+    shifts = RngStream(12, stream_id=9).generator().standard_normal((12, 3))
+    for lo, hi in (([-1.0, -0.2, -0.5], [0.5, 0.8, 0.1]), ([-_INF, -0.2, 0.1], [0.5, _INF, _INF])):
+        for sigma in (0.4, 1.3):
+            dil = Box(lo, hi).dilate(0.3)
+            vals = shifted_measure_batch(dil, shifts, sigma)
+            for row, v in zip(shifts, vals):
+                moved = dil.translate(-row).scale(1.0 / sigma)
+                assert type(moved) is DilatedBox
+                assert v == pytest.approx(moved.closed_form_measure(), abs=1e-12)
+
+
+def test_dilated_box_above_four_dimensions_stays_predicate_backed():
+    box = Box(-np.ones(5), np.ones(5))
+    assert type(box.dilate(0.3)) is DilatedSet
+    assert box.dilate(0.3).closed_form_measure() is None
+
+
+@st.composite
+def _box_and_radii(draw):
+    k = draw(st.integers(1, 3))
+    bound = st.floats(-2.0, 2.0)
+    lo, hi = [], []
+    for _ in range(k):
+        a, b = sorted((draw(bound), draw(bound)))
+        lo.append(-_INF if draw(st.booleans()) and draw(st.booleans()) else a)
+        hi.append(_INF if draw(st.booleans()) and draw(st.booleans()) else b)
+    radius = st.floats(0.01, 1.5)
+    return Box(lo, hi), draw(radius), draw(radius)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_box_and_radii())
+def test_dilated_box_geometric_laws(case):
+    box, a, b = case
+    small, large = sorted((a, b))
+    base = gaussian_measure(box)
+    m_small, m_large = gaussian_measure(box.dilate(small)), gaussian_measure(box.dilate(large))
+    assert base - 1e-14 <= m_small <= m_large + 1e-14
+    assert gaussian_measure(box.dilate(a).dilate(b)) == gaussian_measure(box.dilate(a + b))
+    assert box.dilate(a).erode(a) is box
+    assert box.dilate(a + b).erode(b).eps == pytest.approx(a)
+    assert type(box.dilate(a).translate(np.full(box.dim, 0.3))) is DilatedBox
+    assert type(box.dilate(a).scale(1.7)) is DilatedBox
 
 
 def test_shell_halfspace_closed_form():

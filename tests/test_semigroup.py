@@ -12,15 +12,18 @@ from steinclt import (
     QuadratureSpec,
     RngStream,
     SmoothFunction,
+    SteinSolution,
     backward_residual,
     gaussian_measure,
     generator_apply,
     hermite_product_function,
     ou_noise,
+    psi_d2,
     quantile_a,
     semigroup_apply,
     semigroup_derivative,
     semigroup_jet,
+    shifted_measure_batch,
     transition_density,
 )
 from steinclt.errors import ConfigurationError, DomainError
@@ -175,6 +178,9 @@ def test_semigroup_jet_matches_per_index_derivatives(k):
         (IndicatorFunction(Box(np.linspace(-1.2, -0.4, k), np.linspace(0.5, 1.6, k))),
          QuadratureSpec()),
         (IndicatorFunction(Ball(np.zeros(k), -1.0)), QuadratureSpec()),
+        # closed-form value, quadrature derivatives
+        (IndicatorFunction(Box(np.linspace(-1.0, -0.2, k), np.linspace(0.3, 0.9, k)).dilate(0.2)),
+         QuadratureSpec()),
         (hermite_product_function((1,) + (2,) * (k - 1)), QuadratureSpec()),
         (IndicatorFunction(Ball(np.zeros(k), 1.0)),
          QuadratureSpec(inner_method="monte-carlo", mc_samples=4096)),
@@ -194,6 +200,66 @@ def test_semigroup_jet_matches_per_index_derivatives(k):
     grad, lap = semigroup_jet(empty, 0.7, X)
     assert not grad.any() and not lap.any()
     assert not semigroup_derivative(empty, 0.7, X, (0, 0, 0)).any()
+
+
+def test_dilated_box_value_is_closed_form_and_matches_monte_carlo():
+    h = IndicatorFunction(Box([-0.5, -0.3], [0.7, 0.4]).dilate(0.2))
+    X = RngStream(32, stream_id=1).generator().standard_normal((6, 2))
+    exact = semigroup_apply(h, 0.5, X)
+    assert np.array_equal(exact, shifted_measure_batch(h.set, math.exp(-0.5) * X, ou_noise(0.5)))
+    quad = QuadratureSpec(inner_method="monte-carlo")
+    mc = semigroup_apply(h, 0.5, X, quad)
+    se = np.sqrt(exact * (1.0 - exact) / quad.mc_samples)
+    assert np.all(np.abs(mc - exact) <= 4.0 * se)
+
+
+# D_0, D_01 and D_001 of T_s 1_C, the jet, and psi_d2 at (0, 1) for the
+# dilated box below at s = t = 0.5, as the Gauss-Hermite fallback gave them
+# when the dilated box was an untyped predicate-backed set
+_DILATED_BOX_FALLBACK = {
+    "d0": [0.0, -0.0694899249230338, 0.13524897714534795],
+    "d01": [0.0, -0.027040802577754482, -0.02303953847935644],
+    "d001": [0.0, -0.030293222431267208, 0.009637357542067394],
+    "grad": [0.0, 0.0, -0.06948992492303378, 0.09533410650538042, 0.13524897714534795,
+             -0.044811894890290464],
+    "lap": [-0.28846404207042786, -0.17272232928473652, -0.17290074868204655],
+    "psi_d2": [-0.0, 0.005439083036657855, 0.003809414436686792],
+}
+
+
+def test_dilated_box_derivatives_keep_the_quadrature_fallback():
+    h = IndicatorFunction(Box([-0.5, -0.3], [0.7, 0.4]).dilate(0.2))
+    X = np.array([[0.1, 0.2], [0.9, -0.6], [-0.8, 0.5]])
+    grad, lap = semigroup_jet(h, 0.5, X)
+    got = {
+        "d0": semigroup_derivative(h, 0.5, X, (0,)),
+        "d01": semigroup_derivative(h, 0.5, X, (0, 1)),
+        "d001": semigroup_derivative(h, 0.5, X, (0, 0, 1)),
+        "grad": grad.ravel(),
+        "lap": lap,
+        "psi_d2": psi_d2(SteinSolution(0.5, h), X, (0, 1)),
+    }
+    for name, expected in _DILATED_BOX_FALLBACK.items():
+        assert np.asarray(got[name]).tolist() == expected, name
+
+
+_HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: semigroup_apply(_HALF_PLANE, t, np.zeros(2)),
+        lambda t: semigroup_derivative(_HALF_PLANE, t, np.zeros(2), (0,)),
+        lambda t: semigroup_jet(_HALF_PLANE, t, np.zeros(2)),
+        lambda t: backward_residual(_HALF_PLANE, t, np.zeros(2)),
+    ],
+    ids=["semigroup_apply", "semigroup_derivative", "semigroup_jet", "backward_residual"],
+)
+def test_nan_time_raises(call):
+    # each returned nan: the checks were written so that NaN passed them
+    with pytest.raises(DomainError):
+        call(math.nan)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
