@@ -144,7 +144,7 @@ def hermite_product_function(orders) -> SmoothFunction:
 
 def transition_density(t: float, x, y):
     """OU transition density p(t; x, y): Gaussian, mean e^{-t}x, var (1-e^{-2t})I."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError("transition_density needs t > 0")
     x = np.asarray(x, dtype=float)
     ys = np.atleast_2d(np.asarray(y, dtype=float))

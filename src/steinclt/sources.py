@@ -3,8 +3,9 @@
 The iid catalog (gaussian, rademacher, uniform, exponential) is built from
 product laws with mean zero and identity covariance by construction, so every
 third-moment functional is either closed form or a deterministic tensor
-quadrature.  Non-iid sources are scaled copies of catalog laws whose
-covariances sum to the identity.
+quadrature.  Each law draws S_n in one call: from the exact law of the sum,
+or, for the uniform, from exact integer sums of 32-bit Philox words.  Non-iid
+sources are scaled copies of catalog laws whose covariances sum to the identity.
 
 Every Monte Carlo estimate over S_n runs through one loop, `sum_over_blocks`:
 block b of BLOCK_SIZE draws comes from the counter-based stream
@@ -30,6 +31,7 @@ from .semigroup import IndicatorFunction
 from .stein import SteinSolution, laplacian_drift, smoothed_target
 
 BLOCK_SIZE = 1 << 14
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,12 @@ class Estimate:
 class SourceDistribution:
     """Product law of one summand Y with E Y = 0 and Cov Y = I_k.
 
-    `sum_sampler(gen, m, k, n)`, when given, draws m copies of the normalized
-    sum (Y_1 + ... + Y_n)/sqrt(n) from its exact law in one call.
+    `sum_sampler(gen, m, k, n)` draws m copies of the normalized sum
+    (Y_1 + ... + Y_n)/sqrt(n) in one call.
     """
 
     def __init__(
-        self, name, k, sampler, coord_abs_m1, coord_abs_m3, rho3_exact=None, sum_sampler=None
+        self, name, k, sampler, coord_abs_m1, coord_abs_m3, rho3_exact=None, *, sum_sampler
     ):
         if k < 1:
             raise DomainError("dimension k must be >= 1")
@@ -95,6 +97,20 @@ class SourceDistribution:
         return f"SourceDistribution({self.name!r}, k={self.k})"
 
 
+def _raw_row_chunks(gen, m, row_bytes):
+    """Yield (start, rows, data) over chunks of about _CHUNK_BYTES raw Philox bytes.
+
+    Row i is bytes [i row_bytes, (i + 1) row_bytes) of the little-endian word
+    stream, whatever the chunking: each chunk but the last ends on a word.
+    """
+    align = 8 // math.gcd(row_bytes, 8)
+    rows = max(align, _CHUNK_BYTES // row_bytes // align * align)
+    for start in range(0, m, rows):
+        count = min(rows, m - start)
+        words = gen.bit_generator.random_raw(-(-count * row_bytes // 8))
+        yield start, count, words.astype("<u8", copy=False).view(np.uint8)[: count * row_bytes]
+
+
 def _gaussian_sampler(gen, m, k):
     return gen.standard_normal((m, k))
 
@@ -117,6 +133,16 @@ _SQRT3 = math.sqrt(3.0)
 
 def _uniform_sampler(gen, m, k):
     return gen.uniform(-_SQRT3, _SQRT3, size=(m, k))
+
+
+def _uniform_sum(gen, m, k, n):
+    # a 32-bit word u is the summand sqrt3 (2 (u + 1/2) / 2^32 - 1), uniform on
+    # the 2^32 cell midpoints of [-sqrt3, sqrt3]; the integer sum is exact
+    out = np.empty((m, k))
+    for start, rows, data in _raw_row_chunks(gen, m, 4 * k * n):
+        total = data.view("<u4").reshape(rows, k, n).sum(axis=2, dtype=np.uint64)
+        out[start:start + rows] = (2.0 * total + n) / 2.0**32 - n
+    return out * (_SQRT3 / math.sqrt(n))
 
 
 def _exponential_sampler(gen, m, k):
@@ -147,7 +173,9 @@ def rademacher_source(k: int) -> SourceDistribution:
 def uniform_source(k: int) -> SourceDistribution:
     m1 = _SQRT3 / 2.0
     m3 = 3.0 * _SQRT3 / 4.0
-    return SourceDistribution("uniform", k, _uniform_sampler, m1, m3, m3 if k == 1 else None)
+    return SourceDistribution(
+        "uniform", k, _uniform_sampler, m1, m3, m3 if k == 1 else None, sum_sampler=_uniform_sum
+    )
 
 
 def exponential_source(k: int) -> SourceDistribution:
@@ -322,6 +350,24 @@ def normalizer_matrix(src: NonIIDSource, j: int) -> np.ndarray:
     return N
 
 
+def _signed_scale_sum(gen, m, k, scales):
+    """m draws of sum_j scales_j e_j per coordinate, one Philox bit per sign e_j.
+
+    Bit l of byte g is the sign of component 8g + l.  The bytes' table values
+    (partial sums) are added in byte order, so a row depends on its bits alone.
+    """
+    padded = np.pad(np.asarray(scales), (0, -len(scales) % 8)).reshape(-1, 8)
+    table = np.zeros((len(padded), 1))
+    for s in padded.T:  # index bit l set: + the scale of bit l
+        table = np.concatenate([table - s[:, None], table + s[:, None]], axis=1)
+    out = np.empty((m, k))
+    for start, rows, data in _raw_row_chunks(gen, m, k * len(padded)):
+        data = data.reshape(rows * k, len(padded))
+        total = sum(table[g][data[:, g]] for g in range(len(padded)))
+        out[start:start + rows] = total.reshape(rows, k)
+    return out
+
+
 def _count(name: str, value, minimum: int) -> int:
     """value as an int >= minimum; DomainError for bools, non-integral or non-finite values."""
     integral = isinstance(value, numbers.Integral) or (
@@ -338,25 +384,23 @@ def _count(name: str, value, minimum: int) -> int:
 def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     """Draw `size` copies of the normalized sum S_n; shape (size, k).
 
-    iid sources: S_n = (Y_1 + ... + Y_n)/sqrt(n), drawn from its exact law
-    when the source has one (gaussian, rademacher, exponential) and summed
-    otherwise; non-iid: S_n = sum X_j with n equal to the component count.
+    iid sources: S_n = (Y_1 + ... + Y_n)/sqrt(n), drawn by the source's
+    `sum_sampler`; non-iid: S_n = sum X_j with n equal to the component count,
+    one Philox bit per sign when every component is a scalar-scaled
+    Rademacher law and summed component by component otherwise.
     """
     n = _count("n", n, 1)
     gen = stream.generator()
     if isinstance(src, NonIIDSource):
         if n != src.n:
             raise DomainError(f"this non-iid source has n={src.n}, got {n}")
+        if src.scalar_scaled and all(base.name == "rademacher" for base, _ in src.components):
+            return _signed_scale_sum(gen, size, src.k, [float(sc) for _, sc in src.components])
         total = np.zeros((size, src.k))
         for base, sc in src.components:
             total += sc * base.sample(gen, size)
         return total
-    if src.sum_sampler is not None:
-        return src.sum_sampler(gen, size, src.k, n)
-    total = np.zeros((size, src.k))
-    for _ in range(n):
-        total += src.sample(gen, size)
-    return total / math.sqrt(n)
+    return src.sum_sampler(gen, size, src.k, n)
 
 
 def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):

@@ -36,6 +36,23 @@ def test_delta_outputs_and_determinism(capsys):
     assert 0.0 <= float(fields[6]) <= 1.0
 
 
+@pytest.mark.parametrize(
+    "source",
+    [["--source", "uniform"], ["--source", "rademacher", "--noniid-profile", "linear"]],
+    ids=["uniform", "noniid-rademacher"],
+)
+def test_bounds_csv_is_fixed_by_the_seed(source, capsys):
+    argv = ["bounds", *source, "--k", "2", "--n", "16", "--M", "2000"]
+    first, again, other = (
+        _run_capture(capsys, argv + ["--seed", seed])[1] for seed in ("7", "7", "8")
+    )
+    assert first == again
+    _, columns, row = first.strip().split("\n")
+    _, _, other_row = other.strip().split("\n")
+    at = columns.split(",").index("delta_hat")
+    assert row.split(",")[at] != other_row.split(",")[at]
+
+
 def test_delta_comma_lists(capsys):
     code, out = _run_capture(
         capsys,

@@ -253,8 +253,10 @@ _HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
         lambda t: semigroup_derivative(_HALF_PLANE, t, np.zeros(2), (0,)),
         lambda t: semigroup_jet(_HALF_PLANE, t, np.zeros(2)),
         lambda t: backward_residual(_HALF_PLANE, t, np.zeros(2)),
+        lambda t: transition_density(t, np.zeros(1), np.zeros(1)),
     ],
-    ids=["semigroup_apply", "semigroup_derivative", "semigroup_jet", "backward_residual"],
+    ids=["semigroup_apply", "semigroup_derivative", "semigroup_jet", "backward_residual",
+         "transition_density"],
 )
 def test_nan_time_raises(call):
     # each returned nan: the checks were written so that NaN passed them

@@ -29,6 +29,7 @@ from steinclt import (
     stein_discrepancy_hat,
     uniform_source,
 )
+from steinclt import sources
 from steinclt.errors import DegeneracyError, DomainError
 from steinclt.sources import BLOCK_SIZE
 
@@ -111,15 +112,120 @@ def test_sample_sum_exponential_third_moment():
         assert np.max(np.abs(draws.var(axis=0) - 1.0)) < 0.02
 
 
-def test_sample_sum_uniform_keeps_the_summation_loop():
-    # Irwin-Hall has no exact sampler here: the draws are the summed summands
-    src = uniform_source(2)
-    gen = RngStream(123).generator()
-    expect = np.zeros((64, 2))
-    for _ in range(5):
-        expect += src.sample(gen, 64)
-    expect /= math.sqrt(5)
-    assert np.array_equal(sample_sum(src, 5, RngStream(123), size=64), expect)
+def test_sample_sum_uniform_two_summands_follow_the_triangular_cdf():
+    # U_1 + U_2 for U uniform on [-a, a] is triangular on [-2a, 2a]
+    a, m = math.sqrt(3.0), 1 << 18
+    draws = sample_sum(uniform_source(2), 2, RngStream(123), size=m)
+    assert np.max(np.abs(draws)) < 2.0 * a / math.sqrt(2.0)
+    for x in (-2.2, -1.2, -0.5, 0.0, 0.4, 1.0, 2.0):
+        t = x * math.sqrt(2.0)
+        cdf = (t + 2 * a) ** 2 / (8 * a * a) if t <= 0 else 1 - (2 * a - t) ** 2 / (8 * a * a)
+        counts = np.count_nonzero(draws <= x, axis=0)
+        z = (counts - m * cdf) / math.sqrt(m * cdf * (1.0 - cdf))
+        assert np.max(np.abs(z)) < 4.5, (x, z)
+
+
+@pytest.mark.parametrize("n", (16, 256))
+def test_sample_sum_uniform_moments(n):
+    # E S = 0, E S^2 = 1 and E S^4 = 3 + (E U^4 - 3)/n = 3 - 6/(5n)
+    m = 1 << 18
+    draws = sample_sum(uniform_source(2), n, RngStream(126 + n), size=m)
+    for power, moment in ((1, 0.0), (2, 1.0), (4, 3.0 - 6.0 / (5.0 * n))):
+        f = draws**power
+        z = (f.mean(axis=0) - moment) / (f.std(axis=0) / math.sqrt(m))
+        assert np.max(np.abs(z)) < 4.5, (power, z)
+
+
+@pytest.mark.parametrize("k, n", [(3, 13), (2, 16)])
+def test_sample_sum_matches_its_summands_from_the_raw_words(k, n):
+    # the summands taken one by one from the same Philox words, in float64
+    m = 64
+    words = RngStream(129).generator().bit_generator.random_raw(m * k * n // 2 + 1)
+    u = words.view("<u4")[: m * k * n].reshape(m, k, n).astype(float)
+    expect = (math.sqrt(3.0) * (2.0 * (u + 0.5) / 2.0**32 - 1.0)).sum(axis=2) / math.sqrt(n)
+    draws = sample_sum(uniform_source(k), n, RngStream(129), size=m)
+    np.testing.assert_allclose(draws, expect, rtol=0, atol=1e-13)
+    # non-iid Rademacher: ceil(n/8) bytes per coordinate, bit l of byte g signs component 8g + l
+    src = noniid_catalog("rademacher", k, n)
+    scales = np.array([float(sc) for _, sc in src.components])
+    n_bytes = -(-n // 8)
+    words = RngStream(129).generator().bit_generator.random_raw(m * k * n_bytes // 8 + 1)
+    data = words.view(np.uint8)[: m * k * n_bytes].reshape(m * k, n_bytes)
+    signs = 2.0 * np.unpackbits(data, axis=1, bitorder="little")[:, :n] - 1.0
+    draws = sample_sum(src, n, RngStream(129), size=m)
+    np.testing.assert_allclose(draws.ravel(), signs @ scales, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "src, n",
+    [
+        (uniform_source(3), 5),
+        (uniform_source(2), 256),
+        (noniid_catalog("rademacher", 3, 13), 13),
+        (noniid_catalog("rademacher", 2, 256), 256),
+    ],
+    ids=["uniform-k3-n5", "uniform-k2-n256", "noniid-k3-n13", "noniid-k2-n256"],
+)
+def test_sample_sum_draws_do_not_depend_on_chunking(src, n, monkeypatch):
+    m = 1001
+    draws = sample_sum(src, n, RngStream(127), size=2 * m)
+    assert np.array_equal(sample_sum(src, n, RngStream(127), size=m), draws[:m])
+    # chunks of a few bytes cut rows in the middle of a Philox word
+    monkeypatch.setattr(sources, "_CHUNK_BYTES", 40)
+    assert np.array_equal(sample_sum(src, n, RngStream(127), size=2 * m), draws)
+
+
+@pytest.mark.parametrize("n", (16, 256))
+def test_sample_sum_noniid_rademacher_mean_and_covariance(n):
+    # first and second moments as z-scores, per seed and pooled over 20 seeds
+    src, m = noniid_catalog("rademacher", 2, n), 1 << 13
+    pooled = []
+    for seed in range(20):
+        draws = sample_sum(src, n, RngStream(300 + seed), size=m)
+        f = np.column_stack(
+            [draws, draws[:, 0] ** 2 - 1.0, draws[:, 0] * draws[:, 1], draws[:, 1] ** 2 - 1.0]
+        )
+        z = f.mean(axis=0) / (f.std(axis=0) / math.sqrt(m))
+        assert np.max(np.abs(z)) < 4.5, (seed, z)
+        pooled.append(f)
+    f = np.concatenate(pooled)
+    z = f.mean(axis=0) / (f.std(axis=0) / math.sqrt(len(f)))
+    assert np.max(np.abs(z)) < 4.5, z
+
+
+def test_sample_sum_noniid_rademacher_two_components_hit_four_points():
+    src, m = noniid_catalog("rademacher", 2, 2), 1 << 16
+    (_, a), (_, b) = src.components
+    points = [sa * float(a) + sb * float(b) for sa in (-1.0, 1.0) for sb in (-1.0, 1.0)]
+    draws = sample_sum(src, 2, RngStream(128), size=m)
+    for col in draws.T:
+        counts = np.array([np.count_nonzero(col == v) for v in points])
+        assert counts.sum() == m
+        z = (counts - m / 4.0) / math.sqrt(m * 3.0 / 16.0)
+        assert np.max(np.abs(z)) < 4.5, z
+
+
+# S_8 of these non-iid sources at RngStream(131), size=3, as drawn component
+# by component before the Rademacher components took one bit per sign
+_COMPONENT_LOOP_DRAWS = {
+    "gaussian": [0.34733830537383403, -1.238539119290937, -0.746079226011456,
+                 -0.16140525249418627, -0.015054122740381398, -0.8079834348341355],
+    "uniform": [0.0759503799906901, -0.04149377121163446, 1.4788626938599954,
+                1.605536084602349, 1.529271378691635, 1.0283807824743694],
+    "exponential": [0.25555174269625125, -1.3610935544090388, 1.2924397299081682,
+                    0.7432914162834474, -0.96992306833123, -0.4508056448215673],
+}
+
+
+def test_other_noniid_sources_keep_their_draws():
+    for name, expected in _COMPONENT_LOOP_DRAWS.items():
+        draws = sample_sum(noniid_catalog(name, 2, 8), 8, RngStream(131), size=3)
+        assert draws.ravel().tolist() == expected, name
+    # vector-scaled Rademacher components keep the component loop too
+    src = NonIIDSource([(rademacher_source(2), [0.6, 0.8]), (rademacher_source(2), [0.8, 0.6])])
+    draws = sample_sum(src, 2, RngStream(131), size=3)
+    assert draws.ravel().tolist() == [-1.4, 1.4, -0.20000000000000007, 1.4,
+                                      -0.20000000000000007, -1.4]
 
 
 @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, "4", None])
