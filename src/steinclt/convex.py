@@ -14,6 +14,11 @@ that the OU semigroup needs; a dilated box (`DilatedBox`) gives the first
 two.  The base class returns None for each, which sends the caller to a
 scrambled-Sobol QMC estimate or to quadrature.  A serializable variant names
 its config tag and constructor fields.
+
+A ball's noncentral chi-square CDF is scipy.special's chndtr (chdtr at
+noncentrality 0), equal bit for bit to scipy.stats.ncx2.cdf.  scipy.stats is
+imported only by the QMC estimate, on its first call: importing it costs
+more than a small CLI run.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy import special, stats
-from scipy.stats import qmc
+from scipy import special
 
 from .errors import ConfigurationError, DimensionMismatchError, DomainError
 from .gaussian import chi_cdf, hermite_he, multiplicities, norm_cdf, norm_pdf
@@ -224,6 +228,25 @@ _NCX2_SERIES_Z = 4.0
 _NCX2_SERIES_TERMS = 16
 
 
+def _ncx2_cdf(q: float, k: int, nc):
+    """Noncentral chi-square CDF F_k(q; nc), bit for bit as scipy.stats.ncx2.cdf.
+
+    Like scipy.stats it takes special.chndtr where nc != 0 and the central
+    special.chdtr where nc == 0 (chndtr differs there in the last bits), and
+    puts 1 at q = inf for every valid nc; calling scipy.special directly keeps
+    the import of scipy.stats off the library's path.
+    """
+    nc = np.asarray(nc, dtype=float)
+    if q == math.inf:
+        return np.where(nc >= 0.0, 1.0, math.nan)
+    with np.errstate(over="ignore"):
+        out = np.asarray(special.chndtr(q, k, nc))
+        central = nc == 0.0
+        if central.any():
+            out[central] = special.chdtr(k, q)
+    return out
+
+
 def _ncx2_densities(q: float, k: int, lam, count: int) -> np.ndarray:
     """Noncentral chi-square densities f_{k+2}, ..., f_{k+2*count} at q, shape (count, M).
 
@@ -311,13 +334,13 @@ class Ball(ConvexSet):
         if nc == 0.0:
             return float(chi_cdf(self.radius, self.dim))
         # off-center ball: exact noncentral chi-square CDF
-        return float(stats.ncx2.cdf(self.radius**2, self.dim, nc))
+        return float(_ncx2_cdf(self.radius**2, self.dim, nc))
 
     def shifted_measure(self, shifts, sigma):
         delta = shifts - self.center
         nc = np.sum(delta * delta, axis=1) / sigma**2
         q = (self.radius / sigma) ** 2
-        return stats.ncx2.cdf(q, self.dim, nc)
+        return _ncx2_cdf(q, self.dim, nc)
 
     def _noncentrality(self, alpha, w, X):
         """q, lambda(x) and its derivatives for P(alpha x + w Z in C) = F_k(q; lambda(x)).
@@ -767,6 +790,8 @@ class ErodedSet(ConvexSet):
 
 def _qmc_membership_mean(C: ConvexSet, n_points: int):
     """Scrambled-Sobol estimate of P(Z in C) with a replicate-based st. error."""
+    from scipy.stats import qmc  # deferred: scipy.stats costs more to import than most runs
+
     replicates = 16
     per = max(n_points // replicates, 256)
     vals = np.empty(replicates)
@@ -801,8 +826,8 @@ def shifted_measure_batch(C: ConvexSet, shifts, sigma: float):
     to fall back to quadrature/MC.
     """
     sigma = float(sigma)
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
     shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
     if C.is_empty:
         return np.zeros(len(shifts))
@@ -814,8 +839,8 @@ def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0) -> float:
 
     Evaluated as Phi((C^{2eps})/scale) - Phi((C^{-2eps})/scale).
     """
-    if float(scale) <= 0.0:
-        raise DomainError("scale must be positive")
+    if not float(scale) > 0.0:
+        raise DomainError(f"scale must be positive, got {scale}")
     eps = float(eps)
     if not eps >= 0.0:
         raise DomainError("eps must be >= 0")

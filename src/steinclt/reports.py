@@ -2,16 +2,23 @@
 
 CSV files start with a versioned comment line; identical inputs and seed give
 identical bytes below it.  JSON mirrors the rows and adds metadata (schema
-version, git revision when available, and an echo of the configuration).
+version, git revision when available, the numpy, scipy, Python and steinclt
+versions, and an echo of the configuration).
 """
 
 from __future__ import annotations
 
 import json
+import platform
 import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+
+import numpy as np
+import scipy
+
+from . import __version__
 
 CSV_SCHEMA = "steinclt-csv v1"
 JSON_SCHEMA = "steinclt-json v1"
@@ -65,6 +72,12 @@ def payload_to_json(subcommand: str, columns, rows, config: dict, extras: dict |
         "schema": JSON_SCHEMA,
         "subcommand": subcommand,
         "git_revision": git_revision(),
+        "versions": {
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "scipy": scipy.__version__,
+            "steinclt": __version__,
+        },
         "config": config,
         "columns": list(columns),
         "rows": rows,

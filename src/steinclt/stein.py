@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 from .gaussian import hermite_kernel, multiplicities
@@ -69,6 +68,8 @@ def weight3_integral(t: float) -> float:
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"weight3_integral needs a finite t > 0, got {t}")
+    from scipy import integrate  # deferred: only check rows read the weight integrals
+
     val, _ = integrate.quad(
         lambda u: u * u * (1.0 - u * u) ** -1.5, 0.0, math.exp(-t), epsabs=1e-12, epsrel=1e-12
     )
@@ -77,6 +78,8 @@ def weight3_integral(t: float) -> float:
 
 def weight1_integral_total() -> float:
     """Integral over (0, infinity) of the smoothing weight itself (finite)."""
+    from scipy import integrate
+
     val, _ = integrate.quad(
         lambda u: (1.0 - u * u) ** -0.5, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12
     )

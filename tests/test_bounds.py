@@ -40,6 +40,7 @@ from steinclt import (
     sample_sum,
     semigroup_apply,
     shell_measure,
+    shifted_measure_batch,
     smoothing_bound,
     stein_discrepancy_hat,
     weight3_integral,
@@ -287,11 +288,19 @@ _ELLIPSE = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
         lambda: omega_star_ratio(_ELLIPSE, math.nan, 0.5),
         lambda: shell_measure(_ELLIPSE, math.nan),
         lambda: Box(np.zeros(2), np.ones(2)).dilate(math.nan),
+        lambda: shell_measure(_ELLIPSE, 0.1, math.nan),
+        lambda: shifted_measure_batch(HalfSpace(np.array([1.0, 0.0]), 0.0), np.zeros((2, 2)),
+                                      math.nan),
+        lambda: shifted_measure_batch(Ball(np.zeros(2), 1.0), np.zeros((2, 2)), math.nan),
+        lambda: shifted_measure_batch(Box(-np.ones(2), np.ones(2)), np.zeros((2, 2)), math.nan),
     ],
-    ids=["gamma_star_hat", "omega_star_hat", "omega_star_ratio", "shell_measure", "Box.dilate"],
+    ids=["gamma_star_hat", "omega_star_hat", "omega_star_ratio", "shell_measure", "Box.dilate",
+         "shell_measure-scale", "shifted_measure_batch-HalfSpace", "shifted_measure_batch-Ball",
+         "shifted_measure_batch-Box"],
 )
 def test_nan_radius_raises(call):
-    # NaN fails every comparison, so a radius check must be written to reject it
+    # NaN fails every comparison, so a radius or scale check must be written to
+    # reject it; a NaN sigma gave nan measures, a NaN shell scale a misleading error
     with pytest.raises(DomainError):
         call()
 

@@ -1,9 +1,17 @@
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
-from steinclt import BoundReport, default_family, reports, save_family
+import steinclt
+from steinclt import BoundReport, Ellipsoid, default_family, gaussian_measure, reports, save_family
 from steinclt.cli import run
 
 
@@ -151,6 +159,58 @@ def test_git_revision_runs_once_and_only_for_json(tmp_path, monkeypatch, capsys)
     assert len(calls) <= 1
     assert (tmp_path / "a.csv").is_file() and not (tmp_path / "a.json").exists()
     assert json.loads((tmp_path / "b.json").read_text())["rows"] == rows
+
+
+def test_json_names_the_versions_and_csv_bytes_stay(tmp_path, capsys):
+    argv = ["delta", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "1000", "--seed", "3"]
+    code, csv_text = _run_capture(capsys, argv)
+    assert code == 0
+    assert run(argv + ["--out", str(tmp_path / "r"), "--format", "both"]) == 0
+    assert (tmp_path / "r.csv").read_text() == csv_text
+    rows = [{"k": 1, "delta_hat": 0.5}]
+    assert reports.rows_to_csv("delta", ("k", "delta_hat"), rows) == (
+        "# steinclt-csv v1 subcommand=delta\nk,delta_hat\n1,0.5\n"
+    )
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert payload["versions"] == {
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+        "steinclt": steinclt.__version__,
+    }
+
+
+_START_UP = """
+import json, sys
+import numpy as np
+import steinclt
+import steinclt.cli
+
+code = steinclt.cli.run(["bounds", "--source", "rademacher", "--k", "2", "--n", "16",
+                         "--M", "1000", "--seed", "7"])
+loaded = [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules]
+ellipse = steinclt.Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
+mass = steinclt.gaussian_measure(ellipse.dilate(0.1))
+print(json.dumps({"code": code, "loaded": loaded, "mass": mass,
+                  "stats_after_qmc": "scipy.stats" in sys.modules}))
+"""
+
+
+def test_cli_start_up_leaves_scipy_stats_and_integrate_unimported():
+    # a fresh interpreter, since the test modules import scipy.stats themselves;
+    # importing it (and scipy.optimize through scipy.integrate) took longer
+    # than a small bounds run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=path), check=True)
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0
+    assert report["loaded"] == []
+    # the QMC fallback imports scipy.stats.qmc on its first call
+    assert report["stats_after_qmc"]
+    ellipse = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
+    assert report["mass"] == gaussian_measure(ellipse.dilate(0.1))
 
 
 @pytest.mark.parametrize("bad_M", ["2000.5", "NaN", "true"])

@@ -28,7 +28,7 @@ from steinclt import (
     shell_measure,
     shifted_measure_batch,
 )
-from steinclt.convex import DilatedBox, _qmc_membership_mean, set_to_config
+from steinclt.convex import DilatedBox, _ncx2_cdf, _qmc_membership_mean, set_to_config
 from steinclt.errors import ConfigurationError, DimensionMismatchError, DomainError
 
 
@@ -259,6 +259,30 @@ def test_shifted_measure_batch_matches_translate_scale():
         for row, v in zip(shifts, vals):
             moved = C.translate(-row).scale(1.0 / sigma)
             assert v == pytest.approx(gaussian_measure(moved), abs=1e-10)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_ball_measures_equal_scipy_ncx2_cdf_bit_for_bit(k):
+    # the library calls scipy.special so as not to import scipy.stats; the
+    # values must stay those of scipy.stats.ncx2.cdf exactly
+    from scipy import stats
+
+    gen = RngStream(17, stream_id=k).generator()
+    center = gen.standard_normal(k)
+    for radius in (0.0, 0.4, 1.1, 3.0):
+        ball = Ball(center, radius)
+        assert ball.closed_form_measure() == stats.ncx2.cdf(radius**2, k, center @ center)
+        # first and last rows sit on the center: noncentrality exactly 0
+        shifts = np.vstack([center, center + 2.0 * gen.standard_normal((40, k)), center])
+        for sigma in (0.3, 1.0, 2.5):
+            nc = np.sum((shifts - center) ** 2, axis=1) / sigma**2
+            assert nc[0] == nc[-1] == 0.0
+            expected = stats.ncx2.cdf((radius / sigma) ** 2, k, nc)
+            assert np.array_equal(ball.shifted_measure(shifts, sigma), expected)
+            assert np.array_equal(shifted_measure_batch(ball, shifts, sigma), expected)
+    nc = np.array([0.0, 0.5, math.inf, math.nan])
+    assert np.array_equal(_ncx2_cdf(math.inf, k, nc), stats.ncx2.cdf(math.inf, k, nc),
+                          equal_nan=True)
 
 
 _INF = math.inf
