@@ -72,8 +72,8 @@ class SmoothingParams:
     k: int = 1
 
     def __post_init__(self):
-        if self.alpha <= 0.5:
-            raise HypothesisViolationError("smoothing needs alpha > 1/2")
+        if not self.alpha > 0.5:
+            raise HypothesisViolationError(f"smoothing needs alpha > 1/2, got {self.alpha}")
 
     @staticmethod
     def for_dimension(k: int, t: float, alpha: float = DEFAULT_ALPHA) -> "SmoothingParams":
@@ -107,8 +107,8 @@ def smoothed_discrepancy_bound(
 
 def smoothing_bound(gamma_star: float, omega_star: float, alpha: float = DEFAULT_ALPHA) -> float:
     """(2 alpha - 1)^{-1} (gamma* + omega*); prefactor 4/3 at alpha = 7/8."""
-    if alpha <= 0.5:
-        raise HypothesisViolationError("smoothing inequality needs alpha > 1/2")
+    if not alpha > 0.5:
+        raise HypothesisViolationError(f"smoothing inequality needs alpha > 1/2, got {alpha}")
     return (gamma_star + omega_star) / (2.0 * alpha - 1.0)
 
 
@@ -118,11 +118,21 @@ def optimal_t(k: int, rho3: float, n: int, delta_prev: float) -> float:
     A zero delta_prev degenerates the formula; the floor T_FLOOR keeps the
     smoothing kernel non-degenerate.
     """
-    if k < 1 or rho3 <= 0.0 or n < 1:
-        raise DomainError("inputs must be positive")
+    if not (k >= 1 and rho3 > 0.0 and n >= 1):
+        raise DomainError(f"inputs must be positive, got k={k}, rho3={rho3}, n={n}")
+    if math.isnan(delta_prev):
+        raise DomainError("delta_prev must not be NaN")
     if delta_prev <= 0.0:
         return T_FLOOR
     return min(1.0, math.sqrt(k) * delta_prev * rho3 / math.sqrt(n))
+
+
+def _check_rho3_delta(rho3: float, delta_prev: float) -> None:
+    # written so that NaN fails both
+    if not rho3 > 0.0:
+        raise DomainError(f"rho3 must be positive, got {rho3}")
+    if not delta_prev >= 0.0:
+        raise DomainError(f"delta_prev must be >= 0, got {delta_prev}")
 
 
 def recursion_bound(
@@ -133,6 +143,7 @@ def recursion_bound(
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"needs a finite t > 0, got {t}")
+    _check_rho3_delta(rho3, delta_prev)
     lead = consts.c6 * k**1.5 * rho3 * delta_prev / (math.sqrt(n) * math.sqrt(t))
     mid = consts.c7 * k**2.5 * rho3 / math.sqrt(n)
     shell = consts.c8 * k * math.sqrt(t) * math.exp(t)
@@ -147,8 +158,7 @@ def recursion_step_bound(
     """
     if n < 2:
         raise DomainError("needs n >= 2")
-    if delta_prev < 0.0:
-        raise DomainError("delta_prev must be >= 0")
+    _check_rho3_delta(rho3, delta_prev)
     lead = consts.c9 * k**1.25 * math.sqrt(rho3) * math.sqrt(delta_prev) / n**0.25
     tail = consts.c7 * k**1.5 * rho3 / math.sqrt(n)
     return lead + tail
@@ -156,8 +166,8 @@ def recursion_step_bound(
 
 def berry_esseen_bound(k: int, rho3: float, n: int, c: float = 1.0) -> float:
     """The main iid statement: delta_n <= c k^{5/2} rho3 / sqrt(n)."""
-    if k < 1 or n < 1 or rho3 <= 0.0:
-        raise DomainError("inputs must be positive")
+    if not (k >= 1 and n >= 1 and rho3 > 0.0):
+        raise DomainError(f"inputs must be positive, got k={k}, rho3={rho3}, n={n}")
     return c * k**2.5 * rho3 / math.sqrt(n)
 
 
@@ -165,15 +175,15 @@ def noniid_bound(k: int, beta3: float, c: float = 1.0) -> float:
     """Non-iid statement delta_n <= c k^{5/2} beta3 (hypothesis beta3 < 1)."""
     if beta3 >= 1.0:
         raise HypothesisViolationError("the non-iid bound assumes beta3 < 1")
-    if beta3 <= 0.0:
-        raise DomainError("beta3 must be positive")
+    if not beta3 > 0.0:
+        raise DomainError(f"beta3 must be positive, got {beta3}")
     return c * k**2.5 * beta3
 
 
 def gamma3_bound(k: int, gamma3: float, c: float = 1.0) -> float:
     """Componentwise variant delta_n <= c k gamma3 (better when gamma3 small)."""
-    if gamma3 <= 0.0:
-        raise DomainError("gamma3 must be positive")
+    if not gamma3 > 0.0:
+        raise DomainError(f"gamma3 must be positive, got {gamma3}")
     return c * k * gamma3
 
 
@@ -433,11 +443,12 @@ class SlopeFit:
 
 
 def loglog_slope(xs, values, std_errors) -> SlopeFit:
-    """WLS slope of log(values) on log(xs); undefined if any value is noise."""
+    """WLS slope of log(values) on log(xs); undefined if any value is noise or not finite."""
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     std_errors = np.asarray(std_errors, dtype=float)
-    if np.any(values <= 3.0 * std_errors) or len(xs) < 2:
+    # written so that a NaN value or standard error, or an infinite one, fails
+    if len(xs) < 2 or not (np.isfinite(values).all() and np.all(values > 3.0 * std_errors)):
         return SlopeFit(math.nan, math.nan, math.nan, False)
     lx = np.log(xs)
     ly = np.log(values)
@@ -517,9 +528,14 @@ def dim_scan(
 
 
 def scaling_trend_ok(values, std_errors, factor: float = 3.0) -> bool:
-    """True when no later value exceeds an earlier one beyond combined errors."""
+    """True when no later value exceeds an earlier one beyond combined errors.
+
+    False when any value or standard error is not finite.
+    """
     values = np.asarray(values, dtype=float)
     std_errors = np.asarray(std_errors, dtype=float)
+    if not (np.isfinite(values).all() and np.isfinite(std_errors).all()):
+        return False
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             combined = math.hypot(std_errors[i], std_errors[j])

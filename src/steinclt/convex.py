@@ -7,13 +7,15 @@ predicate-backed set whose membership is decided by exact or iterative
 distance computations, which is all the Monte Carlo machinery needs.
 
 Sets are closed: boundary points count as inside.  Each variant keeps its
-closed forms on its own class: half-spaces, balls (central and off-center)
-and boxes give Phi(C), the shifted measure P(s + sigma Z in C), and the
-mixed partials and gradient/Laplacian jet of x -> P(alpha x + w Z in C)
-that the OU semigroup needs; a dilated box (`DilatedBox`) gives the first
-two.  The base class returns None for each, which sends the caller to a
-scrambled-Sobol QMC estimate or to quadrature.  A serializable variant names
-its config tag and constructor fields.
+closed forms on its own class, in three hooks: `shifted_measure`, the
+shifted measure P(s + sigma Z in C), whose value at s = 0 and sigma = 1 is
+Phi(C); `smoothed_derivative`, the mixed partials of x -> P(alpha x + w Z
+in C); and `smoothed_jet`, its gradient and Laplacian, which the OU
+semigroup needs.  Half-spaces, balls (central and off-center) and boxes give
+all three; a dilated box (`DilatedBox`) gives the shifted measure.  The base
+class returns None from each, which sends the caller to a scrambled-Sobol
+QMC estimate or to quadrature.  A serializable variant names its config tag
+and constructor fields.
 
 A ball's noncentral chi-square CDF is scipy.special's chndtr (chdtr at
 noncentrality 0), equal bit for bit to scipy.stats.ncx2.cdf.  scipy.stats is
@@ -32,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from .errors import ConfigurationError, DimensionMismatchError, DomainError
-from .gaussian import chi_cdf, hermite_he, multiplicities, norm_cdf, norm_pdf
+from .gaussian import hermite_he, multiplicities, norm_cdf, norm_pdf
 from .quadrature import gauss_legendre_panel
 from .rng import RngStream
 
@@ -59,10 +61,11 @@ def _ret(mask, single):
 class ConvexSet:
     """Base type: immutable by convention, membership vectorized.
 
-    The closed-form hooks below return None here, and a caller that gets
-    None falls back to QMC or quadrature, one hook at a time.  A variant
-    that overrides `closed_form_measure` and `shifted_measure` sets
-    `has_closed_form`; its derivative hooks may still return None.  The
+    The closed-form hooks below (`shifted_measure`, `smoothed_derivative`,
+    `smoothed_jet`) return None here, and a caller that gets None falls back
+    to QMC or quadrature, one hook at a time.  A variant that overrides
+    `shifted_measure` sets `has_closed_form`, and its Phi(C) is that hook at
+    shift 0 and sigma 1; its derivative hooks may still return None.  The
     hooks assume a non-empty set: callers answer for the empty set first.
     """
 
@@ -84,10 +87,6 @@ class ConvexSet:
         Sets whose keys are equal compute the same statistic, so a family
         evaluates it once per sample for all of them (`SetFamily.counts`).
         """
-        return None
-
-    def closed_form_measure(self) -> float | None:
-        """Phi(C) for the standard Gaussian, or None."""
         return None
 
     def shifted_measure(self, shifts, sigma: float):
@@ -168,9 +167,6 @@ class HalfSpace(ConvexSet):
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         return _ret(_projection(self.normal, pts) <= self.offset, single)
-
-    def closed_form_measure(self):
-        return float(norm_cdf(self.offset))
 
     def shifted_measure(self, shifts, sigma):
         return norm_cdf((self.offset - shifts @ self.normal) / sigma)
@@ -329,37 +325,31 @@ class Ball(ConvexSet):
         pts, single = _as_points(x, self.dim)
         return _ret(_center_distance(self.center, pts) <= self.radius, single)
 
-    def closed_form_measure(self):
-        nc = float(self.center @ self.center)
-        if nc == 0.0:
-            return float(chi_cdf(self.radius, self.dim))
-        # off-center ball: exact noncentral chi-square CDF
-        return float(_ncx2_cdf(self.radius**2, self.dim, nc))
-
     def shifted_measure(self, shifts, sigma):
         delta = shifts - self.center
         nc = np.sum(delta * delta, axis=1) / sigma**2
         q = (self.radius / sigma) ** 2
         return _ncx2_cdf(q, self.dim, nc)
 
-    def _noncentrality(self, alpha, w, X):
-        """q, lambda(x) and its derivatives for P(alpha x + w Z in C) = F_k(q; lambda(x)).
+    def _lambda_derivatives(self, alpha, w, X, m):
+        """dF, grad lambda and d2 for P(alpha x + w Z in C) = F_k(q; lambda(x)).
 
-        Returns q = r^2/w^2, lambda = |alpha x - c|^2 / w^2 (M,), grad lambda
-        (M, k), and the constant d2 with D_ij lambda = d2 * delta_ij.
+        With q = r^2/w^2 and lambda = |alpha x - c|^2 / w^2, dF lists
+        d^j F_k / d lambda^j (M,) for j = 1..m, grad lambda is (M, k) and
+        D_ij lambda = d2 * delta_ij.
         """
         mu = alpha * X - self.center
         w2 = w * w
         lam = np.sum(mu * mu, axis=1) / w2
-        return self.radius**2 / w2, lam, 2.0 * alpha * mu / w2, 2.0 * alpha * alpha / w2
-
-    def smoothed_derivative(self, alpha, w, X, idx):
-        q, lam, dl, d2l = self._noncentrality(alpha, w, X)
-        m = len(idx)
         # d^j F_k / d lambda^j = -2^{1-j} Delta^{j-1} f_{k+2}, Delta the forward
         # difference in the degrees of freedom
-        f = _ncx2_densities(q, self.dim, lam, m)
+        f = _ncx2_densities(self.radius**2 / w2, self.dim, lam, m)
         dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
+        return dF, 2.0 * alpha * mu / w2, 2.0 * alpha * alpha / w2
+
+    def smoothed_derivative(self, alpha, w, X, idx):
+        m = len(idx)
+        dF, dl, d2l = self._lambda_derivatives(alpha, w, X, m)
         if m == 1:
             (i,) = idx
             return dF[0] * dl[:, i]
@@ -378,9 +368,7 @@ class Ball(ConvexSet):
 
     def smoothed_jet(self, alpha, w, X):
         # grad F(lambda) = F' grad lambda;  Laplacian = F'' |grad lambda|^2 + F' k d2
-        q, lam, dl, d2l = self._noncentrality(alpha, w, X)
-        f_k2, f_k4 = _ncx2_densities(q, self.dim, lam, 2)
-        dF1, dF2 = -f_k2, 0.5 * (f_k2 - f_k4)
+        (dF1, dF2), dl, d2l = self._lambda_derivatives(alpha, w, X, 2)
         grad = dF1[:, None] * dl
         lap = dF2 * np.sum(dl * dl, axis=1) + dF1 * (self.dim * d2l)
         return grad, lap
@@ -454,10 +442,6 @@ class Box(ConvexSet):
             inside &= pts[:, j] >= self.lower[j]
             inside &= pts[:, j] <= self.upper[j]
         return _ret(inside, single)
-
-    def closed_form_measure(self):
-        mass = float(np.prod(norm_cdf(self.upper) - norm_cdf(self.lower)))
-        return max(mass, 0.0)
 
     def shifted_measure(self, shifts, sigma):
         hi = (self.upper - shifts) / sigma
@@ -732,21 +716,15 @@ class DilatedBox(DilatedSet):
 
     has_closed_form = True
 
-    def _mass(self, lo, hi, rho):
-        step = max(_SECTOR_CHUNK // (_SECTOR_NODES + 1) ** (self.dim - 1), 1)
-        return np.concatenate([
-            _dilated_box_mass(lo[i : i + step], hi[i : i + step], rho[i : i + step, None])[:, 0]
-            for i in range(0, len(lo), step)
-        ])
-
-    def closed_form_measure(self):
-        base = self.base
-        return float(self._mass(base.lower[None], base.upper[None], np.array([self.eps]))[0])
-
     def shifted_measure(self, shifts, sigma):
         lo = (self.base.lower - shifts) / sigma
         hi = (self.base.upper - shifts) / sigma
-        return self._mass(lo, hi, np.full(len(shifts), self.eps / sigma))
+        rho = np.full((len(shifts), 1), self.eps / sigma)
+        step = max(_SECTOR_CHUNK // (_SECTOR_NODES + 1) ** (self.dim - 1), 1)
+        return np.concatenate([
+            _dilated_box_mass(lo[i : i + step], hi[i : i + step], rho[i : i + step])[:, 0]
+            for i in range(0, len(shifts), step)
+        ])
 
 
 class ErodedSet(ConvexSet):
@@ -807,9 +785,8 @@ def gaussian_measure_estimate(C: ConvexSet, n_points: int = 1 << 16) -> tuple[fl
     """(Phi(C), standard error); the error is 0 for analytic variants."""
     if C.is_empty:
         return 0.0, 0.0
-    mass = C.closed_form_measure()
-    if mass is not None:
-        return mass, 0.0
+    if C.has_closed_form:  # Phi(C) is the shifted measure at shift 0, sigma 1
+        return float(C.shifted_measure(np.zeros((1, C.dim)), 1.0)[0]), 0.0
     return _qmc_membership_mean(C, n_points)
 
 

@@ -155,9 +155,9 @@ def abs_d3_integral(pattern: str, k: int) -> float:
 
 
 def chi_cdf(r, k: int):
-    """P(|Z| <= r) for Z ~ N(0, I_k); the chi CDF with k degrees of freedom."""
+    """P(|Z| <= r) for Z ~ N(0, I_k); the chi CDF with k degrees of freedom, NaN at NaN r."""
     r = np.asarray(r, dtype=float)
-    out = np.where(r > 0.0, special.gammainc(0.5 * k, 0.5 * np.square(r)), 0.0)
+    out = special.gammainc(0.5 * k, 0.5 * np.square(np.maximum(r, 0.0)))
     return out if out.ndim else float(out)
 
 
@@ -176,8 +176,8 @@ def quantile_a(k: int) -> QuantileResult:
     Bisection on the regularized incomplete gamma is unconditionally robust;
     the bracket grows geometrically from sqrt(k) so large k is fine.
     """
-    if k < 1:
-        raise DomainError("dimension k must be >= 1")
+    if not k >= 1:
+        raise DomainError(f"dimension k must be >= 1, got {k}")
     lo, hi = 0.0, math.sqrt(k) + 10.0
     for _ in range(200):
         if chi_cdf(hi, k) > QUANTILE_MASS:

@@ -69,9 +69,6 @@ class IndicatorFunction(TestFunction):
             return 1.0 if out else 0.0
         return out.astype(float)
 
-    def gaussian_mean(self) -> float:
-        return gaussian_measure(self.set)
-
 
 class SmoothFunction(TestFunction):
     """Smooth test function with optional exact gradient and Hessian."""
@@ -99,41 +96,25 @@ def hermite_product_function(orders) -> SmoothFunction:
                 val = val * hermite_he(m, X[:, j])
         return float(val[0]) if single else val
 
-    def he_d(m, z):  # He_m' = m He_{m-1}
-        return m * hermite_he(m - 1, z) if m else np.zeros_like(z)
+    def factor(m, r, z):  # d^r/dz^r He_m(z) = m!/(m-r)! He_{m-r}(z), 0 past m
+        return math.perm(m, r) * float(hermite_he(m - r, z)) if r <= m else 0.0
 
-    def he_dd(m, z):
-        return m * (m - 1) * hermite_he(m - 2, z) if m >= 2 else np.zeros_like(z)
-
+    # every gradient and Hessian entry is a product of one factor per coordinate
     def grad(x):
         x = np.asarray(x, dtype=float)
-        g = np.empty_like(x)
-        for i, mi in enumerate(orders):
-            v = he_d(mi, x[i : i + 1])[0] if mi else 0.0
-            for j, mj in enumerate(orders):
-                if j != i and mj:
-                    v *= float(hermite_he(mj, x[j]))
-            g[i] = v
-        return g
+        return np.array([
+            math.prod([factor(mi, 1, x[i])]
+                      + [factor(m, 0, x[j]) for j, m in enumerate(orders) if j != i])
+            for i, mi in enumerate(orders)
+        ])
 
     def hess(x):
         x = np.asarray(x, dtype=float)
-        k = x.size
-        H = np.empty((k, k))
-        for i in range(k):
-            for j in range(k):
-                v = 1.0
-                for a, ma in enumerate(orders):
-                    za = x[a : a + 1]
-                    if a == i and a == j:
-                        fac = he_dd(ma, za)[0]
-                    elif a == i or a == j:
-                        fac = he_d(ma, za)[0] if ma else 0.0
-                    else:
-                        fac = float(hermite_he(ma, za)[0]) if ma else 1.0
-                    v *= float(fac)
-                H[i, j] = v
-        return H
+        return np.array([
+            [math.prod(factor(m, (a == i) + (a == j), x[a]) for a, m in enumerate(orders))
+             for j in range(len(orders))]
+            for i in range(len(orders))
+        ])
 
     return SmoothFunction(fn, grad=grad, hess=hess)
 
@@ -194,7 +175,7 @@ def _closed_form_set(h: TestFunction, quad: QuadratureSpec):
 def gaussian_mean(h: TestFunction, k: int, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Integral of h against the standard Gaussian."""
     if isinstance(h, IndicatorFunction):
-        return h.gaussian_mean()
+        return gaussian_measure(h.set)
     nodes, wts = _inner_points(k, quad, _fallback(k, quad))
     return float(np.asarray(h(nodes), dtype=float) @ wts)
 

@@ -305,6 +305,37 @@ def test_nan_radius_raises(call):
         call()
 
 
+_CONSTS = ConstantsConfig()
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: berry_esseen_bound(2, _NAN, 16), DomainError),
+        (lambda: noniid_bound(2, _NAN), DomainError),
+        (lambda: gamma3_bound(2, _NAN), DomainError),
+        (lambda: recursion_step_bound(2, _NAN, 16, 0.25, _CONSTS), DomainError),
+        (lambda: recursion_step_bound(2, 1.0, 16, _NAN, _CONSTS), DomainError),
+        (lambda: recursion_bound(2, _NAN, 16, 0.5, 0.25, _CONSTS), DomainError),
+        (lambda: recursion_bound(2, 1.0, 16, 0.5, _NAN, _CONSTS), DomainError),
+        (lambda: optimal_t(2, _NAN, 16, 0.25), DomainError),
+        (lambda: optimal_t(2, 1.0, 16, _NAN), DomainError),
+        (lambda: smoothing_bound(0.1, 0.1, alpha=_NAN), HypothesisViolationError),
+        (lambda: SmoothingParams.for_dimension(2, 0.5, alpha=_NAN), HypothesisViolationError),
+    ],
+    ids=["berry_esseen_bound-rho3", "noniid_bound-beta3", "gamma3_bound-gamma3",
+         "recursion_step_bound-rho3", "recursion_step_bound-delta_prev", "recursion_bound-rho3",
+         "recursion_bound-delta_prev", "optimal_t-rho3", "optimal_t-delta_prev",
+         "smoothing_bound-alpha", "SmoothingParams.for_dimension-alpha"],
+)
+def test_nan_bound_input_raises(call, error):
+    # each check used to be written as `x <= bound`, which NaN passes: the
+    # bounds returned nan, optimal_t returned 1.0 and alpha = nan was accepted
+    with pytest.raises(error):
+        call()
+
+
 def test_bound_report_checks_t_before_sampling(monkeypatch):
     def sampled(*args, **kwargs):
         raise AssertionError("delta_hat ran before t was checked")
@@ -330,6 +361,20 @@ def test_loglog_slope_undefined_for_noise():
 def test_scaling_trend():
     assert scaling_trend_ok([0.4, 0.39, 0.41], [0.01, 0.01, 0.01])
     assert not scaling_trend_ok([0.4, 0.5], [0.01, 0.01])
+
+
+@pytest.mark.parametrize(
+    "values, std_errors",
+    [([0.5, _NAN], [0.01, 0.01]), ([_NAN, 0.5], [0.01, 0.01]), ([0.5, 0.4], [0.01, _NAN]),
+     ([0.5, math.inf], [0.01, 0.01]), ([0.5, 0.4], [math.inf, 0.01])],
+    ids=["nan-last", "nan-first", "nan-error", "inf-value", "inf-error"],
+)
+def test_non_finite_data_has_no_trend_and_no_slope(values, std_errors):
+    # NaN fails every comparison, so NaN data passed the trend check and gave
+    # a defined nan slope
+    assert not scaling_trend_ok(values, std_errors)
+    fit = loglog_slope([1.0, 2.0], values, std_errors)
+    assert not fit.defined and math.isnan(fit.slope)
 
 
 def test_dim_scan_gaussian_undefined_exponent():

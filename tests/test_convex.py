@@ -32,6 +32,13 @@ from steinclt.convex import DilatedBox, _ncx2_cdf, _qmc_membership_mean, set_to_
 from steinclt.errors import ConfigurationError, DimensionMismatchError, DomainError
 
 
+def _closed_form_phi(C):
+    """Phi(C) from the set's closed form: the estimate carries no standard error."""
+    mass, std_error = gaussian_measure_estimate(C)
+    assert std_error == 0.0
+    return mass
+
+
 def _catalog(k=2):
     gen = RngStream(5, stream_id=2).generator()
     d = gen.standard_normal(k)
@@ -271,7 +278,9 @@ def test_ball_measures_equal_scipy_ncx2_cdf_bit_for_bit(k):
     center = gen.standard_normal(k)
     for radius in (0.0, 0.4, 1.1, 3.0):
         ball = Ball(center, radius)
-        assert ball.closed_form_measure() == stats.ncx2.cdf(radius**2, k, center @ center)
+        # Phi(C) is the shifted measure at shift 0, whose noncentrality is a row sum
+        nc = np.sum(np.square(center))
+        assert _closed_form_phi(ball) == stats.ncx2.cdf(radius**2, k, nc)
         # first and last rows sit on the center: noncentrality exactly 0
         shifts = np.vstack([center, center + 2.0 * gen.standard_normal((40, k)), center])
         for sigma in (0.3, 1.0, 2.5):
@@ -314,7 +323,7 @@ def test_dilation_of_an_empty_ball_is_empty():
 @pytest.mark.parametrize("lo, hi", [(-0.5, 0.7), (-_INF, 0.3), (0.2, _INF), (1.5, 1.5)])
 @pytest.mark.parametrize("eps", (0.1, 0.4, 2.0))
 def test_dilated_box_measure_in_one_dimension_is_exact(lo, hi, eps):
-    mass = Box([lo], [hi]).dilate(eps).closed_form_measure()
+    mass = _closed_form_phi(Box([lo], [hi]).dilate(eps))
     assert mass == pytest.approx(ndtr(hi + eps) - ndtr(lo - eps), abs=1e-14)
 
 
@@ -344,7 +353,7 @@ def _slice_integral(lo, hi, eps):
 )
 @pytest.mark.parametrize("eps", (0.1, 0.4, 1.0, 3.0))
 def test_dilated_box_measure_in_two_dimensions_matches_adaptive_quadrature(lo, hi, eps):
-    mass = Box(lo, hi).dilate(eps).closed_form_measure()
+    mass = _closed_form_phi(Box(lo, hi).dilate(eps))
     assert mass == pytest.approx(_slice_integral(lo, hi, eps), abs=1e-10)
 
 
@@ -358,7 +367,7 @@ def test_dilated_box_measure_in_two_dimensions_matches_adaptive_quadrature(lo, h
 @pytest.mark.parametrize("eps", (0.1, 0.4))
 def test_dilated_box_measure_matches_sobol(lo, hi, eps):
     box = Box(lo, hi)
-    mass = box.dilate(eps).closed_form_measure()
+    mass = _closed_form_phi(box.dilate(eps))
     # the predicate-backed parallel body has no closed form and goes to QMC
     est, se = _qmc_membership_mean(DilatedSet(box, eps), 1 << 20)
     assert abs(mass - est) <= 4.0 * se
@@ -373,13 +382,13 @@ def test_dilated_box_shifted_rows_match_translate_scale():
             for row, v in zip(shifts, vals):
                 moved = dil.translate(-row).scale(1.0 / sigma)
                 assert type(moved) is DilatedBox
-                assert v == pytest.approx(moved.closed_form_measure(), abs=1e-12)
+                assert v == pytest.approx(_closed_form_phi(moved), abs=1e-12)
 
 
 def test_dilated_box_above_four_dimensions_stays_predicate_backed():
     box = Box(-np.ones(5), np.ones(5))
     assert type(box.dilate(0.3)) is DilatedSet
-    assert box.dilate(0.3).closed_form_measure() is None
+    assert box.dilate(0.3).shifted_measure(np.zeros((1, 5)), 1.0) is None
 
 
 @st.composite

@@ -1,33 +1,47 @@
-"""Every narrative demo, from the Gaussian core to the bound pipeline, runs cleanly."""
+"""Every narrative demo, from the Gaussian core to the bound pipeline, runs cleanly.
 
+Each demo runs with `-W error`, so a warning fails it as it fails the
+in-process tests, and its stdout must match a sha256 recorded with
+steinclt 0.3.0 under the versions below (0.3.1 prints the same bytes).
+"""
+
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 
+RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
-@pytest.mark.parametrize(
-    "demo",
-    (
-        "01_gaussian_core.py",
-        "02_convex_smoothing.py",
-        "03_ou_semigroup.py",
-        "04_stein_solution.py",
-        "05_clt_discrepancy.py",
-        "06_bound_pipeline.py",
-    ),
-)
+STDOUT_SHA256 = {
+    "01_gaussian_core.py": "7ae6564809f25d35b6cf7a713cb24377802335e3e3e74a0e04c2f9cab7a6e5e1",
+    "02_convex_smoothing.py": "ce5decb783f4938c1ca7dab2f650074ae00906186efc184f906e458cb5f58496",
+    "03_ou_semigroup.py": "d05d974836ee478ac47fe7a91830ee56ab9fccfdbdb633d45fcc7fc01d6a04b5",
+    "04_stein_solution.py": "2cc3ece4420bca66e92e7debabcb4052b183c8467687a61f8600486f60f42fab",
+    "05_clt_discrepancy.py": "b05a24f46336dd150b82a5610b9e0c139bff70a5b777eb4f0ab3af0e5512a326",
+    "06_bound_pipeline.py": "5fc4192f219b991f5a02a7e6edba958e9bfccd8fadd295665baea181c9c1858c",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(STDOUT_SHA256))
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
+    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo], (
+        f"stdout differs from the digest recorded with {RECORDED_VERSIONS}; "
+        f"installed: {installed}"
+    )

@@ -1,0 +1,60 @@
+"""Seeded outputs pinned byte for byte to sha256 digests.
+
+The digests were recorded with steinclt 0.3.0, and 0.3.1 gives the same
+bytes: the Gaussian measures of the default set families for k = 1..4, and
+the CSV bodies (below the header line) of three check suites at seed 7.
+These bytes follow numpy and scipy, so a digest holds only for the versions
+recorded with it; under other versions each test fails and names both rather
+than skip, because a digest that cannot be checked has not passed.
+"""
+
+import hashlib
+
+import numpy
+import pytest
+import scipy
+
+from steinclt import default_family
+from steinclt.cli import run
+
+RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+FAMILY_MEASURES = {
+    1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
+    2: "9dad9655e86338913dc58f3e31f7f20f202c465fb13726d5ee0c435715907d0b",
+    3: "1a8ff3bc9f9f212b05f6ac4ce26f01fe87051e7d3c5c69c63a7ae373b20f16a6",
+    4: "53b6c421562a8251a634fdc216f240519f23ea3576222745f4672da39b6ac287",
+}
+
+CHECK_CSV_BODIES = {
+    ("check-inequalities", 3): "dda3e588b845627bd7e7cf703358e45e3c906e0c19528daaf53b8090ccd88cf1",
+    ("check-semigroup", 2): "f3b8d3f94c5c9e7802b4d32db2ab6da339875590aa4fb74c3a807e5a5b501c8c",
+    ("check-stein", 2): "14d4e1006d248ab6552b92a9b6c3f2a13bd00c13513363f674539b65d769e46e",
+}
+
+
+def _assert_recorded_versions():
+    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    assert installed == RECORDED_VERSIONS, (
+        f"digests were recorded with {RECORDED_VERSIONS} but {installed} is installed; "
+        "check the outputs under these versions and record their digests"
+    )
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("k", sorted(FAMILY_MEASURES))
+def test_default_family_measures_are_pinned(k):
+    _assert_recorded_versions()
+    assert _sha256(default_family(k).measures.tobytes()) == FAMILY_MEASURES[k]
+
+
+@pytest.mark.parametrize("subcommand, k", sorted(CHECK_CSV_BODIES))
+def test_check_suite_csv_body_is_pinned(subcommand, k, capsys):
+    _assert_recorded_versions()
+    assert run([subcommand, "--k", str(k), "--seed", "7"]) == 0
+    header, body = capsys.readouterr().out.split("\n", 1)
+    assert header.startswith("# steinclt-csv v1")
+    assert _sha256(body.encode()) == CHECK_CSV_BODIES[subcommand, k]

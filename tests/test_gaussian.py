@@ -170,3 +170,19 @@ def test_quantile_large_k():
 
 def test_chi_cdf_zero_below_zero():
     assert chi_cdf(-1.0, 3) == 0.0
+
+
+def test_chi_cdf_is_nan_at_nan_and_unchanged_above_zero():
+    # NaN fails `r > 0`, so a NaN radius used to read as probability 0
+    assert math.isnan(chi_cdf(math.nan, 3))
+    r = np.array([math.nan, -1.0, 0.0, 1e-300, 0.3, 1.7, 40.0, math.inf])
+    for k in (1, 2, 5):
+        out = chi_cdf(r, k)
+        assert math.isnan(out[0]) and out[1] == out[2] == 0.0
+        assert np.array_equal(out[3:], special.gammainc(0.5 * k, 0.5 * np.square(r[3:])))
+
+
+def test_quantile_rejects_a_nan_dimension():
+    # a NaN k used to pass `k < 1` and fail later with BracketError
+    with pytest.raises(DomainError):
+        quantile_a(math.nan)
