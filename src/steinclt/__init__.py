@@ -124,4 +124,4 @@ from .bounds import (
     smoothing_bound,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"

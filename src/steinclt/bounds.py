@@ -443,12 +443,20 @@ class SlopeFit:
 
 
 def loglog_slope(xs, values, std_errors) -> SlopeFit:
-    """WLS slope of log(values) on log(xs); undefined if any value is noise or not finite."""
+    """WLS slope of log(values) on log(xs).
+
+    Defined only when every x is finite and > 0, every value is finite and
+    above three standard errors, and no standard error is negative.
+    """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     std_errors = np.asarray(std_errors, dtype=float)
-    # written so that a NaN value or standard error, or an infinite one, fails
-    if len(xs) < 2 or not (np.isfinite(values).all() and np.all(values > 3.0 * std_errors)):
+    # written so that a NaN x, value or standard error, or an infinite one, fails
+    if len(xs) < 2 or not (
+        np.isfinite(xs).all() and np.all(xs > 0.0)
+        and np.isfinite(values).all() and np.all(values > 3.0 * std_errors)
+        and np.all(std_errors >= 0.0)
+    ):
         return SlopeFit(math.nan, math.nan, math.nan, False)
     lx = np.log(xs)
     ly = np.log(values)

@@ -86,8 +86,14 @@ def hermite_product_function(orders) -> SmoothFunction:
     """Product of 1D Hermite polynomials; eigenfunction of L with value -sum(orders)."""
     orders = tuple(int(m) for m in orders)
 
+    def points(x, ndims):
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in ndims or x.shape[-1] != len(orders):
+            raise DomainError(f"needs points of length {len(orders)}, got shape {x.shape}")
+        return x
+
     def fn(x):
-        arr = np.asarray(x, dtype=float)
+        arr = points(x, (1, 2))
         single = arr.ndim == 1
         X = np.atleast_2d(arr)
         val = np.ones(len(X))
@@ -101,7 +107,7 @@ def hermite_product_function(orders) -> SmoothFunction:
 
     # every gradient and Hessian entry is a product of one factor per coordinate
     def grad(x):
-        x = np.asarray(x, dtype=float)
+        x = points(x, (1,))
         return np.array([
             math.prod([factor(mi, 1, x[i])]
                       + [factor(m, 0, x[j]) for j, m in enumerate(orders) if j != i])
@@ -109,7 +115,7 @@ def hermite_product_function(orders) -> SmoothFunction:
         ])
 
     def hess(x):
-        x = np.asarray(x, dtype=float)
+        x = points(x, (1,))
         return np.array([
             [math.prod(factor(m, (a == i) + (a == j), x[a]) for a, m in enumerate(orders))
              for j in range(len(orders))]

@@ -13,6 +13,10 @@ block b of BLOCK_SIZE draws comes from the counter-based stream
 so a seed fixes every number.  On top of it, `mean_over_blocks` turns
 per-target statistics into means with standard errors, and `sup_deviation`
 reports the largest deviation from a Gaussian reference as an `Estimate`.
+The statistics given to `mean_over_blocks` are row-wise (each column comes
+from its own row of S_n), so it evaluates each distinct row of a block once:
+a Rademacher S_n lives on the (n+1)^k lattice and repeats rows often, while
+the continuous laws hand their blocks over untouched.
 """
 
 from __future__ import annotations
@@ -416,15 +420,42 @@ def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
     return total
 
 
+def _distinct_rows(X):
+    """(first, inverse) with X[first][inverse] == X, or (None, None) if no two rows are equal.
+
+    The row key is built one column at a time from 1-D `np.unique` codes and
+    kept dense, so it never exceeds len(X)^2; a column whose entries are all
+    distinct settles that no two rows are equal.
+    """
+    key = np.zeros(len(X), dtype=np.int64)
+    for col in X.T:
+        levels, codes = np.unique(col, return_inverse=True)
+        if len(levels) == len(X):
+            return None, None
+        _, first, key = np.unique(key * len(levels) + codes, return_index=True, return_inverse=True)
+    if len(first) == len(X):
+        return None, None
+    return first, key
+
+
 def mean_over_blocks(src, n: int, M: int, stream: RngStream, values):
     """Per-target means and standard errors of `values` over M draws of S_n.
 
-    `values(X)` returns a (T, rows) array, one row per target; the variance
-    is the plug-in max(sum f^2 / M - mean^2, 0).
+    `values(X)` returns a (T, rows) array, one row per target, and must
+    compute each column from its own row of X alone.  It is called once per
+    block on the distinct rows of that block (on the block itself when no
+    two rows are equal), and its columns are scattered back to every row
+    before the row sums are taken.  The variance is the plug-in
+    max(sum f^2 / M - mean^2, 0).
     """
 
     def block_sums(X):
-        f = np.asarray(values(X), dtype=float)
+        first, inverse = _distinct_rows(X)
+        if first is None:
+            f = np.asarray(values(X), dtype=float)
+        else:
+            # take keeps f C-ordered, so each row sums in the same order as a whole block
+            f = np.take(np.asarray(values(X[first]), dtype=float), inverse, axis=1)
         return np.stack([f.sum(axis=1), (f * f).sum(axis=1)])
 
     acc = sum_over_blocks(src, n, M, stream, block_sums)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,17 +229,22 @@ def test_gamma_star_dominated_by_family_sup():
 
 
 def test_gamma_star_recomputed_from_blocks():
-    _check_gamma_star_against_blocks(Ball(np.zeros(2), 1.1))
+    _check_gamma_star_against_blocks(Ball(np.zeros(2), 1.1), rademacher_source(2))
 
 
 def test_gamma_star_recomputed_from_blocks_on_a_box():
     # the box's dilation smooths through DilatedBox's closed form
-    _check_gamma_star_against_blocks(Box([-0.8, -0.6], [0.9, 1.2]))
+    _check_gamma_star_against_blocks(Box([-0.8, -0.6], [0.9, 1.2]), rademacher_source(2))
 
 
-def _check_gamma_star_against_blocks(C):
-    # block b is sample_sum on stream.block(b); per-target sums of T_t 1_B add up in block order
-    src = rademacher_source(2)
+def test_gamma_star_recomputed_from_all_rows_of_gaussian_blocks():
+    _check_gamma_star_against_blocks(Ball(np.zeros(2), 1.1), gaussian_source(2))
+
+
+def _check_gamma_star_against_blocks(C, src):
+    # block b is sample_sum on stream.block(b); per-target sums of T_t 1_B add up in block order.
+    # The reference evaluates every row, so a lattice source checks that evaluating its
+    # distinct rows once and scattering them back moves no bit
     t, eps, M = 0.5, 0.2, 2 * BLOCK_SIZE + 500
     translates = [[0.0, 0.0], [0.3, -0.2]]
     stream = RngStream(38)
@@ -356,6 +362,20 @@ def test_loglog_slope_recovers_power_law():
 def test_loglog_slope_undefined_for_noise():
     fit = loglog_slope([1, 2, 3], [1e-4, 2e-4, 1e-4], [1e-3, 1e-3, 1e-3])
     assert not fit.defined
+
+
+@pytest.mark.parametrize(
+    "xs, std_errors",
+    [([0.0, 1.0], [0.01, 0.01]), ([-1.0, 1.0], [0.01, 0.01]), ([_NAN, 1.0], [0.01, 0.01]),
+     ([1.0, math.inf], [0.01, 0.01]), ([1.0, 2.0], [-0.01, 0.01])],
+    ids=["zero-x", "negative-x", "nan-x", "inf-x", "negative-error"],
+)
+def test_loglog_slope_undefined_off_its_domain(xs, std_errors):
+    # log(0) gave a defined nan slope with RuntimeWarnings, and a negative error passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = loglog_slope(xs, [0.5, 0.4], std_errors)
+    assert not fit.defined and math.isnan(fit.slope)
 
 
 def test_scaling_trend():

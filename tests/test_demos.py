@@ -2,7 +2,9 @@
 
 Each demo runs with `-W error`, so a warning fails it as it fails the
 in-process tests, and its stdout must match a sha256 recorded with
-steinclt 0.3.0 under the versions below (0.3.1 prints the same bytes).
+steinclt 0.3.0 (0.3.1 and 0.3.2 print the same bytes).  Every digest is
+keyed by the steinclt, numpy and scipy versions below; under other versions
+the test fails and names both rather than skip.
 """
 
 import hashlib
@@ -15,9 +17,11 @@ import numpy
 import pytest
 import scipy
 
+import steinclt
+
 ROOT = Path(__file__).resolve().parent.parent
 
-RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.3.2", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 STDOUT_SHA256 = {
     "01_gaussian_core.py": "7ae6564809f25d35b6cf7a713cb24377802335e3e3e74a0e04c2f9cab7a6e5e1",
@@ -40,8 +44,11 @@ def test_demo_exits_cleanly(demo):
         cwd=ROOT, env=env, capture_output=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
-    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo], (
-        f"stdout differs from the digest recorded with {RECORDED_VERSIONS}; "
-        f"installed: {installed}"
+    installed = {
+        "steinclt": steinclt.__version__, "numpy": numpy.__version__, "scipy": scipy.__version__,
+    }
+    assert installed == RECORDED_VERSIONS, (
+        f"digests were recorded with {RECORDED_VERSIONS} but {installed} is installed; "
+        "check the demos under these versions and record their digests"
     )
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo], demo

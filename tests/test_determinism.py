@@ -1,11 +1,16 @@
 """Seeded outputs pinned byte for byte to sha256 digests.
 
-The digests were recorded with steinclt 0.3.0, and 0.3.1 gives the same
-bytes: the Gaussian measures of the default set families for k = 1..4, and
-the CSV bodies (below the header line) of three check suites at seed 7.
-These bytes follow numpy and scipy, so a digest holds only for the versions
-recorded with it; under other versions each test fails and names both rather
-than skip, because a digest that cannot be checked has not passed.
+Pinned: the Gaussian measures of the default set families for k = 1..4, the
+CSV bodies (below the header line) of three check suites at seed 7, and the
+CSV bodies of two `discrepancy` runs, one on the Rademacher lattice (the
+README command) and one on Gaussian sums.  The measures and check suites were
+recorded with steinclt 0.3.0, and 0.3.1 and 0.3.2 give the same bytes; the
+`discrepancy` bodies were recorded with 0.3.2 and match 0.3.1.
+
+Every digest is keyed by the steinclt, numpy and scipy versions recorded with
+it.  A steinclt release that moves drawn numbers records new digests; under
+other versions each test fails and names both rather than skip, because a
+digest that cannot be checked has not passed.
 """
 
 import hashlib
@@ -14,10 +19,11 @@ import numpy
 import pytest
 import scipy
 
+import steinclt
 from steinclt import default_family
 from steinclt.cli import run
 
-RECORDED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.3.2", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 FAMILY_MEASURES = {
     1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
@@ -32,9 +38,18 @@ CHECK_CSV_BODIES = {
     ("check-stein", 2): "14d4e1006d248ab6552b92a9b6c3f2a13bd00c13513363f674539b65d769e46e",
 }
 
+DISCREPANCY_CSV_BODIES = {
+    "--source rademacher --k 1 --n 4 --t 0.5 --M 4096 --seed 7":
+        "bf687672543310a37b1ad8a4d6da0d6184626d26282022b1431009dfa5df69b5",
+    "--source gaussian --k 2 --n 16 --M 4096 --seed 7":
+        "8c9145a0f3c3d5bcaac14636853bec29eeed52976d7bec29805bf01dec303e5d",
+}
+
 
 def _assert_recorded_versions():
-    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    installed = {
+        "steinclt": steinclt.__version__, "numpy": numpy.__version__, "scipy": scipy.__version__,
+    }
     assert installed == RECORDED_VERSIONS, (
         f"digests were recorded with {RECORDED_VERSIONS} but {installed} is installed; "
         "check the outputs under these versions and record their digests"
@@ -58,3 +73,12 @@ def test_check_suite_csv_body_is_pinned(subcommand, k, capsys):
     header, body = capsys.readouterr().out.split("\n", 1)
     assert header.startswith("# steinclt-csv v1")
     assert _sha256(body.encode()) == CHECK_CSV_BODIES[subcommand, k]
+
+
+@pytest.mark.parametrize("args", sorted(DISCREPANCY_CSV_BODIES))
+def test_discrepancy_csv_body_is_pinned(args, capsys):
+    _assert_recorded_versions()
+    assert run(["discrepancy", *args.split()]) == 0
+    header, body = capsys.readouterr().out.split("\n", 1)
+    assert header.startswith("# steinclt-csv v1")
+    assert _sha256(body.encode()) == DISCREPANCY_CSV_BODIES[args], args

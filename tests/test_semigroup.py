@@ -337,6 +337,25 @@ def test_generator_eigenfunctions_exact():
         assert generator_apply(g2, x) == pytest.approx(-2.0 * x[0] * x[1], abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [[0.3, 0.4, 0.5], [0.3], [[0.3, 0.4]]], ids=["3", "1", "1x2"])
+def test_hermite_product_derivatives_need_a_point_of_its_dimension(x):
+    # the gradient took its size from the orders and dropped the third coordinate
+    g = hermite_product_function((1, 2))
+    for derivative in (g.grad, g.hess):
+        with pytest.raises(DomainError):
+            derivative(np.array(x))
+    with pytest.raises(DomainError):
+        generator_apply(g, np.array(x))
+
+
+@pytest.mark.parametrize("x", [[0.3, 0.4, 0.5], [0.3], [[0.3, 0.4, 0.5]], 0.3],
+                         ids=["3", "1", "1x3", "scalar"])
+def test_hermite_product_value_needs_points_of_its_dimension(x):
+    # the value read the first two coordinates of a 3-vector and indexed past a 1-vector
+    with pytest.raises(DomainError):
+        hermite_product_function((1, 2))(np.array(x))
+
+
 def test_generator_constant_in_kernel():
     const = SmoothFunction(
         lambda X: np.full(len(np.atleast_2d(X)), 1.0),

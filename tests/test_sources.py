@@ -383,9 +383,22 @@ def test_delta_hat_deterministic_and_recomputed_from_blocks():
 
 
 def test_stein_discrepancy_recomputed_from_blocks():
+    _check_stein_sides_against_blocks(uniform_source(2))
+
+
+@pytest.mark.parametrize(
+    "src", [gaussian_source(2), rademacher_source(1), rademacher_source(2), rademacher_source(3)],
+    ids=repr,
+)
+def test_stein_discrepancy_recomputed_from_all_rows(src):
+    # a lattice block is evaluated on its distinct rows and scattered back, a continuous
+    # block whole; either way the estimate is that of every row, bit for bit
+    _check_stein_sides_against_blocks(src)
+
+
+def _check_stein_sides_against_blocks(src):
     # both sides are summed per block of sample_sum(stream.block(b)), in block order
-    src = uniform_source(2)
-    C = Ball(np.zeros(2), 1.2)
+    C = Ball(np.zeros(src.k), 1.2)
     M = 2 * BLOCK_SIZE + 500
     stream = RngStream(13)
     res = stein_discrepancy_hat(src, 8, 0.5, C, M, stream)
@@ -404,6 +417,58 @@ def test_stein_discrepancy_recomputed_from_blocks():
     assert (res.generator_form.value, res.generator_form.std_error) == (
         g_mean, math.sqrt(g_var / M)
     )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_distinct_rows_rebuild_a_rademacher_block(k):
+    X = sample_sum(rademacher_source(k), 16, RngStream(7), 4096)
+    first, inverse = sources._distinct_rows(X)
+    # at most (n + 1)^k lattice points among the 4096 rows
+    assert len(first) <= 17**k
+    assert np.array_equal(X[first][inverse], X)
+    assert len(np.unique(X[first], axis=0)) == len(first)
+
+
+def test_distinct_rows_count_known_multiplicities():
+    rows = np.array([[0.5, -1.0], [0.0, 2.0], [1.5, 2.0], [0.5, 2.0]])
+    X = rows[[2, 0, 0, 3, 2, 0, 1, 2, 0]]
+    first, inverse = sources._distinct_rows(X)
+    assert np.array_equal(X[first][inverse], X)
+    assert len(np.unique(X[first], axis=0)) == len(first) == 4
+    multiplicity = {tuple(row): int(m) for row, m in zip(X[first], np.bincount(inverse))}
+    assert multiplicity == {(0.5, -1.0): 4, (0.0, 2.0): 1, (1.5, 2.0): 3, (0.5, 2.0): 1}
+
+
+@pytest.mark.parametrize("name", ["gaussian", "uniform", "exponential"])
+def test_distinct_rows_pass_continuous_blocks_whole(name):
+    X = sample_sum(make_source(name, 3), 16, RngStream(7), 4096)
+    assert sources._distinct_rows(X) == (None, None)
+
+
+def test_distinct_rows_look_at_whole_rows_not_columns():
+    # every column repeats its values, but no two rows are equal
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    assert sources._distinct_rows(X) == (None, None)
+
+
+def test_mean_over_blocks_evaluates_each_distinct_row_once():
+    src, M = rademacher_source(2), BLOCK_SIZE + 500
+    stream = RngStream(21)
+    seen = []
+
+    def values(X):
+        seen.append(X.copy())
+        return [X[:, 0], X[:, 0] * X[:, 1]]
+
+    means, _ = sources.mean_over_blocks(src, 4, M, stream, values)
+    blocks = [sample_sum(src, 4, stream.block(b), s) for b, s in enumerate((BLOCK_SIZE, 500))]
+    assert len(seen) == len(blocks)
+    for rows, X in zip(seen, blocks):
+        # the 5 x 5 lattice of S_4, each point once
+        assert len(rows) == len(np.unique(rows, axis=0)) <= 25
+        assert np.array_equal(np.unique(rows, axis=0), np.unique(X, axis=0))
+    X = np.concatenate(blocks)
+    assert np.allclose(means, [X[:, 0].mean(), (X[:, 0] * X[:, 1]).mean()], rtol=0, atol=1e-12)
 
 
 def test_delta_hat_rejects_small_M():
