@@ -20,7 +20,9 @@ and constructor fields.
 A ball's noncentral chi-square CDF is scipy.special's chndtr (chdtr at
 noncentrality 0), equal bit for bit to scipy.stats.ncx2.cdf.  scipy.stats is
 imported only by the QMC estimate, on its first call: importing it costs
-more than a small CLI run.
+more than a small CLI run.  The QMC estimate's Gaussian points depend only
+on the dimension and the point count, so they are built once per process and
+shared read-only (see `_qmc_membership_mean` for the memory bound).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 from scipy import special
 
-from .errors import ConfigurationError, DimensionMismatchError, DomainError
+from .errors import ConfigurationError, DimensionMismatchError, DomainError, check_count
 from .gaussian import hermite_he, multiplicities, norm_cdf, norm_pdf
 from .quadrature import gauss_legendre_panel
 from .rng import RngStream
@@ -766,23 +768,56 @@ class ErodedSet(ConvexSet):
 # Gaussian measures
 
 
-def _qmc_membership_mean(C: ConvexSet, n_points: int):
-    """Scrambled-Sobol estimate of P(Z in C) with a replicate-based st. error."""
+_QMC_REPLICATES = 16
+_QMC_CACHED_POINTS = 1 << 16  # the default request; larger ones are built per call
+
+
+def _sobol_normal_replicate(dim: int, per: int, r: int) -> np.ndarray:
+    """Replicate r: `per` scrambled-Sobol points (engine seeded r) mapped through ndtri."""
     from scipy.stats import qmc  # deferred: scipy.stats costs more to import than most runs
 
-    replicates = 16
-    per = max(n_points // replicates, 256)
-    vals = np.empty(replicates)
-    for r in range(replicates):
-        eng = qmc.Sobol(d=C.dim, scramble=True, seed=r)
-        u = eng.random(per)
-        pts = special.ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-        vals[r] = float(np.mean(C.contains(pts)))
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(replicates))
+    u = qmc.Sobol(d=dim, scramble=True, seed=r).random(per)
+    return special.ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
+
+
+@lru_cache(maxsize=4)
+def _sobol_normal_replicates(dim: int, per: int) -> np.ndarray:
+    """All replicates as one read-only (replicates, per, dim) array, built once per process."""
+    pts = np.stack([_sobol_normal_replicate(dim, per, r) for r in range(_QMC_REPLICATES)])
+    pts.flags.writeable = False
+    return pts
+
+
+def _qmc_membership_mean(C: ConvexSet, n_points: int):
+    """Scrambled-Sobol estimate of P(Z in C) with a replicate-based st. error.
+
+    The 16 Gaussian replicates depend only on (dimension, points per
+    replicate), so a request of at most 2^16 points reads them from a
+    process-wide cache shared read-only by every set: at most four entries
+    of at most 2^16 * dim doubles, 0.5 MiB per dimension each (1 MiB at
+    k = 2).  A larger request builds its replicates one at a time and
+    keeps none.
+    """
+    per = max(n_points // _QMC_REPLICATES, 256)
+    if _QMC_REPLICATES * per <= _QMC_CACHED_POINTS:
+        replicates = _sobol_normal_replicates(C.dim, per)
+    else:
+        replicates = (_sobol_normal_replicate(C.dim, per, r) for r in range(_QMC_REPLICATES))
+    vals = np.array([np.mean(C.contains(pts)) for pts in replicates])
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(_QMC_REPLICATES))
 
 
 def gaussian_measure_estimate(C: ConvexSet, n_points: int = 1 << 16) -> tuple[float, float]:
-    """(Phi(C), standard error); the error is 0 for analytic variants."""
+    """(Phi(C), standard error); the error is 0 for analytic variants.
+
+    A set without a closed form is measured by scrambled-Sobol QMC on
+    16 * max(n_points // 16, 256) points: 2^16 by default, and never fewer
+    than 4096.  n_points must be an integer >= 1 (DomainError otherwise).
+    When n_points // 16 is not a power of two, scipy warns that the Sobol
+    balance properties need one (a UserWarning); since the points are
+    cached, that happens once per dimension and point count, not per call.
+    """
+    n_points = check_count("n_points", n_points, 1)
     if C.is_empty:
         return 0.0, 0.0
     if C.has_closed_form:  # Phi(C) is the shifted measure at shift 0, sigma 1
@@ -791,7 +826,10 @@ def gaussian_measure_estimate(C: ConvexSet, n_points: int = 1 << 16) -> tuple[fl
 
 
 def gaussian_measure(C: ConvexSet, n_points: int = 1 << 16) -> float:
-    """Phi(C) for the standard Gaussian; QMC fallback for non-analytic sets."""
+    """Phi(C) for the standard Gaussian; QMC fallback for non-analytic sets.
+
+    n_points is checked and used as in `gaussian_measure_estimate`.
+    """
     return gaussian_measure_estimate(C, n_points=n_points)[0]
 
 

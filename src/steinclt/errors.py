@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one count check."""
+
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -23,3 +26,16 @@ class HypothesisViolationError(ValueError):
 
 class BracketError(RuntimeError):
     """A root bracketing step failed; indicates an internal error."""
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """value as an int >= minimum; DomainError for bools, non-integral or non-finite values."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    count = int(value)
+    if count < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {count}")
+    return count

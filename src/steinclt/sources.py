@@ -22,14 +22,13 @@ the continuous laws hand their blocks over untouched.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .convex import ConvexSet, SetFamily
-from .errors import DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError, check_count
 from .rng import RngStream
 from .semigroup import IndicatorFunction
 from .stein import SteinSolution, laplacian_drift, smoothed_target
@@ -372,19 +371,6 @@ def _signed_scale_sum(gen, m, k, scales):
     return out
 
 
-def _count(name: str, value, minimum: int) -> int:
-    """value as an int >= minimum; DomainError for bools, non-integral or non-finite values."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
-    )
-    if isinstance(value, bool) or not integral:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    count = int(value)
-    if count < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {count}")
-    return count
-
-
 def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     """Draw `size` copies of the normalized sum S_n; shape (size, k).
 
@@ -393,7 +379,7 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     one Philox bit per sign when every component is a scalar-scaled
     Rademacher law and summed component by component otherwise.
     """
-    n = _count("n", n, 1)
+    n = check_count("n", n, 1)
     gen = stream.generator()
     if isinstance(src, NonIIDSource):
         if n != src.n:
@@ -412,7 +398,7 @@ def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
 
     Block b holds up to BLOCK_SIZE rows drawn from `stream.block(b)`.
     """
-    M = _count("M", M, 1)
+    M = check_count("M", M, 1)
     total = 0
     for b, start in enumerate(range(0, M, BLOCK_SIZE)):
         size = min(BLOCK_SIZE, M - start)
@@ -481,8 +467,8 @@ def delta_hat(src, n: int, family: SetFamily, M: int, stream: RngStream) -> Esti
     the binomial one at the argmax set; the sup-induced upward bias is not
     corrected.
     """
-    n = _count("n", n, 1)
-    M = _count("M", M, 1000)
+    n = check_count("n", n, 1)
+    M = check_count("M", M, 1000)
     p = sum_over_blocks(src, n, M, stream, family.counts) / float(M)
     return sup_deviation(p, np.sqrt(p * (1.0 - p) / M), family.measures)
 

@@ -388,14 +388,15 @@ def test_bound_report_fields_are_the_bounds_columns(capsys):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
+    # the child imports the package from src, whatever the caller's PYTHONPATH
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "steinclt.cli", "check-inequalities",
          "--k", "2", "--seed", "1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# steinclt-csv v1")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
+from scipy.stats import qmc
 
 from steinclt import (
     Ball,
@@ -28,7 +29,13 @@ from steinclt import (
     shell_measure,
     shifted_measure_batch,
 )
-from steinclt.convex import DilatedBox, _ncx2_cdf, _qmc_membership_mean, set_to_config
+from steinclt.convex import (
+    DilatedBox,
+    _ncx2_cdf,
+    _qmc_membership_mean,
+    _sobol_normal_replicates,
+    set_to_config,
+)
 from steinclt.errors import ConfigurationError, DimensionMismatchError, DomainError
 
 
@@ -371,6 +378,74 @@ def test_dilated_box_measure_matches_sobol(lo, hi, eps):
     # the predicate-backed parallel body has no closed form and goes to QMC
     est, se = _qmc_membership_mean(DilatedSet(box, eps), 1 << 20)
     assert abs(mass - est) <= 4.0 * se
+
+
+def _fresh_sobol_membership_mean(C, n_points):
+    """The QMC estimate with every replicate built from a fresh Sobol engine."""
+    per = max(n_points // 16, 256)
+    vals = np.empty(16)
+    for r in range(16):
+        u = qmc.Sobol(d=C.dim, scramble=True, seed=r).random(per)
+        vals[r] = float(np.mean(C.contains(ndtri(np.clip(u, 1e-15, 1.0 - 1e-15)))))
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(16))
+
+
+def _qmc_sets():
+    gen = RngStream(31, stream_id=4).generator()
+    for k in (1, 2, 3, 4):
+        A = gen.standard_normal((k, k))
+        ell = Ellipsoid(0.3 * gen.standard_normal(k), A @ A.T + 0.5 * np.eye(k))
+        yield f"dilate-{k}", ell.dilate(0.2)
+        yield f"erode-{k}", ell.erode(0.2)
+        yield f"scaled-dilate-{k}", ell.dilate(0.2).scale(1.3)
+    yield "box-dilate-5", Box(-np.ones(5), np.linspace(0.2, 1.0, 5)).dilate(0.3)
+
+
+_QMC_SETS = dict(_qmc_sets())
+
+
+@pytest.mark.parametrize("n_points", (512, 1 << 16))
+@pytest.mark.parametrize("name", sorted(_QMC_SETS))
+def test_cached_sobol_points_give_the_fresh_engine_estimate_bit_for_bit(name, n_points):
+    C = _QMC_SETS[name]
+    assert _qmc_membership_mean(C, n_points) == _fresh_sobol_membership_mean(C, n_points)
+
+
+def test_cached_sobol_points_are_read_only():
+    pts = _sobol_normal_replicates(3, 256)
+    assert pts.shape == (16, 256, 3)
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0, 0] = 0.0
+
+
+def test_a_second_qmc_measure_builds_no_sobol_engine(monkeypatch):
+    C = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])).dilate(0.1)
+    first = gaussian_measure_estimate(C)
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("a cached measure built a Sobol engine")
+
+    monkeypatch.setattr(qmc, "Sobol", no_engine)
+    assert gaussian_measure_estimate(C) == first
+    # another set of the same dimension reads the same points
+    gaussian_measure_estimate(C.erode(0.3))
+
+
+def test_a_large_qmc_request_is_not_cached():
+    before = _sobol_normal_replicates.cache_info()
+    _qmc_membership_mean(DilatedSet(Box(-np.ones(2), np.ones(2)), 0.1), 1 << 20)
+    after = _sobol_normal_replicates.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+
+@pytest.mark.parametrize("n_points", (0, -5, 2.5, True, math.nan, math.inf, "4096"))
+def test_gaussian_measure_rejects_a_bad_point_count(n_points):
+    C = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])).dilate(0.1)
+    with pytest.raises(DomainError, match="n_points"):
+        gaussian_measure(C, n_points=n_points)
+    with pytest.raises(DomainError, match="n_points"):
+        gaussian_measure_estimate(C, n_points=n_points)
 
 
 def test_dilated_box_shifted_rows_match_translate_scale():

@@ -1,11 +1,14 @@
 """Seeded outputs pinned byte for byte to sha256 digests.
 
 Pinned: the Gaussian measures of the default set families for k = 1..4, the
-CSV bodies (below the header line) of three check suites at seed 7, and the
+CSV bodies (below the header line) of three check suites at seed 7, the
 CSV bodies of two `discrepancy` runs, one on the Rademacher lattice (the
-README command) and one on Gaussian sums.  The measures and check suites were
-recorded with steinclt 0.3.0, and 0.3.1 and 0.3.2 give the same bytes; the
-`discrepancy` bodies were recorded with 0.3.2 and match 0.3.1.
+README command) and one on Gaussian sums, and the CSV bodies of the README's
+`delta` and `bounds` commands at M = 20000, of a non-iid `bounds` run and of
+a `delta` run on `family_k2_ellipsoid.json`, whose ellipsoid has no closed
+form and so pins the scrambled-Sobol QMC measure.  The measures and check
+suites were recorded with steinclt 0.3.0, and 0.3.1 and 0.3.2 give the same
+bytes; the `discrepancy` bodies were recorded with 0.3.2 and match 0.3.1.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers records new digests; under
@@ -14,6 +17,7 @@ digest that cannot be checked has not passed.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy
 import pytest
@@ -22,6 +26,8 @@ import scipy
 import steinclt
 from steinclt import default_family
 from steinclt.cli import run
+
+HERE = Path(__file__).resolve().parent
 
 RECORDED_VERSIONS = {"steinclt": "0.3.2", "numpy": "2.4.6", "scipy": "1.17.1"}
 
@@ -43,6 +49,18 @@ DISCREPANCY_CSV_BODIES = {
         "bf687672543310a37b1ad8a4d6da0d6184626d26282022b1431009dfa5df69b5",
     "--source gaussian --k 2 --n 16 --M 4096 --seed 7":
         "8c9145a0f3c3d5bcaac14636853bec29eeed52976d7bec29805bf01dec303e5d",
+}
+
+# full command lines; a `.json` argument names a file next to this one
+CLI_CSV_BODIES = {
+    "delta --source uniform --k 2 --n 16 --M 4096 --seed 7 --family family_k2_ellipsoid.json":
+        "2b21a835e7536646761fd4838a2fa3211c6e20394b343d1d1dc46d1601e6a6f1",
+    "delta --source rademacher --k 1,2,3 --n 4,16,64 --M 20000 --seed 7":
+        "0079c9ed8b5a122dff5a4836a5b7ff97de003f4f35a40102699da81bed1e837f",
+    "bounds --source uniform --k 2 --n 16,64 --M 20000 --seed 7 --constant c=1.0":
+        "a23acbd4717146c0b2c25462c60afdd26dad6653f45a4c5061ad23117faed5c5",
+    "bounds --source gaussian --k 1 --n 32 --M 20000 --seed 7 --noniid-profile linear":
+        "6b0c2410016eb70a5a34f4f17455115fe6a125b1a85c717dd51d362e8d6398dd",
 }
 
 
@@ -82,3 +100,13 @@ def test_discrepancy_csv_body_is_pinned(args, capsys):
     header, body = capsys.readouterr().out.split("\n", 1)
     assert header.startswith("# steinclt-csv v1")
     assert _sha256(body.encode()) == DISCREPANCY_CSV_BODIES[args], args
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CSV_BODIES))
+def test_cli_csv_body_is_pinned(command, capsys):
+    _assert_recorded_versions()
+    argv = [str(HERE / a) if a.endswith(".json") else a for a in command.split()]
+    assert run(argv) == 0
+    header, body = capsys.readouterr().out.split("\n", 1)
+    assert header.startswith("# steinclt-csv v1")
+    assert _sha256(body.encode()) == CLI_CSV_BODIES[command], command
