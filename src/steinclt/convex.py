@@ -4,7 +4,12 @@ Four analytic variants (half-space, ball, axis box, ellipsoid) are closed
 under translation and positive scaling.  Dilation/erosion stay in closed form
 where possible (half-space, ball, eroded box); otherwise the result is a
 predicate-backed set whose membership is decided by exact or iterative
-distance computations, which is all the Monte Carlo machinery needs.
+distance computations, which is all the Monte Carlo machinery needs.  A base
+that brackets its boundary distance (`boundary_distance_bounds`; an
+ellipsoid does, by scaling about its centre) lets its parallel bodies settle
+every point whose bracket lies clear of eps; only the points in a narrow band
+around eps pay for the exact distance, and each decision equals the one the
+exact distance alone gives.
 
 Sets are closed: boundary points count as inside.  Each variant keeps its
 closed forms on its own class, in three hooks: `shifted_measure`, the
@@ -113,10 +118,20 @@ class ConvexSet:
         raise NotImplementedError
 
     def scale(self, factor: float) -> "ConvexSet":
-        """The set {factor * y : y in C}, factor > 0."""
+        """The set {factor * y : y in C}; DomainError unless factor is finite and > 0."""
         raise NotImplementedError
 
     # distance hooks used by the predicate-backed dilation/erosion
+    def boundary_distance_bounds(self, x):
+        """(lower, upper) arrays with lower <= dist(x, boundary) <= upper per row, or None.
+
+        Exact up to rounding, and NaN where a row cannot be bracketed.
+        `DilatedSet` and `ErodedSet` decide each row whose bracket lies clear
+        of their eps from it and send only the rest to `distance_outside` or
+        `distance_inside`; None sends every row there.
+        """
+        return None
+
     def distance_outside(self, x):
         """dist(x, C) for each point (0 inside)."""
         raise NotImplementedError
@@ -139,6 +154,13 @@ def _check_eps(eps: float) -> float:
     if not eps >= 0.0:
         raise DomainError("dilation/erosion radius must be >= 0")
     return eps
+
+
+def _check_factor(factor: float) -> float:
+    factor = float(factor)
+    if not (math.isfinite(factor) and factor > 0.0):
+        raise DomainError(f"scale factor must be finite and > 0, got {factor}")
+    return factor
 
 
 class HalfSpace(ConvexSet):
@@ -202,7 +224,7 @@ class HalfSpace(ConvexSet):
         return HalfSpace(self.normal, self.offset + float(self.normal @ shift))
 
     def scale(self, factor):
-        return HalfSpace(self.normal, self.offset * float(factor))
+        return HalfSpace(self.normal, self.offset * _check_factor(factor))
 
     def distance_outside(self, x):
         pts, single = _as_points(x, self.dim)
@@ -386,7 +408,7 @@ class Ball(ConvexSet):
         return Ball(self.center + np.asarray(shift, dtype=float), self.radius)
 
     def scale(self, factor):
-        factor = float(factor)
+        factor = _check_factor(factor)
         return Ball(self.center * factor, self.radius * factor)
 
     def distance_outside(self, x):
@@ -495,7 +517,7 @@ class Box(ConvexSet):
         return Box(self.lower + shift, self.upper + shift)
 
     def scale(self, factor):
-        factor = float(factor)
+        factor = _check_factor(factor)
         return Box(self.lower * factor, self.upper * factor)
 
     def distance_outside(self, x):
@@ -587,6 +609,33 @@ class Ellipsoid(ConvexSet):
         d = np.sqrt(d2)
         return float(d[0]) if single else d
 
+    def boundary_distance_bounds(self, x):
+        """Scaling bounds on `boundary_distance`, exact for a sphere.
+
+        With v = R^T (x - c), q = sum v_i^2 / lam_i and r = sqrt(q), x lies on
+        the boundary of the copy of E scaled by r about its centre.  The ball
+        of radius sqrt(lam_min) about c lies in E, so for r > 1 every point
+        within (r - 1) sqrt(lam_min) of E lies in that copy, and for r < 1 the
+        ball of radius (1 - r) sqrt(lam_min) about x lies in E: either way
+        d >= |r - 1| sqrt(lam_min).  The boundary point c + R v / r gives
+        d <= |v| |1 - 1/r|.  Outside, convexity of v -> v^T Lam^{-1} v gives
+        d >= (q - 1) / (2 |Lam^{-1} v|) as well, which is near-exact on the
+        long axes.  At the centre the upper bound is NaN, and both are NaN on
+        a NaN row.
+        """
+        pts, _ = _as_points(x, self.dim)
+        lam = self._evals
+        # q, |v|^2 and |Lam^{-1} v|^2 in one product: reducing (M, k) arrays
+        # along their short axis costs several times more
+        weights = np.stack([1.0 / lam, np.ones_like(lam), lam**-2.0], axis=1)
+        q, norm2_v, norm2_w = (np.square(self._rotated(pts)) @ weights).T
+        r = np.sqrt(q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = np.sqrt(norm2_v) * np.abs(1.0 - 1.0 / r)
+            first_order = (q - 1.0) / (2.0 * np.sqrt(norm2_w))
+        lower = np.maximum(np.abs(r - 1.0) * math.sqrt(np.min(lam)), first_order)
+        return lower, upper
+
     def distance_outside(self, x):
         pts, single = _as_points(x, self.dim)
         outside = ~self.contains(pts)
@@ -613,15 +662,34 @@ class Ellipsoid(ConvexSet):
         return Ellipsoid(self.center + np.asarray(shift, dtype=float), self.shape)
 
     def scale(self, factor):
-        factor = float(factor)
+        factor = _check_factor(factor)
         return Ellipsoid(self.center * factor, self.shape * factor**2)
 
     def __repr__(self):
         return f"Ellipsoid(center={self.center.tolist()}, shape={self.shape.tolist()})"
 
 
+# A parallel body settles a row from its base's distance bracket only when the
+# bracket clears [eps (1 - _BAND), eps (1 + _BAND)].  The bracket and the
+# exact (Newton) distance each carry rounding of a few ulps of the set's size,
+# so wherever eps exceeds about 1e-6 of that size (every shell width the
+# library uses) the band is wider than their disagreement: a settled row gets
+# the decision the exact distance gives, and a row in the band gets the exact
+# distance itself.
+_BAND = 1e-9
+
+
+def _settled(bounds, eps):
+    """Rows whose boundary distance is surely below eps, and surely above it."""
+    lower, upper = bounds
+    return upper < eps * (1.0 - _BAND), lower > eps * (1.0 + _BAND)
+
+
 class DilatedSet(ConvexSet):
     """Predicate-backed outer parallel body {x : dist(x, base) <= eps}.
+
+    Points outside the base that its `boundary_distance_bounds` leaves near
+    eps, and every point of a base without that hook, take `distance_outside`.
 
     Every operation builds its result with `base.dilate`, so a base whose
     dilation has closed forms (a box's `DilatedBox`) keeps them.
@@ -638,7 +706,15 @@ class DilatedSet(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        return _ret(self.base.distance_outside(pts) <= self.eps, single)
+        bounds = self.base.boundary_distance_bounds(pts)
+        if bounds is None:
+            return _ret(self.base.distance_outside(pts) <= self.eps, single)
+        near, far = _settled(bounds, self.eps)
+        ok = np.asarray(self.base.contains(pts)) | near
+        band = ~(ok | far)
+        if band.any():
+            ok[band] = self.base.distance_outside(pts[band]) <= self.eps
+        return _ret(ok, single)
 
     def dilate(self, eps):
         return self.base.dilate(self.eps + _check_eps(eps))
@@ -654,7 +730,7 @@ class DilatedSet(ConvexSet):
         return self.base.translate(shift).dilate(self.eps)
 
     def scale(self, factor):
-        factor = float(factor)
+        factor = _check_factor(factor)
         return self.base.scale(factor).dilate(self.eps * factor)
 
     def __repr__(self):
@@ -730,7 +806,11 @@ class DilatedBox(DilatedSet):
 
 
 class ErodedSet(ConvexSet):
-    """Inner parallel body: points whose eps-ball is contained in base."""
+    """Inner parallel body: points whose eps-ball is contained in base.
+
+    Points inside the base that its `boundary_distance_bounds` leaves near
+    eps, and every one of a base without that hook, take `distance_inside`.
+    """
 
     def __init__(self, base: ConvexSet, eps: float):
         self.base = base
@@ -740,7 +820,16 @@ class ErodedSet(ConvexSet):
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         ok = np.asarray(self.base.contains(pts))
-        ok[ok] = self.base.distance_inside(pts[ok]) >= self.eps
+        rows = pts[ok]
+        bounds = self.base.boundary_distance_bounds(rows)
+        if bounds is None:
+            ok[ok] = self.base.distance_inside(rows) >= self.eps
+            return _ret(ok, single)
+        near, keep = _settled(bounds, self.eps)
+        band = ~(keep | near)
+        if band.any():
+            keep[band] = self.base.distance_inside(rows[band]) >= self.eps
+        ok[ok] = keep
         return _ret(ok, single)
 
     def erode(self, eps):
@@ -757,7 +846,7 @@ class ErodedSet(ConvexSet):
         return ErodedSet(self.base.translate(shift), self.eps)
 
     def scale(self, factor):
-        factor = float(factor)
+        factor = _check_factor(factor)
         return ErodedSet(self.base.scale(factor), self.eps * factor)
 
     def __repr__(self):
@@ -854,14 +943,12 @@ def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0) -> float:
 
     Evaluated as Phi((C^{2eps})/scale) - Phi((C^{-2eps})/scale).
     """
-    if not float(scale) > 0.0:
-        raise DomainError(f"scale must be positive, got {scale}")
+    inv = 1.0 / _check_factor(scale)
     eps = float(eps)
     if not eps >= 0.0:
         raise DomainError("eps must be >= 0")
     if eps == 0.0:
         return 0.0
-    inv = 1.0 / float(scale)
     outer = gaussian_measure(C.dilate(2.0 * eps).scale(inv))
     inner = gaussian_measure(C.erode(2.0 * eps).scale(inv))
     return max(outer - inner, 0.0)

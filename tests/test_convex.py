@@ -238,6 +238,135 @@ def test_ellipsoid_boundary_distance_matches_dense_boundary():
         assert -1e-12 <= brute - dist <= 1e-6
 
 
+def _exact_distance_contains(C, pts):
+    """Parallel-body membership from the base's exact distance alone, for every row."""
+    if isinstance(C, ErodedSet):
+        ok = np.asarray(C.base.contains(pts))
+        ok[ok] = C.base.distance_inside(pts[ok]) >= C.eps
+        return ok
+    return C.base.distance_outside(pts) <= C.eps
+
+
+def _random_ellipsoid(gen, k):
+    A = gen.standard_normal((k, k))
+    return Ellipsoid(0.5 * gen.standard_normal(k), A @ A.T + 0.3 * np.eye(k))
+
+
+def _parallel_bodies(E, eps):
+    """E's dilation and erosion by eps, their scaled and translated forms, and re-eroded ones."""
+    shift = np.linspace(-0.4, 0.6, E.dim)
+    for C in (E.dilate(eps), E.erode(eps)):
+        yield C
+        yield C.scale(1.7)
+        yield C.translate(shift)
+    yield E.erode(eps).erode(0.05)
+    yield E.erode(eps).dilate(0.5 * eps)
+
+
+@pytest.mark.parametrize("eps", (0.01, 0.1, 0.3, 0.8))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_bound_settled_membership_equals_the_exact_distance_rule(k, eps):
+    gen = RngStream(40, stream_id=k).generator()
+    for _ in range(3):
+        E = _random_ellipsoid(gen, k)
+        pts = E.center + 1.5 * gen.standard_normal((4000, k))
+        for C in _parallel_bodies(E, eps):
+            assert isinstance(C, (DilatedSet, ErodedSet))
+            assert np.array_equal(C.contains(pts), _exact_distance_contains(C, pts)), C
+
+
+def test_bound_settled_membership_on_the_sobol_points():
+    pts = _sobol_normal_replicates(2, 4096).reshape(-1, 2)
+    for E in (
+        Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])),
+        Ellipsoid(np.array([0.3, -0.2]), np.array([[2.0, 0.9], [0.9, 0.8]])),
+        Ellipsoid(np.zeros(2), 1.5**2 * np.eye(2)),
+    ):
+        for eps in (0.1, 0.4):
+            for C in (E.dilate(eps), E.erode(eps), E.dilate(eps).scale(1.35)):
+                assert np.array_equal(C.contains(pts), _exact_distance_contains(C, pts)), C
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_bound_settled_membership_at_the_edge_of_the_band(k):
+    # along a principal axis the distance to the boundary is the distance to
+    # the axis end outside, and (near enough) inside, so these rows sit at
+    # eps (1 +- 1e-12) from the parallel body's boundary, inside the band
+    E = _random_ellipsoid(RngStream(41, stream_id=k).generator(), k)
+    semi = np.sqrt(np.linalg.eigvalsh(E.shape))
+    axes = np.linalg.eigh(E.shape)[1].T
+    for eps in (0.01, 0.1, 0.3, 0.8):
+        offsets = eps * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+        radii = np.concatenate([semi[:, None] + offsets, semi[:, None] - offsets], axis=1)
+        radii = np.concatenate([radii, -radii], axis=1)  # both ends of each axis
+        pts = E.center + (radii[:, :, None] * axes[:, None, :]).reshape(-1, k)
+        for C in (E.dilate(eps), E.erode(eps)):
+            assert np.array_equal(C.contains(pts), _exact_distance_contains(C, pts)), C
+
+
+def test_bound_settled_membership_at_the_centre_and_on_nan_rows():
+    for E in (
+        Ellipsoid(np.array([0.5, -0.5, 0.2]), 1.3**2 * np.eye(3)),  # spherical
+        Ellipsoid(np.array([0.5, -0.5, 0.2]), np.diag([0.5, 1.0, 3.0])),
+    ):
+        pts = np.array([
+            E.center,
+            [math.nan, math.nan, math.nan],
+            [math.nan, 0.0, 0.0],
+            E.center + [1e-9, 0.0, 0.0],
+            E.center + [0.0, 0.0, 2.0],
+        ])
+        for eps in (0.1, 0.5, math.sqrt(0.5), 1.3, 2.0):
+            for C in (E.dilate(eps), E.erode(eps)):
+                assert np.array_equal(C.contains(pts), _exact_distance_contains(C, pts)), C
+                assert C.contains(pts[0]) == _exact_distance_contains(C, pts[:1])[0]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_ellipsoid_distance_bounds_bracket_the_boundary_distance(k):
+    gen = RngStream(42, stream_id=k).generator()
+    for E in (_random_ellipsoid(gen, k), Ellipsoid(gen.standard_normal(k), 1.7**2 * np.eye(k))):
+        pts = E.center + 2.0 * gen.standard_normal((100_000, k))
+        lower, upper = E.boundary_distance_bounds(pts)
+        d = E.boundary_distance(pts)
+        assert np.all(lower <= d + 1e-13)
+        assert np.all(d <= upper + 1e-13)
+    # both bounds are exact for a sphere
+    assert np.max(np.abs(lower - d)) <= 1e-12
+    assert np.max(np.abs(upper - d)) <= 1e-12
+
+
+def _count_newton_rows(monkeypatch):
+    rows = []
+    exact = Ellipsoid.boundary_distance
+
+    def counted(self, x):
+        rows.append(len(np.atleast_2d(x)))
+        return exact(self, x)
+
+    monkeypatch.setattr(Ellipsoid, "boundary_distance", counted)
+    return rows
+
+
+def test_a_spherical_ellipsoid_sends_no_row_to_newton(monkeypatch):
+    rows = _count_newton_rows(monkeypatch)
+    E = Ellipsoid(np.zeros(2), 1.5**2 * np.eye(2))
+    for eps in (0.1, 0.2, 0.4):
+        gaussian_measure(E.dilate(eps))
+        gaussian_measure(E.erode(eps))
+    assert sum(rows) == 0
+
+
+def test_a_stretched_ellipsoid_sends_few_rows_to_newton(monkeypatch):
+    rows = _count_newton_rows(monkeypatch)
+    E = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
+    for eps in (0.1, 0.2, 0.4):
+        for C in (E.dilate(eps), E.erode(eps)):
+            rows.clear()
+            gaussian_measure(C)  # 2^16 scrambled-Sobol points
+            assert 0 < sum(rows) < 0.05 * (1 << 16), C
+
+
 def test_gaussian_measure_analytic_cases():
     assert gaussian_measure(HalfSpace(np.array([1.0, 0.0]), 0.0)) == pytest.approx(0.5)
     a2 = quantile_a(2).a_k
@@ -492,6 +621,38 @@ def test_dilated_box_geometric_laws(case):
     assert box.dilate(a + b).erode(b).eps == pytest.approx(a)
     assert type(box.dilate(a).translate(np.full(box.dim, 0.3))) is DilatedBox
     assert type(box.dilate(a).scale(1.7)) is DilatedBox
+
+
+def _scale_variants():
+    E = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
+    box = Box(-np.ones(2), np.ones(2))
+    return {
+        "half-space": HalfSpace(np.array([1.0, 0.0]), 0.5),
+        "ball": Ball(np.zeros(2), 1.0),
+        "box": box,
+        "ellipsoid": E,
+        "dilated-ellipsoid": E.dilate(0.1),
+        "eroded-ellipsoid": E.erode(0.1),
+        "dilated-box": box.dilate(0.1),
+        "dilated-box-k5": Box(-np.ones(5), np.ones(5)).dilate(0.1),
+    }
+
+
+_BAD_FACTORS = (-1.0, 0.0, -0.0, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("factor", _BAD_FACTORS)
+@pytest.mark.parametrize("name", sorted(_scale_variants()))
+def test_scale_rejects_a_factor_that_is_not_finite_and_positive(name, factor):
+    # each used to return a wrong or empty set, or fail on an unrelated check
+    with pytest.raises(DomainError, match="scale factor"):
+        _scale_variants()[name].scale(factor)
+
+
+@pytest.mark.parametrize("factor", _BAD_FACTORS)
+def test_shell_measure_rejects_a_bad_scale(factor):
+    with pytest.raises(DomainError, match="scale factor"):
+        shell_measure(Ball(np.zeros(2), 1.0), 0.1, scale=factor)
 
 
 def test_shell_halfspace_closed_form():

@@ -6,9 +6,12 @@ CSV bodies of two `discrepancy` runs, one on the Rademacher lattice (the
 README command) and one on Gaussian sums, and the CSV bodies of the README's
 `delta` and `bounds` commands at M = 20000, of a non-iid `bounds` run and of
 a `delta` run on `family_k2_ellipsoid.json`, whose ellipsoid has no closed
-form and so pins the scrambled-Sobol QMC measure.  The measures and check
-suites were recorded with steinclt 0.3.0, and 0.3.1 and 0.3.2 give the same
-bytes; the `discrepancy` bodies were recorded with 0.3.2 and match 0.3.1.
+form and so pins the scrambled-Sobol QMC measure, and of the README's
+`dim-scan` command at M = 20000.  `omega_star_hat` of a stretched and a
+spherical ellipsoid at k = 2, 3 is pinned as `float.hex` text: a QMC count
+over 2^16 points, so each shell mass is exact in binary.  The measures and
+check suites were recorded with steinclt 0.3.0, and 0.3.1 and 0.3.2 give the
+same bytes; the `discrepancy` bodies were recorded with 0.3.2 and match 0.3.1.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers records new digests; under
@@ -24,7 +27,7 @@ import pytest
 import scipy
 
 import steinclt
-from steinclt import default_family
+from steinclt import Ellipsoid, default_family, omega_star_hat
 from steinclt.cli import run
 
 HERE = Path(__file__).resolve().parent
@@ -61,6 +64,31 @@ CLI_CSV_BODIES = {
         "a23acbd4717146c0b2c25462c60afdd26dad6653f45a4c5061ad23117faed5c5",
     "bounds --source gaussian --k 1 --n 32 --M 20000 --seed 7 --noniid-profile linear":
         "6b0c2410016eb70a5a34f4f17455115fe6a125b1a85c717dd51d362e8d6398dd",
+    "dim-scan --source rademacher --k-list 1,2,3,4 --n-list 64 --M 20000 --seed 7":
+        "fcb80a1da48ed6260bb18d37ce3e5110dea8f3c728b9e7e3160d3663c765e587",
+}
+
+SHELL_ELLIPSOIDS = {
+    ("stretched", 2): ([0.2, -0.1], numpy.diag([1.0, 2.0])),
+    ("stretched", 3): ([0.2, -0.1, 0.3], numpy.diag([1.0, 2.0, 0.5])),
+    ("spherical", 2): ([0.0, 0.0], numpy.eye(2)),
+    ("spherical", 3): ([0.0, 0.0, 0.0], numpy.eye(3)),
+}
+
+# omega_star_hat(ellipsoid, eps, t = 0.3) as float.hex
+OMEGA_STAR_HEX = {
+    ("stretched", 2, 0.05): "0x1.fb90000000000p-4",
+    ("stretched", 2, 0.1): "0x1.f9d8000000000p-3",
+    ("stretched", 2, 0.2): "0x1.f0b8000000000p-2",
+    ("stretched", 3, 0.05): "0x1.34b0000000000p-3",
+    ("stretched", 3, 0.1): "0x1.3024000000000p-2",
+    ("stretched", 3, 0.2): "0x1.1b56000000000p-1",
+    ("spherical", 2, 0.05): "0x1.2cb8000000000p-3",
+    ("spherical", 2, 0.1): "0x1.27c4000000000p-2",
+    ("spherical", 2, 0.2): "0x1.1ad2000000000p-1",
+    ("spherical", 3, 0.05): "0x1.4240000000000p-3",
+    ("spherical", 3, 0.1): "0x1.3af8000000000p-2",
+    ("spherical", 3, 0.2): "0x1.254c000000000p-1",
 }
 
 
@@ -110,3 +138,10 @@ def test_cli_csv_body_is_pinned(command, capsys):
     header, body = capsys.readouterr().out.split("\n", 1)
     assert header.startswith("# steinclt-csv v1")
     assert _sha256(body.encode()) == CLI_CSV_BODIES[command], command
+
+
+@pytest.mark.parametrize("shape, k, eps", sorted(OMEGA_STAR_HEX))
+def test_ellipsoid_shell_mass_is_pinned(shape, k, eps):
+    _assert_recorded_versions()
+    C = Ellipsoid(*SHELL_ELLIPSOIDS[shape, k])
+    assert float.hex(omega_star_hat(C, eps, 0.3)) == OMEGA_STAR_HEX[shape, k, eps]
