@@ -94,6 +94,7 @@ def smoothed_discrepancy_bound(
 
     c1 k^{3/2} rho3 delta_{n-1} / (sqrt(n) sqrt(t)) + c2 k^{5/2} rho3 / sqrt(n).
     """
+    _check_recursion_inputs(k, rho3, n)
     if n < 2:
         raise DomainError("needs n >= 2")
     if not (math.isfinite(t) and t > 0.0):
@@ -127,10 +128,12 @@ def optimal_t(k: int, rho3: float, n: int, delta_prev: float) -> float:
     return min(1.0, math.sqrt(k) * delta_prev * rho3 / math.sqrt(n))
 
 
-def _check_rho3_delta(rho3: float, delta_prev: float) -> None:
-    # written so that NaN fails both
-    if not rho3 > 0.0:
-        raise DomainError(f"rho3 must be positive, got {rho3}")
+def _check_recursion_inputs(k, rho3: float, n, delta_prev: float = 0.0) -> None:
+    # written so that NaN fails each check
+    if not (k >= 1 and n >= 1):
+        raise DomainError(f"needs k >= 1 and n >= 1, got k={k}, n={n}")
+    if not (math.isfinite(rho3) and rho3 > 0.0):
+        raise DomainError(f"rho3 must be finite and > 0, got {rho3}")
     if not delta_prev >= 0.0:
         raise DomainError(f"delta_prev must be >= 0, got {delta_prev}")
 
@@ -143,7 +146,7 @@ def recursion_bound(
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"needs a finite t > 0, got {t}")
-    _check_rho3_delta(rho3, delta_prev)
+    _check_recursion_inputs(k, rho3, n, delta_prev)
     lead = consts.c6 * k**1.5 * rho3 * delta_prev / (math.sqrt(n) * math.sqrt(t))
     mid = consts.c7 * k**2.5 * rho3 / math.sqrt(n)
     shell = consts.c8 * k * math.sqrt(t) * math.exp(t)
@@ -158,7 +161,7 @@ def recursion_step_bound(
     """
     if n < 2:
         raise DomainError("needs n >= 2")
-    _check_rho3_delta(rho3, delta_prev)
+    _check_recursion_inputs(k, rho3, n, delta_prev)
     lead = consts.c9 * k**1.25 * math.sqrt(rho3) * math.sqrt(delta_prev) / n**0.25
     tail = consts.c7 * k**1.5 * rho3 / math.sqrt(n)
     return lead + tail
@@ -237,8 +240,8 @@ def omega_star_hat(C: ConvexSet, eps: float, t: float) -> float:
     """Boundary-shell mass of the shrunk Gaussian: P(e^{-t} Z in shell(C, 2eps))."""
     if not eps >= 0.0:
         raise DomainError("eps must be >= 0")
-    if t < 0.0:
-        raise DomainError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     return shell_measure(C, eps, scale=ou_decay(t))
 
 
@@ -289,6 +292,7 @@ def recursion_certify(
     """
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
+    _check_recursion_inputs(k, rho3, n_max)
     c_star = certified_constant(consts.c10, consts.c7)
     # the absorbed constant satisfies c10 = (raw coefficient) + 1, so the raw
     # coefficient cannot be negative

@@ -3,13 +3,13 @@
 Four analytic variants (half-space, ball, axis box, ellipsoid) are closed
 under translation and positive scaling.  Dilation/erosion stay in closed form
 where possible (half-space, ball, eroded box); otherwise the result is a
-predicate-backed set whose membership is decided by exact or iterative
-distance computations, which is all the Monte Carlo machinery needs.  A base
-that brackets its boundary distance (`boundary_distance_bounds`; an
-ellipsoid does, by scaling about its centre) lets its parallel bodies settle
-every point whose bracket lies clear of eps; only the points in a narrow band
-around eps pay for the exact distance, and each decision equals the one the
-exact distance alone gives.
+predicate-backed set whose membership is decided by its base's distance to
+the boundary, which is all the Monte Carlo machinery needs.  A predicate
+base gives that distance (`boundary_distance`) and may give a cheaper
+bracket of it (`boundary_distance_bounds`; an ellipsoid does, by scaling
+about its centre): its parallel bodies settle every point whose bracket lies
+clear of eps, only the points in a narrow band around eps pay for the exact
+distance, and each decision equals the one the exact distance alone gives.
 
 Sets are closed: boundary points count as inside.  Each variant keeps its
 closed forms on its own class, in three hooks: `shifted_measure`, the
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 from scipy import special
@@ -74,6 +74,8 @@ class ConvexSet:
     `shifted_measure` sets `has_closed_form`, and its Phi(C) is that hook at
     shift 0 and sigma 1; its derivative hooks may still return None.  The
     hooks assume a non-empty set: callers answer for the empty set first.
+    A base of a predicate-backed parallel body gives `boundary_distance`, and
+    may give a cheaper `boundary_distance_bounds`.
     """
 
     dim: int
@@ -121,24 +123,20 @@ class ConvexSet:
         """The set {factor * y : y in C}; DomainError unless factor is finite and > 0."""
         raise NotImplementedError
 
-    # distance hooks used by the predicate-backed dilation/erosion
+    def boundary_distance(self, x):
+        """Euclidean distance from each row to the boundary of C, inside or outside."""
+        raise NotImplementedError
+
     def boundary_distance_bounds(self, x):
-        """(lower, upper) arrays with lower <= dist(x, boundary) <= upper per row, or None.
+        """(lower, upper) arrays with lower <= `boundary_distance` <= upper per row.
 
-        Exact up to rounding, and NaN where a row cannot be bracketed.
-        `DilatedSet` and `ErodedSet` decide each row whose bracket lies clear
-        of their eps from it and send only the rest to `distance_outside` or
-        `distance_inside`; None sends every row there.
+        Here both are the exact distance; a cheaper override is exact up to
+        rounding, and NaN where a row cannot be bracketed.  `DilatedSet` and
+        `ErodedSet` decide each row whose bracket lies clear of their eps from
+        it and send only the rest to `boundary_distance`.
         """
-        return None
-
-    def distance_outside(self, x):
-        """dist(x, C) for each point (0 inside)."""
-        raise NotImplementedError
-
-    def distance_inside(self, x):
-        """dist(x, boundary) for points inside C (<= 0 outside)."""
-        raise NotImplementedError
+        d = self.boundary_distance(x)
+        return d, d
 
 
 def _projection(normal, pts):
@@ -225,16 +223,6 @@ class HalfSpace(ConvexSet):
 
     def scale(self, factor):
         return HalfSpace(self.normal, self.offset * _check_factor(factor))
-
-    def distance_outside(self, x):
-        pts, single = _as_points(x, self.dim)
-        d = np.maximum(pts @ self.normal - self.offset, 0.0)
-        return float(d[0]) if single else d
-
-    def distance_inside(self, x):
-        pts, single = _as_points(x, self.dim)
-        d = self.offset - pts @ self.normal
-        return float(d[0]) if single else d
 
     def __repr__(self):
         return f"HalfSpace(normal={self.normal.tolist()}, offset={self.offset})"
@@ -411,16 +399,6 @@ class Ball(ConvexSet):
         factor = _check_factor(factor)
         return Ball(self.center * factor, self.radius * factor)
 
-    def distance_outside(self, x):
-        pts, single = _as_points(x, self.dim)
-        d = np.maximum(np.linalg.norm(pts - self.center, axis=1) - self.radius, 0.0)
-        return float(d[0]) if single else d
-
-    def distance_inside(self, x):
-        pts, single = _as_points(x, self.dim)
-        d = self.radius - np.linalg.norm(pts - self.center, axis=1)
-        return float(d[0]) if single else d
-
     def __repr__(self):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
@@ -520,13 +498,17 @@ class Box(ConvexSet):
         factor = _check_factor(factor)
         return Box(self.lower * factor, self.upper * factor)
 
-    def distance_outside(self, x):
+    def boundary_distance(self, x):
+        """Norm of the coordinate excess outside; distance to the nearest face inside."""
         pts, single = _as_points(x, self.dim)
         if self.is_empty:  # no point is within any distance of the empty set
             d = np.full(len(pts), math.inf)
         else:
-            excess = np.maximum(np.maximum(self.lower - pts, pts - self.upper), 0.0)
-            d = np.linalg.norm(excess, axis=1)
+            beyond = np.maximum(self.lower - pts, pts - self.upper)  # > 0 on outside coordinates
+            # the largest coordinate decides the side (a tiny excess has a norm that
+            # underflows to 0); column by column is cheaper than a short-axis max
+            worst = reduce(np.maximum, beyond.T)
+            d = np.where(worst > 0.0, np.linalg.norm(np.maximum(beyond, 0.0), axis=1), -worst)
         return float(d[0]) if single else d
 
     def __repr__(self):
@@ -636,20 +618,6 @@ class Ellipsoid(ConvexSet):
         lower = np.maximum(np.abs(r - 1.0) * math.sqrt(np.min(lam)), first_order)
         return lower, upper
 
-    def distance_outside(self, x):
-        pts, single = _as_points(x, self.dim)
-        outside = ~self.contains(pts)
-        d = np.zeros(len(pts))
-        d[outside] = self.boundary_distance(pts[outside])
-        return float(d[0]) if single else d
-
-    def distance_inside(self, x):
-        pts, single = _as_points(x, self.dim)
-        inside = self.contains(pts)
-        bd = self.boundary_distance(pts)
-        d = np.where(inside, bd, -bd)
-        return float(d[0]) if single else d
-
     def dilate(self, eps):
         eps = _check_eps(eps)
         return self if eps == 0.0 else DilatedSet(self, eps)
@@ -688,8 +656,7 @@ def _settled(bounds, eps):
 class DilatedSet(ConvexSet):
     """Predicate-backed outer parallel body {x : dist(x, base) <= eps}.
 
-    Points outside the base that its `boundary_distance_bounds` leaves near
-    eps, and every point of a base without that hook, take `distance_outside`.
+    Points outside the base whose distance bracket lies near eps take the exact distance.
 
     Every operation builds its result with `base.dilate`, so a base whose
     dilation has closed forms (a box's `DilatedBox`) keeps them.
@@ -706,14 +673,11 @@ class DilatedSet(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        bounds = self.base.boundary_distance_bounds(pts)
-        if bounds is None:
-            return _ret(self.base.distance_outside(pts) <= self.eps, single)
-        near, far = _settled(bounds, self.eps)
+        near, far = _settled(self.base.boundary_distance_bounds(pts), self.eps)
         ok = np.asarray(self.base.contains(pts)) | near
         band = ~(ok | far)
         if band.any():
-            ok[band] = self.base.distance_outside(pts[band]) <= self.eps
+            ok[band] = self.base.boundary_distance(pts[band]) <= self.eps
         return _ret(ok, single)
 
     def dilate(self, eps):
@@ -808,8 +772,7 @@ class DilatedBox(DilatedSet):
 class ErodedSet(ConvexSet):
     """Inner parallel body: points whose eps-ball is contained in base.
 
-    Points inside the base that its `boundary_distance_bounds` leaves near
-    eps, and every one of a base without that hook, take `distance_inside`.
+    Points inside the base whose distance bracket lies near eps take the exact distance.
     """
 
     def __init__(self, base: ConvexSet, eps: float):
@@ -821,14 +784,10 @@ class ErodedSet(ConvexSet):
         pts, single = _as_points(x, self.dim)
         ok = np.asarray(self.base.contains(pts))
         rows = pts[ok]
-        bounds = self.base.boundary_distance_bounds(rows)
-        if bounds is None:
-            ok[ok] = self.base.distance_inside(rows) >= self.eps
-            return _ret(ok, single)
-        near, keep = _settled(bounds, self.eps)
+        near, keep = _settled(self.base.boundary_distance_bounds(rows), self.eps)
         band = ~(keep | near)
         if band.any():
-            keep[band] = self.base.distance_inside(rows[band]) >= self.eps
+            keep[band] = self.base.boundary_distance(rows[band]) >= self.eps
         ok[ok] = keep
         return _ret(ok, single)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .gaussian import hermite_kernel, multiplicities
 from .quadrature import (
     DEFAULT_QUAD,
@@ -231,10 +231,9 @@ def double_integral_kernel_report(
     the max over shifts and the constant implied by the k e^{2s}(1-e^{-2s})
     envelope.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if s <= 0.0:
-        raise DomainError("s must be > 0")
+    n = check_count("n", n, 2)
+    if not (math.isfinite(s) and s > 0.0):
+        raise DomainError(f"s must be finite and > 0, got {s}")
     shifts = np.atleast_2d(np.asarray(shift_grid, dtype=float))
     k = shifts.shape[1]
     multiplicities(idx, k, orders=(3,))

@@ -342,6 +342,44 @@ def test_nan_bound_input_raises(call, error):
         call()
 
 
+_RECURSION_CALLS = {
+    "smoothed_discrepancy_bound": lambda k, rho3, n: smoothed_discrepancy_bound(
+        k, rho3, n, 0.5, 0.1, _CONSTS
+    ),
+    "recursion_bound": lambda k, rho3, n: recursion_bound(k, rho3, n, 0.5, 0.1, _CONSTS),
+    "recursion_step_bound": lambda k, rho3, n: recursion_step_bound(k, rho3, n, 0.1, _CONSTS),
+    "recursion_certify": lambda k, rho3, n: recursion_certify(k, rho3, n, _CONSTS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECURSION_CALLS))
+@pytest.mark.parametrize(
+    "k, rho3, n, match",
+    [
+        (-1, 1.0, 10, "k >= 1"),
+        (0, 1.0, 10, "k >= 1"),
+        (_NAN, 1.0, 10, "k >= 1"),
+        (2, 1.0, 0, "n"),
+        (2, _NAN, 10, "rho3"),
+        (2, -1.0, 10, "rho3"),
+        (2, 0.0, 10, "rho3"),
+        (2, math.inf, 10, "rho3"),
+    ],
+)
+def test_recursion_bounds_reject_k_n_and_rho3_outside_their_domain(name, k, rho3, n, match):
+    # these returned complex numbers (k < 0), a negative bound (rho3 = -1), a
+    # certificate (rho3 = nan), or raised ZeroDivisionError (n = 0) and
+    # "math domain error" (rho3 < 0) instead of DomainError
+    with pytest.raises(DomainError, match=match):
+        _RECURSION_CALLS[name](k, rho3, n)
+
+
+@pytest.mark.parametrize("t", [_NAN, math.inf, -1.0])
+def test_omega_star_hat_error_names_t(t):
+    with pytest.raises(DomainError, match="t must be finite and >= 0"):
+        omega_star_hat(_ELLIPSE, 0.1, t)
+
+
 def test_bound_report_checks_t_before_sampling(monkeypatch):
     def sampled(*args, **kwargs):
         raise AssertionError("delta_hat ran before t was checked")

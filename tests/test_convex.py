@@ -143,6 +143,21 @@ def test_sandwich_property():
             assert np.all(~in_c | in_outer)
 
 
+def _box_excess(B, pts):
+    return np.maximum(np.maximum(B.lower - pts, pts - B.upper), 0.0)
+
+
+def _distance_to(C, pts):
+    """dist(x, C), 0 inside: written out for each closed-form variant."""
+    if isinstance(C, HalfSpace):
+        return np.maximum(pts @ C.normal - C.offset, 0.0)
+    if isinstance(C, Ball):
+        return np.maximum(np.linalg.norm(pts - C.center, axis=1) - C.radius, 0.0)
+    if isinstance(C, Box):
+        return np.linalg.norm(_box_excess(C, pts), axis=1)
+    return np.where(C.contains(pts), 0.0, C.boundary_distance(pts))
+
+
 def test_indicator_correspondence_with_distance():
     # 1_{C^eps}(x) = 1 iff dist(x, C) <= eps; erosion the dual way
     gen = RngStream(8, stream_id=5).generator()
@@ -150,7 +165,7 @@ def test_indicator_correspondence_with_distance():
     for C in _catalog():
         for eps in (0.15, 0.5):
             dil = np.asarray(C.dilate(eps).contains(pts))
-            pred = C.distance_outside(pts) <= eps + 1e-12
+            pred = _distance_to(C, pts) <= eps + 1e-12
             assert np.array_equal(dil, pred)
 
 
@@ -240,11 +255,12 @@ def test_ellipsoid_boundary_distance_matches_dense_boundary():
 
 def _exact_distance_contains(C, pts):
     """Parallel-body membership from the base's exact distance alone, for every row."""
+    ok = np.asarray(C.base.contains(pts))
     if isinstance(C, ErodedSet):
-        ok = np.asarray(C.base.contains(pts))
-        ok[ok] = C.base.distance_inside(pts[ok]) >= C.eps
-        return ok
-    return C.base.distance_outside(pts) <= C.eps
+        ok[ok] = C.base.boundary_distance(pts[ok]) >= C.eps
+    else:
+        ok[~ok] = C.base.boundary_distance(pts[~ok]) <= C.eps
+    return ok
 
 
 def _random_ellipsoid(gen, k):
@@ -320,6 +336,62 @@ def test_bound_settled_membership_at_the_centre_and_on_nan_rows():
             for C in (E.dilate(eps), E.erode(eps)):
                 assert np.array_equal(C.contains(pts), _exact_distance_contains(C, pts)), C
                 assert C.contains(pts[0]) == _exact_distance_contains(C, pts[:1])[0]
+
+
+def _box_test_points(gen, B, eps):
+    """Gaussian rows, rows on each finite face and eps either side of it, NaN rows."""
+    k = B.dim
+    rows = [1.5 * gen.standard_normal((400, k))]
+    for j in range(k):
+        for bound in (B.lower[j], B.upper[j]):
+            if math.isfinite(bound):
+                for offset in (0.0, -eps, eps):
+                    face = 0.5 * gen.standard_normal((20, k))
+                    face[:, j] = bound + offset
+                    rows.append(face)
+    nan_rows = np.zeros((2, k))
+    nan_rows[0] = math.nan
+    nan_rows[1, 0] = math.nan
+    rows.append(nan_rows)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("k", (5, 6))
+def test_box_parallel_bodies_follow_the_box_distance(k):
+    # above k = 4 a box's dilation is predicate-backed: its membership is the
+    # box's boundary_distance, the norm of the coordinate excess outside and
+    # the distance to the nearest face inside
+    gen = RngStream(44, stream_id=k).generator()
+    lower, upper = -np.ones(k), np.linspace(0.5, 1.5, k)
+    slab_lower, slab_upper = lower.copy(), upper.copy()
+    slab_lower[0], slab_upper[1] = -_INF, _INF
+    for B in (
+        Box(lower, upper),
+        Box(slab_lower, slab_upper),
+        Box(np.full(k, -_INF), np.full(k, _INF)),
+        Box(upper, lower),  # empty
+    ):
+        for eps in (0.05, 0.3):
+            pts = _box_test_points(gen, B, eps)
+            excess = _box_excess(B, pts)
+            to_face = np.min(np.minimum(pts - B.lower, B.upper - pts), axis=1)
+            dilated, eroded = B.dilate(eps), ErodedSet(B, eps)
+            assert type(dilated) is DilatedSet
+            near = np.linalg.norm(excess, axis=1) <= eps
+            assert np.array_equal(dilated.contains(pts), near & (not B.is_empty)), B
+            assert np.array_equal(eroded.contains(pts), to_face >= eps), B
+            d = B.boundary_distance(pts)
+            if B.is_empty:
+                assert np.all(d == _INF)
+                continue
+            outside = np.any(excess > 0.0, axis=1)
+            assert np.array_equal(d[outside], np.linalg.norm(excess[outside], axis=1))
+            assert np.array_equal(d[~outside], to_face[~outside], equal_nan=True)
+    # an excess whose norm underflows to 0 still counts as outside: distance 0, not < 0
+    B = Box(lower, np.zeros(k))
+    tiny = np.full((1, k), -0.5)
+    tiny[0, 0] = 1e-200
+    assert not B.contains(tiny)[0] and B.boundary_distance(tiny)[0] == 0.0
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))

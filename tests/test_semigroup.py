@@ -424,12 +424,15 @@ def test_contraction_trend_for_centered_indicators():
     ts = (0.25, 0.5, 1.0, 2.0, 4.0)
     gen = RngStream(19, stream_id=7).generator()
     pts = gen.standard_normal((12, 2))
-    for C in (HalfSpace(np.array([1.0, 0.0]), 0.3), Ball(np.zeros(2), 1.2)):
+    for C, to_boundary in (
+        (HalfSpace(np.array([1.0, 0.0]), 0.3), lambda x: abs(x[0] - 0.3)),
+        (Ball(np.zeros(2), 1.2), lambda x: abs(np.linalg.norm(x) - 1.2)),
+    ):
         h = IndicatorFunction(C)
         mass = gaussian_measure(C)
         checked = 0
         for x in pts:
-            if min(abs(C.distance_inside(x)), C.distance_outside(x) or np.inf) < 0.5:
+            if to_boundary(x) < 0.5:
                 continue
             vals = [abs(semigroup_apply(h, t, x) - mass) for t in ts]
             assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))

@@ -226,6 +226,23 @@ def test_kernel_report_halfspace_bounds():
     assert len(rep.per_shift) == 9
 
 
+@pytest.mark.parametrize(
+    "n, s, match",
+    [
+        (10, math.nan, "s must be finite and > 0"),
+        (10, math.inf, "s must be finite and > 0"),
+        (10, 0.0, "s must be finite and > 0"),
+        (2.5, 1.0, "n must be an integer"),
+        (1, 1.0, "n must be >= 2"),
+    ],
+)
+def test_kernel_report_error_names_its_argument(n, s, match):
+    # NaN and inf s used to fail later as "sigma must be positive"; n = 2.5 was accepted
+    h = IndicatorFunction(HalfSpace(np.eye(1)[0], 0.0))
+    with pytest.raises(DomainError, match=match):
+        double_integral_kernel_report(h, n=n, s=s, idx=(0, 0, 0), shift_grid=np.zeros((1, 1)))
+
+
 def test_kernel_report_zero_for_constant():
     const = SmoothFunction(lambda X: np.full(len(np.atleast_2d(X)), 1.0))
     rep = double_integral_kernel_report(
