@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convex import ConvexSet, SetFamily, default_translates, gaussian_measure, shell_measure
-from .errors import DomainError, HypothesisViolationError
+from .errors import DomainError, HypothesisViolationError, check_count
 from .gaussian import quantile_a
 from .rng import RngStream
 from .semigroup import IndicatorFunction, ou_decay, ou_noise, semigroup_apply
@@ -119,8 +119,7 @@ def optimal_t(k: int, rho3: float, n: int, delta_prev: float) -> float:
     A zero delta_prev degenerates the formula; the floor T_FLOOR keeps the
     smoothing kernel non-degenerate.
     """
-    if not (k >= 1 and rho3 > 0.0 and n >= 1):
-        raise DomainError(f"inputs must be positive, got k={k}, rho3={rho3}, n={n}")
+    _check_recursion_inputs(k, rho3, n)
     if math.isnan(delta_prev):
         raise DomainError("delta_prev must not be NaN")
     if delta_prev <= 0.0:
@@ -129,9 +128,12 @@ def optimal_t(k: int, rho3: float, n: int, delta_prev: float) -> float:
 
 
 def _check_recursion_inputs(k, rho3: float, n, delta_prev: float = 0.0) -> None:
-    # written so that NaN fails each check
-    if not (k >= 1 and n >= 1):
-        raise DomainError(f"needs k >= 1 and n >= 1, got k={k}, n={n}")
+    # the k, n and rho3 check of every bound formula; written so that NaN fails each check
+    try:
+        check_count("k", k, 1)
+        check_count("n", n, 1)
+    except DomainError:
+        raise DomainError(f"needs integers k >= 1 and n >= 1, got k={k!r}, n={n!r}") from None
     if not (math.isfinite(rho3) and rho3 > 0.0):
         raise DomainError(f"rho3 must be finite and > 0, got {rho3}")
     if not delta_prev >= 0.0:
@@ -169,8 +171,7 @@ def recursion_step_bound(
 
 def berry_esseen_bound(k: int, rho3: float, n: int, c: float = 1.0) -> float:
     """The main iid statement: delta_n <= c k^{5/2} rho3 / sqrt(n)."""
-    if not (k >= 1 and n >= 1 and rho3 > 0.0):
-        raise DomainError(f"inputs must be positive, got k={k}, rho3={rho3}, n={n}")
+    _check_recursion_inputs(k, rho3, n)
     return c * k**2.5 * rho3 / math.sqrt(n)
 
 

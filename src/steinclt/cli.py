@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -356,7 +357,9 @@ def _add_common(p, with_family=True):
         p.add_argument("--family-seed", dest="family_seed", type=int, default=0)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each `parse_args` gives a fresh Namespace."""
     ap = argparse.ArgumentParser(prog="steinclt", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

@@ -940,7 +940,13 @@ class SetFamily:
 
     @cached_property
     def _plan(self):
-        """Sets grouped by shared membership statistic, and the other sets."""
+        """Sets grouped by shared membership statistic, then by level; and the other sets.
+
+        Each group is (statistic, ((level, target), ...)) with one entry per
+        distinct level: target is the index of the one set with that level,
+        or an index array when several sets share it (0.0 and -0.0 are one
+        level, since they compare alike).
+        """
         groups: dict = {}
         others = []
         for i, C in enumerate(self.sets):
@@ -949,8 +955,14 @@ class SetFamily:
                 others.append(i)
                 continue
             key, statistic, level = test
-            groups.setdefault(key, (statistic, []))[1].append((i, level))
-        return tuple(groups.values()), tuple(others)
+            groups.setdefault(key, (statistic, {}))[1].setdefault(level, []).append(i)
+        plan = []
+        for statistic, levels in groups.values():
+            targets = tuple(
+                (level, idx[0] if len(idx) == 1 else np.array(idx)) for level, idx in levels.items()
+            )
+            plan.append((statistic, targets))
+        return tuple(plan), tuple(others)
 
     @cached_property
     def measures(self) -> np.ndarray:
@@ -964,15 +976,18 @@ class SetFamily:
 
         Equal to `count_nonzero(C.contains(x))` for every set C, but sets
         sharing a membership statistic (half-spaces with one normal, balls
-        with one centre) compute it once: each such set costs one comparison.
+        with one centre) compute it once, and each distinct (statistic, level)
+        costs one comparison whose count every set with that level shares.
+        The k = 1 default family makes 51 comparisons for its 561 half-spaces
+        and balls, since its random directions all reduce to +-1.
         """
         pts, _ = _as_points(x, self.dim)
         groups, others = self._plan
         out = np.empty(len(self.sets), dtype=np.int64)
-        for statistic, members in groups:
+        for statistic, levels in groups:
             values = statistic(pts)
-            for i, level in members:
-                out[i] = np.count_nonzero(values <= level)
+            for level, target in levels:
+                out[target] = np.count_nonzero(values <= level)
         for i in others:
             out[i] = np.count_nonzero(self.sets[i].contains(pts))
         return out

@@ -329,15 +329,27 @@ _NAN = math.nan
         (lambda: optimal_t(2, 1.0, 16, _NAN), DomainError),
         (lambda: smoothing_bound(0.1, 0.1, alpha=_NAN), HypothesisViolationError),
         (lambda: SmoothingParams.for_dimension(2, 0.5, alpha=_NAN), HypothesisViolationError),
+        (lambda: berry_esseen_bound(2, math.inf, 16), DomainError),
+        (lambda: optimal_t(2, math.inf, 16, 0.5), DomainError),
+        (lambda: berry_esseen_bound(2.5, 1.0, 16), DomainError),
+        (lambda: berry_esseen_bound(2, 1.0, 16.5), DomainError),
+        (lambda: berry_esseen_bound(True, 1.0, 16), DomainError),
+        (lambda: optimal_t(2, 1.0, 16.5, 0.5), DomainError),
+        (lambda: recursion_step_bound(2.5, 1.0, 16.5, 0.1, _CONSTS), DomainError),
     ],
     ids=["berry_esseen_bound-rho3", "noniid_bound-beta3", "gamma3_bound-gamma3",
          "recursion_step_bound-rho3", "recursion_step_bound-delta_prev", "recursion_bound-rho3",
          "recursion_bound-delta_prev", "optimal_t-rho3", "optimal_t-delta_prev",
-         "smoothing_bound-alpha", "SmoothingParams.for_dimension-alpha"],
+         "smoothing_bound-alpha", "SmoothingParams.for_dimension-alpha",
+         "berry_esseen_bound-rho3-inf", "optimal_t-rho3-inf", "berry_esseen_bound-k-fraction",
+         "berry_esseen_bound-n-fraction", "berry_esseen_bound-k-bool", "optimal_t-n-fraction",
+         "recursion_step_bound-k-n-fraction"],
 )
 def test_nan_bound_input_raises(call, error):
     # each check used to be written as `x <= bound`, which NaN passes: the
-    # bounds returned nan, optimal_t returned 1.0 and alpha = nan was accepted
+    # bounds returned nan, optimal_t returned 1.0 and alpha = nan was accepted;
+    # berry_esseen_bound and optimal_t also took rho3 = inf, and every bound
+    # took a bool or fractional k or n, until they shared one check
     with pytest.raises(error):
         call()
 

@@ -12,6 +12,7 @@ import scipy
 
 import steinclt
 from steinclt import BoundReport, Ellipsoid, default_family, gaussian_measure, reports, save_family
+from steinclt import cli
 from steinclt.cli import run
 
 
@@ -502,3 +503,47 @@ def test_abbreviated_flag_is_rejected_not_overridden_by_config(tmp_path, capsys)
     linear = _run_capture(capsys, argv + ["--noniid-profile", "linear"])
     assert _run_capture(capsys, argv + ["--config", str(path), "--noniid-profile", "linear"]) == linear
     assert _run_capture(capsys, argv + ["--config", str(path)]) != linear
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout) of one run, whether it returns or exits."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_cached_parser_leaks_nothing_between_runs(tmp_path, capsys):
+    # the parser is built once per process, so nothing a run parses (a config
+    # file, appended --constant values, an error exit) may reach the next run
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "cfg.json"
+    path.write_text('{"family_seed": 5}')
+    bounds = ["bounds", "--source", "gaussian", "--k", "1", "--n", "8", "--M", "2000", "--seed", "4"]
+    cases = [
+        (_DELTA + ["--config", str(path)], _DELTA, 0),
+        (bounds + ["--constant", "c=2.0"], bounds, 0),
+        (_DELTA + ["--nope", "1"], _DELTA, 2),
+        (bounds + ["--constant", "zz=1.0"], bounds, 2),
+    ]
+    for first, then, first_code in cases:
+        reference = _outcome(capsys, then)
+        firsts = []
+        for _ in range(2):
+            firsts.append(_outcome(capsys, first))
+            assert _outcome(capsys, then) == reference, (first, then)
+        assert firsts[0] == firsts[1] and firsts[0][0] == first_code, first
+        assert firsts[0][1] != reference[1], first
+        assert reference[0] == 0 and reference[1].startswith("# steinclt-csv v1")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["delta", "--help"]])
+def test_help_is_the_same_on_every_call(argv, capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: steinclt" in texts[0]

@@ -889,3 +889,59 @@ def test_family_counts_match_per_set_contains(case):
             # the (M, k) reduction the per-column comparisons replaced
             expect = np.all((pts >= C.lower) & (pts <= C.upper), axis=1)
             assert np.array_equal(C.contains(pts), expect)
+
+
+def _plan_comparisons(fam):
+    """(level comparisons, sets they cover) of the family's counting plan."""
+    groups, _ = fam._plan
+    levels = [target for _, entries in groups for _, target in entries]
+    return len(levels), sum(np.size(target) for target in levels)
+
+
+@st.composite
+def _family_with_repeated_levels(draw):
+    """Half-spaces and balls that repeat (statistic, level) pairs, and points on those levels."""
+    k = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=3))
+    levels += [0.0, -0.0]
+    normals = [np.eye(k)[0], -np.eye(k)[0], gen.standard_normal(k)]
+    normals[2] /= np.linalg.norm(normals[2])
+    centers = [np.zeros(k), gen.standard_normal(k)]
+    radii = [abs(r) for r in levels] + [-1.0]
+    sets = [HalfSpace(normals[0].copy(), 0.0), HalfSpace(normals[0].copy(), -0.0)]
+    for _ in range(draw(st.integers(2, 16))):
+        normal = normals[draw(st.integers(0, len(normals) - 1))]
+        sets.append(HalfSpace(normal.copy(), draw(st.sampled_from(levels))))
+    for _ in range(draw(st.integers(0, 8))):
+        center = centers[draw(st.integers(0, 1))]
+        sets.append(Ball(center.copy(), draw(st.sampled_from(radii))))
+    sets.append(Box(-np.ones(k), np.ones(k)))
+    order = draw(st.permutations(range(len(sets))))
+    fam = SetFamily(sets=tuple(sets[i] for i in order))
+    m = draw(st.integers(1, 32))
+    # exactly on the repeated offsets along the axis normal and on the repeated radii
+    on_levels = np.zeros((len(levels) + len(radii), k))
+    on_levels[:, 0] = levels + radii
+    nan_rows = np.full((2, k), np.nan)
+    nan_rows[1, 1:] = 0.0
+    return fam, np.vstack([gen.standard_normal((m, k)), on_levels, nan_rows])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_family_with_repeated_levels())
+def test_family_counts_compare_each_distinct_level_once(case):
+    fam, pts = case
+    assert np.array_equal(fam.counts(pts), _per_set_counts(fam, pts))
+    tests = [C.membership_statistic() for C in fam.sets]
+    # a set of floats holds 0.0 and -0.0 once, as the plan should: they compare alike
+    distinct = {(test[0], test[2]) for test in tests if test is not None}
+    assert _plan_comparisons(fam) == (len(distinct), len(fam) - 1)  # all but the box
+
+
+def test_default_family_plan_dedups_levels_at_k1_only():
+    fam = default_family(1)
+    assert len(fam) == 570
+    # 32 directions reduce to +-1: 2 normals x 17 offsets, and 17 ball radii
+    assert _plan_comparisons(fam) == (51, 561)
+    assert _plan_comparisons(default_family(2)) == (561, 561)

@@ -4,14 +4,18 @@ Pinned: the Gaussian measures of the default set families for k = 1..4, the
 CSV bodies (below the header line) of three check suites at seed 7, the
 CSV bodies of two `discrepancy` runs, one on the Rademacher lattice (the
 README command) and one on Gaussian sums, and the CSV bodies of the README's
-`delta` and `bounds` commands at M = 20000, of a non-iid `bounds` run and of
-a `delta` run on `family_k2_ellipsoid.json`, whose ellipsoid has no closed
-form and so pins the scrambled-Sobol QMC measure, and of the README's
-`dim-scan` command at M = 20000.  `omega_star_hat` of a stretched and a
-spherical ellipsoid at k = 2, 3 is pinned as `float.hex` text: a QMC count
-over 2^16 points, so each shell mass is exact in binary.  The measures and
-check suites were recorded with steinclt 0.3.0, and 0.3.1 and 0.3.2 give the
-same bytes; the `discrepancy` bodies were recorded with 0.3.2 and match 0.3.1.
+`delta` and `bounds` commands at M = 20000, of two k = 1 `delta` runs on
+non-lattice laws (uniform and exponential, whose default family repeats each
+half-space level 16 times), of a non-iid `bounds` run and of a `delta` run on
+`family_k2_ellipsoid.json`, whose ellipsoid has no closed form and so pins the
+scrambled-Sobol QMC measure, and of the README's `dim-scan` command at
+M = 20000.  `omega_star_hat` of a stretched and a spherical ellipsoid at
+k = 2, 3 is pinned as `float.hex` text: a QMC count over 2^16 points, so each
+shell mass is exact in binary.  The measures and check suites were recorded
+with steinclt 0.3.0, and 0.3.1 and 0.3.2 give the same bytes; the
+`discrepancy` bodies were recorded with 0.3.2 and match 0.3.1, and the k = 1
+uniform and exponential `delta` bodies were recorded with 0.3.2 before
+`SetFamily.counts` compared each repeated level once.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers records new digests; under
@@ -60,6 +64,10 @@ CLI_CSV_BODIES = {
         "2b21a835e7536646761fd4838a2fa3211c6e20394b343d1d1dc46d1601e6a6f1",
     "delta --source rademacher --k 1,2,3 --n 4,16,64 --M 20000 --seed 7":
         "0079c9ed8b5a122dff5a4836a5b7ff97de003f4f35a40102699da81bed1e837f",
+    "delta --source uniform --k 1 --n 4,256 --M 20000 --seed 7":
+        "2e3d84db4fc6d97b1f2f16d2f1449ca1728c6c3a3681f8710cc8f2a5fbd9bfd9",
+    "delta --source exponential --k 1 --n 4,256 --M 20000 --seed 7":
+        "17e161b20e247d9d07db3f23b96090d82efa9416576eda261a978d13da2aa244",
     "bounds --source uniform --k 2 --n 16,64 --M 20000 --seed 7 --constant c=1.0":
         "a23acbd4717146c0b2c25462c60afdd26dad6653f45a4c5061ad23117faed5c5",
     "bounds --source gaussian --k 1 --n 32 --M 20000 --seed 7 --noniid-profile linear":
