@@ -94,7 +94,8 @@ class ConvexSet:
         """(key, statistic, level) with x in C iff statistic(x) <= level, or None.
 
         Sets whose keys are equal compute the same statistic, so a family
-        evaluates it once per sample for all of them (`SetFamily.counts`).
+        evaluates it once per sample for all of them (`SetFamily.counts`,
+        which sorts it in place: statistic(x) must return a new array).
         """
         return None
 
@@ -140,11 +141,27 @@ class ConvexSet:
 
 
 def _projection(normal, pts):
-    return pts @ normal
+    # `dot` gives the values of `pts @ normal` bit for bit, in a sixth of its time at
+    # k = 1; at k = 2 and 3 it takes about 3 us more per 16384 rows
+    return pts.dot(normal)
+
+
+# numpy's add.reduce sums a row of fewer than 8 entries left to right, as the
+# column sum below does; longer rows go through its 8-way pairwise sum, which
+# the column sum would not match bit for bit, so they keep the norm
+_COLUMN_SUM_MAX_DIM = 7
 
 
 def _center_distance(center, pts):
-    return np.linalg.norm(pts - center, axis=1)
+    if len(center) > _COLUMN_SUM_MAX_DIM:
+        return np.linalg.norm(pts - center, axis=1)
+    # the squared columns summed in order: the norm's values, without its short-axis reduction
+    return np.sqrt(reduce(np.add, (np.square(pts[:, j] - c) for j, c in enumerate(center))))
+
+
+def _max_abs(pts):
+    # column by column, cheaper than a short-axis max; NaN propagates
+    return reduce(np.maximum, (np.abs(column) for column in pts.T))
 
 
 def _check_eps(eps: float) -> float:
@@ -433,6 +450,13 @@ class Box(ConvexSet):
     @property
     def is_empty(self):
         return bool(np.any(self.lower > self.upper))
+
+    def membership_statistic(self):
+        """max |x_j| <= a for a centred cube [-a, a]^k (empty if a < 0); None for other boxes."""
+        upper = self.upper
+        if not (self.dim and np.all(upper == upper[0]) and np.all(self.lower == -upper)):
+            return None
+        return ("max_abs",), _max_abs, float(upper[0])
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
@@ -940,12 +964,10 @@ class SetFamily:
 
     @cached_property
     def _plan(self):
-        """Sets grouped by shared membership statistic, then by level; and the other sets.
+        """Sets grouped by shared membership statistic; and the other sets.
 
-        Each group is (statistic, ((level, target), ...)) with one entry per
-        distinct level: target is the index of the one set with that level,
-        or an index array when several sets share it (0.0 and -0.0 are one
-        level, since they compare alike).
+        Each group is (statistic, levels, targets): the level of every set in
+        the group, repeats included, and the sets' indices in the same order.
         """
         groups: dict = {}
         others = []
@@ -955,14 +977,14 @@ class SetFamily:
                 others.append(i)
                 continue
             key, statistic, level = test
-            groups.setdefault(key, (statistic, {}))[1].setdefault(level, []).append(i)
-        plan = []
-        for statistic, levels in groups.values():
-            targets = tuple(
-                (level, idx[0] if len(idx) == 1 else np.array(idx)) for level, idx in levels.items()
-            )
-            plan.append((statistic, targets))
-        return tuple(plan), tuple(others)
+            _, levels, targets = groups.setdefault(key, (statistic, [], []))
+            levels.append(level)
+            targets.append(i)
+        plan = tuple(
+            (statistic, np.array(levels), np.array(targets))
+            for statistic, levels, targets in groups.values()
+        )
+        return plan, tuple(others)
 
     @cached_property
     def measures(self) -> np.ndarray:
@@ -976,18 +998,17 @@ class SetFamily:
 
         Equal to `count_nonzero(C.contains(x))` for every set C, but sets
         sharing a membership statistic (half-spaces with one normal, balls
-        with one centre) compute it once, and each distinct (statistic, level)
-        costs one comparison whose count every set with that level shares.
-        The k = 1 default family makes 51 comparisons for its 561 half-spaces
-        and balls, since its random directions all reduce to +-1.
+        with one centre, centred cubes) sort its values once, and each set's
+        count is the number of sorted values at or below its level.  NaN sorts
+        last and is below no level, as it fails every comparison.
         """
         pts, _ = _as_points(x, self.dim)
         groups, others = self._plan
         out = np.empty(len(self.sets), dtype=np.int64)
-        for statistic, levels in groups:
+        for statistic, levels, targets in groups:
             values = statistic(pts)
-            for level, target in levels:
-                out[target] = np.count_nonzero(values <= level)
+            values.sort()  # in place: a statistic returns a new array
+            out[targets] = values.searchsorted(levels, side="right")
         for i in others:
             out[i] = np.count_nonzero(self.sets[i].contains(pts))
         return out

@@ -31,7 +31,9 @@ from steinclt import (
 )
 from steinclt.convex import (
     DilatedBox,
+    _center_distance,
     _ncx2_cdf,
+    _projection,
     _qmc_membership_mean,
     _sobol_normal_replicates,
     set_to_config,
@@ -856,9 +858,15 @@ def _mixed_family_and_points(draw):
         sets.append(Ball(center.copy(), draw(st.sampled_from([-1.0, 0.0, 1.0]) | level)))
     half = np.abs(lattice[-1]) * np.ones(k)
     sets += [
+        # centred cubes [-a, a]^k at a lattice value, a = -1 (empty), 0 and inf
         Box(-half, half),
-        Box(np.ones(k), -np.ones(k)),  # empty
+        Box(np.ones(k), -np.ones(k)),
+        Box(np.zeros(k), np.zeros(k)),
+        Box(np.full(k, -np.inf), np.full(k, np.inf)),
+        # boxes that are not centred cubes: asymmetric, shifted, unequal sides (k >= 2)
         Box(-np.ones(k), np.full(k, 1.5)),
+        Box(-half + 0.5, half + 0.5),
+        Box(-np.arange(1.0, k + 1), np.arange(1.0, k + 1)),
         Ellipsoid(centers[1], np.diag(np.linspace(0.5, 2.0, k))),
         DilatedSet(Box(-np.ones(k), np.ones(k)), 0.25),
         ErodedSet(Ellipsoid(np.zeros(k), 4.0 * np.eye(k)), 0.5),
@@ -872,16 +880,28 @@ def _mixed_family_and_points(draw):
     radii = np.array([C.radius for C in sets if isinstance(C, Ball)] + [1.0])
     on_spheres = np.zeros((m, k))
     on_spheres[:, 0] = gen.choice(np.abs(radii), size=m)
-    return fam, np.vstack([gauss, on_lattice, on_spheres])
+    # rows with NaN and -0.0 entries; and rows that also hold +-inf
+    special = gen.choice([np.nan, -0.0, 0.0, 1.0], size=(m, k))
+    infinite = gen.choice([np.inf, -np.inf, np.nan, -0.0, 1.0], size=(m, k))
+    return fam, np.vstack([gauss, on_lattice, on_spheres, special]), infinite
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_mixed_family_and_points())
 def test_family_counts_match_per_set_contains(case):
-    fam, pts = case
+    fam, pts, infinite = case
+    before = pts.copy()
     counts = fam.counts(pts)
     assert counts.dtype == np.int64
+    assert np.array_equal(pts, before, equal_nan=True)  # the statistics are sorted in place
     assert np.array_equal(counts, _per_set_counts(fam, pts))
+    # inf * 0 in a projection or rotation is NaN, which numpy flags as invalid;
+    # the row then counts as a NaN row does, in the plan and in `contains`
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(fam.counts(infinite), _per_set_counts(fam, infinite))
+    # the ellipsoid, the two parallel bodies and the boxes that are not centred cubes
+    # (two, and a third with unequal sides at k >= 2) count alone; the rest share statistics
+    assert _check_plan(fam)[1] == 5 + (fam.dim > 1)
     for C in fam.sets:
         if C.is_empty:
             assert not np.any(C.contains(pts))
@@ -891,11 +911,59 @@ def test_family_counts_match_per_set_contains(case):
             assert np.array_equal(C.contains(pts), expect)
 
 
-def _plan_comparisons(fam):
-    """(level comparisons, sets they cover) of the family's counting plan."""
-    groups, _ = fam._plan
-    levels = [target for _, entries in groups for _, target in entries]
-    return len(levels), sum(np.size(target) for target in levels)
+def _check_plan(fam):
+    """The plan has one group per distinct statistic key, each set's level in its group."""
+    groups, others = fam._plan
+    tests = [C.membership_statistic() for C in fam.sets]
+    assert len(groups) == len({test[0] for test in tests if test is not None})
+    assert list(others) == [i for i, test in enumerate(tests) if test is None]
+    covered = []
+    for _, levels, targets in groups:
+        assert [tests[i][0] for i in targets] == [tests[targets[0]][0]] * len(targets)
+        assert levels.tolist() == [tests[i][2] for i in targets]
+        covered += targets.tolist()
+    assert sorted(covered) == [i for i, test in enumerate(tests) if test is not None]
+    return len(groups), len(others)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_box_membership_statistic_is_the_max_abs_of_centred_cubes_only(k):
+    pts = np.random.default_rng(k).standard_normal((512, k))
+    for a in (-1.0, 0.0, -0.0, 0.9, np.inf, -np.inf):
+        cube = Box(np.full(k, -a), np.full(k, a))
+        key, statistic, level = cube.membership_statistic()
+        assert key == ("max_abs",) and level == a
+        assert np.array_equal(statistic(pts) <= level, cube.contains(pts))
+    non_cubes = [
+        Box(-np.ones(k), np.full(k, 1.5)),
+        Box(np.zeros(k), np.ones(k)),
+        Box(np.full(k, -np.inf), np.ones(k)),
+    ]
+    if k > 1:
+        non_cubes.append(Box(-np.arange(1.0, k + 1), np.arange(1.0, k + 1)))
+    for box in non_cubes:
+        assert box.membership_statistic() is None
+    assert Box([], []).membership_statistic() is None
+    assert np.array_equal(SetFamily((Box([], []),)).counts(np.zeros((3, 0))), [3])
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_projection_and_center_distance_equal_the_matrix_forms(k):
+    # the family's statistics avoid these forms for speed, and must round exactly as they do
+    gen = np.random.default_rng(40 + k)
+    for m in (1, 7, 842, 16384):
+        pts = gen.standard_normal((m, k)) * gen.choice([1e-3, 1.0, 1e3], size=(m, k))
+        pts[::97] = np.nan
+        pts[3::89] = -0.0
+        for _ in range(20):
+            normal = gen.standard_normal(k)
+            normal /= np.linalg.norm(normal)
+            assert np.array_equal(_projection(normal, pts), pts @ normal, equal_nan=True)
+        pts[5::83, 0] = np.inf
+        pts[6::83, -1] = -np.inf
+        for center in (np.zeros(k), gen.standard_normal(k)):
+            expect = np.linalg.norm(pts - center, axis=1)
+            assert np.array_equal(_center_distance(center, pts), expect, equal_nan=True)
 
 
 @st.composite
@@ -930,18 +998,16 @@ def _family_with_repeated_levels(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_family_with_repeated_levels())
-def test_family_counts_compare_each_distinct_level_once(case):
+def test_family_counts_sort_each_shared_statistic_once(case):
     fam, pts = case
     assert np.array_equal(fam.counts(pts), _per_set_counts(fam, pts))
-    tests = [C.membership_statistic() for C in fam.sets]
-    # a set of floats holds 0.0 and -0.0 once, as the plan should: they compare alike
-    distinct = {(test[0], test[2]) for test in tests if test is not None}
-    assert _plan_comparisons(fam) == (len(distinct), len(fam) - 1)  # all but the box
+    # half-spaces, balls and the centred cube all share statistics: none counts alone
+    assert _check_plan(fam)[1] == 0
 
 
-def test_default_family_plan_dedups_levels_at_k1_only():
+def test_default_family_plan_sorts_one_statistic_per_group():
     fam = default_family(1)
     assert len(fam) == 570
-    # 32 directions reduce to +-1: 2 normals x 17 offsets, and 17 ball radii
-    assert _plan_comparisons(fam) == (51, 561)
-    assert _plan_comparisons(default_family(2)) == (561, 561)
+    # 32 directions reduce to +-1: 2 projections, the centre distance and the cubes' max |x|
+    assert _check_plan(fam) == (4, 0)
+    assert _check_plan(default_family(2)) == (34, 0)
