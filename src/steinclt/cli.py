@@ -350,7 +350,8 @@ def _add_common(p, with_family=True):
     p.add_argument("--out", default=None, help="output path prefix (stdout if omitted)")
     p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
     p.add_argument("--threads", type=int, default=1,
-                   help="kept for existing command lines; sampling is single-threaded, so 1")
+                   help="kept for existing command lines; only 1 (the blocks of an estimate "
+                        "run on every usable CPU and sum in block order, whatever the count)")
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
     if with_family:
         p.add_argument("--family", default=None, help="set-family JSON file")
@@ -477,7 +478,8 @@ def run(argv=None) -> int:
         args = _apply_config_file(args, argv, actions)
         if args.threads != 1:
             raise ConfigurationError(
-                f"sampling is single-threaded; --threads must be 1, got {args.threads!r}"
+                f"--threads is kept for existing command lines and must be 1, got "
+                f"{args.threads!r}; sampling already uses every usable CPU"
             )
         if args.format == "both" and args.out is None:
             raise ConfigurationError("--format both writes two files and needs --out")

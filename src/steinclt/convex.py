@@ -11,16 +11,20 @@ about its centre): its parallel bodies settle every point whose bracket lies
 clear of eps, only the points in a narrow band around eps pay for the exact
 distance, and each decision equals the one the exact distance alone gives.
 
-Sets are closed: boundary points count as inside.  Each variant keeps its
-closed forms on its own class, in three hooks: `shifted_measure`, the
-shifted measure P(s + sigma Z in C), whose value at s = 0 and sigma = 1 is
-Phi(C); `smoothed_derivative`, the mixed partials of x -> P(alpha x + w Z
-in C); and `smoothed_jet`, its gradient and Laplacian, which the OU
-semigroup needs.  Half-spaces, balls (central and off-center) and boxes give
-all three; a dilated box (`DilatedBox`) gives the shifted measure.  The base
-class returns None from each, which sends the caller to a scrambled-Sobol
-QMC estimate or to quadrature.  A serializable variant names its config tag
-and constructor fields.
+Sets are closed: boundary points count as inside.  A row with an infinite
+entry may meet inf * 0 or inf - inf in a projection or rotation; membership
+ignores numpy's invalid flag for it, once per call, and the row counts as a
+NaN row does.
+
+Each variant keeps its closed forms on its own class, in three hooks:
+`shifted_measure`, the shifted measure P(s + sigma Z in C), whose value at
+s = 0 and sigma = 1 is Phi(C); `smoothed_derivative`, the mixed partials of
+x -> P(alpha x + w Z in C); and `smoothed_jet`, its gradient and Laplacian,
+which the OU semigroup needs.  Half-spaces, balls (central and off-center)
+and boxes give all three; a dilated box (`DilatedBox`) gives the shifted
+measure.  The base class returns None from each, which sends the caller to a
+scrambled-Sobol QMC estimate or to quadrature.  A serializable variant names
+its config tag and constructor fields.
 
 A ball's noncentral chi-square CDF is scipy.special's chndtr (chdtr at
 noncentrality 0), equal bit for bit to scipy.stats.ncx2.cdf.  scipy.stats is
@@ -205,7 +209,8 @@ class HalfSpace(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        return _ret(_projection(self.normal, pts) <= self.offset, single)
+        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
+            return _ret(_projection(self.normal, pts) <= self.offset, single)
 
     def shifted_measure(self, shifts, sigma):
         return norm_cdf((self.offset - shifts @ self.normal) / sigma)
@@ -568,7 +573,8 @@ class Ellipsoid(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        q = np.sum(np.square(self._rotated(pts)) / self._evals, axis=1)
+        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
+            q = np.sum(np.square(self._rotated(pts)) / self._evals, axis=1)
         return _ret(q <= 1.0, single)
 
     def boundary_distance(self, x):
@@ -697,11 +703,12 @@ class DilatedSet(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        near, far = _settled(self.base.boundary_distance_bounds(pts), self.eps)
-        ok = np.asarray(self.base.contains(pts)) | near
-        band = ~(ok | far)
-        if band.any():
-            ok[band] = self.base.boundary_distance(pts[band]) <= self.eps
+        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
+            near, far = _settled(self.base.boundary_distance_bounds(pts), self.eps)
+            ok = np.asarray(self.base.contains(pts)) | near
+            band = ~(ok | far)
+            if band.any():
+                ok[band] = self.base.boundary_distance(pts[band]) <= self.eps
         return _ret(ok, single)
 
     def dilate(self, eps):
@@ -806,12 +813,13 @@ class ErodedSet(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        ok = np.asarray(self.base.contains(pts))
-        rows = pts[ok]
-        near, keep = _settled(self.base.boundary_distance_bounds(rows), self.eps)
-        band = ~(keep | near)
-        if band.any():
-            keep[band] = self.base.boundary_distance(rows[band]) >= self.eps
+        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
+            ok = np.asarray(self.base.contains(pts))
+            rows = pts[ok]
+            near, keep = _settled(self.base.boundary_distance_bounds(rows), self.eps)
+            band = ~(keep | near)
+            if band.any():
+                keep[band] = self.base.boundary_distance(rows[band]) >= self.eps
         ok[ok] = keep
         return _ret(ok, single)
 
@@ -967,7 +975,8 @@ class SetFamily:
         """Sets grouped by shared membership statistic; and the other sets.
 
         Each group is (statistic, levels, targets): the level of every set in
-        the group, repeats included, and the sets' indices in the same order.
+        the group, repeats included, and the sets' indices in the same order,
+        both read-only.
         """
         groups: dict = {}
         others = []
@@ -980,11 +989,12 @@ class SetFamily:
             _, levels, targets = groups.setdefault(key, (statistic, [], []))
             levels.append(level)
             targets.append(i)
-        plan = tuple(
-            (statistic, np.array(levels), np.array(targets))
-            for statistic, levels, targets in groups.values()
-        )
-        return plan, tuple(others)
+        plan = []
+        for statistic, levels, targets in groups.values():
+            levels, targets = np.array(levels), np.array(targets)
+            levels.flags.writeable = targets.flags.writeable = False
+            plan.append((statistic, levels, targets))
+        return tuple(plan), tuple(others)
 
     @cached_property
     def measures(self) -> np.ndarray:
@@ -1005,10 +1015,11 @@ class SetFamily:
         pts, _ = _as_points(x, self.dim)
         groups, others = self._plan
         out = np.empty(len(self.sets), dtype=np.int64)
-        for statistic, levels, targets in groups:
-            values = statistic(pts)
-            values.sort()  # in place: a statistic returns a new array
-            out[targets] = values.searchsorted(levels, side="right")
+        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
+            for statistic, levels, targets in groups:
+                values = statistic(pts)
+                values.sort()  # in place: a statistic returns a new array
+                out[targets] = values.searchsorted(levels, side="right")
         for i in others:
             out[i] = np.count_nonzero(self.sets[i].contains(pts))
         return out

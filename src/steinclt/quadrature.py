@@ -25,14 +25,16 @@ GH_NODES = 32
 
 @lru_cache(maxsize=64)
 def gauss_hermite_1d(n: int):
-    """Nodes/weights (z_i, w_i) with sum w_i f(z_i) ~ E f(Z), Z ~ N(0,1)."""
+    """Read-only nodes/weights (z_i, w_i) with sum w_i f(z_i) ~ E f(Z), Z ~ N(0,1)."""
     x, w = np.polynomial.hermite.hermgauss(n)
-    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+    z, w = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+    z.flags.writeable = w.flags.writeable = False  # cached: shared by every caller and thread
+    return z, w
 
 
 @lru_cache(maxsize=32)
 def gauss_hermite_tensor(k: int, n: int):
-    """Tensor grid for E f(Z) over N(0, I_k); nodes (n^k, k), weights (n^k,)."""
+    """Tensor grid for E f(Z) over N(0, I_k); read-only nodes (n^k, k), weights (n^k,)."""
     if k > GH_TENSOR_MAX_DIM:
         raise ConfigurationError(
             f"tensor Gauss-Hermite is limited to k <= {GH_TENSOR_MAX_DIM}, got k={k}"
@@ -43,6 +45,7 @@ def gauss_hermite_tensor(k: int, n: int):
     weights = w1
     for _ in range(k - 1):
         weights = np.multiply.outer(weights, w1).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

@@ -9,10 +9,13 @@ sources are scaled copies of catalog laws whose covariances sum to the identity.
 
 Every Monte Carlo estimate over S_n runs through one loop, `sum_over_blocks`:
 block b of BLOCK_SIZE draws comes from the counter-based stream
-`stream.block(b)`, and the per-block statistics are summed in block order,
-so a seed fixes every number.  On top of it, `mean_over_blocks` turns
-per-target statistics into means with standard errors, and `sup_deviation`
-reports the largest deviation from a Gaussian reference as an `Estimate`.
+`stream.block(b)`, so a block's draws do not depend on the blocks before it.
+The blocks of one estimate may run concurrently, on a thread pool sized by
+the CPUs the process may use, but their statistics are summed in block
+order, so a seed fixes every number whatever the CPU count.  On top of it,
+`mean_over_blocks` turns per-target statistics into means with standard
+errors, and `sup_deviation` reports the largest deviation from a Gaussian
+reference as an `Estimate`.
 The statistics given to `mean_over_blocks` are row-wise (each column comes
 from its own row of S_n), so it evaluates each distinct row of a block once:
 a Rademacher S_n lives on the (n+1)^k lattice and repeats rows often, while
@@ -22,6 +25,8 @@ the continuous laws hand their blocks over untouched.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -393,17 +398,41 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     return src.sum_sampler(gen, size, src.k, n)
 
 
+@lru_cache(maxsize=1)
+def _block_pool():
+    """The process's pool for the blocks of one estimate, or None on one CPU; built on first use."""
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="steinclt-block") if workers > 1 else None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool but not its threads: it builds its own
+    os.register_at_fork(after_in_child=_block_pool.cache_clear)
+
+
 def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
     """Sum statistic(X) over the blocks X of M draws of S_n, in block order.
 
-    Block b holds up to BLOCK_SIZE rows drawn from `stream.block(b)`.
+    Block b holds up to BLOCK_SIZE rows drawn from `stream.block(b)`.  The
+    blocks of a multi-block estimate may run concurrently, so `statistic`
+    must be thread-safe and must not call `sum_over_blocks` itself (a block
+    waiting on the pool it runs on can wait forever); a single-block
+    estimate runs in the calling thread.  The sum is the left
+    fold of the block statistics in block order, so its bytes do not depend
+    on the CPU count or on which block finishes first.
     """
     M = check_count("M", M, 1)
-    total = 0
-    for b, start in enumerate(range(0, M, BLOCK_SIZE)):
-        size = min(BLOCK_SIZE, M - start)
-        total = total + statistic(sample_sum(src, n, stream.block(b), size))
-    return total
+    starts = range(0, M, BLOCK_SIZE)
+
+    def block(b):
+        return statistic(sample_sum(src, n, stream.block(b), min(BLOCK_SIZE, M - starts[b])))
+
+    blocks = range(len(starts))
+    pool = _block_pool() if len(blocks) > 1 else None
+    return sum(map(block, blocks) if pool is None else pool.map(block, blocks), 0)
 
 
 def _distinct_rows(X):
@@ -430,7 +459,8 @@ def mean_over_blocks(src, n: int, M: int, stream: RngStream, values):
     `values(X)` returns a (T, rows) array, one row per target, and must
     compute each column from its own row of X alone.  It is called once per
     block on the distinct rows of that block (on the block itself when no
-    two rows are equal), and its columns are scattered back to every row
+    two rows are equal), maybe for several blocks at once (see
+    `sum_over_blocks`), and its columns are scattered back to every row
     before the row sums are taken.  The variance is the plug-in
     max(sum f^2 / M - mean^2, 0).
     """

@@ -622,6 +622,19 @@ def test_cached_sobol_points_are_read_only():
         pts[0, 0, 0] = 0.0
 
 
+def test_cached_grids_and_membership_plans_are_read_only():
+    # threads that run the blocks of one estimate share these arrays
+    from steinclt.quadrature import gauss_hermite_1d, gauss_hermite_tensor
+
+    fam = default_family(2)
+    arrays = [*gauss_hermite_1d(32), *gauss_hermite_tensor(1, 32), *gauss_hermite_tensor(2, 32)]
+    arrays += [a for _, levels, targets in fam._plan[0] for a in (levels, targets)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    assert fam.counts(np.zeros((3, 2))).sum() > 0
+
+
 def test_a_second_qmc_measure_builds_no_sobol_engine(monkeypatch):
     C = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])).dilate(0.1)
     first = gaussian_measure_estimate(C)
@@ -895,10 +908,9 @@ def test_family_counts_match_per_set_contains(case):
     assert counts.dtype == np.int64
     assert np.array_equal(pts, before, equal_nan=True)  # the statistics are sorted in place
     assert np.array_equal(counts, _per_set_counts(fam, pts))
-    # inf * 0 in a projection or rotation is NaN, which numpy flags as invalid;
-    # the row then counts as a NaN row does, in the plan and in `contains`
-    with np.errstate(invalid="ignore"):
-        assert np.array_equal(fam.counts(infinite), _per_set_counts(fam, infinite))
+    # inf * 0 in a projection or rotation is NaN; the row counts as a NaN row does,
+    # in the plan and in `contains`, and neither warns (the suite turns warnings into errors)
+    assert np.array_equal(fam.counts(infinite), _per_set_counts(fam, infinite))
     # the ellipsoid, the two parallel bodies and the boxes that are not centred cubes
     # (two, and a third with unequal sides at k >= 2) count alone; the rest share statistics
     assert _check_plan(fam)[1] == 5 + (fam.dim > 1)

@@ -1,4 +1,8 @@
 import math
+import multiprocessing as mp
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -462,13 +466,106 @@ def test_mean_over_blocks_evaluates_each_distinct_row_once():
 
     means, _ = sources.mean_over_blocks(src, 4, M, stream, values)
     blocks = [sample_sum(src, 4, stream.block(b), s) for b, s in enumerate((BLOCK_SIZE, 500))]
+    # the blocks may run concurrently, so match each call to a block whatever their order
+    distinct = [np.unique(X, axis=0) for X in blocks]
     assert len(seen) == len(blocks)
-    for rows, X in zip(seen, blocks):
+    for rows in seen:
         # the 5 x 5 lattice of S_4, each point once
         assert len(rows) == len(np.unique(rows, axis=0)) <= 25
-        assert np.array_equal(np.unique(rows, axis=0), np.unique(X, axis=0))
+        matches = [b for b, D in enumerate(distinct) if np.array_equal(np.unique(rows, axis=0), D)]
+        assert matches
+        distinct[matches[0]] = None  # each block is evaluated once
     X = np.concatenate(blocks)
     assert np.allclose(means, [X[:, 0].mean(), (X[:, 0] * X[:, 1]).mean()], rtol=0, atol=1e-12)
+
+
+def test_sum_over_blocks_folds_in_block_order_when_blocks_finish_out_of_order():
+    src, stream = gaussian_source(1), RngStream(23)
+    first = sample_sum(src, 4, stream.block(0), BLOCK_SIZE)
+
+    def statistic(X):
+        if np.array_equal(X, first):
+            time.sleep(0.2)  # blocks 1 and 2 finish first when they run concurrently
+            return 1e16
+        return 1.0
+
+    # (1e16 + 1) + 1 rounds to 1e16 at each step; a sum in finishing order gives 1e16 + 2
+    assert sources.sum_over_blocks(src, 4, 3 * BLOCK_SIZE, stream, statistic) == 1e16
+
+
+def test_sum_over_blocks_raises_the_error_of_a_failing_block():
+    def statistic(X):
+        if len(X) == 7:  # block 2
+            raise DomainError("block 2 failed")
+        return 1.0
+
+    with pytest.raises(DomainError, match="block 2 failed"):
+        sources.sum_over_blocks(gaussian_source(1), 4, 2 * BLOCK_SIZE + 7, RngStream(24), statistic)
+
+
+def test_single_block_estimate_runs_in_the_calling_thread():
+    threads = []
+
+    def statistic(X):
+        threads.append(threading.get_ident())
+        return len(X)
+
+    assert sources.sum_over_blocks(gaussian_source(2), 4, BLOCK_SIZE, RngStream(25), statistic) == BLOCK_SIZE
+    assert threads == [threading.get_ident()]
+
+
+def test_concurrent_callers_share_the_block_pool_and_get_the_serial_estimate():
+    # more callers than cores share the pool, each on a fresh family, so every lazy
+    # membership plan is first reached from several pool threads at once
+    src, M, stream = uniform_source(2), 3 * BLOCK_SIZE, RngStream(27)
+    family = default_family(2)
+
+    def fresh():
+        return SetFamily(sets=family.sets)
+
+    serial = sum(fresh().counts(sample_sum(src, 16, stream.block(b), BLOCK_SIZE)) for b in range(3))
+    results = [None] * 6
+
+    def caller(i):
+        results[i] = sources.sum_over_blocks(src, 16, M, stream, fresh().counts)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(r, serial) for r in results)
+
+
+def _child_delta_hat(args, results):
+    results.put(delta_hat(*args))
+
+
+# a forked child of a process whose pool has run must not wait on the parent's threads
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(), reason="no fork start method")
+def test_multi_block_delta_hat_in_a_forked_child():
+    args = (uniform_source(2), 16, default_family(2), 2 * BLOCK_SIZE + 100, RngStream(26))
+    parent = delta_hat(*args)
+    ctx = mp.get_context("fork")
+    results = ctx.Queue()
+    child = ctx.Process(target=_child_delta_hat, args=(args, results))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    finally:
+        if child.is_alive():
+            child.join(5)
+        if child.is_alive():
+            child.kill()
+        child.join()
+    assert got == parent
 
 
 def test_delta_hat_rejects_small_M():
