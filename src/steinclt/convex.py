@@ -425,8 +425,15 @@ class Ball(ConvexSet):
         return f"Ball(center={self.center.tolist()}, radius={self.radius})"
 
 
+# phi(z) underflows to 0 for |z| >= 38.6, so clipping edges at this bound
+# leaves every finite edge's term He_{m-1}(z) phi(z) as it was and gives an
+# infinite bound its limit 0 in place of inf * 0
+_EDGE_CLIP = 40.0
+
+
 def _box_factor(m, alpha, w, hi, lo):
     """Order-m (m >= 1) derivative of Phi(hi) - Phi(lo) along one coordinate."""
+    hi, lo = np.clip(hi, -_EDGE_CLIP, _EDGE_CLIP), np.clip(lo, -_EDGE_CLIP, _EDGE_CLIP)
     fac = hermite_he(m - 1, hi) * norm_pdf(hi) - hermite_he(m - 1, lo) * norm_pdf(lo)
     return -((alpha / w) ** m) * fac
 

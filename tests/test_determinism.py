@@ -24,6 +24,7 @@ digest that cannot be checked has not passed.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy
@@ -31,8 +32,12 @@ import pytest
 import scipy
 
 import steinclt
-from steinclt import Ellipsoid, default_family, omega_star_hat
+from steinclt import (
+    Ball, Box, Ellipsoid, HalfSpace, IndicatorFunction, RngStream, SteinSolution, default_family,
+    laplacian_drift, omega_star_hat, ou_noise, psi_d1, psi_d2, psi_d3,
+)
 from steinclt.cli import run
+from steinclt.convex import _NCX2_SERIES_Z
 
 HERE = Path(__file__).resolve().parent
 
@@ -153,3 +158,192 @@ def test_ellipsoid_shell_mass_is_pinned(shape, k, eps):
     _assert_recorded_versions()
     C = Ellipsoid(*SHELL_ELLIPSOIDS[shape, k])
     assert float.hex(omega_star_hat(C, eps, 0.3)) == OMEGA_STAR_HEX[shape, k, eps]
+
+
+# The Stein solution's gradient and Laplacian side: laplacian_drift, psi_d1
+# (every i), psi_d2 at (0, 0) and (k-1, 0), and psi_d3 at (0, 0, 0),
+# (0, 0, k-1) and (0, min(1, k-1), k-1), at t = 0.5 on a fixed seeded batch,
+# recorded with steinclt 0.3.2 while the time integral still called the
+# closed forms once per s-node.  Odd k takes the ball's half-integer density
+# recurrence and even k the i0e/i1e one; the batch has rows on both sides of
+# the series switch z = 4 (checked below).  The slab has infinite bounds: its
+# second- and third-order terms along such a coordinate were inf * 0 = NaN
+# until the box factor took their limit 0, so its laplacian_drift, psi_d2 and
+# psi_d3 were recorded after that mend; its psi_d1 and every other set's
+# outputs are the bytes from before it.
+STEIN_T = 0.5
+STEIN_ROWS = 24
+
+
+def _stein_sets(k):
+    normal = numpy.linspace(1.0, -0.5, k)
+    slab_lower, slab_upper = numpy.full(k, -math.inf), numpy.full(k, math.inf)
+    slab_lower[0] = -0.5
+    slab_upper[-1] = 1.0 if k > 1 else math.inf
+    return {
+        "half-space": HalfSpace(normal / numpy.linalg.norm(normal), 0.3),
+        "ball": Ball(numpy.zeros(k), 1.5),
+        "ball-off-centre": Ball(numpy.linspace(0.5, -0.4, k), 1.2),
+        "box": Box(numpy.linspace(-1.0, -0.6, k), numpy.linspace(0.8, 1.3, k)),
+        "slab": Box(slab_lower, slab_upper),
+    }
+
+
+def _stein_batch(k):
+    return 2.0 * RngStream(41, stream_id=k).generator().standard_normal((STEIN_ROWS, k))
+
+
+def _stein_outputs(C, X):
+    k = X.shape[1]
+    sol = SteinSolution(STEIN_T, IndicatorFunction(C))
+    d3 = ((0, 0, 0), (0, 0, k - 1), (0, min(1, k - 1), k - 1))
+    return {
+        "laplacian_drift": laplacian_drift(sol, X),
+        "psi_d1": numpy.stack([psi_d1(sol, X, i) for i in range(k)]),
+        "psi_d2": numpy.stack([psi_d2(sol, X, idx) for idx in ((0, 0), (k - 1, 0))]),
+        "psi_d3": numpy.stack([psi_d3(sol, X, idx) for idx in d3]),
+    }
+
+
+STEIN_DIGESTS = {
+    ("half-space", 1): {
+        "laplacian_drift": "f9796f4477e5db2c1386f03998c71f9699f5faa8ee317583b5a187a3f16059a3",
+        "psi_d1": "f5b7aceb47fcbca5f0e1577f9140deb1a75858dfb5a43dcbdb0a8ce91c2bedfa",
+        "psi_d2": "cab67ff9ef8ffb3b8d613c43d871361a91d8d754aaf6fdfdc4eeb6e8c7615d80",
+        "psi_d3": "0c75c1f707cb50899f563ccd34ccd8eaac890b3e512f338b24d0acf06a18c068",
+    },
+    ("half-space", 2): {
+        "laplacian_drift": "c4171a77e1589239a3f30305377df231f3e2b520aaa25098b415bb91d3e8785c",
+        "psi_d1": "4c1cea8d951fc5ea92d0e5ab122ad98b71788c8fe6a129704c0013b23e06af5e",
+        "psi_d2": "4c70b97f703c28d07c94ed9a08367bac6032f226ad7d0427d2917a94d7dc4cb4",
+        "psi_d3": "d08bd348715ffac90f5113acfb458c8f1f7fa4323abdfe7340e7009e3c3feb11",
+    },
+    ("half-space", 3): {
+        "laplacian_drift": "ea8a60eecc27b2949c04340b12da266efac0cdfd2be321ca8c5a627fef2c6051",
+        "psi_d1": "674d4090c3459243ea61cfada9e03172f4c4187edf091e28975bf6b3d24f7b30",
+        "psi_d2": "17672e8e952269950965863b01a80c0c1f25ce6de797c66cccd0ad759748e779",
+        "psi_d3": "601a76df80416da1f933bc71184ea12c03fdf42f5464a4a95bf64ff6240954e6",
+    },
+    ("half-space", 4): {
+        "laplacian_drift": "21c3d9cb80ee832a8a2ff2e6f3148c09a331c002206490508ff7c5061667ed0a",
+        "psi_d1": "312ba3069c1c8901db66fd7296c3848d216d55b04279350498727a232a05bfd0",
+        "psi_d2": "60101ab96324dc0a67751aba609cf529e3a4b3fe84796b7ccdf183bea76dbe49",
+        "psi_d3": "a89eb08a8af195794b10414e4c81d3f1749232727ef4d9b61e0eb742aba7d4af",
+    },
+    ("ball", 1): {
+        "laplacian_drift": "c08a90569809727eb23325ac9b610509dabea59bbce1c4fc3a066fadf2c7dd1f",
+        "psi_d1": "26f6e5f1424fda78a866a60764249ea840bd86aa676ab887930d75b2e1546be3",
+        "psi_d2": "0376b1c84e39dc3e07803df96800b0d90b12a86ee5291537386010ee4e051bac",
+        "psi_d3": "e66116852b25645f98630b7ff6e074c85d25a438e8f3308f0d0836c4aec6cbf6",
+    },
+    ("ball", 2): {
+        "laplacian_drift": "9835b2979e34cc15cac79be1c1e7bb204791625f7cf633a1ff525829c4f12748",
+        "psi_d1": "d21f03e36d01e306e683ffda232d8b2cb3e3717d0e23fc41a61a1ab16a421927",
+        "psi_d2": "aae2eca990ce3e711b006722431b58cbf71e3c10934cb192f73278866a9f8f65",
+        "psi_d3": "dad370b5aa5337ab86e86421948e0dd935f79813db4b59d612e436dc560ef590",
+    },
+    ("ball", 3): {
+        "laplacian_drift": "e62d1c85168dd2f4627d640365226eb377da3aebc36bff3a4d8346249ea431a8",
+        "psi_d1": "d719611c6a0ac025a813329afd15d8c8c213a3c093e3109223399e116ba1363d",
+        "psi_d2": "3db72e144bcfaf0081d8927a5a530a21f6d593d737f3bad307977e7f0affef9c",
+        "psi_d3": "88f97f49e451b841d003bf2002c94d92eb05d77aab13e1329fe1b7ecd8813638",
+    },
+    ("ball", 4): {
+        "laplacian_drift": "d87502710385cff01c3c3901a05a00a35cd685dee7fc4768aa6d063161a879bb",
+        "psi_d1": "36688114972f8da383c4cf52c08ab00c227c9a5087fb737d42dc9fad2ce3e54f",
+        "psi_d2": "b9945c0a03688f7f493f8def86bfa6f9c23749a8e5f1513e4d7f46959b4baebb",
+        "psi_d3": "983b9e2a2e940aab5777d9bb05a33b3c35d72c597f5d9b6aa88ddaf272e6dc28",
+    },
+    ("ball-off-centre", 1): {
+        "laplacian_drift": "d14eb32b25c52927f5a3961c30f5a26f9a109214220feaff575f22e6d80cf537",
+        "psi_d1": "bf551b31688779d8dfb3c7c51c6acc4b4609ca28f6b924db888a8ade944cfb69",
+        "psi_d2": "ebfe4778ed1f9deb17649c2094dd36d9ac2cda5be4fc6dd19598a99bac6cd45d",
+        "psi_d3": "35463f7b1cabc5c83621d072f39f21c5072f7ec6f30f1d18ede8cc465dbe5f69",
+    },
+    ("ball-off-centre", 2): {
+        "laplacian_drift": "511ee7300bd658e4d1fb5f96247e97d4da0930786f69bb2cb8093fe0e4b69467",
+        "psi_d1": "32eff052eaf7c319334c88acceacfcd5fbc76a62ff43a9739b730920db425be7",
+        "psi_d2": "3ce4b48073d758b7687974e4b94f8ec934d5bc8567e9b1fdfa7cb8177bff6a10",
+        "psi_d3": "fca871e33f0fcf8ca72c64b3977719aa0e9b187029d3899aaa8ec2f5bdf194eb",
+    },
+    ("ball-off-centre", 3): {
+        "laplacian_drift": "023ea45bea1875d4af7c7a0caf16d407c30e1e61acd77f4a8b80462431f80b3a",
+        "psi_d1": "12d43beb24ece3e99c39b8f3618ae52b7049b6f04d6107fe67529505e25f2fbd",
+        "psi_d2": "54889778fcf337f8e4fbe58cf17e25d5a76d36f74778dc456d2655874a40f333",
+        "psi_d3": "85c4718b6a2e430ff036efb6384d25c9b75ce5932e0d2eb087d6d202e5297b14",
+    },
+    ("ball-off-centre", 4): {
+        "laplacian_drift": "6db2ee414e62c13640646667acb196448198036c3efe43b344527d6945247d4b",
+        "psi_d1": "c5daa50c29a6aabc48cdb78989ff4cf38d78a695ba914206abdfe4e7e4a1f2d9",
+        "psi_d2": "e56cb30d5b675afd3daca627f551e84eac514a73ce72ecb59e0d2fdf3694e7d4",
+        "psi_d3": "d28ddb2c134f6d9bd18c5a9d170e17ffbd3be6ba5b5e6ddca48a15db08805dfd",
+    },
+    ("box", 1): {
+        "laplacian_drift": "91f38be319579c7a270040088c1bcc560084acca4c1f7b86d70b798cd8f6d7cc",
+        "psi_d1": "a4218f8a9a9abaf6e23acc2220d7b19866b81e33ddaa2a8c5e0a6d42d34f4935",
+        "psi_d2": "4b8781aac24000d7758b011d9b0ad8732f2d7ce6952623d8402d0b48a77076e2",
+        "psi_d3": "8b8b559d1ae27e91e32aaf851cd26013d2be3800d13389c54fb223c3225e568b",
+    },
+    ("box", 2): {
+        "laplacian_drift": "2a47a156b2e3eb91bec6b2be8175fff05b485d1b24b0d3637b9ce2a786b93bd2",
+        "psi_d1": "a107fd2a413a651db1ae9f455c0b7bf68e6dd1a62e993bc2c2cddead192b69ef",
+        "psi_d2": "9bde48f10a7e06936ddd4887ffca6b89dc8f445a3fe39204b84eedce0b44f8b1",
+        "psi_d3": "6d042ce2c06be209593308a36642130e5048468c755691e449ceb2fa9f1b53bf",
+    },
+    ("box", 3): {
+        "laplacian_drift": "009ecec3ca654c1ed3dbec655d5a3eb4920c0661e6380c126f242ad4b11a2884",
+        "psi_d1": "387ae2d9d84f0dcbca3b9353af0a0c4d977b8a1feb0e8df009cb4e7bcece277d",
+        "psi_d2": "3903cd62bd71e467eaacd638303a0229c79d74a481c536e76ab5ec7a552e56eb",
+        "psi_d3": "e65ac0d8bbc4a5ceb8d4d95b229eece85639ccc3efd2ec3b3b1dca82a7aa4691",
+    },
+    ("box", 4): {
+        "laplacian_drift": "921c0929bd9f8de96bdbb315137f7390350fe62ada8d705b17cc1eea4bc5088c",
+        "psi_d1": "f2ec7ad8f57e3ceb29b2dfe4e9b2e68309d69eb2371439a528b0e3a3f51d56a4",
+        "psi_d2": "fe8e7f90f9c997b9f40fe6a99204f2f65007504a905d956f46c197d05df44a19",
+        "psi_d3": "fb6ff29e16db227841ea2c3c2dadc9ed45e5786c6436ebf8789f9dd32d8e4f4a",
+    },
+    ("slab", 1): {
+        "laplacian_drift": "3a4746bf8b410ac4439af015c74ec0aeb43e2056a58155160186f6c88cc953fd",
+        "psi_d1": "d2b1b2f1b1c53f901986ebc65363b74e8004db915f99df33a326a523e04fc2dd",
+        "psi_d2": "56e38ba48d755476e4a964e2c78d2d027711e1913e514aee35133fdac7e4a7f9",
+        "psi_d3": "ccd1d241a7fe28f55c19b74038a58b4b19332839b563a43c26ec7594ec74c54d",
+    },
+    ("slab", 2): {
+        "laplacian_drift": "73118d4c27c5e908d18feed8fa1ec412d8726d54452edecb55ab5aa76fccdfe1",
+        "psi_d1": "2bc8177264481f3ba10923826fbd20a32c7c68139862eef956101e48449c20a0",
+        "psi_d2": "2697c3b4126bf81c3ccf830c34524d2412e6c77619aebfdc6c332d8fdb53861f",
+        "psi_d3": "5965f84bc28f8e43e286959f24690a3ec75b705e7e23579a9e52beb69fbdb6ed",
+    },
+    ("slab", 3): {
+        "laplacian_drift": "d2a94fd986555cff231eaef06246ffe1f80c51a51b4a5fe70e13c9694a619650",
+        "psi_d1": "0a72799abde1ac8d37ba4b3a9a23553e0d509d7f764aa2d4ef49fc3580b5c707",
+        "psi_d2": "ab7242dacb7431f38fe6861ed295fd03412ac4fced7c1bb6ee21dd61b0d91ce8",
+        "psi_d3": "a85489c5d787b038ae7207a7ef3dc463a939c243b4e18bd526e380e2d3afd607",
+    },
+    ("slab", 4): {
+        "laplacian_drift": "a76bae3d102815c7e9a884750225e3901e8a26bff5d4317497b635799d718963",
+        "psi_d1": "57b29c4b1d5e43995c0a8c807906c63fafc53e0f1218e3b2be1598f56b474a68",
+        "psi_d2": "ade4b2066e4b51c38943f358f4faf84492635059904e6a8a6ddb5f3ab3e15a3a",
+        "psi_d3": "880c02757459c42d249e85b9bf55b6d98a1cdd89f5a11731b37815d544a8ef8b",
+    },
+}
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_stein_batch_straddles_the_ball_series_switch(k):
+    X = _stein_batch(k)
+    alpha, w = math.exp(-STEIN_T), ou_noise(STEIN_T)
+    for C in (_stein_sets(k)["ball"], _stein_sets(k)["ball-off-centre"]):
+        z = C.radius * numpy.linalg.norm(alpha * X - C.center, axis=1) / w**2
+        assert (z < _NCX2_SERIES_Z).any() and (z > _NCX2_SERIES_Z).any()
+
+
+@pytest.mark.parametrize("name", ("half-space", "ball", "ball-off-centre", "box", "slab"))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_stein_derivatives_are_pinned(k, name):
+    _assert_recorded_versions()
+    got = {
+        quantity: _sha256(numpy.ascontiguousarray(values, dtype=float).tobytes())
+        for quantity, values in _stein_outputs(_stein_sets(k)[name], _stein_batch(k)).items()
+    }
+    assert got == STEIN_DIGESTS[name, k]

@@ -243,6 +243,22 @@ def test_dilated_box_derivatives_keep_the_quadrature_fallback():
         assert np.asarray(got[name]).tolist() == expected, name
 
 
+def test_box_derivatives_take_their_limit_at_infinite_bounds():
+    # an infinite bound's edge term He_{m-1}(z) phi(z) was inf * 0 = NaN (and a
+    # RuntimeWarning); a bound 60 from every row has phi = 0 there, which is
+    # that term's limit, so the slab must give the far box's bytes
+    X = RngStream(34, stream_id=1).generator().standard_normal((12, 3))
+    slab = IndicatorFunction(Box([-0.5, -math.inf, -math.inf], [math.inf, math.inf, 1.0]))
+    far = IndicatorFunction(Box([-0.5, -60.0, -60.0], [60.0, 60.0, 1.0]))
+    for s in (0.05, 0.7):
+        for idx in ((0,), (0, 0), (1, 1), (2, 2), (0, 1, 2), (1, 1, 1), (2, 2, 0)):
+            got = semigroup_derivative(slab, s, X, idx)
+            assert np.isfinite(got).all()
+            assert np.array_equal(got, semigroup_derivative(far, s, X, idx)), (s, idx)
+        for got, want in zip(semigroup_jet(slab, s, X), semigroup_jet(far, s, X)):
+            assert np.isfinite(got).all() and np.array_equal(got, want)
+
+
 _HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
 
 
