@@ -20,7 +20,11 @@ Each variant keeps its closed forms on its own class, in three hooks:
 `shifted_measure`, the shifted measure P(s + sigma Z in C), whose value at
 s = 0 and sigma = 1 is Phi(C); `smoothed_derivative`, the mixed partials of
 x -> P(alpha x + w Z in C); and `smoothed_jet`, its gradient and Laplacian,
-which the OU semigroup needs.  Half-spaces, balls (central and off-center)
+which the OU semigroup needs.  The two derivative hooks take a batch of
+OU times at once, as per-node arrays alpha = e^{-s} and w, and return a
+leading node axis; each per-node scalar that needs a power or a logarithm is
+taken with Python's ** or math (`_per_node`), so a node's values are the
+bits it would get alone.  Half-spaces, balls (central and off-center)
 and boxes give all three; a dilated box (`DilatedBox`) gives the shifted
 measure.  The base class returns None from each, which sends the caller to a
 scrambled-Sobol QMC estimate or to quadrature.  A serializable variant names
@@ -51,6 +55,15 @@ from .rng import RngStream
 
 _UNIT_TOL = 1e-12
 _TINY = np.finfo(float).tiny
+
+
+def _per_node(fn, *arrays):
+    """fn over the Python floats of per-node arrays, as an array.
+
+    Python's ** and math round the way one node's scalars always were; numpy's
+    power, exp and log may differ from them in the last bit.
+    """
+    return np.array([fn(*vals) for vals in zip(*(a.tolist() for a in arrays))], dtype=float)
 
 
 def _as_points(x, dim: int):
@@ -107,12 +120,18 @@ class ConvexSet:
         """P(shift + sigma*Z in C) for each row of shifts (M, k), or None."""
         return None
 
-    def smoothed_derivative(self, alpha: float, w: float, X, idx):
-        """D_idx [x -> P(alpha*x + w*Z in C)] for rows of X (M, k), or None."""
+    def smoothed_derivative(self, alpha, w, X, idx):
+        """D_idx [x -> P(alpha*x + w*Z in C)], (S, M), or None.
+
+        alpha and w are (S,) arrays, one entry per OU time; X is (M, k).
+        """
         return None
 
-    def smoothed_jet(self, alpha: float, w: float, X):
-        """Gradient (M, k) and Laplacian (M,) of x -> P(alpha*x + w*Z in C), or None."""
+    def smoothed_jet(self, alpha, w, X):
+        """Gradient (S, M, k) and Laplacian (S, M) of x -> P(alpha*x + w*Z in C), or None.
+
+        alpha and w are (S,) arrays, one entry per OU time; X is (M, k).
+        """
         return None
 
     def dilate(self, eps: float) -> "ConvexSet":
@@ -216,12 +235,13 @@ class HalfSpace(ConvexSet):
         return norm_cdf((self.offset - shifts @ self.normal) / sigma)
 
     def _smoothed_projection(self, alpha, w, X):
-        return (self.offset - alpha * (X @ self.normal)) / w
+        return (self.offset - alpha[:, None] * (X @ self.normal)) / w[:, None]
 
     def smoothed_derivative(self, alpha, w, X, idx):
         u = self._smoothed_projection(alpha, w, X)
         m = len(idx)
-        val = -((alpha / w) ** m) * hermite_he(m - 1, u) * norm_pdf(u)
+        scale = _per_node(lambda a, b: -((a / b) ** m), alpha, w)
+        val = scale[:, None] * hermite_he(m - 1, u) * norm_pdf(u)
         for i in idx:
             val = val * self.normal[i]
         return val
@@ -229,8 +249,9 @@ class HalfSpace(ConvexSet):
     def smoothed_jet(self, alpha, w, X):
         u = self._smoothed_projection(alpha, w, X)
         pdf = norm_pdf(u)
-        grad = np.outer(-(alpha / w) * pdf, self.normal)
-        lap = -((alpha / w) ** 2) * hermite_he(1, u) * pdf * float(self.normal @ self.normal)
+        grad = (-(alpha / w)[:, None] * pdf)[:, :, None] * self.normal
+        scale = _per_node(lambda a, b: -((a / b) ** 2), alpha, w)
+        lap = scale[:, None] * hermite_he(1, u) * pdf * float(self.normal @ self.normal)
         return grad, lap
 
     def dilate(self, eps):
@@ -277,8 +298,11 @@ def _ncx2_cdf(q: float, k: int, nc):
     return out
 
 
-def _ncx2_densities(q: float, k: int, lam, count: int) -> np.ndarray:
-    """Noncentral chi-square densities f_{k+2}, ..., f_{k+2*count} at q, shape (count, M).
+def _ncx2_densities(q, k: int, lam, count: int) -> np.ndarray:
+    """Noncentral chi-square densities f_{k+2}, ..., f_{k+2*count}, shape (count,) + lam.shape.
+
+    q is a float or an array broadcasting against lam, one q per OU time
+    for the ball's batch of nodes: log(q/2) is taken with math per entry of q.
 
     f_nu(q; lam) = 1/2 e^{-(q+lam)/2} (q/lam)^{nu/4-1/2} I_{nu/2-1}(sqrt(lam q))
     (Johnson, Kotz & Balakrishnan 1995, ch. 29).  For z = sqrt(lam q) above
@@ -288,25 +312,29 @@ def _ncx2_densities(q: float, k: int, lam, count: int) -> np.ndarray:
     f_nu = 1/2 (q/2)^n e^{-(q+lam)/2} sum_m (lam q/4)^m / (m! Gamma(m+n+1))
     with n = nu/2 - 1, evaluated only on those rows.
     """
+    q = np.asarray(q, dtype=float)
+    log_half_q = _per_node(lambda v: math.log(v / 2.0) if v > 0.0 else -math.inf, q.ravel())
+    log_half_q = np.broadcast_to(log_half_q.reshape(q.shape), lam.shape)
+    root_q = np.broadcast_to(np.sqrt(q), lam.shape)
+    q = np.broadcast_to(q, lam.shape)
     z = np.sqrt(q * lam)
-    out = np.empty((count, len(lam)))
+    out = np.empty((count,) + lam.shape)
     series = z <= _NCX2_SERIES_Z
     if series.any():
-        ls = lam[series]
+        ls, qs = lam[series], q[series]
         n = k / 2.0 + np.arange(count)[:, None]
-        x = ls * (q / 4.0)
+        x = ls * (qs / 4.0)
         acc = np.ones((count, len(ls)))
         for m in range(_NCX2_SERIES_TERMS - 1, 0, -1):  # Horner
             acc *= x
             acc /= m * (m + n)
             acc += 1.0
-        log_half_q = math.log(q / 2.0) if q > 0.0 else -math.inf
-        lead = n * log_half_q - q / 2.0 - special.gammaln(n + 1.0)
+        lead = n * log_half_q[series] - qs / 2.0 - special.gammaln(n + 1.0)
         out[:, series] = 0.5 * np.exp(lead - ls / 2.0) * acc
     closed = ~series
     if closed.any():
-        lc, zc = lam[closed], z[closed]
-        r, rho = math.sqrt(q), np.sqrt(lc)
+        lc, zc, q = lam[closed], z[closed], q[closed]
+        r, rho = root_q[closed], np.sqrt(lc)
         if k % 2:
             # f_1, f_3 = (phi(r - rho) +- phi(r + rho)) / (2r, 2 rho)
             near, far = norm_pdf(r - rho), np.exp(-2.0 * zc)  # phi(r + rho) = near * far
@@ -368,43 +396,44 @@ class Ball(ConvexSet):
     def _lambda_derivatives(self, alpha, w, X, m):
         """dF, grad lambda and d2 for P(alpha x + w Z in C) = F_k(q; lambda(x)).
 
-        With q = r^2/w^2 and lambda = |alpha x - c|^2 / w^2, dF lists
-        d^j F_k / d lambda^j (M,) for j = 1..m, grad lambda is (M, k) and
-        D_ij lambda = d2 * delta_ij.
+        With q = r^2/w^2 and lambda = |alpha x - c|^2 / w^2 per node, dF lists
+        d^j F_k / d lambda^j (S, M) for j = 1..m, grad lambda is (S, M, k)
+        and D_ij lambda = d2 * delta_ij, with d2 (S, 1).
         """
-        mu = alpha * X - self.center
-        w2 = w * w
-        lam = np.sum(mu * mu, axis=1) / w2
+        mu = alpha[:, None, None] * X - self.center
+        w2 = (w * w)[:, None]
+        lam = np.sum(mu * mu, axis=2) / w2
         # d^j F_k / d lambda^j = -2^{1-j} Delta^{j-1} f_{k+2}, Delta the forward
         # difference in the degrees of freedom
         f = _ncx2_densities(self.radius**2 / w2, self.dim, lam, m)
         dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
-        return dF, 2.0 * alpha * mu / w2, 2.0 * alpha * alpha / w2
+        a = alpha[:, None]
+        return dF, (2.0 * a)[:, :, None] * mu / w2[:, :, None], 2.0 * a * a / w2
 
     def smoothed_derivative(self, alpha, w, X, idx):
         m = len(idx)
         dF, dl, d2l = self._lambda_derivatives(alpha, w, X, m)
         if m == 1:
             (i,) = idx
-            return dF[0] * dl[:, i]
+            return dF[0] * dl[..., i]
         if m == 2:
             i, j = idx
-            val = dF[1] * dl[:, i] * dl[:, j]
+            val = dF[1] * dl[..., i] * dl[..., j]
             if i == j:
                 val = val + dF[0] * d2l
             return val
         i, j, l = idx
-        val = dF[2] * dl[:, i] * dl[:, j] * dl[:, l]
+        val = dF[2] * dl[..., i] * dl[..., j] * dl[..., l]
         val = val + dF[1] * d2l * (
-            (i == j) * dl[:, l] + (i == l) * dl[:, j] + (j == l) * dl[:, i]
+            (i == j) * dl[..., l] + (i == l) * dl[..., j] + (j == l) * dl[..., i]
         )
         return val
 
     def smoothed_jet(self, alpha, w, X):
         # grad F(lambda) = F' grad lambda;  Laplacian = F'' |grad lambda|^2 + F' k d2
         (dF1, dF2), dl, d2l = self._lambda_derivatives(alpha, w, X, 2)
-        grad = dF1[:, None] * dl
-        lap = dF2 * np.sum(dl * dl, axis=1) + dF1 * (self.dim * d2l)
+        grad = dF1[..., None] * dl
+        lap = dF2 * np.sum(dl * dl, axis=2) + dF1 * (self.dim * d2l)
         return grad, lap
 
     def dilate(self, eps):
@@ -432,10 +461,11 @@ _EDGE_CLIP = 40.0
 
 
 def _box_factor(m, alpha, w, hi, lo):
-    """Order-m (m >= 1) derivative of Phi(hi) - Phi(lo) along one coordinate."""
+    """Order-m (m >= 1) derivative of Phi(hi) - Phi(lo) along coordinates, node axis first."""
     hi, lo = np.clip(hi, -_EDGE_CLIP, _EDGE_CLIP), np.clip(lo, -_EDGE_CLIP, _EDGE_CLIP)
     fac = hermite_he(m - 1, hi) * norm_pdf(hi) - hermite_he(m - 1, lo) * norm_pdf(lo)
-    return -((alpha / w) ** m) * fac
+    scale = _per_node(lambda a, b: -((a / b) ** m), alpha, w)
+    return scale.reshape((-1,) + (1,) * (fac.ndim - 1)) * fac
 
 
 class Box(ConvexSet):
@@ -487,19 +517,20 @@ class Box(ConvexSet):
         return np.prod(norm_cdf(hi) - norm_cdf(lo), axis=1)
 
     def _edges(self, alpha, w, X):
+        alpha, w = alpha[:, None, None], w[:, None, None]
         return (self.upper - alpha * X) / w, (self.lower - alpha * X) / w
 
     def smoothed_derivative(self, alpha, w, X, idx):
         mult = multiplicities(idx, self.dim)
         hi, lo = self._edges(alpha, w, X)
         plain = norm_cdf(hi) - norm_cdf(lo)
-        val = np.ones(len(X))
+        val = np.ones(plain.shape[:2])
         for j in range(self.dim):
             m = mult.get(j, 0)
             if m == 0:
-                val = val * plain[:, j]
+                val = val * plain[..., j]
             else:
-                val = val * _box_factor(m, alpha, w, hi[:, j], lo[:, j])
+                val = val * _box_factor(m, alpha, w, hi[..., j], lo[..., j])
         return val
 
     def smoothed_jet(self, alpha, w, X):
@@ -509,11 +540,11 @@ class Box(ConvexSet):
         first = _box_factor(1, alpha, w, hi, lo)
         second = _box_factor(2, alpha, w, hi, lo)
         grad = np.empty_like(plain)
-        lap = np.zeros(len(X))
+        lap = np.zeros(plain.shape[:2])
         for i in range(self.dim):
-            others = np.prod(np.delete(plain, i, axis=1), axis=1)
-            grad[:, i] = first[:, i] * others
-            lap += second[:, i] * others
+            others = np.prod(np.delete(plain, i, axis=2), axis=2)
+            grad[..., i] = first[..., i] * others
+            lap += second[..., i] * others
         return grad, lap
 
     def dilate(self, eps):

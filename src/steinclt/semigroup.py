@@ -23,6 +23,10 @@ which is what the generator L needs: each closed form computes its shared
 pieces once (the ball's noncentral chi-square densities, the box's
 per-coordinate factors, the half-space's Gaussian density), and the
 quadrature fallback evaluates h once per point instead of once per index.
+Both take one time s or a 1-D array of times: a closed form then runs once
+for the whole batch of times and returns a leading time axis, bit for bit
+the values of one call per time, while the quadrature fallback (and a set
+whose derivative hook returns None) still runs time by time.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 
 import numpy as np
 
-from .convex import ConvexSet, gaussian_measure, shifted_measure_batch
+from .convex import ConvexSet, _per_node, gaussian_measure, shifted_measure_batch
 from .errors import DomainError
 from .gaussian import hermite_he, hermite_kernel, multiplicities
 from .quadrature import (
@@ -186,12 +190,43 @@ def gaussian_mean(h: TestFunction, k: int, quad: QuadratureSpec = DEFAULT_QUAD) 
     return float(np.asarray(h(nodes), dtype=float) @ wts)
 
 
+def _derivative_times(s):
+    """(times, one_time): s as a 1-D array of OU times, and whether it was one time.
+
+    DomainError unless s is one time or a non-empty 1-D array, every time > 0.
+    """
+    times = np.asarray(s, dtype=float)
+    # written so that a NaN time fails too
+    if times.ndim > 1 or times.size == 0 or not np.all(times > 0.0):
+        raise DomainError(f"semigroup derivatives need times s > 0, got {s}")
+    return np.atleast_1d(times), times.ndim == 0
+
+
+def _ou_scales(times):
+    """alpha = e^{-s} and w = sqrt(1 - e^{-2s}) per time, each with math as for one time."""
+    times = times.tolist()
+    return np.array([ou_decay(s) for s in times]), np.array([ou_noise(s) for s in times])
+
+
 def _kernel_rows(h, alpha, w, X, nodes, kernel):
     """h(alpha*x + w*nodes) @ kernel for each row x of X: (M,) or (M, c) for an (N, c) kernel."""
     out = np.empty((len(X),) + kernel.shape[1:])
     for m, row in enumerate(X):
         out[m] = np.asarray(h(alpha * row + w * nodes), dtype=float) @ kernel
     return out
+
+
+def _kernel_rows_per_time(h, alpha, w, X, nodes, kernel):
+    """`_kernel_rows` at each time, stacked (S, M, ...): the quadrature runs time by time."""
+    return np.stack([
+        _kernel_rows(h, a, b, X, nodes, kernel) for a, b in zip(alpha.tolist(), w.tolist())
+    ])
+
+
+def _select(vals, one_time, single):
+    """(S, M, ...) values without the time axis for one time and the row axis for one point."""
+    out = vals[0 if one_time else slice(None), 0 if single else slice(None)]
+    return float(out) if out.ndim == 0 else out
 
 
 def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -214,64 +249,73 @@ def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT
     return float(vals[0]) if single else vals
 
 
-def semigroup_derivative(
-    h: TestFunction, s: float, x, idx, quad: QuadratureSpec = DEFAULT_QUAD
-):
+def semigroup_derivative(h: TestFunction, s, x, idx, quad: QuadratureSpec = DEFAULT_QUAD):
     """Spatial derivative D_idx T_s h(x) of the smoothed test function.
 
     Uses the derivative-on-the-kernel representation: order-m derivatives pick
     up the weight (e^{-s}/w)^m against Hermite-polynomial factors inside the
     expectation, i.e. the integrand stays bounded by h itself.
+
+    s is one time or a 1-D array of S times, x a point (k,) or a batch (M, k).
+    Returns a float or (M,) for one time, and (S,) or (S, M), the time axis
+    first, for an array of times.
     """
-    if not s > 0.0:
-        raise DomainError(f"semigroup derivatives need s > 0, got {s}")
+    times, one_time = _derivative_times(s)
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
     X = np.atleast_2d(X)
     k = X.shape[1]
     idx = tuple(int(i) for i in idx)
     multiplicities(idx, k)
-    alpha, w = ou_decay(s), ou_noise(s)
+    alpha, w = _ou_scales(times)
     C = _closed_form_set(h, quad)
     vals = None
     if C is not None:
-        vals = np.zeros(len(X)) if C.is_empty else C.smoothed_derivative(alpha, w, X, idx)
+        if C.is_empty:
+            vals = np.zeros((len(times), len(X)))
+        else:
+            vals = C.smoothed_derivative(alpha, w, X, idx)
     if vals is None:
         nodes, wts = _inner_points(k, quad, _fallback(k, quad))
         kernel = hermite_kernel(wts, nodes, idx)
-        vals = (alpha / w) ** len(idx) * _kernel_rows(h, alpha, w, X, nodes, kernel)
-    return float(vals[0]) if single else vals
+        scale = _per_node(lambda a, b: (a / b) ** len(idx), alpha, w)
+        vals = scale[:, None] * _kernel_rows_per_time(h, alpha, w, X, nodes, kernel)
+    return _select(vals, one_time, single)
 
 
-def semigroup_jet(h: TestFunction, s: float, x, quad: QuadratureSpec = DEFAULT_QUAD):
-    """Gradient and Laplacian of x -> T_s h(x) at one time s > 0.
+def semigroup_jet(h: TestFunction, s, x, quad: QuadratureSpec = DEFAULT_QUAD):
+    """Gradient and Laplacian of x -> T_s h(x) at one time s > 0 or at each of S times.
 
     Returns (grad, lap) with shapes (M, k) and (M,) for a batch, or (k,) and
-    a float for one point.  Catalog indicators use their closed forms (the
-    ball needs the noncentral chi-square densities f_{k+2} and f_{k+4}, no
-    CDF); otherwise h is evaluated once per row and weighted by the kernels
+    a float for one point; an array of times puts a time axis first, (S, M, k)
+    and (S, M), or (S, k) and (S,).  Catalog indicators use their closed forms
+    (the ball needs the noncentral chi-square densities f_{k+2} and f_{k+4},
+    no CDF); otherwise h is evaluated once per row and weighted by the kernels
     He_1(z_i) and sum_i He_2(z_i) of the derivative-on-the-kernel form.
     """
-    if not s > 0.0:
-        raise DomainError(f"semigroup derivatives need s > 0, got {s}")
+    times, one_time = _derivative_times(s)
     X = np.asarray(x, dtype=float)
     single = X.ndim == 1
     X = np.atleast_2d(X)
     k = X.shape[1]
-    alpha, w = ou_decay(s), ou_noise(s)
+    alpha, w = _ou_scales(times)
     C = _closed_form_set(h, quad)
     jet = None
     if C is not None:
-        jet = (np.zeros(X.shape), np.zeros(len(X))) if C.is_empty else C.smoothed_jet(alpha, w, X)
+        if C.is_empty:
+            jet = np.zeros((len(times),) + X.shape), np.zeros((len(times), len(X)))
+        else:
+            jet = C.smoothed_jet(alpha, w, X)
     if jet is None:
         nodes, wts = _inner_points(k, quad, _fallback(k, quad))
         kernel = wts[:, None] * np.column_stack(
             [hermite_he(1, nodes), np.sum(hermite_he(2, nodes), axis=1)]
         )
-        moments = _kernel_rows(h, alpha, w, X, nodes, kernel)
-        jet = (alpha / w) * moments[:, :k], (alpha / w) ** 2 * moments[:, k]
+        moments = _kernel_rows_per_time(h, alpha, w, X, nodes, kernel)
+        squares = _per_node(lambda a, b: (a / b) ** 2, alpha, w)
+        jet = (alpha / w)[:, None, None] * moments[..., :k], squares[:, None] * moments[..., k]
     grad, lap = jet
-    return (grad[0], float(lap[0])) if single else (grad, lap)
+    return _select(grad, one_time, single), _select(lap, one_time, single)
 
 
 # ---------------------------------------------------------------------------

@@ -547,3 +547,12 @@ def test_help_is_the_same_on_every_call(argv, capsys):
         assert exc.value.code == 0
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] and "usage: steinclt" in texts[0]
+
+
+def test_discrepancy_rejects_a_t_past_the_double_range(capsys):
+    # t = 800 printed a NaN generator form with exit 0 (e^-t underflows to 0)
+    argv = ["discrepancy", "--source", "gaussian", "--k", "1", "--n", "4", "--M", "1000",
+            "--seed", "1", "--t"]
+    assert run(argv + ["800"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t = 800" in captured.err

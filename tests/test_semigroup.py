@@ -270,14 +270,66 @@ _HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
         lambda t: semigroup_jet(_HALF_PLANE, t, np.zeros(2)),
         lambda t: backward_residual(_HALF_PLANE, t, np.zeros(2)),
         lambda t: transition_density(t, np.zeros(1), np.zeros(1)),
+        lambda t: semigroup_derivative(_HALF_PLANE, np.array([0.5, t]), np.zeros(2), (0,)),
+        lambda t: semigroup_jet(_HALF_PLANE, np.array([0.5, t]), np.zeros(2)),
     ],
     ids=["semigroup_apply", "semigroup_derivative", "semigroup_jet", "backward_residual",
-         "transition_density"],
+         "transition_density", "semigroup_derivative-times", "semigroup_jet-times"],
 )
 def test_nan_time_raises(call):
     # each returned nan: the checks were written so that NaN passed them
     with pytest.raises(DomainError):
         call(math.nan)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[0.5, 0.0], [-0.5, 0.5], [0.5, math.nan], [-math.inf], [], [[0.5, 1.0]]],
+    ids=["zero", "negative", "nan", "minus-inf", "empty", "two-dimensional"],
+)
+@pytest.mark.parametrize("entry", ["semigroup_derivative", "semigroup_jet"])
+def test_derivative_time_arrays_are_checked(entry, times):
+    call = {
+        "semigroup_derivative": lambda s: semigroup_derivative(_HALF_PLANE, s, np.zeros(2), (0,)),
+        "semigroup_jet": lambda s: semigroup_jet(_HALF_PLANE, s, np.zeros(2)),
+    }[entry]
+    with pytest.raises(DomainError):
+        call(np.array(times))
+    if np.ndim(times) == 1 and len(times) == 1:
+        with pytest.raises(DomainError):
+            call(times[0])
+
+
+@pytest.mark.parametrize(
+    "h, quad",
+    [
+        (IndicatorFunction(HalfSpace(np.array([0.6, -0.8]), 0.2)), QuadratureSpec()),
+        (IndicatorFunction(Ball(np.array([0.4, -0.3]), 1.1)), QuadratureSpec()),
+        (IndicatorFunction(Box([-1.2, -0.4], [0.5, math.inf])), QuadratureSpec()),
+        (IndicatorFunction(Ball(np.zeros(2), -1.0)), QuadratureSpec()),
+        (IndicatorFunction(Box([-0.5, -0.3], [0.7, 0.4]).dilate(0.2)), QuadratureSpec()),
+        (IndicatorFunction(Ball(np.zeros(2), 1.0)), QuadratureSpec(inner_method="gauss-hermite")),
+    ],
+    ids=["half-space", "ball", "slab", "empty", "dilated-box", "gauss-hermite"],
+)
+def test_derivatives_at_an_array_of_times_stack_the_single_time_values(h, quad):
+    # a time axis first, each entry the bytes of its single-time call
+    X = RngStream(35, stream_id=2).generator().standard_normal((5, 2))
+    times = np.array([0.02, 0.5, 3.0])
+    for idx in ((1,), (0, 0), (0, 1, 1)):
+        got = semigroup_derivative(h, times, X, idx, quad)
+        want = np.stack([semigroup_derivative(h, s, X, idx, quad) for s in times])
+        assert got.shape == (3, 5) and got.tobytes() == want.tobytes()
+        at_point = semigroup_derivative(h, times, X[2], idx, quad)
+        assert at_point.shape == (3,) and at_point.tobytes() == got[:, 2].tobytes()
+    grad, lap = semigroup_jet(h, times, X, quad)
+    singles = [semigroup_jet(h, s, X, quad) for s in times]
+    assert grad.shape == (3, 5, 2) and lap.shape == (3, 5)
+    assert grad.tobytes() == np.stack([g for g, _ in singles]).tobytes()
+    assert lap.tobytes() == np.stack([l for _, l in singles]).tobytes()
+    g2, l2 = semigroup_jet(h, times, X[2], quad)
+    assert g2.shape == (3, 2) and g2.tobytes() == grad[:, 2].tobytes()
+    assert l2.shape == (3,) and l2.tobytes() == lap[:, 2].tobytes()
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5))

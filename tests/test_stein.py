@@ -21,7 +21,9 @@ from steinclt import (
     psi_d1,
     psi_d2,
     psi_d3,
+    semigroup_apply,
     semigroup_derivative,
+    semigroup_jet,
     smoothed_target,
     smoothing_weight,
     stein_residual,
@@ -189,6 +191,20 @@ def test_solution_rejects_tiny_t():
         SteinSolution(1e-3, IndicatorFunction(Ball(np.zeros(1), 1.0)))
 
 
+@pytest.mark.parametrize("t", (709.0, 745.0, 800.0))
+def test_solution_rejects_t_whose_decay_is_not_a_normal_double(t):
+    # e^-t below the smallest normal double: from t = 745 the nodes in u = e^-s
+    # are no longer finite and every integral was NaN, with warnings
+    with pytest.raises(DomainError, match=f"t = {t}"):
+        SteinSolution(t, IndicatorFunction(Ball(np.zeros(1), 1.0)))
+
+
+def test_solution_at_t_708_keeps_finite_nodes():
+    sol = SteinSolution(708.0, IndicatorFunction(HalfSpace(np.ones(1), 0.3)))
+    assert np.isfinite(sol.s_nodes).all() and np.isfinite(sol.s_weights).all()
+    assert np.isfinite(laplacian_drift(sol, np.array([[0.2], [-1.0]]))).all()
+
+
 def test_weight_inequality_pointwise():
     gen = RngStream(23, stream_id=3).generator()
     s = np.exp(gen.uniform(math.log(1e-6), math.log(25.0), size=10_000))
@@ -310,3 +326,83 @@ def test_bad_derivative_index_raises_domain_error(entry, bad):
     }[bad]
     with pytest.raises(DomainError):
         call(idx)
+
+
+def _per_node_reference(sol, X, idxs):
+    """psi, the jet and psi_idx as one single-time semigroup call per s-node gives them."""
+    grad, lap = np.zeros(X.shape), np.zeros(len(X))
+    values = np.empty((len(X), len(sol.s_nodes)))
+    parts = np.empty((len(idxs), len(X), len(sol.s_nodes)))
+    center = sol.center(X.shape[1])
+    for j, (s, weight) in enumerate(zip(sol.s_nodes, sol.s_weights)):
+        g, l = semigroup_jet(sol.h, float(s), X, sol.quad)
+        grad -= weight * g
+        lap -= weight * l
+        values[:, j] = semigroup_apply(sol.h, float(s), X, sol.quad) - center
+        for p, idx in enumerate(idxs):
+            parts[p, :, j] = semigroup_derivative(sol.h, float(s), X, idx, sol.quad)
+    return -(values @ sol.s_weights), grad, lap, [-(part @ sol.s_weights) for part in parts]
+
+
+def _assert_same_bits(got, want):
+    # NaN where the reference is NaN, and every other entry the same bytes
+    # (so -0.0 is not 0.0); a NaN's sign bit is not compared, since numpy's
+    # loops may order the two operands differently where two NaNs meet
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _assert_integrals_match_per_node(sol, X, idxs):
+    value, grad, lap, parts = _per_node_reference(sol, X, idxs)
+    _assert_same_bits(psi(sol, X), value)
+    _assert_same_bits(laplacian_drift(sol, X), lap - np.sum(X * grad, axis=1))
+    for i in sorted({0, X.shape[1] - 1}):
+        _assert_same_bits(psi_d1(sol, X, i), grad[:, i])
+    for idx, want in zip(idxs, parts):
+        _assert_same_bits((psi_d2 if len(idx) == 2 else psi_d3)(sol, X, idx), want)
+
+
+def _rows_with_nans(rows, k):
+    X = 2.0 * RngStream(43, stream_id=rows).generator().standard_normal((rows, k))
+    if rows >= 7:
+        X[3] = math.nan
+        X[5, 1] = math.nan
+    return X
+
+
+@pytest.mark.parametrize(
+    "rows, t",
+    [(0, 0.5), (1, 0.01), (1, 2.0), (7, 0.01), (7, 0.5), (7, 2.0), (1024, 0.5), (1024, 2.0),
+     (5000, 0.01)],
+)
+def test_batched_time_integrals_match_one_call_per_node(rows, t):
+    # 4096 // rows nodes share one closed-form call: all 64 at 0, 1 and 7 rows
+    # (0 rows must not divide by zero), 4 at 1024 rows and 1 at 5000
+    X = _rows_with_nans(rows, 3)
+    sets = (
+        HalfSpace(np.array([0.6, -0.8, 0.0]), 0.3),
+        Ball(np.zeros(3), 1.5),
+        Ball(np.array([0.5, 0.1, -0.4]), 1.2),
+        Box(np.array([-1.0, -0.8, -0.6]), np.array([0.8, 1.0, 1.3])),
+        Ball(np.zeros(3), -1.0),
+    )
+    for C in sets:
+        sol = SteinSolution(t, IndicatorFunction(C))
+        _assert_integrals_match_per_node(sol, X, ((0, 0), (0, 0, 2), (0, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "h, quad",
+    [
+        # closed-form value, quadrature derivatives, one time at a time
+        (IndicatorFunction(Box([-0.5, -0.3], [0.7, 0.4]).dilate(0.2)), QuadratureSpec()),
+        (IndicatorFunction(Ball(np.array([0.3, -0.2]), 1.1)),
+         QuadratureSpec(inner_method="gauss-hermite")),
+    ],
+    ids=["dilated-box", "gauss-hermite"],
+)
+def test_quadrature_time_integrals_match_one_call_per_node(h, quad):
+    sol = SteinSolution(0.5, h, quad)
+    _assert_integrals_match_per_node(sol, _rows_with_nans(7, 2), ((0, 1), (0, 0, 1)))
