@@ -472,6 +472,8 @@ class Box(ConvexSet):
     """Axis-aligned box [lower, upper]; empty if any side is inverted.
 
     Infinite bounds are allowed (slabs and orthants); NaN bounds are not.
+    Along a coordinate with an infinite bound the smoothed derivatives take
+    that edge's limit, 0 (`_box_factor`).
     """
 
     has_closed_form = True
