@@ -202,12 +202,6 @@ def _derivative_times(s):
     return np.atleast_1d(times), times.ndim == 0
 
 
-def _ou_scales(times):
-    """alpha = e^{-s} and w = sqrt(1 - e^{-2s}) per time, each with math as for one time."""
-    times = times.tolist()
-    return np.array([ou_decay(s) for s in times]), np.array([ou_noise(s) for s in times])
-
-
 def _kernel_rows(h, alpha, w, X, nodes, kernel):
     """h(alpha*x + w*nodes) @ kernel for each row x of X: (M,) or (M, c) for an (N, c) kernel."""
     out = np.empty((len(X),) + kernel.shape[1:])
@@ -267,7 +261,7 @@ def semigroup_derivative(h: TestFunction, s, x, idx, quad: QuadratureSpec = DEFA
     k = X.shape[1]
     idx = tuple(int(i) for i in idx)
     multiplicities(idx, k)
-    alpha, w = _ou_scales(times)
+    alpha, w = _per_node(ou_decay, times), _per_node(ou_noise, times)
     C = _closed_form_set(h, quad)
     vals = None
     if C is not None:
@@ -298,7 +292,7 @@ def semigroup_jet(h: TestFunction, s, x, quad: QuadratureSpec = DEFAULT_QUAD):
     single = X.ndim == 1
     X = np.atleast_2d(X)
     k = X.shape[1]
-    alpha, w = _ou_scales(times)
+    alpha, w = _per_node(ou_decay, times), _per_node(ou_noise, times)
     C = _closed_form_set(h, quad)
     jet = None
     if C is not None:
