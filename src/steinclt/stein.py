@@ -51,9 +51,10 @@ from .semigroup import (
 T_MIN = 0.01
 # one closed-form derivative call takes at most this many (row, s-node) pairs,
 # so a batch holds 4096 // M nodes and at least one.  On the stein-solve
-# benchmark (2-vCPU Xeon) batches of 4096 pairs took a pass from 0.38-0.41 s
-# to 0.26-0.27 s at an unchanged peak RSS; unbounded batches were slower and
-# added 12 MiB (+20%) of RSS.
+# benchmark (2-vCPU Xeon, two 8 s runs each; one call per node: 0.38-0.39 s
+# a pass, 60.7 MiB peak RSS), caps of 1024, 4096 and 16384 pairs and no cap
+# gave 0.39, 0.27-0.28, 0.28-0.31 and 0.31-0.32 s a pass at 60.8-61.0,
+# 60.8-61.0, 64.4 and 72.7 MiB.
 _BATCH_ROW_NODES = 4096
 
 
