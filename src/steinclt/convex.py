@@ -60,8 +60,8 @@ _TINY = np.finfo(float).tiny
 def _per_node(fn, *arrays):
     """fn over the Python floats of per-node arrays, as an array.
 
-    Python's ** and math round the way one node's scalars always were; numpy's
-    power, exp and log may differ from them in the last bit.
+    With Python's ** and math each node gets the scalars a call for that node
+    alone computes; numpy's power, exp and log may differ in the last bit.
     """
     return np.array([fn(*vals) for vals in zip(*(a.tolist() for a in arrays))], dtype=float)
 
