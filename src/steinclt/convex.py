@@ -235,7 +235,10 @@ class HalfSpace(ConvexSet):
         return norm_cdf((self.offset - shifts @ self.normal) / sigma)
 
     def _smoothed_projection(self, alpha, w, X):
-        return (self.offset - alpha[:, None] * (X @ self.normal)) / w[:, None]
+        # clipped as a box's edges are (`_EDGE_CLIP`): an infinite row's terms
+        # He_m(u) phi(u) take their limit 0, and every finite row keeps its bits
+        u = (self.offset - alpha[:, None] * (X @ self.normal)) / w[:, None]
+        return np.clip(u, -_EDGE_CLIP, _EDGE_CLIP)
 
     def smoothed_derivative(self, alpha, w, X, idx):
         u = self._smoothed_projection(alpha, w, X)
@@ -403,12 +406,22 @@ class Ball(ConvexSet):
         mu = alpha[:, None, None] * X - self.center
         w2 = (w * w)[:, None]
         lam = np.sum(mu * mu, axis=2) / w2
+        # F and all its derivatives tend to 0 as lambda -> inf: an infinite row
+        # takes that limit, its terms zeroed rather than inf * 0
+        far = np.isinf(lam)
+        far_rows = far.any()
+        if far_rows:
+            lam = np.where(far, 0.0, lam)
         # d^j F_k / d lambda^j = -2^{1-j} Delta^{j-1} f_{k+2}, Delta the forward
         # difference in the degrees of freedom
         f = _ncx2_densities(self.radius**2 / w2, self.dim, lam, m)
         dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
         a = alpha[:, None]
-        return dF, (2.0 * a)[:, :, None] * mu / w2[:, :, None], 2.0 * a * a / w2
+        dl = (2.0 * a)[:, :, None] * mu / w2[:, :, None]
+        if far_rows:
+            for d in dF + [dl]:
+                d[far] = 0.0
+        return dF, dl, 2.0 * a * a / w2
 
     def smoothed_derivative(self, alpha, w, X, idx):
         m = len(idx)
@@ -611,10 +624,18 @@ class Ellipsoid(ConvexSet):
     def _rotated(self, pts):
         return (pts - self.center) @ self._evecs
 
+    def _quadratic_form(self, pts):
+        """q = (x-c)^T M^{-1} (x-c) per row, the values of np.sum(v^2 / lam, axis=1)."""
+        v = self._rotated(pts)
+        if self.dim > _COLUMN_SUM_MAX_DIM:
+            return np.sum(np.square(v) / self._evals, axis=1)
+        # the weighted squared columns summed in order, as in `_center_distance`
+        return reduce(np.add, (np.square(v[:, j]) / lam for j, lam in enumerate(self._evals)))
+
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
-            q = np.sum(np.square(self._rotated(pts)) / self._evals, axis=1)
+            q = self._quadratic_form(pts)
         return _ret(q <= 1.0, single)
 
     def boundary_distance(self, x):
@@ -890,6 +911,12 @@ class ErodedSet(ConvexSet):
 
 _QMC_REPLICATES = 16
 _QMC_CACHED_POINTS = 1 << 16  # the default request; larger ones are built per call
+# Rows per membership call: consecutive replicates go to `contains` together,
+# at least one replicate a call.  On the shell-smoothing benchmark (2-vCPU
+# Xeon) groups of 4 * 4096 rows, with the ellipsoid's column sum, took a pass
+# from 0.232 s to 0.184 s (one call per replicate before); all 16 replicates
+# in one call saved about 2% more and raised peak RSS from 107.5 to 111.2 MiB.
+_QMC_GROUP_ROWS = 1 << 14
 
 
 def _sobol_normal_replicate(dim: int, per: int, r: int) -> np.ndarray:
@@ -908,6 +935,13 @@ def _sobol_normal_replicates(dim: int, per: int) -> np.ndarray:
     return pts
 
 
+def _replicate_group(dim: int, per: int, start: int, stop: int) -> np.ndarray:
+    """Replicates start..stop-1 as one (stop - start, per, dim) array."""
+    if _QMC_REPLICATES * per <= _QMC_CACHED_POINTS:
+        return _sobol_normal_replicates(dim, per)[start:stop]
+    return np.stack([_sobol_normal_replicate(dim, per, r) for r in range(start, stop)])
+
+
 def _qmc_membership_mean(C: ConvexSet, n_points: int):
     """Scrambled-Sobol estimate of P(Z in C) with a replicate-based st. error.
 
@@ -915,15 +949,26 @@ def _qmc_membership_mean(C: ConvexSet, n_points: int):
     replicate), so a request of at most 2^16 points reads them from a
     process-wide cache shared read-only by every set: at most four entries
     of at most 2^16 * dim doubles, 0.5 MiB per dimension each (1 MiB at
-    k = 2).  A larger request builds its replicates one at a time and
-    keeps none.
+    k = 2).  A larger request builds its replicates as it goes and keeps
+    none.
+
+    `contains` runs once per group of consecutive replicates, as many as fit
+    in 2^14 rows and at least one: 4 calls at the default 2^16 points.  Its
+    (rows, dim) temporaries then hold at most 2^14 * dim doubles, 128 KiB
+    per dimension, or one replicate's rows when a replicate is longer.
+    Membership is decided row by row and a replicate's mean is its exact
+    count over `per`, so the grouping leaves every estimate as one call per
+    replicate gives it.
     """
     per = max(n_points // _QMC_REPLICATES, 256)
-    if _QMC_REPLICATES * per <= _QMC_CACHED_POINTS:
-        replicates = _sobol_normal_replicates(C.dim, per)
-    else:
-        replicates = (_sobol_normal_replicate(C.dim, per, r) for r in range(_QMC_REPLICATES))
-    vals = np.array([np.mean(C.contains(pts)) for pts in replicates])
+    group = max(_QMC_GROUP_ROWS // per, 1)
+    vals = []
+    for start in range(0, _QMC_REPLICATES, group):
+        stop = min(start + group, _QMC_REPLICATES)
+        pts = _replicate_group(C.dim, per, start, stop)
+        inside = np.asarray(C.contains(pts.reshape(-1, C.dim)))
+        vals.append(np.mean(inside.reshape(stop - start, per), axis=1))
+    vals = np.concatenate(vals)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(_QMC_REPLICATES))
 
 

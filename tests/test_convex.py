@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,58 @@ def _count_newton_rows(monkeypatch):
     return rows
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ellipsoid_quadratic_form_equals_the_short_axis_sum(k):
+    # contains sums the weighted squared columns in order; it must round as the sum does
+    gen = np.random.default_rng(60 + k)
+    E = _random_ellipsoid(gen, k)
+    for m in (1, 7, 842, 16384):
+        pts = E.center + gen.standard_normal((m, k)) * gen.choice([1e-3, 1.0, 1e3], size=(m, k))
+        expect = np.sum(np.square(E._rotated(pts)) / E._evals, axis=1)
+        assert np.array_equal(E._quadratic_form(pts), expect)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 7))
+def test_ellipsoid_membership_of_nan_and_infinite_rows_is_false(k):
+    # the suite turns warnings into errors, so a warning would fail here
+    for E in (_random_ellipsoid(np.random.default_rng(k), k), Ellipsoid(np.zeros(k), np.eye(k))):
+        pts = np.zeros((5, k))
+        pts[0, 0] = math.nan
+        pts[1, -1] = math.inf
+        pts[2, 0] = -math.inf
+        pts[3] = math.inf
+        pts[4, ::2] = -math.inf
+        assert not np.asarray(E.contains(pts)).any()
+        assert E.contains(E.center)
+
+
+@st.composite
+def _ellipsoid_and_radii(draw):
+    """A rotated ellipsoid at k = 2..4 and two shell radii eps1 < eps2."""
+    k = draw(st.integers(2, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation = np.linalg.qr(gen.standard_normal((k, k)))[0]
+    semi = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=k, max_size=k)))
+    center = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+    E = Ellipsoid(center, (rotation * semi**2) @ rotation.T)
+    eps1, eps2 = sorted(draw(st.lists(
+        st.sampled_from((0.01, 0.05, 0.1, 0.2, 0.4)), min_size=2, max_size=2, unique=True
+    )))
+    return E, eps1, eps2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_ellipsoid_and_radii())
+def test_ellipsoid_parallel_bodies_nest_on_the_sobol_points(case):
+    # E^{-eps2} within E^{-eps1} within E within E^{eps1} within E^{eps2}, row by row
+    E, eps1, eps2 = case
+    pts = _sobol_normal_replicates(E.dim, 4096).reshape(-1, E.dim)
+    chain = [E.erode(eps2), E.erode(eps1), E, E.dilate(eps1), E.dilate(eps2)]
+    inside = [np.asarray(C.contains(pts)) for C in chain]
+    for smaller, larger, C in zip(inside, inside[1:], chain):
+        assert not np.any(smaller & ~larger), C
+
+
 def test_a_spherical_ellipsoid_sends_no_row_to_newton(monkeypatch):
     rows = _count_newton_rows(monkeypatch)
     E = Ellipsoid(np.zeros(2), 1.5**2 * np.eye(2))
@@ -612,6 +665,65 @@ _QMC_SETS = dict(_qmc_sets())
 def test_cached_sobol_points_give_the_fresh_engine_estimate_bit_for_bit(name, n_points):
     C = _QMC_SETS[name]
     assert _qmc_membership_mean(C, n_points) == _fresh_sobol_membership_mean(C, n_points)
+
+
+def _per_replicate_membership_mean(C, n_points):
+    """The QMC estimate with one `contains` call per replicate of the Sobol points."""
+    per = max(n_points // 16, 256)
+    build = _sobol_normal_replicates
+    if 16 * per > 1 << 16:  # larger requests are not cached; keep the cache as it was
+        build = _sobol_normal_replicates.__wrapped__
+    vals = np.array([np.mean(C.contains(pts)) for pts in build(C.dim, per)])
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(16))
+
+
+def _grouped_qmc_sets():
+    gen = RngStream(32, stream_id=4).generator()
+    inv = 1.0 / math.exp(0.3)  # shell_measure's rescaling at scale e^0.3
+    for k in (2, 3, 4):
+        A = gen.standard_normal((k, k))
+        ell = Ellipsoid(0.3 * gen.standard_normal(k), A @ A.T + 0.5 * np.eye(k))
+        for eps in (0.05, 0.1, 0.2):
+            yield f"shell-dilate-{k}-{eps}", ell.dilate(2.0 * eps).scale(inv)
+            yield f"shell-erode-{k}-{eps}", ell.erode(2.0 * eps).scale(inv)
+    sphere = Ellipsoid(np.array([0.2, -0.1, 0.4]), 1.3**2 * np.eye(3))
+    yield "sphere", sphere
+    yield "sphere-dilate", sphere.dilate(0.2)
+    yield "sphere-erode", sphere.erode(0.2)
+    yield "no-point", Ellipsoid(np.full(2, 40.0), np.diag([0.5, 2.0]))
+    box = Box(-np.ones(5), np.linspace(0.2, 1.0, 5))
+    yield "box-dilate-5", box.dilate(0.3)
+    # a box's erode is a closed-form box; its predicate-backed erosion is built directly
+    yield "box-erode-5", ErodedSet(box, 0.1)
+
+
+_GROUPED_QMC_SETS = dict(_grouped_qmc_sets())
+
+
+@pytest.mark.parametrize("n_points", (512, 1 << 16, 1 << 17))
+@pytest.mark.parametrize("name", sorted(_GROUPED_QMC_SETS))
+def test_grouped_membership_gives_the_per_replicate_estimate_bit_for_bit(name, n_points):
+    C = _GROUPED_QMC_SETS[name]
+    assert not C.has_closed_form
+    got = np.array(gaussian_measure_estimate(C, n_points))
+    assert np.array_equal(got, _per_replicate_membership_mean(C, n_points)), (name, got)
+    if name == "no-point":
+        assert got.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "n_points, calls", [(512, [4096]), (1 << 16, [1 << 14] * 4), (1 << 17, [1 << 14] * 8),
+                        (1 << 19, [1 << 15] * 16), (80000, [3 * 5000] * 5 + [5000])]
+)
+def test_membership_runs_once_per_group_of_at_most_2_14_rows(monkeypatch, n_points, calls):
+    rows = []
+    monkeypatch.setattr(
+        Ellipsoid, "contains", lambda self, x: rows.append(len(x)) or np.zeros(len(x), dtype=bool)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # scipy's Sobol balance warning at 5000 points
+        _qmc_membership_mean(Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])), n_points)
+    assert rows == calls
 
 
 def test_cached_sobol_points_are_read_only():

@@ -259,6 +259,28 @@ def test_box_derivatives_take_their_limit_at_infinite_bounds():
             assert np.isfinite(got).all() and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "C", [HalfSpace([0.6, 0.8], 0.2), Ball([0.1, 0.0], 1.0)], ids=["half-space", "ball"]
+)
+def test_half_space_and_ball_derivatives_take_their_limit_on_an_infinite_row(C):
+    # He_m(+-inf) phi(+-inf) and the ball's inf * 0 were NaN with a RuntimeWarning;
+    # the infinite row takes its limit 0 and the finite row keeps its bits
+    h = IndicatorFunction(C)
+    finite = [[0.3, 0.2]]
+    for far in ([math.inf, 0.0], [-math.inf, 0.0], [0.0, math.inf]):
+        X = [far] + finite
+        for s in (0.5, np.array([0.05, 0.5, 2.0])):
+            for idx in ((0,), (0, 0), (0, 1), (1, 1, 0)):
+                got = semigroup_derivative(h, s, X, idx)
+                assert np.all(got[..., 0] == 0.0)
+                assert np.array_equal(got[..., 1:], semigroup_derivative(h, s, finite, idx))
+            grad, lap = semigroup_jet(h, s, X)
+            want_grad, want_lap = semigroup_jet(h, s, finite)
+            assert np.all(grad[..., 0, :] == 0.0) and np.all(lap[..., 0] == 0.0)
+            assert np.array_equal(grad[..., 1:, :], want_grad)
+            assert np.array_equal(lap[..., 1:], want_lap)
+
+
 _HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
 
 
