@@ -31,21 +31,27 @@ scrambled-Sobol QMC estimate or to quadrature.  A serializable variant names
 its config tag and constructor fields.
 
 A ball's noncentral chi-square CDF is scipy.special's chndtr (chdtr at
-noncentrality 0), equal bit for bit to scipy.stats.ncx2.cdf.  scipy.stats is
-imported only by the QMC estimate, on its first call: importing it costs
-more than a small CLI run.  The QMC estimate's Gaussian points depend only
-on the dimension and the point count, so they are built once per process and
-shared read-only (see `_qmc_membership_mean` for the memory bound).
+noncentrality 0), equal bit for bit to scipy.stats.ncx2.cdf.  The QMC
+estimate's scrambled Sobol points are built in numpy from the direction
+numbers scipy installs (`_sobol_points`), bit for bit those of
+scipy.stats.qmc.Sobol, so the library never imports scipy.stats: importing
+it costs more than a small CLI run.  The points depend only on the dimension
+and the point count, so they are built once per process and shared
+read-only (see `_qmc_membership_mean` for the memory bound).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import warnings
+import zipfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
+import scipy
 from scipy import special
 
 from .errors import ConfigurationError, DimensionMismatchError, DomainError, check_count
@@ -55,6 +61,7 @@ from .rng import RngStream
 
 _UNIT_TOL = 1e-12
 _TINY = np.finfo(float).tiny
+_SQUARE_SAFE = 1e150  # below sqrt of the largest double (1.3e154), a square stays finite
 
 
 def _per_node(fn, *arrays):
@@ -221,6 +228,7 @@ class HalfSpace(ConvexSet):
         self.normal = normal
         self.offset = offset
         self.dim = normal.size
+        self._ignored = np.flatnonzero(normal == 0.0)
 
     def membership_statistic(self):
         key = ("projection", self.normal.tobytes())
@@ -231,13 +239,26 @@ class HalfSpace(ConvexSet):
         with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
             return _ret(_projection(self.normal, pts) <= self.offset, single)
 
+    def _project(self, X):
+        """X @ normal, with an infinite entry where the normal is 0 taken as 0.
+
+        The projection does not depend on such an entry, where inf * 0 would
+        give NaN; every other row, and a NaN entry, keeps its bits.
+        """
+        if self._ignored.size:
+            ignored = X[:, self._ignored]
+            if np.isinf(ignored).any():
+                X = X.copy()
+                X[:, self._ignored] = np.where(np.isinf(ignored), 0.0, ignored)
+        return X @ self.normal
+
     def shifted_measure(self, shifts, sigma):
-        return norm_cdf((self.offset - shifts @ self.normal) / sigma)
+        return norm_cdf((self.offset - self._project(shifts)) / sigma)
 
     def _smoothed_projection(self, alpha, w, X):
         # clipped as a box's edges are (`_EDGE_CLIP`): an infinite row's terms
         # He_m(u) phi(u) take their limit 0, and every finite row keeps its bits
-        u = (self.offset - alpha[:, None] * (X @ self.normal)) / w[:, None]
+        u = (self.offset - alpha[:, None] * self._project(X)) / w[:, None]
         return np.clip(u, -_EDGE_CLIP, _EDGE_CLIP)
 
     def smoothed_derivative(self, alpha, w, X, idx):
@@ -653,8 +674,22 @@ class Ellipsoid(ConvexSet):
         If the root would lie at t <= 0 (every lam_min coordinate of v is 0
         and |p(0)| <= 1), then mu = -lam_min and the nearest point takes up
         the remaining length along a lam_min axis.
+
+        A row with an infinite entry lies at its limit, distance inf, and a
+        row with a NaN entry at NaN: both are set aside before the rotation,
+        where inf * 0 would meet them.
         """
         pts, single = _as_points(x, self.dim)
+        finite = np.isfinite(pts).all(axis=1)
+        if finite.all():
+            d = self._secular_distance(pts)
+        else:
+            d = np.where(np.isnan(pts).any(axis=1), np.nan, np.inf)
+            d[finite] = self._secular_distance(pts[finite])
+        return float(d[0]) if single else d
+
+    def _secular_distance(self, pts):
+        """`boundary_distance` of finite rows."""
         v = self._rotated(pts)
         lam = self._evals
         lam_min = float(np.min(lam))
@@ -675,12 +710,16 @@ class Ellipsoid(ConvexSet):
             rows, t_rows, g_rows = rows[rising], t_next[rising], g_rows[rising]
             t[rows] = t_rows
         inv = 1.0 / np.maximum(gap + t[:, None], _TINY)
-        d2 = np.square(t - lam_min) * np.sum(np.square(v * inv), axis=1)
+        excess, ratio2 = np.abs(t - lam_min), np.sum(np.square(v * inv), axis=1)
+        # d^2 = excess^2 ratio2 would overflow on a far row: there d is the product of the roots
+        far = excess * np.maximum(np.sqrt(ratio2), 1.0) > _SQUARE_SAFE
+        d2 = np.square(np.where(far, 0.0, excess)) * ratio2
         # t = 0 means mu = -lam_min: fill one lam_min axis up to the boundary
         hard = t == 0.0
         d2[hard] += lam_min * (1.0 - np.sum(np.square(g[hard] * inv[hard]), axis=1))
         d = np.sqrt(d2)
-        return float(d[0]) if single else d
+        d[far] = excess[far] * np.sqrt(ratio2[far])
+        return d
 
     def boundary_distance_bounds(self, x):
         """Scaling bounds on `boundary_distance`, exact for a sphere.
@@ -919,18 +958,105 @@ _QMC_CACHED_POINTS = 1 << 16  # the default request; larger ones are built per c
 _QMC_GROUP_ROWS = 1 << 14
 
 
-def _sobol_normal_replicate(dim: int, per: int, r: int) -> np.ndarray:
-    """Replicate r: `per` scrambled-Sobol points (engine seeded r) mapped through ndtri."""
-    from scipy.stats import qmc  # deferred: scipy.stats costs more to import than most runs
+# The QMC points are scipy.stats.qmc.Sobol(dim, scramble=True, seed=r).random(per),
+# bit for bit, built here in numpy from the direction numbers scipy installs
+# (Joe & Kuo 2008, search criterion 6): the measure never imports scipy.stats,
+# and a change to scipy's qmc code cannot move them.
+_SOBOL_BITS = 30
+_SOBOL_TABLE = os.path.join(
+    os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz"
+)
+# bit p counted from the top (p = 0 the top bit) of a 30-bit number sits 29 - p places up
+_SOBOL_TOP_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1)
 
-    u = qmc.Sobol(d=dim, scramble=True, seed=r).random(per)
+
+@lru_cache(maxsize=1)
+def _sobol_table(path: str):
+    """(poly, vinit) from a Sobol direction-number file, read once per process.
+
+    ConfigurationError, naming the path, when the file is missing or unreadable.
+    """
+    try:
+        with open(path, "rb") as fh, np.load(fh) as table:
+            return table["poly"], table["vinit"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(
+            f"cannot read the Sobol direction numbers in {path}: {exc}"
+        ) from None
+
+
+def _sobol_direction_numbers(dim: int) -> np.ndarray:
+    """(dim, 30) direction numbers v_j 2^(29 - j), as scipy's Sobol engine holds them.
+
+    Dimension 0 has v_j = 1.  Dimension d has a primitive polynomial
+    x^m + a_1 x^(m-1) + ... + a_(m-1) x + 1 (poly[d], a_1 its bit m - 1), the
+    first m numbers from vinit[d], and the rest from the recurrence of Bratley
+    & Fox (1988, ACM TOMS 14, Alg. 659):
+    v_j = 2 a_1 v_(j-1) ^ 4 a_2 v_(j-2) ^ ... ^ 2^m v_(j-m) ^ v_(j-m).
+    """
+    poly, vinit = _sobol_table(_SOBOL_TABLE)
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
+    for d in range(1, dim):
+        p = int(poly[d])
+        m = p.bit_length() - 1
+        row = vinit[d, :m].tolist()
+        for j in range(m, _SOBOL_BITS):
+            new = row[j - m]
+            for i in range(1, m + 1):
+                if (p >> (m - i)) & 1:
+                    new ^= row[j - i] << i
+            row.append(new)
+        v[d] = row
+    return v << _SOBOL_TOP_FIRST
+
+
+def _sobol_points(dim: int, per: int, seeds) -> np.ndarray:
+    """(len(seeds), per, dim) scrambled Sobol points in [0, 1), one replicate per seed.
+
+    Replicate r is qmc.Sobol(dim, scramble=True, seed=r).random(per) bit for
+    bit.  Its scramble is a linear matrix scramble plus a digital shift
+    (Matousek 1998), drawn from np.random.default_rng(r) in scipy's order:
+    the (dim, 30) shift bits, lowest first, then (dim, 30, 30)
+    lower-triangular matrices with unit diagonal.  Bit p (top first) of a scrambled direction number is
+    the parity of matrix row p ANDed with the number's bits.  Point i is the
+    shift XORed with the scrambled numbers over the bits of the Gray code
+    i ^ (i >> 1).  Like scipy, it warns (UserWarning) when per is not a power
+    of two, which loses the points' balance properties.
+    """
+    if per & (per - 1):
+        warnings.warn("The balance properties of Sobol' points require n to be a power of 2.",
+                      UserWarning, stacklevel=2)
+    v_bits = (_sobol_direction_numbers(dim)[:, None, :] >> _SOBOL_TOP_FIRST[:, None]) & 1
+    shift_bits, matrices = [], []
+    for r in seeds:
+        gen = np.random.default_rng(r)
+        shift_bits.append(gen.integers(0, 2, size=(dim, _SOBOL_BITS), dtype=np.uint32))
+        matrices.append(gen.integers(0, 2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    shift = np.stack(shift_bits).astype(np.int64) @ (1 << np.arange(_SOBOL_BITS))
+    lower = np.tril(np.stack(matrices).astype(np.int64))
+    lower[..., range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+    # (replicates, dim, 30 numbers, 30 bits top first) parities, packed per number
+    scrambled = ((lower @ v_bits) & 1).swapaxes(-1, -2) @ (1 << _SOBOL_TOP_FIRST)
+    # the Gray codes of 2^b..2^(b+1)-1 are those of 2^b-1..0, in reverse, with bit b set
+    x = np.empty((len(shift), 1 << max(per - 1, 1).bit_length(), dim), dtype=np.int64)
+    x[:, 0] = shift
+    half = 1
+    while half < x.shape[1]:
+        x[:, half : 2 * half] = x[:, half - 1 :: -1] ^ scrambled[:, None, :, half.bit_length() - 1]
+        half *= 2
+    return x[:, :per] * 2.0**-_SOBOL_BITS
+
+
+def _sobol_normal(dim: int, per: int, start: int, stop: int) -> np.ndarray:
+    """Replicates start..stop-1 mapped through ndtri, one (stop - start, per, dim) array."""
+    u = _sobol_points(dim, per, range(start, stop))
     return special.ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
 
 
 @lru_cache(maxsize=4)
 def _sobol_normal_replicates(dim: int, per: int) -> np.ndarray:
     """All replicates as one read-only (replicates, per, dim) array, built once per process."""
-    pts = np.stack([_sobol_normal_replicate(dim, per, r) for r in range(_QMC_REPLICATES)])
+    pts = _sobol_normal(dim, per, 0, _QMC_REPLICATES)
     pts.flags.writeable = False
     return pts
 
@@ -939,7 +1065,7 @@ def _replicate_group(dim: int, per: int, start: int, stop: int) -> np.ndarray:
     """Replicates start..stop-1 as one (stop - start, per, dim) array."""
     if _QMC_REPLICATES * per <= _QMC_CACHED_POINTS:
         return _sobol_normal_replicates(dim, per)[start:stop]
-    return np.stack([_sobol_normal_replicate(dim, per, r) for r in range(start, stop)])
+    return _sobol_normal(dim, per, start, stop)
 
 
 def _qmc_membership_mean(C: ConvexSet, n_points: int):
@@ -949,8 +1075,8 @@ def _qmc_membership_mean(C: ConvexSet, n_points: int):
     replicate), so a request of at most 2^16 points reads them from a
     process-wide cache shared read-only by every set: at most four entries
     of at most 2^16 * dim doubles, 0.5 MiB per dimension each (1 MiB at
-    k = 2).  A larger request builds its replicates as it goes and keeps
-    none.
+    k = 2).  A larger request builds each group's replicates in one pass as
+    it goes and keeps none.
 
     `contains` runs once per group of consecutive replicates, as many as fit
     in 2^14 rows and at least one: 4 calls at the default 2^16 points.  Its
@@ -978,9 +1104,10 @@ def gaussian_measure_estimate(C: ConvexSet, n_points: int = 1 << 16) -> tuple[fl
     A set without a closed form is measured by scrambled-Sobol QMC on
     16 * max(n_points // 16, 256) points: 2^16 by default, and never fewer
     than 4096.  n_points must be an integer >= 1 (DomainError otherwise).
-    When n_points // 16 is not a power of two, scipy warns that the Sobol
-    balance properties need one (a UserWarning); since the points are
-    cached, that happens once per dimension and point count, not per call.
+    When n_points // 16 is not a power of two, the point builder warns, as
+    scipy's Sobol engine does, that the balance properties need one (a
+    UserWarning); since the points are cached, that happens once per
+    dimension and point count, not per call.
     """
     n_points = check_count("n_points", n_points, 1)
     if C.is_empty:

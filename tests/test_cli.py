@@ -182,7 +182,7 @@ def test_json_names_the_versions_and_csv_bytes_stay(tmp_path, capsys):
 
 
 _START_UP = """
-import json, sys
+import contextlib, io, json, sys
 import numpy as np
 import steinclt
 import steinclt.cli
@@ -192,26 +192,36 @@ code = steinclt.cli.run(["bounds", "--source", "rademacher", "--k", "2", "--n", 
 loaded = [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules]
 ellipse = steinclt.Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
 mass = steinclt.gaussian_measure(ellipse.dilate(0.1))
-print(json.dumps({"code": code, "loaded": loaded, "mass": mass,
-                  "stats_after_qmc": "scipy.stats" in sys.modules}))
+csv = io.StringIO()
+with contextlib.redirect_stdout(csv):
+    family_code = steinclt.cli.run(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": loaded, "mass": mass, "family_code": family_code,
+                  "csv": csv.getvalue(), "stats_after_qmc": "scipy.stats" in sys.modules}))
 """
 
+_FAMILY_FILE = str(Path(__file__).with_name("family_k2_ellipsoid.json"))
+_FAMILY_DELTA = ["delta", "--source", "rademacher", "--k", "2", "--n", "16", "--M", "20000",
+                 "--seed", "7", "--family", _FAMILY_FILE]
 
-def test_cli_start_up_leaves_scipy_stats_and_integrate_unimported():
+
+def test_cli_start_up_leaves_scipy_stats_and_integrate_unimported(capsys):
     # a fresh interpreter, since the test modules import scipy.stats themselves;
     # importing it (and scipy.optimize through scipy.integrate) took longer
     # than a small bounds run
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", _START_UP], capture_output=True, text=True,
-                         timeout=120, env=dict(os.environ, PYTHONPATH=path), check=True)
+    out = subprocess.run([sys.executable, "-c", _START_UP, *_FAMILY_DELTA], capture_output=True,
+                         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path), check=True)
     report = json.loads(out.stdout.strip().splitlines()[-1])
     assert report["code"] == 0
     assert report["loaded"] == []
-    # the QMC fallback imports scipy.stats.qmc on its first call
-    assert report["stats_after_qmc"]
+    # the QMC measures, the ellipse's and the family ellipsoid's, build their
+    # Sobol points without scipy.stats
+    assert not report["stats_after_qmc"]
     ellipse = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
     assert report["mass"] == gaussian_measure(ellipse.dilate(0.1))
+    assert report["family_code"] == 0
+    assert (0, report["csv"]) == _run_capture(capsys, _FAMILY_DELTA)
 
 
 @pytest.mark.parametrize("bad_M", ["2000.5", "NaN", "true"])

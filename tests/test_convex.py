@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,13 +31,16 @@ from steinclt import (
     shell_measure,
     shifted_measure_batch,
 )
+from steinclt import convex
 from steinclt.convex import (
     DilatedBox,
     _center_distance,
     _ncx2_cdf,
     _projection,
     _qmc_membership_mean,
+    _replicate_group,
     _sobol_normal_replicates,
+    _sobol_points,
     set_to_config,
 )
 from steinclt.errors import ConfigurationError, DimensionMismatchError, DomainError
@@ -448,6 +452,45 @@ def test_ellipsoid_membership_of_nan_and_infinite_rows_is_false(k):
         assert E.contains(E.center)
 
 
+@pytest.mark.parametrize("k", (1, 2, 3, 7))
+def test_ellipsoid_boundary_distance_of_non_finite_rows_is_their_limit(k):
+    # inf * 0 in the rotation warned (an error in this suite) and gave NaN
+    gen = np.random.default_rng(k)
+    for E in (_random_ellipsoid(gen, k), Ellipsoid(np.zeros(k), np.diag(np.arange(1.0, k + 1)))):
+        finite = E.center + gen.standard_normal((6, k))
+        bad = np.zeros((5, k))
+        bad[0, 0] = math.inf
+        bad[1, -1] = -math.inf
+        bad[2] = math.inf
+        bad[3, 0] = math.nan
+        bad[4] = np.where(np.arange(k) == 0, math.nan, -math.inf)
+        d = E.boundary_distance(np.vstack([bad[:2], finite, bad[2:]]))
+        assert d[:2].tolist() == [math.inf, math.inf] and d[-3] == math.inf
+        assert np.isnan(d[-2:]).all()
+        assert np.array_equal(d[2:-3], E.boundary_distance(finite))
+    E = Ellipsoid([0.0, 0.0], np.diag([1.0, 2.0]))
+    assert E.boundary_distance([math.inf, 0.0]) == math.inf
+    assert E.boundary_distance([0.0, -math.inf]) == math.inf
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 7))
+def test_ellipsoid_boundary_distance_of_huge_rows_does_not_overflow(k):
+    # the squared distance overflowed (a warning, an error in this suite) past about 1e154
+    gen = np.random.default_rng(20 + k)
+    E = _random_ellipsoid(gen, k)
+    finite = E.center + gen.standard_normal((5, k))
+    directions = gen.standard_normal((4, k))
+    huge = directions * np.array([1e160, 1e200, 1e250, 1e300])[:, None]
+    d = E.boundary_distance(np.vstack([huge[:2], finite, huge[2:]]))
+    # a far point's distance to a set of size about 1 is its norm, to the last digits
+    norms = [math.hypot(*row) for row in huge]
+    assert d[[0, 1, -2, -1]] == pytest.approx(norms, rel=1e-12)
+    assert np.array_equal(d[2:-2], E.boundary_distance(finite))
+    assert Ellipsoid([0.0, 0.0], np.diag([1.0, 2.0])).boundary_distance([1e300, 0.0]) == 1e300
+    flat = Ellipsoid(np.zeros(2), np.diag([1e-10, 4.0]))  # ratio2 up to 1e10 on its short axis
+    assert flat.boundary_distance([[1e150, 0.0], [0.0, 1e150]]).tolist() == [1e150, 1e150]
+
+
 @st.composite
 def _ellipsoid_and_radii(draw):
     """A rotated ellipsoid at k = 2..4 and two shell radii eps1 < eps2."""
@@ -752,12 +795,77 @@ def test_a_second_qmc_measure_builds_no_sobol_engine(monkeypatch):
     first = gaussian_measure_estimate(C)
 
     def no_engine(*args, **kwargs):
-        raise AssertionError("a cached measure built a Sobol engine")
+        raise AssertionError("a cached measure built Sobol points")
 
-    monkeypatch.setattr(qmc, "Sobol", no_engine)
+    monkeypatch.setattr(convex, "_sobol_points", no_engine)
     assert gaussian_measure_estimate(C) == first
     # another set of the same dimension reads the same points
     gaussian_measure_estimate(C.erode(0.3))
+
+
+@pytest.mark.parametrize("per", (32, 256, 4096, 8192))
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+def test_sobol_points_are_scipys_bit_for_bit(dim, per):
+    got = _sobol_points(dim, per, range(16))
+    assert got.shape == (16, per, dim)
+    for r in range(16):
+        assert np.array_equal(got[r], qmc.Sobol(d=dim, scramble=True, seed=r).random(per)), r
+
+
+def test_uncached_sobol_replicates_are_scipys_bit_for_bit():
+    # 2^20 points: 16 replicates of 2^16, built one group at a time and not cached
+    per = 1 << 16
+    for r in range(16):
+        u = qmc.Sobol(d=2, scramble=True, seed=r).random(per)
+        want = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
+        assert np.array_equal(_replicate_group(2, per, r, r + 1)[0], want), r
+
+
+def _no_npz(tmp_path):
+    return str(tmp_path / "missing.npz")
+
+
+def _garbage_npz(tmp_path):
+    path = tmp_path / "garbage.npz"
+    path.write_bytes(b"PK\x03\x04 not a zip archive")
+    return str(path)
+
+
+def _keyless_npz(tmp_path):
+    path = tmp_path / "keyless.npz"
+    np.savez(path, poly=np.ones(3, dtype=np.int64))
+    return str(path)
+
+
+@pytest.mark.parametrize("table", (_no_npz, _garbage_npz, _keyless_npz),
+                         ids=["missing", "garbage", "no-vinit"])
+def test_an_unreadable_direction_number_file_raises_naming_it(monkeypatch, tmp_path, table):
+    path = table(tmp_path)
+    monkeypatch.setattr(convex, "_SOBOL_TABLE", path)
+    with pytest.raises(ConfigurationError, match="Sobol direction numbers") as info:
+        _sobol_points(2, 32, range(2))
+    assert path in str(info.value)
+    # an uncached measure builds its points, and fails the same way rather than use others
+    C = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])).dilate(0.1)
+    with pytest.raises(ConfigurationError, match="Sobol direction numbers"):
+        gaussian_measure_estimate(C, n_points=1 << 17)
+
+
+_BALANCE = re.escape("The balance properties of Sobol' points require n to be a power of 2.")
+
+
+def test_sobol_points_warn_as_scipy_does_off_a_power_of_two():
+    with pytest.warns(UserWarning, match=_BALANCE):
+        got = _sobol_points(3, 5000, range(2))
+    with pytest.warns(UserWarning, match=_BALANCE):
+        want = [qmc.Sobol(d=3, scramble=True, seed=r).random(5000) for r in range(2)]
+    assert np.array_equal(got, want)
+    # 80000 points: 16 uncached replicates of 5000, built and warned about on each call
+    C = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])).dilate(0.1)
+    with pytest.warns(UserWarning, match=_BALANCE):
+        gaussian_measure_estimate(C, n_points=80000)
+    with pytest.warns(UserWarning, match=_BALANCE):  # 312 points per cached replicate
+        gaussian_measure_estimate(Ellipsoid(np.zeros(3), np.eye(3)).dilate(0.1), n_points=5000)
 
 
 def test_a_large_qmc_request_is_not_cached():

@@ -281,6 +281,36 @@ def test_half_space_and_ball_derivatives_take_their_limit_on_an_infinite_row(C):
             assert np.array_equal(lap[..., 1:], want_lap)
 
 
+@pytest.mark.parametrize("normal", ([1.0, 0.0], [0.0, 0.6, 0.0, 0.8]), ids=["axis-2", "zeros-4"])
+def test_half_space_hooks_ignore_an_infinite_entry_off_the_normal(normal):
+    # normal . x met inf * 0 = NaN, with a RuntimeWarning, in an entry the normal
+    # ignores; the value and derivatives depend only on the entries it weighs
+    h = IndicatorFunction(HalfSpace(normal, 0.2))
+    k = len(normal)
+    finite = RngStream(35, stream_id=1).generator().standard_normal((3, k))
+    off = np.flatnonzero(np.asarray(normal) == 0.0)
+    far = finite.copy()
+    far[0, off] = math.inf
+    far[1, off] = -math.inf
+    far[2, off[0]] = math.inf
+    X = np.vstack([far[:2], finite, far[2:]])
+    for t in (0.05, 0.5, 2.0):
+        got = semigroup_apply(h, t, X)
+        assert np.array_equal(got[[0, 1, 5]], got[[2, 3, 4]])
+        assert np.array_equal(got[2:5], semigroup_apply(h, t, finite))
+    for s in (0.5, np.array([0.05, 0.5, 2.0])):
+        for idx in ((1,), (1, 1), (1, 3 % k), (1, 1, 0)):
+            got = semigroup_derivative(h, s, X, idx)
+            assert np.array_equal(got[..., [0, 1, 5]], got[..., [2, 3, 4]])
+            assert np.array_equal(got[..., 2:5], semigroup_derivative(h, s, finite, idx))
+        grad, lap = semigroup_jet(h, s, X)
+        want_grad, want_lap = semigroup_jet(h, s, finite)
+        assert np.array_equal(grad[..., [0, 1, 5], :], grad[..., [2, 3, 4], :])
+        assert np.array_equal(lap[..., [0, 1, 5]], lap[..., [2, 3, 4]])
+        assert np.array_equal(grad[..., 2:5, :], want_grad)
+        assert np.array_equal(lap[..., 2:5], want_lap)
+
+
 _HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
 
 
