@@ -14,7 +14,8 @@ distance, and each decision equals the one the exact distance alone gives.
 Sets are closed: boundary points count as inside.  A row with an infinite
 entry may meet inf * 0 or inf - inf in a projection or rotation; membership
 ignores numpy's invalid flag for it, once per call, and the row counts as a
-NaN row does.
+NaN row does.  A ball's squared distance to a finite row beyond about 1e154
+overflows to its limit inf, and the ball's hooks ignore that overflow.
 
 Each variant keeps its closed forms on its own class, in three hooks:
 `shifted_measure`, the shifted measure P(s + sigma Z in C), whose value at
@@ -176,9 +177,13 @@ def _projection(normal, pts):
     return pts.dot(normal)
 
 
-# numpy's add.reduce sums a row of fewer than 8 entries left to right, as the
-# column sum below does; longer rows go through its 8-way pairwise sum, which
-# the column sum would not match bit for bit, so they keep the norm
+# numpy's add.reduce sums a row of fewer than 8 entries left to right, as a
+# sum of columns in order does; longer rows go through its 8-way pairwise sum,
+# which the column sum would not match bit for bit, so they keep numpy's
+# short-axis reduction.  The column sum serves `_center_distance` (Ball.contains
+# and the ball groups of SetFamily.counts), `_square_sum` (lambda and
+# |grad lambda|^2 in Ball._lambda_derivatives and Ball.smoothed_jet) and
+# Ellipsoid._quadratic_form (Ellipsoid.contains)
 _COLUMN_SUM_MAX_DIM = 7
 
 
@@ -187,6 +192,13 @@ def _center_distance(center, pts):
         return np.linalg.norm(pts - center, axis=1)
     # the squared columns summed in order: the norm's values, without its short-axis reduction
     return np.sqrt(reduce(np.add, (np.square(pts[:, j] - c) for j, c in enumerate(center))))
+
+
+def _square_sum(a):
+    """np.sum(a * a, axis=-1), bit for bit; summed by column in order up to _COLUMN_SUM_MAX_DIM."""
+    if a.shape[-1] > _COLUMN_SUM_MAX_DIM:
+        return np.sum(a * a, axis=-1)
+    return reduce(np.add, (np.square(a[..., j]) for j in range(a.shape[-1])))
 
 
 def _max_abs(pts):
@@ -301,6 +313,12 @@ class HalfSpace(ConvexSet):
 # z = 2 instead costs more than a digit at k = 5.
 _NCX2_SERIES_Z = 4.0
 _NCX2_SERIES_TERMS = 16
+# F_k(q; nc) = P(|Z + mu| <= sqrt(q)) with |mu| = sqrt(nc) is at most
+# P(|Z| >= sqrt(nc) - sqrt(q)) <= exp(-(sqrt(nc) - sqrt(q) - sqrt(k))^2 / 2), by
+# Gaussian concentration of the 1-Lipschitz |Z| about E|Z| <= sqrt(k).  Past
+# this gap the bound is below 2^-1075, half the smallest subnormal, so the CDF
+# rounds to 0
+_NCX2_ZERO_GAP = 38.62
 
 
 def _ncx2_cdf(q: float, k: int, nc):
@@ -309,7 +327,9 @@ def _ncx2_cdf(q: float, k: int, nc):
     Like scipy.stats it takes special.chndtr where nc != 0 and the central
     special.chdtr where nc == 0 (chndtr differs there in the last bits), and
     puts 1 at q = inf for every valid nc; calling scipy.special directly keeps
-    the import of scipy.stats off the library's path.
+    the import of scipy.stats off the library's path.  chndtr is NaN once nc
+    passes about 9.8e18 (and at nc = inf); such an entry is 0 where the gap
+    `_NCX2_ZERO_GAP` proves the CDF rounds to 0, and stays NaN elsewhere.
     """
     nc = np.asarray(nc, dtype=float)
     if q == math.inf:
@@ -319,6 +339,11 @@ def _ncx2_cdf(q: float, k: int, nc):
         central = nc == 0.0
         if central.any():
             out[central] = special.chdtr(k, q)
+    lost = np.isnan(out)
+    if lost.any():
+        with np.errstate(invalid="ignore"):  # a negative nc stays NaN
+            gap = np.sqrt(nc[lost]) - math.sqrt(q) - math.sqrt(k)
+        out[lost] = np.where(gap > _NCX2_ZERO_GAP, 0.0, out[lost])
     return out
 
 
@@ -409,11 +434,13 @@ class Ball(ConvexSet):
     def contains(self, x):
         # an empty ball has a negative radius, which no distance is below
         pts, single = _as_points(x, self.dim)
-        return _ret(_center_distance(self.center, pts) <= self.radius, single)
+        with np.errstate(over="ignore"):  # a far row's distance is inf: outside
+            return _ret(_center_distance(self.center, pts) <= self.radius, single)
 
     def shifted_measure(self, shifts, sigma):
         delta = shifts - self.center
-        nc = np.sum(delta * delta, axis=1) / sigma**2
+        with np.errstate(over="ignore"):  # a far row's nc is inf, its measure 0
+            nc = np.sum(delta * delta, axis=1) / sigma**2
         q = (self.radius / sigma) ** 2
         return _ncx2_cdf(q, self.dim, nc)
 
@@ -426,9 +453,13 @@ class Ball(ConvexSet):
         """
         mu = alpha[:, None, None] * X - self.center
         w2 = (w * w)[:, None]
-        lam = np.sum(mu * mu, axis=2) / w2
-        # F and all its derivatives tend to 0 as lambda -> inf: an infinite row
-        # takes that limit, its terms zeroed rather than inf * 0
+        a = alpha[:, None]
+        # F and all its derivatives tend to 0 as lambda -> inf: a row that is
+        # infinite, or so far that lambda overflows, takes that limit, its
+        # terms zeroed rather than inf * 0
+        with np.errstate(over="ignore"):
+            lam = _square_sum(mu) / w2
+            dl = (2.0 * a)[:, :, None] * mu / w2[:, :, None]
         far = np.isinf(lam)
         far_rows = far.any()
         if far_rows:
@@ -437,8 +468,6 @@ class Ball(ConvexSet):
         # difference in the degrees of freedom
         f = _ncx2_densities(self.radius**2 / w2, self.dim, lam, m)
         dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
-        a = alpha[:, None]
-        dl = (2.0 * a)[:, :, None] * mu / w2[:, :, None]
         if far_rows:
             for d in dF + [dl]:
                 d[far] = 0.0
@@ -467,7 +496,7 @@ class Ball(ConvexSet):
         # grad F(lambda) = F' grad lambda;  Laplacian = F'' |grad lambda|^2 + F' k d2
         (dF1, dF2), dl, d2l = self._lambda_derivatives(alpha, w, X, 2)
         grad = dF1[..., None] * dl
-        lap = dF2 * np.sum(dl * dl, axis=2) + dF1 * (self.dim * d2l)
+        lap = dF2 * _square_sum(dl) + dF1 * (self.dim * d2l)
         return grad, lap
 
     def dilate(self, eps):
@@ -494,20 +523,50 @@ class Ball(ConvexSet):
 _EDGE_CLIP = 40.0
 
 
-def _box_factor(m, alpha, w, hi, lo):
-    """Order-m (m >= 1) derivative of Phi(hi) - Phi(lo) along coordinates, node axis first."""
+def _edge_terms(hi, lo):
+    """The clipped edges and their densities, shared by every derivative order."""
     hi, lo = np.clip(hi, -_EDGE_CLIP, _EDGE_CLIP), np.clip(lo, -_EDGE_CLIP, _EDGE_CLIP)
-    fac = hermite_he(m - 1, hi) * norm_pdf(hi) - hermite_he(m - 1, lo) * norm_pdf(lo)
+    return hi, lo, norm_pdf(hi), norm_pdf(lo)
+
+
+def _box_factor(m, alpha, w, edges):
+    """Order-m (m >= 1) derivative of Phi(hi) - Phi(lo) along coordinates, node axis first.
+
+    `edges` is `_edge_terms(hi, lo)`.  He_0 = 1, so the first order takes the
+    densities as they are.
+    """
+    hi, lo, pdf_hi, pdf_lo = edges
+    if m == 1:
+        fac = pdf_hi - pdf_lo
+    else:
+        fac = hermite_he(m - 1, hi) * pdf_hi - hermite_he(m - 1, lo) * pdf_lo
     scale = _per_node(lambda a, b: -((a / b) ** m), alpha, w)
     return scale.reshape((-1,) + (1,) * (fac.ndim - 1)) * fac
+
+
+def _box_edge(bound, infinite, shifted, scale):
+    """(bound - shifted) / scale, with an infinite bound its own edge on every row.
+
+    That is the edge's value wherever `shifted` is finite; a row infinite
+    along such a coordinate would meet inf - inf.  A NaN entry stays NaN.
+    `infinite` lists the indices of the infinite entries of `bound`, so a
+    bounded box pays for nothing more than the difference.
+    """
+    if not infinite:
+        return (bound - shifted) / scale
+    with np.errstate(invalid="ignore"):  # inf - inf, replaced below
+        edge = (bound - shifted) / scale
+    edge[..., infinite] = np.where(np.isnan(shifted[..., infinite]), np.nan, bound[infinite])
+    return edge
 
 
 class Box(ConvexSet):
     """Axis-aligned box [lower, upper]; empty if any side is inverted.
 
     Infinite bounds are allowed (slabs and orthants); NaN bounds are not.
-    Along a coordinate with an infinite bound the smoothed derivatives take
-    that edge's limit, 0 (`_box_factor`).
+    An infinite bound is its own edge at every shift (`_box_edge`), and along
+    its coordinate the smoothed derivatives take that edge's limit, 0
+    (`_EDGE_CLIP`).
     """
 
     has_closed_form = True
@@ -524,6 +583,10 @@ class Box(ConvexSet):
         self.lower = lower
         self.upper = upper
         self.dim = lower.size
+        # indices of the infinite bounds, found in Python: cheaper than numpy at small k
+        self._infinite = tuple(
+            [j for j, b in enumerate(bound.tolist()) if math.isinf(b)] for bound in (upper, lower)
+        )
 
     @property
     def is_empty(self):
@@ -547,38 +610,45 @@ class Box(ConvexSet):
             inside &= pts[:, j] <= self.upper[j]
         return _ret(inside, single)
 
+    def _edges(self, shifted, scale):
+        """The upper and lower edges (bound - shifted) / scale."""
+        upper, lower = self._infinite
+        return (_box_edge(self.upper, upper, shifted, scale),
+                _box_edge(self.lower, lower, shifted, scale))
+
     def shifted_measure(self, shifts, sigma):
-        hi = (self.upper - shifts) / sigma
-        lo = (self.lower - shifts) / sigma
+        hi, lo = self._edges(shifts, sigma)
         return np.prod(norm_cdf(hi) - norm_cdf(lo), axis=1)
 
-    def _edges(self, alpha, w, X):
-        alpha, w = alpha[:, None, None], w[:, None, None]
-        return (self.upper - alpha * X) / w, (self.lower - alpha * X) / w
+    def _smoothed_edges(self, alpha, w, X):
+        return self._edges(alpha[:, None, None] * X, w[:, None, None])
 
     def smoothed_derivative(self, alpha, w, X, idx):
         mult = multiplicities(idx, self.dim)
-        hi, lo = self._edges(alpha, w, X)
-        plain = norm_cdf(hi) - norm_cdf(lo)
-        val = np.ones(plain.shape[:2])
+        hi, lo = self._smoothed_edges(alpha, w, X)
+        val = np.ones(hi.shape[:2])
         for j in range(self.dim):
             m = mult.get(j, 0)
             if m == 0:
-                val = val * plain[..., j]
+                val = val * (norm_cdf(hi[..., j]) - norm_cdf(lo[..., j]))
             else:
-                val = val * _box_factor(m, alpha, w, hi[..., j], lo[..., j])
+                val = val * _box_factor(m, alpha, w, _edge_terms(hi[..., j], lo[..., j]))
         return val
 
     def smoothed_jet(self, alpha, w, X):
         # product rule: coordinate i takes its derivative factor, the others plain
-        hi, lo = self._edges(alpha, w, X)
+        hi, lo = self._smoothed_edges(alpha, w, X)
         plain = norm_cdf(hi) - norm_cdf(lo)
-        first = _box_factor(1, alpha, w, hi, lo)
-        second = _box_factor(2, alpha, w, hi, lo)
+        edges = _edge_terms(hi, lo)
+        first = _box_factor(1, alpha, w, edges)
+        second = _box_factor(2, alpha, w, edges)
         grad = np.empty_like(plain)
         lap = np.zeros(plain.shape[:2])
+        columns = [plain[..., j] for j in range(self.dim)]
         for i in range(self.dim):
-            others = np.prod(np.delete(plain, i, axis=2), axis=2)
+            # the other columns multiplied in coordinate order, as np.prod does
+            others = columns[:i] + columns[i + 1:]
+            others = reduce(np.multiply, others) if others else 1.0
             grad[..., i] = first[..., i] * others
             lap += second[..., i] * others
         return grad, lap
@@ -890,8 +960,7 @@ class DilatedBox(DilatedSet):
     has_closed_form = True
 
     def shifted_measure(self, shifts, sigma):
-        lo = (self.base.lower - shifts) / sigma
-        hi = (self.base.upper - shifts) / sigma
+        hi, lo = self.base._edges(shifts, sigma)
         rho = np.full((len(shifts), 1), self.eps / sigma)
         step = max(_SECTOR_CHUNK // (_SECTOR_NODES + 1) ** (self.dim - 1), 1)
         return np.concatenate([
@@ -1227,7 +1296,9 @@ class SetFamily:
         pts, _ = _as_points(x, self.dim)
         groups, others = self._plan
         out = np.empty(len(self.sets), dtype=np.int64)
-        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
+        # an infinite row: see the module docstring; a far finite row's
+        # centre distance overflows to inf, which is above every level
+        with np.errstate(invalid="ignore", over="ignore"):
             for statistic, levels, targets in groups:
                 values = statistic(pts)
                 values.sort()  # in place: a statistic returns a new array

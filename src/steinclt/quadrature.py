@@ -49,9 +49,22 @@ def gauss_hermite_tensor(k: int, n: int):
     return nodes, weights
 
 
+@lru_cache(maxsize=64)
+def gauss_legendre_1d(n: int):
+    """Read-only Gauss-Legendre nodes/weights (x_i, w_i) on [-1, 1].
+
+    leggauss solves an eigenvalue problem, which costs more than a Stein
+    solution's other set-up, so the rule is built once per node count per
+    process and shared by every caller.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False  # cached: shared by every caller and thread
+    return x, w
+
+
 def gauss_legendre_panel(a: float, b: float, n: int):
     """Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre_1d(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

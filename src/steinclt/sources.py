@@ -34,6 +34,7 @@ import numpy as np
 
 from .convex import ConvexSet, SetFamily
 from .errors import DegeneracyError, DomainError, check_count
+from .quadrature import gauss_legendre_1d
 from .rng import RngStream
 from .semigroup import IndicatorFunction
 from .stein import SteinSolution, laplacian_drift, smoothed_target
@@ -238,7 +239,7 @@ def _numeric_rho3(name: str, k: int) -> MomentSummary:
 
     def value(n_nodes):
         if name == "uniform":
-            x, w = np.polynomial.legendre.leggauss(n_nodes)
+            x, w = gauss_legendre_1d(n_nodes)
             return _tensor_norm3(_SQRT3 * x, 0.5 * w, k)
         if name == "exponential":
             x, w = np.polynomial.laguerre.laggauss(n_nodes)

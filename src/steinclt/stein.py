@@ -5,6 +5,9 @@ centered test function h~ = h - E_Phi h.  Spatial derivatives differentiate
 under the time integral; the order-m integrand carries the singular weight
 (e^{-s} / sqrt(1-e^{-2s}))^m, which the substitution u = e^{-s} absorbs into
 a smooth integrand on (0, e^{-t}], handled by fixed Gauss-Legendre nodes.
+The Gauss-Legendre rule is built once per node count per process and shared
+read-only (`quadrature.gauss_legendre_1d`); each `SteinSolution` maps it onto
+its own interval.
 `psi`, `psi_d2` and `psi_d3` integrate `semigroup_apply` and
 `semigroup_derivative` over those nodes through one helper, `_time_integral`.
 

@@ -566,3 +566,50 @@ def test_discrepancy_rejects_a_t_past_the_double_range(capsys):
     assert run(argv + ["800"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "t = 800" in captured.err
+
+
+_PINNED_RUN = """
+import os
+import sys
+
+cpu = int(sys.argv[1])
+if cpu >= 0:
+    os.sched_setaffinity(0, {cpu})
+from steinclt import cli, sources
+
+code = cli.run(sys.argv[2:])
+print(sources._block_pool() is not None, len(os.sched_getaffinity(0)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or _usable_cpus() < 2,
+                    reason="needs sched_setaffinity and at least two usable CPUs")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "--source", "rademacher", "--k", "2", "--n", "16", "--M", "50000", "--seed", "7"],
+        ["bounds", "--source", "uniform", "--k", "2", "--n", "8", "--M", "50000", "--seed", "7"],
+    ],
+    ids=["delta", "bounds"],
+)
+def test_csv_bytes_do_not_depend_on_the_cpu_count(argv):
+    # M = 50000 is four blocks, which run on the block pool when more than one
+    # CPU is usable; a child pinned to one CPU runs them in order on one thread
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def child(cpu):
+        out = subprocess.run([sys.executable, "-c", _PINNED_RUN, str(cpu), *argv],
+                             capture_output=True, timeout=300,
+                             env=dict(os.environ, PYTHONPATH=path), check=True)
+        return out.stdout, out.stderr.decode().split()[-2:]
+
+    one, one_state = child(min(os.sched_getaffinity(0)))
+    every, every_state = child(-1)
+    assert one_state == ["False", "1"] and every_state == ["True", str(_usable_cpus())]
+    assert one.startswith(b"# steinclt-csv v1") and one == every

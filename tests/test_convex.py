@@ -41,6 +41,7 @@ from steinclt.convex import (
     _replicate_group,
     _sobol_normal_replicates,
     _sobol_points,
+    _square_sum,
     set_to_config,
 )
 from steinclt.errors import ConfigurationError, DimensionMismatchError, DomainError
@@ -1243,3 +1244,59 @@ def test_default_family_plan_sorts_one_statistic_per_group():
     # 32 directions reduce to +-1: 2 projections, the centre distance and the cubes' max |x|
     assert _check_plan(fam) == (4, 0)
     assert _check_plan(default_family(2)) == (34, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_square_sum_equals_the_short_axis_sum(k):
+    # the ball's lambda and |grad lambda|^2 sum squared columns in order up to
+    # _COLUMN_SUM_MAX_DIM; that must round as np.sum over the last axis does
+    gen = np.random.default_rng(70 + k)
+    for shape in ((1, k), (842, k), (5, 97, k)):
+        a = gen.standard_normal(shape) * gen.choice([1e-3, 1.0, 1e3], size=shape)
+        assert np.array_equal(_square_sum(a), np.sum(a * a, axis=-1))
+
+
+def test_ball_membership_of_a_far_finite_row_is_false():
+    # the squared distance overflowed ("overflow encountered in square", an
+    # error in this suite); its limit inf is outside every ball
+    ball = Ball([0.0, 0.0], 1.0)
+    assert ball.contains([[1e300, 0.0], [0.3, 0.2], [0.0, -1e200]]).tolist() == [False, True, False]
+    assert not Ball([0.0, 0.0], 1e100).contains([1e300, 0.0])
+
+
+def test_ball_shifted_measure_of_a_far_row_is_zero():
+    # a row past 1e154 overflowed in the noncentrality; at 1e10 chndtr gave NaN
+    ball = Ball([0.0, 0.0], 1.0)
+    shifts = np.array([[1e300, 0.0], [1e10, 0.0], [0.0, -3e9], [0.3, 0.2]])
+    got = ball.shifted_measure(shifts, 1.0)
+    assert got[:3].tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(got[3:], ball.shifted_measure(shifts[3:], 1.0))
+    assert np.array_equal(shifted_measure_batch(ball, shifts, 0.5)[:3], np.zeros(3))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 5))
+def test_ncx2_cdf_is_zero_only_where_the_concentration_gap_proves_it(k):
+    # chndtr is NaN once nc passes about 9.8e18; F = 0 there only where
+    # sqrt(nc) - sqrt(q) - sqrt(k) > 38.62, and every other NaN stays
+    nc = np.array([1e20, 1e300, math.inf, math.nan, -1.0])
+    got = _ncx2_cdf(1.0, k, nc)
+    assert got[:3].tolist() == [0.0, 0.0, 0.0]
+    assert np.isnan(got[3:]).all()
+    # at q = nc = 1e18 the CDF is near 1/2, not 0: chndtr's NaN stands
+    got = _ncx2_cdf(1e18, k, np.array([1e18, 1e20]))
+    assert np.isnan(got[0]) and got[1] == 0.0
+    # finite values are chndtr's own, and equal to 0 wherever the gap holds
+    finite = np.geomspace(1e2, 1e18, 400)
+    vals = _ncx2_cdf(9.0, k, finite)
+    assert np.isfinite(vals).all()
+    assert (vals[np.sqrt(finite) - 3.0 - math.sqrt(k) > 38.62] == 0.0).all()
+
+
+def test_family_counts_of_a_far_finite_row():
+    # the ball group's centre distance overflowed, which the counting plan
+    # did not ignore; the row counts as the infinite row it approaches
+    fam = default_family(2)
+    far = np.array([[1e300, 0.0], [0.0, -1e300]])
+    infinite = np.array([[math.inf, 0.0], [0.0, -math.inf]])
+    assert np.array_equal(fam.counts(far), _per_set_counts(fam, far))
+    assert np.array_equal(fam.counts(far), fam.counts(infinite))

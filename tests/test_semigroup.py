@@ -26,7 +26,9 @@ from steinclt import (
     shifted_measure_batch,
     transition_density,
 )
+from steinclt import convex
 from steinclt.errors import ConfigurationError, DomainError
+from steinclt.gaussian import norm_cdf, norm_pdf
 from steinclt.quadrature import gauss_hermite_tensor
 from steinclt.convex import _NCX2_SERIES_Z, _ncx2_densities
 
@@ -259,6 +261,95 @@ def test_box_derivatives_take_their_limit_at_infinite_bounds():
             assert np.isfinite(got).all() and np.array_equal(got, want)
 
 
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "lower, upper, row, far",
+    [
+        ([-1.0, -math.inf], [1.0, 1.0], [0.0, -math.inf], [0.0, -1e300]),
+        ([-1.0, -0.5], [1.0, math.inf], [0.2, math.inf], [0.2, 1e300]),
+        ([-math.inf, -math.inf], [math.inf, 0.3], [-math.inf, 0.1], [-1e300, 0.1]),
+    ],
+    ids=["lower", "upper", "orthant"],
+)
+def test_box_hooks_at_an_infinite_row_meeting_an_infinite_bound(lower, upper, row, far):
+    # the edge (bound - alpha x) / w met inf - inf ("invalid value encountered in
+    # subtract", an error in this suite); an infinite bound is its own edge, so
+    # the infinite row gives the bytes of a far finite row
+    B = Box(lower, upper)
+    h = IndicatorFunction(B)
+    finite = [[0.3, 0.2], [-0.7, 0.05]]
+    X, Y = np.array([row] + finite), np.array([far] + finite)
+    _same_bytes(B.shifted_measure(X, 0.7), B.shifted_measure(Y, 0.7))
+    for t in (0.05, 0.5):
+        _same_bytes(semigroup_apply(h, t, X), semigroup_apply(h, t, Y))
+    for s in (0.5, np.array([0.05, 0.5, 2.0])):
+        for idx in ((0,), (1,), (0, 1), (1, 1), (1, 1, 1), (0, 0, 1)):
+            _same_bytes(semigroup_derivative(h, s, X, idx), semigroup_derivative(h, s, Y, idx))
+        for got, want in zip(semigroup_jet(h, s, X), semigroup_jet(h, s, Y)):
+            _same_bytes(got, want)
+
+
+def test_dilated_box_measure_at_an_infinite_row_meeting_an_infinite_bound():
+    # a dilated box forms its edges as its box does, so it met the same inf - inf;
+    # its far twin sits at 1e150, since a normal density squares its argument
+    C = Box([-1.0, -math.inf], [1.0, 1.0]).dilate(0.2)
+    X = np.array([[0.0, -math.inf], [0.3, 0.2]])
+    Y = np.array([[0.0, -1e150], [0.3, 0.2]])
+    _same_bytes(C.shifted_measure(X, 0.7), C.shifted_measure(Y, 0.7))
+    for t in (0.05, 0.5):
+        h = IndicatorFunction(C)
+        _same_bytes(semigroup_apply(h, t, X), semigroup_apply(h, t, Y))
+
+
+def test_box_edge_of_a_nan_entry_stays_nan_at_an_infinite_bound():
+    # the infinite bounds are their own edges only for rows that are not NaN there
+    B = Box([-1.0, -math.inf], [1.0, math.inf])
+    X = np.array([[0.0, math.nan], [0.0, 0.3]])
+    assert np.isnan(B.shifted_measure(X, 1.0)[0])
+    assert np.isnan(semigroup_derivative(IndicatorFunction(B), 0.5, X, (0,))[0])
+
+
+def _box_jet_by_delete(B, alpha, w, X):
+    """The box jet as np.prod over np.delete of the plain factors, for the bits it must keep."""
+    alpha, w = alpha[:, None, None], w[:, None, None]
+    hi, lo = (B.upper - alpha * X) / w, (B.lower - alpha * X) / w
+    plain = norm_cdf(hi) - norm_cdf(lo)
+    hi_c, lo_c = np.clip(hi, -40.0, 40.0), np.clip(lo, -40.0, 40.0)
+    pdf_hi, pdf_lo = norm_pdf(hi_c), norm_pdf(lo_c)
+    scale = [np.array([-((a / b) ** m) for a, b in zip(alpha.ravel().tolist(), w.ravel().tolist())])
+             for m in (1, 2)]
+    first = scale[0][:, None, None] * (np.ones_like(hi_c) * pdf_hi - np.ones_like(lo_c) * pdf_lo)
+    second = scale[1][:, None, None] * (hi_c * pdf_hi - lo_c * pdf_lo)
+    grad = np.empty_like(plain)
+    lap = np.zeros(plain.shape[:2])
+    for i in range(X.shape[1]):
+        others = np.prod(np.delete(plain, i, axis=2), axis=2)
+        grad[..., i] = first[..., i] * others
+        lap += second[..., i] * others
+    return grad, lap
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_box_jet_multiplies_the_other_columns_as_np_prod_does(k):
+    # the jet forms each coordinate's product of the other plain factors column
+    # by column; it must keep the bits of np.prod over the deleted column
+    gen = RngStream(36, stream_id=k).generator()
+    X = gen.standard_normal((40, k)) * gen.choice([0.2, 1.0, 4.0], size=(40, 1))
+    times = np.array([0.01, 0.3, 0.7, 2.5, 9.0])
+    alpha = np.array([math.exp(-s) for s in times.tolist()])
+    w = np.array([ou_noise(s) for s in times.tolist()])
+    lower = -gen.uniform(0.1, 2.0, k)
+    upper = gen.uniform(0.1, 2.0, k)
+    lower[0] = -math.inf
+    for B in (Box(lower, gen.uniform(0.1, 2.0, k)), Box(-np.ones(k), upper)):
+        for got, want in zip(B.smoothed_jet(alpha, w, X), _box_jet_by_delete(B, alpha, w, X)):
+            _same_bytes(got, want)
+
+
 @pytest.mark.parametrize(
     "C", [HalfSpace([0.6, 0.8], 0.2), Ball([0.1, 0.0], 1.0)], ids=["half-space", "ball"]
 )
@@ -446,6 +537,50 @@ def test_ball_jet_beyond_three_dimensions(k):
             assert np.max(np.abs(grad[:, i] - (up - down) / (2 * step))) <= 1e-9
             fd_lap += (up - 2.0 * mid + down) / step**2
         assert np.max(np.abs(lap - fd_lap)) <= 1e-6
+
+
+@pytest.mark.parametrize("k", (7, 8))
+def test_ball_hooks_sum_their_squares_as_the_row_wise_sum_does(k, monkeypatch):
+    # lambda and |grad lambda|^2 sum squared columns in order up to k = 7 and
+    # keep np.sum beyond; either way the bits are those of the row-wise sum
+    gen = RngStream(37, stream_id=k).generator()
+    X = np.vstack([np.zeros((1, k)), gen.standard_normal((30, k)) * 1.5])
+    times = np.array([0.05, 0.5, 3.0])
+    cases = [Ball(np.zeros(k), 2.2), Ball(gen.standard_normal(k) * 0.3, 3.1)]
+    idxs = ((0,), (0, 0), (1, k - 1), (0, 0, 0), (0, 1, k - 1))
+
+    def hooks():
+        out = []
+        for C in cases:
+            h = IndicatorFunction(C)
+            out += list(semigroup_jet(h, times, X))
+            out += [semigroup_derivative(h, times, X, idx) for idx in idxs]
+        return out
+
+    got = hooks()
+    monkeypatch.setattr(convex, "_square_sum", lambda a: np.sum(a * a, axis=-1))
+    for g, want in zip(got, hooks()):
+        _same_bytes(g, want)
+
+
+def test_ball_jet_and_derivatives_at_a_far_finite_row_are_zero():
+    # lambda overflowed ("overflow encountered in multiply", an error in this
+    # suite) on a finite row past 1e154; the row takes the limit 0, and the
+    # other rows keep their bits
+    h = IndicatorFunction(Ball([0.0, 0.0], 1.0))
+    finite = [[0.3, 0.2]]
+    for far in ([1e300, 0.0], [0.0, -1e200], [1e300, 1e300]):
+        X = [far] + finite
+        for s in (0.5, np.array([0.05, 0.5, 2.0])):
+            grad, lap = semigroup_jet(h, s, X)
+            want_grad, want_lap = semigroup_jet(h, s, finite)
+            assert np.all(grad[..., 0, :] == 0.0) and np.all(lap[..., 0] == 0.0)
+            _same_bytes(grad[..., 1:, :], want_grad)
+            _same_bytes(lap[..., 1:], want_lap)
+            for idx in ((0,), (0, 1), (1, 1, 0)):
+                got = semigroup_derivative(h, s, X, idx)
+                assert np.all(got[..., 0] == 0.0)
+                _same_bytes(got[..., 1:], semigroup_derivative(h, s, finite, idx))
 
 
 def test_generator_eigenfunctions_exact():

@@ -32,6 +32,7 @@ from steinclt import (
     weight_bound,
 )
 from steinclt.errors import DomainError
+from steinclt.quadrature import gauss_legendre_1d
 
 
 def _halfspace_solution(k=2, t=0.5):
@@ -203,6 +204,38 @@ def test_solution_at_t_708_keeps_finite_nodes():
     sol = SteinSolution(708.0, IndicatorFunction(HalfSpace(np.ones(1), 0.3)))
     assert np.isfinite(sol.s_nodes).all() and np.isfinite(sol.s_weights).all()
     assert np.isfinite(laplacian_drift(sol, np.array([[0.2], [-1.0]]))).all()
+
+
+@pytest.mark.parametrize("n", (24, 32, 64))
+def test_gauss_legendre_rule_is_built_once_and_read_only(n):
+    x, w = gauss_legendre_1d(n)
+    want_x, want_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    assert gauss_legendre_1d(n)[0] is x  # one entry per node count, shared
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("t", (0.01, 0.5, 5.0))
+def test_solution_time_nodes_keep_the_bits_of_a_fresh_rule(t):
+    # each solution used to solve for its own Gauss-Legendre rule; mapping the
+    # cached rule onto (e^{-(t+40)}, e^{-t}] must give the same nodes and weights
+    x, w = np.polynomial.legendre.leggauss(64)
+    a, b = math.exp(-(t + 40.0)), math.exp(-t)
+    u, du = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    sol = SteinSolution(t, IndicatorFunction(Ball([0.0], 1.0)))
+    assert sol.s_nodes.tobytes() == (-np.log(u)).tobytes()
+    assert sol.s_weights.tobytes() == (du / u).tobytes()
+
+
+def test_laplacian_drift_of_a_ball_at_a_far_finite_row_is_zero():
+    # the ball's lambda overflowed on a finite row past 1e154 (an error in this
+    # suite); psi_t's derivatives and x . grad psi_t vanish there
+    sol = SteinSolution(0.5, IndicatorFunction(Ball([0.0, 0.0], 1.0)))
+    finite = [[0.3, 0.2]]
+    got = laplacian_drift(sol, [[1e300, 0.0]] + finite)
+    assert got[0] == 0.0 and got[1] == laplacian_drift(sol, finite)[0]
 
 
 def test_weight_inequality_pointwise():
