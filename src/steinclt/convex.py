@@ -14,8 +14,9 @@ distance, and each decision equals the one the exact distance alone gives.
 Sets are closed: boundary points count as inside.  A row with an infinite
 entry may meet inf * 0 or inf - inf in a projection or rotation; membership
 ignores numpy's invalid flag for it, once per call, and the row counts as a
-NaN row does.  A ball's squared distance to a finite row beyond about 1e154
-overflows to its limit inf, and the ball's hooks ignore that overflow.
+NaN row does.  A ball's squared distance, an ellipsoid's quadratic form and
+the square inside a dilated box's normal density overflow to their limit inf
+at a finite row beyond about 1e154, and those hooks ignore that overflow.
 
 Each variant keeps its closed forms on its own class, in three hooks:
 `shifted_measure`, the shifted measure P(s + sigma Z in C), whose value at
@@ -454,19 +455,22 @@ class Ball(ConvexSet):
         mu = alpha[:, None, None] * X - self.center
         w2 = (w * w)[:, None]
         a = alpha[:, None]
-        # F and all its derivatives tend to 0 as lambda -> inf: a row that is
-        # infinite, or so far that lambda overflows, takes that limit, its
-        # terms zeroed rather than inf * 0
+        # F and all its derivatives tend to 0 as lambda -> inf.  Past the gap of
+        # `_NCX2_ZERO_GAP`, sqrt(lambda) - sqrt(q) - sqrt(k) > 38.62, every
+        # density underflows to 0, so such a row (an infinite one too) takes
+        # that limit, its terms zeroed rather than 0 * inf, and q * lambda or
+        # |grad lambda|^2 cannot overflow
         with np.errstate(over="ignore"):
             lam = _square_sum(mu) / w2
             dl = (2.0 * a)[:, :, None] * mu / w2[:, :, None]
-        far = np.isinf(lam)
+        q = self.radius**2 / w2
+        far = lam > (np.sqrt(q) + (math.sqrt(self.dim) + _NCX2_ZERO_GAP)) ** 2
         far_rows = far.any()
         if far_rows:
             lam = np.where(far, 0.0, lam)
         # d^j F_k / d lambda^j = -2^{1-j} Delta^{j-1} f_{k+2}, Delta the forward
         # difference in the degrees of freedom
-        f = _ncx2_densities(self.radius**2 / w2, self.dim, lam, m)
+        f = _ncx2_densities(q, self.dim, lam, m)
         dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
         if far_rows:
             for d in dF + [dl]:
@@ -725,7 +729,7 @@ class Ellipsoid(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
+        with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
             q = self._quadratic_form(pts)
         return _ret(q <= 1.0, single)
 
@@ -802,20 +806,25 @@ class Ellipsoid(ConvexSet):
         d >= |r - 1| sqrt(lam_min).  The boundary point c + R v / r gives
         d <= |v| |1 - 1/r|.  Outside, convexity of v -> v^T Lam^{-1} v gives
         d >= (q - 1) / (2 |Lam^{-1} v|) as well, which is near-exact on the
-        long axes.  At the centre the upper bound is NaN, and both are NaN on
-        a NaN row.
+        long axes.  At the centre the upper bound is NaN.  A row whose q is
+        not finite (an infinite or NaN entry, or a finite row whose squares
+        overflow) takes its exact `boundary_distance` as both bounds: inf,
+        NaN, or the far row's distance.
         """
         pts, _ = _as_points(x, self.dim)
         lam = self._evals
         # q, |v|^2 and |Lam^{-1} v|^2 in one product: reducing (M, k) arrays
         # along their short axis costs several times more
         weights = np.stack([1.0 / lam, np.ones_like(lam), lam**-2.0], axis=1)
-        q, norm2_v, norm2_w = (np.square(self._rotated(pts)) @ weights).T
-        r = np.sqrt(q)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            q, norm2_v, norm2_w = (np.square(self._rotated(pts)) @ weights).T
+            r = np.sqrt(q)
             upper = np.sqrt(norm2_v) * np.abs(1.0 - 1.0 / r)
             first_order = (q - 1.0) / (2.0 * np.sqrt(norm2_w))
-        lower = np.maximum(np.abs(r - 1.0) * math.sqrt(np.min(lam)), first_order)
+            lower = np.maximum(np.abs(r - 1.0) * math.sqrt(np.min(lam)), first_order)
+        lost = ~np.isfinite(q)
+        if lost.any():
+            lower[lost] = upper[lost] = self.boundary_distance(pts[lost])
         return lower, upper
 
     def dilate(self, eps):
@@ -963,10 +972,14 @@ class DilatedBox(DilatedSet):
         hi, lo = self.base._edges(shifts, sigma)
         rho = np.full((len(shifts), 1), self.eps / sigma)
         step = max(_SECTOR_CHUNK // (_SECTOR_NODES + 1) ** (self.dim - 1), 1)
-        return np.concatenate([
-            _dilated_box_mass(lo[i : i + step], hi[i : i + step], rho[i : i + step])[:, 0]
-            for i in range(0, len(shifts), step)
-        ])
+        # phi squares an edge; past about 1e154 the square overflows to its
+        # limit inf, and phi to its limit 0 (an np.clip of the edges costs
+        # 6 us a call, a tenth of a k = 2 mass)
+        with np.errstate(over="ignore"):
+            return np.concatenate([
+                _dilated_box_mass(lo[i : i + step], hi[i : i + step], rho[i : i + step])[:, 0]
+                for i in range(0, len(shifts), step)
+            ])
 
 
 class ErodedSet(ConvexSet):
@@ -1039,10 +1052,11 @@ _SOBOL_TABLE = os.path.join(
 _SOBOL_TOP_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1)
 
 
-@lru_cache(maxsize=1)
 def _sobol_table(path: str):
-    """(poly, vinit) from a Sobol direction-number file, read once per process.
+    """(poly, vinit) from a Sobol direction-number file, read on each call.
 
+    Only `_sobol_direction_numbers` reads it, once per dimension, and keeps
+    the rows it needs, so the whole table (3.2 MiB) is never held after.
     ConfigurationError, naming the path, when the file is missing or unreadable.
     """
     try:
@@ -1054,8 +1068,11 @@ def _sobol_table(path: str):
         ) from None
 
 
-def _sobol_direction_numbers(dim: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _sobol_direction_numbers(dim: int, path: str) -> np.ndarray:
     """(dim, 30) direction numbers v_j 2^(29 - j), as scipy's Sobol engine holds them.
+
+    Built from the table in `path` once per (dim, path), read-only.
 
     Dimension 0 has v_j = 1.  Dimension d has a primitive polynomial
     x^m + a_1 x^(m-1) + ... + a_(m-1) x + 1 (poly[d], a_1 its bit m - 1), the
@@ -1063,7 +1080,7 @@ def _sobol_direction_numbers(dim: int) -> np.ndarray:
     & Fox (1988, ACM TOMS 14, Alg. 659):
     v_j = 2 a_1 v_(j-1) ^ 4 a_2 v_(j-2) ^ ... ^ 2^m v_(j-m) ^ v_(j-m).
     """
-    poly, vinit = _sobol_table(_SOBOL_TABLE)
+    poly, vinit = _sobol_table(path)
     v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
     for d in range(1, dim):
         p = int(poly[d])
@@ -1076,7 +1093,9 @@ def _sobol_direction_numbers(dim: int) -> np.ndarray:
                     new ^= row[j - i] << i
             row.append(new)
         v[d] = row
-    return v << _SOBOL_TOP_FIRST
+    v <<= _SOBOL_TOP_FIRST
+    v.flags.writeable = False
+    return v
 
 
 def _sobol_points(dim: int, per: int, seeds) -> np.ndarray:
@@ -1095,7 +1114,8 @@ def _sobol_points(dim: int, per: int, seeds) -> np.ndarray:
     if per & (per - 1):
         warnings.warn("The balance properties of Sobol' points require n to be a power of 2.",
                       UserWarning, stacklevel=2)
-    v_bits = (_sobol_direction_numbers(dim)[:, None, :] >> _SOBOL_TOP_FIRST[:, None]) & 1
+    v = _sobol_direction_numbers(dim, _SOBOL_TABLE)
+    v_bits = (v[:, None, :] >> _SOBOL_TOP_FIRST[:, None]) & 1
     shift_bits, matrices = [], []
     for r in seeds:
         gen = np.random.default_rng(r)

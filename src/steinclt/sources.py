@@ -40,7 +40,15 @@ from .semigroup import IndicatorFunction
 from .stein import SteinSolution, laplacian_drift, smoothed_target
 
 BLOCK_SIZE = 1 << 14
-_CHUNK_BYTES = 1 << 20
+# Raw Philox bytes per chunk of `_raw_row_chunks`.  The block pool's threads
+# keep freed chunks in their malloc arenas: delta-sweep peaked at 67.3 MiB
+# with 1 MiB chunks, 65.8 with 512 KiB and 64.3 with 256 KiB (medians of 5
+# runs, 2-vCPU Xeon).  Alone, a 16384-row uniform block is also faster at
+# 256 KiB (k = 3, n = 64: 20.5 -> 19.1 ms; n = 256: 70.0 -> 68.0 ms, and
+# 71.7 ms at 128 KiB), but on the two-thread pool the finer chunks cost
+# time: a four-block uniform delta_hat at k = 3, n = 256 took 8-21% longer
+# than with 1 MiB chunks, and delta-sweep's cell_p90_s rose 4-8%.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,8 @@ def _uniform_sum(gen, m, k, n):
     for start, rows, data in _raw_row_chunks(gen, m, 4 * k * n):
         total = data.view("<u4").reshape(rows, k, n).sum(axis=2, dtype=np.uint64)
         out[start:start + rows] = (2.0 * total + n) / 2.0**32 - n
-    return out * (_SQRT3 / math.sqrt(n))
+    out *= _SQRT3 / math.sqrt(n)
+    return out
 
 
 def _exponential_sampler(gen, m, k):
@@ -211,26 +220,45 @@ def make_source(name: str, k: int) -> SourceDistribution:
 
 
 def _tensor_norm3(nodes_1d, weights_1d, k):
-    """E (sum_i X_i^2)^{3/2} for a product law given 1D nodes/weights."""
-    grids = np.meshgrid(*([nodes_1d] * k), indexing="ij")
-    sq = np.zeros(grids[0].size)
-    for g in grids:
-        sq += np.square(g.ravel())
-    wts = weights_1d
+    """E (sum_i X_i^2)^{3/2} for a product law given 1D nodes/weights.
+
+    The squared norms are summed in coordinate order, one outer sum per
+    coordinate, so the grid holds two full-size arrays (norms and weights)
+    and no per-coordinate copies.  The dot is one call over the whole grid:
+    summing it in chunks would change its rounding.
+    """
+    squares = np.square(nodes_1d)
+    sq, wts = squares, weights_1d
     for _ in range(k - 1):
+        sq = np.add.outer(sq, squares).ravel()
         wts = np.multiply.outer(wts, weights_1d).ravel()
-    return float(wts @ np.power(sq, 1.5))
+    return float(wts @ np.power(sq, 1.5, out=sq))
+
+
+_RHO3_DRAWS = 1 << 20
+_RHO3_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=32)
 def _numeric_rho3(name: str, k: int) -> MomentSummary:
-    """rho3 by tensor quadrature with a step-doubling error estimate."""
+    """rho3 by tensor quadrature with a step-doubling error estimate, or by Monte Carlo above k = 4.
+
+    The quadrature takes 32^k and 64^k nodes (128 MiB per full-size array at
+    k = 4; see `_tensor_norm3`).  Monte Carlo takes 2^20 draws from one
+    generator, 2^16 rows at a time, and keeps only their norms cubed: the
+    stream is read in the same order as one 2^20-row call, so the draws and
+    the result are the same.
+    """
     if k > 4:
         # stable across processes (str hash is randomized)
         tag = sum(ord(c) for c in name) + 131 * k
-        stream = RngStream(tag, stream_id=313)
-        draws = make_source(name, k).sample(stream.generator(), 1 << 20)
-        vals = np.power(np.sum(draws * draws, axis=1), 1.5)
+        gen = RngStream(tag, stream_id=313).generator()
+        src = make_source(name, k)
+        vals = []
+        for _ in range(_RHO3_DRAWS // _RHO3_CHUNK):
+            draws = src.sample(gen, _RHO3_CHUNK)
+            vals.append(np.power(np.sum(draws * draws, axis=1), 1.5))
+        vals = np.concatenate(vals)
         return MomentSummary(
             method="monte-carlo",
             estimation_error=float(np.std(vals) / math.sqrt(len(vals))),

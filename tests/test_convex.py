@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -492,6 +493,43 @@ def test_ellipsoid_boundary_distance_of_huge_rows_does_not_overflow(k):
     assert flat.boundary_distance([[1e150, 0.0], [0.0, 1e150]]).tolist() == [1e150, 1e150]
 
 
+@pytest.mark.parametrize("k", (1, 2, 3, 7))
+def test_ellipsoid_hooks_at_a_far_finite_row_take_their_limit(k):
+    # q overflowed past about 1e154 ("overflow encountered in square", an error
+    # in this suite) in membership, in the distance bracket and so in both
+    # parallel bodies: the row lies outside each, and its bracket is its distance
+    gen = np.random.default_rng(30 + k)
+    for E in (_random_ellipsoid(gen, k), Ellipsoid(np.zeros(k), np.diag(np.arange(1.0, k + 1)))):
+        finite = E.center + gen.standard_normal((6, k))
+        far = np.vstack([np.eye(k)[0] * 1e300, gen.standard_normal(k) * 1e200])
+        X = np.vstack([far[:1], finite, far[1:]])
+        for C in (E, E.dilate(0.1), E.erode(0.1)):
+            got = np.asarray(C.contains(X))
+            assert not got[[0, -1]].any()
+            assert np.array_equal(got[1:-1], C.contains(finite))
+        lower, upper = E.boundary_distance_bounds(X)
+        assert lower[[0, -1]].tolist() == upper[[0, -1]].tolist() == E.boundary_distance(far).tolist()
+        for got, want in zip((lower, upper), E.boundary_distance_bounds(finite)):
+            assert np.array_equal(got[1:-1], want)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 7))
+def test_ellipsoid_distance_bounds_of_non_finite_rows_are_their_limit(k):
+    # inf * 0 in the rotation raised "invalid value encountered in matmul" (an
+    # error in this suite) when called directly; the parallel bodies ignored it
+    gen = np.random.default_rng(40 + k)
+    for E in (_random_ellipsoid(gen, k), Ellipsoid(np.zeros(k), np.diag(np.arange(1.0, k + 1)))):
+        finite = E.center + gen.standard_normal((4, k))
+        bad = np.zeros((3, k))
+        bad[0, 0] = math.inf
+        bad[1, -1] = -math.inf
+        bad[2, 0] = math.nan
+        lower, upper = E.boundary_distance_bounds(np.vstack([bad[:1], finite, bad[1:]]))
+        for got, want in zip((lower, upper), E.boundary_distance_bounds(finite)):
+            assert got[0] == got[-2] == math.inf and math.isnan(got[-1])
+            assert np.array_equal(got[1:-2], want)
+
+
 @st.composite
 def _ellipsoid_and_radii(draw):
     """A rotated ellipsoid at k = 2..4 and two shell radii eps1 < eps2."""
@@ -820,6 +858,34 @@ def test_uncached_sobol_replicates_are_scipys_bit_for_bit():
         u = qmc.Sobol(d=2, scramble=True, seed=r).random(per)
         want = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
         assert np.array_equal(_replicate_group(2, per, r, r + 1)[0], want), r
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 8))
+def test_sobol_direction_numbers_are_cached_read_only_per_dimension(dim):
+    v = convex._sobol_direction_numbers(dim, convex._SOBOL_TABLE)
+    assert v is convex._sobol_direction_numbers(dim, convex._SOBOL_TABLE)
+    with pytest.raises(ValueError, match="read-only"):
+        v[0, 0] = 0
+    # dimension d's numbers do not depend on how many dimensions are built
+    assert np.array_equal(v, convex._sobol_direction_numbers(40, convex._SOBOL_TABLE)[:dim])
+
+
+def test_a_qmc_measure_holds_no_direction_number_table():
+    # the whole table (21201 x 18 initial numbers, 3.2 MiB) was cached for the process
+    convex._sobol_direction_numbers.cache_clear()
+    _sobol_normal_replicates.cache_clear()
+    C = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])).dilate(0.1)
+    tracemalloc.start()
+    try:
+        gaussian_measure_estimate(C)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    with np.load(convex._SOBOL_TABLE) as table:
+        table_bytes = table["vinit"].nbytes
+    # what stays is the cached replicates, 16 x 4096 points at k = 2
+    points = _sobol_normal_replicates(2, 4096).nbytes
+    assert points <= held < points + table_bytes // 4
 
 
 def _no_npz(tmp_path):

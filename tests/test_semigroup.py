@@ -563,15 +563,13 @@ def test_ball_hooks_sum_their_squares_as_the_row_wise_sum_does(k, monkeypatch):
         _same_bytes(g, want)
 
 
-def test_ball_jet_and_derivatives_at_a_far_finite_row_are_zero():
-    # lambda overflowed ("overflow encountered in multiply", an error in this
-    # suite) on a finite row past 1e154; the row takes the limit 0, and the
-    # other rows keep their bits
+def _check_ball_hooks_are_zero_at(fars, times):
+    """The far rows take the limit 0, and a finite row keeps its bits beside them."""
     h = IndicatorFunction(Ball([0.0, 0.0], 1.0))
     finite = [[0.3, 0.2]]
-    for far in ([1e300, 0.0], [0.0, -1e200], [1e300, 1e300]):
+    for far in fars:
         X = [far] + finite
-        for s in (0.5, np.array([0.05, 0.5, 2.0])):
+        for s in times:
             grad, lap = semigroup_jet(h, s, X)
             want_grad, want_lap = semigroup_jet(h, s, finite)
             assert np.all(grad[..., 0, :] == 0.0) and np.all(lap[..., 0] == 0.0)
@@ -581,6 +579,41 @@ def test_ball_jet_and_derivatives_at_a_far_finite_row_are_zero():
                 got = semigroup_derivative(h, s, X, idx)
                 assert np.all(got[..., 0] == 0.0)
                 _same_bytes(got[..., 1:], semigroup_derivative(h, s, finite, idx))
+
+
+def test_ball_jet_and_derivatives_at_a_far_finite_row_are_zero():
+    # lambda overflowed ("overflow encountered in multiply", an error in this
+    # suite) on a finite row past 1e154
+    _check_ball_hooks_are_zero_at(
+        ([1e300, 0.0], [0.0, -1e200], [1e300, 1e300]), (0.5, np.array([0.05, 0.5, 2.0]))
+    )
+
+
+def test_ball_jet_and_derivatives_past_the_density_gap_are_zero():
+    # at a small OU time lambda stays finite on a row of about 1e153, but
+    # q * lambda and |grad lambda|^2 overflowed ("overflow encountered in
+    # multiply", an error in this suite); every density there is 0
+    _check_ball_hooks_are_zero_at(
+        ([1.3e153, 0.0], [0.0, -1e152], [4e152, 4e152]), (0.01, np.array([0.001, 0.01, 0.1]))
+    )
+
+
+def test_dilated_box_measure_at_a_far_finite_row_is_zero():
+    # a normal density squared an edge past about 1e154 ("overflow encountered
+    # in square", an error in this suite); the mass there is 0
+    for k in (2, 3, 4):
+        C = Box(-np.ones(k), np.ones(k)).dilate(0.2)
+        gen = np.random.default_rng(k)
+        finite = gen.standard_normal((5, k))
+        X = np.vstack([np.eye(k)[-1] * 1e300, finite, np.eye(k)[0] * -1e200])
+        for sigma in (1.0, 0.05):
+            got = C.shifted_measure(X, sigma)
+            assert got[[0, -1]].tolist() == [0.0, 0.0]
+            assert np.array_equal(got[1:-1], C.shifted_measure(finite, sigma))
+        h = IndicatorFunction(C)
+        got = semigroup_apply(h, 0.5, X)
+        assert got[[0, -1]].tolist() == [0.0, 0.0]
+        assert np.array_equal(got[1:-1], semigroup_apply(h, 0.5, finite))
 
 
 def test_generator_eigenfunctions_exact():

@@ -3,6 +3,7 @@ import multiprocessing as mp
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,51 @@ def test_rho3_quadrature_vs_monte_carlo():
         mc = np.power(np.sum(draws * draws, axis=1), 1.5)
         se = float(np.std(mc) / math.sqrt(len(mc)))
         assert summary.rho3 == pytest.approx(float(np.mean(mc)), abs=4 * se)
+
+
+# _numeric_rho3 as the meshgrid quadrature and the single 2^20-row Monte
+# Carlo call computed it: (rho3, estimation_error) per (law, k)
+_NUMERIC_RHO3 = {
+    ("uniform", 2): (3.25892694806509, 2.0347853624258505e-07),
+    ("uniform", 3): (5.723019983508481, 1.2425080520017673e-08),
+    ("uniform", 4): (8.607075301502588, 7.685425629233578e-10),
+    ("uniform", 5): (11.860573703555904, 0.006675881028731785),
+    ("exponential", 2): (5.285503892858394, 0.00018733388675418183),
+    ("exponential", 3): (8.535775576435022, 5.801595806786963e-05),
+    ("exponential", 4): (12.119989633731327, 1.7235131535286996e-05),
+    ("exponential", 5): (15.952773420680755, 0.03949652381990737),
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(_NUMERIC_RHO3))
+def test_numeric_rho3_keeps_its_bits(name, k):
+    summary = sources._numeric_rho3(name, k)
+    assert (summary.rho3, summary.estimation_error) == _NUMERIC_RHO3[name, k]
+    assert summary.method == ("exact" if k <= 4 else "monte-carlo")
+
+
+def _traced_peak_mib(fn):
+    """Peak bytes numpy and Python allocate while fn runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("k, limit", [(3, 6.0), (5, 24.0)])
+def test_numeric_rho3_holds_no_full_size_temporaries(k, limit):
+    # the meshgrid quadrature peaked at 12.0 MiB at k = 3, and one 2^20-row
+    # Monte Carlo call at 88 MiB at k = 5 (k = 4 peaks at 258 MiB: too much here)
+    sources._numeric_rho3.cache_clear()
+    assert _traced_peak_mib(lambda: sources._numeric_rho3("uniform", k)) <= limit
+
+
+def test_a_uniform_block_holds_one_small_chunk_of_raw_words():
+    # 1 MiB chunks and a scaled copy of the block peaked at 2.38 MiB
+    src = uniform_source(3)
+    assert _traced_peak_mib(lambda: sample_sum(src, 256, RngStream(5), size=BLOCK_SIZE)) <= 1.5
 
 
 def test_rho3_moment_floor():
@@ -174,9 +220,11 @@ def test_sample_sum_draws_do_not_depend_on_chunking(src, n, monkeypatch):
     m = 1001
     draws = sample_sum(src, n, RngStream(127), size=2 * m)
     assert np.array_equal(sample_sum(src, n, RngStream(127), size=m), draws[:m])
-    # chunks of a few bytes cut rows in the middle of a Philox word
-    monkeypatch.setattr(sources, "_CHUNK_BYTES", 40)
-    assert np.array_equal(sample_sum(src, n, RngStream(127), size=2 * m), draws)
+    # chunks of a few bytes cut rows in the middle of a Philox word, and 8 or
+    # 40 bytes hold less than one row
+    for chunk_bytes in (8, 40, 1000, 1 << 18, 1 << 20):
+        monkeypatch.setattr(sources, "_CHUNK_BYTES", chunk_bytes)
+        assert np.array_equal(sample_sum(src, n, RngStream(127), size=2 * m), draws), chunk_bytes
 
 
 @pytest.mark.parametrize("n", (16, 256))
