@@ -10,6 +10,8 @@ bracket of it (`boundary_distance_bounds`; an ellipsoid does, by scaling
 about its centre): its parallel bodies settle every point whose bracket lies
 clear of eps, only the points in a narrow band around eps pay for the exact
 distance, and each decision equals the one the exact distance alone gives.
+The boundary shell between the two parallel bodies of one such base is
+decided the same way, from one bracket per point (`shell_measure`).
 
 Sets are closed: boundary points count as inside.  A row with an infinite
 entry may meet inf * 0 or inf - inf in a projection or rotation; membership
@@ -164,9 +166,10 @@ class ConvexSet:
         """(lower, upper) arrays with lower <= `boundary_distance` <= upper per row.
 
         Here both are the exact distance; a cheaper override is exact up to
-        rounding, and NaN where a row cannot be bracketed.  `DilatedSet` and
-        `ErodedSet` decide each row whose bracket lies clear of their eps from
-        it and send only the rest to `boundary_distance`.
+        rounding, and NaN where a row cannot be bracketed.  `DilatedSet`,
+        `ErodedSet` and the boundary shell of `shell_measure` decide each row
+        whose bracket lies clear of their eps from it and send only the rest
+        to `boundary_distance` (`_within`).
         """
         d = self.boundary_distance(x)
         return d, d
@@ -685,7 +688,15 @@ class Box(ConvexSet):
             # the largest coordinate decides the side (a tiny excess has a norm that
             # underflows to 0); column by column is cheaper than a short-axis max
             worst = reduce(np.maximum, beyond.T)
-            d = np.where(worst > 0.0, np.linalg.norm(np.maximum(beyond, 0.0), axis=1), -worst)
+            excess = np.maximum(beyond, 0.0)
+            # the norm's squares would overflow on a finite row past about 1e154:
+            # there it is the largest excess times the norm of the excess scaled by it
+            far = (worst > _SQUARE_SAFE) & (worst < math.inf)
+            if far.any():
+                excess[far] /= worst[far, None]
+            d = np.where(worst > 0.0, np.linalg.norm(excess, axis=1), -worst)
+            with np.errstate(over="ignore"):  # a distance past the largest double is inf
+                d[far] *= worst[far]
         return float(d[0]) if single else d
 
     def __repr__(self):
@@ -862,6 +873,27 @@ def _settled(bounds, eps):
     return upper < eps * (1.0 - _BAND), lower > eps * (1.0 + _BAND)
 
 
+def _within(base, pts, eps, rows=None):
+    """Rows of pts within eps of the boundary of base, by the band rule.
+
+    The bracket settles each row clear of the band (`_settled`); a row in the
+    band takes its exact `boundary_distance` d and is within when d <= eps
+    outside the base and d < eps inside it, so that (sets being closed) a
+    point at distance eps lies in the dilation and in the erosion.  With a
+    mask `rows`, only those rows of the band are decided exactly; the others
+    are returned as not within.
+    """
+    near, far = _settled(base.boundary_distance_bounds(pts), eps)
+    band = ~(near | far)
+    if rows is not None:
+        band &= rows
+    if band.any():
+        band_pts = pts[band]
+        d = base.boundary_distance(band_pts)
+        near[band] = np.where(base.contains(band_pts), d < eps, d <= eps)
+    return near
+
+
 class DilatedSet(ConvexSet):
     """Predicate-backed outer parallel body {x : dist(x, base) <= eps}.
 
@@ -883,11 +915,8 @@ class DilatedSet(ConvexSet):
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
-            near, far = _settled(self.base.boundary_distance_bounds(pts), self.eps)
-            ok = np.asarray(self.base.contains(pts)) | near
-            band = ~(ok | far)
-            if band.any():
-                ok[band] = self.base.boundary_distance(pts[band]) <= self.eps
+            inside = np.asarray(self.base.contains(pts))
+            ok = inside | _within(self.base, pts, self.eps, ~inside)
         return _ret(ok, single)
 
     def dilate(self, eps):
@@ -997,12 +1026,7 @@ class ErodedSet(ConvexSet):
         pts, single = _as_points(x, self.dim)
         with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
             ok = np.asarray(self.base.contains(pts))
-            rows = pts[ok]
-            near, keep = _settled(self.base.boundary_distance_bounds(rows), self.eps)
-            band = ~(keep | near)
-            if band.any():
-                keep[band] = self.base.boundary_distance(rows[band]) >= self.eps
-        ok[ok] = keep
+            ok[ok] = ~_within(self.base, pts[ok], self.eps)
         return _ret(ok, single)
 
     def erode(self, eps):
@@ -1024,6 +1048,39 @@ class ErodedSet(ConvexSet):
 
     def __repr__(self):
         return f"ErodedSet({self.base!r}, eps={self.eps})"
+
+
+class _BoundaryShell(ConvexSet):
+    """The shell base^eps minus base^{-eps}, by one distance bracket per row.
+
+    Its rows are those within eps of the boundary of base, the inside ones
+    strictly (`_within`): row by row the membership of
+    `DilatedSet(base, eps)` and not `ErodedSet(base, eps)`, without either.
+    Only `shell_measure` builds one.
+    """
+
+    def __init__(self, base: ConvexSet, eps: float):
+        self.base = base
+        self.eps = eps
+        self.dim = base.dim
+
+    def contains(self, x):
+        pts, single = _as_points(x, self.dim)
+        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
+            return _ret(_within(self.base, pts, self.eps), single)
+
+
+def _shell_base(outer, inner):
+    """The base when outer and inner are its predicate-backed dilation and erosion at one eps."""
+    if not (isinstance(outer, DilatedSet) and isinstance(inner, ErodedSet)):
+        return None
+    base, other = outer.base, inner.base
+    same = (
+        not outer.has_closed_form and outer.eps == inner.eps
+        and type(base) is type(other) and base.variant is not None
+        and all(np.array_equal(getattr(base, f), getattr(other, f)) for f in base.config_fields)
+    )
+    return base if same else None
 
 
 # ---------------------------------------------------------------------------
@@ -1233,7 +1290,15 @@ def shifted_measure_batch(C: ConvexSet, shifts, sigma: float):
 def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0) -> float:
     """P(scale*Z in boundary shell of width 2*eps around the boundary of C).
 
-    Evaluated as Phi((C^{2eps})/scale) - Phi((C^{-2eps})/scale).
+    That is Phi((C^{2eps})/scale) - Phi((C^{-2eps})/scale).  When the two
+    parallel bodies are the predicate-backed dilation and erosion of one base
+    at one radius (an ellipsoid's are), the shell is measured in one QMC pass
+    (`_BoundaryShell`): each point asks the base for one distance bracket, and
+    only the points in the band around the radius pay for the exact distance
+    and membership.  The erosion lies inside the dilation on every point and
+    each replicate's mean is an exact count over its points, so the value is
+    the difference of the two measures bit for bit.  Every other pair,
+    including any with a closed form, is measured as that difference.
     """
     inv = 1.0 / _check_factor(scale)
     eps = float(eps)
@@ -1241,9 +1306,11 @@ def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0) -> float:
         raise DomainError("eps must be >= 0")
     if eps == 0.0:
         return 0.0
-    outer = gaussian_measure(C.dilate(2.0 * eps).scale(inv))
-    inner = gaussian_measure(C.erode(2.0 * eps).scale(inv))
-    return max(outer - inner, 0.0)
+    outer, inner = C.dilate(2.0 * eps).scale(inv), C.erode(2.0 * eps).scale(inv)
+    base = _shell_base(outer, inner)
+    if base is not None:
+        return _qmc_membership_mean(_BoundaryShell(base, outer.eps), _QMC_CACHED_POINTS)[0]
+    return max(gaussian_measure(outer) - gaussian_measure(inner), 0.0)
 
 
 # ---------------------------------------------------------------------------

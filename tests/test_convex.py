@@ -35,11 +35,13 @@ from steinclt import (
 from steinclt import convex
 from steinclt.convex import (
     DilatedBox,
+    _BoundaryShell,
     _center_distance,
     _ncx2_cdf,
     _projection,
     _qmc_membership_mean,
     _replicate_group,
+    _shell_base,
     _sobol_normal_replicates,
     _sobol_points,
     _square_sum,
@@ -401,6 +403,32 @@ def test_box_parallel_bodies_follow_the_box_distance(k):
     tiny = np.full((1, k), -0.5)
     tiny[0, 0] = 1e-200
     assert not B.contains(tiny)[0] and B.boundary_distance(tiny)[0] == 0.0
+
+
+@pytest.mark.parametrize("k", (1, 2, 5, 6))
+def test_box_boundary_distance_of_a_far_finite_row_takes_its_limit(k):
+    # the norm's squares overflowed past about 1e154 ("overflow encountered in
+    # multiply", an error in this suite), so a box's predicate-backed dilation
+    # above k = 4 could not decide such a row
+    B = Box(-np.ones(k), np.ones(k))
+    gen = np.random.default_rng(70 + k)
+    finite = 1.5 * gen.standard_normal((6, k))
+    far = np.zeros((3, k))
+    far[0, 0] = 1e300
+    far[1, -1] = -1e200
+    far[1, 0] = 3e199
+    far[2] = 1.7e308  # above k = 1 the distance passes the largest double: its limit inf
+    X = np.vstack([far[:1], finite, far[1:]])
+    d = B.boundary_distance(X)
+    assert d[0] == 1e300 and d[-1] == (math.inf if k > 1 else 1.7e308)
+    assert d[-2] == pytest.approx(math.hypot(1e200, 3e199) if k > 1 else 3e199, rel=1e-15)
+    assert d[1:-2].tobytes() == B.boundary_distance(finite).tobytes()
+    assert B.boundary_distance(far[0]) == 1e300
+    for C in (B.dilate(0.1), DilatedSet(B, 0.1), ErodedSet(B, 0.1)):
+        got = np.asarray(C.contains(X))
+        assert not got[[0, -2, -1]].any(), C
+        assert got[1:-2].tobytes() == np.asarray(C.contains(finite)).tobytes(), C
+    assert not Box(-np.ones(5), np.ones(5)).dilate(0.1).contains([[1e300, 0, 0, 0, 0]])[0]
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -1052,6 +1080,110 @@ def test_shell_ball_qmc_crosscheck():
     vo, so = gaussian_measure_estimate(outer)
     vi, si = gaussian_measure_estimate(inner)
     assert abs(analytic - (vo - vi)) <= 3 * math.hypot(so, si) + 1e-4
+
+
+def _shell_bodies(C, eps, t):
+    """shell_measure's dilation and erosion of C at shell width eps and scale e^{-t}."""
+    inv = 1.0 / math.exp(-t)
+    return C.dilate(2.0 * eps).scale(inv), C.erode(2.0 * eps).scale(inv)
+
+
+def _two_measure_shell(C, eps, t):
+    outer, inner = _shell_bodies(C, eps, t)
+    return max(gaussian_measure(outer) - gaussian_measure(inner), 0.0)
+
+
+@st.composite
+def _ellipsoid_shell_cases(draw):
+    """A rotated, off-centre ellipsoid at k = 2..4, a shell width eps and a time t.
+
+    The widest shells (2 eps up to 3.2 against semi-axes of at most 3) have an
+    empty erosion.
+    """
+    k = draw(st.integers(2, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation = np.linalg.qr(gen.standard_normal((k, k)))[0]
+    semi = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=k, max_size=k)))
+    center = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+    E = Ellipsoid(center, (rotation * semi**2) @ rotation.T)
+    eps = draw(st.sampled_from((0.01, 0.05, 0.1, 0.3, 0.8, 1.6)))
+    return E, eps, draw(st.sampled_from((0.0, 0.3, 1.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_ellipsoid_shell_cases())
+def test_an_ellipsoid_shell_in_one_pass_is_the_two_measure_difference(case):
+    E, eps, t = case
+    assert shell_measure(E, eps, math.exp(-t)) == _two_measure_shell(E, eps, t)
+    # row by row the shell is the dilation less the erosion on the cached Sobol points
+    outer, inner = _shell_bodies(E, eps, t)
+    base = _shell_base(outer, inner)
+    assert base is not None
+    pts = _sobol_normal_replicates(E.dim, 4096).reshape(-1, E.dim)
+    shell = _BoundaryShell(base, outer.eps).contains(pts)
+    assert np.array_equal(shell, outer.contains(pts) & ~inner.contains(pts))
+
+
+@pytest.mark.parametrize("eps", (0.125, 0.25, 0.5))
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_an_ellipsoid_shell_puts_rows_at_distance_eps_on_the_closed_side(k, eps):
+    # the unit sphere's bracket and exact distance are exact at radii 1 -+ eps:
+    # the inside row lies in the erosion, out of the shell; the outside row in
+    # the dilation, in the shell
+    E = Ellipsoid(np.zeros(k), np.eye(k))
+    pts = np.zeros((4, k))
+    pts[0, 0], pts[1, 0], pts[2, -1], pts[3, -1] = 1.0 - eps, 1.0 + eps, eps - 1.0, -1.0 - eps
+    assert E.boundary_distance(pts).tolist() == [eps] * 4
+    expect = [False, True, False, True]
+    assert _BoundaryShell(E, eps).contains(pts).tolist() == expect
+    assert (E.dilate(eps).contains(pts) & ~E.erode(eps).contains(pts)).tolist() == expect
+
+
+def test_an_ellipsoid_shell_with_an_empty_erosion_is_the_dilation():
+    E = Ellipsoid(np.array([0.3, -0.2]), np.diag([0.25, 1.0]))  # semi-axes 0.5 and 1
+    outer, inner = _shell_bodies(E, 0.3, 0.0)
+    assert gaussian_measure(inner) == 0.0
+    assert shell_measure(E, 0.3) == gaussian_measure(outer) > 0.0
+
+
+def _two_measure_shell_sets():
+    yield "ball", Ball(np.zeros(2), 1.3)
+    yield "ball-off-centre", Ball(np.array([0.4, -0.2, 0.1]), 0.9)
+    for k in (2, 3, 4):
+        yield f"box-{k}", Box(-np.ones(k), np.linspace(0.5, 1.5, k))
+    yield "box-5", Box(-np.ones(5), np.linspace(0.5, 1.5, 5))
+
+
+@pytest.mark.parametrize("t", (0.0, 0.3))
+@pytest.mark.parametrize("eps", (0.05, 0.2))
+@pytest.mark.parametrize("name, C", list(_two_measure_shell_sets()))
+def test_shells_of_balls_and_boxes_keep_their_two_measure_values(name, C, eps, t):
+    outer, inner = _shell_bodies(C, eps, t)
+    if name == "box-5":  # a predicate-backed dilation against a closed-form box
+        assert type(outer) is DilatedSet and type(inner) is Box
+    elif name.startswith("box"):
+        assert type(outer) is DilatedBox
+    assert _shell_base(outer, inner) is None
+    assert shell_measure(C, eps, math.exp(-t)) == _two_measure_shell(C, eps, t)
+
+
+def test_an_ellipsoid_shell_asks_one_bracket_per_group_of_rows(monkeypatch):
+    calls = {"bounds": [], "distance": []}
+    bounds, exact = Ellipsoid.boundary_distance_bounds, Ellipsoid.boundary_distance
+    monkeypatch.setattr(Ellipsoid, "boundary_distance_bounds",
+                        lambda self, x: calls["bounds"].append(len(x)) or bounds(self, x))
+    monkeypatch.setattr(Ellipsoid, "boundary_distance",
+                        lambda self, x: calls["distance"].append(len(x)) or exact(self, x))
+
+    def parallel_body_contains(self, x):
+        raise AssertionError(f"the shell asked {type(self).__name__}.contains")
+
+    monkeypatch.setattr(DilatedSet, "contains", parallel_body_contains)
+    monkeypatch.setattr(ErodedSet, "contains", parallel_body_contains)
+    E = Ellipsoid(np.array([0.3, -0.2]), np.array([[2.0, 0.9], [0.9, 0.8]]))
+    assert 0.0 < omega_star_hat(E, 0.1, 0.3) < 1.0
+    assert calls["bounds"] == [1 << 14] * 4  # one bracket per group of four replicates
+    assert 1 <= len(calls["distance"]) <= 4
 
 
 def test_family_basics_and_serialization():
