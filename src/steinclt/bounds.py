@@ -22,7 +22,8 @@ from .gaussian import quantile_a
 from .rng import RngStream
 from .semigroup import IndicatorFunction, ou_decay, ou_noise, semigroup_apply
 from .sources import (
-    Estimate, NonIIDSource, delta_hat, make_source, mean_over_blocks, moment_summary, sup_deviation,
+    Estimate, NonIIDSource, delta_hat, make_source, map_targets, mean_over_blocks, moment_summary,
+    sup_deviation,
 )
 
 T_FLOOR = 1e-4
@@ -212,6 +213,14 @@ def gamma_star_hat(
     law of e^{-t}Z' + wZ is again standard Gaussian.  The expectation over S_n
     conditions on the sample (closed-form kernel mass), which strictly reduces
     variance relative to sampling the kernel too.
+
+    What runs where: Phi(B) is computed in the calling thread.  The blocks of
+    a multi-block estimate run on the block pool, each evaluating all its
+    targets; the one block of a single-block estimate (M <= BLOCK_SIZE) runs
+    in the calling thread, which evaluates the first part of the targets
+    while the pool evaluates the rest (`map_targets`).  Every column comes
+    from the same function on the same rows, so the estimate is bit for bit
+    the serial one.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"needs a finite t > 0, got {t}")
@@ -232,7 +241,7 @@ def gamma_star_hat(
     measures = np.array([gaussian_measure(B) for B in targets])
     hs = [IndicatorFunction(B) for B in targets]
     means, std_errors = mean_over_blocks(
-        src, n, M, stream, lambda X: [semigroup_apply(h, t, X) for h in hs]
+        src, n, M, stream, lambda X: map_targets(lambda h: semigroup_apply(h, t, X), hs)
     )
     return sup_deviation(means, std_errors, measures)
 

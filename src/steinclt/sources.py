@@ -10,9 +10,13 @@ sources are scaled copies of catalog laws whose covariances sum to the identity.
 Every Monte Carlo estimate over S_n runs through one loop, `sum_over_blocks`:
 block b of BLOCK_SIZE draws comes from the counter-based stream
 `stream.block(b)`, so a block's draws do not depend on the blocks before it.
-The blocks of one estimate may run concurrently, on a thread pool sized by
-the CPUs the process may use, but their statistics are summed in block
-order, so a seed fixes every number whatever the CPU count.  On top of it,
+What runs where: the blocks of an estimate that has several may run
+concurrently, on a thread pool sized by the CPUs the process may use, but
+their statistics are summed in block order, so a seed fixes every number
+whatever the CPU count.  An estimate with one block runs it in the calling
+thread, and `gamma_star_hat` splits that block's targets between the caller
+and the pool (`map_targets`): each target's column is computed by the same
+function on the same rows, so no bit moves either.  On top of it,
 `mean_over_blocks` turns per-target statistics into means with standard
 errors, and `sup_deviation` reports the largest deviation from a Gaussian
 reference as an `Estimate`.
@@ -26,7 +30,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -427,6 +432,9 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     return src.sum_sampler(gen, size, src.k, n)
 
 
+_POOL_THREAD = "steinclt-block"
+
+
 @lru_cache(maxsize=1)
 def _block_pool():
     """The process's pool for the blocks of one estimate, or None on one CPU; built on first use."""
@@ -434,7 +442,7 @@ def _block_pool():
         workers = len(os.sched_getaffinity(0))
     else:
         workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers, thread_name_prefix="steinclt-block") if workers > 1 else None
+    return ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREAD) if workers > 1 else None
 
 
 if hasattr(os, "register_at_fork"):
@@ -442,16 +450,45 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_block_pool.cache_clear)
 
 
+def map_targets(evaluate, targets) -> list:
+    """[evaluate(x) for x in targets], in contiguous parts on the calling thread and the block pool.
+
+    The calling thread evaluates the first part and the pool one further part
+    for each further CPU it has (one task and one worker on two CPUs); the
+    results come back in target order, so they do not depend on the CPU count.
+    Without a pool, or on a pool thread (which must never wait on the pool,
+    see `sum_over_blocks`), every target runs in the calling thread.  An
+    error of any part is raised once every part has finished.
+    """
+    pool = _block_pool()
+    if (pool is None or len(targets) < 2
+            or threading.current_thread().name.startswith(_POOL_THREAD)):
+        return [evaluate(x) for x in targets]
+    parts = min(pool._max_workers, len(targets))
+    cuts = [len(targets) * i // parts for i in range(parts + 1)]
+
+    def part(i):
+        return [evaluate(x) for x in targets[cuts[i]:cuts[i + 1]]]
+
+    rest = [pool.submit(part, i) for i in range(1, parts)]
+    try:
+        first = part(0)
+    finally:
+        wait(rest)
+    return first + [y for f in rest for y in f.result()]
+
+
 def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
     """Sum statistic(X) over the blocks X of M draws of S_n, in block order.
 
     Block b holds up to BLOCK_SIZE rows drawn from `stream.block(b)`.  The
-    blocks of a multi-block estimate may run concurrently, so `statistic`
-    must be thread-safe and must not call `sum_over_blocks` itself (a block
-    waiting on the pool it runs on can wait forever); a single-block
-    estimate runs in the calling thread.  The sum is the left
-    fold of the block statistics in block order, so its bytes do not depend
-    on the CPU count or on which block finishes first.
+    blocks of a multi-block estimate may run concurrently on the block pool,
+    so `statistic` must be thread-safe and must not wait on the pool itself
+    (a block waiting on the pool it runs on can wait forever; `map_targets`
+    runs serially there).  A single-block estimate runs in the calling
+    thread, where its statistic may split its targets with `map_targets`.
+    The sum is the left fold of the block statistics in block order, so its
+    bytes do not depend on the CPU count or on which block finishes first.
     """
     M = check_count("M", M, 1)
     starts = range(0, M, BLOCK_SIZE)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -46,7 +47,7 @@ from steinclt import (
     stein_discrepancy_hat,
     weight3_integral,
 )
-from steinclt import bounds
+from steinclt import bounds, sources
 from steinclt.errors import DomainError, HypothesisViolationError
 from steinclt.sources import BLOCK_SIZE
 
@@ -267,6 +268,41 @@ def _check_gamma_star_against_blocks(C, src):
     arg = int(np.argmax(diffs))
     assert est.value == diffs[arg]
     assert est.std_error == math.sqrt(variances[arg] / M)
+
+
+def _hex(est):
+    return est.value.hex(), est.std_error.hex()
+
+
+@pytest.mark.parametrize("source", [gaussian_source, rademacher_source])
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+@pytest.mark.parametrize(
+    "C",
+    [HalfSpace(np.array([0.6, 0.8]), 0.1), Ball(np.array([0.2, -0.1]), 1.1),
+     Box([-0.8, -0.6], [0.9, 1.2])],
+    ids=["HalfSpace", "Ball", "Box"],
+)
+def test_single_block_gamma_star_keeps_the_serial_bits(C, eps, source, monkeypatch):
+    # a single-block estimate splits its targets between the caller and the block
+    # pool; a lattice source evaluates the distinct rows of its block
+    args = (source(2), 8, 0.5, C, eps, 2048, RngStream(39))
+    pooled = _hex(gamma_star_hat(*args))
+    monkeypatch.setattr(sources, "_block_pool", lambda: None)
+    assert pooled == _hex(gamma_star_hat(*args))
+
+
+def test_multi_block_gamma_star_finishes_with_the_serial_bits(monkeypatch):
+    # its blocks run on the pool, and a pool thread evaluates its block's targets
+    # itself: one that waited on the pool could wait forever
+    args = (gaussian_source(2), 8, 0.5, Ball(np.zeros(2), 1.1), 0.2, 2 * BLOCK_SIZE + 7,
+            RngStream(40))
+    result = []
+    worker = threading.Thread(target=lambda: result.append(gamma_star_hat(*args)), daemon=True)
+    worker.start()
+    worker.join(120)
+    assert not worker.is_alive() and len(result) == 1
+    monkeypatch.setattr(sources, "_block_pool", lambda: None)
+    assert _hex(result[0]) == _hex(gamma_star_hat(*args))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])

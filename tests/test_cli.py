@@ -571,14 +571,25 @@ def test_discrepancy_rejects_a_t_past_the_double_range(capsys):
 _PINNED_RUN = """
 import os
 import sys
+import threading
 
-cpu = int(sys.argv[1])
-if cpu >= 0:
-    os.sched_setaffinity(0, {cpu})
+cpus = sys.argv[1]
+if cpus != "all":
+    os.sched_setaffinity(0, {int(c) for c in cpus.split(",")})
 from steinclt import cli, sources
 
-code = cli.run(sys.argv[2:])
-print(sources._block_pool() is not None, len(os.sched_getaffinity(0)), file=sys.stderr)
+if sys.argv[2] == "gamma-star":  # one single-block estimate, on a block shared by 26 targets
+    import numpy as np
+    from steinclt import Ball, RngStream, gamma_star_hat, gaussian_source
+
+    est = gamma_star_hat(gaussian_source(2), 8, 0.5, Ball(np.zeros(2), 1.1), 0.2, 4096,
+                         RngStream(7))
+    print(est.value.hex(), est.std_error.hex())
+    code = 0
+else:
+    code = cli.run(sys.argv[2:])
+blocks = sum(t.name.startswith("steinclt-block") for t in threading.enumerate())
+print(sources._block_pool() is not None, len(os.sched_getaffinity(0)), blocks, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -587,29 +598,48 @@ def _usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or _usable_cpus() < 2,
-                    reason="needs sched_setaffinity and at least two usable CPUs")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["delta", "--source", "rademacher", "--k", "2", "--n", "16", "--M", "50000", "--seed", "7"],
-        ["bounds", "--source", "uniform", "--k", "2", "--n", "8", "--M", "50000", "--seed", "7"],
-    ],
-    ids=["delta", "bounds"],
-)
-def test_csv_bytes_do_not_depend_on_the_cpu_count(argv):
-    # M = 50000 is four blocks, which run on the block pool when more than one
-    # CPU is usable; a child pinned to one CPU runs them in order on one thread
+def _pinned_child(cpus, argv):
+    """(stdout, [pool exists, usable CPUs, block threads]) of a child restricted to `cpus`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _PINNED_RUN, cpus, *argv],
+                         capture_output=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    return out.stdout, out.stderr.decode().split()[-3:]
 
-    def child(cpu):
-        out = subprocess.run([sys.executable, "-c", _PINNED_RUN, str(cpu), *argv],
-                             capture_output=True, timeout=300,
-                             env=dict(os.environ, PYTHONPATH=path), check=True)
-        return out.stdout, out.stderr.decode().split()[-2:]
 
-    one, one_state = child(min(os.sched_getaffinity(0)))
-    every, every_state = child(-1)
-    assert one_state == ["False", "1"] and every_state == ["True", str(_usable_cpus())]
-    assert one.startswith(b"# steinclt-csv v1") and one == every
+_NEEDS_TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or _usable_cpus() < 2,
+    reason="needs sched_setaffinity and at least two usable CPUs",
+)
+
+
+@_NEEDS_TWO_CPUS
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["delta", "--source", "rademacher", "--k", "2", "--n", "16", "--M", "50000",
+          "--seed", "7"], b"# steinclt-csv v1"),
+        (["bounds", "--source", "uniform", "--k", "2", "--n", "8", "--M", "50000", "--seed", "7"],
+         b"# steinclt-csv v1"),
+        (["gamma-star"], b"0x"),
+    ],
+    ids=["delta", "bounds", "gamma-star"],
+)
+def test_csv_bytes_do_not_depend_on_the_cpu_count(argv, head):
+    # M = 50000 is four blocks, which run on the block pool when more than one
+    # CPU is usable, and a single-block gamma* splits its targets between the
+    # caller and the pool; a child pinned to one CPU runs all of it on one thread
+    one, one_state = _pinned_child(str(min(os.sched_getaffinity(0))), argv)
+    every, every_state = _pinned_child("all", argv)
+    assert one_state[:2] == ["False", "1"] and every_state[:2] == ["True", str(_usable_cpus())]
+    assert one.startswith(head) and one == every
+
+
+@_NEEDS_TWO_CPUS
+def test_a_single_block_gamma_star_starts_one_block_thread_on_two_cpus():
+    # the caller evaluates half the targets and one pool task the other half, so
+    # the pool starts one worker (one malloc arena), not one per CPU
+    cpus = ",".join(str(c) for c in sorted(os.sched_getaffinity(0))[:2])
+    _, state = _pinned_child(cpus, ["gamma-star"])
+    assert state == ["True", "2", "1"]

@@ -562,6 +562,28 @@ def test_single_block_estimate_runs_in_the_calling_thread():
     assert threads == [threading.get_ident()]
 
 
+def test_map_targets_runs_the_first_part_in_the_calling_thread_and_keeps_target_order():
+    got = sources.map_targets(lambda i: (i, threading.current_thread().name), range(10))
+    assert [i for i, _ in got] == list(range(10))
+    names = [name for _, name in got]
+    if sources._block_pool() is None:
+        assert set(names) == {threading.current_thread().name}
+    else:
+        parts = min(sources._block_pool()._max_workers, 10)
+        assert names[: 10 // parts] == [threading.current_thread().name] * (10 // parts)
+        assert all(name.startswith("steinclt-block") for name in names[10 // parts:])
+
+
+def test_map_targets_raises_the_error_of_a_pool_part():
+    def evaluate(i):
+        if i == 9:  # the last part, on the pool when there is one
+            raise DomainError("target 9 failed")
+        return i
+
+    with pytest.raises(DomainError, match="target 9 failed"):
+        sources.map_targets(evaluate, range(10))
+
+
 def test_concurrent_callers_share_the_block_pool_and_get_the_serial_estimate():
     # more callers than cores share the pool, each on a fresh family, so every lazy
     # membership plan is first reached from several pool threads at once
