@@ -62,7 +62,6 @@ from .semigroup import (
     semigroup_apply,
     semigroup_derivative,
     semigroup_jet,
-    transition_density,
 )
 from .stein import (
     KernelBoundReport,

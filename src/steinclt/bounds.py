@@ -212,15 +212,8 @@ def gamma_star_hat(
     |E T_t 1_B(S_n) - Phi(B)|; the Gaussian side is exact because the smoothed
     law of e^{-t}Z' + wZ is again standard Gaussian.  The expectation over S_n
     conditions on the sample (closed-form kernel mass), which strictly reduces
-    variance relative to sampling the kernel too.
-
-    What runs where: Phi(B) is computed in the calling thread.  The blocks of
-    a multi-block estimate run on the block pool, each evaluating all its
-    targets; the one block of a single-block estimate (M <= BLOCK_SIZE) runs
-    in the calling thread, which evaluates the first part of the targets
-    while the pool evaluates the rest (`map_targets`).  Every column comes
-    from the same function on the same rows, so the estimate is bit for bit
-    the serial one.
+    variance relative to sampling the kernel too.  Phi(B) is computed in the
+    calling thread, and each block's targets are split by `map_targets`.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"needs a finite t > 0, got {t}")

