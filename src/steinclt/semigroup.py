@@ -183,10 +183,14 @@ def _derivative_times(s):
 
 
 def _kernel_rows(h, alpha, w, X, nodes, kernel):
-    """h(alpha*x + w*nodes) @ kernel for each row x of X: (M,) or (M, c) for an (N, c) kernel."""
-    out = np.empty((len(X),) + kernel.shape[1:])
+    """h(alpha*x + w*nodes) @ kernel for each row x of X: (M,) or (M, c) for an (N, c) kernel.
+
+    A row with a NaN entry gives NaN, as in the closed forms, not a point outside h's set.
+    """
+    out = np.full((len(X),) + kernel.shape[1:], np.nan)
     for m, row in enumerate(X):
-        out[m] = np.asarray(h(alpha * row + w * nodes), dtype=float) @ kernel
+        if not np.isnan(row).any():
+            out[m] = np.asarray(h(alpha * row + w * nodes), dtype=float) @ kernel
     return out
 
 

@@ -7,14 +7,14 @@ quadrature.  Each law draws S_n in one call: from the exact law of the sum,
 or, for the uniform, from exact integer sums of 32-bit Philox words.  Non-iid
 sources are scaled copies of catalog laws whose covariances sum to the identity.
 
-Every Monte Carlo estimate over S_n runs through one loop, `sum_over_blocks`:
-block b of BLOCK_SIZE draws comes from the counter-based stream
-`stream.block(b)`, so a block's draws do not depend on the blocks before it,
-and the blocks are split between the CPUs by `map_targets` (the README's
-"What runs where" says who runs each part).  On top of it,
-`mean_over_blocks` turns per-target statistics into means with standard
-errors, and `sup_deviation` reports the largest deviation from a Gaussian
-reference as an `Estimate`.
+Every Monte Carlo estimate over S_n draws block b of BLOCK_SIZE rows from
+the counter-based stream `stream.block(b)`, so a block's draws do not depend
+on the blocks before it.  `sum_over_blocks` splits whole blocks between the
+CPUs by `map_targets`, and on top of it `mean_over_blocks` turns per-target
+statistics into means with standard errors; `delta_hat` gives each CPU an
+equal share of rows, drawn bit for bit from mid-block (`_block_rows`).  The
+README's "What runs where" says who runs each part, and `sup_deviation`
+reports the largest deviation from a Gaussian reference as an `Estimate`.
 The statistics given to `mean_over_blocks` are row-wise (each column comes
 from its own row of S_n), so it evaluates each distinct row of a block once:
 a Rademacher S_n lives on the (n+1)^k lattice and repeats rows often, while
@@ -41,14 +41,14 @@ from .stein import SteinSolution, laplacian_drift, smoothed_target
 
 BLOCK_SIZE = 1 << 14
 # Raw Philox bytes per chunk of `_raw_row_chunks`.  Each thread that draws
-# blocks (the caller and, on two CPUs, the pool's one worker) keeps freed
-# chunks in its malloc arena.  With the blocks split that way, delta-sweep
-# peaked at 63.1-63.7 MiB with 256 KiB chunks against 66.1-66.6 MiB with
-# 1 MiB, at a cost in time: its cell_p90_s was 0.0352 s against 0.0321 s
-# (1 MiB faster in 5 of 6 pairs) and its wall_s 1.076 s against 1.033 s
-# (2-vCPU Xeon).  Alone, a 16384-row uniform block is faster at 256 KiB
-# (k = 3, n = 64: 20.5 -> 19.1 ms; n = 256: 70.0 -> 68.0 ms, and 71.7 ms at
-# 128 KiB).
+# rows (the caller and, on two CPUs, the pool's one worker) keeps freed
+# chunks in its malloc arena.  With delta_hat's rows split in equal shares,
+# delta-sweep peaked at 63.2-63.6 MiB with 256 KiB chunks against
+# 66.0-67.1 MiB with 1 MiB, at a cost in time: its cell_p90_s was 0.0310 s
+# against 0.0300 s (1 MiB faster in 7 of 8 pairs) and its wall_s 0.988 s
+# against 0.981 s (2-vCPU Xeon).  Alone, a 16384-row uniform block is faster
+# at 256 KiB (k = 3, n = 64: 20.5 -> 19.1 ms; n = 256: 70.0 -> 68.0 ms, and
+# 71.7 ms at 128 KiB).
 _CHUNK_BYTES = 1 << 18
 
 
@@ -127,6 +127,33 @@ def _raw_row_chunks(gen, m, row_bytes):
         count = min(rows, m - start)
         words = gen.bit_generator.random_raw(-(-count * row_bytes // 8))
         yield start, count, words.astype("<u8", copy=False).view(np.uint8)[: count * row_bytes]
+
+
+def _raw_row_bytes(src, n):
+    """Bytes per row of S_n if `sample_sum` reads them from `_raw_row_chunks`, else None."""
+    if isinstance(src, NonIIDSource):
+        signs = src.scalar_scaled and all(base.name == "rademacher" for base, _ in src.components)
+        return src.k * -(-src.n // 8) if signs else None
+    return 4 * src.k * n if src.sum_sampler is _uniform_sum else None
+
+
+def _block_rows(src, n, stream, M, start, stop):
+    """Yield rows [start, stop) of M draws of S_n a block at a time, the bits of the whole blocks.
+
+    A raw-word law seeks to row r at Philox step r * row_bytes / 32, so `start`
+    is a multiple of 32 / gcd(row_bytes, 32).  The other iid laws fill C order,
+    so they draw a prefix of the block; a component-loop source draws it whole.
+    """
+    row_bytes = _raw_row_bytes(src, n)
+    for b in range(start // BLOCK_SIZE, -(-stop // BLOCK_SIZE)):
+        first = b * BLOCK_SIZE
+        r, end = max(start - first, 0), min(stop - first, BLOCK_SIZE)
+        if row_bytes is not None:
+            yield sample_sum(src, n, stream.block(b, r * row_bytes // 32), end - r)
+        elif isinstance(src, NonIIDSource):
+            yield sample_sum(src, n, stream.block(b), min(BLOCK_SIZE, M - first))[r:end]
+        else:
+            yield sample_sum(src, n, stream.block(b), end)[r:]
 
 
 def _gaussian_sampler(gen, m, k):
@@ -419,7 +446,7 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     if isinstance(src, NonIIDSource):
         if n != src.n:
             raise DomainError(f"this non-iid source has n={src.n}, got {n}")
-        if src.scalar_scaled and all(base.name == "rademacher" for base, _ in src.components):
+        if _raw_row_bytes(src, n) is not None:
             return _signed_scale_sum(gen, size, src.k, [float(sc) for _, sc in src.components])
         total = np.zeros((size, src.k))
         for base, sc in src.components:
@@ -562,10 +589,23 @@ def delta_hat(src, n: int, family: SetFamily, M: int, stream: RngStream) -> Esti
     a lower bound for the full convex-set supremum.  The standard error is
     the binomial one at the argmax set; the sup-induced upward bias is not
     corrected.
+
+    `map_targets` counts one equal share of the rows per usable CPU; the rows keep
+    their whole block's bits (`_block_rows`) and counts are integers, so no cut moves a byte.
     """
     n = check_count("n", n, 1)
     M = check_count("M", M, 1000)
-    p = sum_over_blocks(src, n, M, stream, family.counts) / float(M)
+    row_bytes = _raw_row_bytes(src, n)
+    align = 1 if row_bytes is None else 32 // math.gcd(row_bytes, 32)
+    parts = _usable_cpus()
+    # one share of rows per CPU, cut at the multiple of align nearest to M i / parts
+    cuts = [min((2 * M * i + parts * align) // (2 * parts * align) * align, M)
+            for i in range(parts)]
+    shares = [(a, b) for a, b in zip(cuts, cuts[1:] + [M]) if a < b]
+    counts = map_targets(
+        lambda rows: sum(map(family.counts, _block_rows(src, n, stream, M, *rows)), 0), shares
+    )
+    p = sum(counts, 0) / float(M)
     return sup_deviation(p, np.sqrt(p * (1.0 - p) / M), family.measures)
 
 

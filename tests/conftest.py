@@ -3,22 +3,31 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from steinclt import NonIIDSource, noniid_catalog, rademacher_source, sources, uniform_source
+from steinclt import (
+    NonIIDSource, exponential_source, gaussian_source, noniid_catalog, rademacher_source, sources,
+    uniform_source,
+)
 
 # four uniform components whose diagonal covariances sum to the identity
 _VECTOR_SCALES = np.sqrt([[0.1, 0.4], [0.2, 0.3], [0.3, 0.2], [0.4, 0.1]])
 
 _SPLIT_SOURCES = {
+    "gaussian": lambda: (gaussian_source(2), 16),
     "rademacher": lambda: (rademacher_source(2), 16),
     "uniform": lambda: (uniform_source(2), 16),
+    "exponential": lambda: (exponential_source(2), 16),
     "noniid-scalar": lambda: (noniid_catalog("rademacher", 2, 8), 8),
     "noniid-vector": lambda: (NonIIDSource([(uniform_source(2), s) for s in _VECTOR_SCALES]), 4),
+    # 16 and 4 raw bytes a row: a share of delta_hat's rows starts on a 2- or 8-row boundary
+    "uniform-k1-n4": lambda: (uniform_source(1), 4),
+    "noniid-scalar-n13": lambda: (noniid_catalog("rademacher", 2, 13), 13),
 }
 
 
 @pytest.fixture(params=sorted(_SPLIT_SOURCES))
 def split_source(request):
-    """(source, n) at k = 2: two iid laws, a scalar-scaled and a vector-scaled non-iid one."""
+    """(source, n): the four iid laws and a scalar- and a vector-scaled non-iid source at
+    k = 2, and two raw-word laws whose rows are shorter than a Philox step."""
     return _SPLIT_SOURCES[request.param]()
 
 

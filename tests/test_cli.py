@@ -647,7 +647,7 @@ def test_a_single_block_gamma_star_starts_one_block_thread_on_two_cpus():
 
 @_NEEDS_TWO_CPUS
 def test_a_multi_block_delta_starts_one_block_thread_on_two_cpus():
-    # the pool has CPUs - 1 threads: the caller runs the first half of the blocks
+    # the pool has CPUs - 1 threads: the caller counts the first half of the rows
     cpus = ",".join(str(c) for c in sorted(os.sched_getaffinity(0))[:2])
     _, state = _pinned_child(cpus, ["delta", "--source", "uniform", "--k", "2", "--n", "16",
                                     "--M", "50000", "--seed", "7"])

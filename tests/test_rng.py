@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from steinclt import RngStream, sample_std_normal
 
@@ -44,3 +45,12 @@ def test_block_layout_independent_of_chunking():
     b1 = s.block(1).generator().standard_normal(10)
     b0 = s.block(0).generator().standard_normal(10)
     assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
+
+
+@pytest.mark.parametrize("d", [0, 1, 3, 1000])
+def test_a_block_at_position_d_draws_its_words_from_word_4d_on(d):
+    # each Philox step gives four 64-bit words; the position is the low counter word
+    s = RngStream(7, 5)
+    words = s.block(2).generator().bit_generator.random_raw(4 * d + 10)
+    assert np.array_equal(s.block(2, d).generator().bit_generator.random_raw(10), words[4 * d:])
+    assert s.block(2, d).block(2) == s.block(2)

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -616,15 +617,16 @@ def test_map_targets_raises_the_error_of_a_pool_part():
 
 
 def _row_values(X):
-    return np.stack([X[:, 0], X[:, 0] * X[:, 1], np.cos(X[:, 1])])
+    return np.stack([X[:, 0], X[:, 0] * X[:, -1], np.cos(X[:, -1])])
 
 
-@pytest.mark.parametrize("M", [1000, BLOCK_SIZE, BLOCK_SIZE + 1, 50000])
+# at 40001 rows a three-part split cuts delta_hat's sample inside the middle block
+@pytest.mark.parametrize("M", [1000, BLOCK_SIZE, BLOCK_SIZE + 1, 40001, 50000])
 def test_delta_hat_and_mean_over_blocks_keep_their_bits_however_the_blocks_split(
     split_source, M, split_three_ways
 ):
     src, n = split_source
-    family = default_family(2)
+    family = default_family(src.k)
 
     def run():
         est = delta_hat(src, n, family, M, RngStream(61))
@@ -633,6 +635,50 @@ def test_delta_hat_and_mean_over_blocks_keep_their_bits_however_the_blocks_split
 
     pooled, serial, three_parts = split_three_ways(run)
     assert pooled == serial == three_parts
+
+
+@pytest.mark.parametrize(
+    "src, n, align",
+    [
+        (gaussian_source(2), 16, 1),
+        (uniform_source(2), 16, 1),
+        (uniform_source(1), 4, 2),  # 16 raw bytes a row
+        (noniid_catalog("rademacher", 2, 13), 13, 8),  # 4 raw bytes a row
+        (noniid_catalog("uniform", 2, 8), 8, 1),
+    ],
+    ids=["gaussian", "uniform", "uniform-k1-n4", "noniid-rademacher", "noniid-uniform"],
+)
+@pytest.mark.parametrize("M", [1001, 40001, 50000])
+def test_delta_hat_gives_two_cpus_row_shares_that_differ_by_at_most_one_alignment_step(
+    src, n, align, M, monkeypatch
+):
+    family, rows, submitted = default_family(src.k), Counter(), []
+    pool = ThreadPoolExecutor(1, thread_name_prefix="steinclt-block")
+
+    class RecordingPool:
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return pool.submit(fn, *args)
+
+    class RecordingFamily:
+        measures = family.measures
+
+        def counts(self, X):
+            rows[threading.get_ident()] += len(X)
+            return family.counts(X)
+
+    monkeypatch.setattr(sources, "_block_pool", RecordingPool)
+    monkeypatch.setattr(sources, "_usable_cpus", lambda: 2)
+    try:
+        est = delta_hat(src, n, RecordingFamily(), M, RngStream(64))
+    finally:
+        pool.shutdown()
+    assert len(submitted) == 1 and len(rows) == 2
+    caller = rows.pop(threading.get_ident())
+    worker = rows.popitem()[1]
+    assert caller + worker == M and abs(caller - worker) <= align
+    monkeypatch.setattr(sources, "_block_pool", lambda: None)
+    assert est == delta_hat(src, n, family, M, RngStream(64))
 
 
 def test_concurrent_callers_share_the_block_pool_and_get_the_serial_estimate():
