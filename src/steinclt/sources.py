@@ -3,16 +3,19 @@
 The iid catalog (gaussian, rademacher, uniform, exponential) is built from
 product laws with mean zero and identity covariance by construction, so every
 third-moment functional is either closed form or a deterministic tensor
-quadrature.  Each law draws S_n in one call: from the exact law of the sum,
-or, for the uniform, from exact integer sums of 32-bit Philox words.  Non-iid
-sources are scaled copies of catalog laws whose covariances sum to the identity.
+quadrature.  Each law draws S_n in one call: the gaussian and exponential from
+the exact law of the sum, the Rademacher from one raw Philox bit per sign (a
+row costs a popcount), and the uniform from exact integer sums of 32-bit
+Philox words.  Non-iid sources are scaled copies of catalog laws whose
+covariances sum to the identity.
 
 Every Monte Carlo estimate over S_n draws block b of BLOCK_SIZE rows from
 the counter-based stream `stream.block(b)`, so a block's draws do not depend
 on the blocks before it.  `sum_over_blocks` splits whole blocks between the
 CPUs by `map_targets`, and on top of it `mean_over_blocks` turns per-target
 statistics into means with standard errors; `delta_hat` gives each CPU an
-equal share of rows, drawn bit for bit from mid-block (`_block_rows`).  The
+equal share of rows, drawn bit for bit from mid-block (`_block_rows`: the
+raw-bit laws seek, and only the gaussian and exponential draw a prefix).  The
 README's "What runs where" says who runs each part, and `sup_deviation`
 reports the largest deviation from a Gaussian reference as an `Estimate`.
 The statistics given to `mean_over_blocks` are row-wise (each column comes
@@ -130,18 +133,26 @@ def _raw_row_chunks(gen, m, row_bytes):
 
 
 def _raw_row_bytes(src, n):
-    """Bytes per row of S_n if `sample_sum` reads them from `_raw_row_chunks`, else None."""
+    """Bytes per row of S_n if `sample_sum` reads them from `_raw_row_chunks`, else None.
+
+    Those are the laws that take one raw bit per sign (iid Rademacher and
+    scalar-scaled non-iid Rademacher, ceil(n/8) bytes a coordinate) and the
+    uniform (one 32-bit word a summand).
+    """
     if isinstance(src, NonIIDSource):
         signs = src.scalar_scaled and all(base.name == "rademacher" for base, _ in src.components)
         return src.k * -(-src.n // 8) if signs else None
+    if src.sum_sampler is _rademacher_sum:
+        return src.k * -(-n // 8)
     return 4 * src.k * n if src.sum_sampler is _uniform_sum else None
 
 
 def _block_rows(src, n, stream, M, start, stop):
     """Yield rows [start, stop) of M draws of S_n a block at a time, the bits of the whole blocks.
 
-    A raw-word law seeks to row r at Philox step r * row_bytes / 32, so `start`
-    is a multiple of 32 / gcd(row_bytes, 32).  The other iid laws fill C order,
+    A raw-word law (`_raw_row_bytes`: the Rademacher and uniform laws) seeks to
+    row r at Philox step r * row_bytes / 32, so `start` is a multiple of
+    32 / gcd(row_bytes, 32).  The gaussian and exponential laws fill C order,
     so they draw a prefix of the block; a component-loop source draws it whole.
     """
     row_bytes = _raw_row_bytes(src, n)
@@ -169,8 +180,27 @@ def _rademacher_sampler(gen, m, k):
 
 
 def _rademacher_sum(gen, m, k, n):
-    # the sum of n signs is 2 Binomial(n, 1/2) - n, exact in floating point
-    return (2.0 * gen.binomial(n, 0.5, size=(m, k)) - n) / math.sqrt(n)
+    # one Philox bit per sign, laid out as in `_signed_scale_sum`, a set bit +1; the bits
+    # are counted in the widest words (1, 2, 4 or 8 bytes) that tile a coordinate's
+    # n_bytes, with the pad bits of the last byte masked, and the sum of n signs,
+    # 2 ones - n, is exact in floating point
+    n_bytes = -(-n // 8)
+    width = min(n_bytes & -n_bytes, 8)
+    word = np.dtype(f"<u{width}")
+    summand_bits = word.type((1 << (n - 8 * (n_bytes - width))) - 1)  # of the last word
+    out = np.empty((m, k))
+    for start, rows, data in _raw_row_chunks(gen, m, k * n_bytes):
+        words = data.view(word).reshape(rows, k, n_bytes // width)
+        if n % 8:
+            words[:, :, -1] &= summand_bits
+        ones, total = np.bitwise_count(words), out[start:start + rows]
+        total[...] = ones[:, :, 0]
+        for c in range(1, ones.shape[2]):
+            total += ones[:, :, c]
+    out *= 2.0
+    out -= n
+    out /= math.sqrt(n)
+    return out
 
 
 _SQRT3 = math.sqrt(3.0)

@@ -21,13 +21,17 @@ _SPLIT_SOURCES = {
     # 16 and 4 raw bytes a row: a share of delta_hat's rows starts on a 2- or 8-row boundary
     "uniform-k1-n4": lambda: (uniform_source(1), 4),
     "noniid-scalar-n13": lambda: (noniid_catalog("rademacher", 2, 13), 13),
+    # 1 and 6 raw bytes a row: shares start on a 32- or 16-row boundary
+    "rademacher-k1-n4": lambda: (rademacher_source(1), 4),
+    "rademacher-k3-n9": lambda: (rademacher_source(3), 9),
 }
 
 
 @pytest.fixture(params=sorted(_SPLIT_SOURCES))
 def split_source(request):
     """(source, n): the four iid laws and a scalar- and a vector-scaled non-iid source at
-    k = 2, and two raw-word laws whose rows are shorter than a Philox step."""
+    k = 2, and four raw-word laws whose rows are shorter than a Philox step, two of them
+    Rademacher at k = 1 and 3."""
     return _SPLIT_SOURCES[request.param]()
 
 

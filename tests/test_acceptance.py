@@ -2,19 +2,22 @@
 
 Run `pytest -v -s tests/test_acceptance.py` to see the per-criterion lines
 with timings.  The scaling-law criterion is known to fail on its
-no-increasing-trend clause for the rademacher lattice in k = 3: the exact
-normalized cube discrepancy increases toward its asymptote (0.427 -> 0.573
-over n = 4..256), which no sampling accuracy can repair.  The test states
-the clause faithfully and reports the offending cells.
+no-increasing-trend clause for the rademacher lattice: the exact normalized
+discrepancy rises with n in k = 1, 2 and 3 (in k = 3 toward its asymptote,
+0.427 -> 0.573 over n = 4..256; `test_exact_rademacher_lattice_discrepancy_is_pinned`
+pins the exact values), which no sampling accuracy can repair.  The test
+states the clause faithfully and reports the offending cells.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 from scipy import special
 
 import steinclt as sc
+from oracles import rademacher_delta
 
 ACCEPTANCE_SEED = 6
 
@@ -220,6 +223,24 @@ def test_criterion_08_scaling_law():
     # lattice increases over n = 4..256 (0.427 -> 0.573, enumerable without
     # Monte Carlo), so the no-increasing-trend clause cannot hold as stated.
     assert ok, {"bound": bound_failures, "trend": trend_failures}
+
+
+# sqrt(n) delta over the default family on the exact Rademacher law (tests/oracles.py)
+EXACT_LATTICE_SCALED_DELTA = {
+    1: {4: 0.710, 16: 0.7345, 64: 0.7362, 256: 0.7243},
+    2: {4: 0.5173, 16: 0.4068, 64: 0.4258, 256: 0.4369},
+    3: {4: 0.4273, 16: 0.5459},
+}
+
+
+@pytest.mark.parametrize("k", sorted(EXACT_LATTICE_SCALED_DELTA))
+def test_exact_rademacher_lattice_discrepancy_is_pinned(k):
+    # the cause of criterion 8's red cells: the law's own sqrt(n) delta rises from n = 4 to 16
+    # at k = 1 and 3, and from n = 16 on at k = 2, with no sampling error in it
+    family = sc.default_family(k)
+    pinned = EXACT_LATTICE_SCALED_DELTA[k]
+    exact = {n: rademacher_delta(family, k, n) * math.sqrt(n) for n in pinned}
+    assert exact == pytest.approx(pinned, abs=5e-5)
 
 
 def test_criterion_09_induction_fixed_point():

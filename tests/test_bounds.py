@@ -337,7 +337,7 @@ def test_gamma_star_keeps_its_bits_however_the_blocks_and_targets_split(
     split_source, M, split_three_ways
 ):
     src, n = split_source
-    C = HalfSpace(np.array([0.6, 0.8]) if src.k == 2 else np.ones(1), 0.1)
+    C = HalfSpace(np.array([0.6, 0.8]) if src.k == 2 else np.ones(src.k) / math.sqrt(src.k), 0.1)
     pooled, serial, three_parts = split_three_ways(
         lambda: _hex(gamma_star_hat(src, n, 0.5, C, 0.2, M, RngStream(63)))
     )

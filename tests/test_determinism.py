@@ -12,10 +12,13 @@ scrambled-Sobol QMC measure, and of the README's `dim-scan` command at
 M = 20000.  `omega_star_hat` of a stretched and a spherical ellipsoid at
 k = 2, 3 is pinned as `float.hex` text: a QMC count over 2^16 points, so each
 shell mass is exact in binary.  The measures and check suites were recorded
-with steinclt 0.3.0, and 0.3.1 and 0.3.2 give the same bytes; the
-`discrepancy` bodies were recorded with 0.3.2 and match 0.3.1, and the k = 1
-uniform and exponential `delta` bodies were recorded with 0.3.2 before
-`SetFamily.counts` compared each repeated level once.
+with steinclt 0.3.0, and 0.3.1, 0.3.2 and 0.4.0 give the same bytes; the
+gaussian `discrepancy` body was recorded with 0.3.2 and matches 0.3.1, and the
+k = 1 uniform and exponential `delta` bodies were recorded with 0.3.2 before
+`SetFamily.counts` compared each repeated level once.  The three iid
+Rademacher bodies (`discrepancy`, `delta` and `dim-scan`) were recorded with
+0.4.0, which draws those sums from one raw Philox bit per sign; every other
+body keeps its 0.3.2 bytes.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers records new digests; under
@@ -41,7 +44,7 @@ from steinclt.convex import _NCX2_SERIES_Z
 
 HERE = Path(__file__).resolve().parent
 
-RECORDED_VERSIONS = {"steinclt": "0.3.2", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.4.0", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 FAMILY_MEASURES = {
     1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
@@ -58,7 +61,7 @@ CHECK_CSV_BODIES = {
 
 DISCREPANCY_CSV_BODIES = {
     "--source rademacher --k 1 --n 4 --t 0.5 --M 4096 --seed 7":
-        "bf687672543310a37b1ad8a4d6da0d6184626d26282022b1431009dfa5df69b5",
+        "b0d0b2788def21c0a9c5a783b7cddfdc202d710d9044b8455ed22cd3ed41fedc",
     "--source gaussian --k 2 --n 16 --M 4096 --seed 7":
         "8c9145a0f3c3d5bcaac14636853bec29eeed52976d7bec29805bf01dec303e5d",
 }
@@ -68,7 +71,7 @@ CLI_CSV_BODIES = {
     "delta --source uniform --k 2 --n 16 --M 4096 --seed 7 --family family_k2_ellipsoid.json":
         "2b21a835e7536646761fd4838a2fa3211c6e20394b343d1d1dc46d1601e6a6f1",
     "delta --source rademacher --k 1,2,3 --n 4,16,64 --M 20000 --seed 7":
-        "0079c9ed8b5a122dff5a4836a5b7ff97de003f4f35a40102699da81bed1e837f",
+        "0e7eab918f4f42e89776318887083e92429287823c88d1fdcda0d5a3877c4604",
     "delta --source uniform --k 1 --n 4,256 --M 20000 --seed 7":
         "2e3d84db4fc6d97b1f2f16d2f1449ca1728c6c3a3681f8710cc8f2a5fbd9bfd9",
     "delta --source exponential --k 1 --n 4,256 --M 20000 --seed 7":
@@ -78,7 +81,7 @@ CLI_CSV_BODIES = {
     "bounds --source gaussian --k 1 --n 32 --M 20000 --seed 7 --noniid-profile linear":
         "6b0c2410016eb70a5a34f4f17455115fe6a125b1a85c717dd51d362e8d6398dd",
     "dim-scan --source rademacher --k-list 1,2,3,4 --n-list 64 --M 20000 --seed 7":
-        "fcb80a1da48ed6260bb18d37ce3e5110dea8f3c728b9e7e3160d3663c765e587",
+        "555ca67349169ca073fae0acff74b1e1722629023eafe8d115a9b0f314de290e",
 }
 
 SHELL_ELLIPSOIDS = {

@@ -141,9 +141,11 @@ def test_sample_sum_covariance_all_sources():
         assert np.max(np.abs(np.cov(draws.T) - np.eye(2))) < 0.015
 
 
-def test_sample_sum_rademacher_matches_binomial_pmf():
-    n, m = 4, 1 << 16
-    draws = sample_sum(rademacher_source(2), n, RngStream(121), size=m)
+# n = 1, 9 and 13 leave pad bits in the last byte of a coordinate's signs
+@pytest.mark.parametrize("n", (1, 4, 9, 13))
+def test_sample_sum_rademacher_matches_binomial_pmf(n):
+    m = 1 << 16
+    draws = sample_sum(rademacher_source(2), n, RngStream(121, stream_id=n), size=m)
     lattice = (2.0 * np.arange(n + 1) - n) / math.sqrt(n)
     pmf = np.array([math.comb(n, j) for j in range(n + 1)]) / 2.0**n
     for col in draws.T:
@@ -151,6 +153,18 @@ def test_sample_sum_rademacher_matches_binomial_pmf():
         assert counts.sum() == m
         z = (counts - m * pmf) / np.sqrt(m * pmf * (1.0 - pmf))
         assert np.max(np.abs(z)) < 4.5, z
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 4, 8, 9, 13, 64, 65, 256))
+def test_iid_rademacher_sum_is_the_flat_noniid_sum_on_its_lattice(k, n):
+    # both take bit l of byte g of a coordinate's ceil(n/8) raw bytes as the sign of summand
+    # 8g + l; the iid law adds the signs exactly, the flat non-iid one adds sqrt(1/n) n times
+    stream, m = RngStream(132, stream_id=8 * k + n), 4096
+    draws = sample_sum(rademacher_source(k), n, stream, size=m)
+    flat = sample_sum(noniid_catalog("rademacher", k, n, "flat"), n, stream, size=m)
+    assert np.max(np.abs(draws - flat)) <= 1e-15
+    assert np.isin(draws, (2.0 * np.arange(n + 1) - n) / math.sqrt(n)).all()
 
 
 def test_sample_sum_exponential_third_moment():
@@ -206,6 +220,9 @@ def test_sample_sum_matches_its_summands_from_the_raw_words(k, n):
     signs = 2.0 * np.unpackbits(data, axis=1, bitorder="little")[:, :n] - 1.0
     draws = sample_sum(src, n, RngStream(129), size=m)
     np.testing.assert_allclose(draws.ravel(), signs @ scales, rtol=0, atol=1e-13)
+    # iid Rademacher: the same bits, their signs added exactly
+    draws = sample_sum(rademacher_source(k), n, RngStream(129), size=m)
+    assert np.array_equal(draws.ravel(), signs.sum(axis=1) / math.sqrt(n))
 
 
 @pytest.mark.parametrize(
@@ -215,8 +232,11 @@ def test_sample_sum_matches_its_summands_from_the_raw_words(k, n):
         (uniform_source(2), 256),
         (noniid_catalog("rademacher", 3, 13), 13),
         (noniid_catalog("rademacher", 2, 256), 256),
+        (rademacher_source(3), 13),
+        (rademacher_source(2), 256),
     ],
-    ids=["uniform-k3-n5", "uniform-k2-n256", "noniid-k3-n13", "noniid-k2-n256"],
+    ids=["uniform-k3-n5", "uniform-k2-n256", "noniid-k3-n13", "noniid-k2-n256",
+         "rademacher-k3-n13", "rademacher-k2-n256"],
 )
 def test_sample_sum_draws_do_not_depend_on_chunking(src, n, monkeypatch):
     m = 1001
@@ -643,10 +663,12 @@ def test_delta_hat_and_mean_over_blocks_keep_their_bits_however_the_blocks_split
         (gaussian_source(2), 16, 1),
         (uniform_source(2), 16, 1),
         (uniform_source(1), 4, 2),  # 16 raw bytes a row
+        (rademacher_source(2), 16, 8),  # 4 raw bytes a row
         (noniid_catalog("rademacher", 2, 13), 13, 8),  # 4 raw bytes a row
         (noniid_catalog("uniform", 2, 8), 8, 1),
     ],
-    ids=["gaussian", "uniform", "uniform-k1-n4", "noniid-rademacher", "noniid-uniform"],
+    ids=["gaussian", "uniform", "uniform-k1-n4", "rademacher", "noniid-rademacher",
+         "noniid-uniform"],
 )
 @pytest.mark.parametrize("M", [1001, 40001, 50000])
 def test_delta_hat_gives_two_cpus_row_shares_that_differ_by_at_most_one_alignment_step(
@@ -679,6 +701,24 @@ def test_delta_hat_gives_two_cpus_row_shares_that_differ_by_at_most_one_alignmen
     assert caller + worker == M and abs(caller - worker) <= align
     monkeypatch.setattr(sources, "_block_pool", lambda: None)
     assert est == delta_hat(src, n, family, M, RngStream(64))
+
+
+@pytest.mark.parametrize(
+    "src, n", [(rademacher_source(2), 16), (rademacher_source(3), 9), (uniform_source(2), 16)],
+    ids=["rademacher-k2-n16", "rademacher-k3-n9", "uniform"],
+)
+def test_two_cpus_draw_each_row_of_a_raw_word_law_once(src, n, monkeypatch):
+    # the second share starts inside block 1 and seeks to its first row there
+    drawn, sample = [], sources.sample_sum
+
+    def counting_sample_sum(src, n, stream, size=1):
+        drawn.append(size)
+        return sample(src, n, stream, size)
+
+    monkeypatch.setattr(sources, "sample_sum", counting_sample_sum)
+    monkeypatch.setattr(sources, "_usable_cpus", lambda: 2)
+    delta_hat(src, n, default_family(src.k), 50000, RngStream(65))
+    assert sum(drawn) == 50000 and len(drawn) == 5
 
 
 def test_concurrent_callers_share_the_block_pool_and_get_the_serial_estimate():
