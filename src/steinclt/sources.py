@@ -21,7 +21,10 @@ reports the largest deviation from a Gaussian reference as an `Estimate`.
 The statistics given to `mean_over_blocks` are row-wise (each column comes
 from its own row of S_n), so it evaluates each distinct row of a block once:
 a Rademacher S_n lives on the (n+1)^k lattice and repeats rows often, while
-the continuous laws hand their blocks over untouched.
+the continuous laws hand their blocks over untouched.  An iid Rademacher row
+is drawn as its lattice index (`_sample_index`: the coordinates' counts of +
+signs as digits in radix n + 1), so `mean_over_blocks` finds a block's
+distinct rows by one integer sort.
 """
 
 from __future__ import annotations
@@ -179,28 +182,74 @@ def _rademacher_sampler(gen, m, k):
     return gen.integers(0, 2, size=(m, k)).astype(float) * 2.0 - 1.0
 
 
-def _rademacher_sum(gen, m, k, n):
-    # one Philox bit per sign, laid out as in `_signed_scale_sum`, a set bit +1; the bits
-    # are counted in the widest words (1, 2, 4 or 8 bytes) that tile a coordinate's
-    # n_bytes, with the pad bits of the last byte masked, and the sum of n signs,
-    # 2 ones - n, is exact in floating point
+def _rademacher_ones(gen, m, k, n):
+    """Yield (start, ones) per raw chunk of m draws of iid Rademacher S_n in R^k.
+
+    ones[r, i, c] is the number of + signs in word c of coordinate i of row
+    start + r.  One Philox bit per sign, laid out as in `_signed_scale_sum`,
+    a set bit +1; the bits are counted in the widest words (1, 2, 4 or 8
+    bytes) that tile a coordinate's n_bytes, with the pad bits of the last
+    byte masked.
+    """
     n_bytes = -(-n // 8)
     width = min(n_bytes & -n_bytes, 8)
     word = np.dtype(f"<u{width}")
     summand_bits = word.type((1 << (n - 8 * (n_bytes - width))) - 1)  # of the last word
-    out = np.empty((m, k))
     for start, rows, data in _raw_row_chunks(gen, m, k * n_bytes):
         words = data.view(word).reshape(rows, k, n_bytes // width)
         if n % 8:
             words[:, :, -1] &= summand_bits
-        ones, total = np.bitwise_count(words), out[start:start + rows]
+        yield start, np.bitwise_count(words)
+
+
+def _lattice_scale(ones, n):
+    """(2 ones - n)/sqrt(n) in place: the sum of n signs, 2 ones - n, is exact in floating point."""
+    ones *= 2.0
+    ones -= n
+    ones /= math.sqrt(n)
+    return ones
+
+
+def _rademacher_sum(gen, m, k, n):
+    out = np.empty((m, k))
+    for start, ones in _rademacher_ones(gen, m, k, n):
+        total = out[start:start + len(ones)]
         total[...] = ones[:, :, 0]
         for c in range(1, ones.shape[2]):
             total += ones[:, :, c]
-    out *= 2.0
-    out -= n
-    out /= math.sqrt(n)
-    return out
+    return _lattice_scale(out, n)
+
+
+def _lattice_indexed(src, n):
+    """Whether S_n is iid Rademacher with (n + 1)^k lattice indices that fit in int64."""
+    iid = not isinstance(src, NonIIDSource) and src.sum_sampler is _rademacher_sum
+    return iid and (n + 1) ** src.k <= 2**63
+
+
+def _sample_index(src, n, stream, size):
+    """The rows `sample_sum(src, n, stream, size)` of an iid Rademacher law, as lattice indices.
+
+    A row's index has its coordinates' counts of + signs as digits in radix
+    n + 1, coordinate 0 the most significant, so the indices sort as the rows
+    do lexicographically.  It is added up in place one word column at a time,
+    so no (size, k) integer array is built.
+    """
+    index = np.zeros(size, dtype=np.int64)
+    for start, ones in _rademacher_ones(stream.generator(), size, src.k, n):
+        digits = index[start:start + len(ones)]
+        for i in range(src.k):
+            digits *= n + 1
+            for c in range(ones.shape[2]):
+                digits += ones[:, i, c]
+    return index
+
+
+def _lattice_points(index, k, n):
+    """The rows of S_n at lattice indices, with the float operations of `_rademacher_sum`."""
+    out = np.empty((len(index), k))
+    for i in range(k - 1, -1, -1):
+        index, out[:, i] = np.divmod(index, n + 1)
+    return _lattice_scale(out, n)
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -355,9 +404,8 @@ class NonIIDSource:
         self.k = ks.pop()
         self.n = len(self.components)
         self.name = f"noniid-{self.components[0][0].name}"
-        total = np.zeros(self.k)
-        for _, sc in self.components:
-            total += np.broadcast_to(np.square(sc), (self.k,))
+        scales = np.broadcast_arrays(*(sc for _, sc in self.components))
+        total = np.broadcast_to(np.square(scales).sum(axis=0), (self.k,))
         if np.max(np.abs(total - 1.0)) > 1e-12:
             raise DomainError("component covariances must sum to the identity")
 
@@ -549,13 +597,17 @@ def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
     The sum is the left fold of the block statistics in block order, so its
     bytes do not depend on the CPU count or on which block finishes first.
     """
+    return _fold_blocks(M, lambda b, size: statistic(sample_sum(src, n, stream.block(b), size)))
+
+
+def _fold_blocks(M, block_sum):
+    """The left fold, in block order, of block_sum(b, rows) over the blocks of M rows.
+
+    The blocks are split by `map_targets`.
+    """
     M = check_count("M", M, 1)
-    starts = range(0, M, BLOCK_SIZE)
-
-    def block(b):
-        return statistic(sample_sum(src, n, stream.block(b), min(BLOCK_SIZE, M - starts[b])))
-
-    return sum(map_targets(block, range(len(starts))), 0)
+    sizes = [min(BLOCK_SIZE, M - start) for start in range(0, M, BLOCK_SIZE)]
+    return sum(map_targets(lambda b: block_sum(b, sizes[b]), range(len(sizes))), 0)
 
 
 def _distinct_rows(X):
@@ -581,23 +633,34 @@ def mean_over_blocks(src, n: int, M: int, stream: RngStream, values):
 
     `values(X)` returns a (T, rows) array, one row per target, and must
     compute each column from its own row of X alone.  It is called once per
-    block on the distinct rows of that block (on the block itself when no
-    two rows are equal), maybe for several blocks at once (see
-    `sum_over_blocks`), and its columns are scattered back to every row
-    before the row sums are taken.  The variance is the plug-in
-    max(sum f^2 / M - mean^2, 0).
+    block on the distinct rows of that block in lexicographic order (on the
+    block itself when no two rows are equal), maybe for several blocks at
+    once (see `sum_over_blocks`), and its columns are scattered back to every
+    row before the row sums are taken.  An iid Rademacher block finds its
+    distinct rows by one integer sort of its lattice indices
+    (`_sample_index`), any other by `_distinct_rows`.  The variance is the
+    plug-in max(sum f^2 / M - mean^2, 0).
     """
+    lattice = _lattice_indexed(src, n)
 
-    def block_sums(X):
-        first, inverse = _distinct_rows(X)
-        if first is None:
-            f = np.asarray(values(X), dtype=float)
+    def block_sums(b, size):
+        if not lattice:
+            X = sample_sum(src, n, stream.block(b), size)
+            first, inverse = _distinct_rows(X)
+            rows = X if inverse is None else X[first]
         else:
+            index = _sample_index(src, n, stream.block(b), size)
+            distinct, inverse = np.unique(index, return_inverse=True)
+            if len(distinct) == size:
+                distinct, inverse = index, None
+            rows = _lattice_points(distinct, src.k, n)
+        f = np.asarray(values(rows), dtype=float)
+        if inverse is not None:
             # take keeps f C-ordered, so each row sums in the same order as a whole block
-            f = np.take(np.asarray(values(X[first]), dtype=float), inverse, axis=1)
+            f = np.take(f, inverse, axis=1)
         return np.stack([f.sum(axis=1), (f * f).sum(axis=1)])
 
-    acc = sum_over_blocks(src, n, M, stream, block_sums)
+    acc = _fold_blocks(M, block_sums)
     total = float(M)
     means = acc[0] / total
     variances = np.maximum(acc[1] / total - means**2, 0.0)

@@ -229,7 +229,7 @@ def test_criterion_08_scaling_law():
 EXACT_LATTICE_SCALED_DELTA = {
     1: {4: 0.710, 16: 0.7345, 64: 0.7362, 256: 0.7243},
     2: {4: 0.5173, 16: 0.4068, 64: 0.4258, 256: 0.4369},
-    3: {4: 0.4273, 16: 0.5459},
+    3: {4: 0.4273, 16: 0.5459, 64: 0.5631},
 }
 
 

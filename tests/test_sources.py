@@ -167,6 +167,25 @@ def test_iid_rademacher_sum_is_the_flat_noniid_sum_on_its_lattice(k, n):
     assert np.isin(draws, (2.0 * np.arange(n + 1) - n) / math.sqrt(n)).all()
 
 
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 4, 8, 9, 13, 64, 65, 256))
+def test_lattice_indices_are_the_rows_sample_sum_draws(k, n):
+    # digits in radix n + 1, coordinate 0 most significant: the rows' bits and their order
+    src, stream, m = rademacher_source(k), RngStream(133, stream_id=8 * k + n), 4096
+    draws, index = sample_sum(src, n, stream, size=m), sources._sample_index(src, n, stream, m)
+    assert index.dtype == np.int64 and 0 <= index.min() and index.max() < (n + 1) ** k
+    assert np.array_equal(sources._lattice_points(index, k, n), draws)
+    order = np.lexsort(draws.T[::-1])
+    assert np.all(np.diff(index[order]) >= 0)
+
+
+def test_only_iid_rademacher_rows_with_int64_lattice_indices_are_drawn_as_indices():
+    assert sources._lattice_indexed(rademacher_source(7), 255)  # 2^56 lattice points
+    assert not sources._lattice_indexed(rademacher_source(8), 255)  # 2^64
+    assert not sources._lattice_indexed(noniid_catalog("rademacher", 2, 8), 8)
+    assert not sources._lattice_indexed(uniform_source(2), 8)
+
+
 def test_sample_sum_exponential_third_moment():
     # S_n = (Gamma(n, 1) - n)/sqrt(n) has mean 0, variance 1, skewness 2/sqrt(n)
     for n in (4, 16):
@@ -332,6 +351,12 @@ def test_noniid_requires_unit_total_covariance():
     base = gaussian_source(2)
     with pytest.raises(DomainError):
         NonIIDSource([(base, 0.9), (base, 0.1)])  # 0.81 + 0.01 != 1
+    # scalar and per-coordinate scales mix; each coordinate's variances must sum to 1
+    NonIIDSource([(base, [0.6, 0.8]), (base, math.sqrt(0.2)), (base, [math.sqrt(0.44), 0.4])])
+    with pytest.raises(DomainError):
+        NonIIDSource([(base, [0.6, 0.8]), (base, [0.8, 0.5])])
+    with pytest.raises(ValueError):
+        NonIIDSource([(base, [0.6, 0.8, 0.0]), (base, [0.8, 0.6, 1.0])])  # not a k-vector
 
 
 def test_noniid_moments_and_inequalities():
@@ -655,6 +680,31 @@ def test_delta_hat_and_mean_over_blocks_keep_their_bits_however_the_blocks_split
 
     pooled, serial, three_parts = split_three_ways(run)
     assert pooled == serial == three_parts
+
+
+# n = 1 and 9 leave pad bits; at k = 3, n = 64 the 50 rows of a 50-row sample are distinct
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 4, 9, 16, 64])
+def test_mean_over_blocks_on_lattice_indices_keeps_the_bytes_of_the_row_path(
+    k, n, split_three_ways, monkeypatch
+):
+    src, indexed, sample_index = rademacher_source(k), [], sources._sample_index
+
+    def counting_sample_index(*args):
+        indexed.append(args[-1])
+        return sample_index(*args)
+
+    def run():
+        sizes = (50, 1000, BLOCK_SIZE, BLOCK_SIZE + 1, 50000)
+        means = [sources.mean_over_blocks(src, n, M, RngStream(67), _row_values) for M in sizes]
+        return [(m.tobytes(), se.tobytes()) for m, se in means]
+
+    monkeypatch.setattr(sources, "_sample_index", counting_sample_index)
+    lattice = split_three_ways(run)
+    assert sum(indexed) == 3 * (51050 + 2 * BLOCK_SIZE + 1)  # every row, on the lattice
+    monkeypatch.setattr(sources, "_lattice_indexed", lambda src, n: False)
+    rows = split_three_ways(run)
+    assert lattice == rows and rows[0] == rows[1] == rows[2]
 
 
 @pytest.mark.parametrize(
