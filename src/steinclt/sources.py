@@ -2,12 +2,13 @@
 
 The iid catalog (gaussian, rademacher, uniform, exponential) is built from
 product laws with mean zero and identity covariance by construction, so every
-third-moment functional is either closed form or a deterministic tensor
-quadrature.  Each law draws S_n in one call: the gaussian and exponential from
-the exact law of the sum, the Rademacher from one raw Philox bit per sign (a
-row costs a popcount), and the uniform from exact integer sums of 32-bit
-Philox words.  Non-iid sources are scaled copies of catalog laws whose
-covariances sum to the identity.
+third-moment functional is either closed form or one fixed-rule 1-D integral
+over the coordinates' closed-form Laplace transform (`_rho3_integral`).  Each
+law draws S_n in one call: the gaussian and exponential from the exact law of
+the sum, the Rademacher from one raw Philox bit per sign (a row costs a
+popcount), and the uniform from exact integer sums of 32-bit Philox words.
+Non-iid sources are scaled copies of catalog laws whose covariances sum to the
+identity.
 
 Every Monte Carlo estimate over S_n draws block b of BLOCK_SIZE rows from
 the counter-based stream `stream.block(b)`, so a block's draws do not depend
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 from .convex import ConvexSet, SetFamily
 from .errors import DegeneracyError, DomainError, check_count
@@ -60,9 +62,8 @@ _CHUNK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Third-moment functionals with how they were obtained."""
+    """Third-moment functionals, each exact up to a bound on its quadrature error."""
 
-    method: str  # "exact" or "monte-carlo"
     estimation_error: float
     rho3: float | None = None
     beta3: float | None = None
@@ -81,16 +82,15 @@ class SourceDistribution:
     """Product law of one summand Y with E Y = 0 and Cov Y = I_k.
 
     `sum_sampler(gen, m, k, n)` draws m copies of the normalized sum
-    (Y_1 + ... + Y_n)/sqrt(n) in one call.
+    (Y_1 + ... + Y_n)/sqrt(n) in one call, and `rho3_exact(k)`, where given,
+    is E ||Y||^3 in closed form.
     """
 
     def __init__(
         self, name, k, sampler, coord_abs_m1, coord_abs_m3, rho3_exact=None, *, sum_sampler
     ):
-        if k < 1:
-            raise DomainError("dimension k must be >= 1")
         self.name = name
-        self.k = k
+        self.k = check_count("k", k, 1)
         self._sampler = sampler
         self.sum_sampler = sum_sampler
         self.coord_abs_m1 = float(coord_abs_m1)  # E |Y^(i)|
@@ -101,21 +101,27 @@ class SourceDistribution:
         return self._sampler(gen, m, self.k)
 
     def rho3_summary(self) -> MomentSummary:
-        """E ||Y||^3, exact when known, else deterministic quadrature or MC."""
+        """E ||Y||^3: closed form for the gaussian and Rademacher laws and at k = 1, else
+        `_rho3_integral` with its error bound."""
         if self._rho3_exact is not None:
-            return MomentSummary(method="exact", estimation_error=0.0, rho3=self._rho3_exact)
+            return MomentSummary(estimation_error=0.0, rho3=self._rho3_exact(self.k))
         if self.k == 1:
-            return MomentSummary(method="exact", estimation_error=0.0, rho3=self.coord_abs_m3)
-        return _numeric_rho3(self.name, self.k)
+            return MomentSummary(estimation_error=0.0, rho3=self.coord_abs_m3)
+        rho3, error = _rho3_integral(self.name, (1.0,) * self.k)
+        return MomentSummary(estimation_error=error, rho3=rho3)
 
     @property
     def rho3(self) -> float:
         return self.rho3_summary().rho3
 
-    def gamma3_base(self) -> float:
-        """E (sum_i |Y^(i)|)^3, from the per-coordinate absolute moments."""
-        k, m1, m3 = self.k, self.coord_abs_m1, self.coord_abs_m3
-        return k * m3 + 3.0 * k * (k - 1) * m1 + k * (k - 1) * (k - 2) * m1**3
+    def gamma3_base(self, scales=None) -> float:
+        """E (sum_i d_i |Y^(i)|)^3 for scales d >= 0 (a k-vector, all 1 by default), by the
+        power sums p_r = sum_i d_i^r and the per-coordinate absolute moments."""
+        p1 = p2 = p3 = float(self.k)
+        if scales is not None:
+            p1, p2, p3 = (float(np.sum(np.broadcast_to(scales, (self.k,)) ** r)) for r in (1, 2, 3))
+        m1, m3 = self.coord_abs_m1, self.coord_abs_m3
+        return p3 * m3 + 3.0 * (p1 * p2 - p3) * m1 + (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) * m1**3
 
     def __repr__(self):
         return f"SourceDistribution({self.name!r}, k={self.k})"
@@ -143,7 +149,7 @@ def _raw_row_bytes(src, n):
     uniform (one 32-bit word a summand).
     """
     if isinstance(src, NonIIDSource):
-        signs = src.scalar_scaled and all(base.name == "rademacher" for base, _ in src.components)
+        signs = all(sc.ndim == 0 and base.name == "rademacher" for base, sc in src.components)
         return src.k * -(-src.n // 8) if signs else None
     if src.sum_sampler is _rademacher_sum:
         return src.k * -(-n // 8)
@@ -280,34 +286,32 @@ def _exponential_sum(gen, m, k, n):
 
 
 def gaussian_source(k: int) -> SourceDistribution:
-    rho3 = 2.0**1.5 * math.gamma((k + 3) / 2.0) / math.gamma(k / 2.0)
     m1 = math.sqrt(2.0 / math.pi)
     return SourceDistribution(
-        "gaussian", k, _gaussian_sampler, m1, 2.0 * m1, rho3, sum_sampler=_gaussian_sum
+        "gaussian", k, _gaussian_sampler, m1, 2.0 * m1,
+        lambda k: 2.0**1.5 * math.gamma((k + 3) / 2.0) / math.gamma(k / 2.0),
+        sum_sampler=_gaussian_sum,
     )
 
 
 def rademacher_source(k: int) -> SourceDistribution:
-    # ||Y|| = sqrt(k) almost surely
     return SourceDistribution(
-        "rademacher", k, _rademacher_sampler, 1.0, 1.0, float(k) ** 1.5,
+        "rademacher", k, _rademacher_sampler, 1.0, 1.0,
+        lambda k: float(k) ** 1.5,  # ||Y|| = sqrt(k) almost surely
         sum_sampler=_rademacher_sum,
     )
 
 
 def uniform_source(k: int) -> SourceDistribution:
-    m1 = _SQRT3 / 2.0
-    m3 = 3.0 * _SQRT3 / 4.0
     return SourceDistribution(
-        "uniform", k, _uniform_sampler, m1, m3, m3 if k == 1 else None, sum_sampler=_uniform_sum
+        "uniform", k, _uniform_sampler, _SQRT3 / 2.0, 3.0 * _SQRT3 / 4.0,
+        sum_sampler=_uniform_sum,
     )
 
 
 def exponential_source(k: int) -> SourceDistribution:
-    m1 = 2.0 / math.e
-    m3 = 12.0 / math.e - 2.0
     return SourceDistribution(
-        "exponential", k, _exponential_sampler, m1, m3, m3 if k == 1 else None,
+        "exponential", k, _exponential_sampler, 2.0 / math.e, 12.0 / math.e - 2.0,
         sum_sampler=_exponential_sum,
     )
 
@@ -326,65 +330,59 @@ def make_source(name: str, k: int) -> SourceDistribution:
     return SOURCES[name](k)
 
 
-def _tensor_norm3(nodes_1d, weights_1d, k):
-    """E (sum_i X_i^2)^{3/2} for a product law given 1D nodes/weights.
+def _uniform_log_laplace(s):
+    x = np.sqrt(3.0 * s)
+    return np.log(0.5 * math.sqrt(math.pi) * special.erf(x) / x)
 
-    The squared norms are summed in coordinate order, one outer sum per
-    coordinate, so the grid holds two full-size arrays (norms and weights)
-    and no per-coordinate copies.  The dot is one call over the whole grid:
-    summing it in chunks would change its rounding.
+
+def _exponential_log_laplace(s):
+    # E e^{-s (E - 1)^2} = sqrt(pi / 4s) e^{-s} erfcx(z), z = 1/(2 sqrt s) - sqrt s; where
+    # z < 0, erfcx overflows, and e^{-s} erfcx(z) is taken as e^{1/(4s) - 1} erfc(z)
+    z = 0.5 / np.sqrt(s) - np.sqrt(s)
+    tail = np.where(z >= 0.0, np.log(special.erfcx(np.maximum(z, 0.0))) - s,
+                    np.log(special.erfc(np.minimum(z, 0.0))) + 0.25 / s - 1.0)
+    return 0.5 * np.log(0.25 * math.pi / s) + tail
+
+
+# per catalogue law: log L(s) = log E e^{-s Y^2} of one coordinate, E Y^4 and E Y^6
+_LAPLACE = {
+    "gaussian": (lambda s: -0.5 * np.log1p(2.0 * s), 3.0, 15.0),
+    "rademacher": (np.negative, 1.0, 1.0),
+    "uniform": (_uniform_log_laplace, 9.0 / 5.0, 27.0 / 7.0),
+    "exponential": (_exponential_log_laplace, 9.0, 265.0),
+}
+_S0, _PANELS = 1e-5, 52  # unit panels of u = ln s from s0 to S = s0 e^52 = e^40.49
+
+
+@lru_cache(maxsize=64)  # once per law and scales
+def _rho3_integral(law: str, scales: tuple) -> tuple[float, float]:
+    """(E ||d Y||^3, an error bound) for scales d and Y of iid coordinates of a catalogue law.
+
+    x^{3/2} = 3/(4 sqrt pi) int_0^inf (e^{-sx} - 1 + sx) s^{-5/2} ds at x = X = ||d Y||^2, and
+    E e^{-sX} = prod_i L(d_i^2 s).  With d divided by its largest entry, it is 16-node
+    Gauss-Legendre on unit panels of u = ln s from s0 to S, the series E X^2 sqrt(s0) -
+    E X^3 s0^{3/2} / 9 below s0 and 2 E X / sqrt(S) above S (where prod_i L < 1e-8).  The
+    bound adds the shift when the series also takes the first panel (its error grows
+    12-fold) and 4 ulp per coordinate in each log L (2 measured) over int_{s0}^inf s^{-5/2} ds.
     """
-    squares = np.square(nodes_1d)
-    sq, wts = squares, weights_1d
-    for _ in range(k - 1):
-        sq = np.add.outer(sq, squares).ravel()
-        wts = np.multiply.outer(wts, weights_1d).ravel()
-    return float(wts @ np.power(sq, 1.5, out=sq))
-
-
-_RHO3_DRAWS = 1 << 20
-_RHO3_CHUNK = 1 << 16
-
-
-@lru_cache(maxsize=32)
-def _numeric_rho3(name: str, k: int) -> MomentSummary:
-    """rho3 by tensor quadrature with a step-doubling error estimate, or by Monte Carlo above k = 4.
-
-    The quadrature takes 32^k and 64^k nodes (128 MiB per full-size array at
-    k = 4; see `_tensor_norm3`).  Monte Carlo takes 2^20 draws from one
-    generator, 2^16 rows at a time, and keeps only their norms cubed: the
-    stream is read in the same order as one 2^20-row call, so the draws and
-    the result are the same.
-    """
-    if k > 4:
-        # stable across processes (str hash is randomized)
-        tag = sum(ord(c) for c in name) + 131 * k
-        gen = RngStream(tag, stream_id=313).generator()
-        src = make_source(name, k)
-        vals = []
-        for _ in range(_RHO3_DRAWS // _RHO3_CHUNK):
-            draws = src.sample(gen, _RHO3_CHUNK)
-            vals.append(np.power(np.sum(draws * draws, axis=1), 1.5))
-        vals = np.concatenate(vals)
-        return MomentSummary(
-            method="monte-carlo",
-            estimation_error=float(np.std(vals) / math.sqrt(len(vals))),
-            rho3=float(np.mean(vals)),
-        )
-
-    def value(n_nodes):
-        if name == "uniform":
-            x, w = gauss_legendre_1d(n_nodes)
-            return _tensor_norm3(_SQRT3 * x, 0.5 * w, k)
-        if name == "exponential":
-            x, w = np.polynomial.laguerre.laggauss(n_nodes)
-            return _tensor_norm3(x - 1.0, w, k)
-        raise DomainError(f"no quadrature rule for source {name!r}")
-
-    coarse, fine = value(32), value(64)
-    return MomentSummary(
-        method="exact", estimation_error=abs(fine - coarse), rho3=fine
-    )
+    if law not in _LAPLACE:
+        raise DomainError(f"no Laplace transform for source {law!r}")
+    log_laplace, m4, m6 = _LAPLACE[law]
+    d = np.abs(np.asarray(scales, dtype=float))
+    top = float(np.max(d, initial=0.0))
+    c, count = np.unique(np.square(d[d > 0.0] / top), return_counts=True)
+    # E X^2 and E X^3 from the cumulants of X = sum_i c_i Y_i^2
+    k1, k2, k3 = count @ c, count @ c**2 * (m4 - 1.0), count @ c**3 * (m6 - 3.0 * m4 + 2.0)
+    ex2, ex3 = k2 + k1**2, k3 + 3.0 * k2 * k1 + k1**3
+    x, w = gauss_legendre_1d(16)
+    s = _S0 * np.exp(np.arange(_PANELS)[:, None] + 0.5 * (x + 1.0))
+    log_l = sum(n * log_laplace(ci * s) for ci, n in zip(c, count))
+    panels = ((np.expm1(log_l) + k1 * s) * s**-1.5) @ (0.5 * w)  # ds = s du
+    h0, h1 = (ex2 * math.sqrt(a) - ex3 * a**1.5 / 9.0 for a in (_S0, math.e * _S0))
+    value = h0 + panels.sum() + 2.0 * k1 / math.sqrt(_S0 * math.exp(_PANELS))
+    error = abs(h1 - h0 - panels[0]) + 8.0 / 3.0 * np.finfo(float).eps * count.sum() * _S0**-1.5
+    scale = 0.75 / math.sqrt(math.pi) * top**3
+    return float(scale * value), float(scale * error)
 
 
 class NonIIDSource:
@@ -413,45 +411,21 @@ class NonIIDSource:
         _, sc = self.components[j]
         return np.diag(np.broadcast_to(np.square(sc), (self.k,)).copy())
 
-    @property
-    def scalar_scaled(self) -> bool:
-        return all(sc.ndim == 0 for _, sc in self.components)
-
     def moment_summary(self) -> MomentSummary:
-        """beta3 and gamma3; exact for scalar scales of exact-moment bases."""
-        if self.scalar_scaled:
-            beta3 = 0.0
-            gamma3 = 0.0
-            err = 0.0
-            method = "exact"
-            for src, sc in self.components:
-                summary = src.rho3_summary()
-                s3 = float(sc) ** 3
-                beta3 += s3 * summary.rho3
-                gamma3 += s3 * src.gamma3_base()
-                err += s3 * summary.estimation_error
-                if summary.method != "exact":
-                    method = "monte-carlo"
-            return MomentSummary(
-                method=method, estimation_error=err, beta3=beta3, gamma3=gamma3
-            )
-        # vector scales: Monte Carlo with error bars
-        stream = RngStream(self.n * 1009 + self.k, stream_id=414)
-        gen = stream.generator()
-        m = 1 << 18
-        beta3 = 0.0
-        gamma3 = 0.0
-        err = 0.0
+        """beta3 = sum_j E ||X_j||^3 and gamma3 = sum_j E (sum_i |X_j^(i)|)^3; a scalar scale s
+        takes s^3 times its base's moments, a vector scale `_rho3_integral` and `gamma3_base`."""
+        beta3 = gamma3 = err = 0.0
         for src, sc in self.components:
-            draws = sc * src.sample(gen, m)
-            b = np.power(np.sum(draws * draws, axis=1), 1.5)
-            g = np.power(np.sum(np.abs(draws), axis=1), 3)
-            beta3 += float(np.mean(b))
-            gamma3 += float(np.mean(g))
-            err += float(np.std(b) / math.sqrt(m))
-        return MomentSummary(
-            method="monte-carlo", estimation_error=err, beta3=beta3, gamma3=gamma3
-        )
+            if sc.ndim:
+                rho3, error = _rho3_integral(src.name, tuple(sc.tolist()))
+                gamma3 += src.gamma3_base(np.abs(sc))
+            else:
+                summary, s3 = src.rho3_summary(), abs(float(sc)) ** 3
+                rho3, error = s3 * summary.rho3, s3 * summary.estimation_error
+                gamma3 += s3 * src.gamma3_base()
+            beta3 += rho3
+            err += error
+        return MomentSummary(estimation_error=err, beta3=beta3, gamma3=gamma3)
 
     def __repr__(self):
         names = {src.name for src, _ in self.components}
@@ -461,6 +435,7 @@ class NonIIDSource:
 def noniid_catalog(base_name: str, k: int, n: int, profile: str = "linear") -> NonIIDSource:
     """Non-iid source with sigma_j^2 proportional to a weight profile."""
     base = make_source(base_name, k)
+    n = check_count("n", n, 1)
     j = np.arange(1, n + 1, dtype=float)
     if profile == "linear":
         weights = j
@@ -483,12 +458,12 @@ def normalizer_matrix(src: NonIIDSource, j: int) -> np.ndarray:
         )
     N = evecs @ np.diag(evals**-0.5) @ evecs.T
     summary = src.moment_summary()
-    if summary.method == "exact" and summary.beta3 is not None and summary.beta3 < 1.0:
+    if summary.beta3 is not None and summary.beta3 < 1.0:
         cap = 1.0 / (1.0 - summary.beta3 ** (2.0 / 3.0))
         if float(np.max(1.0 / evals)) > cap * (1.0 + 1e-9):
             raise DegeneracyError(
                 "the normalizer exceeds the beta3 cap 1 / (1 - beta3^(2/3)); "
-                "the exact third-moment summary is inconsistent with Cov X_j"
+                "the third-moment summary is inconsistent with Cov X_j"
             )
     return N
 
@@ -735,7 +710,7 @@ def stein_discrepancy_hat(
 
 
 def moment_summary(src) -> MomentSummary:
-    """rho3 for iid sources; beta3/gamma3 for non-iid sources."""
+    """rho3 for iid sources, beta3 and gamma3 for non-iid ones, each up to its error bound."""
     if isinstance(src, NonIIDSource):
         return src.moment_summary()
     return src.rho3_summary()

@@ -12,18 +12,20 @@ scrambled-Sobol QMC measure, and of the README's `dim-scan` command at
 M = 20000.  `omega_star_hat` of a stretched and a spherical ellipsoid at
 k = 2, 3 is pinned as `float.hex` text: a QMC count over 2^16 points, so each
 shell mass is exact in binary.  The measures and check suites were recorded
-with steinclt 0.3.0, and 0.3.1, 0.3.2 and 0.4.0 give the same bytes; the
+with steinclt 0.3.0, and 0.3.1, 0.3.2, 0.4.0 and 0.5.0 give the same bytes; the
 gaussian `discrepancy` body was recorded with 0.3.2 and matches 0.3.1, and the
 k = 1 uniform and exponential `delta` bodies were recorded with 0.3.2 before
 `SetFamily.counts` compared each repeated level once.  The three iid
 Rademacher bodies (`discrepancy`, `delta` and `dim-scan`) were recorded with
-0.4.0, which draws those sums from one raw Philox bit per sign; every other
-body keeps its 0.3.2 bytes.
+0.4.0, which draws those sums from one raw Philox bit per sign.  The uniform
+k = 2 `bounds` body was recorded with 0.5.0, which takes the uniform rho3 at
+k >= 2 from one 1-D integral in place of a tensor grid; every other body keeps
+its 0.3.2 or 0.4.0 bytes under 0.5.0.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
-it.  A steinclt release that moves drawn numbers records new digests; under
-other versions each test fails and names both rather than skip, because a
-digest that cannot be checked has not passed.
+it.  A steinclt release that moves drawn numbers or printed moments records
+new digests; under other versions each test fails and names both rather than
+skip, because a digest that cannot be checked has not passed.
 """
 
 import hashlib
@@ -44,7 +46,7 @@ from steinclt.convex import _NCX2_SERIES_Z
 
 HERE = Path(__file__).resolve().parent
 
-RECORDED_VERSIONS = {"steinclt": "0.4.0", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.5.0", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 FAMILY_MEASURES = {
     1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
@@ -77,7 +79,7 @@ CLI_CSV_BODIES = {
     "delta --source exponential --k 1 --n 4,256 --M 20000 --seed 7":
         "17e161b20e247d9d07db3f23b96090d82efa9416576eda261a978d13da2aa244",
     "bounds --source uniform --k 2 --n 16,64 --M 20000 --seed 7 --constant c=1.0":
-        "a23acbd4717146c0b2c25462c60afdd26dad6653f45a4c5061ad23117faed5c5",
+        "876d4178b4c933e01c9589143ac21cbb01b7c2683fd1d58a0d3f590f084e061a",
     "bounds --source gaussian --k 1 --n 32 --M 20000 --seed 7 --noniid-profile linear":
         "6b0c2410016eb70a5a34f4f17455115fe6a125b1a85c717dd51d362e8d6398dd",
     "dim-scan --source rademacher --k-list 1,2,3,4 --n-list 64 --M 20000 --seed 7":

@@ -40,6 +40,8 @@ from steinclt import sources
 from steinclt.errors import DegeneracyError, DomainError
 from steinclt.sources import BLOCK_SIZE
 
+from conftest import _VECTOR_SCALES
+
 
 def test_moment_closed_forms():
     assert rademacher_source(3).rho3 == pytest.approx(3.0**1.5, abs=1e-14)
@@ -52,15 +54,15 @@ def test_rho3_quadrature_vs_monte_carlo():
     for factory in (uniform_source, exponential_source):
         src = factory(2)
         summary = src.rho3_summary()
-        assert summary.method == "exact"
         draws = src.sample(RngStream(101, stream_id=1).generator(), 1 << 19)
         mc = np.power(np.sum(draws * draws, axis=1), 1.5)
         se = float(np.std(mc) / math.sqrt(len(mc)))
         assert summary.rho3 == pytest.approx(float(np.mean(mc)), abs=4 * se)
 
 
-# _numeric_rho3 as the meshgrid quadrature and the single 2^20-row Monte
-# Carlo call computed it: (rho3, estimation_error) per (law, k)
+# rho3 as the library computed it before the 1-D integral, (rho3, its stated
+# error) per (law, k): a 32^k against 64^k tensor grid at k <= 4 and 2^20 Monte
+# Carlo draws at k = 5
 _NUMERIC_RHO3 = {
     ("uniform", 2): (3.25892694806509, 2.0347853624258505e-07),
     ("uniform", 3): (5.723019983508481, 1.2425080520017673e-08),
@@ -73,11 +75,26 @@ _NUMERIC_RHO3 = {
 }
 
 
+_CLOSED_RHO3 = [(name, k) for name in ("gaussian", "rademacher") for k in (1, 2, 3, 4, 8, 32, 128)]
+
+
+@pytest.mark.parametrize("name, k", _CLOSED_RHO3 + [("uniform", 1), ("exponential", 1)])
+def test_rho3_integral_matches_the_closed_forms(name, k):
+    value, error = sources._rho3_integral(name, (1.0,) * k)
+    exact = make_source(name, k).rho3
+    assert value == pytest.approx(exact, rel=1e-8)
+    # the stated error bound covers the error
+    assert abs(value - exact) <= error <= 1e-7 * exact
+
+
 @pytest.mark.parametrize("name, k", sorted(_NUMERIC_RHO3))
-def test_numeric_rho3_keeps_its_bits(name, k):
-    summary = sources._numeric_rho3(name, k)
-    assert (summary.rho3, summary.estimation_error) == _NUMERIC_RHO3[name, k]
-    assert summary.method == ("exact" if k <= 4 else "monte-carlo")
+def test_rho3_integral_agrees_with_the_grid_and_monte_carlo_it_replaced(name, k):
+    summary = make_source(name, k).rho3_summary()
+    old, old_error = _NUMERIC_RHO3[name, k]
+    if k <= 4:
+        assert abs(summary.rho3 - old) <= old_error + 1e-8
+    else:
+        assert abs(summary.rho3 - old) <= 4.0 * old_error
 
 
 def _traced_peak_mib(fn):
@@ -90,12 +107,11 @@ def _traced_peak_mib(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("k, limit", [(3, 6.0), (5, 24.0)])
-def test_numeric_rho3_holds_no_full_size_temporaries(k, limit):
-    # the meshgrid quadrature peaked at 12.0 MiB at k = 3, and one 2^20-row
-    # Monte Carlo call at 88 MiB at k = 5 (k = 4 peaks at 258 MiB: too much here)
-    sources._numeric_rho3.cache_clear()
-    assert _traced_peak_mib(lambda: sources._numeric_rho3("uniform", k)) <= limit
+@pytest.mark.parametrize("k", [4, 128])
+def test_rho3_integral_holds_no_grid(k):
+    # the 64^k tensor grid it replaced peaked at 258 MiB at k = 4
+    sources._rho3_integral.cache_clear()
+    assert _traced_peak_mib(lambda: sources._rho3_integral("exponential", (1.0,) * k)) <= 1.0
 
 
 def test_a_uniform_block_holds_one_small_chunk_of_raw_words():
@@ -324,6 +340,13 @@ def test_other_noniid_sources_keep_their_draws():
 @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, "4", None])
 def test_sample_sum_and_delta_hat_reject_bad_counts(bad):
     src, fam = rademacher_source(1), default_family(1)
+    for name in ("gaussian", "rademacher", "uniform", "exponential"):
+        with pytest.raises(DomainError):
+            make_source(name, bad)
+        with pytest.raises(DomainError):
+            noniid_catalog(name, 2, bad)
+        with pytest.raises(DomainError):
+            noniid_catalog(name, bad, 4)
     with pytest.raises(DomainError):
         sample_sum(src, bad, RngStream(124), size=8)
     with pytest.raises(DomainError):
@@ -367,6 +390,64 @@ def test_noniid_moments_and_inequalities():
             assert summary.beta3 is not None and summary.gamma3 is not None
             assert summary.gamma3 <= k**1.5 * summary.beta3 + 1e-12
             assert summary.beta3 > 0
+
+
+def _monte_carlo_moments(src):
+    """(beta3, gamma3) and their standard errors from 2^18 draws per component, the
+    estimator that vector-scaled sources took before `_rho3_integral`."""
+    gen = RngStream(src.n * 1009 + src.k, stream_id=414).generator()
+    m = 1 << 18
+    sums = np.zeros((2, 2))
+    for base, sc in src.components:
+        draws = sc * base.sample(gen, m)
+        norm3 = np.power(np.sum(draws * draws, axis=1), 1.5)
+        abs3 = np.power(np.sum(np.abs(draws), axis=1), 3)
+        sums += [[norm3.mean(), norm3.var() / m], [abs3.mean(), abs3.var() / m]]
+    return sums[:, 0], np.sqrt(sums[:, 1])
+
+
+def _criterion_10_source():
+    d0 = RngStream(6, stream_id=60).generator().uniform(0.1, 0.7, size=3)
+    return NonIIDSource([(uniform_source(3), d0), (uniform_source(3), np.sqrt(1.0 - d0**2))])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NonIIDSource([(uniform_source(2), s) for s in _VECTOR_SCALES]),
+    _criterion_10_source,
+    lambda: NonIIDSource([(exponential_source(2), [0.6, 0.8]), (gaussian_source(2), [0.8, 0.6])]),
+])
+def test_vector_scaled_moments_agree_with_monte_carlo(build):
+    src = build()
+    summary = src.moment_summary()
+    means, std_errors = _monte_carlo_moments(src)
+    assert abs(summary.beta3 - means[0]) <= 4.0 * std_errors[0]
+    assert abs(summary.gamma3 - means[1]) <= 4.0 * std_errors[1]
+    assert 0.0 < summary.estimation_error <= 1e-7
+
+
+def test_vector_scaled_rademacher_moments_are_exact():
+    # |Y_i| = 1, so E ||d Y||^3 = ||d||^3 and E (sum_i d_i |Y_i|)^3 = (sum_i d_i)^3
+    summary = NonIIDSource([(rademacher_source(2), d) for d in _VECTOR_SCALES]).moment_summary()
+    beta3 = sum(np.linalg.norm(d) ** 3 for d in _VECTOR_SCALES)
+    assert abs(summary.beta3 - beta3) <= summary.estimation_error <= 1e-7
+    assert summary.gamma3 == pytest.approx(sum(d.sum() ** 3 for d in _VECTOR_SCALES), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "rademacher", "uniform", "exponential"])
+def test_equal_vector_scales_give_the_scalar_moments(name):
+    s = math.sqrt(0.5)
+    base = make_source(name, 3)
+    vector = NonIIDSource([(base, [s, s, s])] * 2).moment_summary()
+    scalar = NonIIDSource([(base, s)] * 2).moment_summary()
+    assert vector.gamma3 == pytest.approx(2.0 * s**3 * base.gamma3_base(), rel=1e-12, abs=0.0)
+    assert vector.gamma3 == pytest.approx(scalar.gamma3, rel=1e-12, abs=0.0)
+    assert vector.beta3 == pytest.approx(scalar.beta3, rel=1e-8, abs=0.0)
+    # zero scales contribute nothing
+    padded = NonIIDSource([(base, [s, s, s])] * 2 + [(base, [0.0, 0.0, 0.0])]).moment_summary()
+    assert (padded.beta3, padded.gamma3) == (vector.beta3, vector.gamma3)
+    # a scale enters through its magnitude, as it does in Cov X_j
+    flipped = NonIIDSource([(base, -s), (base, [-s, s, -s])]).moment_summary()
+    assert (flipped.beta3, flipped.gamma3) == pytest.approx((vector.beta3, vector.gamma3), rel=1e-8)
 
 
 def test_noniid_rademacher_gamma_equality():
@@ -413,11 +494,11 @@ def test_normalizer_matrix_degenerate_raises():
 
 
 def test_normalizer_matrix_beyond_beta3_cap_raises():
-    # an exact summary whose beta3 understates Cov X_j breaks the cap
+    # a summary whose beta3 understates Cov X_j breaks the cap
     # 1 / (1 - beta3^(2/3)) on |N_j|^2, which must fail with a typed error
     class UnderstatedSource(NonIIDSource):
         def moment_summary(self):
-            return MomentSummary(method="exact", estimation_error=0.0, beta3=0.5, gamma3=0.5)
+            return MomentSummary(estimation_error=0.0, beta3=0.5, gamma3=0.5)
 
     base = gaussian_source(1)
     src = UnderstatedSource([(base, math.sqrt(0.9)), (base, math.sqrt(0.1))])
