@@ -320,6 +320,10 @@ class HalfSpace(ConvexSet):
 # z = 2 instead costs more than a digit at k = 5.
 _NCX2_SERIES_Z = 4.0
 _NCX2_SERIES_TERMS = 16
+# The recurrence above the switch climbs from Bessel order 0 or 1/2 and loses
+# 4.3e-14 by k = 6 but 3.8e-13 at k = 8; past this k each order takes scipy's
+# scaled I_n, within 2e-14 (against 40-digit values at z = 4..10)
+_NCX2_UPWARD_K = 6
 # F_k(q; nc) = P(|Z + mu| <= sqrt(q)) with |mu| = sqrt(nc) is at most
 # P(|Z| >= sqrt(nc) - sqrt(q)) <= exp(-(sqrt(nc) - sqrt(q) - sqrt(k))^2 / 2), by
 # Gaussian concentration of the 1-Lipschitz |Z| about E|Z| <= sqrt(k).  Past
@@ -361,61 +365,104 @@ def _ncx2_cdf(q: float, k: int, nc):
     return out
 
 
+@lru_cache(maxsize=64)
+def _ncx2_series_coefficients(k: int, count: int) -> np.ndarray:
+    """Read-only 1/(m! (n+1)_m) at row m < _NCX2_SERIES_TERMS, column n = k/2 + j < k/2 + count.
+
+    Each is the quotient of integers 2^m / (m! (k+2j+2)(k+2j+4)...(k+2j+2m)), rounded once.
+    """
+    table = np.array([
+        [2**m / (math.factorial(m) * math.prod(range(k + 2 * j + 2, k + 2 * j + 2 * m + 1, 2)))
+         for j in range(count)]
+        for m in range(_NCX2_SERIES_TERMS)
+    ])
+    table.flags.writeable = False  # cached: shared by every caller and thread
+    return table
+
+
+def _ncx2_series(k: int, count: int, lam, q, lead) -> np.ndarray:
+    """The series densities, shape (count,) + lam.shape; q and lead broadcast against lam."""
+    coef = _ncx2_series_coefficients(k, count)
+    coef = coef.reshape(coef.shape + (1,) * lam.ndim)
+    x = lam * (q / 4.0)
+    out = np.empty((count,) + x.shape)
+    low = 1 if count == 3 else 0  # three orders: sum the top two, recur down
+    acc = out[low:]
+    np.multiply(x, coef[-1, low:], out=acc)
+    for c in coef[-2:0:-1, low:]:  # Horner
+        acc += c
+        acc *= x
+    acc += coef[0, low:]
+    if low:  # g_{n-1} = g_n + x g_{n+1} / (n (n+1)), n = k/2 + 1
+        out[0] = out[1] + x * out[2] * (4.0 / ((k + 2) * (k + 4)))
+    pre = 0.5 * np.exp(lead - lam / 2.0)
+    out[0] *= pre
+    for j in range(1, count):
+        pre *= q / (k + 2 * j)  # (q/2) / (n+1) from order n = k/2 + j - 1
+        out[j] *= pre
+    return out
+
+
+def _ncx2_closed(k: int, count: int, lam, z, q) -> np.ndarray:
+    """The densities above the series switch, shape (count,) + lam.shape."""
+    r, rho = np.sqrt(q), np.sqrt(lam)
+    if k % 2 and k <= _NCX2_UPWARD_K:
+        # f_1, f_3 = (phi(r - rho) +- phi(r + rho)) / (2r, 2 rho)
+        near, far = norm_pdf(r - rho), np.exp(-2.0 * z)  # phi(r + rho) = near * far
+        lo = near * (1.0 + far) / (2.0 * r)
+        hi = near * (1.0 - far) / (2.0 * rho)
+        nu = 3
+    else:
+        half_kernel = 0.5 * np.exp(-0.5 * (r - rho) ** 2)
+        if k > _NCX2_UPWARD_K:  # f_nu = half_kernel (r/rho)^n ive(n, z)
+            return np.array([half_kernel * (r / rho) ** n * special.ive(n, z)
+                             for n in k / 2.0 + np.arange(count)])
+        lo = half_kernel * special.i0e(z)
+        hi = half_kernel * (r / rho) * special.i1e(z)
+        nu = 4
+    dens = []  # hi is f_nu, lo is f_{nu-2}
+    while nu < k + 2 * count:
+        if nu >= k + 2:
+            dens.append(hi)
+        lo, hi, nu = hi, (q * lo - (nu - 2) * hi) / lam, nu + 2
+    dens.append(hi)
+    return np.array(dens)
+
+
 def _ncx2_densities(q, k: int, lam, count: int) -> np.ndarray:
     """Noncentral chi-square densities f_{k+2}, ..., f_{k+2*count}, shape (count,) + lam.shape.
 
     q is a float or an array broadcasting against lam, one q per OU time
     for the ball's batch of nodes: log(q/2) is taken with math per entry of q.
 
-    f_nu(q; lam) = 1/2 e^{-(q+lam)/2} (q/lam)^{nu/4-1/2} I_{nu/2-1}(sqrt(lam q))
-    (Johnson, Kotz & Balakrishnan 1995, ch. 29).  For z = sqrt(lam q) above
-    the switch, the recurrence lam f_{nu+2} = q f_{nu-2} - (nu-2) f_nu runs
-    upward from f_1, f_3 (elementary, half-integer orders) for odd k, or from
-    f_2, f_4 (scaled I_0, I_1) for even k.  Below it, including lam = 0,
-    f_nu = 1/2 (q/2)^n e^{-(q+lam)/2} sum_m (lam q/4)^m / (m! Gamma(m+n+1))
-    with n = nu/2 - 1, evaluated only on those rows.
+    f_nu(q; lam) = 1/2 e^{-(q+lam)/2} (q/lam)^{n/2} I_n(sqrt(lam q)) with
+    n = nu/2 - 1 (Johnson, Kotz & Balakrishnan 1995, ch. 29).  Up to the
+    switch in z = sqrt(lam q), including lam = 0, it is 1/2 (q/2)^n
+    e^{-(q+lam)/2} g_n(x) / Gamma(n+1), g_n(x) = sum_m x^m / (m! (n+1)_m) at
+    x = lam q/4: Horner over the cached `_ncx2_series_coefficients`, with no
+    division.  One exp per entry gives the lowest order's prefactor, each
+    order above takes the one below times (q/2)/(n+1), and for three orders
+    the lowest sum comes from the top two by g_{n-1} = g_n + x g_{n+1} /
+    (n (n+1)), whose terms are positive.  Above the switch the recurrence
+    lam f_{nu+2} = q f_{nu-2} - (nu-2) f_nu climbs from f_1, f_3 (elementary)
+    for odd k or f_2, f_4 (scaled I_0, I_1) for even k, up to
+    `_NCX2_UPWARD_K`.  A batch wholly on one side is not gathered.
     """
     q = np.asarray(q, dtype=float)
     log_half_q = _per_node(lambda v: math.log(v / 2.0) if v > 0.0 else -math.inf, q.ravel())
-    log_half_q = np.broadcast_to(log_half_q.reshape(q.shape), lam.shape)
-    root_q = np.broadcast_to(np.sqrt(q), lam.shape)
-    q = np.broadcast_to(q, lam.shape)
+    lead = k / 2.0 * log_half_q.reshape(q.shape) - q / 2.0 - math.lgamma(k / 2.0 + 1.0)
     z = np.sqrt(q * lam)
-    out = np.empty((count,) + lam.shape)
     series = z <= _NCX2_SERIES_Z
-    if series.any():
-        ls, qs = lam[series], q[series]
-        n = k / 2.0 + np.arange(count)[:, None]
-        x = ls * (qs / 4.0)
-        acc = np.ones((count, len(ls)))
-        for m in range(_NCX2_SERIES_TERMS - 1, 0, -1):  # Horner
-            acc *= x
-            acc /= m * (m + n)
-            acc += 1.0
-        lead = n * log_half_q[series] - qs / 2.0 - special.gammaln(n + 1.0)
-        out[:, series] = 0.5 * np.exp(lead - ls / 2.0) * acc
+    on_series = np.count_nonzero(series)
+    if on_series == series.size:
+        return _ncx2_series(k, count, lam, q, lead)
+    if not on_series:
+        return _ncx2_closed(k, count, lam, z, q)
+    out = np.empty((count,) + lam.shape)
+    q, lead = np.broadcast_to(q, lam.shape), np.broadcast_to(lead, lam.shape)
+    out[:, series] = _ncx2_series(k, count, lam[series], q[series], lead[series])
     closed = ~series
-    if closed.any():
-        lc, zc, q = lam[closed], z[closed], q[closed]
-        r, rho = root_q[closed], np.sqrt(lc)
-        if k % 2:
-            # f_1, f_3 = (phi(r - rho) +- phi(r + rho)) / (2r, 2 rho)
-            near, far = norm_pdf(r - rho), np.exp(-2.0 * zc)  # phi(r + rho) = near * far
-            lo = near * (1.0 + far) / (2.0 * r)
-            hi = near * (1.0 - far) / (2.0 * rho)
-            nu = 3
-        else:
-            half_kernel = 0.5 * np.exp(-0.5 * (r - rho) ** 2)
-            lo = half_kernel * special.i0e(zc)
-            hi = half_kernel * (r / rho) * special.i1e(zc)
-            nu = 4
-        dens = []  # hi is f_nu, lo is f_{nu-2}
-        while nu < k + 2 * count:
-            if nu >= k + 2:
-                dens.append(hi)
-            lo, hi, nu = hi, (q * lo - (nu - 2) * hi) / lc, nu + 2
-        dens.append(hi)
-        out[:, closed] = dens
+    out[:, closed] = _ncx2_closed(k, count, lam[closed], z[closed], q[closed])
     return out
 
 

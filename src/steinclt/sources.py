@@ -35,7 +35,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
@@ -413,7 +413,12 @@ class NonIIDSource:
 
     def moment_summary(self) -> MomentSummary:
         """beta3 = sum_j E ||X_j||^3 and gamma3 = sum_j E (sum_i |X_j^(i)|)^3; a scalar scale s
-        takes s^3 times its base's moments, a vector scale `_rho3_integral` and `gamma3_base`."""
+        takes s^3 times its base's moments, a vector scale `_rho3_integral` and `gamma3_base`.
+        The components are fixed at construction, so it is computed once per source."""
+        return self._moment_summary
+
+    @cached_property
+    def _moment_summary(self) -> MomentSummary:
         beta3 = gamma3 = err = 0.0
         for src, sc in self.components:
             if sc.ndim:

@@ -12,15 +12,19 @@ scrambled-Sobol QMC measure, and of the README's `dim-scan` command at
 M = 20000.  `omega_star_hat` of a stretched and a spherical ellipsoid at
 k = 2, 3 is pinned as `float.hex` text: a QMC count over 2^16 points, so each
 shell mass is exact in binary.  The measures and check suites were recorded
-with steinclt 0.3.0, and 0.3.1, 0.3.2, 0.4.0 and 0.5.0 give the same bytes; the
-gaussian `discrepancy` body was recorded with 0.3.2 and matches 0.3.1, and the
-k = 1 uniform and exponential `delta` bodies were recorded with 0.3.2 before
-`SetFamily.counts` compared each repeated level once.  The three iid
-Rademacher bodies (`discrepancy`, `delta` and `dim-scan`) were recorded with
-0.4.0, which draws those sums from one raw Philox bit per sign.  The uniform
-k = 2 `bounds` body was recorded with 0.5.0, which takes the uniform rho3 at
-k >= 2 from one 1-D integral in place of a tensor grid; every other body keeps
-its 0.3.2 or 0.4.0 bytes under 0.5.0.
+with steinclt 0.3.0, and 0.3.1, 0.3.2, 0.4.0, 0.5.0 and 0.5.1 give the same
+bytes; the gaussian `discrepancy` body was recorded with 0.3.2 and matches
+0.3.1, and the k = 1 uniform and exponential `delta` bodies were recorded with
+0.3.2 before `SetFamily.counts` compared each repeated level once.  The three
+iid Rademacher bodies (`discrepancy`, `delta` and `dim-scan`) were recorded
+with 0.4.0, which draws those sums from one raw Philox bit per sign.  The
+uniform k = 2 `bounds` body was recorded with 0.5.0, which takes the uniform
+rho3 at k >= 2 from one 1-D integral in place of a tensor grid; every other
+body keeps its 0.3.2 or 0.4.0 bytes under 0.5.0 and 0.5.1.  The Stein
+derivatives of the ball and the off-centre ball were recorded with 0.5.1,
+which sums the noncentral chi-square density series over a cached
+coefficient table, so their values moved in the last bits; every other Stein
+digest keeps its earlier bytes.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers or printed moments records
@@ -46,7 +50,7 @@ from steinclt.convex import _NCX2_SERIES_Z
 
 HERE = Path(__file__).resolve().parent
 
-RECORDED_VERSIONS = {"steinclt": "0.5.0", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.5.1", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 FAMILY_MEASURES = {
     1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
@@ -236,52 +240,52 @@ STEIN_DIGESTS = {
         "psi_d3": "a89eb08a8af195794b10414e4c81d3f1749232727ef4d9b61e0eb742aba7d4af",
     },
     ("ball", 1): {
-        "laplacian_drift": "c08a90569809727eb23325ac9b610509dabea59bbce1c4fc3a066fadf2c7dd1f",
-        "psi_d1": "26f6e5f1424fda78a866a60764249ea840bd86aa676ab887930d75b2e1546be3",
-        "psi_d2": "0376b1c84e39dc3e07803df96800b0d90b12a86ee5291537386010ee4e051bac",
-        "psi_d3": "e66116852b25645f98630b7ff6e074c85d25a438e8f3308f0d0836c4aec6cbf6",
+        "laplacian_drift": "9e8760ec1306b2c8520937becf83bd49a178f6c19545f9746626c68fb6182c7b",
+        "psi_d1": "1b38bb625e17d65bffa50354fc044d85adc24ce6441af9fb3f531a6a8ffd1f4c",
+        "psi_d2": "d202ae75c3abf15ae27e60f3d1e0db2fcc1a8aa1ee56b9bb123dfdbb7646864e",
+        "psi_d3": "38f2fedd5f509bb6a0dc5c53f86bfcfe92a1ca58e7dd803ec8ba378b84a39d44",
     },
     ("ball", 2): {
-        "laplacian_drift": "9835b2979e34cc15cac79be1c1e7bb204791625f7cf633a1ff525829c4f12748",
-        "psi_d1": "d21f03e36d01e306e683ffda232d8b2cb3e3717d0e23fc41a61a1ab16a421927",
-        "psi_d2": "aae2eca990ce3e711b006722431b58cbf71e3c10934cb192f73278866a9f8f65",
-        "psi_d3": "dad370b5aa5337ab86e86421948e0dd935f79813db4b59d612e436dc560ef590",
+        "laplacian_drift": "df18e6428024aa8c188360c7e96d721bff05fb26032ab000a90618fe19a969d5",
+        "psi_d1": "d0dc8cace3700cc61acb7b9d1f71d97b1432469786611c0d8f291d4365aeb2b6",
+        "psi_d2": "27c81bae3aa3ad8b53a8e9416b0583fe4a91a230224cdebce01dca6dc55482c7",
+        "psi_d3": "56c1e813cf89bc05b75c61de414926d5b716481cb986946ff7d8e022209427e7",
     },
     ("ball", 3): {
-        "laplacian_drift": "e62d1c85168dd2f4627d640365226eb377da3aebc36bff3a4d8346249ea431a8",
-        "psi_d1": "d719611c6a0ac025a813329afd15d8c8c213a3c093e3109223399e116ba1363d",
-        "psi_d2": "3db72e144bcfaf0081d8927a5a530a21f6d593d737f3bad307977e7f0affef9c",
-        "psi_d3": "88f97f49e451b841d003bf2002c94d92eb05d77aab13e1329fe1b7ecd8813638",
+        "laplacian_drift": "d66ba8ce1bcd4124415e12a8b7c271d58eef227a2a8b259ee4d051b53b9383d6",
+        "psi_d1": "7384234478240311671ce9025ca26fbaa7dae063eb851a6527bd1a6ed4384395",
+        "psi_d2": "2d93b9fd8b122b19f2c9c6c66ca82db2ca710104018d9d3415902159e89be1d8",
+        "psi_d3": "1c045337de59101fde51500357a97e878e908de54892db02e3b0243150425302",
     },
     ("ball", 4): {
-        "laplacian_drift": "d87502710385cff01c3c3901a05a00a35cd685dee7fc4768aa6d063161a879bb",
-        "psi_d1": "36688114972f8da383c4cf52c08ab00c227c9a5087fb737d42dc9fad2ce3e54f",
-        "psi_d2": "b9945c0a03688f7f493f8def86bfa6f9c23749a8e5f1513e4d7f46959b4baebb",
-        "psi_d3": "983b9e2a2e940aab5777d9bb05a33b3c35d72c597f5d9b6aa88ddaf272e6dc28",
+        "laplacian_drift": "4ee80f26990c81d458d48625834da75df0e65a0ef3dee62935f5114acd7cfaca",
+        "psi_d1": "76ad5917467d6458b9c76f567d2a8b5373d4aebc386dec6c2a89171fe9119a72",
+        "psi_d2": "c0b64f61eea9990377d375fd3dc2b424a7687bac4366ac3ac51554939fc22c17",
+        "psi_d3": "3857f3ac7798d80c46b863831e29ebfe44a64ca090338591438fd50a1ef82d04",
     },
     ("ball-off-centre", 1): {
-        "laplacian_drift": "d14eb32b25c52927f5a3961c30f5a26f9a109214220feaff575f22e6d80cf537",
-        "psi_d1": "bf551b31688779d8dfb3c7c51c6acc4b4609ca28f6b924db888a8ade944cfb69",
-        "psi_d2": "ebfe4778ed1f9deb17649c2094dd36d9ac2cda5be4fc6dd19598a99bac6cd45d",
-        "psi_d3": "35463f7b1cabc5c83621d072f39f21c5072f7ec6f30f1d18ede8cc465dbe5f69",
+        "laplacian_drift": "71abefa62d50a9b0ccc7ef364a8df2069f3a872896228205f14a691f1d3a0659",
+        "psi_d1": "9e515f3866d8a32a41efa670500b5e263936ee806c4393443b4d94267cb4fe80",
+        "psi_d2": "96c8b2dab939238c19bd4aff7adde9baf20dc9ff387e20946a76c80bfc0b9a19",
+        "psi_d3": "dd09059398624f7b6bb05bfbcf55537e6dc6aac2cadac3e6732ffad23dbd38e7",
     },
     ("ball-off-centre", 2): {
-        "laplacian_drift": "511ee7300bd658e4d1fb5f96247e97d4da0930786f69bb2cb8093fe0e4b69467",
-        "psi_d1": "32eff052eaf7c319334c88acceacfcd5fbc76a62ff43a9739b730920db425be7",
-        "psi_d2": "3ce4b48073d758b7687974e4b94f8ec934d5bc8567e9b1fdfa7cb8177bff6a10",
-        "psi_d3": "fca871e33f0fcf8ca72c64b3977719aa0e9b187029d3899aaa8ec2f5bdf194eb",
+        "laplacian_drift": "f331e2e33fab2edca4dfad83bcfae81d92fab1107529abaf95fd17842d7ca44f",
+        "psi_d1": "d618c189a439dfd084ea927dd3e730b1699f4a2448cee4a541209a61374a7e8b",
+        "psi_d2": "6b0d93312b6e6ecb8c03c0cb667dd7fca51219f08d51cc7d6f68507b82254315",
+        "psi_d3": "55ef5bb7c2ea5f0790850d5a5922cb2611144574d75936d428f646fd59afcda0",
     },
     ("ball-off-centre", 3): {
-        "laplacian_drift": "023ea45bea1875d4af7c7a0caf16d407c30e1e61acd77f4a8b80462431f80b3a",
-        "psi_d1": "12d43beb24ece3e99c39b8f3618ae52b7049b6f04d6107fe67529505e25f2fbd",
-        "psi_d2": "54889778fcf337f8e4fbe58cf17e25d5a76d36f74778dc456d2655874a40f333",
-        "psi_d3": "85c4718b6a2e430ff036efb6384d25c9b75ce5932e0d2eb087d6d202e5297b14",
+        "laplacian_drift": "09e9709e1bdc4e0112a10101bf0ac8a0c707d31f6f3c2ae632045f34e0456955",
+        "psi_d1": "4542114fb2dd48deb917657ff2a0ebc97d1c99a38b10ade4a344b1c3462546d3",
+        "psi_d2": "ffdb657a01f0166700ead54296f8fd43338d7b47b36be948795588892741c54d",
+        "psi_d3": "c33e4c1f2a40d16f96fdef134259374f02a006e274d6cdcbd7e0a36f19ddf385",
     },
     ("ball-off-centre", 4): {
-        "laplacian_drift": "6db2ee414e62c13640646667acb196448198036c3efe43b344527d6945247d4b",
-        "psi_d1": "c5daa50c29a6aabc48cdb78989ff4cf38d78a695ba914206abdfe4e7e4a1f2d9",
-        "psi_d2": "e56cb30d5b675afd3daca627f551e84eac514a73ce72ecb59e0d2fdf3694e7d4",
-        "psi_d3": "d28ddb2c134f6d9bd18c5a9d170e17ffbd3be6ba5b5e6ddca48a15db08805dfd",
+        "laplacian_drift": "2a7e0478d59289060dc09595c1bd83d4cb6e74075abdcbdfedbdb8ff5c9da15d",
+        "psi_d1": "050d3a608f51b5f7eb72723ff69abb83c3319c842ebe69ea0e19eaea265ee6e6",
+        "psi_d2": "6841aeca50f42f104d80f473ed8f078992e8f724d70c1b5e27cd57bce392a18c",
+        "psi_d3": "840c20b63ad2e917e61c9ae2eea12fd16d7dcb10fab113b9cbf7e6e6b3a4a234",
     },
     ("box", 1): {
         "laplacian_drift": "91f38be319579c7a270040088c1bcc560084acca4c1f7b86d70b798cd8f6d7cc",

@@ -29,7 +29,9 @@ from steinclt import convex
 from steinclt.errors import ConfigurationError, DomainError
 from steinclt.gaussian import norm_cdf, norm_pdf
 from steinclt.quadrature import gauss_hermite_tensor
-from steinclt.convex import _NCX2_SERIES_Z, _ncx2_densities
+from steinclt.convex import (
+    _NCX2_SERIES_TERMS, _NCX2_SERIES_Z, _ncx2_densities, _ncx2_series_coefficients,
+)
 
 
 def _transition_density(t, x, y):
@@ -478,23 +480,50 @@ def test_derivatives_at_an_array_of_times_stack_the_single_time_values(h, quad):
     assert l2.shape == (3,) and l2.tobytes() == lap[:, 2].tobytes()
 
 
-@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
-def test_ncx2_densities_match_scipy(k):
+@pytest.mark.parametrize("count", (1, 2, 3))
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ncx2_densities_match_scipy(k, count):
     # z = sqrt(lam q) on both sides of the switch between the power series
-    # and the closed forms with the Bessel recurrence
-    z = np.array([0.5, 2.0, 0.999 * _NCX2_SERIES_Z, 1.001 * _NCX2_SERIES_Z, 6.0, 12.0])
-    nus = k + 2 + 2 * np.arange(3)
+    # and the closed forms, in batches wholly below it, wholly above it and
+    # across it; an entry's bits do not depend on the rest of its batch
+    below = np.array([0.5, 2.0, 0.999 * _NCX2_SERIES_Z])
+    above = np.array([1.001 * _NCX2_SERIES_Z, 6.0, 12.0])
+    nus = k + 2 + 2 * np.arange(count)
     for q in (0.7, 3.0, 9.0):
-        lam = z**2 / q
-        f = _ncx2_densities(q, k, lam, 3)
-        assert f.shape == (3, len(lam))
-        for row, nu in zip(f, nus):
-            np.testing.assert_allclose(row, stats.ncx2.pdf(q, nu, lam), rtol=5e-14, atol=0)
+        parts = []
+        for z in (below, above, np.concatenate([below, above])):
+            lam = z**2 / q
+            f = _ncx2_densities(q, k, lam, count)
+            assert f.shape == (count, len(lam))
+            for row, nu in zip(f, nus):
+                np.testing.assert_allclose(row, stats.ncx2.pdf(q, nu, lam), rtol=5e-14, atol=0)
+            parts.append(f)
+        assert np.concatenate(parts[:2], axis=1).tobytes() == parts[2].tobytes()
         # dF_k / d lam = (F_{k+2} - F_k) / 2 = -f_{k+2}
         gap = stats.ncx2.cdf(q, k, lam) - stats.ncx2.cdf(q, k + 2, lam)
         assert np.max(np.abs(gap - 2.0 * f[0])) <= 1e-15
-        at_zero = _ncx2_densities(q, k, np.zeros(1), 3)[:, 0]
+        at_zero = _ncx2_densities(q, k, np.zeros(1), count)[:, 0]
         np.testing.assert_allclose(at_zero, stats.chi2.pdf(q, nus), rtol=1e-14, atol=0)
+
+
+def test_ncx2_series_terms_reach_the_switch():
+    # at z = sqrt(lam q) = _NCX2_SERIES_Z, x = z^2 / 4, the first term the
+    # series omits, x^T / (T! (n+1)_T), is below 2^-53 of the sum for every
+    # order n = k/2 + j a ball takes up to k = 8
+    terms, x = _NCX2_SERIES_TERMS, _NCX2_SERIES_Z**2 / 4.0
+    for k in range(1, 9):
+        table = _ncx2_series_coefficients(k, 3)
+        assert _ncx2_series_coefficients(k, 3) is table  # cached
+        assert table.shape == (terms, 3) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+        for j, column in enumerate(table.T):
+            n = k / 2.0 + j
+            expect = [1.0 / (math.factorial(m) * math.prod(n + 1 + i for i in range(m)))
+                      for m in range(terms)]
+            np.testing.assert_allclose(column, expect, rtol=1e-15, atol=0)
+            omitted = x**terms / (math.factorial(terms) * math.prod(n + 1 + i for i in range(terms)))
+            assert omitted < 2.0**-53 * (column @ x ** np.arange(terms))
 
 
 @pytest.mark.parametrize(

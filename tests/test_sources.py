@@ -506,6 +506,21 @@ def test_normalizer_matrix_beyond_beta3_cap_raises():
         normalizer_matrix(src, 0)
 
 
+def test_normalizer_matrix_evaluates_the_moment_summary_once(monkeypatch):
+    # every N_j checks the beta3 cap; the components' moments are evaluated
+    # once per source, not once per j, so a loop over j stays linear
+    base, n = uniform_source(2), 8
+    calls = []
+    gamma3_base = base.gamma3_base
+    monkeypatch.setattr(base, "gamma3_base", lambda *a: calls.append(a) or gamma3_base(*a))
+    src = NonIIDSource([(base, np.sqrt([j / 36.0, (n + 1 - j) / 36.0])) for j in range(1, n + 1)])
+    for j in range(n):
+        normalizer_matrix(src, j)
+    assert len(calls) == n
+    assert src.moment_summary() is src.moment_summary()
+    assert len(calls) == n
+
+
 def test_normalizer_norm_identity():
     src = noniid_catalog("gaussian", 2, 6)
     for j in range(src.n):
