@@ -18,7 +18,7 @@ import numpy as np
 
 from .convex import ConvexSet, SetFamily, default_translates, gaussian_measure, shell_measure
 from .errors import DomainError, HypothesisViolationError, check_count
-from .gaussian import quantile_a
+from .gaussian import _as_points, quantile_a
 from .rng import RngStream
 from .semigroup import IndicatorFunction, ou_decay, ou_noise, semigroup_apply
 from .sources import (
@@ -221,7 +221,7 @@ def gamma_star_hat(
         raise DomainError("eps must be >= 0")
     if translates is None:
         translates = default_translates(C.dim)
-    translates = np.atleast_2d(np.asarray(translates, dtype=float))
+    translates, _ = _as_points(translates, C.dim)
 
     targets = []
     for y in translates:

@@ -14,9 +14,9 @@ The boundary shell between the two parallel bodies of one such base is
 decided the same way, from one bracket per point (`shell_measure`).
 
 Sets are closed: boundary points count as inside.  A row with an infinite
-entry may meet inf * 0 or inf - inf in a projection or rotation; membership
-ignores numpy's invalid flag for it, once per call, and the row counts as a
-NaN row does.  A ball's squared distance, an ellipsoid's quadratic form and
+entry may meet inf * 0 or inf - inf in a projection or rotation; the hook
+that does so ignores numpy's invalid flag, and the row counts as a NaN
+row does.  A ball's squared distance, an ellipsoid's quadratic form and
 the square inside a dilated box's normal density overflow to their limit inf
 at a finite row beyond about 1e154, and those hooks ignore that overflow.
 
@@ -59,7 +59,7 @@ import scipy
 from scipy import special
 
 from .errors import ConfigurationError, DimensionMismatchError, DomainError, check_count
-from .gaussian import hermite_he, multiplicities, norm_cdf, norm_pdf
+from .gaussian import _as_points, _unbatch, hermite_he, multiplicities, norm_cdf, norm_pdf
 from .quadrature import gauss_legendre_panel
 from .rng import RngStream
 
@@ -75,22 +75,6 @@ def _per_node(fn, *arrays):
     alone computes; numpy's power, exp and log may differ in the last bit.
     """
     return np.array([fn(*vals) for vals in zip(*(a.tolist() for a in arrays))], dtype=float)
-
-
-def _as_points(x, dim: int):
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise DimensionMismatchError(
-            f"points of dimension {pts.shape[-1] if pts.ndim else '?'} vs set of dimension {dim}"
-        )
-    return pts, single
-
-
-def _ret(mask, single):
-    return bool(mask[0]) if single else mask
 
 
 class ConvexSet:
@@ -224,6 +208,13 @@ def _check_factor(factor: float) -> float:
     return factor
 
 
+def _check_shift(shift, dim: int) -> np.ndarray:
+    shift = np.asarray(shift, dtype=float)
+    if shift.shape != (dim,):
+        raise DimensionMismatchError(f"shift of shape {shift.shape} vs set of dimension {dim}")
+    return shift
+
+
 class HalfSpace(ConvexSet):
     """{x : normal . x <= offset} with a unit normal."""
 
@@ -253,7 +244,7 @@ class HalfSpace(ConvexSet):
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
-            return _ret(_projection(self.normal, pts) <= self.offset, single)
+            return _unbatch(_projection(self.normal, pts) <= self.offset, single)
 
     def _project(self, X):
         """X @ normal, with an infinite entry where the normal is 0 taken as 0.
@@ -304,7 +295,7 @@ class HalfSpace(ConvexSet):
         return HalfSpace(self.normal, self.offset - _check_eps(eps))
 
     def translate(self, shift):
-        shift = np.asarray(shift, dtype=float)
+        shift = _check_shift(shift, self.dim)
         return HalfSpace(self.normal, self.offset + float(self.normal @ shift))
 
     def scale(self, factor):
@@ -496,7 +487,7 @@ class Ball(ConvexSet):
         # an empty ball has a negative radius, which no distance is below
         pts, single = _as_points(x, self.dim)
         with np.errstate(over="ignore"):  # a far row's distance is inf: outside
-            return _ret(_center_distance(self.center, pts) <= self.radius, single)
+            return _unbatch(_center_distance(self.center, pts) <= self.radius, single)
 
     def shifted_measure(self, shifts, sigma):
         delta = shifts - self.center
@@ -576,7 +567,7 @@ class Ball(ConvexSet):
         return Ball(self.center, max(self.radius - _check_eps(eps), -1.0))
 
     def translate(self, shift):
-        return Ball(self.center + np.asarray(shift, dtype=float), self.radius)
+        return Ball(self.center + _check_shift(shift, self.dim), self.radius)
 
     def scale(self, factor):
         factor = _check_factor(factor)
@@ -671,13 +662,13 @@ class Box(ConvexSet):
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
         if self.is_empty:
-            return _ret(np.zeros(len(pts), dtype=bool), single)
+            return _unbatch(np.zeros(len(pts), dtype=bool), single)
         # per-column comparisons, cheaper than reducing an (M, k) temporary
         inside = np.ones(len(pts), dtype=bool)
         for j in range(self.dim):
             inside &= pts[:, j] >= self.lower[j]
             inside &= pts[:, j] <= self.upper[j]
-        return _ret(inside, single)
+        return _unbatch(inside, single)
 
     def _edges(self, shifted, scale):
         """The upper and lower edges (bound - shifted) / scale."""
@@ -733,7 +724,7 @@ class Box(ConvexSet):
         return Box(self.lower + eps, self.upper - eps)
 
     def translate(self, shift):
-        shift = np.asarray(shift, dtype=float)
+        shift = _check_shift(shift, self.dim)
         return Box(self.lower + shift, self.upper + shift)
 
     def scale(self, factor):
@@ -776,7 +767,7 @@ class Box(ConvexSet):
             d = np.where(worst > 0.0, np.linalg.norm(excess, axis=1), -worst)
             with np.errstate(over="ignore"):  # a distance past the largest double is inf
                 d[far] *= worst[far]
-        return float(d[0]) if single else d
+        return _unbatch(d, single)
 
     def __repr__(self):
         return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
@@ -821,7 +812,7 @@ class Ellipsoid(ConvexSet):
         pts, single = _as_points(x, self.dim)
         with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
             q = self._quadratic_form(pts)
-        return _ret(q <= 1.0, single)
+        return _unbatch(q <= 1.0, single)
 
     def boundary_distance(self, x):
         """Euclidean distance to the boundary shell, inside or outside.
@@ -850,7 +841,7 @@ class Ellipsoid(ConvexSet):
         else:
             d = np.where(np.isnan(pts).any(axis=1), np.nan, np.inf)
             d[finite] = self._secular_distance(pts[finite])
-        return float(d[0]) if single else d
+        return _unbatch(d, single)
 
     def _secular_distance(self, pts):
         """`boundary_distance` of finite rows."""
@@ -926,7 +917,7 @@ class Ellipsoid(ConvexSet):
         return self if eps == 0.0 else ErodedSet(self, eps)
 
     def translate(self, shift):
-        return Ellipsoid(self.center + np.asarray(shift, dtype=float), self.shape)
+        return Ellipsoid(self.center + _check_shift(shift, self.dim), self.shape)
 
     def scale(self, factor):
         factor = _check_factor(factor)
@@ -993,10 +984,9 @@ class DilatedSet(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
-            inside = np.asarray(self.base.contains(pts))
-            ok = inside | _within(self.base, pts, self.eps, ~inside)
-        return _ret(ok, single)
+        inside = np.asarray(self.base.contains(pts))
+        ok = inside | _within(self.base, pts, self.eps, ~inside)
+        return _unbatch(ok, single)
 
     def dilate(self, eps):
         return self.base.dilate(self.eps + _check_eps(eps))
@@ -1103,10 +1093,9 @@ class ErodedSet(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
-            ok = np.asarray(self.base.contains(pts))
-            ok[ok] = ~_within(self.base, pts[ok], self.eps)
-        return _ret(ok, single)
+        ok = np.asarray(self.base.contains(pts))
+        ok[ok] = ~_within(self.base, pts[ok], self.eps)
+        return _unbatch(ok, single)
 
     def erode(self, eps):
         return ErodedSet(self.base, self.eps + _check_eps(eps))
@@ -1145,8 +1134,7 @@ class _BoundaryShell(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        with np.errstate(invalid="ignore"):  # an infinite row: see the module docstring
-            return _ret(_within(self.base, pts, self.eps), single)
+        return _unbatch(_within(self.base, pts, self.eps), single)
 
 
 def _shell_base(outer, inner):
@@ -1369,7 +1357,7 @@ def shifted_measure_batch(C: ConvexSet, shifts, sigma: float):
     sigma = float(sigma)
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    shifts = np.atleast_2d(np.asarray(shifts, dtype=float))
+    shifts, _ = _as_points(shifts, C.dim)
     if C.is_empty:
         return np.zeros(len(shifts))
     return C.shifted_measure(shifts, sigma)

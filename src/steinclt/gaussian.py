@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, DimensionMismatchError, DomainError
 from .rng import RngStream
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -46,14 +46,28 @@ def hermite_he(m: int, z):
     raise DomainError(f"hermite_he supports m <= 3, got {m}")
 
 
-def _as_points(x):
-    """Normalize (k,) or (M,k) input -> (points (M,k), was_single flag)."""
+def _as_points(x, dim=None):
+    """A point (k,) or a batch (M, k) as (points (M, k), was_single flag).
+
+    The library's one point-batch entry: DomainError unless x is 1-D or 2-D,
+    and DimensionMismatchError when a set's dimension dim is given and k differs.
+    """
     pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        return pts[None, :], True
-    if pts.ndim == 2:
-        return pts, False
-    raise DomainError("expected a point (k,) or a batch of points (M, k)")
+    if pts.ndim not in (1, 2):
+        raise DomainError("expected a point (k,) or a batch of points (M, k)")
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    if dim is not None and pts.shape[1] != dim:
+        raise DimensionMismatchError(
+            f"points of dimension {pts.shape[1]} vs set of dimension {dim}"
+        )
+    return pts, single
+
+
+def _unbatch(vals, single):
+    """The value at the one point as a Python scalar when x was one point, else vals."""
+    return vals[0].item() if single else vals
 
 
 def phi(x):
@@ -63,7 +77,7 @@ def phi(x):
         raise DomainError("phi requires finite coordinates")
     k = pts.shape[1]
     val = np.exp(-0.5 * np.sum(pts * pts, axis=1)) / SQRT_2PI**k
-    return float(val[0]) if single else val
+    return _unbatch(val, single)
 
 
 def multiplicities(idx, k: int, orders=(1, 2, 3)) -> dict[int, int]:
@@ -104,7 +118,7 @@ def d3_phi(x, idx):
         raise DomainError("d3_phi requires finite coordinates")
     multiplicities(idx, pts.shape[1], orders=(3,))
     val = hermite_kernel(-phi(pts), pts, idx)  # (-1)^3 from the three differentiations
-    return float(val[0]) if single else val
+    return _unbatch(val, single)
 
 
 def abs_hermite_moment(m: int) -> float:

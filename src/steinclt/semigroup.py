@@ -37,7 +37,7 @@ import numpy as np
 
 from .convex import ConvexSet, _per_node, gaussian_measure, shifted_measure_batch
 from .errors import DomainError
-from .gaussian import hermite_he, hermite_kernel, multiplicities
+from .gaussian import _as_points, _unbatch, hermite_he, hermite_kernel, multiplicities
 from .quadrature import (
     DEFAULT_QUAD, GH_NODES, GH_TENSOR_MAX_DIM, QuadratureSpec, gauss_hermite_tensor,
 )
@@ -97,14 +97,12 @@ def hermite_product_function(orders) -> SmoothFunction:
         return x
 
     def fn(x):
-        arr = points(x, (1, 2))
-        single = arr.ndim == 1
-        X = np.atleast_2d(arr)
+        X, single = _as_points(points(x, (1, 2)))
         val = np.ones(len(X))
         for j, m in enumerate(orders):
             if m:
                 val = val * hermite_he(m, X[:, j])
-        return float(val[0]) if single else val
+        return _unbatch(val, single)
 
     def factor(m, r, z):  # d^r/dz^r He_m(z) = m!/(m-r)! He_{m-r}(z), 0 past m
         return math.perm(m, r) * float(hermite_he(m - r, z)) if r <= m else 0.0
@@ -201,6 +199,11 @@ def _kernel_rows_per_time(h, alpha, w, X, nodes, kernel):
     ])
 
 
+def _points(h, x):
+    """`_as_points(x)`, checked against the set's dimension when h is an indicator."""
+    return _as_points(x, h.set.dim if isinstance(h, IndicatorFunction) else None)
+
+
 def _select(vals, one_time, single):
     """(S, M, ...) values without the time axis for one time and the row axis for one point."""
     out = vals[0 if one_time else slice(None), 0 if single else slice(None)]
@@ -211,20 +214,17 @@ def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT
     """T_t h(x); accepts a point (k,) or a batch (M,k)."""
     if not t >= 0.0:
         raise DomainError(f"semigroup time t must be >= 0, got {t}")
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
+    X, single = _points(h, x)
     k = X.shape[1]
     if t == 0.0:
-        vals = np.asarray(h(X), dtype=float)
-        return float(vals[0]) if single else vals
+        return _unbatch(np.asarray(h(X), dtype=float), single)
     alpha, w = ou_decay(t), ou_noise(t)
     C = _closed_form_set(h, quad)
     vals = None if C is None else shifted_measure_batch(C, alpha * X, w)
     if vals is None:
         nodes, wts = _inner_points(k, quad, _fallback(k, quad))
         vals = _kernel_rows(h, alpha, w, X, nodes, wts)
-    return float(vals[0]) if single else vals
+    return _unbatch(vals, single)
 
 
 def semigroup_derivative(h: TestFunction, s, x, idx, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -239,9 +239,7 @@ def semigroup_derivative(h: TestFunction, s, x, idx, quad: QuadratureSpec = DEFA
     first, for an array of times.
     """
     times, one_time = _derivative_times(s)
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
+    X, single = _points(h, x)
     k = X.shape[1]
     idx = tuple(int(i) for i in idx)
     multiplicities(idx, k)
@@ -272,9 +270,7 @@ def semigroup_jet(h: TestFunction, s, x, quad: QuadratureSpec = DEFAULT_QUAD):
     He_1(z_i) and sum_i He_2(z_i) of the derivative-on-the-kernel form.
     """
     times, one_time = _derivative_times(s)
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
+    X, single = _points(h, x)
     k = X.shape[1]
     alpha, w = _per_node(ou_decay, times), _per_node(ou_noise, times)
     C = _closed_form_set(h, quad)

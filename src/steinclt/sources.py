@@ -12,13 +12,13 @@ identity.
 
 Every Monte Carlo estimate over S_n draws block b of BLOCK_SIZE rows from
 the counter-based stream `stream.block(b)`, so a block's draws do not depend
-on the blocks before it.  `sum_over_blocks` splits whole blocks between the
-CPUs by `map_targets`, and on top of it `mean_over_blocks` turns per-target
-statistics into means with standard errors; `delta_hat` gives each CPU an
-equal share of rows, drawn bit for bit from mid-block (`_block_rows`: the
-raw-bit laws seek, and only the gaussian and exponential draw a prefix).  The
-README's "What runs where" says who runs each part, and `sup_deviation`
-reports the largest deviation from a Gaussian reference as an `Estimate`.
+on the blocks before it.  `mean_over_blocks` splits whole blocks between the
+CPUs by `map_targets` (`_fold_blocks`) and turns per-target statistics into
+means with standard errors; `delta_hat` gives each CPU an equal share of rows,
+drawn bit for bit from mid-block (`_block_rows`: the raw-bit laws seek, and
+only the gaussian and exponential draw a prefix).  The README's "What runs
+where" says who runs each part, and `sup_deviation` reports the largest
+deviation from a Gaussian reference as an `Estimate`.
 The statistics given to `mean_over_blocks` are row-wise (each column comes
 from its own row of S_n), so it evaluates each distinct row of a block once:
 a Rademacher S_n lives on the (n+1)^k lattice and repeats rows often, while
@@ -569,21 +569,12 @@ def map_targets(evaluate, targets) -> list:
     return first + [y for f in rest for y in f.result()]
 
 
-def sum_over_blocks(src, n: int, M: int, stream: RngStream, statistic):
-    """Sum statistic(X) over the blocks X of M draws of S_n, in block order.
-
-    Block b holds up to BLOCK_SIZE rows drawn from `stream.block(b)`.  The
-    blocks are split by `map_targets`, so `statistic` must be thread-safe.
-    The sum is the left fold of the block statistics in block order, so its
-    bytes do not depend on the CPU count or on which block finishes first.
-    """
-    return _fold_blocks(M, lambda b, size: statistic(sample_sum(src, n, stream.block(b), size)))
-
-
 def _fold_blocks(M, block_sum):
     """The left fold, in block order, of block_sum(b, rows) over the blocks of M rows.
 
-    The blocks are split by `map_targets`.
+    The blocks are split by `map_targets`, so `block_sum` must be thread-safe.
+    Folding in block order keeps the sum's bytes independent of the CPU count
+    and of which block finishes first.
     """
     M = check_count("M", M, 1)
     sizes = [min(BLOCK_SIZE, M - start) for start in range(0, M, BLOCK_SIZE)]
@@ -615,12 +606,13 @@ def mean_over_blocks(src, n: int, M: int, stream: RngStream, values):
     compute each column from its own row of X alone.  It is called once per
     block on the distinct rows of that block in lexicographic order (on the
     block itself when no two rows are equal), maybe for several blocks at
-    once (see `sum_over_blocks`), and its columns are scattered back to every
-    row before the row sums are taken.  An iid Rademacher block finds its
+    once (`_fold_blocks`), and its columns are scattered back to every row
+    before the row sums are taken.  An iid Rademacher block finds its
     distinct rows by one integer sort of its lattice indices
     (`_sample_index`), any other by `_distinct_rows`.  The variance is the
     plug-in max(sum f^2 / M - mean^2, 0).
     """
+    n = check_count("n", n, 1)
     lattice = _lattice_indexed(src, n)
 
     def block_sums(b, size):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_count
-from .gaussian import hermite_kernel, multiplicities
+from .gaussian import _unbatch, hermite_kernel, multiplicities
 from .quadrature import (
     DEFAULT_QUAD,
     GH_NODES,
@@ -43,6 +43,7 @@ from .convex import shifted_measure_batch
 from .rng import RngStream
 from .semigroup import (
     TestFunction,
+    _points,
     gaussian_mean,
     has_analytic_smoothing,
     ou_noise,
@@ -131,16 +132,6 @@ class SteinSolution:
         return gaussian_mean(self.h, k, self.quad)
 
 
-def _batched(x):
-    X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    return np.atleast_2d(X), single
-
-
-def _unbatch(vals, single):
-    return float(vals[0]) if single else vals
-
-
 def _node_batches(sol: SteinSolution, X):
     """Slices of the s-nodes, each at most _BATCH_ROW_NODES // M nodes long and at least 1."""
     step = max(_BATCH_ROW_NODES // max(len(X), 1), 1)
@@ -169,7 +160,7 @@ def _jet_integral(sol: SteinSolution, X):
 
 def psi(sol: SteinSolution, x):
     """psi_t(x) = -integral of the centered smoothing over s in (t, t + 40)."""
-    X, single = _batched(x)
+    X, single = _points(sol.h, x)
     center = sol.center(X.shape[1])
 
     def values(times):
@@ -180,7 +171,7 @@ def psi(sol: SteinSolution, x):
 
 def psi_d1(sol: SteinSolution, x, i: int):
     """First partial derivative of psi_t."""
-    X, single = _batched(x)
+    X, single = _points(sol.h, x)
     multiplicities((i,), X.shape[1])
     grad, _ = _jet_integral(sol, X)
     return _unbatch(grad[:, i], single)
@@ -188,7 +179,7 @@ def psi_d1(sol: SteinSolution, x, i: int):
 
 def _psi_partial(sol: SteinSolution, x, idx, order: int):
     """D_idx psi_t for an index of the given order (psi_d2, psi_d3)."""
-    X, single = _batched(x)
+    X, single = _points(sol.h, x)
     multiplicities(idx, X.shape[1], orders=(order,))
     vals = _time_integral(sol, X, lambda s: semigroup_derivative(sol.h, s, X, idx, sol.quad))
     return _unbatch(vals, single)
@@ -206,14 +197,14 @@ def psi_d3(sol: SteinSolution, x, idx):
 
 def laplacian_drift(sol: SteinSolution, x):
     """(Laplacian - x . grad) psi_t at x: the generator applied to psi_t."""
-    X, single = _batched(x)
+    X, single = _points(sol.h, x)
     grad, lap = _jet_integral(sol, X)
     return _unbatch(lap - np.sum(X * grad, axis=1), single)
 
 
 def smoothed_target(sol: SteinSolution, x):
     """T_t h~(x), the right-hand side the Stein solution must reproduce."""
-    X, single = _batched(x)
+    X, single = _points(sol.h, x)
     k = X.shape[1]
     vals = np.asarray(semigroup_apply(sol.h, sol.t, X, sol.quad), dtype=float)
     vals = vals - sol.center(k)
@@ -222,9 +213,8 @@ def smoothed_target(sol: SteinSolution, x):
 
 def stein_residual(sol: SteinSolution, x):
     """T_t h~(x) - (Laplacian - x.grad) psi_t(x); zero up to quadrature error."""
-    X, single = _batched(x)
+    X, single = _points(sol.h, x)
     vals = np.asarray(smoothed_target(sol, X)) - np.asarray(laplacian_drift(sol, X))
-    vals = np.atleast_1d(vals)
     return _unbatch(vals, single)
 
 
@@ -266,7 +256,7 @@ def double_integral_kernel_report(
     n = check_count("n", n, 2)
     if not (math.isfinite(s) and s > 0.0):
         raise DomainError(f"s must be finite and > 0, got {s}")
-    shifts = np.atleast_2d(np.asarray(shift_grid, dtype=float))
+    shifts, _ = _points(h, shift_grid)
     k = shifts.shape[1]
     multiplicities(idx, k, orders=(3,))
     a = math.sqrt((n - 1) / n) * math.exp(-s)

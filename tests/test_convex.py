@@ -115,6 +115,21 @@ def test_dimension_mismatch():
         Ball(np.zeros(2), 1.0).contains(np.zeros(3))
 
 
+_TRANSLATED = _catalog() + [
+    Box(-np.ones(2), np.ones(2)).dilate(0.2),
+    Ellipsoid(np.zeros(2), np.diag([1.0, 4.0])).dilate(0.2),
+    Ellipsoid(np.zeros(2), np.diag([1.0, 4.0])).erode(0.2),
+]
+
+
+@pytest.mark.parametrize("shift", [[0.3], [0.3, 0.1, 0.2], [[0.3, 0.1]]], ids=["1", "3", "1x2"])
+@pytest.mark.parametrize("C", _TRANSLATED, ids=lambda C: type(C).__name__)
+def test_translate_needs_a_shift_of_the_set_dimension(C, shift):
+    # a 1-vector shift broadcast through the ball, box and ellipsoid centres
+    with pytest.raises(DimensionMismatchError):
+        C.translate(shift)
+
+
 def test_dilate_examples():
     assert Ball(np.zeros(2), 1.0).dilate(0.5).radius == pytest.approx(1.5)
     box = Box(-np.ones(2), np.ones(2))

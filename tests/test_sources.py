@@ -24,6 +24,7 @@ from steinclt import (
     delta_hat,
     gaussian_measure,
     exponential_source,
+    gamma_star_hat,
     gaussian_source,
     laplacian_drift,
     make_source,
@@ -353,6 +354,12 @@ def test_sample_sum_and_delta_hat_reject_bad_counts(bad):
         delta_hat(src, bad, fam, 4096, RngStream(124))
     with pytest.raises(DomainError):
         delta_hat(src, 4, fam, bad, RngStream(124))
+    # the iid Rademacher lattice path of mean_over_blocks read n before it was checked
+    ball = Ball(np.zeros(1), 1.0)
+    with pytest.raises(DomainError):
+        stein_discrepancy_hat(src, bad, 0.5, ball, 64, RngStream(124))
+    with pytest.raises(DomainError):
+        gamma_star_hat(src, bad, 0.5, ball, 0.1, 64, RngStream(124))
 
 
 def test_integral_float_counts_are_accepted():
@@ -670,38 +677,36 @@ def test_mean_over_blocks_evaluates_each_distinct_row_once():
     assert np.allclose(means, [X[:, 0].mean(), (X[:, 0] * X[:, 1]).mean()], rtol=0, atol=1e-12)
 
 
-def test_sum_over_blocks_folds_in_block_order_when_blocks_finish_out_of_order():
-    src, stream = gaussian_source(1), RngStream(23)
-    first = sample_sum(src, 4, stream.block(0), BLOCK_SIZE)
-
-    def statistic(X):
-        if np.array_equal(X, first):
+def test_fold_blocks_folds_in_block_order_when_blocks_finish_out_of_order():
+    def block_sum(b, size):
+        if b == 0:
             time.sleep(0.2)  # blocks 1 and 2 finish first when they run concurrently
             return 1e16
         return 1.0
 
     # (1e16 + 1) + 1 rounds to 1e16 at each step; a sum in finishing order gives 1e16 + 2
-    assert sources.sum_over_blocks(src, 4, 3 * BLOCK_SIZE, stream, statistic) == 1e16
+    assert sources._fold_blocks(3 * BLOCK_SIZE, block_sum) == 1e16
 
 
-def test_sum_over_blocks_raises_the_error_of_a_failing_block():
-    def statistic(X):
-        if len(X) == 7:  # block 2
+def test_fold_blocks_raises_the_error_of_a_failing_block():
+    def block_sum(b, size):
+        if size == 7:  # block 2
             raise DomainError("block 2 failed")
         return 1.0
 
     with pytest.raises(DomainError, match="block 2 failed"):
-        sources.sum_over_blocks(gaussian_source(1), 4, 2 * BLOCK_SIZE + 7, RngStream(24), statistic)
+        sources._fold_blocks(2 * BLOCK_SIZE + 7, block_sum)
 
 
 def test_single_block_estimate_runs_in_the_calling_thread():
     threads = []
 
-    def statistic(X):
+    def values(X):
         threads.append(threading.get_ident())
-        return len(X)
+        return [np.ones(len(X))]
 
-    assert sources.sum_over_blocks(gaussian_source(2), 4, BLOCK_SIZE, RngStream(25), statistic) == BLOCK_SIZE
+    means, _ = sources.mean_over_blocks(gaussian_source(2), 4, BLOCK_SIZE, RngStream(25), values)
+    assert means.tolist() == [1.0]
     assert threads == [threading.get_ident()]
 
 
@@ -880,7 +885,10 @@ def test_concurrent_callers_share_the_block_pool_and_get_the_serial_estimate():
     results = [None] * 6
 
     def caller(i):
-        results[i] = sources.sum_over_blocks(src, 16, M, stream, fresh().counts)
+        counts = fresh().counts
+        results[i] = sources._fold_blocks(
+            M, lambda b, size: counts(sample_sum(src, 16, stream.block(b), size))
+        )
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

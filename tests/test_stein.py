@@ -15,15 +15,18 @@ from steinclt import (
     SteinSolution,
     d3_phi,
     double_integral_kernel_report,
+    gamma_star_hat,
     laplacian_drift,
     norm_cdf,
     psi,
     psi_d1,
     psi_d2,
     psi_d3,
+    rademacher_source,
     semigroup_apply,
     semigroup_derivative,
     semigroup_jet,
+    shifted_measure_batch,
     smoothed_target,
     smoothing_weight,
     stein_residual,
@@ -31,7 +34,8 @@ from steinclt import (
     weight3_integral,
     weight_bound,
 )
-from steinclt.errors import DomainError
+from steinclt.convex import DilatedBox
+from steinclt.errors import DimensionMismatchError, DomainError
 from steinclt.quadrature import gauss_legendre_1d
 
 
@@ -151,6 +155,43 @@ def test_psi_d1_rejects_bad_index():
     sol = _halfspace_solution()
     with pytest.raises(DomainError):
         psi_d1(sol, np.zeros(2), 2)
+
+
+_BALL = Ball(np.zeros(2), 1.0)
+_BOX = Box(-np.ones(2), np.ones(2))
+_BALL_H = IndicatorFunction(_BALL)
+_BALL_SOL = SteinSolution(0.5, _BALL_H)
+# each entry evaluates a k = 2 set, or a function of one, at the points x
+_POINT_ENTRIES = {
+    "shifted-measure-ball": lambda x: shifted_measure_batch(_BALL, x, 1.0),
+    "shifted-measure-box": lambda x: shifted_measure_batch(_BOX, x, 1.0),
+    "shifted-measure-half-space": lambda x: shifted_measure_batch(HalfSpace([1, 0], 0.2), x, 1.0),
+    "shifted-measure-dilated-box": lambda x: shifted_measure_batch(DilatedBox(_BOX, 0.2), x, 1.0),
+    "semigroup-apply": lambda x: semigroup_apply(_BALL_H, 0.5, x),
+    "semigroup-derivative": lambda x: semigroup_derivative(_BALL_H, 0.5, x, (0,)),
+    "semigroup-jet": lambda x: semigroup_jet(_BALL_H, 0.5, x),
+    "psi": lambda x: psi(_BALL_SOL, x),
+    "psi-d1": lambda x: psi_d1(_BALL_SOL, x, 0),
+    "psi-d2": lambda x: psi_d2(_BALL_SOL, x, (0, 1)),
+    "psi-d3": lambda x: psi_d3(_BALL_SOL, x, (0, 0, 1)),
+    "laplacian-drift": lambda x: laplacian_drift(_BALL_SOL, x),
+    "smoothed-target": lambda x: smoothed_target(_BALL_SOL, x),
+    "stein-residual": lambda x: stein_residual(_BALL_SOL, x),
+    "kernel-report-shifts": lambda x: double_integral_kernel_report(_BALL_H, 4, 0.5, (0, 0, 1), x),
+    "gamma-star-translates": lambda x: gamma_star_hat(
+        rademacher_source(2), 4, 0.5, _BALL, 0.1, 64, RngStream(0), translates=x
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "x", [np.zeros((3, 1)), np.zeros(3)], ids=["batch-of-1-vectors", "3-vector"]
+)
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRIES))
+def test_points_of_another_dimension_raise_at_every_entry(entry, x):
+    # a (3, 1) batch used to broadcast through the ball and box closed forms at k = 2
+    with pytest.raises(DimensionMismatchError):
+        _POINT_ENTRIES[entry](x)
 
 
 def test_stein_identity_through_monte_carlo_inner():
