@@ -943,20 +943,16 @@ def _settled(bounds, eps):
     return upper < eps * (1.0 - _BAND), lower > eps * (1.0 + _BAND)
 
 
-def _within(base, pts, eps, rows=None):
+def _within(base, pts, eps):
     """Rows of pts within eps of the boundary of base, by the band rule.
 
     The bracket settles each row clear of the band (`_settled`); a row in the
     band takes its exact `boundary_distance` d and is within when d <= eps
     outside the base and d < eps inside it, so that (sets being closed) a
-    point at distance eps lies in the dilation and in the erosion.  With a
-    mask `rows`, only those rows of the band are decided exactly; the others
-    are returned as not within.
+    point at distance eps lies in the dilation and in the erosion.
     """
     near, far = _settled(base.boundary_distance_bounds(pts), eps)
     band = ~(near | far)
-    if rows is not None:
-        band &= rows
     if band.any():
         band_pts = pts[band]
         d = base.boundary_distance(band_pts)
@@ -984,8 +980,8 @@ class DilatedSet(ConvexSet):
 
     def contains(self, x):
         pts, single = _as_points(x, self.dim)
-        inside = np.asarray(self.base.contains(pts))
-        ok = inside | _within(self.base, pts, self.eps, ~inside)
+        ok = np.asarray(self.base.contains(pts))
+        ok[~ok] = _within(self.base, pts[~ok], self.eps)
         return _unbatch(ok, single)
 
     def dilate(self, eps):

@@ -6,7 +6,7 @@ fallback.  The outer integral over the semigroup time s runs over (t, t + 40),
 beyond which the integrand is below the double-precision floor, with
 Gauss-Legendre nodes after the substitution u = e^{-s}, which removes the
 s -> infinity tail and keeps the order-3 derivative weight integrable down to
-small t.  `QuadratureSpec` holds the three settings of those integrals and
+small t.  `QuadratureSpec` holds the two settings of those integrals and
 checks them when it is built, so no evaluation runs on a bad spec.
 """
 
@@ -21,6 +21,7 @@ from .errors import ConfigurationError
 
 GH_TENSOR_MAX_DIM = 3
 GH_NODES = 32
+MC_SAMPLES = 1 << 16  # draws of the Monte Carlo inner integrals
 
 
 @lru_cache(maxsize=64)
@@ -80,22 +81,19 @@ class QuadratureSpec:
         "auto"         closed form when the test function supports it,
                        otherwise tensor Gauss-Hermite for k <= 3, else MC;
         "gauss-hermite" tensor grid with GH_NODES per axis (k <= 3);
-        "monte-carlo"  `mc_samples` draws from a stream with master seed 0.
-    A spec is checked when it is built: an unknown method, s_nodes < 16 or
-    mc_samples < 2 raises ConfigurationError.
+        "monte-carlo"  MC_SAMPLES draws from a stream with master seed 0.
+    A spec is checked when it is built: an unknown method or s_nodes < 16
+    raises ConfigurationError.
     """
 
     s_nodes: int = 64
     inner_method: str = "auto"
-    mc_samples: int = 1 << 16
 
     def __post_init__(self):
         if self.inner_method not in _INNER_METHODS:
             raise ConfigurationError(f"unknown inner_method {self.inner_method!r}")
         if self.s_nodes < 16:
             raise ConfigurationError("s_nodes must be at least 16")
-        if self.mc_samples < 2:
-            raise ConfigurationError("degenerate inner quadrature size")
 
 
 DEFAULT_QUAD = QuadratureSpec()

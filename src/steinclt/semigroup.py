@@ -39,7 +39,7 @@ from .convex import ConvexSet, _per_node, gaussian_measure, shifted_measure_batc
 from .errors import DomainError
 from .gaussian import _as_points, _unbatch, hermite_he, hermite_kernel, multiplicities
 from .quadrature import (
-    DEFAULT_QUAD, GH_NODES, GH_TENSOR_MAX_DIM, QuadratureSpec, gauss_hermite_tensor,
+    DEFAULT_QUAD, GH_NODES, GH_TENSOR_MAX_DIM, MC_SAMPLES, QuadratureSpec, gauss_hermite_tensor,
 )
 from .rng import RngStream
 
@@ -136,11 +136,11 @@ def has_analytic_smoothing(h: TestFunction) -> bool:
     return isinstance(h, IndicatorFunction) and (h.set.is_empty or h.set.has_closed_form)
 
 
-def _inner_points(k: int, quad: QuadratureSpec, method: str):
+def _inner_points(k: int, method: str):
     if method == "gauss-hermite":
         return gauss_hermite_tensor(k, GH_NODES)
-    draws = RngStream(0, stream_id=909).generator().standard_normal((quad.mc_samples, k))
-    return draws, np.full(quad.mc_samples, 1.0 / quad.mc_samples)
+    draws = RngStream(0, stream_id=909).generator().standard_normal((MC_SAMPLES, k))
+    return draws, np.full(MC_SAMPLES, 1.0 / MC_SAMPLES)
 
 
 def _fallback(k: int, quad: QuadratureSpec) -> str:
@@ -164,7 +164,7 @@ def gaussian_mean(h: TestFunction, k: int, quad: QuadratureSpec = DEFAULT_QUAD) 
     """Integral of h against the standard Gaussian."""
     if isinstance(h, IndicatorFunction):
         return gaussian_measure(h.set)
-    nodes, wts = _inner_points(k, quad, _fallback(k, quad))
+    nodes, wts = _inner_points(k, _fallback(k, quad))
     return float(np.asarray(h(nodes), dtype=float) @ wts)
 
 
@@ -222,7 +222,7 @@ def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT
     C = _closed_form_set(h, quad)
     vals = None if C is None else shifted_measure_batch(C, alpha * X, w)
     if vals is None:
-        nodes, wts = _inner_points(k, quad, _fallback(k, quad))
+        nodes, wts = _inner_points(k, _fallback(k, quad))
         vals = _kernel_rows(h, alpha, w, X, nodes, wts)
     return _unbatch(vals, single)
 
@@ -252,7 +252,7 @@ def semigroup_derivative(h: TestFunction, s, x, idx, quad: QuadratureSpec = DEFA
         else:
             vals = C.smoothed_derivative(alpha, w, X, idx)
     if vals is None:
-        nodes, wts = _inner_points(k, quad, _fallback(k, quad))
+        nodes, wts = _inner_points(k, _fallback(k, quad))
         kernel = hermite_kernel(wts, nodes, idx)
         scale = _per_node(lambda a, b: (a / b) ** len(idx), alpha, w)
         vals = scale[:, None] * _kernel_rows_per_time(h, alpha, w, X, nodes, kernel)
@@ -281,7 +281,7 @@ def semigroup_jet(h: TestFunction, s, x, quad: QuadratureSpec = DEFAULT_QUAD):
         else:
             jet = C.smoothed_jet(alpha, w, X)
     if jet is None:
-        nodes, wts = _inner_points(k, quad, _fallback(k, quad))
+        nodes, wts = _inner_points(k, _fallback(k, quad))
         kernel = wts[:, None] * np.column_stack(
             [hermite_he(1, nodes), np.sum(hermite_he(2, nodes), axis=1)]
         )

@@ -20,12 +20,12 @@ only the gaussian and exponential draw a prefix).  The README's "What runs
 where" says who runs each part, and `sup_deviation` reports the largest
 deviation from a Gaussian reference as an `Estimate`.
 The statistics given to `mean_over_blocks` are row-wise (each column comes
-from its own row of S_n), so it evaluates each distinct row of a block once:
-a Rademacher S_n lives on the (n+1)^k lattice and repeats rows often, while
-the continuous laws hand their blocks over untouched.  An iid Rademacher row
-is drawn as its lattice index (`_sample_index`: the coordinates' counts of +
-signs as digits in radix n + 1), so `mean_over_blocks` finds a block's
-distinct rows by one integer sort.
+from its own row of S_n).  An iid Rademacher S_n lives on the (n+1)^k lattice
+and repeats rows often, so its rows are drawn as lattice indices
+(`_sample_index`: the coordinates' counts of + signs as digits in radix
+n + 1) and `mean_over_blocks` evaluates each distinct one once, found by one
+integer sort; only these lattice blocks are deduplicated, and every other
+block is evaluated as drawn.
 """
 
 from __future__ import annotations
@@ -581,55 +581,30 @@ def _fold_blocks(M, block_sum):
     return sum(map_targets(lambda b: block_sum(b, sizes[b]), range(len(sizes))), 0)
 
 
-def _distinct_rows(X):
-    """(first, inverse) with X[first][inverse] == X, or (None, None) if no two rows are equal.
-
-    The row key is built one column at a time from 1-D `np.unique` codes and
-    kept dense, so it never exceeds len(X)^2; a column whose entries are all
-    distinct settles that no two rows are equal.
-    """
-    key = np.zeros(len(X), dtype=np.int64)
-    for col in X.T:
-        levels, codes = np.unique(col, return_inverse=True)
-        if len(levels) == len(X):
-            return None, None
-        _, first, key = np.unique(key * len(levels) + codes, return_index=True, return_inverse=True)
-    if len(first) == len(X):
-        return None, None
-    return first, key
-
-
 def mean_over_blocks(src, n: int, M: int, stream: RngStream, values):
     """Per-target means and standard errors of `values` over M draws of S_n.
 
     `values(X)` returns a (T, rows) array, one row per target, and must
     compute each column from its own row of X alone.  It is called once per
-    block on the distinct rows of that block in lexicographic order (on the
-    block itself when no two rows are equal), maybe for several blocks at
-    once (`_fold_blocks`), and its columns are scattered back to every row
-    before the row sums are taken.  An iid Rademacher block finds its
-    distinct rows by one integer sort of its lattice indices
-    (`_sample_index`), any other by `_distinct_rows`.  The variance is the
-    plug-in max(sum f^2 / M - mean^2, 0).
+    block, maybe for several blocks at once (`_fold_blocks`).  An iid
+    Rademacher block is evaluated on its distinct lattice points, found by
+    one integer sort of its lattice indices (`_sample_index`), and its
+    columns are scattered back to every row before the row sums are taken;
+    any other block is evaluated as `sample_sum` draws it.  The variance is
+    the plug-in max(sum f^2 / M - mean^2, 0).
     """
     n = check_count("n", n, 1)
     lattice = _lattice_indexed(src, n)
 
     def block_sums(b, size):
-        if not lattice:
-            X = sample_sum(src, n, stream.block(b), size)
-            first, inverse = _distinct_rows(X)
-            rows = X if inverse is None else X[first]
-        else:
+        if lattice:
             index = _sample_index(src, n, stream.block(b), size)
             distinct, inverse = np.unique(index, return_inverse=True)
-            if len(distinct) == size:
-                distinct, inverse = index, None
-            rows = _lattice_points(distinct, src.k, n)
-        f = np.asarray(values(rows), dtype=float)
-        if inverse is not None:
+            f = np.asarray(values(_lattice_points(distinct, src.k, n)), dtype=float)
             # take keeps f C-ordered, so each row sums in the same order as a whole block
             f = np.take(f, inverse, axis=1)
+        else:
+            f = np.asarray(values(sample_sum(src, n, stream.block(b), size)), dtype=float)
         return np.stack([f.sum(axis=1), (f * f).sum(axis=1)])
 
     acc = _fold_blocks(M, block_sums)

@@ -35,6 +35,7 @@ from .quadrature import (
     DEFAULT_QUAD,
     GH_NODES,
     GH_TENSOR_MAX_DIM,
+    MC_SAMPLES,
     QuadratureSpec,
     gauss_hermite_tensor,
     gauss_legendre_panel,
@@ -277,17 +278,16 @@ def double_integral_kernel_report(
         if stream is None:
             stream = RngStream(0, stream_id=777)
         gen = stream.generator()
-        m_draws = quad.mc_samples
-        Xd = gen.standard_normal((m_draws, k))
-        Zd = gen.standard_normal((m_draws, k))
-        kern = hermite_kernel(np.ones(m_draws), Zd, idx)
+        Xd = gen.standard_normal((MC_SAMPLES, k))
+        Zd = gen.standard_normal((MC_SAMPLES, k))
+        kern = hermite_kernel(np.ones(MC_SAMPLES), Zd, idx)
         ses = []
         for r, u_vec in enumerate(shifts):
             pts = a * Xd + es * u_vec + w * Zd
             hv = np.asarray(h(pts), dtype=float) - center
             prod = hv * kern
             values[r] = abs(float(np.mean(prod)))
-            ses.append(float(np.std(prod) / math.sqrt(m_draws)))
+            ses.append(float(np.std(prod) / math.sqrt(MC_SAMPLES)))
         std_error = max(ses)
 
     envelope = k * math.exp(2.0 * s) * (-math.expm1(-2.0 * s))

@@ -17,7 +17,7 @@ import pytest
 from scipy import special
 
 import steinclt as sc
-from oracles import rademacher_delta
+from oracles import rademacher_delta, rademacher_delta_by_conditioning
 
 ACCEPTANCE_SEED = 6
 
@@ -229,8 +229,10 @@ def test_criterion_08_scaling_law():
 EXACT_LATTICE_SCALED_DELTA = {
     1: {4: 0.710, 16: 0.7345, 64: 0.7362, 256: 0.7243},
     2: {4: 0.5173, 16: 0.4068, 64: 0.4258, 256: 0.4369},
-    3: {4: 0.4273, 16: 0.5459, 64: 0.5631},
+    3: {4: 0.4273, 16: 0.5459, 64: 0.5631, 256: 0.5729},
 }
+# the largest lattices the oracle enumerates outright; beyond them it conditions
+ENUMERATED_LATTICE_MAX_N = {1: 256, 2: 256, 3: 64}
 
 
 @pytest.mark.parametrize("k", sorted(EXACT_LATTICE_SCALED_DELTA))
@@ -239,8 +241,11 @@ def test_exact_rademacher_lattice_discrepancy_is_pinned(k):
     # at k = 1 and 3, and from n = 16 on at k = 2, with no sampling error in it
     family = sc.default_family(k)
     pinned = EXACT_LATTICE_SCALED_DELTA[k]
-    exact = {n: rademacher_delta(family, k, n) * math.sqrt(n) for n in pinned}
+    exact = {n: rademacher_delta_by_conditioning(family, k, n) * math.sqrt(n) for n in pinned}
     assert exact == pytest.approx(pinned, abs=5e-5)
+    # conditioning on all coordinates but one gives the enumerated lattice's value
+    for n in (n for n in pinned if n <= ENUMERATED_LATTICE_MAX_N[k]):
+        assert rademacher_delta(family, k, n) * math.sqrt(n) == pytest.approx(exact[n], abs=1e-12)
 
 
 def test_criterion_09_induction_fixed_point():

@@ -243,6 +243,12 @@ def test_gamma_star_recomputed_from_all_rows_of_gaussian_blocks():
     _check_gamma_star_against_blocks(Ball(np.zeros(2), 1.1), gaussian_source(2))
 
 
+def test_gamma_star_recomputed_from_all_rows_of_repeating_noniid_blocks():
+    # the flat non-iid Rademacher law repeats rows, but only lattice blocks are deduplicated
+    src = noniid_catalog("rademacher", 2, 8, "flat")
+    _check_gamma_star_against_blocks(Ball(np.zeros(2), 1.1), src)
+
+
 def _check_gamma_star_against_blocks(C, src):
     # block b is sample_sum on stream.block(b); per-target sums of T_t 1_B add up in block order.
     # The reference evaluates every row, so a lattice source checks that evaluating its

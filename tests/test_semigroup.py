@@ -28,7 +28,7 @@ from steinclt import (
 from steinclt import convex
 from steinclt.errors import ConfigurationError, DomainError
 from steinclt.gaussian import norm_cdf, norm_pdf
-from steinclt.quadrature import gauss_hermite_tensor
+from steinclt.quadrature import MC_SAMPLES, gauss_hermite_tensor
 from steinclt.convex import (
     _NCX2_SERIES_TERMS, _NCX2_SERIES_Z, _ncx2_densities, _ncx2_series_coefficients,
 )
@@ -124,8 +124,7 @@ def test_analytic_method_rejected_for_smooth():
 def test_quadrature_spec_is_validated_when_built():
     # an unknown method used to reach semigroup_derivative and semigroup_jet
     # unchecked and quietly run Monte Carlo there
-    for bad in ({"inner_method": "bogus"}, {"inner_method": "analytic"},
-                {"s_nodes": 15}, {"mc_samples": 1}):
+    for bad in ({"inner_method": "bogus"}, {"inner_method": "analytic"}, {"s_nodes": 15}):
         with pytest.raises(ConfigurationError):
             QuadratureSpec(**bad)
 
@@ -191,7 +190,7 @@ def test_semigroup_jet_matches_per_index_derivatives(k):
          QuadratureSpec()),
         (hermite_product_function((1,) + (2,) * (k - 1)), QuadratureSpec()),
         (IndicatorFunction(Ball(np.zeros(k), 1.0)),
-         QuadratureSpec(inner_method="monte-carlo", mc_samples=4096)),
+         QuadratureSpec(inner_method="monte-carlo")),
     ]
     for h, quad in cases:
         grad, lap = semigroup_jet(h, 0.7, X, quad)
@@ -217,7 +216,7 @@ def test_dilated_box_value_is_closed_form_and_matches_monte_carlo():
     assert np.array_equal(exact, shifted_measure_batch(h.set, math.exp(-0.5) * X, ou_noise(0.5)))
     quad = QuadratureSpec(inner_method="monte-carlo")
     mc = semigroup_apply(h, 0.5, X, quad)
-    se = np.sqrt(exact * (1.0 - exact) / quad.mc_samples)
+    se = np.sqrt(exact * (1.0 - exact) / MC_SAMPLES)
     assert np.all(np.abs(mc - exact) <= 4.0 * se)
 
 

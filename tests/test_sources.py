@@ -589,12 +589,15 @@ def test_stein_discrepancy_recomputed_from_blocks():
 
 
 @pytest.mark.parametrize(
-    "src", [gaussian_source(2), rademacher_source(1), rademacher_source(2), rademacher_source(3)],
+    "src",
+    [gaussian_source(2), rademacher_source(1), rademacher_source(2), rademacher_source(3),
+     noniid_catalog("rademacher", 2, 8, "flat")],
     ids=repr,
 )
 def test_stein_discrepancy_recomputed_from_all_rows(src):
-    # a lattice block is evaluated on its distinct rows and scattered back, a continuous
-    # block whole; either way the estimate is that of every row, bit for bit
+    # an iid Rademacher block is evaluated on its distinct lattice points and scattered
+    # back, any other block as drawn (the flat non-iid Rademacher repeats rows too);
+    # either way the estimate is that of every row, bit for bit
     _check_stein_sides_against_blocks(src)
 
 
@@ -621,36 +624,54 @@ def _check_stein_sides_against_blocks(src):
     )
 
 
+def _unique_lattice_rows(src, n, stream, size):
+    """The distinct rows of an iid Rademacher block, as `mean_over_blocks` finds them."""
+    distinct, inverse = np.unique(sources._sample_index(src, n, stream, size), return_inverse=True)
+    return sources._lattice_points(distinct, src.k, n), inverse
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_distinct_rows_rebuild_a_rademacher_block(k):
     X = sample_sum(rademacher_source(k), 16, RngStream(7), 4096)
-    first, inverse = sources._distinct_rows(X)
+    rows, inverse = _unique_lattice_rows(rademacher_source(k), 16, RngStream(7), 4096)
     # at most (n + 1)^k lattice points among the 4096 rows
-    assert len(first) <= 17**k
-    assert np.array_equal(X[first][inverse], X)
-    assert len(np.unique(X[first], axis=0)) == len(first)
+    assert len(rows) <= 17**k
+    assert np.array_equal(rows[inverse], X)
+    assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 def test_distinct_rows_count_known_multiplicities():
-    rows = np.array([[0.5, -1.0], [0.0, 2.0], [1.5, 2.0], [0.5, 2.0]])
-    X = rows[[2, 0, 0, 3, 2, 0, 1, 2, 0]]
-    first, inverse = sources._distinct_rows(X)
-    assert np.array_equal(X[first][inverse], X)
-    assert len(np.unique(X[first], axis=0)) == len(first) == 4
-    multiplicity = {tuple(row): int(m) for row, m in zip(X[first], np.bincount(inverse))}
-    assert multiplicity == {(0.5, -1.0): 4, (0.0, 2.0): 1, (1.5, 2.0): 3, (0.5, 2.0): 1}
+    # k = 2, n = 4: the lattice index is 5 * (+ signs of coordinate 0) + (+ signs of coordinate 1)
+    index = np.array([24, 16, 16, 19, 24, 16, 14, 24, 16])
+    distinct, inverse = np.unique(index, return_inverse=True)
+    rows = sources._lattice_points(distinct, 2, 4)
+    assert np.array_equal(rows[inverse], sources._lattice_points(index, 2, 4))
+    assert len(np.unique(rows, axis=0)) == len(rows) == 4
+    multiplicity = {tuple(row): int(m) for row, m in zip(rows, np.bincount(inverse))}
+    assert multiplicity == {(1.0, -1.0): 4, (0.0, 2.0): 1, (2.0, 2.0): 3, (1.0, 2.0): 1}
 
 
 @pytest.mark.parametrize("name", ["gaussian", "uniform", "exponential"])
 def test_distinct_rows_pass_continuous_blocks_whole(name):
-    X = sample_sum(make_source(name, 3), 16, RngStream(7), 4096)
-    assert sources._distinct_rows(X) == (None, None)
+    src, stream, seen = make_source(name, 3), RngStream(7), []
+    assert not sources._lattice_indexed(src, 16)
+
+    def values(X):
+        seen.append(X.copy())
+        return [X[:, 0]]
+
+    sources.mean_over_blocks(src, 16, 4096, stream, values)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], sample_sum(src, 16, stream.block(0), 4096))
 
 
 def test_distinct_rows_look_at_whole_rows_not_columns():
-    # every column repeats its values, but no two rows are equal
-    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    assert sources._distinct_rows(X) == (None, None)
+    # at n = 1 each column takes two values, but the four rows of the lattice are distinct
+    X = sample_sum(rademacher_source(2), 1, RngStream(7), 4096)
+    rows, inverse = _unique_lattice_rows(rademacher_source(2), 1, RngStream(7), 4096)
+    assert [len(np.unique(column)) for column in X.T] == [2, 2]
+    assert np.array_equal(rows, [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+    assert np.array_equal(rows[inverse], X)
 
 
 def test_mean_over_blocks_evaluates_each_distinct_row_once():
