@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .convex import ConvexSet, SetFamily, default_translates, gaussian_measure, shell_measure
-from .errors import DomainError, HypothesisViolationError, check_count
-from .gaussian import _as_points, quantile_a
+from .errors import DomainError, HypothesisViolationError, check_count, check_real
+from .gaussian import QUANTILE_MASS, _as_points, quantile_a
 from .rng import RngStream
 from .semigroup import IndicatorFunction, ou_decay, ou_noise, semigroup_apply
 from .sources import (
@@ -28,7 +28,9 @@ from .sources import (
 
 T_FLOOR = 1e-4
 SEQUENCE_CAP = 4096
-DEFAULT_ALPHA = 7.0 / 8.0
+# `scaling_trend_ok` lets a later value exceed an earlier one by this many
+# combined standard errors
+TREND_SE_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,8 @@ class ConstantsConfig:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"constant {name} must be positive and finite, got {value}")
-        if self.c < 1.0:
-            raise DomainError("the induction constant c must be >= 1")
+            # the induction constant c is at least 1, every other constant positive
+            check_real(name, value, 1.0 if name == "c" else 0.0, allow_low=name == "c")
 
     def override(self, **kw) -> "ConstantsConfig":
         return replace(self, **kw)
@@ -68,20 +68,18 @@ class SmoothingParams:
     """
 
     t: float
-    alpha: float = DEFAULT_ALPHA
     eps: float = 0.0
     k: int = 1
 
     def __post_init__(self):
-        if not self.alpha > 0.5:
-            raise HypothesisViolationError(f"smoothing needs alpha > 1/2, got {self.alpha}")
+        check_real("t", self.t)
+        check_real("eps", self.eps, allow_low=True)
+        check_count("k", self.k, 1)
 
     @staticmethod
-    def for_dimension(k: int, t: float, alpha: float = DEFAULT_ALPHA) -> "SmoothingParams":
-        if not (math.isfinite(t) and t > 0.0):
-            raise DomainError(f"smoothing time must be finite and positive, got {t}")
-        eps = quantile_a(k).a_k * ou_noise(t)
-        return SmoothingParams(t=t, alpha=alpha, eps=eps, k=k)
+    def for_dimension(k: int, t: float) -> "SmoothingParams":
+        eps = quantile_a(k).a_k * ou_noise(check_real("t", t))
+        return SmoothingParams(t=t, eps=eps, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -95,22 +93,22 @@ def smoothed_discrepancy_bound(
 
     c1 k^{3/2} rho3 delta_{n-1} / (sqrt(n) sqrt(t)) + c2 k^{5/2} rho3 / sqrt(n).
     """
-    _check_recursion_inputs(k, rho3, n)
-    if n < 2:
-        raise DomainError("needs n >= 2")
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"needs a finite t > 0, got {t}")
-    if not 0.0 <= delta_prev <= 1.0:
+    _check_recursion_inputs(k, rho3, n, delta_prev, min_n=2)
+    check_real("t", t)
+    if delta_prev > 1.0:
         raise DomainError("delta_prev must lie in [0, 1]")
     lead = consts.c1 * k**1.5 * rho3 * delta_prev / (math.sqrt(n) * math.sqrt(t))
     tail = consts.c2 * k**2.5 * rho3 / math.sqrt(n)
     return lead + tail
 
 
-def smoothing_bound(gamma_star: float, omega_star: float, alpha: float = DEFAULT_ALPHA) -> float:
+def smoothing_bound(gamma_star: float, omega_star: float, alpha: float = QUANTILE_MASS) -> float:
     """(2 alpha - 1)^{-1} (gamma* + omega*); prefactor 4/3 at alpha = 7/8."""
-    if not alpha > 0.5:
-        raise HypothesisViolationError(f"smoothing inequality needs alpha > 1/2, got {alpha}")
+    check_real("gamma_star", gamma_star, allow_low=True)
+    check_real("omega_star", omega_star, allow_low=True)
+    # alpha is the kernel mass inside the eps-ball
+    if isinstance(alpha, bool) or not 0.5 < alpha <= 1.0:
+        raise HypothesisViolationError(f"smoothing needs 1/2 < alpha <= 1, got {alpha!r}")
     return (gamma_star + omega_star) / (2.0 * alpha - 1.0)
 
 
@@ -120,25 +118,21 @@ def optimal_t(k: int, rho3: float, n: int, delta_prev: float) -> float:
     A zero delta_prev degenerates the formula; the floor T_FLOOR keeps the
     smoothing kernel non-degenerate.
     """
-    _check_recursion_inputs(k, rho3, n)
-    if math.isnan(delta_prev):
-        raise DomainError("delta_prev must not be NaN")
-    if delta_prev <= 0.0:
+    _check_recursion_inputs(k, rho3, n, delta_prev)
+    if delta_prev == 0.0:
         return T_FLOOR
     return min(1.0, math.sqrt(k) * delta_prev * rho3 / math.sqrt(n))
 
 
-def _check_recursion_inputs(k, rho3: float, n, delta_prev: float = 0.0) -> None:
-    # the k, n and rho3 check of every bound formula; written so that NaN fails each check
+def _check_recursion_inputs(k, rho3: float, n, delta_prev: float = 0.0, min_n: int = 1) -> None:
+    # the k, n, rho3 and delta_prev check of every bound formula
     try:
         check_count("k", k, 1)
-        check_count("n", n, 1)
+        check_count("n", n, min_n)
     except DomainError:
-        raise DomainError(f"needs integers k >= 1 and n >= 1, got k={k!r}, n={n!r}") from None
-    if not (math.isfinite(rho3) and rho3 > 0.0):
-        raise DomainError(f"rho3 must be finite and > 0, got {rho3}")
-    if not delta_prev >= 0.0:
-        raise DomainError(f"delta_prev must be >= 0, got {delta_prev}")
+        raise DomainError(f"needs integers k >= 1 and n >= {min_n}, got k={k!r}, n={n!r}") from None
+    check_real("rho3", rho3)
+    check_real("delta_prev", delta_prev, allow_low=True)
 
 
 def recursion_bound(
@@ -147,8 +141,7 @@ def recursion_bound(
     """Smoothing-decomposed bound at explicit t:
     c6 k^{3/2} rho3 delta/(sqrt(n) sqrt(t)) + c7 k^{5/2} rho3/sqrt(n) + c8 k sqrt(t) e^t.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"needs a finite t > 0, got {t}")
+    check_real("t", t)
     _check_recursion_inputs(k, rho3, n, delta_prev)
     lead = consts.c6 * k**1.5 * rho3 * delta_prev / (math.sqrt(n) * math.sqrt(t))
     mid = consts.c7 * k**2.5 * rho3 / math.sqrt(n)
@@ -162,9 +155,7 @@ def recursion_step_bound(
     """After the optimal t:
     c9 k^{5/4} rho3^{1/2} delta_prev^{1/2} / n^{1/4} + c7 k^{3/2} rho3 / sqrt(n).
     """
-    if n < 2:
-        raise DomainError("needs n >= 2")
-    _check_recursion_inputs(k, rho3, n, delta_prev)
+    _check_recursion_inputs(k, rho3, n, delta_prev, min_n=2)
     lead = consts.c9 * k**1.25 * math.sqrt(rho3) * math.sqrt(delta_prev) / n**0.25
     tail = consts.c7 * k**1.5 * rho3 / math.sqrt(n)
     return lead + tail
@@ -173,22 +164,24 @@ def recursion_step_bound(
 def berry_esseen_bound(k: int, rho3: float, n: int, c: float = 1.0) -> float:
     """The main iid statement: delta_n <= c k^{5/2} rho3 / sqrt(n)."""
     _check_recursion_inputs(k, rho3, n)
+    check_real("c", c, 1.0, allow_low=True)
     return c * k**2.5 * rho3 / math.sqrt(n)
 
 
 def noniid_bound(k: int, beta3: float, c: float = 1.0) -> float:
     """Non-iid statement delta_n <= c k^{5/2} beta3 (hypothesis beta3 < 1)."""
-    if beta3 >= 1.0:
+    check_count("k", k, 1)
+    check_real("c", c, 1.0, allow_low=True)
+    if check_real("beta3", beta3) >= 1.0:
         raise HypothesisViolationError("the non-iid bound assumes beta3 < 1")
-    if not beta3 > 0.0:
-        raise DomainError(f"beta3 must be positive, got {beta3}")
     return c * k**2.5 * beta3
 
 
 def gamma3_bound(k: int, gamma3: float, c: float = 1.0) -> float:
     """Componentwise variant delta_n <= c k gamma3 (better when gamma3 small)."""
-    if not gamma3 > 0.0:
-        raise DomainError(f"gamma3 must be positive, got {gamma3}")
+    check_count("k", k, 1)
+    check_real("c", c, 1.0, allow_low=True)
+    check_real("gamma3", gamma3)
     return c * k * gamma3
 
 
@@ -215,10 +208,8 @@ def gamma_star_hat(
     variance relative to sampling the kernel too.  Phi(B) is computed in the
     calling thread, and each block's targets are split by `map_targets`.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"needs a finite t > 0, got {t}")
-    if not eps >= 0.0:
-        raise DomainError("eps must be >= 0")
+    check_real("t", t)
+    check_real("eps", eps, allow_low=True)
     if translates is None:
         translates = default_translates(C.dim)
     translates, _ = _as_points(translates, C.dim)
@@ -241,17 +232,14 @@ def gamma_star_hat(
 
 def omega_star_hat(C: ConvexSet, eps: float, t: float) -> float:
     """Boundary-shell mass of the shrunk Gaussian: P(e^{-t} Z in shell(C, 2eps))."""
-    if not eps >= 0.0:
-        raise DomainError("eps must be >= 0")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"t must be finite and >= 0, got {t}")
+    check_real("eps", eps, allow_low=True)
+    check_real("t", t, allow_low=True)
     return shell_measure(C, eps, scale=ou_decay(t))
 
 
 def omega_star_ratio(C: ConvexSet, eps: float, t: float) -> float:
     """Observed shell mass relative to the sqrt(k) * 2eps * e^t envelope."""
-    if not eps > 0.0:
-        raise DomainError("the ratio needs eps > 0")
+    check_real("eps", eps)
     value = omega_star_hat(C, eps, t)
     return value / (math.sqrt(C.dim) * 2.0 * eps * math.exp(t))
 
@@ -293,8 +281,7 @@ def recursion_certify(
     delta_1 = 1 as a certified upper sequence, walked exactly up to
     SEQUENCE_CAP (walking every n keeps each entry an honest bound).
     """
-    if n_max < 2:
-        raise DomainError("n_max must be >= 2")
+    check_count("n_max", n_max, 2)
     _check_recursion_inputs(k, rho3, n_max)
     c_star = certified_constant(consts.c10, consts.c7)
     # the absorbed constant satisfies c10 = (raw coefficient) + 1, so the raw
@@ -390,8 +377,8 @@ def bound_report(
     delta_prev is proxied by the certified envelope at n-1 (clipped to 1),
     which is what the recursion itself guarantees at that point.
     """
-    if t is not None and not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"needs a finite t > 0, got {t}")
+    if t is not None:
+        check_real("t", t)
     k = family.dim
     summary = moment_summary(src)
     est = delta_hat(src, n, family, M, stream)
@@ -542,8 +529,8 @@ def dim_scan(
     return DimScanReport(cells=tuple(cells), k_exponents=k_exp, n_exponents=n_exp)
 
 
-def scaling_trend_ok(values, std_errors, factor: float = 3.0) -> bool:
-    """True when no later value exceeds an earlier one beyond combined errors.
+def scaling_trend_ok(values, std_errors) -> bool:
+    """True when no later value exceeds an earlier one by more than TREND_SE_FACTOR errors.
 
     False when any value or standard error is not finite.
     """
@@ -554,6 +541,6 @@ def scaling_trend_ok(values, std_errors, factor: float = 3.0) -> bool:
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             combined = math.hypot(std_errors[i], std_errors[j])
-            if values[j] - values[i] > factor * combined:
+            if values[j] - values[i] > TREND_SE_FACTOR * combined:
                 return False
     return True

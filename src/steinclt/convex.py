@@ -58,7 +58,7 @@ import numpy as np
 import scipy
 from scipy import special
 
-from .errors import ConfigurationError, DimensionMismatchError, DomainError, check_count
+from .errors import ConfigurationError, DimensionMismatchError, DomainError, check_count, check_real
 from .gaussian import _as_points, _unbatch, hermite_he, multiplicities, norm_cdf, norm_pdf
 from .quadrature import gauss_legendre_panel
 from .rng import RngStream
@@ -194,20 +194,6 @@ def _max_abs(pts):
     return reduce(np.maximum, (np.abs(column) for column in pts.T))
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not eps >= 0.0:
-        raise DomainError("dilation/erosion radius must be >= 0")
-    return eps
-
-
-def _check_factor(factor: float) -> float:
-    factor = float(factor)
-    if not (math.isfinite(factor) and factor > 0.0):
-        raise DomainError(f"scale factor must be finite and > 0, got {factor}")
-    return factor
-
-
 def _check_shift(shift, dim: int) -> np.ndarray:
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (dim,):
@@ -229,11 +215,8 @@ class HalfSpace(ConvexSet):
         # written so that a NaN or infinite entry (a NaN or infinite norm) fails too
         if not abs(np.linalg.norm(normal) - 1.0) <= _UNIT_TOL:
             raise DomainError("half-space normal must have unit length")
-        offset = float(offset)
-        if not math.isfinite(offset):
-            raise DomainError(f"half-space offset must be finite, got {offset}")
         self.normal = normal
-        self.offset = offset
+        self.offset = check_real("half-space offset", offset, -math.inf)
         self.dim = normal.size
         self._ignored = np.flatnonzero(normal == 0.0)
 
@@ -289,17 +272,17 @@ class HalfSpace(ConvexSet):
         return grad, lap
 
     def dilate(self, eps):
-        return HalfSpace(self.normal, self.offset + _check_eps(eps))
+        return HalfSpace(self.normal, self.offset + check_real("eps", eps, allow_low=True))
 
     def erode(self, eps):
-        return HalfSpace(self.normal, self.offset - _check_eps(eps))
+        return HalfSpace(self.normal, self.offset - check_real("eps", eps, allow_low=True))
 
     def translate(self, shift):
         shift = _check_shift(shift, self.dim)
         return HalfSpace(self.normal, self.offset + float(self.normal @ shift))
 
     def scale(self, factor):
-        return HalfSpace(self.normal, self.offset * _check_factor(factor))
+        return HalfSpace(self.normal, self.offset * check_real("scale factor", factor))
 
     def __repr__(self):
         return f"HalfSpace(normal={self.normal.tolist()}, offset={self.offset})"
@@ -468,11 +451,10 @@ class Ball(ConvexSet):
         center = np.asarray(center, dtype=float)
         if center.ndim != 1:
             raise DomainError("center must be a vector")
-        radius = float(radius)
-        if not (np.isfinite(center).all() and math.isfinite(radius)):
-            raise DomainError(f"ball center and radius must be finite, got {center}, {radius}")
+        if not np.isfinite(center).all():
+            raise DomainError(f"ball center must be finite, got {center}")
         self.center = center
-        self.radius = radius
+        self.radius = check_real("ball radius", radius, -math.inf)
         self.dim = center.size
 
     @property
@@ -560,17 +542,17 @@ class Ball(ConvexSet):
         return grad, lap
 
     def dilate(self, eps):
-        eps = _check_eps(eps)
+        eps = check_real("eps", eps, allow_low=True)
         return self if self.is_empty else Ball(self.center, self.radius + eps)
 
     def erode(self, eps):
-        return Ball(self.center, max(self.radius - _check_eps(eps), -1.0))
+        return Ball(self.center, max(self.radius - check_real("eps", eps, allow_low=True), -1.0))
 
     def translate(self, shift):
         return Ball(self.center + _check_shift(shift, self.dim), self.radius)
 
     def scale(self, factor):
-        factor = _check_factor(factor)
+        factor = check_real("scale factor", factor)
         return Ball(self.center * factor, self.radius * factor)
 
     def __repr__(self):
@@ -714,13 +696,13 @@ class Box(ConvexSet):
         return grad, lap
 
     def dilate(self, eps):
-        eps = _check_eps(eps)
+        eps = check_real("eps", eps, allow_low=True)
         if eps == 0.0:
             return self
         return DilatedBox(self, eps) if self.dim <= _DILATED_BOX_MAX_DIM else DilatedSet(self, eps)
 
     def erode(self, eps):
-        eps = _check_eps(eps)
+        eps = check_real("eps", eps, allow_low=True)
         return Box(self.lower + eps, self.upper - eps)
 
     def translate(self, shift):
@@ -728,7 +710,7 @@ class Box(ConvexSet):
         return Box(self.lower + shift, self.upper + shift)
 
     def scale(self, factor):
-        factor = _check_factor(factor)
+        factor = check_real("scale factor", factor)
         return Box(self.lower * factor, self.upper * factor)
 
     def _beyond(self, pts):
@@ -909,18 +891,18 @@ class Ellipsoid(ConvexSet):
         return lower, upper
 
     def dilate(self, eps):
-        eps = _check_eps(eps)
+        eps = check_real("eps", eps, allow_low=True)
         return self if eps == 0.0 else DilatedSet(self, eps)
 
     def erode(self, eps):
-        eps = _check_eps(eps)
+        eps = check_real("eps", eps, allow_low=True)
         return self if eps == 0.0 else ErodedSet(self, eps)
 
     def translate(self, shift):
         return Ellipsoid(self.center + _check_shift(shift, self.dim), self.shape)
 
     def scale(self, factor):
-        factor = _check_factor(factor)
+        factor = check_real("scale factor", factor)
         return Ellipsoid(self.center * factor, self.shape * factor**2)
 
     def __repr__(self):
@@ -971,7 +953,7 @@ class DilatedSet(ConvexSet):
 
     def __init__(self, base: ConvexSet, eps: float):
         self.base = base
-        self.eps = _check_eps(eps)
+        self.eps = check_real("eps", eps, allow_low=True)
         self.dim = base.dim
 
     @property
@@ -985,10 +967,10 @@ class DilatedSet(ConvexSet):
         return _unbatch(ok, single)
 
     def dilate(self, eps):
-        return self.base.dilate(self.eps + _check_eps(eps))
+        return self.base.dilate(self.eps + check_real("eps", eps, allow_low=True))
 
     def erode(self, eps):
-        eps = _check_eps(eps)
+        eps = check_real("eps", eps, allow_low=True)
         # (C^a)^{-b} = C^{a-b} for convex C, in either direction of a-b
         if eps <= self.eps:
             return self.base.dilate(self.eps - eps)
@@ -998,7 +980,7 @@ class DilatedSet(ConvexSet):
         return self.base.translate(shift).dilate(self.eps)
 
     def scale(self, factor):
-        factor = _check_factor(factor)
+        factor = check_real("scale factor", factor)
         return self.base.scale(factor).dilate(self.eps * factor)
 
     def __repr__(self):
@@ -1084,7 +1066,7 @@ class ErodedSet(ConvexSet):
 
     def __init__(self, base: ConvexSet, eps: float):
         self.base = base
-        self.eps = _check_eps(eps)
+        self.eps = check_real("eps", eps, allow_low=True)
         self.dim = base.dim
 
     def contains(self, x):
@@ -1094,10 +1076,10 @@ class ErodedSet(ConvexSet):
         return _unbatch(ok, single)
 
     def erode(self, eps):
-        return ErodedSet(self.base, self.eps + _check_eps(eps))
+        return ErodedSet(self.base, self.eps + check_real("eps", eps, allow_low=True))
 
     def dilate(self, eps):
-        eps = _check_eps(eps)
+        eps = check_real("eps", eps, allow_low=True)
         if eps <= self.eps:
             # exact for smooth bodies with boundary curvature radius >= eps
             return ErodedSet(self.base, self.eps - eps) if eps < self.eps else self.base
@@ -1107,7 +1089,7 @@ class ErodedSet(ConvexSet):
         return ErodedSet(self.base.translate(shift), self.eps)
 
     def scale(self, factor):
-        factor = _check_factor(factor)
+        factor = check_real("scale factor", factor)
         return ErodedSet(self.base.scale(factor), self.eps * factor)
 
     def __repr__(self):
@@ -1350,9 +1332,7 @@ def shifted_measure_batch(C: ConvexSet, shifts, sigma: float):
     whole library, from `ConvexSet.shifted_measure`); None signals the caller
     to fall back to quadrature/MC.
     """
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    sigma = check_real("sigma", sigma)
     shifts, _ = _as_points(shifts, C.dim)
     if C.is_empty:
         return np.zeros(len(shifts))
@@ -1372,10 +1352,8 @@ def shell_measure(C: ConvexSet, eps: float, scale: float = 1.0) -> float:
     the difference of the two measures bit for bit.  Every other pair,
     including any with a closed form, is measured as that difference.
     """
-    inv = 1.0 / _check_factor(scale)
-    eps = float(eps)
-    if not eps >= 0.0:
-        raise DomainError("eps must be >= 0")
+    inv = 1.0 / check_real("scale factor", scale)
+    eps = check_real("eps", eps, allow_low=True)
     if eps == 0.0:
         return 0.0
     outer, inner = C.dilate(2.0 * eps).scale(inv), C.erode(2.0 * eps).scale(inv)
@@ -1483,20 +1461,21 @@ def default_family(
     Cached by its arguments: repeated calls share one family and its
     membership plan.
     """
+    k = check_count("k", k, 1)
     gen = RngStream(seed, stream_id=101).generator()
     sets: list[ConvexSet] = []
-    offsets = np.linspace(-3.2, 3.2, n_offsets)
-    for _ in range(n_directions):
+    offsets = np.linspace(-3.2, 3.2, check_count("n_offsets", n_offsets, 0))
+    for _ in range(check_count("n_directions", n_directions, 0)):
         d = gen.standard_normal(k)
         d /= np.linalg.norm(d)
         for b in offsets:
             sets.append(HalfSpace(d, float(b)))
     # ball radii at even chi-mass spacing so every radius is informative
-    probs = np.linspace(0.02, 0.98, n_radii)
+    probs = np.linspace(0.02, 0.98, check_count("n_radii", n_radii, 0))
     radii = np.sqrt(2.0 * special.gammaincinv(0.5 * k, probs))
     for r in radii:
         sets.append(Ball(np.zeros(k), float(r)))
-    for a in np.linspace(0.3, 2.7, n_box_sizes):
+    for a in np.linspace(0.3, 2.7, check_count("n_box_sizes", n_box_sizes, 0)):
         sets.append(Box(-a * np.ones(k), a * np.ones(k)))
     return SetFamily(
         sets=tuple(sets),
@@ -1506,6 +1485,7 @@ def default_family(
 
 def default_translates(k: int) -> np.ndarray:
     """Translation grid for sup-over-translates: 0 and radii 0.5, 1.5 in 6 seeded directions."""
+    k = check_count("k", k, 1)
     gen = RngStream(0, stream_id=202).generator()
     rows = [np.zeros(k)]
     for _ in range(6):

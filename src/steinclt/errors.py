@@ -1,4 +1,9 @@
-"""Exception types shared across the library, and its one count check."""
+"""Exception types shared across the library, and its argument checks.
+
+`check_count` is the one check of an integer dimension or count, and
+`check_real` the one check of a real scalar argument; no other module tests
+finiteness itself.
+"""
 
 import math
 import numbers
@@ -39,3 +44,17 @@ def check_count(name: str, value, minimum: int) -> int:
     if count < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {count}")
     return count
+
+
+def check_real(name: str, value, low: float = 0.0, *, allow_low: bool = False) -> float:
+    """value as a float, finite and > low (>= low when allow_low).
+
+    DomainError for a bool, a non-real value (a string, None), NaN, +-inf or a
+    value out of range; low = -inf asks only for a finite value.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        real = float(value)
+        if math.isfinite(real) and (low < real or allow_low and real == low):
+            return real
+    bound = "" if low == -math.inf else f" and {'>=' if allow_low else '>'} {low:g}"
+    raise DomainError(f"{name} must be finite{bound}, got {value!r}")

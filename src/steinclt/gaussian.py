@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import BracketError, DimensionMismatchError, DomainError
+from .errors import BracketError, DimensionMismatchError, DomainError, check_count
 from .rng import RngStream
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -160,7 +160,7 @@ def abs_d3_integral(pattern: str, k: int) -> float:
     if pattern not in _PATTERNS:
         raise DomainError(f"pattern must be one of {sorted(_PATTERNS)}, got {pattern!r}")
     orders = _PATTERNS[pattern]
-    if k < len(orders):
+    if check_count("k", k, 1) < len(orders):
         raise DomainError(f"pattern {pattern!r} needs at least {len(orders)} dimensions")
     val = 1.0
     for m in orders:
@@ -190,8 +190,7 @@ def quantile_a(k: int) -> QuantileResult:
     Bisection on the regularized incomplete gamma is unconditionally robust;
     the bracket grows geometrically from sqrt(k) so large k is fine.
     """
-    if not k >= 1:
-        raise DomainError(f"dimension k must be >= 1, got {k}")
+    k = check_count("dimension k", k, 1)
     lo, hi = 0.0, math.sqrt(k) + 10.0
     for _ in range(200):
         if chi_cdf(hi, k) > QUANTILE_MASS:
@@ -213,6 +212,5 @@ def quantile_a(k: int) -> QuantileResult:
 
 def sample_std_normal(n_samples: int, k: int, stream: RngStream) -> np.ndarray:
     """(n_samples, k) iid N(0, I_k) draws, bit-reproducible from the stream."""
-    if n_samples < 0 or k < 1:
-        raise DomainError("need n_samples >= 0 and k >= 1")
-    return stream.generator().standard_normal((n_samples, k))
+    shape = check_count("n_samples", n_samples, 0), check_count("k", k, 1)
+    return stream.generator().standard_normal(shape)

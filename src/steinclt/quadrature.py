@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError, check_count
 
 GH_TENSOR_MAX_DIM = 3
 GH_NODES = 32
@@ -82,8 +82,8 @@ class QuadratureSpec:
                        otherwise tensor Gauss-Hermite for k <= 3, else MC;
         "gauss-hermite" tensor grid with GH_NODES per axis (k <= 3);
         "monte-carlo"  MC_SAMPLES draws from a stream with master seed 0.
-    A spec is checked when it is built: an unknown method or s_nodes < 16
-    raises ConfigurationError.
+    A spec is checked when it is built: an unknown method or an s_nodes that
+    is not an integer >= 16 raises ConfigurationError.
     """
 
     s_nodes: int = 64
@@ -92,8 +92,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.inner_method not in _INNER_METHODS:
             raise ConfigurationError(f"unknown inner_method {self.inner_method!r}")
-        if self.s_nodes < 16:
-            raise ConfigurationError("s_nodes must be at least 16")
+        try:  # held as an int: the Gauss-Legendre rule takes no float degree
+            object.__setattr__(self, "s_nodes", check_count("s_nodes", self.s_nodes, 16))
+        except DomainError as exc:
+            raise ConfigurationError(str(exc)) from None
 
 
 DEFAULT_QUAD = QuadratureSpec()

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .convex import ConvexSet, _per_node, gaussian_measure, shifted_measure_batch
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .gaussian import _as_points, _unbatch, hermite_he, hermite_kernel, multiplicities
 from .quadrature import (
     DEFAULT_QUAD, GH_NODES, GH_TENSOR_MAX_DIM, MC_SAMPLES, QuadratureSpec, gauss_hermite_tensor,
@@ -171,12 +171,12 @@ def gaussian_mean(h: TestFunction, k: int, quad: QuadratureSpec = DEFAULT_QUAD) 
 def _derivative_times(s):
     """(times, one_time): s as a 1-D array of OU times, and whether it was one time.
 
-    DomainError unless s is one time or a non-empty 1-D array, every time > 0.
+    DomainError unless s is one time or a non-empty 1-D array, every time finite and > 0.
     """
     times = np.asarray(s, dtype=float)
     # written so that a NaN time fails too
-    if times.ndim > 1 or times.size == 0 or not np.all(times > 0.0):
-        raise DomainError(f"semigroup derivatives need times s > 0, got {s}")
+    if times.ndim > 1 or times.size == 0 or not np.all((times > 0.0) & np.isfinite(times)):
+        raise DomainError(f"semigroup derivatives need finite times s > 0, got {s}")
     return np.atleast_1d(times), times.ndim == 0
 
 
@@ -212,8 +212,7 @@ def _select(vals, one_time, single):
 
 def semigroup_apply(h: TestFunction, t: float, x, quad: QuadratureSpec = DEFAULT_QUAD):
     """T_t h(x); accepts a point (k,) or a batch (M,k)."""
-    if not t >= 0.0:
-        raise DomainError(f"semigroup time t must be >= 0, got {t}")
+    check_real("semigroup time t", t, allow_low=True)
     X, single = _points(h, x)
     k = X.shape[1]
     if t == 0.0:
@@ -339,8 +338,7 @@ def backward_residual(
     Both sides are finite differences over semigroup_apply, so the residual
     is O(dt^2 + dx^2) in smooth regimes.
     """
-    if not t > 0.0:
-        raise DomainError(f"backward residual needs t > 0, got {t}")
+    check_real("t", t)
     x = np.asarray(x, dtype=float)
 
     def T(tt, pt):

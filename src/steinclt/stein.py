@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_count
+from .errors import DomainError, check_count, check_real
 from .gaussian import _unbatch, hermite_kernel, multiplicities
 from .quadrature import (
     DEFAULT_QUAD,
@@ -83,8 +83,7 @@ def weight3_integral(t: float) -> float:
     Computed by adaptive quadrature after u = e^{-s}: the integrand becomes
     u^2 (1-u^2)^{-3/2} on (0, e^{-t}).
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"weight3_integral needs a finite t > 0, got {t}")
+    check_real("t", t)
     from scipy import integrate  # deferred: only check rows read the weight integrals
 
     val, _ = integrate.quad(
@@ -113,14 +112,12 @@ class SteinSolution:
     """
 
     def __init__(self, t: float, h: TestFunction, quad: QuadratureSpec = DEFAULT_QUAD):
-        if not (math.isfinite(t) and t >= T_MIN):
-            raise DomainError(f"stein solutions are evaluated for finite t >= {T_MIN}, got {t}")
-        u_hi = math.exp(-float(t))
+        self.t = check_real("t", t, T_MIN, allow_low=True)
+        u_hi = math.exp(-self.t)
         if u_hi < sys.float_info.min:
             raise DomainError(
                 f"stein solutions need e^-t to be a normal double (t <= 708.39), got t = {t}"
             )
-        self.t = float(t)
         self.h = h
         self.quad = quad
         # past s = t + 40 the integrand is below double precision
@@ -255,8 +252,7 @@ def double_integral_kernel_report(
     envelope.
     """
     n = check_count("n", n, 2)
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"s must be finite and > 0, got {s}")
+    check_real("s", s)
     shifts, _ = _points(h, shift_grid)
     k = shifts.shape[1]
     multiplicities(idx, k, orders=(3,))

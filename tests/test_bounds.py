@@ -18,10 +18,13 @@ from steinclt import (
     RngStream,
     SetFamily,
     SmoothingParams,
+    SteinSolution,
+    backward_residual,
     berry_esseen_bound,
     bound_report,
     certified_constant,
     default_family,
+    default_translates,
     dim_scan,
     gamma3_bound,
     gamma_star_hat,
@@ -143,6 +146,8 @@ def test_recursion_certificate_defaults():
         assert cert.c_star == pytest.approx(((1 + math.sqrt(5.0)) / 2.0) ** 2, abs=1e-12)
         assert cert.envelope_ok_from_2
         assert cert.n_star == 2
+    with pytest.raises(DomainError, match="n_max must be >= 2, got 1"):
+        recursion_certify(2, 1.0, 1, ConstantsConfig())
 
 
 def test_recursion_certificate_nondegenerate_constant():
@@ -174,8 +179,6 @@ def test_smoothing_params_eps_consistency():
             # a_k <= c4 sqrt(k) with the observed c4, and eps <= c4 sqrt(2kt)
             c4 = a_k / math.sqrt(k)
             assert p.eps <= c4 * math.sqrt(k) * math.sqrt(2 * t) + 1e-12
-    with pytest.raises(HypothesisViolationError):
-        SmoothingParams(t=0.5, alpha=0.5)
 
 
 def test_omega_star_examples():
@@ -363,6 +366,7 @@ def test_smoothing_time_must_be_finite_and_positive(t):
 
 
 _ELLIPSE = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
+_HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
 
 
 @pytest.mark.parametrize(
@@ -380,14 +384,39 @@ _ELLIPSE = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
                                       math.nan),
         lambda: shifted_measure_batch(Ball(np.zeros(2), 1.0), np.zeros((2, 2)), math.nan),
         lambda: shifted_measure_batch(Box(-np.ones(2), np.ones(2)), np.zeros((2, 2)), math.nan),
+        lambda: gaussian_measure(Box(-np.ones(2), np.ones(2)).dilate(math.inf)),
+        lambda: omega_star_hat(Box(-np.ones(2), np.ones(2)), math.inf, 0.1),
+        lambda: shifted_measure_batch(HalfSpace(np.array([1.0, 0.0]), 0.0), np.zeros((1, 2)),
+                                      math.inf),
+        lambda: Box(-np.ones(2), np.ones(2)).dilate("0.1"),
+        lambda: shell_measure(Box(-np.ones(2), np.ones(2)), True),
+        lambda: HalfSpace(np.array([1.0, 0.0]), "0.3"),
+        lambda: SteinSolution(True, _HALF_PLANE),
+        lambda: semigroup_apply(_HALF_PLANE, math.inf, np.zeros(2)),
+        lambda: backward_residual(_HALF_PLANE, math.inf, np.zeros(2)),
+        lambda: default_family(0),
+        lambda: default_translates(0),
+        lambda: default_family(2, n_directions=-3),
+        lambda: default_family(2, n_offsets=2.5),
+        lambda: default_family(2, n_radii=math.nan),
+        lambda: default_family(2, n_box_sizes=True),
     ],
     ids=["gamma_star_hat", "omega_star_hat", "omega_star_ratio", "shell_measure", "Box.dilate",
          "shell_measure-scale", "shifted_measure_batch-HalfSpace", "shifted_measure_batch-Ball",
-         "shifted_measure_batch-Box"],
+         "shifted_measure_batch-Box", "Box.dilate-inf", "omega_star_hat-inf",
+         "shifted_measure_batch-inf", "Box.dilate-string", "shell_measure-bool",
+         "HalfSpace-offset-string", "SteinSolution-bool", "semigroup_apply-inf",
+         "backward_residual-inf", "default_family-k-zero", "default_translates-k-zero",
+         "default_family-n_directions-negative", "default_family-n_offsets-fraction",
+         "default_family-n_radii-nan", "default_family-n_box_sizes-bool"],
 )
 def test_nan_radius_raises(call):
     # NaN fails every comparison, so a radius or scale check must be written to
-    # reject it; a NaN sigma gave nan measures, a NaN shell scale a misleading error
+    # reject it; a NaN sigma gave nan measures, a NaN shell scale a misleading error.
+    # An infinite radius, time or sigma, a bool or a string passed the hand-written
+    # checks too (an inf radius measured with a RuntimeWarning), and k = 0 built a
+    # zero-dimensional grid, until every scalar went through `check_real`; a
+    # negative n_directions built a family with no half-spaces
     with pytest.raises(DomainError):
         call()
 
@@ -409,7 +438,6 @@ _NAN = math.nan
         (lambda: optimal_t(2, _NAN, 16, 0.25), DomainError),
         (lambda: optimal_t(2, 1.0, 16, _NAN), DomainError),
         (lambda: smoothing_bound(0.1, 0.1, alpha=_NAN), HypothesisViolationError),
-        (lambda: SmoothingParams.for_dimension(2, 0.5, alpha=_NAN), HypothesisViolationError),
         (lambda: berry_esseen_bound(2, math.inf, 16), DomainError),
         (lambda: optimal_t(2, math.inf, 16, 0.5), DomainError),
         (lambda: berry_esseen_bound(2.5, 1.0, 16), DomainError),
@@ -417,20 +445,38 @@ _NAN = math.nan
         (lambda: berry_esseen_bound(True, 1.0, 16), DomainError),
         (lambda: optimal_t(2, 1.0, 16.5, 0.5), DomainError),
         (lambda: recursion_step_bound(2.5, 1.0, 16.5, 0.1, _CONSTS), DomainError),
+        (lambda: noniid_bound(-1, 0.5), DomainError),
+        (lambda: gamma3_bound(0, 0.5), DomainError),
+        (lambda: gamma3_bound(2, math.inf), DomainError),
+        (lambda: berry_esseen_bound(2, 1.0, 4, c=-1), DomainError),
+        (lambda: berry_esseen_bound(2, True, 4), DomainError),
+        (lambda: SmoothingParams.for_dimension(2.5, 0.1), DomainError),
+        (lambda: SmoothingParams(t=-1.0), DomainError),
+        (lambda: SmoothingParams(t=0.1, eps=_NAN), DomainError),
+        (lambda: smoothing_bound(0.1, 0.1, alpha=math.inf), HypothesisViolationError),
+        (lambda: smoothing_bound(0.1, 0.1, alpha=2.0), HypothesisViolationError),
+        (lambda: smoothing_bound(0.1, 0.1, alpha=True), HypothesisViolationError),
     ],
     ids=["berry_esseen_bound-rho3", "noniid_bound-beta3", "gamma3_bound-gamma3",
          "recursion_step_bound-rho3", "recursion_step_bound-delta_prev", "recursion_bound-rho3",
          "recursion_bound-delta_prev", "optimal_t-rho3", "optimal_t-delta_prev",
-         "smoothing_bound-alpha", "SmoothingParams.for_dimension-alpha",
-         "berry_esseen_bound-rho3-inf", "optimal_t-rho3-inf", "berry_esseen_bound-k-fraction",
-         "berry_esseen_bound-n-fraction", "berry_esseen_bound-k-bool", "optimal_t-n-fraction",
-         "recursion_step_bound-k-n-fraction"],
+         "smoothing_bound-alpha", "berry_esseen_bound-rho3-inf", "optimal_t-rho3-inf",
+         "berry_esseen_bound-k-fraction", "berry_esseen_bound-n-fraction",
+         "berry_esseen_bound-k-bool", "optimal_t-n-fraction", "recursion_step_bound-k-n-fraction",
+         "noniid_bound-k-negative", "gamma3_bound-k-zero", "gamma3_bound-gamma3-inf",
+         "berry_esseen_bound-c-negative", "berry_esseen_bound-rho3-bool",
+         "SmoothingParams.for_dimension-k-fraction", "SmoothingParams-t-negative",
+         "SmoothingParams-eps-nan", "smoothing_bound-alpha-inf",
+         "smoothing_bound-alpha-above-one", "smoothing_bound-alpha-bool"],
 )
 def test_nan_bound_input_raises(call, error):
     # each check used to be written as `x <= bound`, which NaN passes: the
     # bounds returned nan, optimal_t returned 1.0 and alpha = nan was accepted;
     # berry_esseen_bound and optimal_t also took rho3 = inf, and every bound
-    # took a bool or fractional k or n, until they shared one check
+    # took a bool or fractional k or n, until they shared one check; noniid_bound
+    # returned a complex number at k = -1, and gamma3_bound, berry_esseen_bound's
+    # c, SmoothingParams and alpha = inf took values the hand-written checks let by;
+    # alpha is a kernel mass, and alpha = 2 gave a bound below the alpha = 1 one
     with pytest.raises(error):
         call()
 

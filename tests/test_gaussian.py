@@ -14,6 +14,7 @@ from steinclt import (
     norm_pdf,
     phi,
     quantile_a,
+    sample_std_normal,
 )
 from steinclt.errors import DomainError
 
@@ -182,7 +183,21 @@ def test_chi_cdf_is_nan_at_nan_and_unchanged_above_zero():
         assert np.array_equal(out[3:], special.gammainc(0.5 * k, 0.5 * np.square(r[3:])))
 
 
-def test_quantile_rejects_a_nan_dimension():
-    # a NaN k used to pass `k < 1` and fail later with BracketError
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: quantile_a(math.nan),
+        lambda: quantile_a(math.inf),
+        lambda: quantile_a(2.5),
+        lambda: quantile_a(True),
+        lambda: abs_d3_integral("pair", 2.5),
+        lambda: sample_std_normal(3, 2.5, RngStream(0)),
+    ],
+    ids=["quantile_a-nan", "quantile_a-inf", "quantile_a-fraction", "quantile_a-bool",
+         "abs_d3_integral-fraction", "sample_std_normal-fraction"],
+)
+def test_dimension_argument_is_checked(call):
+    # a NaN or infinite k used to pass `k < 1` and fail later with BracketError, a
+    # fractional or bool k was accepted, and sample_std_normal raised TypeError
     with pytest.raises(DomainError):
-        quantile_a(math.nan)
+        call()

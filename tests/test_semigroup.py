@@ -124,9 +124,12 @@ def test_analytic_method_rejected_for_smooth():
 def test_quadrature_spec_is_validated_when_built():
     # an unknown method used to reach semigroup_derivative and semigroup_jet
     # unchecked and quietly run Monte Carlo there
-    for bad in ({"inner_method": "bogus"}, {"inner_method": "analytic"}, {"s_nodes": 15}):
+    # a NaN or fractional s_nodes used to build and fail later in numpy
+    for bad in ({"inner_method": "bogus"}, {"inner_method": "analytic"}, {"s_nodes": 15},
+                {"s_nodes": math.nan}, {"s_nodes": 16.5}, {"s_nodes": True}):
         with pytest.raises(ConfigurationError):
             QuadratureSpec(**bad)
+    assert type(QuadratureSpec(s_nodes=32.0).s_nodes) is int
 
 
 def test_gh_infeasible_above_three_dims():
@@ -431,8 +434,8 @@ def test_nan_time_raises(call):
 
 @pytest.mark.parametrize(
     "times",
-    [[0.5, 0.0], [-0.5, 0.5], [0.5, math.nan], [-math.inf], [], [[0.5, 1.0]]],
-    ids=["zero", "negative", "nan", "minus-inf", "empty", "two-dimensional"],
+    [[0.5, 0.0], [-0.5, 0.5], [0.5, math.nan], [-math.inf], [0.5, math.inf], [], [[0.5, 1.0]]],
+    ids=["zero", "negative", "nan", "minus-inf", "plus-inf", "empty", "two-dimensional"],
 )
 @pytest.mark.parametrize("entry", ["semigroup_derivative", "semigroup_jet"])
 def test_derivative_time_arrays_are_checked(entry, times):
