@@ -123,4 +123,4 @@ from .bounds import (
     smoothing_bound,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"

@@ -116,9 +116,7 @@ def run_check_inequalities(args) -> tuple[list, bool, None]:
         val = st.weight3_integral(t)
         cap = (2.0 * t) ** -0.5
         rows.append(_row(f"weight3-integral-t={t}", val, cap, 1e-8, val <= cap + 1e-8))
-    rows.append(
-        _row("weight1-total", st.weight1_integral_total(), math.pi / 2.0, 1e-9, True)
-    )
+    rows.append(_row("weight1-total", st.weight1_integral_total(), math.pi / 2.0, 1e-9, True))
     # vanishing moments of the derivative kernels, exact under Gauss-Hermite
     kk = min(k_arg, 3)
     nodes, wts = gauss_hermite_tensor(kk, GH_NODES)

@@ -29,10 +29,6 @@ class HypothesisViolationError(ValueError):
     """Inputs violate a hypothesis of the bound being evaluated."""
 
 
-class BracketError(RuntimeError):
-    """A root bracketing step failed; indicates an internal error."""
-
-
 def check_count(name: str, value, minimum: int) -> int:
     """value as an int >= minimum; DomainError for bools, non-integral or non-finite values."""
     integral = isinstance(value, numbers.Integral) or (

@@ -339,6 +339,8 @@ def backward_residual(
     is O(dt^2 + dx^2) in smooth regimes.
     """
     check_real("t", t)
+    check_real("dt", dt)
+    check_real("dx", dx)
     x = np.asarray(x, dtype=float)
 
     def T(tt, pt):

@@ -388,7 +388,7 @@ def _rho3_integral(law: str, scales: tuple) -> tuple[float, float]:
 class NonIIDSource:
     """Independent scaled summands X_j = scale_j * Y_j with sum Cov X_j = I_k.
 
-    Scales may be scalars or per-coordinate vectors (diagonal covariances).
+    Scales are finite scalars or length-k vectors (diagonal covariances).
     Reports label it `noniid-<base>` after the first component's law.
     """
 
@@ -400,10 +400,13 @@ class NonIIDSource:
         if len(ks) != 1:
             raise DomainError("all components must share a dimension")
         self.k = ks.pop()
+        scales = [sc for _, sc in self.components]
+        # a length-1 vector would broadcast, but `_rho3_integral` reads its length as k
+        if any(sc.shape not in ((), (self.k,)) or not np.isfinite(sc).all() for sc in scales):
+            raise DomainError(f"each scale must be a finite scalar or length-{self.k} vector")
         self.n = len(self.components)
         self.name = f"noniid-{self.components[0][0].name}"
-        scales = np.broadcast_arrays(*(sc for _, sc in self.components))
-        total = np.broadcast_to(np.square(scales).sum(axis=0), (self.k,))
+        total = sum(np.square(sc) for sc in scales)
         if np.max(np.abs(total - 1.0)) > 1e-12:
             raise DomainError("component covariances must sum to the identity")
 
@@ -500,6 +503,7 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     Rademacher law and summed component by component otherwise.
     """
     n = check_count("n", n, 1)
+    size = check_count("size", size, 0)
     gen = stream.generator()
     if isinstance(src, NonIIDSource):
         if n != src.n:

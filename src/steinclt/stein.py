@@ -78,28 +78,20 @@ def weight_bound(s):
 
 
 def weight3_integral(t: float) -> float:
-    """Integral over (t, infinity) of the cubed smoothing weight.
+    """Integral over (t, infinity) of the cubed smoothing weight: w - atan(w), w = weight at t.
 
-    Computed by adaptive quadrature after u = e^{-s}: the integrand becomes
-    u^2 (1-u^2)^{-3/2} on (0, e^{-t}).
+    u = e^{-s} turns the integrand into u^2 (1-u^2)^{-3/2}, whose antiderivative is
+    u / sqrt(1-u^2) - asin(u) = w - atan(w).  Within about 1e-14 relative for t <= 2;
+    past t of about 5 the value, about w^3 / 3, is a difference of nearly equal
+    numbers and keeps an absolute error below 1e-17 but not its relative accuracy.
     """
-    check_real("t", t)
-    from scipy import integrate  # deferred: only check rows read the weight integrals
-
-    val, _ = integrate.quad(
-        lambda u: u * u * (1.0 - u * u) ** -1.5, 0.0, math.exp(-t), epsabs=1e-12, epsrel=1e-12
-    )
-    return val
+    w = smoothing_weight(check_real("t", t))
+    return w - math.atan(w)
 
 
 def weight1_integral_total() -> float:
-    """Integral over (0, infinity) of the smoothing weight itself (finite)."""
-    from scipy import integrate
-
-    val, _ = integrate.quad(
-        lambda u: (1.0 - u * u) ** -0.5, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12
-    )
-    return val
+    """Integral over (0, infinity) of the smoothing weight: pi / 2, atan(weight at t) as t -> 0."""
+    return math.pi / 2.0
 
 
 class SteinSolution:

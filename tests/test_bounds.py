@@ -394,6 +394,9 @@ _HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
         lambda: SteinSolution(True, _HALF_PLANE),
         lambda: semigroup_apply(_HALF_PLANE, math.inf, np.zeros(2)),
         lambda: backward_residual(_HALF_PLANE, math.inf, np.zeros(2)),
+        lambda: backward_residual(_HALF_PLANE, 0.5, np.zeros(2), dt=0.0),
+        lambda: backward_residual(_HALF_PLANE, 0.5, np.zeros(2), dx=0.0),
+        lambda: backward_residual(_HALF_PLANE, 0.5, np.zeros(2), dx=math.nan),
         lambda: default_family(0),
         lambda: default_translates(0),
         lambda: default_family(2, n_directions=-3),
@@ -406,7 +409,8 @@ _HALF_PLANE = IndicatorFunction(HalfSpace(np.array([1.0, 0.0]), 0.0))
          "shifted_measure_batch-Box", "Box.dilate-inf", "omega_star_hat-inf",
          "shifted_measure_batch-inf", "Box.dilate-string", "shell_measure-bool",
          "HalfSpace-offset-string", "SteinSolution-bool", "semigroup_apply-inf",
-         "backward_residual-inf", "default_family-k-zero", "default_translates-k-zero",
+         "backward_residual-inf", "backward_residual-dt-zero", "backward_residual-dx-zero",
+         "backward_residual-dx-nan", "default_family-k-zero", "default_translates-k-zero",
          "default_family-n_directions-negative", "default_family-n_offsets-fraction",
          "default_family-n_radii-nan", "default_family-n_box_sizes-bool"],
 )
@@ -416,7 +420,8 @@ def test_nan_radius_raises(call):
     # An infinite radius, time or sigma, a bool or a string passed the hand-written
     # checks too (an inf radius measured with a RuntimeWarning), and k = 0 built a
     # zero-dimensional grid, until every scalar went through `check_real`; a
-    # negative n_directions built a family with no half-spaces
+    # negative n_directions built a family with no half-spaces; a zero finite-difference
+    # step raised ZeroDivisionError and a NaN one returned nan
     with pytest.raises(DomainError):
         call()
 

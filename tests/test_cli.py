@@ -189,13 +189,16 @@ import steinclt.cli
 
 code = steinclt.cli.run(["bounds", "--source", "rademacher", "--k", "2", "--n", "16",
                          "--M", "1000", "--seed", "7"])
+with contextlib.redirect_stdout(io.StringIO()):
+    check_codes = [steinclt.cli.run([check, "--k", k, "--seed", "7"])
+                   for check, k in (("check-inequalities", "3"), ("check-stein", "2"))]
 loaded = [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules]
 ellipse = steinclt.Ellipsoid(np.zeros(2), np.diag([1.0, 2.0]))
 mass = steinclt.gaussian_measure(ellipse.dilate(0.1))
 csv = io.StringIO()
 with contextlib.redirect_stdout(csv):
     family_code = steinclt.cli.run(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": loaded, "mass": mass, "family_code": family_code,
+print(json.dumps({"code": code, "check_codes": check_codes, "loaded": loaded, "mass": mass, "family_code": family_code,
                   "csv": csv.getvalue(), "stats_after_qmc": "scipy.stats" in sys.modules}))
 """
 
@@ -207,13 +210,15 @@ _FAMILY_DELTA = ["delta", "--source", "rademacher", "--k", "2", "--n", "16", "--
 def test_cli_start_up_leaves_scipy_stats_and_integrate_unimported(capsys):
     # a fresh interpreter, since the test modules import scipy.stats themselves;
     # importing it (and scipy.optimize through scipy.integrate) took longer
-    # than a small bounds run
+    # than a small bounds run.  The check suites read the Stein weight integrals,
+    # which used to load scipy.integrate for adaptive quadrature
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", _START_UP, *_FAMILY_DELTA], capture_output=True,
                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path), check=True)
     report = json.loads(out.stdout.strip().splitlines()[-1])
     assert report["code"] == 0
+    assert report["check_codes"] == [0, 0]
     assert report["loaded"] == []
     # the QMC measures, the ellipse's and the family ellipsoid's, build their
     # Sobol points without scipy.stats

@@ -2,9 +2,9 @@
 
 Each demo runs with `-W error`, so a warning fails it as it fails the
 in-process tests, and its stdout must match a sha256 recorded with
-steinclt 0.3.0 (0.3.1, 0.3.2, 0.4.0, 0.5.0 and 0.5.1 print the same bytes),
-except demos 05 and 06, which print iid Rademacher estimates and were recorded
-with 0.4.0 (0.5.0 and 0.5.1 print the same bytes), when those sums came to be
+steinclt 0.3.0 (0.3.1, 0.3.2, 0.4.0, 0.5.0, 0.5.1 and 0.5.2 print the same
+bytes), except demos 05 and 06, which print iid Rademacher estimates and were
+recorded with 0.4.0 (0.5.0, 0.5.1 and 0.5.2 print the same bytes), when those sums came to be
 drawn one raw Philox bit per sign.  Every digest is
 keyed by the steinclt, numpy and scipy versions below; under other versions
 the test fails and names both rather than skip.
@@ -24,7 +24,7 @@ import steinclt
 
 ROOT = Path(__file__).resolve().parent.parent
 
-RECORDED_VERSIONS = {"steinclt": "0.5.1", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.5.2", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 STDOUT_SHA256 = {
     "01_gaussian_core.py": "7ae6564809f25d35b6cf7a713cb24377802335e3e3e74a0e04c2f9cab7a6e5e1",

@@ -338,7 +338,7 @@ def test_other_noniid_sources_keep_their_draws():
                                       -0.20000000000000007, -1.4]
 
 
-@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, "4", None])
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, "4", None, -1])
 def test_sample_sum_and_delta_hat_reject_bad_counts(bad):
     src, fam = rademacher_source(1), default_family(1)
     for name in ("gaussian", "rademacher", "uniform", "exponential"):
@@ -350,6 +350,9 @@ def test_sample_sum_and_delta_hat_reject_bad_counts(bad):
             noniid_catalog(name, bad, 4)
     with pytest.raises(DomainError):
         sample_sum(src, bad, RngStream(124), size=8)
+    # a negative or fractional size reached numpy, which raised ValueError or TypeError
+    with pytest.raises(DomainError):
+        sample_sum(src, 4, RngStream(124), size=bad)
     with pytest.raises(DomainError):
         delta_hat(src, bad, fam, 4096, RngStream(124))
     with pytest.raises(DomainError):
@@ -387,6 +390,20 @@ def test_noniid_requires_unit_total_covariance():
         NonIIDSource([(base, [0.6, 0.8]), (base, [0.8, 0.5])])
     with pytest.raises(ValueError):
         NonIIDSource([(base, [0.6, 0.8, 0.0]), (base, [0.8, 0.6, 1.0])])  # not a k-vector
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [([0.6], [0.8]), (math.nan, 1.0), ([0.6, math.nan], [0.8, 0.6]), (math.inf, 1.0)],
+    ids=["length-1-vector", "nan", "nan-coordinate", "inf"],
+)
+def test_noniid_scale_is_a_finite_scalar_or_k_vector(scales):
+    # a length-1 vector broadcast through sampling and the covariance check, but
+    # the third moment took its length as the dimension (beta3 1.1617 where the
+    # scalar scales give 2.7372); a NaN scale passed the covariance check and
+    # gave a NaN summary
+    with pytest.raises(DomainError, match="be a finite scalar or length-2 vector"):
+        NonIIDSource([(gaussian_source(2), sc) for sc in scales])
 
 
 def test_noniid_moments_and_inequalities():
