@@ -80,14 +80,12 @@ def _check_rows_pass(rows) -> bool:
     return all(bool(r["passed"]) for r in rows)
 
 
-def _row(check, value, reference, tol, passed) -> dict:
-    return {
-        "check": check,
-        "value": float(value),
-        "reference": float(reference),
-        "tolerance": float(tol),
-        "passed": bool(passed),
-    }
+def _row(check, value, reference, tol, two_sided=False) -> dict:
+    """Check row; passed iff value <= reference + tol (|value - reference| <= tol if two_sided)."""
+    value, reference, tol = float(value), float(reference), float(tol)
+    passed = abs(value - reference) <= tol if two_sided else value <= reference + tol
+    return {"check": check, "value": value, "reference": reference, "tolerance": tol,
+            "passed": passed}
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +104,26 @@ def run_check_inequalities(args) -> tuple[list, bool, None]:
     k = max(k_arg, 3)
     for pattern, oracle in oracles.items():
         val = ga.abs_d3_integral(pattern, k)
-        rows.append(_row(f"abs-d3-{pattern}", val, oracle, 1e-10, abs(val - oracle) <= 1e-10))
-        rows.append(_row(f"abs-d3-{pattern}-cap", val, caps[pattern], 0.0, val <= caps[pattern]))
+        rows.append(_row(f"abs-d3-{pattern}", val, oracle, 1e-10, two_sided=True))
+        rows.append(_row(f"abs-d3-{pattern}-cap", val, caps[pattern], 0.0))
     gen = RngStream(args.seed, stream_id=11).generator()
     s = np.exp(gen.uniform(math.log(1e-6), math.log(20.0), size=10_000))
     gap = float(np.max(st.smoothing_weight(s) - st.weight_bound(s)))
-    rows.append(_row("weight-pointwise", gap, 0.0, 0.0, gap <= 0.0))
+    rows.append(_row("weight-pointwise", gap, 0.0, 0.0))
     for t in (0.01, 0.1, 0.5, 1.0):
         val = st.weight3_integral(t)
         cap = (2.0 * t) ** -0.5
-        rows.append(_row(f"weight3-integral-t={t}", val, cap, 1e-8, val <= cap + 1e-8))
-    rows.append(_row("weight1-total", st.weight1_integral_total(), math.pi / 2.0, 1e-9, True))
+        rows.append(_row(f"weight3-integral-t={t}", val, cap, 1e-8))
+    rows.append(_row("weight1-total", st.weight1_integral_total(), math.pi / 2.0, 1e-9,
+                     two_sided=True))
     # vanishing moments of the derivative kernels, exact under Gauss-Hermite
     kk = min(k_arg, 3)
     nodes, wts = gauss_hermite_tensor(kk, GH_NODES)
     for idx in {(0,) * 3, tuple(range(min(kk, 3))) + (0,) * (3 - min(kk, 3))}:
         kern = ga.hermite_kernel(wts, nodes, idx)
-        rows.append(_row(f"kernel-mean-{idx}", abs(kern.sum()), 0.0, 1e-8, abs(kern.sum()) <= 1e-8))
+        rows.append(_row(f"kernel-mean-{idx}", abs(kern.sum()), 0.0, 1e-8))
         moment = abs(float(kern @ nodes[:, 0]))
-        rows.append(_row(f"kernel-first-moment-{idx}", moment, 0.0, 1e-8, moment <= 1e-8))
+        rows.append(_row(f"kernel-first-moment-{idx}", moment, 0.0, 1e-8))
     return rows, _check_rows_pass(rows), None
 
 
@@ -146,22 +145,22 @@ def run_check_semigroup(args) -> tuple[list, bool, None]:
     worst = max(
         abs(sg.generator_apply(g, x) + float(x[0])) for x in pts
     )
-    rows.append(_row("eigenvalue-1", worst, 0.0, 1e-12, worst <= 1e-12))
+    rows.append(_row("eigenvalue-1", worst, 0.0, 1e-12))
     if k >= 2:
         g2 = sg.hermite_product_function((1, 1) + (0,) * (k - 2))
         worst2 = max(
             abs(sg.generator_apply(g2, x) + 2.0 * float(x[0] * x[1])) for x in pts
         )
-        rows.append(_row("eigenvalue-2", worst2, 0.0, 1e-12, worst2 <= 1e-12))
+        rows.append(_row("eigenvalue-2", worst2, 0.0, 1e-12))
     for name, C in _catalog_sets(k):
         h = sg.IndicatorFunction(C)
         res = max(abs(sg.backward_residual(h, t, x)) for t in (0.5, 1.0) for x in pts[:3])
-        rows.append(_row(f"backward-{name}", res, 0.0, 1e-3, res <= 1e-3))
+        rows.append(_row(f"backward-{name}", res, 0.0, 1e-3))
         mass = cv.gaussian_measure(C)
         stat = max(abs(sg.semigroup_apply(h, 20.0, x) - mass) for x in pts[:3])
-        rows.append(_row(f"stationarity-{name}", stat, 0.0, 1e-6, stat <= 1e-6))
+        rows.append(_row(f"stationarity-{name}", stat, 0.0, 1e-6))
         law = _semigroup_law_gap(h, k, pts[:3])
-        rows.append(_row(f"semigroup-law-{name}", law, 0.0, 1e-5, law <= 1e-5))
+        rows.append(_row(f"semigroup-law-{name}", law, 0.0, 1e-5))
     # Monte Carlo invariance of the generator
     gen = RngStream(args.seed, stream_id=37).generator()
     Z = gen.standard_normal((1 << 14, k))
@@ -169,7 +168,7 @@ def run_check_semigroup(args) -> tuple[list, bool, None]:
     vals = -2.0 * np.asarray(he2(Z), dtype=float)  # L He_2 = -2 He_2
     se = float(np.std(vals) / math.sqrt(len(vals)))
     mean = abs(float(np.mean(vals)))
-    rows.append(_row("invariance-mc", mean, 0.0, 4.0 * se, mean <= 4.0 * se))
+    rows.append(_row("invariance-mc", mean, 0.0, 4.0 * se))
     return rows, _check_rows_pass(rows), None
 
 
@@ -192,7 +191,7 @@ def run_check_stein(args) -> tuple[list, bool, None]:
         for t in (0.5, 1.0):
             sol = st.SteinSolution(t, sg.IndicatorFunction(C))
             res = float(np.max(np.abs(st.stein_residual(sol, pts))))
-            rows.append(_row(f"stein-identity-{name}-t={t}", res, 0.0, 1e-3, res <= 1e-3))
+            rows.append(_row(f"stein-identity-{name}-t={t}", res, 0.0, 1e-3))
     sol = st.SteinSolution(0.5, sg.IndicatorFunction(dict(_catalog_sets(k))["half-space"]))
     x0 = pts[0]
     dstep = 1e-4
@@ -202,11 +201,11 @@ def run_check_stein(args) -> tuple[list, bool, None]:
         fd = (st.psi(sol, x0 + e) - st.psi(sol, x0 - e)) / (2.0 * dstep)
         an = st.psi_d1(sol, x0, i)
         err = abs(fd - an) / max(abs(an), 1e-12)
-        rows.append(_row(f"psi-d1-vs-fd-i={i}", err, 0.0, 1e-3, err <= 1e-3))
+        rows.append(_row(f"psi-d1-vs-fd-i={i}", err, 0.0, 1e-3))
     for t in (0.01, 0.1, 0.5, 1.0):
         val = st.weight3_integral(t)
         cap = (2.0 * t) ** -0.5
-        rows.append(_row(f"weight3-t={t}", val, cap, 1e-8, val <= cap + 1e-8))
+        rows.append(_row(f"weight3-t={t}", val, cap, 1e-8))
     report = st.double_integral_kernel_report(
         sg.IndicatorFunction(cv.HalfSpace(np.eye(k)[0], 0.0)),
         n=10,
@@ -215,7 +214,7 @@ def run_check_stein(args) -> tuple[list, bool, None]:
         shift_grid=_grid_points(k, 5, args.seed + 1),
     )
     cap = math.sqrt(6.0)
-    rows.append(_row("kernel-double-integral", report.max_abs, cap, 0.0, report.max_abs <= cap))
+    rows.append(_row("kernel-double-integral", report.max_abs, cap, 0.0))
     return rows, _check_rows_pass(rows), None
 
 

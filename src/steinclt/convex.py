@@ -2,23 +2,23 @@
 
 Four analytic variants (half-space, ball, axis box, ellipsoid) are closed
 under translation and positive scaling.  Dilation/erosion stay in closed form
-where possible (half-space, ball, eroded box); otherwise the result is a
-predicate-backed set whose membership is decided by its base's distance to
-the boundary, which is all the Monte Carlo machinery needs.  A predicate
-base gives that distance (`boundary_distance`) and may give a cheaper
-bracket of it (`boundary_distance_bounds`; an ellipsoid does, by scaling
-about its centre): its parallel bodies settle every point whose bracket lies
-clear of eps, only the points in a narrow band around eps pay for the exact
+where possible: a half-space or ball stays one, and a box erodes to a box and
+dilates to a `DilatedBox` (closed-form membership at every k, Phi up to k = 4).
+Only an ellipsoid's parallel bodies are predicate-backed, decided by its
+distance to the boundary (`boundary_distance`), which is all the Monte Carlo
+machinery needs, and a cheaper bracket of it (`boundary_distance_bounds`, by
+scaling about the centre): they settle every point whose bracket lies clear
+of eps, only the points in a narrow band around eps pay for the exact
 distance, and each decision equals the one the exact distance alone gives.
-The boundary shell between the two parallel bodies of one such base is
-decided the same way, from one bracket per point (`shell_measure`).
+The boundary shell between the two is decided the same way, from one bracket
+per point (`shell_measure`).
 
 Sets are closed: boundary points count as inside.  A row with an infinite
 entry may meet inf * 0 or inf - inf in a projection or rotation; the hook
 that does so ignores numpy's invalid flag, and the row counts as a NaN
-row does.  A ball's squared distance, an ellipsoid's quadratic form and
-the square inside a dilated box's normal density overflow to their limit inf
-at a finite row beyond about 1e154, and those hooks ignore that overflow.
+row does.  A ball's squared distance, an ellipsoid's quadratic form, a
+dilated box's excess in units of eps and the square in its normal density
+overflow to their limit inf at a far finite row, and those hooks ignore it.
 
 Each variant keeps its closed forms on its own class, in three hooks:
 `shifted_measure`, the shifted measure P(s + sigma Z in C), whose value at
@@ -30,9 +30,9 @@ leading node axis; each per-node scalar that needs a power or a logarithm is
 taken with Python's ** or math (`_per_node`), so a node's values are the
 bits it would get alone.  Half-spaces, balls (central and off-center)
 and boxes give all three; a dilated box (`DilatedBox`) gives the shifted
-measure.  The base class returns None from each, which sends the caller to a
-scrambled-Sobol QMC estimate or to quadrature.  A serializable variant names
-its config tag and constructor fields.
+measure up to k = 4.  The base class returns None from each, which sends
+the caller to a scrambled-Sobol QMC estimate or to quadrature.  A
+serializable variant names its config tag and constructor fields.
 
 A ball's noncentral chi-square CDF is scipy.special's chndtr (chdtr at
 noncentrality 0), equal bit for bit to scipy.stats.ncx2.cdf.  The QMC
@@ -86,8 +86,8 @@ class ConvexSet:
     `shifted_measure` sets `has_closed_form`, and its Phi(C) is that hook at
     shift 0 and sigma 1; its derivative hooks may still return None.  The
     hooks assume a non-empty set: callers answer for the empty set first.
-    A base of a predicate-backed parallel body gives `boundary_distance`, and
-    may give a cheaper `boundary_distance_bounds`.
+    A base of a predicate-backed parallel body (an ellipsoid) gives
+    `boundary_distance` and a cheaper bracket of it, `boundary_distance_bounds`.
     """
 
     dim: int
@@ -141,22 +141,6 @@ class ConvexSet:
     def scale(self, factor: float) -> "ConvexSet":
         """The set {factor * y : y in C}; DomainError unless factor is finite and > 0."""
         raise NotImplementedError
-
-    def boundary_distance(self, x):
-        """Euclidean distance from each row to the boundary of C, inside or outside."""
-        raise NotImplementedError
-
-    def boundary_distance_bounds(self, x):
-        """(lower, upper) arrays with lower <= `boundary_distance` <= upper per row.
-
-        Here both are the exact distance; a cheaper override is exact up to
-        rounding, and NaN where a row cannot be bracketed.  `DilatedSet`,
-        `ErodedSet` and the boundary shell of `shell_measure` decide each row
-        whose bracket lies clear of their eps from it and send only the rest
-        to `boundary_distance` (`_within`).
-        """
-        d = self.boundary_distance(x)
-        return d, d
 
 
 def _projection(normal, pts):
@@ -699,7 +683,7 @@ class Box(ConvexSet):
         eps = check_real("eps", eps, allow_low=True)
         if eps == 0.0:
             return self
-        return DilatedBox(self, eps) if self.dim <= _DILATED_BOX_MAX_DIM else DilatedSet(self, eps)
+        return DilatedBox(self, eps)
 
     def erode(self, eps):
         eps = check_real("eps", eps, allow_low=True)
@@ -725,31 +709,6 @@ class Box(ConvexSet):
         # x - upper is (-upper) - (-x) bit for bit, the sign of a zero included
         return np.maximum(_box_edge(self.lower, lower, pts, 1.0),
                           _box_edge(-self.upper, upper, -pts, 1.0))
-
-    def boundary_distance(self, x):
-        """Norm of the coordinate excess outside; distance to the nearest face inside."""
-        pts, single = _as_points(x, self.dim)
-        if self.is_empty:  # no point is within any distance of the empty set
-            d = np.full(len(pts), math.inf)
-        else:
-            beyond = self._beyond(pts)  # > 0 on outside coordinates
-            # the largest coordinate decides the side (a tiny excess has a norm that
-            # underflows to 0); column by column is cheaper than a short-axis max
-            worst = reduce(np.maximum, beyond.T)
-            excess = np.maximum(beyond, 0.0)
-            # the norm's squares would overflow on a row past about 1e154: there it
-            # is the largest excess times the norm of the excess scaled by it.  An
-            # infinite excess scales to 1 (inf / inf), so the distance is inf, and
-            # a row with a NaN entry (a NaN worst) is NaN
-            far = ~(worst <= _SQUARE_SAFE)
-            if far.any():
-                with np.errstate(invalid="ignore"):
-                    scaled = excess[far] / worst[far, None]
-                excess[far] = np.where(np.isnan(scaled), 1.0, scaled)
-            d = np.where(worst > 0.0, np.linalg.norm(excess, axis=1), -worst)
-            with np.errstate(over="ignore"):  # a distance past the largest double is inf
-                d[far] *= worst[far]
-        return _unbatch(d, single)
 
     def __repr__(self):
         return f"Box(lower={self.lower.tolist()}, upper={self.upper.tolist()})"
@@ -991,7 +950,8 @@ class DilatedSet(ConvexSet):
 # theta on [0, pi/2]; a mass at dimension k evaluates Phi at 2 * 25^(k-1)
 # points.  For one set on a 2-vCPU Xeon that takes 0.4 ms at k = 4 against
 # 12 ms for QMC at 2^16 points, 21 ms at k = 5 (QMC 22 ms) and 0.57 s at
-# k = 6 (QMC 34 ms), so dilated boxes above k = 4 stay predicate-backed.
+# k = 6 (QMC 34 ms), so above k = 4 a `DilatedBox` gives no closed form and
+# its Phi is a QMC estimate.
 _SECTOR_NODES = 24
 _SECTOR_THETA, _SECTOR_WEIGHTS = gauss_legendre_panel(0.0, 0.5 * math.pi, _SECTOR_NODES)
 _SECTOR_COS = np.cos(_SECTOR_THETA)
@@ -1035,16 +995,33 @@ def _dilated_box_mass(lo, hi, rho):
 
 
 class DilatedBox(DilatedSet):
-    """Outer parallel body of a non-empty box, k <= 4, with closed-form measures.
+    """Outer parallel body of a box, with closed-form membership at every k.
 
-    Membership stays the distance predicate of `DilatedSet`; Phi(C) and the
-    shifted measure come from `_dilated_box_mass`.  Its derivatives have no
-    closed form here, so the OU semigroup takes them by quadrature.
+    A point lies in it when its coordinate excess max(lower - x, x - upper, 0)
+    has norm <= eps (Schneider 2014, sec. 4.2, as in `_dilated_box_mass`).
+    Up to k = `_DILATED_BOX_MAX_DIM`, Phi(C) and the shifted measure come
+    from `_dilated_box_mass`; above, `shifted_measure` is None and Phi is a
+    QMC estimate.  Its derivatives have no closed form here, so the OU
+    semigroup takes them by quadrature.
     """
 
-    has_closed_form = True
+    @property
+    def has_closed_form(self):
+        return self.dim <= _DILATED_BOX_MAX_DIM
+
+    def contains(self, x):
+        pts, single = _as_points(x, self.dim)
+        if self.is_empty:
+            return _unbatch(np.zeros(len(pts), dtype=bool), single)
+        excess = np.maximum(self.base._beyond(pts), 0.0)  # NaN on a NaN entry
+        # in units of eps: a radius past 1e154 keeps its squares finite, and a
+        # far or infinite excess overflows to its limit inf, outside
+        with np.errstate(over="ignore"):
+            return _unbatch(np.linalg.norm(excess / self.eps, axis=1) <= 1.0, single)
 
     def shifted_measure(self, shifts, sigma):
+        if not self.has_closed_form:
+            return None
         hi, lo = self.base._edges(shifts, sigma)
         rho = np.full((len(shifts), 1), self.eps / sigma)
         step = max(_SECTOR_CHUNK // (_SECTOR_NODES + 1) ** (self.dim - 1), 1)
@@ -1121,8 +1098,7 @@ def _shell_base(outer, inner):
         return None
     base, other = outer.base, inner.base
     same = (
-        not outer.has_closed_form and outer.eps == inner.eps
-        and type(base) is type(other) and base.variant is not None
+        outer.eps == inner.eps and type(base) is type(other) and base.variant is not None
         and all(np.array_equal(getattr(base, f), getattr(other, f)) for f in base.config_fields)
     )
     return base if same else None
@@ -1462,10 +1438,13 @@ def default_family(
     membership plan.
     """
     k = check_count("k", k, 1)
+    n_directions = check_count("n_directions", n_directions, 0)
+    n_offsets = check_count("n_offsets", n_offsets, 0)
+    seed = check_count("seed", seed, -math.inf)  # negative too, as --family-seed takes
     gen = RngStream(seed, stream_id=101).generator()
     sets: list[ConvexSet] = []
-    offsets = np.linspace(-3.2, 3.2, check_count("n_offsets", n_offsets, 0))
-    for _ in range(check_count("n_directions", n_directions, 0)):
+    offsets = np.linspace(-3.2, 3.2, n_offsets)
+    for _ in range(n_directions):
         d = gen.standard_normal(k)
         d /= np.linalg.norm(d)
         for b in offsets:
@@ -1541,17 +1520,12 @@ def family_from_config(cfg: dict) -> SetFamily:
     if "builder" in cfg:
         if cfg["builder"] != "default":
             raise ConfigurationError(f"unknown family builder {cfg['builder']!r}")
-        try:
-            kw = {
-                key: int(cfg[key])
-                for key in ("k", "n_directions", "n_offsets", "n_radii", "n_box_sizes", "seed")
-                if key in cfg
-            }
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad family builder spec: {exc}") from None
-        if "k" not in kw:
+        if "k" not in cfg:
             raise ConfigurationError("family builder spec needs the dimension k")
-        return default_family(**kw)
+        try:  # the counts and seed as written: default_family checks them
+            return default_family(**{key: v for key, v in cfg.items() if key != "builder"})
+        except TypeError as exc:  # an unknown key
+            raise ConfigurationError(f"bad family builder spec: {exc}") from None
     if not isinstance(cfg.get("sets"), list):
         raise ConfigurationError("family config needs a 'sets' list or a 'builder' spec")
     sets = tuple(set_from_config(c) for c in cfg["sets"])

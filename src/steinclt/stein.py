@@ -81,12 +81,17 @@ def weight3_integral(t: float) -> float:
     """Integral over (t, infinity) of the cubed smoothing weight: w - atan(w), w = weight at t.
 
     u = e^{-s} turns the integrand into u^2 (1-u^2)^{-3/2}, whose antiderivative is
-    u / sqrt(1-u^2) - asin(u) = w - atan(w).  Within about 1e-14 relative for t <= 2;
-    past t of about 5 the value, about w^3 / 3, is a difference of nearly equal
-    numbers and keeps an absolute error below 1e-17 but not its relative accuracy.
+    u / sqrt(1-u^2) - asin(u) = w - atan(w).  That difference cancels for small w: at
+    w <= 1/4 (t above about 1.4) it is the series w^3 sum_{m<12} (-1)^m w^(2m) / (2m + 3),
+    within 4e-16.  About 1e-14 relative wherever the value is a normal double.
     """
     w = smoothing_weight(check_real("t", t))
-    return w - math.atan(w)
+    if w > 0.25:
+        return w - math.atan(w)
+    w2, acc = w * w, 0.0
+    for m in range(11, -1, -1):  # Horner in w^2
+        acc = acc * w2 + (-1) ** m / (2 * m + 3)
+    return w * w2 * acc
 
 
 def weight1_integral_total() -> float:

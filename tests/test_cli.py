@@ -30,6 +30,16 @@ def test_check_suites_pass(capsys):
         assert "False" not in out
 
 
+def test_check_rows_compute_their_own_verdict():
+    # weight1-total was written with a literal True, so it could not fail
+    row = cli._row("weight1-total", 1.6, 1.5707963267948966, 1e-9, two_sided=True)
+    assert row["passed"] is False
+    assert cli._row("abs-d3-pair", 0.2, 0.5, 0.1, two_sided=True)["passed"] is False
+    assert cli._row("abs-d3-pair-cap", 0.2, 0.5, 0.0)["passed"] is True
+    assert cli._row("weight3-t=1.0", 0.5 + 2e-8, 0.5, 1e-8)["passed"] is False
+    assert cli._row("invariance-mc", float("nan"), 0.0, 1.0)["passed"] is False
+
+
 def test_delta_outputs_and_determinism(capsys):
     argv = ["delta", "--source", "gaussian", "--k", "2", "--n", "16",
             "--M", "20000", "--seed", "7"]
@@ -313,26 +323,32 @@ def test_non_finite_inputs_exit_2(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "family, message",
+    "family, message, k",
     [
-        ('{"sets": [{"variant": "ball", "center": [NaN, 0.0], "radius": 1.0}]}', "finite"),
-        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0]}]}', "radius"),
-        ('{"description": "no sets"}', "sets"),
-        ('{"sets": [[0, 1]]}', "JSON object"),
-        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0], "radius": "abc"}]}', "abc"),
-        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0], "radius"', "family file"),
-        ('[{"variant": "ball", "center": [0.0, 0.0], "radius": 1.0}]', "JSON object"),
+        ('{"sets": [{"variant": "ball", "center": [NaN, 0.0], "radius": 1.0}]}', "finite", 2),
+        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0]}]}', "radius", 2),
+        ('{"description": "no sets"}', "sets", 2),
+        ('{"sets": [[0, 1]]}', "JSON object", 2),
+        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0], "radius": "abc"}]}', "abc", 2),
+        ('{"sets": [{"variant": "ball", "center": [0.0, 0.0], "radius"', "family file", 2),
+        ('[{"variant": "ball", "center": [0.0, 0.0], "radius": 1.0}]', "JSON object", 2),
         ('{"sets": [{"variant": "ball", "center": [0.0, 0.0], "radius": 1.0},'
-         ' {"variant": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}]}', "dimension"),
+         ' {"variant": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}]}', "dimension", 2),
+        ('{"builder": "default", "k": 2.7}', "k must be an integer", 2),
+        ('{"builder": "default", "k": 2, "n_directions": 1.9}', "n_directions", 2),
+        ('{"builder": "default", "k": 2, "n_direction": 4}', "n_direction", 2),
+        ('{"builder": "default", "k": true}', "k must be an integer", 1),
     ],
     ids=["nan-ball-center", "missing-field", "missing-sets", "set-not-object",
-         "non-numeric-field", "truncated", "family-not-object", "mixed-dimensions"],
+         "non-numeric-field", "truncated", "family-not-object", "mixed-dimensions",
+         "fractional-k", "fractional-count", "misspelt-key", "boolean-k"],
 )
-def test_bad_family_file_exits_2(tmp_path, capsys, family, message):
-    # the NaN centre used to print a nan delta_hat row, the others a traceback
+def test_bad_family_file_exits_2(tmp_path, capsys, family, message, k):
+    # the NaN centre used to print a nan delta_hat row, the others a traceback;
+    # a builder spec's counts were truncated, a bool taken as 1, a typo ignored
     path = tmp_path / "fam.json"
     path.write_text(family)
-    code = run(["delta", "--source", "gaussian", "--k", "2", "--n", "4",
+    code = run(["delta", "--source", "gaussian", "--k", str(k), "--n", "4",
                 "--M", "2000", "--seed", "1", "--family", str(path)])
     captured = capsys.readouterr()
     assert code == 2

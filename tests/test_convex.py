@@ -365,7 +365,12 @@ def test_bound_settled_membership_at_the_centre_and_on_nan_rows():
 
 
 def _box_test_points(gen, B, eps):
-    """Gaussian rows, rows on each finite face and eps either side of it, NaN rows."""
+    """Gaussian, face, far, infinite and NaN rows for a box and its eps-dilation.
+
+    Rows lie on each finite face and eps either side of it; far rows hold
+    +-1e300 or 1e160 in one coordinate or all of them; infinite rows hold
+    +-inf along a finite and along an infinite bound.
+    """
     k = B.dim
     rows = [1.5 * gen.standard_normal((400, k))]
     for j in range(k):
@@ -375,56 +380,55 @@ def _box_test_points(gen, B, eps):
                     face = 0.5 * gen.standard_normal((20, k))
                     face[:, j] = bound + offset
                     rows.append(face)
-    nan_rows = np.zeros((2, k))
-    nan_rows[0] = math.nan
-    nan_rows[1, 0] = math.nan
-    rows.append(nan_rows)
+    for value in (1e300, -1e300, 1e160, math.inf, -math.inf, math.nan):
+        rows += [np.full((1, k), value), 0.3 * gen.standard_normal((k, k))]
+        rows[-1][np.arange(k), np.arange(k)] = value
     return np.concatenate(rows)
 
 
-@pytest.mark.parametrize("k", (5, 6))
-def test_box_parallel_bodies_follow_the_box_distance(k):
-    # above k = 4 a box's dilation is predicate-backed: its membership is the
-    # box's boundary_distance, the norm of the coordinate excess outside and
-    # the distance to the nearest face inside
-    gen = RngStream(44, stream_id=k).generator()
+def _excess_norm_contains(B, eps, pts):
+    """Membership of B's eps-dilation row by row in Python: |max(l - x, x - u, 0)| <= eps."""
+    if B.is_empty:
+        return np.zeros(len(pts), dtype=bool)
+    inside = []
+    for row in pts.tolist():
+        excess = [l - x if x < l else x - u if x > u else 0.0
+                  for x, l, u in zip(row, B.lower.tolist(), B.upper.tolist())]
+        nan = any(math.isnan(x) for x in row)
+        inside.append(not nan and math.hypot(*excess) <= eps)
+    return np.array(inside)
+
+
+def _membership_boxes(k):
     lower, upper = -np.ones(k), np.linspace(0.5, 1.5, k)
     slab_lower, slab_upper = lower.copy(), upper.copy()
-    slab_lower[0], slab_upper[1] = -_INF, _INF
-    for B in (
-        Box(lower, upper),
-        Box(slab_lower, slab_upper),
-        Box(np.full(k, -_INF), np.full(k, _INF)),
-        Box(upper, lower),  # empty
-    ):
-        for eps in (0.05, 0.3):
-            pts = _box_test_points(gen, B, eps)
-            excess = _box_excess(B, pts)
-            to_face = np.min(np.minimum(pts - B.lower, B.upper - pts), axis=1)
-            dilated, eroded = B.dilate(eps), ErodedSet(B, eps)
-            assert type(dilated) is DilatedSet
-            near = np.linalg.norm(excess, axis=1) <= eps
-            assert np.array_equal(dilated.contains(pts), near & (not B.is_empty)), B
-            assert np.array_equal(eroded.contains(pts), to_face >= eps), B
-            d = B.boundary_distance(pts)
-            if B.is_empty:
-                assert np.all(d == _INF)
-                continue
-            outside = np.any(excess > 0.0, axis=1)
-            assert np.array_equal(d[outside], np.linalg.norm(excess[outside], axis=1))
-            assert np.array_equal(d[~outside], to_face[~outside], equal_nan=True)
-    # an excess whose norm underflows to 0 still counts as outside: distance 0, not < 0
-    B = Box(lower, np.zeros(k))
+    slab_lower[0], slab_upper[-1] = -_INF, _INF
+    yield Box(lower, upper)
+    yield Box(slab_lower, slab_upper)  # at k = 1 the whole line
+    yield Box(np.full(k, -_INF), upper)  # an orthant
+    yield Box(lower, np.full(k, _INF))
+    yield Box(upper, lower)  # empty
+
+
+@pytest.mark.parametrize("eps", (1e-300, 0.05, 0.3, 1e200))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
+def test_dilated_box_membership_is_the_norm_of_the_coordinate_excess(k, eps):
+    gen = RngStream(44, stream_id=k).generator()
+    for B in _membership_boxes(k):
+        pts = _box_test_points(gen, B, eps)
+        C = B.dilate(eps)
+        assert type(C) is DilatedBox and C.has_closed_form == (k <= 4)
+        assert np.array_equal(C.contains(pts), _excess_norm_contains(B, eps, pts)), B
+    # an excess whose square underflows to 0 is outside an eps below it
     tiny = np.full((1, k), -0.5)
     tiny[0, 0] = 1e-200
-    assert not B.contains(tiny)[0] and B.boundary_distance(tiny)[0] == 0.0
+    assert Box(-np.ones(k), np.zeros(k)).dilate(eps).contains(tiny)[0] == (eps > 1e-200)
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 6))
-def test_box_boundary_distance_of_a_far_finite_row_takes_its_limit(k):
+def test_a_box_and_its_parallel_bodies_leave_out_a_far_finite_row(k):
     # the norm's squares overflowed past about 1e154 ("overflow encountered in
-    # multiply", an error in this suite), so a box's predicate-backed dilation
-    # above k = 4 could not decide such a row
+    # multiply", an error in this suite); in units of eps they take their limit
     B = Box(-np.ones(k), np.ones(k))
     gen = np.random.default_rng(70 + k)
     finite = 1.5 * gen.standard_normal((6, k))
@@ -432,17 +436,13 @@ def test_box_boundary_distance_of_a_far_finite_row_takes_its_limit(k):
     far[0, 0] = 1e300
     far[1, -1] = -1e200
     far[1, 0] = 3e199
-    far[2] = 1.7e308  # above k = 1 the distance passes the largest double: its limit inf
+    far[2] = 1.7e308
     X = np.vstack([far[:1], finite, far[1:]])
-    d = B.boundary_distance(X)
-    assert d[0] == 1e300 and d[-1] == (math.inf if k > 1 else 1.7e308)
-    assert d[-2] == pytest.approx(math.hypot(1e200, 3e199) if k > 1 else 3e199, rel=1e-15)
-    assert d[1:-2].tobytes() == B.boundary_distance(finite).tobytes()
-    assert B.boundary_distance(far[0]) == 1e300
-    for C in (B.dilate(0.1), DilatedSet(B, 0.1), ErodedSet(B, 0.1)):
+    for C in (B, B.dilate(0.1), B.dilate(1e-300), B.erode(0.1)):
         got = np.asarray(C.contains(X))
         assert not got[[0, -2, -1]].any(), C
         assert got[1:-2].tobytes() == np.asarray(C.contains(finite)).tobytes(), C
+    assert B.dilate(1e300).contains(X).tolist() == [True] * (len(X) - 1) + [False]
     assert not Box(-np.ones(5), np.ones(5)).dilate(0.1).contains([[1e300, 0, 0, 0, 0]])[0]
 
 
@@ -754,10 +754,10 @@ def test_dilated_box_measure_in_two_dimensions_matches_adaptive_quadrature(lo, h
 )
 @pytest.mark.parametrize("eps", (0.1, 0.4))
 def test_dilated_box_measure_matches_sobol(lo, hi, eps):
-    box = Box(lo, hi)
-    mass = _closed_form_phi(box.dilate(eps))
-    # the predicate-backed parallel body has no closed form and goes to QMC
-    est, se = _qmc_membership_mean(DilatedSet(box, eps), 1 << 20)
+    dilated = Box(lo, hi).dilate(eps)
+    mass = _closed_form_phi(dilated)
+    # QMC on the dilation's own membership, the excess-norm rule
+    est, se = _qmc_membership_mean(dilated, 1 << 20)
     assert abs(mass - est) <= 4.0 * se
 
 
@@ -816,10 +816,8 @@ def _grouped_qmc_sets():
     yield "sphere-dilate", sphere.dilate(0.2)
     yield "sphere-erode", sphere.erode(0.2)
     yield "no-point", Ellipsoid(np.full(2, 40.0), np.diag([0.5, 2.0]))
-    box = Box(-np.ones(5), np.linspace(0.2, 1.0, 5))
-    yield "box-dilate-5", box.dilate(0.3)
-    # a box's erode is a closed-form box; its predicate-backed erosion is built directly
-    yield "box-erode-5", ErodedSet(box, 0.1)
+    yield "box-dilate-5", Box(-np.ones(5), np.linspace(0.2, 1.0, 5)).dilate(0.3)
+    yield "ellipsoid-erode-5", Ellipsoid(np.zeros(5), np.diag(np.linspace(0.5, 2.0, 5))).erode(0.1)
 
 
 _GROUPED_QMC_SETS = dict(_grouped_qmc_sets())
@@ -980,7 +978,7 @@ def test_sobol_points_warn_as_scipy_does_off_a_power_of_two():
 
 def test_a_large_qmc_request_is_not_cached():
     before = _sobol_normal_replicates.cache_info()
-    _qmc_membership_mean(DilatedSet(Box(-np.ones(2), np.ones(2)), 0.1), 1 << 20)
+    _qmc_membership_mean(Box(-np.ones(2), np.ones(2)).dilate(0.1), 1 << 20)
     after = _sobol_normal_replicates.cache_info()
     assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
 
@@ -1006,10 +1004,12 @@ def test_dilated_box_shifted_rows_match_translate_scale():
                 assert v == pytest.approx(_closed_form_phi(moved), abs=1e-12)
 
 
-def test_dilated_box_above_four_dimensions_stays_predicate_backed():
-    box = Box(-np.ones(5), np.ones(5))
-    assert type(box.dilate(0.3)) is DilatedSet
-    assert box.dilate(0.3).shifted_measure(np.zeros((1, 5)), 1.0) is None
+@pytest.mark.parametrize("k", (4, 5, 7))
+def test_dilated_box_above_four_dimensions_has_no_closed_form_measure(k):
+    dilated = Box(-np.ones(k), np.ones(k)).dilate(0.3)
+    assert type(dilated) is DilatedBox and dilated.has_closed_form == (k <= 4)
+    assert (dilated.shifted_measure(np.zeros((1, k)), 1.0) is None) == (k > 4)
+    assert (gaussian_measure_estimate(dilated)[1] > 0.0) == (k > 4)  # a QMC estimate above
 
 
 @st.composite
@@ -1174,10 +1174,9 @@ def _two_measure_shell_sets():
 @pytest.mark.parametrize("name, C", list(_two_measure_shell_sets()))
 def test_shells_of_balls_and_boxes_keep_their_two_measure_values(name, C, eps, t):
     outer, inner = _shell_bodies(C, eps, t)
-    if name == "box-5":  # a predicate-backed dilation against a closed-form box
-        assert type(outer) is DilatedSet and type(inner) is Box
-    elif name.startswith("box"):
-        assert type(outer) is DilatedBox
+    if name.startswith("box"):  # above k = 4 the dilation's Phi is a QMC estimate
+        assert type(outer) is DilatedBox and type(inner) is Box
+        assert outer.has_closed_form == (name != "box-5")
     assert _shell_base(outer, inner) is None
     assert shell_measure(C, eps, math.exp(-t)) == _two_measure_shell(C, eps, t)
 
@@ -1235,10 +1234,10 @@ def test_serialization_round_trip_for_every_variant(tmp_path):
         assert np.array_equal(a.contains(pts), b.contains(pts))
     save_family(loaded, str(second))
     assert first.read_bytes() == second.read_bytes()
-    base = Box(-np.ones(2), np.ones(2))
-    for predicate_backed in (DilatedSet(base, 0.2), ErodedSet(base, 0.2)):
+    E, box = Ellipsoid(np.zeros(2), np.diag([1.0, 2.0])), Box(-np.ones(2), np.ones(2))
+    for parallel_body in (E.dilate(0.2), E.erode(0.2), box.dilate(0.2)):
         with pytest.raises(ConfigurationError):
-            set_to_config(predicate_backed)
+            set_to_config(parallel_body)
 
 
 def test_family_builder_config():
@@ -1315,7 +1314,7 @@ def _mixed_family_and_points(draw):
         Box(-half + 0.5, half + 0.5),
         Box(-np.arange(1.0, k + 1), np.arange(1.0, k + 1)),
         Ellipsoid(centers[1], np.diag(np.linspace(0.5, 2.0, k))),
-        DilatedSet(Box(-np.ones(k), np.ones(k)), 0.25),
+        Box(-np.ones(k), np.ones(k)).dilate(0.25),
         ErodedSet(Ellipsoid(np.zeros(k), 4.0 * np.eye(k)), 0.5),
     ]
     order = draw(st.permutations(range(len(sets))))

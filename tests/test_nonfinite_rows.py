@@ -15,7 +15,7 @@ import pytest
 
 from steinclt import Ball, Box, Ellipsoid, HalfSpace, IndicatorFunction, SetFamily
 from steinclt import semigroup_apply, semigroup_derivative, semigroup_jet
-from steinclt.convex import ConvexSet, DilatedBox, DilatedSet, shifted_measure_batch
+from steinclt.convex import DilatedBox, shifted_measure_batch
 
 _VALUES = [0.3, math.inf, -math.inf, math.nan, 1e300, -1e200]
 _DIMS = [1, 2, 3, 5]
@@ -41,7 +41,7 @@ def _forms(k):
         "infinite-bound-box": slab,
         "centred-cube": Box(-np.ones(k), np.ones(k)),
         "ellipsoid": ellipsoid,
-        "dilated-box": box.dilate(0.2),  # DilatedBox up to k = 4, DilatedSet above
+        "dilated-box": box.dilate(0.2),  # closed-form Phi up to k = 4, QMC above
         "dilated-infinite-bound-box": slab.dilate(0.2),
         "dilated-ellipsoid": ellipsoid.dilate(0.2),
         "eroded-ellipsoid": ellipsoid.erode(0.2),
@@ -75,12 +75,12 @@ def _hooks(C):
 
     A hook returns a tuple of arrays with their rows along the axis given.
     The semigroup hooks give a NaN row NaN whether a closed form or the
-    quadrature fallback (ellipsoids, `DilatedSet`, `ErodedSet`, the
-    derivatives of a dilated box) evaluates them.
+    quadrature fallback (ellipsoids, their parallel bodies, a dilated box
+    above k = 4, the derivatives of a dilated box) evaluates them.
     """
     k, h = C.dim, IndicatorFunction(C)
     hooks = {"contains": (lambda X: (C.contains(X),), 0, False)}
-    if type(C).boundary_distance is not ConvexSet.boundary_distance:
+    if hasattr(C, "boundary_distance"):
         hooks["boundary_distance"] = (lambda X: (C.boundary_distance(X),), 0, math.nan)
         hooks["boundary_distance_bounds"] = (C.boundary_distance_bounds, 0, math.nan)
     if C.has_closed_form:
@@ -156,26 +156,27 @@ def test_family_counts_on_non_finite_rows_warn_not_and_add_up(k):
 
 
 @pytest.mark.parametrize(
-    "box, row, limit",
+    "box, row, excess",
     [
-        # inside a slab, running off towards its infinite bound: the finite face is infinitely far
-        (Box([-math.inf], [1.0]), [-math.inf], math.inf),
+        # inside a slab, running off towards its infinite bound
+        (Box([-math.inf], [1.0]), [-math.inf], 0.0),
         # an infinite and a far finite excess: the squares of the norm would overflow
         (Box([-1.0, -1.0], [0.5, 0.5]), [math.inf, 1e300], math.inf),
-        # an infinite bound is never the nearer face, so the finite one decides, as at -1e300
-        (Box([-1.0, -math.inf], [1.0, 1.0]), [0.0, -math.inf], 1.0),
-        (Box([-1.0, -math.inf], [1.0, 1.0]), [0.5, -1e300], 0.5),
+        # an infinite bound is never a nearer face, so the finite bounds decide, as at -1e300
+        (Box([-1.0, -math.inf], [1.0, 1.0]), [0.0, -math.inf], 0.0),
+        (Box([-1.0, -math.inf], [1.0, 1.0]), [1.5, -1e300], 0.5),
+        (Box([-math.inf, -1.0], [math.inf, 1.0]), [math.inf, 2.0], 1.0),
     ],
 )
-def test_box_boundary_distance_of_an_infinite_row_is_its_limit(box, row, limit):
-    assert _quiet(box.boundary_distance, [row]).tolist() == [limit]
-    assert _quiet(box.boundary_distance_bounds, [row])[0].tolist() == [limit]
+def test_a_dilated_box_decides_an_infinite_row_by_its_excess(box, row, excess):
+    for eps in (1e-300, 0.2, 0.5, 1e200):
+        assert _quiet(box.dilate(eps).contains, [row]).tolist() == [excess <= eps]
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_a_dilated_box_leaves_out_an_infinite_row_with_a_far_entry(k):
     C = Box(np.full(k, -1.0), np.full(k, 0.5)).dilate(0.2)
-    assert isinstance(C, DilatedBox if k <= 4 else DilatedSet)
+    assert type(C) is DilatedBox
     row = np.full((1, k), 0.3)
     row[0, :2] = math.inf, 1e300
     assert _quiet(C.contains, row).tolist() == [False]

@@ -286,8 +286,9 @@ def test_weight_inequality_pointwise():
 
 
 # the integral of w(s)^3 over (t, infinity), to 17 digits, from a 50-digit
-# evaluation (mpmath) of the antiderivative w - atan(w) at w = e^{-t} / sqrt(-expm1(-2t));
-# a 50-digit quadrature of w^3 agrees with it at every t >= 1e-4
+# evaluation (mpmath) of the antiderivative w - atan(w) at w = e^{-t} / sqrt(-expm1(-2t)),
+# 300 digits at t = 50, where the difference cancels 43 of them; a 50-digit
+# quadrature of w^3 agrees with it at every t >= 1e-4
 WEIGHT3_REFERENCE = {
     5e-324: 3.1812124520951962e161,
     1e-300: 7.0710678118654752e149,
@@ -301,6 +302,7 @@ WEIGHT3_REFERENCE = {
     2.0: 8.4009720061121201e-4,
     5.0: 1.0197160671932877e-7,
     10.0: 3.1192076620663078e-14,
+    50.0: 2.3916986577214701e-66,
     355.0: 0.0,  # about 1e-463
     700.0: 0.0,
     1e4: 0.0,
@@ -309,15 +311,12 @@ WEIGHT3_REFERENCE = {
 
 @pytest.mark.parametrize("t", sorted(WEIGHT3_REFERENCE))
 def test_weight3_integral_against_antiderivative(t):
-    # relative accuracy up to t = 2; past that the value is a difference of two
-    # nearly equal numbers and only its absolute error stays small, and past
-    # t = 745 e^{-t} underflows.  Adaptive quadrature returned -1.527 at t = 1e-6
+    # relative accuracy at every t, a reference of 0.0 pinned exactly: past
+    # t = 2, w - atan(w) cancelled (7.9e-9 relative at t = 10, 0.0 at t = 50) and
+    # its series is taken instead.  Adaptive quadrature returned -1.527 at t = 1e-6
     # and raised IntegrationWarning, an error in this suite, at every t <= 1e-6
     val, ref = weight3_integral(t), WEIGHT3_REFERENCE[t]
-    if t <= 2.0:
-        assert abs(val - ref) <= 1e-14 * ref
-    else:
-        assert abs(val - ref) <= 1e-17
+    assert abs(val - ref) <= 1e-14 * ref
     assert val <= (2.0 * t) ** -0.5 + 1e-8
 
 
