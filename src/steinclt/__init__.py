@@ -123,4 +123,4 @@ from .bounds import (
     smoothing_bound,
 )
 
-__version__ = "0.5.2"
+__version__ = "0.6.0"

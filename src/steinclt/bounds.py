@@ -494,9 +494,10 @@ def dim_scan(
 
     `sources` is a list of source names resolved through the catalog.
     """
-    k_list = list(k_list)
-    if sorted(k_list) != k_list:
-        raise DomainError("k_list must be ascending")
+    sources, k_list, n_list = list(sources), list(k_list), list(n_list)
+    if sorted(k_list) != k_list or any(len(set(v)) < len(v) for v in (sources, k_list, n_list)):
+        raise DomainError(f"a scan takes ascending k and each source, k and n once, got "
+                          f"{sources}, {k_list}, {n_list}")
     cells = []
     for ki, k in enumerate(k_list):
         family = family_builder(k)
@@ -508,14 +509,11 @@ def dim_scan(
                 cells.append(
                     DimScanCell(source=name, k=k, n=n, delta=est.value, std_error=est.std_error)
                 )
-    k_exp = {}
-    n_exp = {}
-    by_source = {}
-    for cell in cells:
-        by_source.setdefault(cell.source, []).append(cell)
-    for name, rows in by_source.items():
+    k_exp, n_exp = {}, {}
+    for name in sources:
+        rows = [c for c in cells if c.source == name]
         for n in n_list:
-            sel = sorted((c for c in rows if c.n == n), key=lambda c: c.k)
+            sel = [c for c in rows if c.n == n]  # in ascending k
             if len(sel) >= 2:
                 k_exp[(name, n)] = loglog_slope(
                     [c.k for c in sel], [c.delta for c in sel], [c.std_error for c in sel]

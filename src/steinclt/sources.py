@@ -6,7 +6,7 @@ third-moment functional is either closed form or one fixed-rule 1-D integral
 over the coordinates' closed-form Laplace transform (`_rho3_integral`).  Each
 law draws S_n in one call: the gaussian and exponential from the exact law of
 the sum, the Rademacher from one raw Philox bit per sign (a row costs a
-popcount), and the uniform from exact integer sums of 32-bit Philox words.
+popcount), and the uniform from exact integer sums of 16-bit Philox words.
 Non-iid sources are scaled copies of catalog laws whose covariances sum to the
 identity.
 
@@ -146,14 +146,14 @@ def _raw_row_bytes(src, n):
 
     Those are the laws that take one raw bit per sign (iid Rademacher and
     scalar-scaled non-iid Rademacher, ceil(n/8) bytes a coordinate) and the
-    uniform (one 32-bit word a summand).
+    uniform (one 16-bit word a summand).
     """
     if isinstance(src, NonIIDSource):
         signs = all(sc.ndim == 0 and base.name == "rademacher" for base, sc in src.components)
         return src.k * -(-src.n // 8) if signs else None
     if src.sum_sampler is _rademacher_sum:
         return src.k * -(-n // 8)
-    return 4 * src.k * n if src.sum_sampler is _uniform_sum else None
+    return 2 * src.k * n if src.sum_sampler is _uniform_sum else None
 
 
 def _block_rows(src, n, stream, M, start, stop):
@@ -266,12 +266,13 @@ def _uniform_sampler(gen, m, k):
 
 
 def _uniform_sum(gen, m, k, n):
-    # a 32-bit word u is the summand sqrt3 (2 (u + 1/2) / 2^32 - 1), uniform on
-    # the 2^32 cell midpoints of [-sqrt3, sqrt3]; the integer sum is exact
+    # a 16-bit word u is the summand sqrt3 (2 (u + 1/2) / 2^16 - 1), uniform on the 2^16 cell
+    # midpoints of [-sqrt3, sqrt3]; the integer sum is exact, in uint32 (the faster) below 2^32
     out = np.empty((m, k))
-    for start, rows, data in _raw_row_chunks(gen, m, 4 * k * n):
-        total = data.view("<u4").reshape(rows, k, n).sum(axis=2, dtype=np.uint64)
-        out[start:start + rows] = (2.0 * total + n) / 2.0**32 - n
+    total_type = np.uint32 if n * 0xFFFF < 1 << 32 else np.uint64
+    for start, rows, data in _raw_row_chunks(gen, m, 2 * k * n):
+        total = data.view("<u2").reshape(rows, k, n).sum(axis=2, dtype=total_type)
+        out[start:start + rows] = (2.0 * total + n) / 2.0**16 - n
     out *= _SQRT3 / math.sqrt(n)
     return out
 

@@ -18,7 +18,7 @@ _SPLIT_SOURCES = {
     "exponential": lambda: (exponential_source(2), 16),
     "noniid-scalar": lambda: (noniid_catalog("rademacher", 2, 8), 8),
     "noniid-vector": lambda: (NonIIDSource([(uniform_source(2), s) for s in _VECTOR_SCALES]), 4),
-    # 16 and 4 raw bytes a row: a share of delta_hat's rows starts on a 2- or 8-row boundary
+    # 8 and 4 raw bytes a row: a share of delta_hat's rows starts on a 4- or 8-row boundary
     "uniform-k1-n4": lambda: (uniform_source(1), 4),
     "noniid-scalar-n13": lambda: (noniid_catalog("rademacher", 2, 13), 13),
     # 1 and 6 raw bytes a row: shares start on a 32- or 16-row boundary

@@ -494,6 +494,22 @@ def test_bad_k_or_n_exits_2(argv, capsys):
     assert captured.out == "" and "integers >= 1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "source, k_list, n_list",
+    [("rademacher", "2,2", "16"), ("rademacher", "2", "16,16"),
+     ("rademacher,rademacher", "2", "16"), ("rademacher", "2,1", "16")],
+    ids=["repeated-k", "repeated-n", "repeated-source", "descending-k"],
+)
+def test_dim_scan_takes_each_source_k_and_n_once(source, k_list, n_list, capsys):
+    # a repeat used to print two rows of one cell, with different estimates, and fit
+    # both as separate points
+    code = run(["dim-scan", "--source", source, "--k-list", k_list, "--n-list", n_list,
+                "--M", "2000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "each source, k and n once" in captured.err
+
+
 def test_check_suite_k_from_config_is_parsed(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"k": "2"}')

@@ -12,21 +12,23 @@ scrambled-Sobol QMC measure, and of the README's `dim-scan` command at
 M = 20000.  `omega_star_hat` of a stretched and a spherical ellipsoid at
 k = 2, 3 is pinned as `float.hex` text: a QMC count over 2^16 points, so each
 shell mass is exact in binary.  The measures were recorded with steinclt
-0.3.0, and 0.3.1, 0.3.2, 0.4.0, 0.5.0, 0.5.1 and 0.5.2 give the same bytes;
-the check suites were recorded with 0.5.2, which takes the 7/8 norm quantile
-and the Stein weight integrals in closed form, so their ball rows and weight
-rows moved in the last bits; the gaussian `discrepancy` body was recorded with 0.3.2 and matches
-0.3.1, and the k = 1 uniform and exponential `delta` bodies were recorded with
-0.3.2 before `SetFamily.counts` compared each repeated level once.  The three
-iid Rademacher bodies (`discrepancy`, `delta` and `dim-scan`) were recorded
-with 0.4.0, which draws those sums from one raw Philox bit per sign.  The
-uniform k = 2 `bounds` body was recorded with 0.5.0, which takes the uniform
-rho3 at k >= 2 from one 1-D integral in place of a tensor grid; every other
-body keeps its 0.3.2 or 0.4.0 bytes under 0.5.0, 0.5.1 and 0.5.2.  The Stein
-derivatives of the ball and the off-centre ball were recorded with 0.5.1,
-which sums the noncentral chi-square density series over a cached
-coefficient table, so their values moved in the last bits; every other Stein
-digest keeps its earlier bytes, and every Stein digest holds under 0.5.2.
+0.3.0, and every release from 0.3.1 to 0.6.0 gives the same bytes; the check
+suites were recorded with 0.5.2, which takes the 7/8 norm quantile and the
+Stein weight integrals in closed form, so their ball rows and weight rows
+moved in the last bits, and they hold under 0.6.0; the gaussian `discrepancy`
+body was recorded with 0.3.2 and matches 0.3.1, and the k = 1 exponential
+`delta` body was recorded with 0.3.2 before `SetFamily.counts` compared each
+repeated level once.  The three iid Rademacher bodies (`discrepancy`, `delta`
+and `dim-scan`) were recorded with 0.4.0, which draws those sums from one raw
+Philox bit per sign.  The three uniform bodies (the k = 1 `delta`, the
+ellipsoid-family `delta` and the k = 2 `bounds`) were recorded with 0.6.0,
+which draws each uniform summand from one 16-bit Philox word in place of a
+32-bit one; every other body keeps its 0.3.2 or 0.4.0 bytes under 0.5.0 to
+0.6.0.  The Stein derivatives of the ball and the off-centre ball were
+recorded with 0.5.1, which sums the noncentral chi-square density series over
+a cached coefficient table, so their values moved in the last bits; every
+other Stein digest keeps its earlier bytes, and every Stein digest holds
+under 0.5.2 and 0.6.0.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers or printed moments records
@@ -52,7 +54,7 @@ from steinclt.convex import _NCX2_SERIES_Z
 
 HERE = Path(__file__).resolve().parent
 
-RECORDED_VERSIONS = {"steinclt": "0.5.2", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.6.0", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 FAMILY_MEASURES = {
     1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
@@ -77,15 +79,15 @@ DISCREPANCY_CSV_BODIES = {
 # full command lines; a `.json` argument names a file next to this one
 CLI_CSV_BODIES = {
     "delta --source uniform --k 2 --n 16 --M 4096 --seed 7 --family family_k2_ellipsoid.json":
-        "2b21a835e7536646761fd4838a2fa3211c6e20394b343d1d1dc46d1601e6a6f1",
+        "bd4d21cd6b70185cc09f943628d542dc6835e1eb26b85b769c89c3f77779947a",
     "delta --source rademacher --k 1,2,3 --n 4,16,64 --M 20000 --seed 7":
         "0e7eab918f4f42e89776318887083e92429287823c88d1fdcda0d5a3877c4604",
     "delta --source uniform --k 1 --n 4,256 --M 20000 --seed 7":
-        "2e3d84db4fc6d97b1f2f16d2f1449ca1728c6c3a3681f8710cc8f2a5fbd9bfd9",
+        "3bda06a58f8cdbed018f8de0f3a67fa580a0dfa7b4f8870dd6f98a6deee1cedf",
     "delta --source exponential --k 1 --n 4,256 --M 20000 --seed 7":
         "17e161b20e247d9d07db3f23b96090d82efa9416576eda261a978d13da2aa244",
     "bounds --source uniform --k 2 --n 16,64 --M 20000 --seed 7 --constant c=1.0":
-        "876d4178b4c933e01c9589143ac21cbb01b7c2683fd1d58a0d3f590f084e061a",
+        "8292f5ce64c552db0855a9627746a8a15a18496806858faac2bab7635e25f790",
     "bounds --source gaussian --k 1 --n 32 --M 20000 --seed 7 --noniid-profile linear":
         "6b0c2410016eb70a5a34f4f17455115fe6a125b1a85c717dd51d362e8d6398dd",
     "dim-scan --source rademacher --k-list 1,2,3,4 --n-list 64 --M 20000 --seed 7":

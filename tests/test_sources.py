@@ -242,9 +242,9 @@ def test_sample_sum_uniform_moments(n):
 def test_sample_sum_matches_its_summands_from_the_raw_words(k, n):
     # the summands taken one by one from the same Philox words, in float64
     m = 64
-    words = RngStream(129).generator().bit_generator.random_raw(m * k * n // 2 + 1)
-    u = words.view("<u4")[: m * k * n].reshape(m, k, n).astype(float)
-    expect = (math.sqrt(3.0) * (2.0 * (u + 0.5) / 2.0**32 - 1.0)).sum(axis=2) / math.sqrt(n)
+    words = RngStream(129).generator().bit_generator.random_raw(m * k * n // 4 + 1)
+    u = words.view("<u2")[: m * k * n].reshape(m, k, n).astype(float)
+    expect = (math.sqrt(3.0) * (2.0 * (u + 0.5) / 2.0**16 - 1.0)).sum(axis=2) / math.sqrt(n)
     draws = sample_sum(uniform_source(k), n, RngStream(129), size=m)
     np.testing.assert_allclose(draws, expect, rtol=0, atol=1e-13)
     # non-iid Rademacher: ceil(n/8) bytes per coordinate, bit l of byte g signs component 8g + l
@@ -259,6 +259,39 @@ def test_sample_sum_matches_its_summands_from_the_raw_words(k, n):
     # iid Rademacher: the same bits, their signs added exactly
     draws = sample_sum(rademacher_source(k), n, RngStream(129), size=m)
     assert np.array_equal(draws.ravel(), signs.sum(axis=1) / math.sqrt(n))
+
+
+class _RawWords:
+    """A generator whose bit generator (itself) hands out the given raw 64-bit words in turn."""
+
+    def __init__(self, words):
+        self.words, self.used, self.bit_generator = words, 0, self
+
+    def random_raw(self, size):
+        self.used += size
+        return self.words[self.used - size:self.used]
+
+
+def test_uniform_summand_is_exact_over_its_whole_grid(monkeypatch):
+    # every 16-bit word once, so the moments are the law's, not a sample's; small
+    # chunks make the words cross chunk boundaries
+    monkeypatch.setattr(sources, "_CHUNK_BYTES", 1000)
+    grid = _RawWords(np.arange(1 << 16, dtype="<u2").view("<u8"))
+    y = sources._uniform_sum(grid, 1 << 16, 1, 1)[:, 0]
+    assert len(np.unique(y)) == 1 << 16 and np.max(np.abs(y)) < math.sqrt(3.0)
+    assert math.fsum(y) == 0.0
+    assert math.fsum(y**2) / (1 << 16) == pytest.approx(1.0 - 2.0**-32, rel=1e-15, abs=0)
+    # E |Y|^3 of the continuous law, 3 sqrt3 / 4, within 5e-10 relative
+    m3 = math.fsum(np.abs(y) ** 3) / (1 << 16)
+    assert m3 == pytest.approx(3.0 * math.sqrt(3.0) / 4.0, rel=5e-10)
+
+
+@pytest.mark.parametrize("n", [65537, 65538])
+def test_uniform_sum_of_top_words_does_not_wrap(n):
+    # n (2^16 - 1) is 2^32 - 1 at n = 65537 and past 2^32 at n = 65538
+    top = _RawWords(np.full(n, 2**64 - 1, dtype=np.uint64))
+    y = sources._uniform_sum(top, 1, 1, n)[0, 0]
+    assert y == pytest.approx(math.sqrt(3.0 * n) * (1.0 - 2.0**-16), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -851,13 +884,14 @@ def test_mean_over_blocks_on_lattice_indices_keeps_the_bytes_of_the_row_path(
     [
         (gaussian_source(2), 16, 1),
         (uniform_source(2), 16, 1),
-        (uniform_source(1), 4, 2),  # 16 raw bytes a row
+        (uniform_source(1), 8, 2),  # 16 raw bytes a row
+        (uniform_source(1), 1, 16),  # 2 raw bytes a row
         (rademacher_source(2), 16, 8),  # 4 raw bytes a row
         (noniid_catalog("rademacher", 2, 13), 13, 8),  # 4 raw bytes a row
         (noniid_catalog("uniform", 2, 8), 8, 1),
     ],
-    ids=["gaussian", "uniform", "uniform-k1-n4", "rademacher", "noniid-rademacher",
-         "noniid-uniform"],
+    ids=["gaussian", "uniform", "uniform-k1-n8", "uniform-k1-n1", "rademacher",
+         "noniid-rademacher", "noniid-uniform"],
 )
 @pytest.mark.parametrize("M", [1001, 40001, 50000])
 def test_delta_hat_gives_two_cpus_row_shares_that_differ_by_at_most_one_alignment_step(
