@@ -1,4 +1,4 @@
-"""Quadrature building blocks and the configuration of the time integrals.
+"""Quadrature building blocks and the configuration of the inner integrals.
 
 Tensor Gauss-Hermite grids (GH_NODES per axis) target expectations against
 the standard Normal; they are kept for smooth integrands and as the generic
@@ -6,8 +6,9 @@ fallback.  The outer integral over the semigroup time s runs over (t, t + 40),
 beyond which the integrand is below the double-precision floor, with
 Gauss-Legendre nodes after the substitution u = e^{-s}, which removes the
 s -> infinity tail and keeps the order-3 derivative weight integrable down to
-small t.  `QuadratureSpec` holds the two settings of those integrals and
-checks them when it is built, so no evaluation runs on a bad spec.
+small t; `stein.SteinSolution` sizes that rule from t.  `QuadratureSpec`
+holds the one setting of the inner integrals and checks it when it is built,
+so no evaluation runs on a bad spec.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, check_count
+from .errors import ConfigurationError
 
 GH_TENSOR_MAX_DIM = 3
 GH_NODES = 32
@@ -74,28 +75,23 @@ _INNER_METHODS = ("auto", "gauss-hermite", "monte-carlo")
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to evaluate the nested integrals behind T_s and its inverse.
+    """How to evaluate the inner integrals behind T_s and its inverse.
 
-    s_nodes is the number of Gauss-Legendre nodes of the time integral.
     inner_method:
         "auto"         closed form when the test function supports it,
                        otherwise tensor Gauss-Hermite for k <= 3, else MC;
         "gauss-hermite" tensor grid with GH_NODES per axis (k <= 3);
         "monte-carlo"  MC_SAMPLES draws from a stream with master seed 0.
-    A spec is checked when it is built: an unknown method or an s_nodes that
-    is not an integer >= 16 raises ConfigurationError.
+    A spec is checked when it is built: an unknown method raises
+    ConfigurationError.  The time integral has no setting: its Gauss-Legendre
+    node count follows from t (`stein._time_node_count`).
     """
 
-    s_nodes: int = 64
     inner_method: str = "auto"
 
     def __post_init__(self):
         if self.inner_method not in _INNER_METHODS:
             raise ConfigurationError(f"unknown inner_method {self.inner_method!r}")
-        try:  # held as an int: the Gauss-Legendre rule takes no float degree
-            object.__setattr__(self, "s_nodes", check_count("s_nodes", self.s_nodes, 16))
-        except DomainError as exc:
-            raise ConfigurationError(str(exc)) from None
 
 
 DEFAULT_QUAD = QuadratureSpec()

@@ -4,10 +4,10 @@ psi_t(x) = -integral_t^infinity T_s h~(x) ds solves L psi_t = T_t h~ for the
 centered test function h~ = h - E_Phi h.  Spatial derivatives differentiate
 under the time integral; the order-m integrand carries the singular weight
 (e^{-s} / sqrt(1-e^{-2s}))^m, which the substitution u = e^{-s} absorbs into
-a smooth integrand on (0, e^{-t}], handled by fixed Gauss-Legendre nodes.
-The Gauss-Legendre rule is built once per node count per process and shared
-read-only (`quadrature.gauss_legendre_1d`); each `SteinSolution` maps it onto
-its own interval.
+a smooth integrand on (0, e^{-t}], handled by a Gauss-Legendre rule of
+`_time_node_count(t)` nodes.  The rule is built once per node count per
+process and shared read-only (`quadrature.gauss_legendre_1d`); each
+`SteinSolution` maps it onto its own interval.
 `psi`, `psi_d2` and `psi_d3` integrate `semigroup_apply` and
 `semigroup_derivative` over those nodes through one helper, `_time_integral`.
 
@@ -56,10 +56,11 @@ from .semigroup import (
 T_MIN = 0.01
 # one closed-form derivative call takes at most this many (row, s-node) pairs,
 # so a batch holds 4096 // M nodes and at least one.  On the stein-solve
-# benchmark (2-vCPU Xeon, two 8 s runs each; one call per node: 0.38-0.39 s
-# a pass, 60.7 MiB peak RSS), caps of 1024, 4096 and 16384 pairs and no cap
-# gave 0.39, 0.27-0.28, 0.28-0.31 and 0.31-0.32 s a pass at 60.8-61.0,
-# 60.8-61.0, 64.4 and 72.7 MiB.
+# benchmark (16 time nodes at t = 0.5 and 1.0; 2-vCPU Xeon, five 8 s runs
+# each; one call per node: 0.072-0.086 s a pass, 60.5-61.5 MiB peak RSS),
+# caps of 1024, 4096 and 16384 pairs and no cap gave 0.059-0.064,
+# 0.044-0.057, 0.052-0.061 and 0.050-0.058 s a pass at 60.4-61.5, 60.9-61.0,
+# 63.3-63.9 and 63.3-64.0 MiB.
 _BATCH_ROW_NODES = 4096
 
 
@@ -99,13 +100,35 @@ def weight1_integral_total() -> float:
     return math.pi / 2.0
 
 
+def _time_node_count(t: float) -> int:
+    """N(t), the Gauss-Legendre nodes of the time rule at t: 64 up to t = 0.027, 16 from t = 0.4.
+
+    In u = e^{-s} the integrand is analytic on the rule's interval (0, e^{-t}] and
+    has its one singularity at u = 1, where the kernel width sqrt(1 - u^2)
+    vanishes; that point lies at x = 2 / e^{-t} - 1 on the rule's [-1, 1], so an
+    N-node rule converges like rho^{-2N} with rho = exp(acosh x) (the Bernstein
+    ellipse through x).  N(t) is the least N with rho^{-2N} <= 2^-60, held
+    within [16, 64]; x is taken from e^{-t}, so nothing overflows up to t = 708.39.
+    """
+    x = 2.0 / math.exp(-t) - 1.0
+    return min(64, max(16, math.ceil(math.log(2.0**60) / (2.0 * math.acosh(x)))))
+
+
+def _time_rule(t: float, n: int):
+    """s-nodes and weights of the n-node Gauss-Legendre rule in u = e^{-s} over s in (t, t + 40)."""
+    # past s = t + 40 the integrand is below double precision
+    u, du = gauss_legendre_panel(math.exp(-(t + 40.0)), math.exp(-t), n)
+    return -np.log(u), du / u  # ds = du / u
+
+
 class SteinSolution:
     """Evaluation handle for psi_t and its derivatives, for h = 1_C.
 
-    The time integral is discretized once at construction; each evaluation
-    then takes a batch of points x through the s-nodes, a batch of nodes at
-    a time.  t must leave e^{-t} a normal double (t <= 708.39): past that
-    the nodes in u = e^{-s} underflow and the integral is NaN.
+    The time integral is discretized once at construction, on
+    _time_node_count(t) nodes; each evaluation then takes a batch of points x
+    through the s-nodes, a batch of nodes at a time.  t must leave e^{-t} a
+    normal double (t <= 708.39): past that the nodes in u = e^{-s} underflow
+    and the integral is NaN.
     """
 
     def __init__(self, t: float, h: TestFunction, quad: QuadratureSpec = DEFAULT_QUAD):
@@ -117,11 +140,7 @@ class SteinSolution:
             )
         self.h = h
         self.quad = quad
-        # past s = t + 40 the integrand is below double precision
-        u_lo = math.exp(-(self.t + 40.0))
-        u, du = gauss_legendre_panel(u_lo, u_hi, quad.s_nodes)
-        self.s_nodes = -np.log(u)
-        self.s_weights = du / u  # ds = du / u
+        self.s_nodes, self.s_weights = _time_rule(self.t, _time_node_count(self.t))
 
     def center(self, k: int) -> float:
         return gaussian_mean(self.h, k, self.quad)

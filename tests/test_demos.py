@@ -2,14 +2,15 @@
 
 Each demo runs with `-W error`, so a warning fails it as it fails the
 in-process tests, and its stdout must match a sha256 recorded with
-steinclt 0.3.0 (every release from 0.3.1 to 0.6.0 prints the same bytes),
+steinclt 0.3.0 (every release from 0.3.1 to 0.7.0 prints the same bytes),
 except demo 06, which prints iid Rademacher estimates and was recorded with
-0.4.0 (0.5.0 to 0.6.0 print the same bytes), when those sums came to be drawn
-one raw Philox bit per sign, and demo 05, which also prints iid uniform
-estimates and was recorded with 0.6.0, when each uniform summand came to be
-drawn from one 16-bit Philox word.  Every digest is
-keyed by the steinclt, numpy and scipy versions below; under other versions
-the test fails and names both rather than skip.
+0.4.0 (0.5.0 to 0.7.0 print the same bytes), when those sums came to be drawn
+one raw Philox bit per sign, and demos 04 and 05, which print Stein residuals
+and generator-form gaps at rounding level and were recorded with 0.7.0, when
+the Stein time rule came to take its node count from t (demo 05 also prints
+the iid uniform estimates that 0.6.0 draws from one 16-bit Philox word).
+Every digest is keyed by the steinclt, numpy and scipy versions below; under
+other versions the test fails and names both rather than skip.
 """
 
 import hashlib
@@ -26,14 +27,14 @@ import steinclt
 
 ROOT = Path(__file__).resolve().parent.parent
 
-RECORDED_VERSIONS = {"steinclt": "0.6.0", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.7.0", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 STDOUT_SHA256 = {
     "01_gaussian_core.py": "7ae6564809f25d35b6cf7a713cb24377802335e3e3e74a0e04c2f9cab7a6e5e1",
     "02_convex_smoothing.py": "ce5decb783f4938c1ca7dab2f650074ae00906186efc184f906e458cb5f58496",
     "03_ou_semigroup.py": "d05d974836ee478ac47fe7a91830ee56ab9fccfdbdb633d45fcc7fc01d6a04b5",
-    "04_stein_solution.py": "2cc3ece4420bca66e92e7debabcb4052b183c8467687a61f8600486f60f42fab",
-    "05_clt_discrepancy.py": "d071146f85bdbc1bf6f4c5c9fe2f4cc6854da1d627852207be8cd71b8ec20de9",
+    "04_stein_solution.py": "94617212853f25dc2bbf5bad8c4e57d09a8608e202008b224ee1dffeb5b9c459",
+    "05_clt_discrepancy.py": "bb19ebbd61f42691e8e03cb786e4dd2a058a3502fb99c557ccaa1fafcc349ac8",
     "06_bound_pipeline.py": "eaf9bc2770756d5fc4b47ba35d8e5c254db57d6e4b843d925154bd37f62c075f",
 }
 

@@ -12,23 +12,22 @@ scrambled-Sobol QMC measure, and of the README's `dim-scan` command at
 M = 20000.  `omega_star_hat` of a stretched and a spherical ellipsoid at
 k = 2, 3 is pinned as `float.hex` text: a QMC count over 2^16 points, so each
 shell mass is exact in binary.  The measures were recorded with steinclt
-0.3.0, and every release from 0.3.1 to 0.6.0 gives the same bytes; the check
+0.3.0, and every release from 0.3.1 to 0.7.0 gives the same bytes; the check
 suites were recorded with 0.5.2, which takes the 7/8 norm quantile and the
 Stein weight integrals in closed form, so their ball rows and weight rows
-moved in the last bits, and they hold under 0.6.0; the gaussian `discrepancy`
-body was recorded with 0.3.2 and matches 0.3.1, and the k = 1 exponential
+moved in the last bits, and `check-semigroup` and `check-inequalities` hold
+under 0.7.0; the k = 1 exponential
 `delta` body was recorded with 0.3.2 before `SetFamily.counts` compared each
-repeated level once.  The three iid Rademacher bodies (`discrepancy`, `delta`
-and `dim-scan`) were recorded with 0.4.0, which draws those sums from one raw
-Philox bit per sign.  The three uniform bodies (the k = 1 `delta`, the
-ellipsoid-family `delta` and the k = 2 `bounds`) were recorded with 0.6.0,
-which draws each uniform summand from one 16-bit Philox word in place of a
-32-bit one; every other body keeps its 0.3.2 or 0.4.0 bytes under 0.5.0 to
-0.6.0.  The Stein derivatives of the ball and the off-centre ball were
-recorded with 0.5.1, which sums the noncentral chi-square density series over
-a cached coefficient table, so their values moved in the last bits; every
-other Stein digest keeps its earlier bytes, and every Stein digest holds
-under 0.5.2 and 0.6.0.
+repeated level once.  The two iid Rademacher bodies `delta` and `dim-scan`
+were recorded with 0.4.0, which draws those sums from one raw Philox bit per
+sign.  The three uniform bodies (the k = 1 `delta`, the ellipsoid-family
+`delta` and the k = 2 `bounds`) were recorded with 0.6.0, which draws each
+uniform summand from one 16-bit Philox word in place of a 32-bit one; every
+other `delta`, `bounds` and `dim-scan` body keeps its 0.3.2 or 0.4.0 bytes
+under 0.5.0 to 0.7.0.  Every Stein digest, the `check-stein` body and both
+`discrepancy` bodies were recorded with 0.7.0, which takes N(t) Gauss-Legendre
+nodes for the Stein time integral (16 at t = 0.5 and 1.0, where 64 were
+taken before), so their values moved in the last bits.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers or printed moments records
@@ -54,7 +53,7 @@ from steinclt.convex import _NCX2_SERIES_Z
 
 HERE = Path(__file__).resolve().parent
 
-RECORDED_VERSIONS = {"steinclt": "0.6.0", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.7.0", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 FAMILY_MEASURES = {
     1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
@@ -66,14 +65,14 @@ FAMILY_MEASURES = {
 CHECK_CSV_BODIES = {
     ("check-inequalities", 3): "35493de4911bc4271bebe5675d497970020922ce4096cf9e659e5a96db9513a1",
     ("check-semigroup", 2): "37061a96b25bbe9264c262ec2bc815525e9f0bdb2d1ef32d89e0d5a59d5dc8e8",
-    ("check-stein", 2): "6311d2898b11e5c57e3662284e5481f46abe69c852e6a010e6414bb8347164b7",
+    ("check-stein", 2): "e87400e4be789bd7496dffce4599de15049001ff7c8a2ddf1bfe3043ab75aeeb",
 }
 
 DISCREPANCY_CSV_BODIES = {
     "--source rademacher --k 1 --n 4 --t 0.5 --M 4096 --seed 7":
-        "b0d0b2788def21c0a9c5a783b7cddfdc202d710d9044b8455ed22cd3ed41fedc",
+        "9ae761dd66e09255d3014daba64cb542f6e2a9b695d3415e7686e471128cc71b",
     "--source gaussian --k 2 --n 16 --M 4096 --seed 7":
-        "8c9145a0f3c3d5bcaac14636853bec29eeed52976d7bec29805bf01dec303e5d",
+        "c70f63f28356b73218a83d73696bd556d932b87dcba3855c29230819c607d3f9",
 }
 
 # full command lines; a `.json` argument names a file next to this one
@@ -176,14 +175,12 @@ def test_ellipsoid_shell_mass_is_pinned(shape, k, eps):
 # The Stein solution's gradient and Laplacian side: laplacian_drift, psi_d1
 # (every i), psi_d2 at (0, 0) and (k-1, 0), and psi_d3 at (0, 0, 0),
 # (0, 0, k-1) and (0, min(1, k-1), k-1), at t = 0.5 on a fixed seeded batch,
-# recorded with steinclt 0.3.2 while the time integral still called the
-# closed forms once per s-node.  Odd k takes the ball's half-integer density
-# recurrence and even k the i0e/i1e one; the batch has rows on both sides of
-# the series switch z = 4 (checked below).  The slab has infinite bounds: its
-# second- and third-order terms along such a coordinate were inf * 0 = NaN
-# until the box factor took their limit 0, so its laplacian_drift, psi_d2 and
-# psi_d3 were recorded after that mend; its psi_d1 and every other set's
-# outputs are the bytes from before it.
+# recorded with steinclt 0.7.0, whose time rule takes 16 nodes at t = 0.5 in
+# place of 64.  Odd k takes the ball's half-integer density recurrence and
+# even k the i0e/i1e one; the batch has rows on both sides of the series
+# switch z = 4 (checked below).  The slab has infinite bounds: its second- and
+# third-order terms along such a coordinate must take their limit 0, not
+# inf * 0 = NaN.
 STEIN_T = 0.5
 STEIN_ROWS = 24
 
@@ -220,124 +217,124 @@ def _stein_outputs(C, X):
 
 STEIN_DIGESTS = {
     ("half-space", 1): {
-        "laplacian_drift": "f9796f4477e5db2c1386f03998c71f9699f5faa8ee317583b5a187a3f16059a3",
-        "psi_d1": "f5b7aceb47fcbca5f0e1577f9140deb1a75858dfb5a43dcbdb0a8ce91c2bedfa",
-        "psi_d2": "cab67ff9ef8ffb3b8d613c43d871361a91d8d754aaf6fdfdc4eeb6e8c7615d80",
-        "psi_d3": "0c75c1f707cb50899f563ccd34ccd8eaac890b3e512f338b24d0acf06a18c068",
+        "laplacian_drift": "600c6adb5d2653fe8928f3b0e0ee6ca65f5788e438c0d2da1aefd65eeaf958fa",
+        "psi_d1": "195c87e3df328f3f7d474e2f490a738a152682737411b44d9b6aa78fe420a39d",
+        "psi_d2": "e9edc64b184ae41fc1bc0bff2f1017ffe5eeef8af699e71166e8510ab9274279",
+        "psi_d3": "57eae6c890ee6da26e4e29d40a8a929139fbed5816edc74ffd688e9d66d505e9",
     },
     ("half-space", 2): {
-        "laplacian_drift": "c4171a77e1589239a3f30305377df231f3e2b520aaa25098b415bb91d3e8785c",
-        "psi_d1": "4c1cea8d951fc5ea92d0e5ab122ad98b71788c8fe6a129704c0013b23e06af5e",
-        "psi_d2": "4c70b97f703c28d07c94ed9a08367bac6032f226ad7d0427d2917a94d7dc4cb4",
-        "psi_d3": "d08bd348715ffac90f5113acfb458c8f1f7fa4323abdfe7340e7009e3c3feb11",
+        "laplacian_drift": "be159ac1a8f183c7e43a18e56a77614ac0db301705e6b53b84a29b8f40d72d96",
+        "psi_d1": "3b63d46decd69350427cd720063ae9ff1cda227128b7490bc7dd084368eda432",
+        "psi_d2": "cb5e5886443c3434b4750173277154e57489b8c370a5a4a23ee463d90ab11046",
+        "psi_d3": "8586f8e22c98aadda53e523e0ae00f4d6473084fdb2d090c607f68df46377bc2",
     },
     ("half-space", 3): {
-        "laplacian_drift": "ea8a60eecc27b2949c04340b12da266efac0cdfd2be321ca8c5a627fef2c6051",
-        "psi_d1": "674d4090c3459243ea61cfada9e03172f4c4187edf091e28975bf6b3d24f7b30",
-        "psi_d2": "17672e8e952269950965863b01a80c0c1f25ce6de797c66cccd0ad759748e779",
-        "psi_d3": "601a76df80416da1f933bc71184ea12c03fdf42f5464a4a95bf64ff6240954e6",
+        "laplacian_drift": "6544b4d3323669fec61b0ae5964bfaa88b76284d0e6dc0760832d39b624a59cf",
+        "psi_d1": "81c34dab5e7b98455c95b293b225244f7b9e4c8b3022e3ab206ee4bc4ac688e4",
+        "psi_d2": "a3273b79aaaee4d670809d0e23813ea379201cce67457654ffeb6b3d6e2266ff",
+        "psi_d3": "90c6bfa1aaa218ba7f8ec615aeda62fa6b339d82741d6f0627c904be23557c82",
     },
     ("half-space", 4): {
-        "laplacian_drift": "21c3d9cb80ee832a8a2ff2e6f3148c09a331c002206490508ff7c5061667ed0a",
-        "psi_d1": "312ba3069c1c8901db66fd7296c3848d216d55b04279350498727a232a05bfd0",
-        "psi_d2": "60101ab96324dc0a67751aba609cf529e3a4b3fe84796b7ccdf183bea76dbe49",
-        "psi_d3": "a89eb08a8af195794b10414e4c81d3f1749232727ef4d9b61e0eb742aba7d4af",
+        "laplacian_drift": "c70f93efc4af32bd3de0bcb657f8caa6486066a8f04de3c9f1659351b929d214",
+        "psi_d1": "9e6b95b2e9f75da56fcb88dac551825f5fe5ea9ea8168cd467371f9964d53026",
+        "psi_d2": "f952719eeb6d6114f548b378270bffda4993476d1e987a9f888ba31ffe15805c",
+        "psi_d3": "840e1cef9597902cea07c2a6ecf934aabfd6ca8bc76622df8b48cf81db5a323a",
     },
     ("ball", 1): {
-        "laplacian_drift": "9e8760ec1306b2c8520937becf83bd49a178f6c19545f9746626c68fb6182c7b",
-        "psi_d1": "1b38bb625e17d65bffa50354fc044d85adc24ce6441af9fb3f531a6a8ffd1f4c",
-        "psi_d2": "d202ae75c3abf15ae27e60f3d1e0db2fcc1a8aa1ee56b9bb123dfdbb7646864e",
-        "psi_d3": "38f2fedd5f509bb6a0dc5c53f86bfcfe92a1ca58e7dd803ec8ba378b84a39d44",
+        "laplacian_drift": "6279a8f4ace214d29895afd47f73a7404871dfc8611e9afd61ac2b3c37f58b9e",
+        "psi_d1": "492fe4c3e02ad990ace6158755369274aa08b2317947ce084f50dc33c109643b",
+        "psi_d2": "4aa4816a96213a01825a38318ebfa6f4dde0b43c2ed001e2fc77ea511991ae6d",
+        "psi_d3": "21ca3fa52e38e16c4cdfd5475a8769ec856371079fe3bda0040e9db2315b3f94",
     },
     ("ball", 2): {
-        "laplacian_drift": "df18e6428024aa8c188360c7e96d721bff05fb26032ab000a90618fe19a969d5",
-        "psi_d1": "d0dc8cace3700cc61acb7b9d1f71d97b1432469786611c0d8f291d4365aeb2b6",
-        "psi_d2": "27c81bae3aa3ad8b53a8e9416b0583fe4a91a230224cdebce01dca6dc55482c7",
-        "psi_d3": "56c1e813cf89bc05b75c61de414926d5b716481cb986946ff7d8e022209427e7",
+        "laplacian_drift": "885a79baa405f7762e64f2ec23eea80f5ab18265c15d7e24e6d56779d4f209a4",
+        "psi_d1": "728372b6493e8b3d1ea8e88a8d0cdb603b987d49851abfc008d65d45fe91071e",
+        "psi_d2": "025032ab9176bc53122ff7b3a044d2e6192078cd3e78701f51aa0b447bf11e31",
+        "psi_d3": "aac7925876205f39296f816dca2e7107e27fca22382e9ae3527941877a8883a3",
     },
     ("ball", 3): {
-        "laplacian_drift": "d66ba8ce1bcd4124415e12a8b7c271d58eef227a2a8b259ee4d051b53b9383d6",
-        "psi_d1": "7384234478240311671ce9025ca26fbaa7dae063eb851a6527bd1a6ed4384395",
-        "psi_d2": "2d93b9fd8b122b19f2c9c6c66ca82db2ca710104018d9d3415902159e89be1d8",
-        "psi_d3": "1c045337de59101fde51500357a97e878e908de54892db02e3b0243150425302",
+        "laplacian_drift": "29db05e7bae61f20e36ef4b051f0c6740b1e1bbd82493c84b0862d2817c14c34",
+        "psi_d1": "937d136f90e8a8a921c832fb35e61e6c2b0776350de0888a9c2de1dab60005a4",
+        "psi_d2": "3326a55ae5997418b6249cf54f56ae88f445648637fb77c6fb6940bf118b3205",
+        "psi_d3": "14d0c1be55f39b4f771dc2f8b40bffc53d78b90bd912c9debf10c37e0ae69287",
     },
     ("ball", 4): {
-        "laplacian_drift": "4ee80f26990c81d458d48625834da75df0e65a0ef3dee62935f5114acd7cfaca",
-        "psi_d1": "76ad5917467d6458b9c76f567d2a8b5373d4aebc386dec6c2a89171fe9119a72",
-        "psi_d2": "c0b64f61eea9990377d375fd3dc2b424a7687bac4366ac3ac51554939fc22c17",
-        "psi_d3": "3857f3ac7798d80c46b863831e29ebfe44a64ca090338591438fd50a1ef82d04",
+        "laplacian_drift": "d93eda587b691fc3e556a23d8573cca2c263bfc75797f8b7ab2b4cf9f80d6d6d",
+        "psi_d1": "85cf7d747683f0fe2d6668780297bd76b9d93504c3a67d1b591c57ce4e0957e5",
+        "psi_d2": "5a13afec2a2729a184386e0f487955ac6b6ff0f9a59f999b3c966f00f263cbc5",
+        "psi_d3": "f80f1947c081e3e855912a3d4c81ccb26545431dcdb1caf050c58b061dde70d2",
     },
     ("ball-off-centre", 1): {
-        "laplacian_drift": "71abefa62d50a9b0ccc7ef364a8df2069f3a872896228205f14a691f1d3a0659",
-        "psi_d1": "9e515f3866d8a32a41efa670500b5e263936ee806c4393443b4d94267cb4fe80",
-        "psi_d2": "96c8b2dab939238c19bd4aff7adde9baf20dc9ff387e20946a76c80bfc0b9a19",
-        "psi_d3": "dd09059398624f7b6bb05bfbcf55537e6dc6aac2cadac3e6732ffad23dbd38e7",
+        "laplacian_drift": "dae0961b3462c2a8d9aaba8b98fb4b3521a8f1105d8867dc241abeecb14e63b4",
+        "psi_d1": "e0085e9d4c15b3a167633ad398c068ef2d4878ea622e9c169bdb1c7f57f5a7e9",
+        "psi_d2": "ae5c1dd798c5d7bb17f33e485af4efd19a776682638fd751d341a262372d772a",
+        "psi_d3": "a32b857b1812ee1f0cfff9bc44abcb9f66345b95f93ad49b96edf3e12976f862",
     },
     ("ball-off-centre", 2): {
-        "laplacian_drift": "f331e2e33fab2edca4dfad83bcfae81d92fab1107529abaf95fd17842d7ca44f",
-        "psi_d1": "d618c189a439dfd084ea927dd3e730b1699f4a2448cee4a541209a61374a7e8b",
-        "psi_d2": "6b0d93312b6e6ecb8c03c0cb667dd7fca51219f08d51cc7d6f68507b82254315",
-        "psi_d3": "55ef5bb7c2ea5f0790850d5a5922cb2611144574d75936d428f646fd59afcda0",
+        "laplacian_drift": "ff9145f2f1fd4fb2caffcffc17c7fc168129bc91d494bf4b253b4f8c94f9a883",
+        "psi_d1": "8d681dae4b51cefea50ca506a41b29b1184fae98992d43366a1be8b99bc64e33",
+        "psi_d2": "7bc4402a7dce3b738b91081d9fb08ea9a5faf5ac4e05571d22e50f0ca003c319",
+        "psi_d3": "df0b435f88abb4d8bdcfdcac345fa278b23b9d86b99294967325806bd0923d24",
     },
     ("ball-off-centre", 3): {
-        "laplacian_drift": "09e9709e1bdc4e0112a10101bf0ac8a0c707d31f6f3c2ae632045f34e0456955",
-        "psi_d1": "4542114fb2dd48deb917657ff2a0ebc97d1c99a38b10ade4a344b1c3462546d3",
-        "psi_d2": "ffdb657a01f0166700ead54296f8fd43338d7b47b36be948795588892741c54d",
-        "psi_d3": "c33e4c1f2a40d16f96fdef134259374f02a006e274d6cdcbd7e0a36f19ddf385",
+        "laplacian_drift": "33c791e59ffd841dd4cc9b369d3d462357700eb536f23e12eeeeb5a09795f24c",
+        "psi_d1": "c049023f738100335835378bf5f958f1b8d18786ec20a54434927e03d07c51b9",
+        "psi_d2": "ffff4e8a7b9410810da745d9204438df5bfbc37278521bc02cc8209a98cd5139",
+        "psi_d3": "91510514b96b71170ffd45308995790be5c806e4e05fac8668b81dca6df2102f",
     },
     ("ball-off-centre", 4): {
-        "laplacian_drift": "2a7e0478d59289060dc09595c1bd83d4cb6e74075abdcbdfedbdb8ff5c9da15d",
-        "psi_d1": "050d3a608f51b5f7eb72723ff69abb83c3319c842ebe69ea0e19eaea265ee6e6",
-        "psi_d2": "6841aeca50f42f104d80f473ed8f078992e8f724d70c1b5e27cd57bce392a18c",
-        "psi_d3": "840c20b63ad2e917e61c9ae2eea12fd16d7dcb10fab113b9cbf7e6e6b3a4a234",
+        "laplacian_drift": "97d31b215283e9ef7da6d1b62648b43897be0763d4e60e18795edbc4427acf40",
+        "psi_d1": "fff5f4a73bb6027f6478bbb3f056553e58ce4edf8534e6373123938ce802636a",
+        "psi_d2": "b7a710f3c31114e65f2716c480284802d17280d4ceaca03c6a915c3be47bbb77",
+        "psi_d3": "a1c8f069173e0ed4b8dbb65c2afeb4a1675a96e84a31af4ad725d7438245d35c",
     },
     ("box", 1): {
-        "laplacian_drift": "91f38be319579c7a270040088c1bcc560084acca4c1f7b86d70b798cd8f6d7cc",
-        "psi_d1": "a4218f8a9a9abaf6e23acc2220d7b19866b81e33ddaa2a8c5e0a6d42d34f4935",
-        "psi_d2": "4b8781aac24000d7758b011d9b0ad8732f2d7ce6952623d8402d0b48a77076e2",
-        "psi_d3": "8b8b559d1ae27e91e32aaf851cd26013d2be3800d13389c54fb223c3225e568b",
+        "laplacian_drift": "704a6b97950813d21fd5f725169d5b98cf04c3b6cdf46866b3236dcf1c363e03",
+        "psi_d1": "120d8cdc8da630933b437f0c0739c76364029262b14063ad5e33b8549f574170",
+        "psi_d2": "d9657cb7e7a7eeda30a0cbd6393a5f0ed251b302732adebca274e75a4a0abd8e",
+        "psi_d3": "a0f2cb2a20c8449c5c056bd79d7a2a7c3394457ade2be6018a31238bf788c83d",
     },
     ("box", 2): {
-        "laplacian_drift": "2a47a156b2e3eb91bec6b2be8175fff05b485d1b24b0d3637b9ce2a786b93bd2",
-        "psi_d1": "a107fd2a413a651db1ae9f455c0b7bf68e6dd1a62e993bc2c2cddead192b69ef",
-        "psi_d2": "9bde48f10a7e06936ddd4887ffca6b89dc8f445a3fe39204b84eedce0b44f8b1",
-        "psi_d3": "6d042ce2c06be209593308a36642130e5048468c755691e449ceb2fa9f1b53bf",
+        "laplacian_drift": "febb6be44bf06ab6f1e86ea066ece78ec7ec8a8bd5cf08eb77b78c7c653effaf",
+        "psi_d1": "ab2bb88398c57e86df59809c2ff26164bd547e64a799ace975ff49f0723d0256",
+        "psi_d2": "ea0a3df018259e6bf45ee7d4fa4eee4988e86f7d53e4087048faf38dfb13091a",
+        "psi_d3": "14ea1b47ad973112498d6cee7e0d827f9dc37b9e1738c162e77f00781cfc5a35",
     },
     ("box", 3): {
-        "laplacian_drift": "009ecec3ca654c1ed3dbec655d5a3eb4920c0661e6380c126f242ad4b11a2884",
-        "psi_d1": "387ae2d9d84f0dcbca3b9353af0a0c4d977b8a1feb0e8df009cb4e7bcece277d",
-        "psi_d2": "3903cd62bd71e467eaacd638303a0229c79d74a481c536e76ab5ec7a552e56eb",
-        "psi_d3": "e65ac0d8bbc4a5ceb8d4d95b229eece85639ccc3efd2ec3b3b1dca82a7aa4691",
+        "laplacian_drift": "625f9af658471cddf1782a59b405ac9608685016d413dc38d3c88d69a7909484",
+        "psi_d1": "0a7aed38246c50d8dd45169e8e2ec2e299db2645a1be861de00f7a1b961f458a",
+        "psi_d2": "72f833d1bd14280871cd27b2e54e6fb82f7a6763dfb5bf3ef4b67f7dcb472689",
+        "psi_d3": "45bfbe4ae048775cc47d83ffbe31bab35d3b74d6f8f05bd5485b47c6f3abd5e2",
     },
     ("box", 4): {
-        "laplacian_drift": "921c0929bd9f8de96bdbb315137f7390350fe62ada8d705b17cc1eea4bc5088c",
-        "psi_d1": "f2ec7ad8f57e3ceb29b2dfe4e9b2e68309d69eb2371439a528b0e3a3f51d56a4",
-        "psi_d2": "fe8e7f90f9c997b9f40fe6a99204f2f65007504a905d956f46c197d05df44a19",
-        "psi_d3": "fb6ff29e16db227841ea2c3c2dadc9ed45e5786c6436ebf8789f9dd32d8e4f4a",
+        "laplacian_drift": "07b2b87a8f62017ba788c2477d81cd34259f9ce4c840ce3b4f3e5157967a811b",
+        "psi_d1": "9098a02f47e3f33bfa134a855b0e85ca500939eeb974030e2cee4f2ca0a735c9",
+        "psi_d2": "8de2744ada7786c67b05e2b1c6ed7aad67d9ce176533a2aeb50120ebfe020e18",
+        "psi_d3": "6d2b96dff40b77419168f98291b6afa16d8dd5b405a1dde3384ea6937200ee29",
     },
     ("slab", 1): {
-        "laplacian_drift": "3a4746bf8b410ac4439af015c74ec0aeb43e2056a58155160186f6c88cc953fd",
-        "psi_d1": "d2b1b2f1b1c53f901986ebc65363b74e8004db915f99df33a326a523e04fc2dd",
-        "psi_d2": "56e38ba48d755476e4a964e2c78d2d027711e1913e514aee35133fdac7e4a7f9",
-        "psi_d3": "ccd1d241a7fe28f55c19b74038a58b4b19332839b563a43c26ec7594ec74c54d",
+        "laplacian_drift": "dbd5ecfa0ad96c2e501d5f8c4f6aabd1a9dbbe77ba75ac4c5fc762747ffc5ab3",
+        "psi_d1": "7769955cbbfc5ff414b4d59403ba329df19c6de8d5f7abcf96d548aff4c200fd",
+        "psi_d2": "65c3ec2b11b1522201541db1f0867ca2a2550c5c2c5a69614129d244de43aba0",
+        "psi_d3": "b7d793e7297625e464c386d5b907b7a682aaea294f3501d798fda0a3ffd260af",
     },
     ("slab", 2): {
-        "laplacian_drift": "73118d4c27c5e908d18feed8fa1ec412d8726d54452edecb55ab5aa76fccdfe1",
-        "psi_d1": "2bc8177264481f3ba10923826fbd20a32c7c68139862eef956101e48449c20a0",
-        "psi_d2": "2697c3b4126bf81c3ccf830c34524d2412e6c77619aebfdc6c332d8fdb53861f",
-        "psi_d3": "5965f84bc28f8e43e286959f24690a3ec75b705e7e23579a9e52beb69fbdb6ed",
+        "laplacian_drift": "4461b21c5b3aa0cdbbdb47053123c1e886b79f4b1a6da0dea4d674e0939de815",
+        "psi_d1": "9448e6d6b09eb6bd42bdee2985b4df7a6ae9a2df1d9093059543ca14dba0ada5",
+        "psi_d2": "e741e36701dee8177cbd37934326ce418d7833726461d8e50404ecee93f4dadb",
+        "psi_d3": "19586bec4821c39bede1ddb3221bbb5aab5ba468a9ed1d6df4bbc16ba4963638",
     },
     ("slab", 3): {
-        "laplacian_drift": "d2a94fd986555cff231eaef06246ffe1f80c51a51b4a5fe70e13c9694a619650",
-        "psi_d1": "0a72799abde1ac8d37ba4b3a9a23553e0d509d7f764aa2d4ef49fc3580b5c707",
-        "psi_d2": "ab7242dacb7431f38fe6861ed295fd03412ac4fced7c1bb6ee21dd61b0d91ce8",
-        "psi_d3": "a85489c5d787b038ae7207a7ef3dc463a939c243b4e18bd526e380e2d3afd607",
+        "laplacian_drift": "f6fde171160be841c72ecc5502fae23e782e90b7058b74e8ad91f507d3e00a7c",
+        "psi_d1": "4deec1cd5a1b71384ad160f2329b244a3aa6a158850d4d2613bfac157e81375a",
+        "psi_d2": "685ad14d9b2d566c033fccefb8dd8eb7f5ee8b76acf26e31c7dbaa0b2b990733",
+        "psi_d3": "4d14b2eecf9644568d07b0b1561a2d3e8f5561df1a751c277bfbbaae00262926",
     },
     ("slab", 4): {
-        "laplacian_drift": "a76bae3d102815c7e9a884750225e3901e8a26bff5d4317497b635799d718963",
-        "psi_d1": "57b29c4b1d5e43995c0a8c807906c63fafc53e0f1218e3b2be1598f56b474a68",
-        "psi_d2": "ade4b2066e4b51c38943f358f4faf84492635059904e6a8a6ddb5f3ab3e15a3a",
-        "psi_d3": "880c02757459c42d249e85b9bf55b6d98a1cdd89f5a11731b37815d544a8ef8b",
+        "laplacian_drift": "0fa6dab12fa040f754073fabcf4c27c9239a90cafae4ba1f302f88765ac81164",
+        "psi_d1": "557417474dcea284eca356efa1b85412fc5dc4d6a055d35fc9be4b5348a68cd3",
+        "psi_d2": "14adfe636931ca908d0df36a2df6618eaa83c39ca48bf0a077e0727ad2d02b4f",
+        "psi_d3": "f8322ea43bc49db231e5f360ac13043791eebe6c6b01599cdb0372350a397dca",
     },
 }
 

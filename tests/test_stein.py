@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from steinclt import (
 from steinclt.convex import DilatedBox
 from steinclt.errors import DimensionMismatchError, DomainError
 from steinclt.quadrature import gauss_legendre_1d
+from steinclt.stein import T_MIN, _time_node_count, _time_rule
 
 
 def _halfspace_solution(k=2, t=0.5):
@@ -214,14 +216,19 @@ def test_psi_monte_carlo_matches_analytic():
     assert abs(mc - exact) <= 0.02
 
 
+def _with_time_nodes(sol, n):
+    """sol with its time rule replaced by the n-node one."""
+    sol.s_nodes, sol.s_weights = _time_rule(sol.t, n)
+    return sol
+
+
 def test_stein_residual_refines_with_node_count():
     # at the smallest t the time quadrature error is visible at 16 nodes and
     # must fall fast as nodes double
     h = IndicatorFunction(Ball(np.zeros(1), 1.0))
     x = np.array([1.3])
     r16, r32, r64 = (
-        abs(stein_residual(SteinSolution(0.01, h, QuadratureSpec(s_nodes=m)), x))
-        for m in (16, 32, 64)
+        abs(stein_residual(_with_time_nodes(SteinSolution(0.01, h), m), x)) for m in (16, 32, 64)
     )
     assert r16 > 1e-5
     assert r32 <= 1e-2 * r16
@@ -258,16 +265,55 @@ def test_gauss_legendre_rule_is_built_once_and_read_only(n):
             arr[0] = 0.0
 
 
-@pytest.mark.parametrize("t", (0.01, 0.5, 5.0))
-def test_solution_time_nodes_keep_the_bits_of_a_fresh_rule(t):
+@pytest.mark.parametrize("t, n", ((0.01, 64), (0.027, 64), (0.5, 16), (5.0, 16), (708.39, 16)))
+def test_solution_time_nodes_keep_the_bits_of_a_fresh_rule(t, n):
     # each solution used to solve for its own Gauss-Legendre rule; mapping the
-    # cached rule onto (e^{-(t+40)}, e^{-t}] must give the same nodes and weights
-    x, w = np.polynomial.legendre.leggauss(64)
+    # cached N(t)-node rule onto (e^{-(t+40)}, e^{-t}] must give the same nodes
+    # and weights, with no warning up to the largest t
+    x, w = np.polynomial.legendre.leggauss(n)
     a, b = math.exp(-(t + 40.0)), math.exp(-t)
     u, du = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-    sol = SteinSolution(t, IndicatorFunction(Ball([0.0], 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = SteinSolution(t, IndicatorFunction(Ball([0.0], 1.0)))
     assert sol.s_nodes.tobytes() == (-np.log(u)).tobytes()
     assert sol.s_weights.tobytes() == (du / u).tobytes()
+
+
+def test_time_node_count_falls_with_t_from_64_to_16():
+    ts = np.concatenate([np.linspace(T_MIN, 1.0, 400), np.geomspace(1.0, 708.39, 50)])
+    counts = [_time_node_count(t) for t in ts.tolist()]
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+    assert _time_node_count(T_MIN) == 64 and _time_node_count(0.027) == 64
+    assert [_time_node_count(t) for t in (0.1, 0.2)] == [33, 23]
+    assert all(c == 16 for t, c in zip(ts, counts) if t >= 0.4)
+
+
+def _accuracy_outputs(sol, X):
+    k = X.shape[1]
+    return np.concatenate([
+        psi(sol, X), psi_d1(sol, X, 0), psi_d1(sol, X, k - 1), psi_d2(sol, X, (0, k - 1)),
+        psi_d3(sol, X, (0, 0, 0)), psi_d3(sol, X, (k - 1, 0, 0)), laplacian_drift(sol, X),
+    ])
+
+
+@pytest.mark.parametrize("k", (1, 3))
+@pytest.mark.parametrize("t", (0.03, 0.05, 0.1, 0.2, 0.5, 1.0))
+def test_time_rule_of_t_matches_a_256_node_rule(t, k):
+    # N(t) nodes, as few as 16, must reach what 256 nodes give on closed-form
+    # sets: within 1e-12 (about 4e-14 at most on this batch)
+    X = 1.5 * RngStream(5, stream_id=k).generator().standard_normal((12, k))
+    normal = np.linspace(1.0, -0.5, k)
+    sets = (
+        HalfSpace(normal / np.linalg.norm(normal), 0.3),
+        Ball(np.linspace(0.5, -0.4, k), 1.2),
+        Box(np.linspace(-1.0, -0.6, k), np.linspace(0.8, 1.3, k)),
+    )
+    for C in sets:
+        sol = SteinSolution(t, IndicatorFunction(C))
+        got = _accuracy_outputs(sol, X)
+        want = _accuracy_outputs(_with_time_nodes(sol, 256), X)
+        assert np.abs(got - want).max() <= 1e-12, C
 
 
 def test_laplacian_drift_of_a_ball_at_a_far_finite_row_is_zero():
@@ -398,7 +444,7 @@ def test_kernel_vanishing_moments():
 def _index_entry_points():
     """entry point -> (its derivative order, call taking only the index), at k = 2."""
     h = IndicatorFunction(Box(-np.ones(2), np.ones(2)))
-    sol = SteinSolution(0.5, h, QuadratureSpec(s_nodes=16))
+    sol = SteinSolution(0.5, h)
     x = np.array([[0.3, -0.2]])
     return {
         "semigroup_derivative": (1, lambda idx: semigroup_derivative(h, 0.5, x, idx)),
@@ -476,8 +522,9 @@ def _rows_with_nans(rows, k):
      (5000, 0.01)],
 )
 def test_batched_time_integrals_match_one_call_per_node(rows, t):
-    # 4096 // rows nodes share one closed-form call: all 64 at 0, 1 and 7 rows
-    # (0 rows must not divide by zero), 4 at 1024 rows and 1 at 5000
+    # 4096 // rows nodes share one closed-form call: all of them (64 at t = 0.01,
+    # 16 at 0.5 and 2.0) at 0, 1 and 7 rows (0 rows must not divide by zero),
+    # 4 at 1024 rows and 1 at 5000
     X = _rows_with_nans(rows, 3)
     sets = (
         HalfSpace(np.array([0.6, -0.8, 0.0]), 0.3),
