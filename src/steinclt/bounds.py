@@ -22,8 +22,8 @@ from .gaussian import QUANTILE_MASS, _as_points, quantile_a
 from .rng import RngStream
 from .semigroup import IndicatorFunction, ou_decay, ou_noise, semigroup_apply
 from .sources import (
-    Estimate, NonIIDSource, delta_hat, make_source, map_targets, mean_over_blocks, moment_summary,
-    sup_deviation,
+    Estimate, NonIIDSource, cell_stream, delta_hat, make_source, map_targets, mean_over_blocks,
+    moment_summary, sup_deviation,
 )
 
 T_FLOOR = 1e-4
@@ -492,20 +492,20 @@ def dim_scan(
 ) -> DimScanReport:
     """Empirical discrepancy across (source, k, n) with log-log exponent fits.
 
-    `sources` is a list of source names resolved through the catalog.
+    `sources` is a list of source names resolved through the catalog; each
+    cell draws from `cell_stream(stream, source, k, n)`.
     """
     sources, k_list, n_list = list(sources), list(k_list), list(n_list)
     if sorted(k_list) != k_list or any(len(set(v)) < len(v) for v in (sources, k_list, n_list)):
         raise DomainError(f"a scan takes ascending k and each source, k and n once, got "
                           f"{sources}, {k_list}, {n_list}")
     cells = []
-    for ki, k in enumerate(k_list):
+    for k in k_list:
         family = family_builder(k)
-        for si, name in enumerate(sources):
+        for name in sources:
             src = make_source(name, k)
-            for ni, n in enumerate(n_list):
-                sub = stream.child(1000 * ki + 100 * si + ni)
-                est = delta_hat(src, n, family, M, sub)
+            for n in n_list:
+                est = delta_hat(src, n, family, M, cell_stream(stream, name, k, n))
                 cells.append(
                     DimScanCell(source=name, k=k, n=n, delta=est.value, std_error=est.std_error)
                 )

@@ -206,15 +206,20 @@ def run_check_stein(args) -> tuple[list, bool, None]:
         val = st.weight3_integral(t)
         cap = (2.0 * t) ** -0.5
         rows.append(_row(f"weight3-t={t}", val, cap, 1e-8))
+    n, s, shifts = 10, 2.0, _grid_points(k, 5, args.seed + 1)
     report = st.double_integral_kernel_report(
-        sg.IndicatorFunction(cv.HalfSpace(np.eye(k)[0], 0.0)),
-        n=10,
-        s=2.0,
-        idx=(0, 0, 0),
-        shift_grid=_grid_points(k, 5, args.seed + 1),
+        sg.IndicatorFunction(cv.HalfSpace(np.eye(k)[0], 0.0)), n=n, s=s, idx=(0, 0, 0),
+        shift_grid=shifts,
     )
     cap = math.sqrt(6.0)
     rows.append(_row("kernel-double-integral", report.max_abs, cap, 0.0))
+    # for {x_1 <= 0} the kernel is (w/sigma)^3 |He_2(y/sigma)| phi(y/sigma) at y = e^{-s} u_1,
+    # sigma^2 = 1 - e^{-2s}/n
+    sigma = math.sqrt(1.0 - math.exp(-2.0 * s) / n)
+    y = math.exp(-s) * shifts[:, 0] / sigma
+    exact = (sg.ou_noise(s) / sigma) ** 3 * np.abs(ga.hermite_he(2, y)) * ga.norm_pdf(y)
+    rows.append(_row("kernel-double-integral-exact", report.max_abs, np.max(exact), 1e-12,
+                     two_sided=True))
     return rows, _check_rows_pass(rows), None
 
 
@@ -235,7 +240,7 @@ def run_delta(args) -> tuple[list, bool, None]:
         family = _family_for(args, k)
         for n in _positive_ints("n", args.n):
             src = _resolve_source(args, k, n)
-            stream = RngStream(args.seed).child(7 * k + n)
+            stream = so.cell_stream(RngStream(args.seed), args.source, k, n)
             est = so.delta_hat(src, n, family, args.M, stream)
             rows.append(
                 {
@@ -258,7 +263,7 @@ def run_discrepancy(args) -> tuple[list, bool, None]:
         src = so.make_source(args.source, k)
         C = cv.HalfSpace(np.eye(k)[0], args.offset)
         for n in _positive_ints("n", args.n):
-            stream = RngStream(args.seed).child(13 * k + n)
+            stream = so.cell_stream(RngStream(args.seed), args.source, k, n)
             result = so.stein_discrepancy_hat(src, n, args.t, C, args.M, stream=stream)
             agree = result.gap <= 4.0 * max(result.combined_std_error, 1e-12)
             rows.append(
@@ -287,7 +292,7 @@ def run_bounds(args) -> tuple[list, bool, None]:
         family = _family_for(args, k)
         for n in _positive_ints("n", args.n):
             src = _resolve_source(args, k, n)
-            stream = RngStream(args.seed).child(17 * k + n)
+            stream = so.cell_stream(RngStream(args.seed), args.source, k, n)
             report = bd.bound_report(src, n, family, args.M, stream, consts=consts, t=args.t)
             rows.append(dataclasses.asdict(report))
     return rows, True, None

@@ -86,19 +86,13 @@ class SourceDistribution:
     is E ||Y||^3 in closed form.
     """
 
-    def __init__(
-        self, name, k, sampler, coord_abs_m1, coord_abs_m3, rho3_exact=None, *, sum_sampler
-    ):
+    def __init__(self, name, k, coord_abs_m1, coord_abs_m3, rho3_exact=None, *, sum_sampler):
         self.name = name
         self.k = check_count("k", k, 1)
-        self._sampler = sampler
         self.sum_sampler = sum_sampler
         self.coord_abs_m1 = float(coord_abs_m1)  # E |Y^(i)|
         self.coord_abs_m3 = float(coord_abs_m3)  # E |Y^(i)|^3
         self._rho3_exact = rho3_exact
-
-    def sample(self, gen: np.random.Generator, m: int) -> np.ndarray:
-        return self._sampler(gen, m, self.k)
 
     def rho3_summary(self) -> MomentSummary:
         """E ||Y||^3: closed form for the gaussian and Rademacher laws and at k = 1, else
@@ -176,16 +170,8 @@ def _block_rows(src, n, stream, M, start, stop):
             yield sample_sum(src, n, stream.block(b), end)[r:]
 
 
-def _gaussian_sampler(gen, m, k):
-    return gen.standard_normal((m, k))
-
-
 def _gaussian_sum(gen, m, k, n):
     return gen.standard_normal((m, k))
-
-
-def _rademacher_sampler(gen, m, k):
-    return gen.integers(0, 2, size=(m, k)).astype(float) * 2.0 - 1.0
 
 
 def _rademacher_ones(gen, m, k, n):
@@ -261,10 +247,6 @@ def _lattice_points(index, k, n):
 _SQRT3 = math.sqrt(3.0)
 
 
-def _uniform_sampler(gen, m, k):
-    return gen.uniform(-_SQRT3, _SQRT3, size=(m, k))
-
-
 def _uniform_sum(gen, m, k, n):
     # a 16-bit word u is the summand sqrt3 (2 (u + 1/2) / 2^16 - 1), uniform on the 2^16 cell
     # midpoints of [-sqrt3, sqrt3]; the integer sum is exact, in uint32 (the faster) below 2^32
@@ -277,10 +259,6 @@ def _uniform_sum(gen, m, k, n):
     return out
 
 
-def _exponential_sampler(gen, m, k):
-    return gen.standard_exponential((m, k)) - 1.0
-
-
 def _exponential_sum(gen, m, k, n):
     # a sum of n standard exponentials is Gamma(n, 1)
     return (gen.standard_gamma(n, size=(m, k)) - n) / math.sqrt(n)
@@ -289,7 +267,7 @@ def _exponential_sum(gen, m, k, n):
 def gaussian_source(k: int) -> SourceDistribution:
     m1 = math.sqrt(2.0 / math.pi)
     return SourceDistribution(
-        "gaussian", k, _gaussian_sampler, m1, 2.0 * m1,
+        "gaussian", k, m1, 2.0 * m1,
         lambda k: 2.0**1.5 * math.gamma((k + 3) / 2.0) / math.gamma(k / 2.0),
         sum_sampler=_gaussian_sum,
     )
@@ -297,7 +275,7 @@ def gaussian_source(k: int) -> SourceDistribution:
 
 def rademacher_source(k: int) -> SourceDistribution:
     return SourceDistribution(
-        "rademacher", k, _rademacher_sampler, 1.0, 1.0,
+        "rademacher", k, 1.0, 1.0,
         lambda k: float(k) ** 1.5,  # ||Y|| = sqrt(k) almost surely
         sum_sampler=_rademacher_sum,
     )
@@ -305,14 +283,14 @@ def rademacher_source(k: int) -> SourceDistribution:
 
 def uniform_source(k: int) -> SourceDistribution:
     return SourceDistribution(
-        "uniform", k, _uniform_sampler, _SQRT3 / 2.0, 3.0 * _SQRT3 / 4.0,
+        "uniform", k, _SQRT3 / 2.0, 3.0 * _SQRT3 / 4.0,
         sum_sampler=_uniform_sum,
     )
 
 
 def exponential_source(k: int) -> SourceDistribution:
     return SourceDistribution(
-        "exponential", k, _exponential_sampler, 2.0 / math.e, 12.0 / math.e - 2.0,
+        "exponential", k, 2.0 / math.e, 12.0 / math.e - 2.0,
         sum_sampler=_exponential_sum,
     )
 
@@ -329,6 +307,16 @@ def make_source(name: str, k: int) -> SourceDistribution:
     if name not in SOURCES:
         raise DomainError(f"unknown source {name!r}; have {sorted(SOURCES)}")
     return SOURCES[name](k)
+
+
+def cell_stream(stream: RngStream, name: str, k: int, n: int) -> RngStream:
+    """The stream of a command's (source, k, n) cell: `child` of the law's catalog index,
+    then of k, then of n.
+
+    A cell's draws depend on its own law, k and n alone.  `child` is one-to-one
+    in its index, so two cells share a stream only if two 64-bit keys collide.
+    """
+    return stream.child(list(SOURCES).index(name)).child(k).child(n)
 
 
 def _uniform_log_laplace(s):
@@ -501,7 +489,8 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
     iid sources: S_n = (Y_1 + ... + Y_n)/sqrt(n), drawn by the source's
     `sum_sampler`; non-iid: S_n = sum X_j with n equal to the component count,
     one Philox bit per sign when every component is a scalar-scaled
-    Rademacher law and summed component by component otherwise.
+    Rademacher law and summed component by component otherwise, each component
+    one summand of its law's `sum_sampler`.
     """
     n = check_count("n", n, 1)
     size = check_count("size", size, 0)
@@ -513,7 +502,7 @@ def sample_sum(src, n: int, stream: RngStream, size: int = 1) -> np.ndarray:
             return _signed_scale_sum(gen, size, src.k, [float(sc) for _, sc in src.components])
         total = np.zeros((size, src.k))
         for base, sc in src.components:
-            total += sc * base.sample(gen, size)
+            total += sc * base.sum_sampler(gen, size, src.k, 1)
         return total
     return src.sum_sampler(gen, size, src.k, n)
 

@@ -284,6 +284,55 @@ def test_dim_scan_subcommand(tmp_path):
     assert "k_exponents" in payload["extras"]
 
 
+def _recorded_streams(monkeypatch, module, name, returns=None):
+    """The list the RngStream of every call of module.name is appended to; the call runs as
+    before, or returns `returns` when given."""
+    streams, real = [], getattr(module, name)
+
+    def record(*args, **kwargs):
+        streams.extend(a for a in (*args, *kwargs.values()) if isinstance(a, steinclt.RngStream))
+        return real(*args, **kwargs) if returns is None else returns
+
+    monkeypatch.setattr(module, name, record)
+    return streams
+
+
+@pytest.mark.parametrize("command, module, name", [
+    ("delta", cli.so, "delta_hat"),
+    ("discrepancy", cli.so, "stein_discrepancy_hat"),
+    ("bounds", cli.bd, "bound_report"),
+])
+def test_each_cell_of_a_command_draws_from_its_own_stream(command, module, name, monkeypatch,
+                                                          capsys):
+    # each cell took child(7k + n), child(13k + n) or child(17k + n), so delta's cells
+    # (1, 11) and (2, 4) drew one stream
+    streams = _recorded_streams(monkeypatch, module, name)
+    assert run([command, "--source", "rademacher", "--k", "1,2,3", "--n", "4,11,18",
+                "--M", "1000", "--seed", "3"]) == 0
+    assert len(streams) == 9 and len(set(streams)) == 9
+
+
+def test_each_cell_of_a_dim_scan_draws_from_its_own_stream(monkeypatch, capsys):
+    # child(1000 k_index + 100 source_index + n_index) gave the 101st n of the first law
+    # the stream of the first n of the second
+    streams = _recorded_streams(monkeypatch, cli.bd, "delta_hat",
+                                returns=steinclt.Estimate(0.1, 0.01))
+    n_list = ",".join(str(n) for n in range(1, 102))
+    assert run(["dim-scan", "--source", "gaussian,rademacher", "--k-list", "1",
+                "--n-list", n_list, "--M", "1000", "--seed", "3"]) == 0
+    assert len(streams) == 202 and len(set(streams)) == 202
+
+
+def test_a_scan_cell_draws_the_same_whatever_other_cells_run(capsys):
+    # a dim-scan cell's stream was indexed by its position in the three lists
+    rows = []
+    for sources, ks, ns in (("rademacher", "2", "16"), ("gaussian,rademacher", "1,2", "4,16")):
+        _, out = _run_capture(capsys, ["dim-scan", "--source", sources, "--k-list", ks,
+                                       "--n-list", ns, "--M", "1000", "--seed", "3"])
+        rows.append([row for row in out.strip().split("\n") if row.startswith("rademacher,2,16,")])
+    assert rows[0] == rows[1] and len(rows[0]) == 1
+
+
 @pytest.mark.parametrize("constant", ["zz=1.0", "c1=abc", "c3=1.0"])
 def test_bad_constant_exits_2(constant, capsys):
     # c1=abc used to end in a ValueError traceback, and c3 was a setting no formula read

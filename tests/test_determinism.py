@@ -12,22 +12,26 @@ scrambled-Sobol QMC measure, and of the README's `dim-scan` command at
 M = 20000.  `omega_star_hat` of a stretched and a spherical ellipsoid at
 k = 2, 3 is pinned as `float.hex` text: a QMC count over 2^16 points, so each
 shell mass is exact in binary.  The measures were recorded with steinclt
-0.3.0, and every release from 0.3.1 to 0.7.0 gives the same bytes; the check
-suites were recorded with 0.5.2, which takes the 7/8 norm quantile and the
-Stein weight integrals in closed form, so their ball rows and weight rows
-moved in the last bits, and `check-semigroup` and `check-inequalities` hold
-under 0.7.0; the k = 1 exponential
-`delta` body was recorded with 0.3.2 before `SetFamily.counts` compared each
-repeated level once.  The two iid Rademacher bodies `delta` and `dim-scan`
-were recorded with 0.4.0, which draws those sums from one raw Philox bit per
-sign.  The three uniform bodies (the k = 1 `delta`, the ellipsoid-family
-`delta` and the k = 2 `bounds`) were recorded with 0.6.0, which draws each
-uniform summand from one 16-bit Philox word in place of a 32-bit one; every
-other `delta`, `bounds` and `dim-scan` body keeps its 0.3.2 or 0.4.0 bytes
-under 0.5.0 to 0.7.0.  Every Stein digest, the `check-stein` body and both
-`discrepancy` bodies were recorded with 0.7.0, which takes N(t) Gauss-Legendre
-nodes for the Stein time integral (16 at t = 0.5 and 1.0, where 64 were
-taken before), so their values moved in the last bits.
+0.3.0, and every release from 0.3.1 to 0.8.0 gives the same bytes; the
+`check-semigroup` and `check-inequalities` bodies were recorded with 0.5.2,
+which takes the 7/8 norm quantile and the Stein weight integrals in closed
+form, and hold under 0.8.0.  Every Stein digest was recorded with 0.7.0,
+which takes N(t) Gauss-Legendre nodes for the Stein time integral (16 at
+t = 0.5 and 1.0, where 64 were taken before), and holds under 0.8.0.
+
+0.8.0 moves three things, and each re-recorded digest is one of them.  Every
+`delta`, `bounds`, `dim-scan` and `discrepancy` body moved because each
+(source, k, n) cell now draws from `sources.cell_stream` (`child` of the
+law's catalog index, then of k, then of n) in place of `child(7k + n)`,
+`child(13k + n)`, `child(17k + n)` or a scan's position in its lists, which
+let two cells of one command share a stream.  The `check-stein` body moved
+because `double_integral_kernel_report` takes a half-space's kernel in closed
+form (its `kernel-double-integral` row, from the Gauss-Hermite grid's 0.4023
+to 0.3850) and adds the `kernel-double-integral-exact` row.  The non-iid
+component loop now draws each component as one summand of its law's
+`sum_sampler`; no pinned body here builds such a source with a uniform or
+vector-scaled Rademacher component, so no digest moved with it
+(`tests/test_sources.py` pins those draws).
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers or printed moments records
@@ -53,7 +57,7 @@ from steinclt.convex import _NCX2_SERIES_Z
 
 HERE = Path(__file__).resolve().parent
 
-RECORDED_VERSIONS = {"steinclt": "0.7.0", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.8.0", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 FAMILY_MEASURES = {
     1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
@@ -65,32 +69,32 @@ FAMILY_MEASURES = {
 CHECK_CSV_BODIES = {
     ("check-inequalities", 3): "35493de4911bc4271bebe5675d497970020922ce4096cf9e659e5a96db9513a1",
     ("check-semigroup", 2): "37061a96b25bbe9264c262ec2bc815525e9f0bdb2d1ef32d89e0d5a59d5dc8e8",
-    ("check-stein", 2): "e87400e4be789bd7496dffce4599de15049001ff7c8a2ddf1bfe3043ab75aeeb",
+    ("check-stein", 2): "ebc6d684e91ed9078e4fa07e28aa6a54bf19550c62010822daa87fd8e4644541",
 }
 
 DISCREPANCY_CSV_BODIES = {
     "--source rademacher --k 1 --n 4 --t 0.5 --M 4096 --seed 7":
-        "9ae761dd66e09255d3014daba64cb542f6e2a9b695d3415e7686e471128cc71b",
+        "d7916f85d4429be1be2b8814f8b94dbe9c107b14f322f77bf6ff37d7a8c32fa6",
     "--source gaussian --k 2 --n 16 --M 4096 --seed 7":
-        "c70f63f28356b73218a83d73696bd556d932b87dcba3855c29230819c607d3f9",
+        "9f646d3becf3b0cfb16c82aa7cf2f7ec61ed8fba352ec35291bbddb52d7d02ab",
 }
 
 # full command lines; a `.json` argument names a file next to this one
 CLI_CSV_BODIES = {
     "delta --source uniform --k 2 --n 16 --M 4096 --seed 7 --family family_k2_ellipsoid.json":
-        "bd4d21cd6b70185cc09f943628d542dc6835e1eb26b85b769c89c3f77779947a",
+        "3159b89821f445ab5520e50a216e51701401ede507941b870119b7ec8625d5ae",
     "delta --source rademacher --k 1,2,3 --n 4,16,64 --M 20000 --seed 7":
-        "0e7eab918f4f42e89776318887083e92429287823c88d1fdcda0d5a3877c4604",
+        "e7b1f5164ac93aa2ac24f0159080cef48a72c7c6e66d9c7b79b931a28f6c8bdd",
     "delta --source uniform --k 1 --n 4,256 --M 20000 --seed 7":
-        "3bda06a58f8cdbed018f8de0f3a67fa580a0dfa7b4f8870dd6f98a6deee1cedf",
+        "9d2880e07297459e4cdbcfd557a9d43881510116b8142e49c10fc3b820399f1d",
     "delta --source exponential --k 1 --n 4,256 --M 20000 --seed 7":
-        "17e161b20e247d9d07db3f23b96090d82efa9416576eda261a978d13da2aa244",
+        "9c13666698e48c8d0a1225ad27a70a49d1126ddaaf903290ffebfeee9420b9e6",
     "bounds --source uniform --k 2 --n 16,64 --M 20000 --seed 7 --constant c=1.0":
-        "8292f5ce64c552db0855a9627746a8a15a18496806858faac2bab7635e25f790",
+        "5c1cd5e1fac538d0d457fb8acb9233e1d05f9a4c09da981399626cd697956d58",
     "bounds --source gaussian --k 1 --n 32 --M 20000 --seed 7 --noniid-profile linear":
-        "6b0c2410016eb70a5a34f4f17455115fe6a125b1a85c717dd51d362e8d6398dd",
+        "20063f840de1e949c561e497c682c5636286f07e49c6b208e0db7a6b8d339d5f",
     "dim-scan --source rademacher --k-list 1,2,3,4 --n-list 64 --M 20000 --seed 7":
-        "555ca67349169ca073fae0acff74b1e1722629023eafe8d115a9b0f314de290e",
+        "085551027a61c6871cd693b370df26c1e8f60239e03f7b9b84028f522cc49b27",
 }
 
 SHELL_ELLIPSOIDS = {

@@ -55,7 +55,7 @@ def test_rho3_quadrature_vs_monte_carlo():
     for factory in (uniform_source, exponential_source):
         src = factory(2)
         summary = src.rho3_summary()
-        draws = src.sample(RngStream(101, stream_id=1).generator(), 1 << 19)
+        draws = src.sum_sampler(RngStream(101, stream_id=1).generator(), 1 << 19, 2, 1)
         mc = np.power(np.sum(draws * draws, axis=1), 1.5)
         se = float(np.std(mc) / math.sqrt(len(mc)))
         assert summary.rho3 == pytest.approx(float(np.mean(mc)), abs=4 * se)
@@ -130,7 +130,8 @@ def test_rho3_moment_floor():
 
 def test_source_mean_and_covariance():
     for name in ("gaussian", "rademacher", "uniform", "exponential"):
-        draws = make_source(name, 2).sample(RngStream(102, stream_id=2).generator(), 1 << 19)
+        gen = RngStream(102, stream_id=2).generator()
+        draws = make_source(name, 2).sum_sampler(gen, 1 << 19, 2, 1)
         assert np.max(np.abs(draws.mean(axis=0))) < 0.01
         assert np.max(np.abs(np.cov(draws.T) - np.eye(2))) < 0.01
 
@@ -348,13 +349,16 @@ def test_sample_sum_noniid_rademacher_two_components_hit_four_points():
         assert np.max(np.abs(z)) < 4.5, z
 
 
-# S_8 of these non-iid sources at RngStream(131), size=3, as drawn component
-# by component before the Rademacher components took one bit per sign
+# S_8 of these non-iid sources at RngStream(131), size=3, drawn component by
+# component, each component one summand of its law's `sum_sampler`; the
+# gaussian and exponential rows are those of the former per-summand samplers
+# (`standard_gamma(1)` draws as `standard_exponential`), the uniform row is on
+# the 16-bit grid since 0.8.0
 _COMPONENT_LOOP_DRAWS = {
     "gaussian": [0.34733830537383403, -1.238539119290937, -0.746079226011456,
                  -0.16140525249418627, -0.015054122740381398, -0.8079834348341355],
-    "uniform": [0.0759503799906901, -0.04149377121163446, 1.4788626938599954,
-                1.605536084602349, 1.529271378691635, 1.0283807824743694],
+    "uniform": [0.8778840962644265, 0.14561183162336444, 0.33752189207455907,
+                1.7106482849639524, -0.4106181182352556, 0.0655820333213255],
     "exponential": [0.25555174269625125, -1.3610935544090388, 1.2924397299081682,
                     0.7432914162834474, -0.96992306833123, -0.4508056448215673],
 }
@@ -364,11 +368,12 @@ def test_other_noniid_sources_keep_their_draws():
     for name, expected in _COMPONENT_LOOP_DRAWS.items():
         draws = sample_sum(noniid_catalog(name, 2, 8), 8, RngStream(131), size=3)
         assert draws.ravel().tolist() == expected, name
-    # vector-scaled Rademacher components keep the component loop too
+    # vector-scaled Rademacher components keep the component loop too, each
+    # component's signs from raw Philox bits since 0.8.0
     src = NonIIDSource([(rademacher_source(2), [0.6, 0.8]), (rademacher_source(2), [0.8, 0.6])])
     draws = sample_sum(src, 2, RngStream(131), size=3)
-    assert draws.ravel().tolist() == [-1.4, 1.4, -0.20000000000000007, 1.4,
-                                      -0.20000000000000007, -1.4]
+    assert draws.ravel().tolist() == [-0.20000000000000007, 1.4, 0.20000000000000007,
+                                      -0.20000000000000007, -1.4, -0.20000000000000007]
 
 
 @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, "4", None, -1])
@@ -456,7 +461,7 @@ def _monte_carlo_moments(src):
     m = 1 << 18
     sums = np.zeros((2, 2))
     for base, sc in src.components:
-        draws = sc * base.sample(gen, m)
+        draws = sc * base.sum_sampler(gen, m, src.k, 1)
         norm3 = np.power(np.sum(draws * draws, axis=1), 1.5)
         abs3 = np.power(np.sum(np.abs(draws), axis=1), 3)
         sums += [[norm3.mean(), norm3.var() / m], [abs3.mean(), abs3.var() / m]]

@@ -17,6 +17,8 @@ from steinclt import (
     d3_phi,
     double_integral_kernel_report,
     gamma_star_hat,
+    gaussian_measure,
+    hermite_kernel,
     laplacian_drift,
     norm_cdf,
     psi,
@@ -37,7 +39,7 @@ from steinclt import (
 )
 from steinclt.convex import DilatedBox
 from steinclt.errors import DimensionMismatchError, DomainError
-from steinclt.quadrature import gauss_legendre_1d
+from steinclt.quadrature import gauss_hermite_tensor, gauss_legendre_1d
 from steinclt.stein import T_MIN, _time_node_count, _time_rule
 
 
@@ -428,11 +430,90 @@ def test_kernel_report_monte_carlo_route_stable():
     assert abs(r1.max_abs - r2.max_abs) <= 4.0 * (r1.std_error + r2.std_error)
 
 
+def _halfspace_kernel(n, s, shifts):
+    """The elementary kernel of {x_1 <= 0}: (w/sigma)^3 |He_2(y/sigma)| phi(y/sigma) at
+    y = e^{-s} u_1.
+
+    sigma^2 = 1 - e^{-2s}/n; it is the third derivative of Phi(-y/sigma) times w^3.
+    """
+    sigma = math.sqrt(1.0 - math.exp(-2.0 * s) / n)
+    y = math.exp(-s) * shifts[:, 0] / sigma
+    w = math.sqrt(-math.expm1(-2.0 * s))
+    return (w / sigma) ** 3 * np.abs(y * y - 1.0) * np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("k", (1, 3, 8, 128))
+@pytest.mark.parametrize("s", (0.5, 1.0, 2.0))
+def test_kernel_report_of_a_half_space_is_the_one_dimensional_value(s, k):
+    # the Gauss-Hermite grid read 0.4091 at s = 2, k = 1 (0.3891 exact), and Monte Carlo
+    # stood in above k = 3
+    shifts = RngStream(45, stream_id=k).generator().normal(0.0, 1.2, (9, k))
+    h = IndicatorFunction(HalfSpace(np.eye(k)[0], 0.0))
+    rep = double_integral_kernel_report(h, n=10, s=s, idx=(0, 0, 0), shift_grid=shifts)
+    exact = _halfspace_kernel(10, s, shifts)
+    assert np.max(np.abs(np.array(rep.per_shift) - exact)) <= 1e-14
+    assert rep.std_error == 0.0
+
+
+def _grid_kernel(C, n, s, idx, shifts):
+    """|E h~(aX + e^{-s} u + wZ) He_idx(Z)| with X averaged by the closed-form shifted measure
+    and Z on the 32^k Gauss-Hermite grid: the report's former path at k <= 3."""
+    k = shifts.shape[1]
+    a, es, w = math.sqrt((n - 1) / n) * math.exp(-s), math.exp(-s), math.sqrt(-math.expm1(-2 * s))
+    nodes, wts = gauss_hermite_tensor(k, 32)
+    kernel = hermite_kernel(wts, nodes, idx)
+    center = gaussian_measure(C)
+    return np.array([
+        abs(float((shifted_measure_batch(C, es * u + w * nodes, a) - center) @ kernel))
+        for u in shifts
+    ])
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("name", ("half-space", "ball-off-centre", "box"))
+def test_kernel_report_agrees_with_the_tensor_grid_at_small_k(name, k):
+    normal = np.linspace(1.0, -0.5, k)
+    C = {
+        "half-space": HalfSpace(normal / np.linalg.norm(normal), 0.3),
+        "ball-off-centre": Ball(np.linspace(0.5, -0.4, k), 1.2),
+        "box": Box(np.linspace(-1.0, -0.6, k), np.linspace(0.8, 1.3, k)),
+    }[name]
+    shifts = RngStream(46, stream_id=k).generator().normal(0.0, 0.7, (6, k))
+    for idx in ((0, 0, 0), (0, 0, k - 1), (0, min(1, k - 1), k - 1)):
+        rep = double_integral_kernel_report(IndicatorFunction(C), 10, 0.5, idx, shifts)
+        grid = _grid_kernel(C, 10, 0.5, idx, shifts)
+        assert np.max(np.abs(np.array(rep.per_shift) - grid)) <= 1e-9, idx
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_kernel_report_monte_carlo_branch_is_unbiased(k):
+    # a box as a SmoothFunction has no closed form, so it takes the one-draw Monte Carlo
+    # branch; its z-scores against the box's closed form over 20 seeds
+    box = Box(np.full(k, -0.8), np.full(k, 1.2))
+    smooth = SmoothFunction(lambda X: box.contains(X).astype(float))
+    shift = np.full((1, k), 0.3)
+    shift[0, 0] = -0.4
+    exact = double_integral_kernel_report(IndicatorFunction(box), 10, 0.5, (0, 0, 0), shift)
+    assert exact.max_abs > 0.05
+    z = []
+    for seed in range(20):
+        rep = double_integral_kernel_report(
+            smooth, 10, 0.5, (0, 0, 0), shift, stream=RngStream(seed, stream_id=45)
+        )
+        z.append((rep.max_abs - exact.max_abs) / rep.std_error)
+    z = np.array(z)
+    assert abs(z.mean()) <= 0.7 and 0.5 <= z.std() <= 1.5 and np.max(np.abs(z)) <= 4.0, z
+
+
+def test_kernel_report_of_an_empty_set_is_zero():
+    rep = double_integral_kernel_report(
+        IndicatorFunction(Box([0.0, 1.0], [1.0, 0.0])), 10, 0.5, (0, 0, 1), np.zeros((2, 2))
+    )
+    assert rep.per_shift == (0.0, 0.0) and rep.std_error == 0.0
+
+
 def test_kernel_vanishing_moments():
     # integrals of the kernel and of z_i times the kernel vanish
-    from steinclt.quadrature import gauss_hermite_tensor
-    from steinclt import hermite_kernel
-
     nodes, wts = gauss_hermite_tensor(2, 32)
     for idx in ((0, 0, 0), (0, 0, 1), (0, 1, 1)):
         kern = hermite_kernel(wts, nodes, idx)
