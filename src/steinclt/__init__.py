@@ -123,4 +123,4 @@ from .bounds import (
     smoothing_bound,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -213,6 +213,8 @@ def gamma_star_hat(
     if translates is None:
         translates = default_translates(C.dim)
     translates, _ = _as_points(translates, C.dim)
+    if not len(translates):
+        raise DomainError("translates holds no points")
 
     targets = []
     for y in translates:
@@ -436,15 +438,23 @@ class SlopeFit:
     defined: bool
 
 
+def _equal_lengths(**sequences):
+    """The sequences as 1-D float arrays; DomainError unless they have one length."""
+    arrays = [np.asarray(v, dtype=float).reshape(-1) for v in sequences.values()]
+    if len({len(a) for a in arrays}) > 1:
+        lengths = ", ".join(f"{name} {len(a)}" for name, a in zip(sequences, arrays))
+        raise DomainError(f"expected sequences of one length, got {lengths}")
+    return arrays
+
+
 def loglog_slope(xs, values, std_errors) -> SlopeFit:
     """WLS slope of log(values) on log(xs).
 
     Defined only when every x is finite and > 0, every value is finite and
-    above three standard errors, and no standard error is negative.
+    above three standard errors, and no standard error is negative; three
+    sequences of unequal lengths are a DomainError.
     """
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    std_errors = np.asarray(std_errors, dtype=float)
+    xs, values, std_errors = _equal_lengths(xs=xs, values=values, std_errors=std_errors)
     # written so that a NaN x, value or standard error, or an infinite one, fails
     if len(xs) < 2 or not (
         np.isfinite(xs).all() and np.all(xs > 0.0)
@@ -530,10 +540,12 @@ def dim_scan(
 def scaling_trend_ok(values, std_errors) -> bool:
     """True when no later value exceeds an earlier one by more than TREND_SE_FACTOR errors.
 
-    False when any value or standard error is not finite.
+    False when any value or standard error is not finite; no values, or more or
+    fewer standard errors than values, are a DomainError.
     """
-    values = np.asarray(values, dtype=float)
-    std_errors = np.asarray(std_errors, dtype=float)
+    values, std_errors = _equal_lengths(values=values, std_errors=std_errors)
+    if not len(values):
+        raise DomainError("scaling_trend_ok needs at least one value")
     if not (np.isfinite(values).all() and np.isfinite(std_errors).all()):
         return False
     for i in range(len(values)):

@@ -6,9 +6,10 @@ third-moment functional is either closed form or one fixed-rule 1-D integral
 over the coordinates' closed-form Laplace transform (`_rho3_integral`).  Each
 law draws S_n in one call: the gaussian and exponential from the exact law of
 the sum, the Rademacher from one raw Philox bit per sign (a row costs a
-popcount), and the uniform from exact integer sums of 16-bit Philox words.
-Non-iid sources are scaled copies of catalog laws whose covariances sum to the
-identity.
+popcount), and the uniform from the exact integer sum of its 16-bit summands
+(up to 8 summands their raw words, above two table lookups a coordinate:
+`_uniform_sum`).  Non-iid sources are scaled copies of catalog laws whose
+covariances sum to the identity.
 
 Every Monte Carlo estimate over S_n draws block b of BLOCK_SIZE rows from
 the counter-based stream `stream.block(b)`, so a block's draws do not depend
@@ -140,14 +141,14 @@ def _raw_row_bytes(src, n):
 
     Those are the laws that take one raw bit per sign (iid Rademacher and
     scalar-scaled non-iid Rademacher, ceil(n/8) bytes a coordinate) and the
-    uniform (one 16-bit word a summand).
+    uniform (`_uniform_row_bytes`).
     """
     if isinstance(src, NonIIDSource):
         signs = all(sc.ndim == 0 and base.name == "rademacher" for base, sc in src.components)
         return src.k * -(-src.n // 8) if signs else None
     if src.sum_sampler is _rademacher_sum:
         return src.k * -(-n // 8)
-    return 2 * src.k * n if src.sum_sampler is _uniform_sum else None
+    return _uniform_row_bytes(src.k, n) if src.sum_sampler is _uniform_sum else None
 
 
 def _block_rows(src, n, stream, M, start, stop):
@@ -245,18 +246,136 @@ def _lattice_points(index, k, n):
 
 
 _SQRT3 = math.sqrt(3.0)
+# Up to this many summands a uniform coordinate sums its 16-bit words: 2n raw bytes, no more
+# than the two 8-byte words of a table lookup.
+_WORD_SUM_MAX_N = 8
+_GROUP_MAX = 256  # summands per byte-sum table: at most 255 * 256 + 1 = 65281 atoms
+_ALL_ONES = np.uint64(2**64 - 1)
+
+
+def _summand_groups(n):
+    """The sizes of ceil(n / _GROUP_MAX) groups of n summands, each floor or ceil of their mean."""
+    count = -(-n // _GROUP_MAX)
+    q, r = divmod(n, count)
+    return (q,) * (count - r) + (q + 1,) * r
+
+
+def _uniform_row_bytes(k, n):
+    """Raw bytes per row of iid uniform S_n: a 16-bit word a summand, or two 64-bit words a group."""
+    return 2 * k * n if n <= _WORD_SUM_MAX_N else 16 * k * -(-n // _GROUP_MAX)
+
+
+@lru_cache(maxsize=32)  # once per group size; read-only, shared by every caller and thread
+def _byte_sum_table(g: int):
+    """(lo, thresholds, guide, shift): the inverse CDF of X, the sum of g uniform bytes.
+
+    X has the atoms 0..K, K = 255 g.  A 64-bit word w draws X = searchsorted(T, w,
+    side="right") over T_s = floor(P(X <= s) 2^64), s < K (`_byte_sum_atoms`).  The
+    pmf is that of sum_b 2^b Bin_b, Bin_b ~ Bin(g, 1/2), the bytes' bit planes, built by
+    Horner from the top plane on the atoms below K/2 alone, so each term is a sum of
+    positive terms.  The upper thresholds mirror the lower, T_{K-1-s} = 2^64 - 1 - T_s
+    (X and K - X share a law), and at odd K the middle one is 2^63.  Stored are the
+    thresholds between the lo that are 0 and the lo that are 2^64 - 1, with two pads.
+    guide[c] serves the words whose top bits (w >> shift) are c: it counts the stored
+    thresholds in lower cells, which one compare corrects in a cell holding one; a cell
+    holding two or more reads core + 1 (core thresholds stored).  The top cell, where the
+    all-ones word lies, holds the mirror of every atom with P(X <= s) below 2^-16, at
+    least 353 thresholds for g = 9..256, so it is always one of those.
+    """
+    K = 255 * g
+    binom = np.array([math.comb(g, j) for j in range(g + 1)], dtype=float) / 2.0**g
+    last = [(K // 2 - 1) >> b for b in range(8)]  # the top atom of sum_{c >= b} 2^(c-b) Bin_c kept
+    pmf = binom[: last[7] + 1]
+    for b in range(6, -1, -1):  # 2 V + Bin_b: its even atoms take Bin_b's even terms
+        pmf, high = np.empty(last[b] + 1), pmf
+        pmf[0::2] = np.convolve(high, binom[0::2])[: (last[b] + 2) // 2]
+        pmf[1::2] = np.convolve(high, binom[1::2])[: (last[b] + 1) // 2]
+    del high
+    cdf = np.cumsum(pmf, out=pmf)
+    cdf *= 2.0**64
+    low = cdf.astype(np.uint64)  # below 2^63
+    del pmf, cdf
+    lo = int(np.searchsorted(low, 0, side="right"))
+    low = low[lo:]
+    core = K - 2 * lo
+    thresholds = np.empty(core + 2, dtype=np.uint64)
+    thresholds[:len(low)] = low
+    thresholds[len(low):core - len(low)] = 1 << 63
+    np.subtract(_ALL_ONES, low[::-1], out=thresholds[core - len(low):core])
+    thresholds[core:] = _ALL_ONES
+    del low
+    bits = min(16, core.bit_length() + 2)
+    shift = np.uint64(64 - bits)
+    cells = np.right_shift(thresholds[:core], shift, out=np.empty(core, np.int32), casting="unsafe")
+    guide = np.zeros(1 << bits, dtype=np.uint16)
+    np.add.at(guide[1:], cells[:np.searchsorted(cells, len(guide) - 1)], 1)
+    np.cumsum(guide, dtype=np.uint16, out=guide)
+    guide[cells[1:][cells[1:] == cells[:-1]]] = core + 1
+    thresholds.flags.writeable = guide.flags.writeable = False
+    return lo, thresholds, guide, shift
+
+
+def _byte_sum_atoms(table, words):
+    """The atoms of `_byte_sum_table` that 64-bit words draw, as uint16 of the words' shape.
+
+    Equal to np.searchsorted(T, words, side="right") over all K thresholds: a gather of
+    the guide and one compare settle a word, and the words of the cells it flags go to
+    searchsorted over the stored thresholds, where the all-ones word, past the lo
+    thresholds 2^64 - 1 that are not stored, draws the top atom K.
+    """
+    lo, thresholds, guide, shift = table
+    w = np.ascontiguousarray(words)
+    atoms = np.take(guide, (w >> shift).view(np.int64))
+    atoms += w >= np.take(thresholds, atoms.astype(np.intp))
+    core = len(thresholds) - 2
+    tail = np.flatnonzero(atoms > core)
+    if len(tail):
+        w = w.reshape(-1)[tail]
+        atoms.reshape(-1)[tail] = (np.searchsorted(thresholds[:core], w, side="right")
+                                   + lo * (w == _ALL_ONES))
+    atoms += lo
+    return atoms
+
+
+def _uniform_tables(n):
+    """The byte-sum table of each group of n summands (`_summand_groups`); () up to _WORD_SUM_MAX_N."""
+    return () if n <= _WORD_SUM_MAX_N else tuple(map(_byte_sum_table, _summand_groups(n)))
 
 
 def _uniform_sum(gen, m, k, n):
-    # a 16-bit word u is the summand sqrt3 (2 (u + 1/2) / 2^16 - 1), uniform on the 2^16 cell
-    # midpoints of [-sqrt3, sqrt3]; the integer sum is exact, in uint32 (the faster) below 2^32
+    """m draws of iid uniform S_n in R^k from the exact integer sum of n 16-bit words.
+
+    A 16-bit word u is the summand sqrt3 (2 (u + 1/2) / 2^16 - 1), uniform on the 2^16
+    cell midpoints of [-sqrt3, sqrt3].  Up to _WORD_SUM_MAX_N summands a coordinate sums
+    its n raw words.  Above, write u = 256 h + l with h and l independent uniform
+    bytes: a group of g summands sums to 256 A + B, A and B iid sums of g uniform bytes,
+    each drawn from one 64-bit raw word by `_byte_sum_atoms`, so a coordinate reads two
+    words per group of at most _GROUP_MAX summands, A's word first.
+    """
     out = np.empty((m, k))
-    total_type = np.uint32 if n * 0xFFFF < 1 << 32 else np.uint64
-    for start, rows, data in _raw_row_chunks(gen, m, 2 * k * n):
-        total = data.view("<u2").reshape(rows, k, n).sum(axis=2, dtype=total_type)
-        out[start:start + rows] = (2.0 * total + n) / 2.0**16 - n
+    tables = _uniform_tables(n)
+    for start, rows, data in _raw_row_chunks(gen, m, _uniform_row_bytes(k, n)):
+        total = out[start:start + rows]
+        if not tables:
+            total[...] = data.view("<u2").reshape(rows, k, n).sum(axis=2, dtype=np.uint32)
+            continue
+        words = data.view("<u8").reshape(rows, k, len(tables), 2)
+        total[...] = 0.0
+        for j, table in enumerate(tables):
+            digits = _byte_sum_atoms(table, words[:, :, j])
+            total += 256.0 * digits[..., 0] + digits[..., 1]
+    out *= 2.0
+    out += n
+    out /= 2.0**16
+    out -= n
     out *= _SQRT3 / math.sqrt(n)
     return out
+
+
+def _build_tables(src, n):
+    """Build the tables S_n draws from in the calling thread, so no two pool threads build one."""
+    if getattr(src, "sum_sampler", None) is _uniform_sum:
+        _uniform_tables(n)
 
 
 def _exponential_sum(gen, m, k, n):
@@ -445,7 +564,10 @@ def noniid_catalog(base_name: str, k: int, n: int, profile: str = "linear") -> N
 
 
 def normalizer_matrix(src: NonIIDSource, j: int) -> np.ndarray:
-    """N_j = (I - Cov X_j)^{-1/2} by symmetric eigendecomposition."""
+    """N_j = (I - Cov X_j)^{-1/2} by symmetric eigendecomposition, for j in 0..n-1."""
+    j = check_count("j", j, 0)
+    if j >= src.n:
+        raise DomainError(f"j must be below the component count {src.n}, got {j}")
     cov = src.covariance(j)
     A = np.eye(src.k) - cov
     evals, evecs = np.linalg.eigh(0.5 * (A + A.T))
@@ -589,6 +711,7 @@ def mean_over_blocks(src, n: int, M: int, stream: RngStream, values):
     """
     n = check_count("n", n, 1)
     lattice = _lattice_indexed(src, n)
+    _build_tables(src, n)
 
     def block_sums(b, size):
         if lattice:
@@ -629,6 +752,7 @@ def delta_hat(src, n: int, family: SetFamily, M: int, stream: RngStream) -> Esti
     """
     n = check_count("n", n, 1)
     M = check_count("M", M, 1000)
+    _build_tables(src, n)
     row_bytes = _raw_row_bytes(src, n)
     align = 1 if row_bytes is None else 32 // math.gcd(row_bytes, 32)
     parts = _usable_cpus()

@@ -268,6 +268,8 @@ def double_integral_kernel_report(
     n = check_count("n", n, 2)
     check_real("s", s)
     shifts, _ = _points(h, shift_grid)
+    if not len(shifts):
+        raise DomainError("shift_grid holds no shifts")
     k = shifts.shape[1]
     multiplicities(idx, k, orders=(3,))
     es, w = math.exp(-s), ou_noise(s)

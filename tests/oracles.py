@@ -8,8 +8,13 @@ values a draw can take (a float level such as 1.5000000000000002 then puts
 the lattice point 1.5 on the side that a sample puts it).  For large n,
 `rademacher_delta_by_conditioning` gives the same value for the default
 family's shapes from 1-D laws: it enumerates at most (n + 1)^(k - 1) points.
+
+The sum of n uniform bytes, of which the iid uniform sampler draws two per
+coordinate, has its exact counts in Python integers (`byte_sum_counts`) and
+from them the exact inverse-CDF thresholds of a 64-bit word.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -122,3 +127,25 @@ def rademacher_delta_by_conditioning(family, k, n):
             assert isinstance(sets[0], HalfSpace), f"no conditioning for {sets[0]}"
             p[members] = _half_space_probabilities(sets, head, n)
     return float(np.max(np.abs(p - family.measures)))
+
+
+def byte_sum_counts(n):
+    """The number of n-tuples of bytes (0..255) with sum s, for s = 0..255 n, as Python ints.
+
+    Each byte adds a convolution with 256 ones, taken as a difference of prefix sums.
+    """
+    counts = [1]
+    for _ in range(n):
+        prefix = [0, *itertools.accumulate(counts)]
+        counts = [prefix[min(s + 1, len(counts))] - prefix[max(s - 255, 0)]
+                  for s in range(len(counts) + 255)]
+    return counts
+
+
+def byte_sum_thresholds(n):
+    """floor(P(X <= s) 2^64) for s < 255 n and X the sum of n uniform bytes, exactly, as uint64.
+
+    A 64-bit word w draws X = searchsorted(thresholds, w, side="right").
+    """
+    cumulative = itertools.accumulate(byte_sum_counts(n)[:-1])
+    return np.array([(c << 64) // 256**n for c in cumulative], dtype=np.uint64)

@@ -565,6 +565,67 @@ def test_scaling_trend():
     assert not scaling_trend_ok([0.4, 0.5], [0.01, 0.01])
 
 
+# criterion 8's sqrt(n) delta and its standard errors over n = 4, 16, 64, 256 per
+# (law, k), as steinclt 0.8.0 drew them, with the check's verdict on them then
+_CRITERION_8_LISTS = {
+    ("rademacher", 1): ([0.71358, 0.73356, 0.7464800000000005, 0.7256000000000009],
+                        [0.0030647629330830795, 0.005027198152450329, 0.011517756556552149,
+                         0.021771372175405024], False),
+    ("rademacher", 2): ([0.5219240351672424, 0.4039680703344848, 0.44348797207937185,
+                         0.44585594415874397],
+                        [0.0021833950068643098, 0.005787006709517451, 0.010002472539127514,
+                         0.02101082813560665], False),
+    ("rademacher", 3): ([0.4291095999980131, 0.5678006970668674, 0.5485613941337348,
+                         0.5582427882674708],
+                        [0.0029719602581461282, 0.005131431014444216, 0.011372466117777622,
+                         0.023498414671973084], False),
+    ("uniform", 1): ([0.02811999999999948, 0.02225505799941163, 0.02400000000000002,
+                      0.051039999999996866],
+                     [0.0031610271520504216, 0.006287466072751407, 0.012260401298489376,
+                      0.02459816832985741], True),
+    ("uniform", 2): ([0.035560000000000036, 0.016848070334484655, 0.026287972079371613,
+                      0.06767999999999574],
+                     [0.0031237815006815058, 0.006183689466976815, 0.010896743349092883,
+                      0.025088617701579337], True),
+    ("uniform", 3): ([0.043440000000000145, 0.019680000000000142, 0.02299681133282583,
+                      0.0701078657651859],
+                     [0.00303259256478677, 0.006123985546684446, 0.01038833275092784,
+                      0.024116353602980697], True),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(_CRITERION_8_LISTS))
+def test_scaling_trend_keeps_its_verdict_on_criterion_8_lists(cell):
+    values, std_errors, verdict = _CRITERION_8_LISTS[cell]
+    assert scaling_trend_ok(values, std_errors) is verdict
+    assert scaling_trend_ok(np.array(values), tuple(std_errors)) is verdict
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: loglog_slope([1, 2, 3], [0.1, 0.2], [0.01, 0.01]),
+        lambda: loglog_slope([1, 2], [0.1, 0.2], [0.01, 0.01, 0.01]),
+        lambda: scaling_trend_ok([1, 2, 3], [0.1]),
+        lambda: scaling_trend_ok([0.1], [0.01, 0.01]),
+        lambda: scaling_trend_ok([], []),
+    ],
+    ids=["slope-short-values", "slope-long-errors", "trend-short-errors", "trend-long-errors",
+         "trend-empty"],
+)
+def test_mismatched_or_empty_sequences_are_domain_errors(call):
+    # they raised numpy's TypeError or IndexError, and no values passed the trend check
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_gamma_star_hat_rejects_empty_translates():
+    # an empty batch of translates raised numpy's AxisError
+    src, C = gaussian_source(2), Ball(np.zeros(2), 1.0)
+    with pytest.raises(DomainError, match="translates"):
+        gamma_star_hat(src, 4, 0.5, C, 0.1, 1000, RngStream(0), translates=np.zeros((0, 2)))
+
+
 @pytest.mark.parametrize(
     "values, std_errors",
     [([0.5, _NAN], [0.01, 0.01]), ([_NAN, 0.5], [0.01, 0.01]), ([0.5, 0.4], [0.01, _NAN]),

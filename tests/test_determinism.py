@@ -12,12 +12,12 @@ scrambled-Sobol QMC measure, and of the README's `dim-scan` command at
 M = 20000.  `omega_star_hat` of a stretched and a spherical ellipsoid at
 k = 2, 3 is pinned as `float.hex` text: a QMC count over 2^16 points, so each
 shell mass is exact in binary.  The measures were recorded with steinclt
-0.3.0, and every release from 0.3.1 to 0.8.0 gives the same bytes; the
+0.3.0, and every release from 0.3.1 to 0.9.0 gives the same bytes; the
 `check-semigroup` and `check-inequalities` bodies were recorded with 0.5.2,
 which takes the 7/8 norm quantile and the Stein weight integrals in closed
-form, and hold under 0.8.0.  Every Stein digest was recorded with 0.7.0,
+form, and hold under 0.9.0.  Every Stein digest was recorded with 0.7.0,
 which takes N(t) Gauss-Legendre nodes for the Stein time integral (16 at
-t = 0.5 and 1.0, where 64 were taken before), and holds under 0.8.0.
+t = 0.5 and 1.0, where 64 were taken before), and holds under 0.9.0.
 
 0.8.0 moves three things, and each re-recorded digest is one of them.  Every
 `delta`, `bounds`, `dim-scan` and `discrepancy` body moved because each
@@ -32,6 +32,13 @@ component loop now draws each component as one summand of its law's
 `sum_sampler`; no pinned body here builds such a source with a uniform or
 vector-scaled Rademacher component, so no digest moved with it
 (`tests/test_sources.py` pins those draws).
+
+0.9.0 draws an iid uniform S_n with n > 8 summands from the exact law of
+its two byte-digit sums, one table lookup of a 64-bit Philox word each, in
+place of n 16-bit words a coordinate; the law is unchanged.  Exactly the
+three `--source uniform` bodies were re-recorded: each has a row with n > 8
+(the k = 1 `delta` run keeps its n = 4 row).  Every other digest keeps its
+0.8.0 bytes.
 
 Every digest is keyed by the steinclt, numpy and scipy versions recorded with
 it.  A steinclt release that moves drawn numbers or printed moments records
@@ -57,7 +64,7 @@ from steinclt.convex import _NCX2_SERIES_Z
 
 HERE = Path(__file__).resolve().parent
 
-RECORDED_VERSIONS = {"steinclt": "0.8.0", "numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_VERSIONS = {"steinclt": "0.9.0", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 FAMILY_MEASURES = {
     1: "4f3fd4ff79002b26fa11f3a7a9740c2be3692b65285ac22920d2dfc3869fca0f",
@@ -82,15 +89,15 @@ DISCREPANCY_CSV_BODIES = {
 # full command lines; a `.json` argument names a file next to this one
 CLI_CSV_BODIES = {
     "delta --source uniform --k 2 --n 16 --M 4096 --seed 7 --family family_k2_ellipsoid.json":
-        "3159b89821f445ab5520e50a216e51701401ede507941b870119b7ec8625d5ae",
+        "7a6346fe9db02053a51594a4f7f467ceafadf4facd895cd760217f0f85c94f32",
     "delta --source rademacher --k 1,2,3 --n 4,16,64 --M 20000 --seed 7":
         "e7b1f5164ac93aa2ac24f0159080cef48a72c7c6e66d9c7b79b931a28f6c8bdd",
     "delta --source uniform --k 1 --n 4,256 --M 20000 --seed 7":
-        "9d2880e07297459e4cdbcfd557a9d43881510116b8142e49c10fc3b820399f1d",
+        "bc6816717badcb95dd30d33e16045ca7ec6a1fc06144ec31c1962a30e832f43a",
     "delta --source exponential --k 1 --n 4,256 --M 20000 --seed 7":
         "9c13666698e48c8d0a1225ad27a70a49d1126ddaaf903290ffebfeee9420b9e6",
     "bounds --source uniform --k 2 --n 16,64 --M 20000 --seed 7 --constant c=1.0":
-        "5c1cd5e1fac538d0d457fb8acb9233e1d05f9a4c09da981399626cd697956d58",
+        "f1f421d1a359c3276012d675beaa6a5fb76c8a65c0a0b70a75b7dc80f71ce5c5",
     "bounds --source gaussian --k 1 --n 32 --M 20000 --seed 7 --noniid-profile linear":
         "20063f840de1e949c561e497c682c5636286f07e49c6b208e0db7a6b8d339d5f",
     "dim-scan --source rademacher --k-list 1,2,3,4 --n-list 64 --M 20000 --seed 7":

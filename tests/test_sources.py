@@ -42,6 +42,7 @@ from steinclt.errors import DegeneracyError, DomainError
 from steinclt.sources import BLOCK_SIZE
 
 from conftest import _VECTOR_SCALES
+from oracles import byte_sum_counts, byte_sum_thresholds
 
 
 def test_moment_closed_forms():
@@ -116,9 +117,18 @@ def test_rho3_integral_holds_no_grid(k):
 
 
 def test_a_uniform_block_holds_one_small_chunk_of_raw_words():
-    # 1 MiB chunks and a scaled copy of the block peaked at 2.38 MiB
+    # 1 MiB chunks and a scaled copy of the block peaked at 2.38 MiB; the table is
+    # built first, as its build has a bound of its own (below)
     src = uniform_source(3)
+    sources._uniform_tables(256)
     assert _traced_peak_mib(lambda: sample_sum(src, 256, RngStream(5), size=BLOCK_SIZE)) <= 1.5
+
+
+@pytest.mark.parametrize("n", [256, 65537])
+def test_a_cold_uniform_table_build_holds_under_a_mib(n):
+    # the tables of n = 65537 are those of groups of 255 and 256 summands
+    sources._byte_sum_table.cache_clear()
+    assert _traced_peak_mib(lambda: sources._uniform_tables(n)) <= 1.0
 
 
 def test_rho3_moment_floor():
@@ -228,7 +238,7 @@ def test_sample_sum_uniform_two_summands_follow_the_triangular_cdf():
         assert np.max(np.abs(z)) < 4.5, (x, z)
 
 
-@pytest.mark.parametrize("n", (16, 256))
+@pytest.mark.parametrize("n", (9, 16, 64, 256, 300))
 def test_sample_sum_uniform_moments(n):
     # E S = 0, E S^2 = 1 and E S^4 = 3 + (E U^4 - 3)/n = 3 - 6/(5n)
     m = 1 << 18
@@ -241,11 +251,13 @@ def test_sample_sum_uniform_moments(n):
 
 @pytest.mark.parametrize("k, n", [(3, 13), (2, 16)])
 def test_sample_sum_matches_its_summands_from_the_raw_words(k, n):
-    # the summands taken one by one from the same Philox words, in float64
+    # iid uniform: the two Philox words of a coordinate draw the byte sums A (the
+    # first) and B by the exact thresholds, and the n summands sum to 256 A + B
     m = 64
-    words = RngStream(129).generator().bit_generator.random_raw(m * k * n // 4 + 1)
-    u = words.view("<u2")[: m * k * n].reshape(m, k, n).astype(float)
-    expect = (math.sqrt(3.0) * (2.0 * (u + 0.5) / 2.0**16 - 1.0)).sum(axis=2) / math.sqrt(n)
+    words = RngStream(129).generator().bit_generator.random_raw(2 * m * k).reshape(m, k, 2)
+    digits = np.searchsorted(byte_sum_thresholds(n), words, side="right")
+    total = 256.0 * digits[..., 0] + digits[..., 1]
+    expect = math.sqrt(3.0) * (2.0 * (total + 0.5 * n) / 2.0**16 - n) / math.sqrt(n)
     draws = sample_sum(uniform_source(k), n, RngStream(129), size=m)
     np.testing.assert_allclose(draws, expect, rtol=0, atol=1e-13)
     # non-iid Rademacher: ceil(n/8) bytes per coordinate, bit l of byte g signs component 8g + l
@@ -295,17 +307,78 @@ def test_uniform_sum_of_top_words_does_not_wrap(n):
     assert y == pytest.approx(math.sqrt(3.0 * n) * (1.0 - 2.0**-16), rel=1e-14)
 
 
+def _all_thresholds(table):
+    """The 255 g thresholds of a byte-sum table, with the 0 and 2^64 - 1 ones it leaves out."""
+    lo, thresholds, _, _ = table
+    ones = np.full(lo, 2**64 - 1, dtype=np.uint64)
+    return np.concatenate([np.zeros(lo, dtype=np.uint64), thresholds[:-2], ones])
+
+
+def _table_pmf_counts(g):
+    """P(X = s) 2^64 as Python ints for the words that draw each atom of g bytes' table."""
+    edges = [0, *map(int, _all_thresholds(sources._byte_sum_table(g))), 2**64]
+    return [b - a for a, b in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("g", [9, 16, 64])
+def test_byte_sum_table_law_is_the_exact_byte_sum_law(g):
+    # total variation in exact integers over the common denominator 2^(8g) >= 2^64
+    exact = byte_sum_counts(g)
+    table = _table_pmf_counts(g)
+    assert len(table) == len(exact) == 255 * g + 1
+    scale = 2 ** (8 * g - 64)
+    tv = sum(abs(t * scale - c) for t, c in zip(table, exact)) / 2 ** (8 * g + 1)
+    assert tv <= 1e-12, tv
+
+
+def test_byte_sum_table_law_at_256_bytes_matches_an_fft_power():
+    # (sum_{j < 256} x^j / 256)^256 on 2^16 >= 65281 points, against the bit-plane build
+    L = 1 << 16
+    fft = np.fft.irfft(np.fft.rfft(np.full(256, 1.0 / 256.0), L) ** 256, L)[: 255 * 256 + 1]
+    table = np.array(_table_pmf_counts(256), dtype=float) / 2.0**64
+    assert 0.5 * np.abs(table - fft).sum() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 16, 256, 257, 600])
+def test_byte_sum_lookups_equal_searchsorted_over_all_thresholds(n):
+    for j, table in enumerate(sources._uniform_tables(n)):
+        T = _all_thresholds(table)
+        random = RngStream(132 + n).child(j).generator().bit_generator.random_raw(1 << 20)
+        words = np.concatenate([random, T, T - np.uint64(1), T + np.uint64(1)])
+        atoms = sources._byte_sum_atoms(table, words)
+        assert np.array_equal(atoms, np.searchsorted(T, words, side="right")), j
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 256, 257, 600, 65537])
+def test_uniform_sums_take_at_most_two_tables_of_at_most_65281_atoms(n):
+    groups = sources._summand_groups(n)
+    tables = sources._uniform_tables(n)
+    if n <= 8:  # summed from n 16-bit words
+        assert tables == () and sources._uniform_row_bytes(3, n) == 6 * n
+        return
+    assert sum(groups) == n and len(groups) == -(-n // 256) and len(set(groups)) <= 2
+    assert len({id(t) for t in tables}) <= 2
+    assert all(len(_all_thresholds(t)) == 255 * g <= 65280 for t, g in zip(tables, groups))
+    # the all-ones word's cell holds two or more thresholds, so it reaches searchsorted
+    assert all(guide[-1] == len(thresholds) - 1 for _, thresholds, guide, _ in tables)
+    assert sources._uniform_row_bytes(3, n) == 48 * len(groups)
+
+
 @pytest.mark.parametrize(
     "src, n",
     [
         (uniform_source(3), 5),
         (uniform_source(2), 256),
+        (uniform_source(3), 4),
+        (uniform_source(2), 64),
+        (uniform_source(2), 300),
         (noniid_catalog("rademacher", 3, 13), 13),
         (noniid_catalog("rademacher", 2, 256), 256),
         (rademacher_source(3), 13),
         (rademacher_source(2), 256),
     ],
-    ids=["uniform-k3-n5", "uniform-k2-n256", "noniid-k3-n13", "noniid-k2-n256",
+    ids=["uniform-k3-n5", "uniform-k2-n256", "uniform-k3-n4", "uniform-k2-n64", "uniform-k2-n300",
+         "noniid-k3-n13", "noniid-k2-n256",
          "rademacher-k3-n13", "rademacher-k2-n256"],
 )
 def test_sample_sum_draws_do_not_depend_on_chunking(src, n, monkeypatch):
@@ -539,6 +612,13 @@ def test_normalizer_matrix_diagonal_closed_form():
         N = normalizer_matrix(src, j)
         expect = np.diag((1.0 - d**2) ** -0.5)
         assert np.max(np.abs(N - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("j", [-1, 2, 99, 0.5])
+def test_normalizer_matrix_rejects_a_component_index_out_of_range(j):
+    # j = 99 raised IndexError, and j = -1 gave the last component's matrix
+    with pytest.raises(DomainError, match="j must"):
+        normalizer_matrix(noniid_catalog("rademacher", 2, 2), j)
 
 
 def test_normalizer_matrix_zero_cov_is_identity():
@@ -932,8 +1012,11 @@ def test_delta_hat_gives_two_cpus_row_shares_that_differ_by_at_most_one_alignmen
 
 
 @pytest.mark.parametrize(
-    "src, n", [(rademacher_source(2), 16), (rademacher_source(3), 9), (uniform_source(2), 16)],
-    ids=["rademacher-k2-n16", "rademacher-k3-n9", "uniform"],
+    "src, n",
+    [(rademacher_source(2), 16), (rademacher_source(3), 9), (uniform_source(2), 16),
+     (uniform_source(2), 4), (uniform_source(3), 64), (uniform_source(2), 300)],
+    ids=["rademacher-k2-n16", "rademacher-k3-n9", "uniform", "uniform-n4", "uniform-n64",
+         "uniform-n300"],
 )
 def test_two_cpus_draw_each_row_of_a_raw_word_law_once(src, n, monkeypatch):
     # the second share starts inside block 1 and seeks to its first row there

@@ -406,6 +406,13 @@ def test_kernel_report_error_names_its_argument(n, s, match):
         double_integral_kernel_report(h, n=n, s=s, idx=(0, 0, 0), shift_grid=np.zeros((1, 1)))
 
 
+def test_kernel_report_rejects_an_empty_shift_grid():
+    # no shifts raised numpy's ValueError from a reduction over a zero-size array
+    h = IndicatorFunction(HalfSpace(np.eye(2)[0], 0.0))
+    with pytest.raises(DomainError, match="shift_grid"):
+        double_integral_kernel_report(h, n=10, s=1.0, idx=(0, 0, 0), shift_grid=np.zeros((0, 2)))
+
+
 def test_kernel_report_zero_for_constant():
     const = SmoothFunction(lambda X: np.full(len(np.atleast_2d(X)), 1.0))
     rep = double_integral_kernel_report(
